@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget perf-gate opald-smoke service-chaos archive-check opaltop-check
+.PHONY: all build test race bench bench-json bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget perf-gate opald-smoke service-chaos archive-check opaltop-check
 
 # Seeds per scenario when sweeping the checked-in chaos corpus.
 SCENARIO_SEEDS ?= 10
@@ -71,11 +71,21 @@ check:
 	$(MAKE) opald-smoke
 	$(MAKE) archive-check
 	$(MAKE) opaltop-check
+	$(MAKE) bench-smoke
 	$(MAKE) telemetry-budget
 	$(MAKE) supervision-budget
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Two seconds of each simulator workload of the front-door benchmark at the
+# golden seed.  The point is its per-op check, not the numbers: energies
+# hash, makespan, every Breakdown term and the LoD phase counts of every
+# harness.Run must equal bench/golden.json bit for bit, macro-replayed
+# (sim-faultfree) and fine-grained under a fault plane (sim-chaos) alike.
+bench-smoke:
+	$(GO) run ./bench -workload sim-faultfree -seed 1 -seconds 2 -trace 0
+	$(GO) run ./bench -workload sim-chaos -seed 1 -seconds 2 -trace 0
 
 # Snapshot the hot-path benchmarks into BENCH_<date>.json.
 bench-json:

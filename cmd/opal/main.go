@@ -382,7 +382,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace: %d segments written to %s\n", len(out.Recorder.Segments()), *traceJSON)
+		fmt.Printf("trace: %d segments written to %s\n", out.Recorder.Len(), *traceJSON)
 	}
 
 	if *ckptFile != "" {

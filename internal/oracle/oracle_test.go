@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -197,5 +199,98 @@ func TestModelzHandler(t *testing.T) {
 	}
 	if !strings.Contains(rr.Body.String(), `"measured"`) {
 		t.Fatalf("term reports missing measured values:\n%s", rr.Body.String())
+	}
+}
+
+// perProcessTotals is the reduction the oracle's windows used before the
+// recorder reduced every process in one pass: one pass over the whole
+// trace per process.
+func perProcessTotals(segs []trace.Segment, proc int, t0, t1 float64) [vm.NumSegKinds]float64 {
+	var t [vm.NumSegKinds]float64
+	for _, s := range segs {
+		if s.Proc != proc {
+			continue
+		}
+		start, end := math.Max(s.Start, t0), math.Min(s.End, t1)
+		if end > start {
+			t[s.Kind] += end - start
+		}
+	}
+	return t
+}
+
+// Every window's measured terms and residuals equal, bit for bit, what
+// per-process passes over the trace give — through irregular step
+// lengths, server recovery time and a replacement server whose large TID
+// appears mid-run (which also exercises the fleet-width renormalization).
+func TestOracleWindowsMatchPerProcessReduction(t *testing.T) {
+	cfg := Config{Window: 3}
+	cfg.Sys = testSystem()
+	cfg.Machine.A1 = 1e9
+	rec := trace.NewRecorder()
+	o := New(cfg)
+	o.Attach(rec, 0, 2)
+	o.Start(0)
+
+	rng := rand.New(rand.NewSource(5))
+	now, winStart := 0.0, 0.0
+	servers := []int{1, 2}
+	for step := 0; step < 30; step++ {
+		if step == 13 {
+			servers = []int{1, 2, 1<<16 + 2} // server 2 died; its replacement joins
+		}
+		t0 := now
+		seq, comm := 0.1+0.3*rng.Float64(), 0.05+0.2*rng.Float64()
+		rec.Segment(0, "client", vm.SegCompute, t0, t0+seq)
+		rec.Segment(0, "client", vm.SegComm, t0+seq, t0+seq+comm)
+		rec.Segment(0, "client", vm.SegSync, t0+seq+comm, t0+seq+comm+0.01)
+		for _, id := range servers {
+			if id == 2 && step >= 13 {
+				continue
+			}
+			work := 0.2 + 0.4*rng.Float64()
+			rec.Segment(id, "srv", vm.SegCompute, t0+seq, t0+seq+work)
+			rec.Segment(id, "srv", vm.SegComm, t0+seq+work, t0+seq+work+0.02*rng.Float64())
+			if rng.Intn(4) == 0 {
+				rec.Segment(id, "srv", vm.SegRecovery, t0+seq+work, t0+seq+work+0.1*rng.Float64())
+			}
+		}
+		now = t0 + 1 + 0.5*rng.Float64()
+		o.StepDone(step, now, 100+rng.Intn(50), 40+rng.Intn(20))
+		if (step+1)%cfg.Window != 0 {
+			continue
+		}
+
+		rep := o.Last()
+		if rep == nil || rep.EndStep != step+1 || rep.T0 != winStart || rep.T1 != now {
+			t.Fatalf("step %d: window report %+v, want [%g, %g] ending at step %d", step, rep, winStart, now, step+1)
+		}
+		segs := rec.Segments()
+		ct := perProcessTotals(segs, 0, winStart, now)
+		seqT := ct[vm.SegCompute] + ct[vm.SegOther]
+		commT, syncT, recovery, sum := ct[vm.SegComm], ct[vm.SegSync], ct[vm.SegRecovery], 0.0
+		for _, id := range servers {
+			st := perProcessTotals(segs, id, winStart, now)
+			sum += st[vm.SegCompute] + st[vm.SegOther]
+			commT += st[vm.SegComm]
+			recovery += st[vm.SegRecovery]
+		}
+		par := sum / float64(len(servers))
+		if len(servers) != 2 {
+			par = par * float64(len(servers)) / 2
+		}
+		want := []float64{par, seqT, commT + recovery, syncT}
+		for i, tr := range rep.Terms {
+			if math.Float64bits(tr.Measured) != math.Float64bits(want[i]) {
+				t.Fatalf("window %d term %s: measured %v, per-process reduction %v", rep.Index, tr.Term, tr.Measured, want[i])
+			}
+			if math.Float64bits(tr.Residual) != math.Float64bits(want[i]-tr.Predicted) {
+				t.Fatalf("window %d term %s: residual %v, per-process reduction %v", rep.Index, tr.Term, tr.Residual, want[i]-tr.Predicted)
+			}
+		}
+		winStart = now
+	}
+	if o.Windows() != 10 {
+		t.Fatalf("evaluated %d windows, want 10", o.Windows())
 	}
 }

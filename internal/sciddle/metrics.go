@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"opalperf/internal/trace"
-	"opalperf/internal/vm"
 )
 
 // High-level middleware metrics (Section 3.3): "in the parallel
@@ -47,8 +46,7 @@ func MetricsOf(rec *trace.Recorder, clientID int, serverIDs []int, t0, t1 float6
 	if wall <= 0 {
 		return m
 	}
-	ct := rec.TotalsBetween(clientID, t0, t1)
-	m.ClientComputeShare = (ct[vm.SegCompute] + ct[vm.SegOther]) / wall
+	m.ClientComputeShare = b.SeqComp / wall
 	m.ServerComputeShare = b.ParComp / wall
 	m.CommShare = b.Comm / wall
 	m.SyncShare = b.Sync / wall

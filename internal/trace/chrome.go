@@ -38,7 +38,6 @@ type chromeEvent struct {
 // ids fall back to the segment's recorded process name); all processes
 // share one trace pid so they stack as threads of one process group.
 func WriteChromeTrace(w io.Writer, r *Recorder, names map[int]string) error {
-	segs := r.Segments()
 	bw := &errWriter{w: w}
 	io.WriteString(bw, `{"displayTimeUnit":"ms","traceEvents":[`)
 	first := true
@@ -55,31 +54,33 @@ func WriteChromeTrace(w io.Writer, r *Recorder, names map[int]string) error {
 	}
 
 	// Metadata: name each process row once, in first-appearance order.
-	named := map[int]bool{}
-	for _, s := range segs {
-		if named[s.Proc] {
-			continue
-		}
-		named[s.Proc] = true
-		label := names[s.Proc]
+	procs, recorded := r.procNames()
+	for i, proc := range procs {
+		label := names[proc]
 		if label == "" {
-			label = fmt.Sprintf("%s (proc %d)", s.Name, s.Proc)
+			label = fmt.Sprintf("%s (proc %d)", recorded[i], proc)
 		}
 		emit(chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: s.Proc,
+			Name: "thread_name", Ph: "M", Pid: 0, Tid: proc,
 			Args: map[string]any{"name": label},
 		})
 	}
-	for _, s := range segs {
-		emit(chromeEvent{
-			Name: s.Kind.String(),
-			Cat:  s.Kind.String(),
-			Ph:   "X",
-			Ts:   s.Start * 1e6,
-			Dur:  (s.End - s.Start) * 1e6,
-			Pid:  0,
-			Tid:  s.Proc,
-		})
+	var segs []Segment
+	for ci := 0; ; ci++ {
+		if segs = r.segmentsOfChunk(segs[:0], ci); len(segs) == 0 {
+			break
+		}
+		for _, s := range segs {
+			emit(chromeEvent{
+				Name: s.Kind.String(),
+				Cat:  s.Kind.String(),
+				Ph:   "X",
+				Ts:   s.Start * 1e6,
+				Dur:  (s.End - s.Start) * 1e6,
+				Pid:  0,
+				Tid:  s.Proc,
+			})
+		}
 	}
 
 	// RPC flows: one call span per flow on the client row, plus a flow
@@ -87,7 +88,8 @@ func WriteChromeTrace(w io.Writer, r *Recorder, names map[int]string) error {
 	// slice) on the server row, so Perfetto draws an arrow from each client
 	// call to the matching server execution.  Flow ids are offset by one
 	// because id 0 would be dropped by omitempty.
-	for _, f := range r.Flows() {
+	flows := r.Flows()
+	for _, f := range flows {
 		emit(chromeEvent{
 			Name: f.Method, Cat: "rpc", Ph: "X",
 			Ts: f.Issue * 1e6, Dur: (f.Reply - f.Issue) * 1e6,
@@ -108,7 +110,6 @@ func WriteChromeTrace(w io.Writer, r *Recorder, names map[int]string) error {
 	// view of the comm matrix, rendered by Perfetto as a step chart per
 	// link.
 	type linkKey struct{ client, server int }
-	flows := append([]Flow(nil), r.Flows()...)
 	sort.SliceStable(flows, func(i, j int) bool { return flows[i].Reply < flows[j].Reply })
 	counts := map[linkKey]int{}
 	for _, f := range flows {

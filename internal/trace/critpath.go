@@ -45,70 +45,85 @@ func (c CritPath) String() string {
 // ComputeCriticalPath attributes the client's timeline in [t0, t1] to the
 // model terms using the recorded flows to resolve idle time.
 func ComputeCriticalPath(r *Recorder, clientID int, t0, t1 float64) CritPath {
-	segs := r.Segments()
-	flows := r.Flows()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var cp CritPath
 
 	// Server compute intervals, clipped to the window, indexed by proc.
 	compute := map[int][]ival{}
-	for _, s := range segs {
-		if s.Proc == clientID || s.Kind != vm.SegCompute {
-			continue
-		}
-		if iv, ok := clip(s.Start, s.End, t0, t1); ok {
-			compute[s.Proc] = append(compute[s.Proc], iv)
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		for _, s := range r.segs.filled(ci) {
+			proc := r.tracks[s.track].proc
+			if proc == clientID || vm.SegKind(s.kind) != vm.SegCompute {
+				continue
+			}
+			if iv, ok := clip(s.start, s.end, t0, t1); ok {
+				compute[proc] = append(compute[proc], iv)
+			}
 		}
 	}
-	for _, f := range flows {
-		if f.Client == clientID && f.Issue < t1 && f.Reply > t0 {
-			cp.Flows++
+	for ci := 0; ci < r.flows.numChunks(); ci++ {
+		for _, f := range r.flows.filled(ci) {
+			if f.client == clientID && f.issue < t1 && f.reply > t0 {
+				cp.Flows++
+			}
 		}
 	}
 
 	scratch := make([]ival, 0, 16)
-	for _, s := range segs {
-		if s.Proc != clientID {
-			continue
-		}
-		iv, ok := clip(s.Start, s.End, t0, t1)
-		if !ok {
-			continue
-		}
-		d := iv.b - iv.a
-		switch s.Kind {
-		case vm.SegCompute, vm.SegOther:
-			cp.Seq += d
-		case vm.SegComm:
-			cp.Comm += d
-		case vm.SegSync:
-			cp.Sync += d
-		case vm.SegRecovery:
-			cp.Recovery += d
-		case vm.SegIdle:
-			// Which servers was the client waiting on here?  Flows open
-			// anywhere in the span name the awaited servers; time where at
-			// least one of them computes is parallel work on the critical
-			// path.
-			scratch = scratch[:0]
-			for _, f := range flows {
-				if f.Client != clientID || f.Issue >= iv.b || f.Reply <= iv.a {
-					continue
-				}
-				fa, fb := f.Issue, f.Reply
-				for _, c := range compute[f.Server] {
-					if ov, ok := clip(c.a, c.b, maxf(fa, iv.a), minf(fb, iv.b)); ok {
-						scratch = append(scratch, ov)
-					}
-				}
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		for _, s := range r.segs.filled(ci) {
+			if r.tracks[s.track].proc != clientID {
+				continue
 			}
-			covered := unionLen(scratch)
-			cp.Par += covered
-			cp.Idle += d - covered
-		default:
-			cp.Idle += d
+			iv, ok := clip(s.start, s.end, t0, t1)
+			if !ok {
+				continue
+			}
+			d := iv.b - iv.a
+			switch vm.SegKind(s.kind) {
+			case vm.SegCompute, vm.SegOther:
+				cp.Seq += d
+			case vm.SegComm:
+				cp.Comm += d
+			case vm.SegSync:
+				cp.Sync += d
+			case vm.SegRecovery:
+				cp.Recovery += d
+			case vm.SegIdle:
+				// Which servers was the client waiting on here?  Flows open
+				// anywhere in the span name the awaited servers; time where at
+				// least one of them computes is parallel work on the critical
+				// path.
+				scratch = r.awaitedCompute(scratch[:0], compute, clientID, iv)
+				covered := unionLen(scratch)
+				cp.Par += covered
+				cp.Idle += d - covered
+			default:
+				cp.Idle += d
+			}
 		}
 	}
 	return cp
+}
+
+// awaitedCompute appends to dst the parts of the client's wait iv during
+// which a server it had an open flow to was computing.  Caller holds the
+// mutex.
+func (r *Recorder) awaitedCompute(dst []ival, compute map[int][]ival, clientID int, iv ival) []ival {
+	for ci := 0; ci < r.flows.numChunks(); ci++ {
+		for _, f := range r.flows.filled(ci) {
+			if f.client != clientID || f.issue >= iv.b || f.reply <= iv.a {
+				continue
+			}
+			for _, c := range compute[f.server] {
+				if ov, ok := clip(c.a, c.b, maxf(f.issue, iv.a), minf(f.reply, iv.b)); ok {
+					dst = append(dst, ov)
+				}
+			}
+		}
+	}
+	return dst
 }
 
 type ival struct{ a, b float64 }

@@ -25,7 +25,7 @@ func SampleShares(r *Recorder, proc int, t0, t1, period float64) [vm.NumSegKinds
 	if period <= 0 || t1 <= t0 {
 		return counts
 	}
-	idx := buildProcIndex(r.Segments(), proc)
+	idx := buildProcIndex(r, proc)
 	total := 0.0
 	for t := t0 + period/2; t < t1; t += period {
 		kind, ok := idx.stateAt(t)
@@ -48,22 +48,26 @@ func SampleShares(r *Recorder, proc int, t0, t1, period float64) [vm.NumSegKinds
 // Building it once turns the former O(segments × samples) probe loop into
 // O(segments·log segments + samples·log segments).
 type procIndex struct {
-	segs   []Segment // this process only, sorted by Start (stable)
-	maxEnd []float64 // maxEnd[i] = max(segs[0..i].End)
+	segs   []segRec  // this process only, sorted by start (stable)
+	maxEnd []float64 // maxEnd[i] = max(segs[0..i].end)
 }
 
-func buildProcIndex(all []Segment, proc int) procIndex {
+func buildProcIndex(r *Recorder, proc int) procIndex {
 	var idx procIndex
-	for _, s := range all {
-		if s.Proc == proc {
-			idx.segs = append(idx.segs, s)
+	r.mu.Lock()
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		for _, s := range r.segs.filled(ci) {
+			if r.tracks[s.track].proc == proc {
+				idx.segs = append(idx.segs, s)
+			}
 		}
 	}
-	sort.SliceStable(idx.segs, func(i, j int) bool { return idx.segs[i].Start < idx.segs[j].Start })
+	r.mu.Unlock()
+	sort.SliceStable(idx.segs, func(i, j int) bool { return idx.segs[i].start < idx.segs[j].start })
 	idx.maxEnd = make([]float64, len(idx.segs))
 	for i, s := range idx.segs {
-		idx.maxEnd[i] = s.End
-		if i > 0 && idx.maxEnd[i-1] > s.End {
+		idx.maxEnd[i] = s.end
+		if i > 0 && idx.maxEnd[i-1] > s.end {
 			idx.maxEnd[i] = idx.maxEnd[i-1]
 		}
 	}
@@ -79,10 +83,10 @@ func buildProcIndex(all []Segment, proc int) procIndex {
 // latest-starting covering segment wins.
 func (x procIndex) stateAt(t float64) (vm.SegKind, bool) {
 	// First segment with Start > t; candidates are everything before it.
-	i := sort.Search(len(x.segs), func(i int) bool { return x.segs[i].Start > t }) - 1
+	i := sort.Search(len(x.segs), func(i int) bool { return x.segs[i].start > t }) - 1
 	for ; i >= 0 && x.maxEnd[i] > t; i-- {
-		if s := x.segs[i]; s.Start <= t && t < s.End {
-			return s.Kind, true
+		if s := x.segs[i]; s.start <= t && t < s.end {
+			return vm.SegKind(s.kind), true
 		}
 	}
 	return 0, false

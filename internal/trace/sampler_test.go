@@ -123,7 +123,7 @@ func TestSampleSharesLargeTimelineMatchesNaive(t *testing.T) {
 	segs := r.Segments()
 	const t0, t1, period = 0.0, 2.0, 2.5e-4
 	for p := 0; p < procs; p++ {
-		idx := buildProcIndex(segs, p)
+		idx := buildProcIndex(r, p)
 		for probe := t0 + period/2; probe < t1; probe += period {
 			gotKind, gotOK := idx.stateAt(probe)
 			wantKind, wantOK := naiveStateAt(segs, p, probe)
@@ -151,7 +151,7 @@ func TestStateAtOverlappingSegments(t *testing.T) {
 	r := NewRecorder()
 	r.Segment(0, "p", vm.SegRecovery, 0, 1.0) // outer recovery window
 	r.Segment(0, "p", vm.SegComm, 0.4, 0.6)   // inner span recorded later
-	idx := buildProcIndex(r.Segments(), 0)
+	idx := buildProcIndex(r, 0)
 	if k, ok := idx.stateAt(0.5); !ok || k != vm.SegComm {
 		t.Fatalf("overlap at 0.5 = (%v,%v), want inner comm span", k, ok)
 	}

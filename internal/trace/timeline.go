@@ -33,10 +33,12 @@ func RenderTimeline(r *Recorder, names map[int]string, t0, t1 float64, width int
 	if t1 <= t0 {
 		return ""
 	}
-	procs := r.Procs()
-	if len(procs) == 0 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.procs) == 0 {
 		return ""
 	}
+	procs := r.sortedProcs()
 	dt := (t1 - t0) / float64(width)
 
 	labelW := 0
@@ -54,16 +56,25 @@ func RenderTimeline(r *Recorder, names map[int]string, t0, t1 float64, width int
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-*s  |%s|\n", labelW, "", timeAxis(t0, t1, width))
-	segs := r.Segments()
-	sort.SliceStable(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
+	// One pass sorts the window's segments into their process rows; each
+	// row is then charged in start order.
+	rows := make([][]segRec, len(r.procs))
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		for _, s := range r.segs.filled(ci) {
+			if s.end <= t0 || s.start >= t1 {
+				continue
+			}
+			row := r.tracks[s.track].row
+			rows[row] = append(rows[row], s)
+		}
+	}
 	for _, id := range procs {
+		segs := rows[r.procRow[id]]
+		sort.SliceStable(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
 		// Accumulate per-bucket occupancy by kind.
 		occ := make([][vm.NumSegKinds]float64, width)
 		for _, s := range segs {
-			if s.Proc != id || s.End <= t0 || s.Start >= t1 {
-				continue
-			}
-			lo, hi := s.Start, s.End
+			lo, hi := s.start, s.end
 			if lo < t0 {
 				lo = t0
 			}
@@ -85,7 +96,7 @@ func RenderTimeline(r *Recorder, names map[int]string, t0, t1 float64, width int
 					bhi = hi
 				}
 				if bhi > blo {
-					occ[b][s.Kind] += bhi - blo
+					occ[b][s.kind] += bhi - blo
 				}
 			}
 		}

@@ -48,10 +48,20 @@ type Flow struct {
 
 // Recorder implements vm.Tracer and accumulates segments.  It is safe for
 // concurrent use so that the real-goroutine PVM fabric can share it.
+//
+// Segments and flows are kept in recording order in pointer-free chunks
+// (store.go); Segments and Flows materialise the exported form on demand.
 type Recorder struct {
 	mu    sync.Mutex
-	segs  []Segment
-	flows []Flow
+	segs  chunked[segRec]
+	flows chunked[flowRec]
+
+	tracks  []track             // interned (proc, name) pairs, first-seen order
+	trackID map[trackKey]uint32 // (proc, name) → index into tracks
+	recent  [16]recentTrack     // direct-mapped cache in front of trackID
+	procs   []int               // processes with recorded segments, first-seen order
+	procRow map[int]int         // proc → index into procs
+	methods interner            // Flow.Method strings
 }
 
 // NewRecorder creates an empty recorder.
@@ -59,10 +69,30 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Segment implements vm.Tracer.
 func (r *Recorder) Segment(proc int, name string, kind vm.SegKind, start, end float64) {
+	if uint(kind) >= vm.NumSegKinds {
+		panic(fmt.Sprintf("trace: segment of unknown kind %d", int(kind)))
+	}
 	telemetry.RankSegment(proc, int(kind), end-start)
 	r.mu.Lock()
-	r.segs = append(r.segs, Segment{Proc: proc, Name: name, Kind: kind, Start: start, End: end})
+	*r.segs.next() = segRec{start: start, end: end, track: r.trackOf(proc, name), kind: uint8(kind)}
 	r.mu.Unlock()
+}
+
+// Len returns the number of recorded segments.
+func (r *Recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.segs.n
+}
+
+// appendChunk appends the segments of storage chunk ci, materialised, to
+// dst.  Caller holds the mutex.
+func (r *Recorder) appendChunk(dst []Segment, ci int) []Segment {
+	for _, s := range r.segs.filled(ci) {
+		t := &r.tracks[s.track]
+		dst = append(dst, Segment{Proc: t.proc, Name: t.name, Kind: vm.SegKind(s.kind), Start: s.start, End: s.end})
+	}
+	return dst
 }
 
 // Segments returns a copy of all recorded segments in recording order.
@@ -72,19 +102,56 @@ func (r *Recorder) Segment(proc int, name string, kind vm.SegKind, start, end fl
 func (r *Recorder) Segments() []Segment {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Segment, len(r.segs))
-	copy(out, r.segs)
+	out := make([]Segment, 0, r.segs.n)
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		out = r.appendChunk(out, ci)
+	}
 	return out
 }
 
+// segmentsOfChunk appends the segments of storage chunk ci to dst; past the
+// last chunk it returns dst unchanged.  It lets a reducer that calls out
+// (the Chrome exporter writes to its caller's io.Writer) walk the trace
+// without copying all of it and without holding the mutex while it does.
+func (r *Recorder) segmentsOfChunk(dst []Segment, ci int) []Segment {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ci < r.segs.numChunks() {
+		dst = r.appendChunk(dst, ci)
+	}
+	return dst
+}
+
+// procNames returns the processes with recorded segments in first-seen
+// order, each with the name its first segment was recorded under.
+func (r *Recorder) procNames() (procs []int, names []string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	procs = append(procs, r.procs...)
+	names = make([]string, len(procs))
+	// A process's first track is the (proc, name) pair of its first
+	// segment; walking backwards leaves that one standing.
+	for i := len(r.tracks) - 1; i >= 0; i-- {
+		names[r.tracks[i].row] = r.tracks[i].name
+	}
+	return procs, names
+}
+
 // Reset discards all recorded segments and flows while retaining the
-// backing arrays' capacity, so a recorder reused across measurement
-// windows (e.g. via md.Options.AfterInit) reaches a steady state where
-// recording allocates nothing.
+// chunks and the interning tables' capacity, so a recorder reused across
+// measurement windows (e.g. via md.Options.AfterInit) reaches a steady
+// state where recording allocates nothing.  The tracks go too, because
+// with them goes the set of processes Procs reports; the method names are
+// only a dictionary and stay.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	r.segs = r.segs[:0]
-	r.flows = r.flows[:0]
+	r.segs.reset()
+	r.flows.reset()
+	r.tracks = r.tracks[:0]
+	clear(r.trackID)
+	r.recent = [len(r.recent)]recentTrack{}
+	r.procs = r.procs[:0]
+	clear(r.procRow)
 	r.mu.Unlock()
 }
 
@@ -92,10 +159,10 @@ func (r *Recorder) Reset() {
 // order.
 func (r *Recorder) Flow(method string, client, server int, issue, reply float64) {
 	r.mu.Lock()
-	r.flows = append(r.flows, Flow{
-		ID: len(r.flows), Method: method,
-		Client: client, Server: server, Issue: issue, Reply: reply,
-	})
+	*r.flows.next() = flowRec{
+		issue: issue, reply: reply,
+		client: client, server: server, method: r.methods.id(method),
+	}
 	r.mu.Unlock()
 }
 
@@ -104,10 +171,20 @@ func (r *Recorder) Flow(method string, client, server int, issue, reply float64)
 func (r *Recorder) Flows() []Flow {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Flow, len(r.flows))
-	copy(out, r.flows)
+	out := make([]Flow, 0, r.flows.n)
+	for ci := 0; ci < r.flows.numChunks(); ci++ {
+		for _, f := range r.flows.filled(ci) {
+			out = append(out, Flow{
+				ID: len(out), Method: r.methods.names[f.method],
+				Client: f.client, Server: f.server, Issue: f.issue, Reply: f.reply,
+			})
+		}
+	}
 	return out
 }
+
+// kindTotals is one process's time per segment kind.
+type kindTotals = [vm.NumSegKinds]float64
 
 // Totals sums the recorded time per kind for one process.
 func (r *Recorder) Totals(proc int) [vm.NumSegKinds]float64 {
@@ -118,39 +195,53 @@ func (r *Recorder) Totals(proc int) [vm.NumSegKinds]float64 {
 // window [t0, t1] — the measurement window of a run, excluding the
 // amortized initialization before t0 and the shutdown after t1.
 func (r *Recorder) TotalsBetween(proc int, t0, t1 float64) [vm.NumSegKinds]float64 {
+	return r.totalsBetween(t0, t1, proc)[0]
+}
+
+// totalsBetween is the one reduction behind every per-process total: a
+// single pass over the trace in recording order into a per-process ×
+// per-kind table, from which the totals of the requested processes are
+// returned in request order (zero for a process that recorded nothing).
+// Each cell receives its additions in recording order — the order a pass
+// filtered to that one process would add them in — so the sums do not
+// depend on how many processes are reduced together.
+func (r *Recorder) totalsBetween(t0, t1 float64, procs ...int) []kindTotals {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var t [vm.NumSegKinds]float64
-	for _, s := range r.segs {
-		if s.Proc != proc {
-			continue
-		}
-		start, end := s.Start, s.End
-		if start < t0 {
-			start = t0
-		}
-		if end > t1 {
-			end = t1
-		}
-		if end > start {
-			t[s.Kind] += end - start
+	rows := make([]kindTotals, len(r.procs))
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		for _, s := range r.segs.filled(ci) {
+			start, end := s.start, s.end
+			if start < t0 {
+				start = t0
+			}
+			if end > t1 {
+				end = t1
+			}
+			if end > start {
+				rows[r.tracks[s.track].row][s.kind] += end - start
+			}
 		}
 	}
-	return t
+	out := make([]kindTotals, len(procs))
+	for i, p := range procs {
+		if row, ok := r.procRow[p]; ok {
+			out[i] = rows[row]
+		}
+	}
+	return out
 }
 
 // Procs returns the sorted ids of all processes with recorded segments.
 func (r *Recorder) Procs() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seen := map[int]bool{}
-	for _, s := range r.segs {
-		seen[s.Proc] = true
-	}
-	ids := make([]int, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
+	return r.sortedProcs()
+}
+
+// sortedProcs is Procs for a caller that holds the mutex.
+func (r *Recorder) sortedProcs() []int {
+	ids := append([]int(nil), r.procs...)
 	sort.Ints(ids)
 	return ids
 }
@@ -201,7 +292,8 @@ func ComputeBreakdown(r *Recorder, clientID int, serverIDs []int, wall float64) 
 // and shutdown traffic.
 func ComputeBreakdownBetween(r *Recorder, clientID int, serverIDs []int, t0, t1, wall float64) Breakdown {
 	b := Breakdown{Wall: wall, Servers: len(serverIDs)}
-	ct := r.TotalsBetween(clientID, t0, t1)
+	tot := r.totalsBetween(t0, t1, append([]int{clientID}, serverIDs...)...)
+	ct := tot[0]
 	b.SeqComp = ct[vm.SegCompute] + ct[vm.SegOther]
 	b.Comm = ct[vm.SegComm]
 	b.Sync = ct[vm.SegSync]
@@ -209,8 +301,7 @@ func ComputeBreakdownBetween(r *Recorder, clientID int, serverIDs []int, t0, t1,
 	if len(serverIDs) > 0 {
 		b.MinParComp = -1
 		var sum float64
-		for _, id := range serverIDs {
-			st := r.TotalsBetween(id, t0, t1)
+		for _, st := range tot[1:] {
 			c := st[vm.SegCompute] + st[vm.SegOther]
 			sum += c
 			if c > b.MaxParComp {

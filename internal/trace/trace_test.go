@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,30 +189,46 @@ func TestSegmentsNonNilWhenEmpty(t *testing.T) {
 	}
 }
 
+// TestResetRetainsCapacity pins the steady state of a reused recorder:
+// refilling it up to its previous length — across several chunk
+// boundaries, with segments of several processes and with flows — touches
+// the allocator not once.
 func TestResetRetainsCapacity(t *testing.T) {
-	r := NewRecorder()
-	for i := 0; i < 1000; i++ {
-		r.Segment(0, "p", vm.SegCompute, float64(i), float64(i)+0.5)
-	}
-	before := cap(r.segs)
-	if before < 1000 {
-		t.Fatalf("capacity %d after 1000 segments", before)
-	}
-	r.Reset()
-	if len(r.segs) != 0 {
-		t.Fatalf("len %d after Reset", len(r.segs))
-	}
-	if cap(r.segs) != before {
-		t.Fatalf("Reset changed capacity %d -> %d", before, cap(r.segs))
-	}
-	// Refilling to the previous length must not grow the backing array.
-	allocs := testing.AllocsPerRun(1, func() {
-		r.Reset()
-		for i := 0; i < 1000; i++ {
-			r.Segment(0, "p", vm.SegCompute, float64(i), float64(i)+0.5)
+	const n = 3*chunkLen + 17
+	fill := func(r *Recorder) {
+		for i := 0; i < n; i++ {
+			p := i % 5
+			r.Segment(p, procNames[p], vm.SegKind(i%vm.NumSegKinds), float64(i), float64(i)+0.5)
+			if i%4 == 0 {
+				r.Flow(methodNames[i%len(methodNames)], 0, 1+p, float64(i), float64(i)+0.25)
+			}
 		}
+	}
+	r := NewRecorder()
+	fill(r)
+	if r.Len() != n {
+		t.Fatalf("Len() = %d after %d segments", r.Len(), n)
+	}
+	want := r.Segments()
+	r.Reset()
+	if r.Len() != 0 || len(r.Segments()) != 0 || len(r.Flows()) != 0 || len(r.Procs()) != 0 {
+		t.Fatalf("Reset left %d segments, %d flows, procs %v", r.Len(), len(r.Flows()), r.Procs())
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		r.Reset()
+		fill(r)
 	})
 	if allocs != 0 {
 		t.Fatalf("recording into reset recorder allocated %.0f times per run", allocs)
 	}
+	if got := r.Segments(); !reflect.DeepEqual(got, want) {
+		t.Fatal("refilled recorder does not hold the segments recorded")
+	}
 }
+
+// The process and method names of an eight-server run.
+var (
+	procNames = []string{"opal-client", "opal-server-0", "opal-server-1", "opal-server-2",
+		"opal-server-3", "opal-server-4", "opal-server-5", "opal-server-6", "opal-server-7"}
+	methodNames = []string{"update", "nbint", "shutdown"}
+)
