@@ -132,10 +132,15 @@ opaltop-check:
 # the baseline diff, -min-ratio pins the level-of-detail speedup inside
 # the fresh snapshot itself (host-speed independent): the fault-free
 # scenario must run at least LOD_MIN_SPEEDUP times faster with macro
-# replay than fine-grained.
+# replay than fine-grained.  The floor was 5 while a fine-grained phase
+# paid channel hand-offs (measured ratio ~6.8); the coroutine kernel made
+# the fine-grained side ~2.3x faster with macro replay no slower, so the
+# same scenario now measures ~3 (2.5-3.2 across host-load spells; lod=on
+# is allocation-bound and slows more than lod=off when the box is busy)
+# and the floor is 2.5.
 PERF_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 PERF_TOL ?= 0.75
-LOD_MIN_SPEEDUP ?= 5
+LOD_MIN_SPEEDUP ?= 2.5
 perf-gate:
 	@test -n "$(PERF_BASELINE)" || { echo "perf-gate: no BENCH_*.json baseline found"; exit 1; }
 	$(GO) run ./cmd/benchjson -pkg . -bench . -count 3 -out /tmp/bench-now.json

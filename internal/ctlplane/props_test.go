@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"opalperf/internal/telemetry"
+	"opalperf/internal/vm"
 )
 
 // newTestServer builds a server whose pool executes runner instead of the
@@ -360,5 +361,54 @@ func TestPanicIsolation(t *testing.T) {
 	// retry, never a worker.
 	if after := mWorkerCrashes.Value(); after != crashesBefore {
 		t.Fatalf("panic leaked past job isolation: worker crashes %d -> %d", crashesBefore, after)
+	}
+}
+
+// TestPanicIsolationSimulatedTask: the panic that job isolation has to
+// absorb in practice does not come from the runner's own frame but from a
+// simulated task inside the DES kernel.  It must reach execute's recover
+// through Kernel.Run, fail that one attempt as a worker panic, and leave
+// the worker alive for the next job.
+func TestPanicIsolationSimulatedTask(t *testing.T) {
+	bad := testSpec(1)
+	s := newTestServer(t, Config{
+		Workers: 1, QueueCap: 8, MaxAttempts: 1,
+		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
+	}, func(p *pool, j *job, attempt int) (*JobResult, error) {
+		k := vm.NewKernel(nil, nil)
+		k.NewProc("server", nil, func(p *vm.Proc) { p.Recv(nil) })
+		k.NewProc("client", nil, func(p *vm.Proc) {
+			if j.Spec.Seed == bad.Seed {
+				panic("task kaboom")
+			}
+			p.Send(0, 1, nil, 0)
+		})
+		if err := k.Run(); err != nil {
+			return nil, err
+		}
+		return &JobResult{Steps: 1, Energies: []float64{1}}, nil
+	})
+	crashesBefore := mWorkerCrashes.Value()
+
+	id, _, err := s.Submit("a", bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, id)
+	snap, _ := s.store.snapshotOf(id)
+	if snap.State != StateFailed || snap.Err != "ctlplane: worker panic: task kaboom" {
+		t.Fatalf("panicking task: state %v, err %q; want failed with the worker-panic error", snap.State, snap.Err)
+	}
+
+	id, _, err = s.Submit("a", testSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, id)
+	if snap, _ := s.store.snapshotOf(id); snap.State != StateDone {
+		t.Fatalf("job after the panic: %+v", snap)
+	}
+	if after := mWorkerCrashes.Value(); after != crashesBefore {
+		t.Fatalf("task panic cost a worker: crashes %d -> %d", crashesBefore, after)
 	}
 }

@@ -275,7 +275,10 @@ func TestHTTPOverloadSheds(t *testing.T) {
 
 // TestPredictHotPathLatency pins the read-path budget: after warm-up,
 // 10k sequential /predict requests with telemetry enabled keep p99 under
-// 1ms — the calibrate-once/predict-many economics served live.
+// 1ms — the calibrate-once/predict-many economics served live.  Under the
+// race detector the percentiles are only logged: instrumented and sharing
+// two cores with the other packages' tests, p99 lands on either side of
+// the limit, and svc.predict_p99_ms in bench/ is the tracked number.
 func TestPredictHotPathLatency(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, QueueCap: 4,
@@ -314,6 +317,9 @@ func TestPredictHotPathLatency(t *testing.T) {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	p50, p99 := lats[n/2], lats[n*99/100]
 	t.Logf("/predict over %d sequential requests: p50=%v p99=%v max=%v", n, p50, p99, lats[n-1])
+	if raceEnabled {
+		t.Skip("race detector on: percentiles logged, 1ms limit not asserted")
+	}
 	if p99 > time.Millisecond {
 		t.Fatalf("/predict p99 = %v, want < 1ms", p99)
 	}

@@ -4,10 +4,22 @@
 // The kernel stands in for the hardware platforms of the paper (Cray J90,
 // Cray T3E-900 and the three Cluster-of-PCs flavours) that are no longer
 // available.  Every simulated process (a PVM task in the layers above) is a
-// goroutine with a local virtual clock.  Exactly one process executes at any
-// instant; control is handed over through channels and the kernel always
-// resumes the runnable process with the smallest local time (ties broken by
-// process id), which makes simulations reproducible bit for bit.
+// coroutine (iter.Pull) with a local virtual clock.  Exactly one process
+// executes at any instant: Kernel.Run switches directly into the runnable
+// process with the smallest local time (ties broken by process id), the
+// process switches straight back when it blocks, and no Go scheduler
+// decision is involved — which makes simulations reproducible bit for bit
+// and a hand-off a few hundred nanoseconds cheaper than a channel round
+// trip.
+//
+// Lifecycle is owned by Run.  Whenever Run exits with unfinished processes
+// (a DeadlockError, a panic, a runtime.Goexit), it stops every one of them:
+// a stopped process unwinds from the yield it is parked in by panicking
+// with a private sentinel, so its deferred calls run and its coroutine
+// exits; a deferred call that tries to block again gets the same sentinel.
+// A panic raised by a simulated task propagates, with its original value,
+// out of Run on the goroutine that called Run, where the caller's own
+// recover can see it.
 //
 // Virtual time is charged through a pluggable cost model:
 //
@@ -26,6 +38,7 @@ package vm
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -211,7 +224,7 @@ func (s *Stats) Busy() float64 {
 }
 
 // Proc is a simulated process.  All methods must be called from the
-// process's own goroutine while it holds the execution token (i.e. from
+// process's own coroutine while it holds the execution token (i.e. from
 // inside the function passed to NewProc or Spawn).
 type Proc struct {
 	k       *Kernel
@@ -222,8 +235,14 @@ type Proc struct {
 	ws      int // current working-set size in bytes
 	stats   Stats
 
-	state   procState
-	resume  chan struct{}
+	state procState
+	// Coroutine controls, set by startProc: resume switches into the
+	// process until it blocks (true) or finishes (false), stop unwinds it,
+	// suspend (valid once the process has run) switches back to whoever
+	// called resume and reports false when the process has been stopped.
+	resume  func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
 	mailbox []*Message
 	// Ready-queue bookkeeping: index into Kernel.ready (-1 when not
 	// enqueued) and the cached scheduling key while enqueued.
@@ -309,7 +328,7 @@ type Span struct {
 // Like Barrier release, ElapseSpan (and Elapse) may also be invoked on a
 // quiesced, receive-blocked process by whichever process currently holds
 // the execution token — the macro replay layer in pvm uses this to
-// position server clocks from the client's goroutine.
+// position server clocks from the client's coroutine.
 func (p *Proc) ElapseSpan(spans ...Span) {
 	for _, s := range spans {
 		p.Elapse(s.D, s.Kind)
@@ -611,11 +630,17 @@ func (p *Proc) Spawn(name string, compute ComputeModel, fn func(*Proc)) int {
 	return q.id
 }
 
+// procStopped is the panic value that unwinds a stopped process.
+type procStopped struct{}
+
 // yield hands the execution token back to the kernel and blocks until the
-// kernel resumes this process.
+// kernel resumes this process.  If the kernel stops the process instead —
+// or already has, and a deferred call running during the unwind blocks
+// again — yield panics with procStopped.
 func (p *Proc) yield() {
-	p.k.yield <- p
-	<-p.resume
+	if !p.suspend(struct{}{}) {
+		panic(procStopped{})
+	}
 }
 
 type barrier struct {
@@ -631,7 +656,6 @@ type Kernel struct {
 	tracer   Tracer
 	faults   FaultModel
 	procs    []*Proc
-	yield    chan *Proc
 	seq      uint64
 	barriers map[string]*barrier
 	running  bool
@@ -657,7 +681,6 @@ func NewKernel(comm CommModel, tracer Tracer) *Kernel {
 	return &Kernel{
 		comm:     comm,
 		tracer:   tracer,
-		yield:    make(chan *Proc),
 		barriers: make(map[string]*barrier),
 	}
 }
@@ -688,7 +711,6 @@ func (k *Kernel) addProc(name string, compute ComputeModel, fn func(*Proc)) *Pro
 		name:    name,
 		compute: compute,
 		state:   stateReady,
-		resume:  make(chan struct{}),
 		fn:      fn,
 		heapIdx: -1,
 	}
@@ -696,14 +718,20 @@ func (k *Kernel) addProc(name string, compute ComputeModel, fn func(*Proc)) *Pro
 	return p
 }
 
-// startProc launches the goroutine backing p, parked until first resumed.
+// startProc creates the coroutine backing p; it first runs when the kernel
+// calls p.resume.
 func (k *Kernel) startProc(p *Proc) {
-	go func() {
-		<-p.resume
+	p.resume, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		defer func() {
+			// A stopped process ends here; any other panic carries on to
+			// iter.Pull, which re-raises it in the caller of resume or stop.
+			if r := recover(); r != nil && r != (procStopped{}) {
+				panic(r)
+			}
+		}()
 		p.fn(p)
-		p.state = stateDone
-		k.yield <- p
-	}()
+	})
 }
 
 func (k *Kernel) proc(id int) *Proc {
@@ -729,7 +757,7 @@ func (k *Kernel) newMessage() *Message {
 
 // Recycle returns a delivered message to the kernel's freelist so a later
 // Send can reuse it.  The receiver may only call it — from its own
-// goroutine, while holding the execution token — after it has extracted
+// coroutine, while holding the execution token — after it has extracted
 // everything it needs from the message, and must not touch m afterwards.
 func (k *Kernel) Recycle(m *Message) {
 	if m == nil {
@@ -942,13 +970,16 @@ func (e *DeadlockError) Error() string {
 
 // Run executes the simulation until every process has finished.  It
 // returns a DeadlockError if live processes remain but none is runnable
-// (e.g. a Recv that can never be satisfied or an incomplete barrier).
+// (e.g. a Recv that can never be satisfied or an incomplete barrier).  A
+// panic in a process propagates out of Run.  However Run exits, no
+// process coroutine outlives it.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("vm: kernel already running")
 	}
 	k.running = true
 	defer func() { k.running = false }()
+	defer k.stopProcs()
 	for _, p := range k.procs {
 		k.startProc(p)
 		k.heapPush(p, p.now)
@@ -965,10 +996,23 @@ func (k *Kernel) Run() error {
 			next.got = takeEarliestMatch(next)
 		}
 		next.state = stateRunning
-		next.resume <- struct{}{}
-		k.park(<-k.yield)
+		if _, alive := next.resume(); !alive {
+			next.state = stateDone
+		}
+		k.park(next)
 	}
 	return nil
+}
+
+// stopProcs unwinds every unfinished process.  The stops are deferred so
+// that each one runs even if an earlier one re-raises a panic from a
+// deferred call of the process it unwound.
+func (k *Kernel) stopProcs() {
+	for _, p := range k.procs {
+		if p.state != stateDone {
+			defer p.stop()
+		}
+	}
 }
 
 // park re-enqueues a process that just handed the token back, according
