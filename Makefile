@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget perf-gate opald-smoke service-chaos archive-check opaltop-check
+.PHONY: all build test race bench bench-json bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget perf-gate opald-smoke service-chaos archive-check opaltop-check stubs stubs-check
 
 # Seeds per scenario when sweeping the checked-in chaos corpus.
 SCENARIO_SEEDS ?= 10
@@ -64,6 +64,7 @@ archive-check:
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
+	$(MAKE) stubs-check
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(MAKE) scenarios
@@ -167,6 +168,10 @@ figures:
 # Regenerate the Sciddle stubs from the IDL.
 stubs:
 	$(GO) run ./cmd/sciddlegen -pkg opalrpc -o internal/md/opalrpc/opalrpc.go internal/md/opal.idl
+
+# Fail when the checked-in stubs differ from what the generator emits.
+stubs-check: stubs
+	git diff --exit-code internal/md/opalrpc/
 
 clean:
 	rm -rf out

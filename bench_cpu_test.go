@@ -3,10 +3,11 @@
 package opalperf
 
 import (
-	"sort"
 	"syscall"
 	"testing"
 	"time"
+
+	"opalperf/internal/stats"
 )
 
 // cpuTime returns the process's cumulative user+system CPU time.  The
@@ -71,22 +72,9 @@ func pairedOverheadPercent(b *testing.B, bare, armed func()) float64 {
 		deltas = append(deltas, (ta - tb).Seconds())
 		bares = append(bares, tb.Seconds())
 	}
-	mb := median(bares)
+	mb := stats.Median(bares)
 	if mb <= 0 {
 		return 0
 	}
-	return 100 * median(deltas) / mb
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
+	return 100 * stats.Median(deltas) / mb
 }

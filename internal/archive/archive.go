@@ -36,6 +36,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"opalperf/internal/atomicfile"
 )
 
 const (
@@ -231,26 +233,10 @@ func (a *Archive) newSegmentLocked(seq int) error {
 	if err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
-	if _, err := f.WriteString(segMagic); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("archive: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("archive: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("archive: %w", err)
-	}
 	open := filepath.Join(a.dir, fmt.Sprintf("seg-%06d.open", seq))
-	if err := os.Rename(tmp, open); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Commit(f, open, writeSegMagic); err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
-	a.syncDir()
 	af, err := os.OpenFile(open, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("archive: %w", err)
@@ -275,18 +261,15 @@ func (a *Archive) sealLocked() error {
 	if err := os.Rename(a.activePath, sealed); err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
-	a.syncDir()
+	atomicfile.SyncDir(a.dir)
 	a.active = nil
 	return nil
 }
 
-// syncDir fsyncs the archive directory so renames survive a host crash.
-// Best effort: some filesystems refuse directory fsync.
-func (a *Archive) syncDir() {
-	if d, err := os.Open(a.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+// writeSegMagic writes the header every segment file starts with.
+func writeSegMagic(w io.Writer) error {
+	_, err := io.WriteString(w, segMagic)
+	return err
 }
 
 // Roll seals the active segment and starts a fresh one — the boundary
@@ -444,45 +427,32 @@ func (a *Archive) Compact(cutoff time.Time) error {
 	if err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
-	if _, err := f.WriteString(segMagic); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("archive: %w", err)
-	}
-	for _, r := range keep {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("archive: %w", err)
+	err = atomicfile.Commit(f, sealed[0], func(w io.Writer) error {
+		if err := writeSegMagic(w); err != nil {
+			return err
 		}
-		frame := make([]byte, 8+len(payload))
-		binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-		copy(frame[8:], payload)
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("archive: %w", err)
+		for _, r := range keep {
+			payload, err := json.Marshal(r)
+			if err != nil {
+				return err
+			}
+			frame := make([]byte, 8+len(payload))
+			binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+			binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+			copy(frame[8:], payload)
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
 		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("archive: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("archive: %w", err)
-	}
-	if err := os.Rename(tmp, sealed[0]); err != nil {
-		os.Remove(tmp)
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
 	for _, p := range sealed[1:] {
 		os.Remove(p)
 	}
-	a.syncDir()
+	atomicfile.SyncDir(a.dir)
 	// Rebuild the index: compacted sealed records + whatever the active
 	// segment holds (its records are the tail of a.recs already, but
 	// recomputing from keep + active scan keeps this simple and exact).

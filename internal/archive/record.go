@@ -31,9 +31,6 @@ type Record struct {
 	Data   json.RawMessage `json:"data,omitempty"`
 }
 
-// Time returns the record's wall-clock stamp.
-func (r Record) Time() time.Time { return time.Unix(0, r.Unix).UTC() }
-
 // RunSummary is the one-record digest of a completed run: everything the
 // cross-run analytics need without replaying the journal — makespan and
 // breakdown terms, the energies hash (the determinism witness), recovery

@@ -2,7 +2,6 @@ package archive
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -92,8 +91,9 @@ func Watch(history []RunSummary, sum RunSummary, tol Tolerance) WatchReport {
 	for i, b := range base {
 		walls[i] = b.Wall
 	}
-	sort.Float64s(walls)
-	rep.BaselineWall = median(walls)
+	// Nearest rank: an even-sized window takes the lower middle, no
+	// interpolation, so the baseline is always an archived makespan.
+	rep.BaselineWall = Percentile(walls, 50)
 	if rep.BaselineWall > 0 {
 		rep.Ratio = sum.Wall / rep.BaselineWall
 	}
@@ -108,15 +108,6 @@ func Watch(history []RunSummary, sum RunSummary, tol Tolerance) WatchReport {
 		}
 	}
 	return rep
-}
-
-// median of a sorted slice (even length: lower middle — deterministic,
-// no interpolation, matching the nearest-rank percentile convention).
-func median(sorted []float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[(len(sorted)-1)/2]
 }
 
 // consensusHash reports the baseline's unanimous energies hash, if any.

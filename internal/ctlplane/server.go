@@ -202,9 +202,6 @@ func (s *Server) streamExtra() any {
 	}
 }
 
-// Draining reports whether a drain has started.
-func (s *Server) Draining() bool { return s.pool.draining.Load() }
-
 // Submit admits one run submission for tenant; it is the transport-free
 // core of POST /v1/runs.
 func (s *Server) Submit(tenant string, spec JobSpec) (jobID string, coalesced bool, err error) {

@@ -225,15 +225,3 @@ func (s *store) finishLocked(e *entry) {
 		close(e.done)
 	}
 }
-
-// jobs lists every known job ID with its entry snapshot, insertion-ordered
-// by ID (IDs are sequential).
-func (s *store) jobs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.byJob))
-	for id := range s.byJob {
-		ids = append(ids, id)
-	}
-	return ids
-}

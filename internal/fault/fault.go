@@ -154,9 +154,6 @@ func (p *Plan) Stats() Stats { return p.stats }
 // token (the client's step hooks), like every other plan method.
 func (p *Plan) SetActive(on bool) { p.muted = !on }
 
-// Active reports whether the plan currently injects.
-func (p *Plan) Active() bool { return !p.muted }
-
 // FaultFree reports whether the plan provably injects nothing: with all
 // rates zero every hook returns before drawing from the pseudo-random
 // stream, so the plan is indistinguishable from no plan at all.  The
@@ -167,9 +164,6 @@ func (p *Plan) FaultFree() bool {
 	return c.DropRate <= 0 && c.DupRate <= 0 && c.DelayRate <= 0 &&
 		c.CrashRate <= 0 && c.StragglerRate <= 0
 }
-
-// Config returns the plan's (defaulted) configuration.
-func (p *Plan) Config() Config { return p.cfg }
 
 // chance draws one decision at probability rate.  Every enabled fault kind
 // draws in a fixed order per hook, so the stream position depends only on

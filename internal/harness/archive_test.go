@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"opalperf/internal/archive"
+	"opalperf/internal/fault"
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
 	"opalperf/internal/molecule"
@@ -95,6 +96,11 @@ func TestSpecHashSeparatesConfigurations(t *testing.T) {
 		"cutoff":  func(s *harness.RunSpec) { s.Opts.Cutoff = 60 },
 		"update":  func(s *harness.RunSpec) { s.Opts.UpdateEvery = 10 },
 		"seed":    func(s *harness.RunSpec) { s.Opts.Seed = 99 },
+		// Each of these moves the makespan by construction: two barriers a
+		// phase, a different update charge, injected delays.
+		"accounting": func(s *harness.RunSpec) { s.Opts.Accounting = !s.Opts.Accounting },
+		"celllist":   func(s *harness.RunSpec) { s.Opts.CellList = !s.Opts.CellList },
+		"faults":     func(s *harness.RunSpec) { c := fault.Uniform(1, 0.05); s.Faults = &c },
 	} {
 		mod := base
 		mut(&mod)

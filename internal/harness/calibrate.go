@@ -110,19 +110,6 @@ func (s Suite) SpecFor(c expdesign.Case) (RunSpec, error) {
 	}, nil
 }
 
-// Measure runs one case and returns its calibration measurement.
-func (s Suite) Measure(c expdesign.Case) (core.Measurement, RunOutcome, error) {
-	spec, err := s.SpecFor(c)
-	if err != nil {
-		return core.Measurement{}, RunOutcome{}, err
-	}
-	out, err := Run(spec)
-	if err != nil {
-		return core.Measurement{}, RunOutcome{}, err
-	}
-	return MeasurementOf(spec, out), out, nil
-}
-
 // MeasureAll runs a set of cases concurrently on the default pool and
 // returns the measurements in case order, exactly as the sequential loop
 // would.

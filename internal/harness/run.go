@@ -225,9 +225,14 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 // SpecHashOf derives the canonical spec hash of a run configuration — the
 // grouping key cross-run queries and the regression watchdog compare
 // under.  It covers everything that changes the physics or the timing
-// (platform, system, fleet, steps, cut-off, update period, distribution
-// strategy and seed, engine mode) and nothing environmental.
+// (platform, system, fleet, steps, cut-off, update period and algorithm,
+// distribution strategy and seed, engine mode, accounting barriers, the
+// fault plan) and nothing environmental.
 func SpecHashOf(spec RunSpec) string {
+	faults := "none"
+	if spec.Faults != nil {
+		faults = fmt.Sprintf("%+v", *spec.Faults)
+	}
 	return archive.HashStrings(
 		spec.Platform.Name,
 		spec.Sys.Name,
@@ -239,6 +244,9 @@ func SpecHashOf(spec RunSpec) string {
 		fmt.Sprint(spec.Opts.Seed),
 		fmt.Sprint(spec.Opts.Minimize),
 		fmt.Sprint(spec.Opts.SelfHeal),
+		fmt.Sprint(spec.Opts.Accounting),
+		fmt.Sprint(spec.Opts.CellList),
+		faults,
 	)
 }
 

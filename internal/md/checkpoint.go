@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"opalperf/internal/atomicfile"
 	"opalperf/internal/molecule"
 )
 
@@ -165,25 +166,8 @@ func (c *Checkpoint) WriteFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("md: checkpoint temp file: %w", err)
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
+	if err := atomicfile.Commit(f, path, c.Write); err != nil {
 		return fmt.Errorf("md: writing checkpoint %s: %w", path, err)
-	}
-	if err := c.Write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("md: writing checkpoint %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("md: committing checkpoint %s: %w", path, err)
 	}
 	return nil
 }

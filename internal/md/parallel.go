@@ -76,7 +76,6 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	}
 	conn := sciddle.Connect(t, tids)
 	conn.SetAccounting(accounting)
-	conn.SetLoD(lod)
 	if ft {
 		conn.SetCallTimeout(opts.CallTimeout, opts.CallRetries)
 	}
@@ -124,16 +123,27 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		types[i] = int64(sys.Type[i])
 		kinds[i] = int64(sys.Kind[i])
 	}
-	initArgs := func(rank, nsrv int) *pvm.Buffer {
-		cell := 0
-		if opts.CellList && sys.CutoffEffective(opts.Cutoff) {
-			cell = 1
-		}
-		return opalrpc.PackOpalInitArgs(sys.N, sys.NSolute, kinds, types,
-			sys.Charge, d.lj.C12, d.lj.C6, d.excl.Keys(), opts.Cutoff, sys.Box,
+	excl := d.excl.Keys()
+	cell := 0
+	if opts.CellList && sys.CutoffEffective(opts.Cutoff) {
+		cell = 1
+	}
+	// initServer (re-)initializes the server at index rank as one of nsrv.
+	initServer := func(rank, nsrv int) error {
+		return client.Init(rank, sys.N, sys.NSolute, kinds, types,
+			sys.Charge, d.lj.C12, d.lj.C6, excl, opts.Cutoff, sys.Box,
 			cell, int(opts.Strategy), int(opts.Seed), rank, nsrv)
 	}
-	client.InitPhase(func(i int) *pvm.Buffer { return initArgs(i, nservers) })
+	// The init phase runs before level of detail is switched on: it is
+	// start-up, always executed fine-grained and not counted as a LoD phase.
+	if err := client.InitPhasePacked(func(i int, args *pvm.Buffer) {
+		opalrpc.PackOpalInitArgsInto(args, sys.N, sys.NSolute, kinds, types,
+			sys.Charge, d.lj.C12, d.lj.C6, excl, opts.Cutoff, sys.Box,
+			cell, int(opts.Strategy), int(opts.Seed), i, nservers)
+	}); err != nil {
+		return nil, err
+	}
+	conn.SetLoD(lod)
 
 	if opts.AfterInit != nil {
 		opts.AfterInit()
@@ -187,14 +197,14 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 			}
 			err := func() error {
 				for i := 0; i < nsrv; i++ {
-					if _, err := conn.CallErr(i, "init", initArgs(i, nsrv)); err != nil {
+					if err := initServer(i, nsrv); err != nil {
 						return err
 					}
 				}
 				// Re-initialized lists are empty; rebuild them from the
 				// last update-boundary coordinates before any phase is
 				// redone, preserving the active-pair epoch mid-interval.
-				return client.UpdatePhaseIntoErr(packBoundary, updateReps[:nsrv])
+				return client.UpdatePhaseInto(packBoundary, updateReps[:nsrv])
 			}()
 			if err == nil {
 				break
@@ -251,10 +261,10 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 				"rank": se.Server, "old_tid": se.TID, "new_tid": newTID, "step": curStep,
 			})
 			err := func() error {
-				if _, err := conn.CallErr(se.Server, "init", initArgs(se.Server, nservers)); err != nil {
+				if err := initServer(se.Server, nservers); err != nil {
 					return err
 				}
-				_, err := conn.CallErr(se.Server, "update", opalrpc.PackOpalUpdateArgs(boundaryPos))
+				_, err := client.Update(se.Server, boundaryPos)
 				return err
 			}()
 			if err == nil {
@@ -296,6 +306,14 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		}
 	}
 
+	// Built once, outside the step loop, so a step allocates no closure.
+	updatePhase := func() error {
+		return client.UpdatePhaseInto(packUpdate, updateReps[:conn.NumServers()])
+	}
+	nbintPhase := func() error {
+		return client.NbintPhaseInto(packNbint, nbintReps[:conn.NumServers()])
+	}
+
 	ckpt := newCkptSched(opts)
 	for step := 0; step < steps; step++ {
 		curStep = step
@@ -331,14 +349,8 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 			// lists; the reply carries no data beyond the completion
 			// signal (eq. 8 of the model).
 			updT0 := t.Now()
-			if ft {
-				if err := runPhase(func() error {
-					return client.UpdatePhaseIntoErr(packUpdate, updateReps[:conn.NumServers()])
-				}); err != nil {
-					return nil, err
-				}
-			} else {
-				client.UpdatePhaseInto(packUpdate, updateReps)
+			if err := runPhase(updatePhase); err != nil {
+				return nil, err
 			}
 			telemetry.MDUpdateSeconds.Observe(t.Now() - updT0)
 			for _, r := range updateReps[:conn.NumServers()] {
@@ -351,14 +363,8 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		}
 		// Energy evaluation phase: coordinates out, partial energies and
 		// gradients back (eqs. 7 and 9).
-		if ft {
-			if err := runPhase(func() error {
-				return client.NbintPhaseIntoErr(packNbint, nbintReps[:conn.NumServers()])
-			}); err != nil {
-				return nil, err
-			}
-		} else {
-			client.NbintPhaseInto(packNbint, nbintReps)
+		if err := runPhase(nbintPhase); err != nil {
+			return nil, err
 		}
 		for i := range grad {
 			grad[i] = 0

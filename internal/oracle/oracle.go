@@ -439,10 +439,3 @@ func (o *Oracle) Last() *WindowReport {
 	cp.Terms = append([]TermReport(nil), o.last.Terms...)
 	return &cp
 }
-
-// Refit returns the latest recalibration report, or nil.
-func (o *Oracle) Refit() *core.Report {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.refit
-}

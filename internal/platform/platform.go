@@ -289,12 +289,6 @@ func SX4() *Platform {
 	}
 }
 
-// AllExtended returns the paper's platforms plus the extra Sciddle port
-// targets.
-func AllExtended() []*Platform {
-	return append(All(), Paragon(), SX4())
-}
-
 // ByName looks a platform up case-sensitively by its short key: "j90",
 // "t3e", "slow", "smp", "fast".
 func ByName(key string) (*Platform, error) {

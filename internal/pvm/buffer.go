@@ -351,13 +351,6 @@ func (b *Buffer) MustFloat64s() []float64 {
 	return xs
 }
 
-// MustFloat64sInto unpacks into an exact-length slice or panics.
-func (b *Buffer) MustFloat64sInto(dst []float64) {
-	if err := b.UnpackFloat64sInto(dst); err != nil {
-		panic(err)
-	}
-}
-
 // MustFloat64sReuse unpacks into a reusable scratch slice or panics.
 func (b *Buffer) MustFloat64sReuse(dst *[]float64) {
 	if err := b.UnpackFloat64sReuse(dst); err != nil {
@@ -372,6 +365,24 @@ func (b *Buffer) MustFloat64() float64 {
 		panic(err)
 	}
 	return x
+}
+
+// MustInt64s unpacks a fresh []int64 or panics.
+func (b *Buffer) MustInt64s() []int64 {
+	xs, err := b.UnpackInt64s()
+	if err != nil {
+		panic(err)
+	}
+	return xs
+}
+
+// MustBytes unpacks a fresh []byte or panics.
+func (b *Buffer) MustBytes() []byte {
+	p, err := b.UnpackBytes()
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // MustInt unpacks a scalar int or panics.

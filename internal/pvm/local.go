@@ -104,9 +104,7 @@ func (t *localTask) Send(dst, tag int, b *Buffer) {
 	if q == nil {
 		panic(fmt.Sprintf("pvm: send to unknown task %d", dst))
 	}
-	telemetry.PvmMsgsSent.Add(1)
-	telemetry.PvmBytesSent.Add(uint64(b.Bytes()))
-	telemetry.MatrixRecord(t.tid, dst, 1, uint64(b.Bytes()))
+	telemetry.RecordSend(t.tid, dst, uint64(b.Bytes()))
 	q.mu.Lock()
 	q.mailbox = append(q.mailbox, localMsg{src: t.tid, tag: tag, buf: b})
 	q.cond.Broadcast()

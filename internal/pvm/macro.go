@@ -279,9 +279,7 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 			i := ev.idx
 			sv := eng.svt[i].proc
 			out.Issue[i] = pc.Now()
-			telemetry.PvmMsgsSent.Add(1)
-			telemetry.PvmBytesSent.Add(uint64(calls[i].ReqBytes))
-			telemetry.MatrixRecord(pc.ID(), sv.ID(), 1, uint64(calls[i].ReqBytes))
+			telemetry.RecordSend(pc.ID(), sv.ID(), uint64(calls[i].ReqBytes))
 			eng.arr[i] = chanSend(k, comm, pc, sv.ID(), calls[i].ReqBytes)
 			pc.AccountSend(1, calls[i].ReqBytes)
 			out.SendEnd[i] = pc.Now()
@@ -319,9 +317,7 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 		case mevReplySend:
 			i := ev.idx
 			sv := eng.svt[i].proc
-			telemetry.PvmMsgsSent.Add(1)
-			telemetry.PvmBytesSent.Add(uint64(out.RepBytes[i]))
-			telemetry.MatrixRecord(sv.ID(), pc.ID(), 1, uint64(out.RepBytes[i]))
+			telemetry.RecordSend(sv.ID(), pc.ID(), uint64(out.RepBytes[i]))
 			eng.repArr[i] = chanSend(k, comm, sv, pc.ID(), out.RepBytes[i])
 			sv.AccountSend(1, out.RepBytes[i])
 			eng.repReady[i] = true

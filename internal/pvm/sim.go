@@ -124,10 +124,9 @@ func (t *simTask) Send(dst, tag int, b *Buffer) {
 		b.shared = true
 	}
 	b.sent = true
-	telemetry.PvmMsgsSent.Add(1)
-	telemetry.PvmBytesSent.Add(uint64(b.Bytes()))
-	telemetry.MatrixRecord(t.TID(), dst, 1, uint64(b.Bytes()))
-	t.proc.Send(dst, tag, b, b.Bytes())
+	n := b.Bytes()
+	telemetry.RecordSend(t.TID(), dst, uint64(n))
+	t.proc.Send(dst, tag, b, n)
 }
 
 func (t *simTask) Mcast(dsts []int, tag int, b *Buffer) {
@@ -135,11 +134,10 @@ func (t *simTask) Mcast(dsts []int, tag int, b *Buffer) {
 		b.shared = true
 	}
 	b.sent = true
-	telemetry.PvmMsgsSent.Add(uint64(len(dsts)))
-	telemetry.PvmBytesSent.Add(uint64(len(dsts) * b.Bytes()))
+	n := b.Bytes()
 	for _, d := range dsts {
-		telemetry.MatrixRecord(t.TID(), d, 1, uint64(b.Bytes()))
-		t.proc.Send(d, tag, b, b.Bytes())
+		telemetry.RecordSend(t.TID(), d, uint64(n))
+		t.proc.Send(d, tag, b, n)
 	}
 }
 

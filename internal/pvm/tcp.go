@@ -1030,9 +1030,7 @@ func (t *tcpTask) Send(dst, tag int, b *Buffer) {
 	if b == nil {
 		b = NewBuffer()
 	}
-	telemetry.PvmMsgsSent.Add(1)
-	telemetry.PvmBytesSent.Add(uint64(b.Bytes()))
-	telemetry.MatrixRecord(t.tid, dst, 1, uint64(b.Bytes()))
+	telemetry.RecordSend(t.tid, dst, uint64(b.Bytes()))
 	// Local fast path.
 	t.vm.mu.Lock()
 	local := t.vm.tasks[dst]
@@ -1062,25 +1060,15 @@ func (t *tcpTask) Mcast(dsts []int, tag int, b *Buffer) {
 }
 
 func (t *tcpTask) Recv(src, tag int) (*Buffer, int, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		for i, m := range t.mailbox {
-			if matches(m, src, tag) {
-				t.mailbox = append(t.mailbox[:i], t.mailbox[i+1:]...)
-				t.lastMark = time.Now()
-				return m.buf.reader(), m.src, m.tag
-			}
-		}
-		if err := t.vm.Err(); err != nil {
-			// The session is permanently partitioned: with no error return
-			// in the Task interface, failing loudly is the liveness
-			// guarantee — a dead peer must never present as a silent hang.
-			// Callers that want an error use RecvTimeout.
-			panic(fmt.Sprintf("pvm: recv on dead session: %v", err))
-		}
-		t.cond.Wait()
+	b, msrc, mtag, err := t.RecvTimeout(src, tag, 0)
+	if err != nil {
+		// The session is permanently partitioned: with no error return
+		// in the Task interface, failing loudly is the liveness
+		// guarantee — a dead peer must never present as a silent hang.
+		// Callers that want an error use RecvTimeout.
+		panic(fmt.Sprintf("pvm: recv on dead session: %v", err))
 	}
+	return b, msrc, mtag
 }
 
 // ErrRecvTimeout reports that RecvTimeout's window elapsed with no

@@ -234,16 +234,14 @@ func mustCall(typ string) string {
 	switch typ {
 	case "float64":
 		return "MustFloat64()"
-	case "[]float64":
-		return "MustFloat64s()"
 	case "int":
 		return "MustInt()"
 	case "[]int64":
-		return "mustInt64s(b)"
+		return "MustInt64s()"
 	case "string":
 		return "MustString()"
 	case "[]byte":
-		return "mustBytes(b)"
+		return "MustBytes()"
 	}
 	panic("idl: unreachable type " + typ)
 }
@@ -256,24 +254,6 @@ func Generate(f *File, pkg string) ([]byte, error) {
 	fmt.Fprintf(&b, "// Code generated by sciddlegen. DO NOT EDIT.\n\n")
 	fmt.Fprintf(&b, "package %s\n\n", pkg)
 	fmt.Fprintf(&b, "import (\n\t\"opalperf/internal/pvm\"\n\t\"opalperf/internal/sciddle\"\n)\n\n")
-	// Small helpers shared by all services.
-	b.WriteString(`func mustInt64s(b *pvm.Buffer) []int64 {
-	xs, err := b.UnpackInt64s()
-	if err != nil {
-		panic(err)
-	}
-	return xs
-}
-
-func mustBytes(b *pvm.Buffer) []byte {
-	xs, err := b.UnpackBytes()
-	if err != nil {
-		panic(err)
-	}
-	return xs
-}
-
-`)
 	for i := range f.Services {
 		genService(&b, &f.Services[i])
 	}
@@ -316,13 +296,10 @@ func genService(b *strings.Builder, s *Service) {
 		}
 		fmt.Fprintf(b, "\tsvc.Register(%q, func(t pvm.Task, b *pvm.Buffer) *pvm.Buffer {\n", m.Name)
 		for _, a := range m.Args {
-			switch {
-			case a.Type == "[]float64":
+			if a.Type == "[]float64" {
 				fmt.Fprintf(b, "\t\tb.MustFloat64sReuse(&%s)\n", scratchName(m, a))
 				fmt.Fprintf(b, "\t\t%s := %s\n", a.Name, scratchName(m, a))
-			case needsBufferArg(a.Type):
-				fmt.Fprintf(b, "\t\t%s := %s\n", a.Name, mustCall(a.Type))
-			default:
+			} else {
 				fmt.Fprintf(b, "\t\t%s := b.%s\n", a.Name, mustCall(a.Type))
 			}
 		}
@@ -354,8 +331,6 @@ func genService(b *strings.Builder, s *Service) {
 		genClientMethod(b, name, m)
 	}
 }
-
-func needsBufferArg(typ string) bool { return typ == "[]int64" || typ == "[]byte" }
 
 // scratchName names the per-method reusable unpack slice for a []float64
 // argument, e.g. nbintCoords.  Method names are unique per service, so the
@@ -392,7 +367,8 @@ func argList(ps []Param) string {
 func genClientMethod(b *strings.Builder, svcName string, m Method) {
 	mName := export(m.Name)
 	replyType := svcName + mName + "Reply"
-	// Reply struct for methods with results.
+	packInto := fmt.Sprintf("Pack%s%sArgsInto", svcName, mName)
+	unpackInto := fmt.Sprintf("unpack%s%sReplyInto", svcName, mName)
 	if len(m.Rets) > 0 {
 		fmt.Fprintf(b, "// %s holds the results of %s.%s.\n", replyType, svcName, mName)
 		fmt.Fprintf(b, "type %s struct {\n", replyType)
@@ -400,131 +376,71 @@ func genClientMethod(b *strings.Builder, svcName string, m Method) {
 			fmt.Fprintf(b, "\t%s %s\n", export(r.Name), r.Type)
 		}
 		fmt.Fprintf(b, "}\n\n")
-	}
-	// Args packer.
-	fmt.Fprintf(b, "func pack%s%sArgs(%s) *pvm.Buffer {\n", svcName, mName, strings.TrimPrefix(sigParams(m.Args), ", "))
-	fmt.Fprintf(b, "\tb := pvm.NewBuffer()\n")
-	for _, a := range m.Args {
-		fmt.Fprintf(b, "\tb.%s(%s)\n", packCall(a.Type), a.Name)
-	}
-	fmt.Fprintf(b, "\treturn b\n}\n\n")
-	// Reply unpacker.
-	if len(m.Rets) > 0 {
-		fmt.Fprintf(b, "func unpack%s%sReply(b *pvm.Buffer) %s {\n", svcName, mName, replyType)
-		fmt.Fprintf(b, "\tvar r %s\n", replyType)
-		for _, rp := range m.Rets {
-			if needsBufferArg(rp.Type) {
-				fmt.Fprintf(b, "\tr.%s = %s\n", export(rp.Name), mustCall(rp.Type))
-			} else {
-				fmt.Fprintf(b, "\tr.%s = b.%s\n", export(rp.Name), mustCall(rp.Type))
-			}
-		}
-		fmt.Fprintf(b, "\treturn r\n}\n\n")
 		// In-place reply unpacker: []float64 results reuse the capacity of
 		// the previous contents of the field, so a steady-state caller that
 		// keeps its reply slots unpacks without heap allocation.
-		fmt.Fprintf(b, "func unpack%s%sReplyInto(b *pvm.Buffer, r *%s) {\n", svcName, mName, replyType)
+		fmt.Fprintf(b, "func %s(b *pvm.Buffer, r *%s) {\n", unpackInto, replyType)
 		for _, rp := range m.Rets {
-			switch {
-			case rp.Type == "[]float64":
+			if rp.Type == "[]float64" {
 				fmt.Fprintf(b, "\tb.MustFloat64sReuse(&r.%s)\n", export(rp.Name))
-			case needsBufferArg(rp.Type):
-				fmt.Fprintf(b, "\tr.%s = %s\n", export(rp.Name), mustCall(rp.Type))
-			default:
+			} else {
 				fmt.Fprintf(b, "\tr.%s = b.%s\n", export(rp.Name), mustCall(rp.Type))
 			}
 		}
 		fmt.Fprintf(b, "}\n\n")
 	}
-	// Synchronous per-server call.
-	fmt.Fprintf(b, "// %s calls %s on server index i.\n", mName, m.Name)
+	// Synchronous per-server call.  Like the phase call below it returns
+	// transport failures (reply deadline expired through every retry,
+	// session died) as errors — see sciddle.Conn.SetCallTimeout and
+	// sciddle.ServerError.
+	fmt.Fprintf(b, "// %s calls %s on server index i; a transport failure comes back as a\n", mName, m.Name)
+	fmt.Fprintf(b, "// *sciddle.ServerError.\n")
 	if len(m.Rets) > 0 {
-		fmt.Fprintf(b, "func (c *%sClient) %s(i int%s) %s {\n", svcName, mName, sigParams(m.Args), replyType)
-		fmt.Fprintf(b, "\trep := c.Conn.Call(i, %q, pack%s%sArgs(%s))\n", m.Name, svcName, mName, strings.TrimPrefix(argList(m.Args), ", "))
-		fmt.Fprintf(b, "\treturn unpack%s%sReply(rep)\n}\n\n", svcName, mName)
+		fmt.Fprintf(b, "func (c *%sClient) %s(i int%s) (%s, error) {\n", svcName, mName, sigParams(m.Args), replyType)
+		fmt.Fprintf(b, "\tvar r %s\n", replyType)
 	} else {
-		fmt.Fprintf(b, "func (c *%sClient) %s(i int%s) {\n", svcName, mName, sigParams(m.Args))
-		fmt.Fprintf(b, "\tc.Conn.Call(i, %q, pack%s%sArgs(%s))\n}\n\n", m.Name, svcName, mName, strings.TrimPrefix(argList(m.Args), ", "))
+		fmt.Fprintf(b, "func (c *%sClient) %s(i int%s) error {\n", svcName, mName, sigParams(m.Args))
 	}
-	// Phase call over all servers.
-	fmt.Fprintf(b, "// %sPhase calls %s once on every server (one SPMD phase);\n", mName, m.Name)
-	fmt.Fprintf(b, "// argFn supplies per-server arguments.\n")
+	fmt.Fprintf(b, "\targs := pvm.NewBuffer()\n\t%s(args%s)\n", packInto, argList(m.Args))
 	if len(m.Rets) > 0 {
-		fmt.Fprintf(b, "func (c *%sClient) %sPhase(argFn func(i int) *pvm.Buffer) []%s {\n", svcName, mName, replyType)
-		fmt.Fprintf(b, "\treps := c.Conn.CallPhase(%q, argFn)\n", m.Name)
-		fmt.Fprintf(b, "\tout := make([]%s, len(reps))\n", replyType)
-		fmt.Fprintf(b, "\tfor i, rep := range reps {\n\t\tout[i] = unpack%s%sReply(rep)\n\t}\n\treturn out\n}\n\n", svcName, mName)
+		fmt.Fprintf(b, "\trep, err := c.Conn.Call(i, %q, args)\n", m.Name)
+		fmt.Fprintf(b, "\tif err != nil {\n\t\treturn r, err\n\t}\n")
+		fmt.Fprintf(b, "\t%s(rep, &r)\n\treturn r, nil\n}\n\n", unpackInto)
 	} else {
-		fmt.Fprintf(b, "func (c *%sClient) %sPhase(argFn func(i int) *pvm.Buffer) {\n", svcName, mName)
-		fmt.Fprintf(b, "\tc.Conn.CallPhase(%q, argFn)\n}\n\n", m.Name)
+		fmt.Fprintf(b, "\t_, err := c.Conn.Call(i, %q, args)\n\treturn err\n}\n\n", m.Name)
 	}
-	// Zero-alloc phase call: arguments are packed into connection-owned
-	// request buffers (reused across phases) and, for methods with results,
-	// replies are unpacked in place into the caller's reply slots.
+	// Phase call over all servers: arguments are packed into
+	// connection-owned request buffers (reused across phases) and, for
+	// methods with results, replies are unpacked in place into the caller's
+	// reply slots.
 	if len(m.Rets) > 0 {
-		fmt.Fprintf(b, "// %sPhaseInto is %sPhase with steady-state buffer reuse: pack writes the\n", mName, mName)
-		fmt.Fprintf(b, "// per-server arguments into a connection-owned request buffer, and the\n")
-		fmt.Fprintf(b, "// replies are unpacked into out (len = number of servers), reusing the\n")
+		fmt.Fprintf(b, "// %sPhaseInto calls %s once on every server (one SPMD phase): pack writes\n", mName, m.Name)
+		fmt.Fprintf(b, "// the per-server arguments into a connection-owned request buffer, and the\n")
+		fmt.Fprintf(b, "// replies are unpacked into out (one slot per current server), reusing the\n")
 		fmt.Fprintf(b, "// capacity of its slice fields.  A caller that keeps out across phases\n")
-		fmt.Fprintf(b, "// allocates nothing per phase.\n")
-		fmt.Fprintf(b, "func (c *%sClient) %sPhaseInto(pack func(i int, args *pvm.Buffer), out []%s) {\n", svcName, mName, replyType)
-		fmt.Fprintf(b, "\treps := c.Conn.CallPhasePacked(%q, pack)\n", m.Name)
-		fmt.Fprintf(b, "\tfor i, rep := range reps {\n\t\tunpack%s%sReplyInto(rep, &out[i])\n\t}\n}\n\n", svcName, mName)
-	} else {
-		fmt.Fprintf(b, "// %sPhasePacked is %sPhase with steady-state buffer reuse: pack writes\n", mName, mName)
-		fmt.Fprintf(b, "// the per-server arguments into a connection-owned request buffer.\n")
-		fmt.Fprintf(b, "func (c *%sClient) %sPhasePacked(pack func(i int, args *pvm.Buffer)) {\n", svcName, mName)
-		fmt.Fprintf(b, "\tc.Conn.CallPhasePacked(%q, pack)\n}\n\n", m.Name)
-	}
-	// Error-returning variants for fault-tolerant clients: transport
-	// failures (reply deadline expired through every retry, session died)
-	// come back as errors instead of unbounded waits — see
-	// sciddle.Conn.SetCallTimeout and sciddle.ServerError.
-	fmt.Fprintf(b, "// %sErr is %s with transport failures returned as errors\n", mName, mName)
-	fmt.Fprintf(b, "// (see sciddle.Conn.SetCallTimeout).\n")
-	if len(m.Rets) > 0 {
-		fmt.Fprintf(b, "func (c *%sClient) %sErr(i int%s) (%s, error) {\n", svcName, mName, sigParams(m.Args), replyType)
-		fmt.Fprintf(b, "\trep, err := c.Conn.CallErr(i, %q, pack%s%sArgs(%s))\n", m.Name, svcName, mName, strings.TrimPrefix(argList(m.Args), ", "))
-		fmt.Fprintf(b, "\tif err != nil {\n\t\treturn %s{}, err\n\t}\n", replyType)
-		fmt.Fprintf(b, "\treturn unpack%s%sReply(rep), nil\n}\n\n", svcName, mName)
-	} else {
-		fmt.Fprintf(b, "func (c *%sClient) %sErr(i int%s) error {\n", svcName, mName, sigParams(m.Args))
-		fmt.Fprintf(b, "\t_, err := c.Conn.CallErr(i, %q, pack%s%sArgs(%s))\n\treturn err\n}\n\n", m.Name, svcName, mName, strings.TrimPrefix(argList(m.Args), ", "))
-	}
-	if len(m.Rets) > 0 {
-		fmt.Fprintf(b, "// %sPhaseIntoErr is %sPhaseInto with transport failures surfaced as a\n", mName, mName)
-		fmt.Fprintf(b, "// *sciddle.ServerError naming the failed server; out needs one slot per\n")
-		fmt.Fprintf(b, "// current server.  Requires accounting off.\n")
-		fmt.Fprintf(b, "func (c *%sClient) %sPhaseIntoErr(pack func(i int, args *pvm.Buffer), out []%s) error {\n", svcName, mName, replyType)
-		fmt.Fprintf(b, "\treps, err := c.Conn.CallPhasePackedErr(%q, pack)\n", m.Name)
+		fmt.Fprintf(b, "// allocates nothing per phase.  A transport failure comes back as a\n")
+		fmt.Fprintf(b, "// *sciddle.ServerError naming the failed server.\n")
+		fmt.Fprintf(b, "func (c *%sClient) %sPhaseInto(pack func(i int, args *pvm.Buffer), out []%s) error {\n", svcName, mName, replyType)
+		fmt.Fprintf(b, "\treps, err := c.Conn.CallPhasePacked(%q, pack)\n", m.Name)
 		fmt.Fprintf(b, "\tif err != nil {\n\t\treturn err\n\t}\n")
-		fmt.Fprintf(b, "\tfor i, rep := range reps {\n\t\tunpack%s%sReplyInto(rep, &out[i])\n\t}\n\treturn nil\n}\n\n", svcName, mName)
+		fmt.Fprintf(b, "\tfor i, rep := range reps {\n\t\t%s(rep, &out[i])\n\t}\n\treturn nil\n}\n\n", unpackInto)
 	} else {
-		fmt.Fprintf(b, "// %sPhasePackedErr is %sPhasePacked with transport failures surfaced as\n", mName, mName)
-		fmt.Fprintf(b, "// a *sciddle.ServerError naming the failed server.  Requires accounting off.\n")
-		fmt.Fprintf(b, "func (c *%sClient) %sPhasePackedErr(pack func(i int, args *pvm.Buffer)) error {\n", svcName, mName)
-		fmt.Fprintf(b, "\t_, err := c.Conn.CallPhasePackedErr(%q, pack)\n\treturn err\n}\n\n", m.Name)
+		fmt.Fprintf(b, "// %sPhasePacked calls %s once on every server (one SPMD phase): pack\n", mName, m.Name)
+		fmt.Fprintf(b, "// writes the per-server arguments into a connection-owned request buffer.\n")
+		fmt.Fprintf(b, "// A transport failure comes back as a *sciddle.ServerError naming the\n")
+		fmt.Fprintf(b, "// failed server.\n")
+		fmt.Fprintf(b, "func (c *%sClient) %sPhasePacked(pack func(i int, args *pvm.Buffer)) error {\n", svcName, mName)
+		fmt.Fprintf(b, "\t_, err := c.Conn.CallPhasePacked(%q, pack)\n\treturn err\n}\n\n", m.Name)
 	}
-	// Exported args packer for use with Phase argFn.
-	fmt.Fprintf(b, "// Pack%s%sArgs builds the argument buffer for %sPhase.\n", svcName, mName, mName)
-	fmt.Fprintf(b, "func Pack%s%sArgs(%s) *pvm.Buffer {\n\treturn pack%s%sArgs(%s)\n}\n\n",
-		svcName, mName, strings.TrimPrefix(sigParams(m.Args), ", "), svcName, mName, strings.TrimPrefix(argList(m.Args), ", "))
-	// Exported in-place args packer for use with the packed phase calls.
-	fmt.Fprintf(b, "// Pack%s%sArgsInto packs the arguments for %s into b.\n", svcName, mName, packedPhaseName(m, mName))
+	// Exported in-place args packer, for the pack callbacks of the phase calls.
+	fmt.Fprintf(b, "// %s packs the arguments of %s into b.\n", packInto, m.Name)
 	if len(m.Args) == 0 {
-		fmt.Fprintf(b, "func Pack%s%sArgsInto(_ *pvm.Buffer) {}\n\n", svcName, mName)
+		fmt.Fprintf(b, "func %s(_ *pvm.Buffer) {}\n\n", packInto)
 		return
 	}
-	fmt.Fprintf(b, "func Pack%s%sArgsInto(b *pvm.Buffer%s) {\n", svcName, mName, sigParams(m.Args))
+	fmt.Fprintf(b, "func %s(b *pvm.Buffer%s) {\n", packInto, sigParams(m.Args))
 	for _, a := range m.Args {
 		fmt.Fprintf(b, "\tb.%s(%s)\n", packCall(a.Type), a.Name)
 	}
 	fmt.Fprintf(b, "}\n\n")
-}
-
-func packedPhaseName(m Method, mName string) string {
-	if len(m.Rets) > 0 {
-		return mName + "PhaseInto"
-	}
-	return mName + "PhasePacked"
 }

@@ -1,6 +1,11 @@
 package idl
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -111,20 +116,72 @@ func TestGenerateCompilesShapes(t *testing.T) {
 		"func RegisterOpal(svc *sciddle.Service, h OpalHandler)",
 		"type OpalClient struct",
 		"type OpalNbintReply struct",
-		"func (c *OpalClient) NbintPhase(argFn func(i int) *pvm.Buffer) []OpalNbintReply",
-		"func PackOpalNbintArgs(coords []float64) *pvm.Buffer",
-		"func (c *OpalClient) NbintPhaseInto(pack func(i int, args *pvm.Buffer), out []OpalNbintReply)",
-		"func (c *OpalClient) UpdatePhasePacked(pack func(i int, args *pvm.Buffer))",
+		"func (c *OpalClient) Nbint(i int, coords []float64) (OpalNbintReply, error)",
+		"func (c *OpalClient) NbintPhaseInto(pack func(i int, args *pvm.Buffer), out []OpalNbintReply) error",
+		"func (c *OpalClient) UpdatePhasePacked(pack func(i int, args *pvm.Buffer)) error",
 		"func PackOpalNbintArgsInto(b *pvm.Buffer, coords []float64)",
 		"func PackOpalHelloArgsInto(_ *pvm.Buffer) {}",
 		"b.MustFloat64sReuse(&nbintCoords)",
 		"rep := nbintRep.Reset()",
-		"func (c *OpalClient) Hello(i int)",
+		"func (c *OpalClient) Hello(i int) error",
 		"Info(t pvm.Task, name string, raw []byte, ids []int64) (greeting string)",
 		"DO NOT EDIT",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated code missing %q", want)
+		}
+	}
+}
+
+// TestGeneratedClientSurface type-checks the generated file against the
+// real pvm and sciddle packages and pins the client surface: per IDL method
+// one synchronous call and one phase call, both returning an error, and
+// nothing else.
+func TestGeneratedClientSurface(t *testing.T) {
+	f, err := Parse(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Generate(f, "opalrpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "opalrpc.go", out, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	pkg, err := conf.Check("opalrpc", fset, []*ast.File{file}, nil)
+	if err != nil {
+		t.Fatalf("generated code does not type-check: %v", err)
+	}
+	client := pkg.Scope().Lookup("OpalClient")
+	if client == nil {
+		t.Fatal("no OpalClient type generated")
+	}
+	got := map[string]bool{}
+	ms := types.NewMethodSet(types.NewPointer(client.Type()))
+	for i := 0; i < ms.Len(); i++ {
+		fn := ms.At(i).Obj().(*types.Func)
+		res := fn.Type().(*types.Signature).Results()
+		if res.Len() == 0 || res.At(res.Len()-1).Type().String() != "error" {
+			t.Errorf("client method %s does not return an error last", fn.Name())
+		}
+		got[fn.Name()] = true
+	}
+	want := []string{
+		"Update", "UpdatePhasePacked", // void reply
+		"Nbint", "NbintPhaseInto", // reply unpacked into caller slots
+		"Hello", "HelloPhasePacked",
+		"Info", "InfoPhaseInto",
+	}
+	if len(got) != 2*len(f.Services[0].Methods) {
+		t.Errorf("client has %d methods %v, want exactly two per IDL method", len(got), got)
+	}
+	for _, name := range want {
+		if !got[name] {
+			t.Errorf("client lacks method %s", name)
 		}
 	}
 }

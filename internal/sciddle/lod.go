@@ -1,16 +1,15 @@
 package sciddle
 
-// Level-of-detail (LoD) support: when enabled on a connection, the packed
-// call-phase paths first try to replay the whole phase as analytic
+// Level-of-detail (LoD) support: when enabled on a connection,
+// CallPhasePacked first tries to replay the whole phase as analytic
 // macro-events through pvm.MacroPhase — running the servers' handlers
 // in-process on shared state and charging the exact fine-grained timeline
-// closed-form — and fall back to ordinary message-passing execution
+// closed-form — and falls back to ordinary message-passing execution
 // whenever the phase is not provably macro-safe.  Method statistics,
-// telemetry and flow records are replicated bit-identically either way.
+// telemetry and flow records are bit-identical either way: both report
+// through MethodStats.sent and Conn.replied.
 
 import (
-	"fmt"
-
 	"opalperf/internal/pvm"
 	"opalperf/internal/telemetry"
 )
@@ -29,22 +28,13 @@ func DirectDispatcher(svc *Service) func(st pvm.Task, req *pvm.Buffer) *pvm.Buff
 	var lastMethod string
 	var lastHandler Handler
 	return func(st pvm.Task, req *pvm.Buffer) *pvm.Buffer {
-		if _, err := req.UnpackInt(); err != nil { // call id
-			panic(fmt.Sprintf("sciddle: malformed request: %v", err))
-		}
-		method, err := req.UnpackString()
-		if err != nil {
-			panic(fmt.Sprintf("sciddle: malformed request: %v", err))
-		}
+		_, method := unpackHeader(req)
 		if method == methodStop {
 			panic("sciddle: stop requests are never macro-dispatched")
 		}
 		h := lastHandler
 		if method != lastMethod || h == nil {
-			h = svc.handlers[method]
-			if h == nil {
-				panic(fmt.Sprintf("sciddle: service %s has no method %q", svc.Name, method))
-			}
+			h = svc.handler(method)
 			lastMethod, lastHandler = method, h
 		}
 		reply := h(st, req)
@@ -71,9 +61,6 @@ func DirectDispatcher(svc *Service) func(st pvm.Task, req *pvm.Buffer) *pvm.Buff
 // impossible in the steady single-client topology — panics rather than
 // desynchronize the barriers.
 func (c *Conn) SetLoD(on bool) { c.lod = on }
-
-// LoD reports whether macro replay is enabled.
-func (c *Conn) LoD() bool { return c.lod }
 
 // SuspendLoD forces fine-grained execution until ResumeLoD: windows that
 // need event-level detail — an administrative kill schedule, a heal
@@ -130,13 +117,7 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 	seq0 := c.seq
 	for i := range c.servers {
 		req := c.reqBufs[i].Reset()
-		callID := c.seq
-		c.seq++
-		c.callIDs[i] = callID
-		req.PackInt(callID).PackString(method)
-		if pack != nil {
-			pack(i, req)
-		}
+		c.packRequest(req, method, i, pack)
 		c.macroCalls = append(c.macroCalls, pvm.MacroCall{
 			Server:   c.servers[i],
 			ReqBytes: req.Bytes(),
@@ -147,28 +128,19 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 		c.seq = seq0
 		return nil, false
 	}
-	// Replicate the fine-grained bookkeeping of CallPhasePacked from the
-	// replayed timeline: send-side stats in call order, then the two
-	// phase barriers (already charged by the engine), then receive-side
-	// stats, latencies and flows in collection order.
+	// Book the replayed timeline exactly as CallPhasePacked books a
+	// fine-grained phase: every send in call order, the two phase barriers
+	// (already charged by the engine), every reply in collection order.
 	st := c.stat(method)
 	mt := &c.macroTimes
 	for i := range c.servers {
-		st.TCall += mt.SendEnd[i] - mt.Issue[i]
-		st.Calls++
-		st.BytesOut += c.macroCalls[i].ReqBytes
-		st.tBytesOut.Add(uint64(c.macroCalls[i].ReqBytes))
+		st.sent(mt.SendEnd[i]-mt.Issue[i], c.macroCalls[i].ReqBytes)
 	}
 	if c.accounting {
 		c.phase++
 	}
-	for i := range c.servers {
-		st.TReturn += mt.Collect[i] - mt.RecvStart[i]
-		st.BytesIn += mt.RepBytes[i]
-		st.tBytesIn.Add(uint64(mt.RepBytes[i]))
-		st.tLat.Observe(mt.Collect[i] - mt.Issue[i])
-		telemetry.MatrixRecordLatency(c.t.TID(), c.servers[i], mt.Collect[i]-mt.Issue[i])
-		pvm.ReportFlow(c.t, method, c.servers[i], mt.Issue[i], mt.Collect[i])
+	for i, tid := range c.servers {
+		c.replied(st, tid, mt.RepBytes[i], mt.Collect[i]-mt.RecvStart[i], mt.Issue[i], mt.Collect[i])
 	}
 	c.lodMacro++
 	telemetry.LoDMacroPhases.Add(1)
@@ -223,18 +195,16 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// ensurePhaseScratch sizes the per-server scratch shared by the packed
-// phase paths (fine-grained and macro).
+// ensurePhaseScratch sizes the per-server scratch shared by the
+// fine-grained and macro executions of a phase (and by Close).
 func (c *Conn) ensurePhaseScratch() {
 	for len(c.reqBufs) < len(c.servers) {
 		c.reqBufs = append(c.reqBufs, pvm.NewBuffer())
 	}
-	if cap(c.callIDs) < len(c.servers) {
-		c.callIDs = make([]int, len(c.servers))
-		c.callT0s = make([]float64, len(c.servers))
+	if cap(c.calls) < len(c.servers) {
+		c.calls = make([]call, len(c.servers))
 		c.replies = make([]*pvm.Buffer, len(c.servers))
 	}
-	c.callIDs = c.callIDs[:len(c.servers)]
-	c.callT0s = c.callT0s[:len(c.servers)]
+	c.calls = c.calls[:len(c.servers)]
 	c.replies = c.replies[:len(c.servers)]
 }

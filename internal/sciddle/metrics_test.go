@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"opalperf/internal/platform"
-	"opalperf/internal/pvm"
 	"opalperf/internal/trace"
 	"opalperf/internal/vm"
 )
@@ -61,9 +60,7 @@ func TestMetricsDegenerateWindow(t *testing.T) {
 func TestMetricsFromRealRun(t *testing.T) {
 	// End-to-end: an accounting-mode RPC run yields sensible metrics.
 	sim, rec := runClient(t, platform.FastCoPs, 3, true, func(c *Conn) {
-		c.CallPhase("work", func(i int) *pvm.Buffer {
-			return pvm.NewBuffer().PackFloat64(67e6)
-		})
+		mustPhase(c, "work", func(int) float64 { return 67e6 })
 	})
 	m := MetricsOf(rec, 0, []int{1, 2, 3}, 0, sim.Time())
 	if m.ServerComputeShare <= 0.5 {

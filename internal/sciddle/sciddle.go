@@ -21,6 +21,18 @@
 //     client connection keeps per-method statistics (call and return
 //     times, volumes) and every task carries an hpm.Monitor, so the
 //     counters live at the same abstraction level as the RPCs.
+//
+// That monitoring works because every RPC passes through one instrumented
+// place.  The client has a single call path: issue packs the request
+// header and arguments, sends, and books the send side; collect waits for
+// the reply under the connection's call timeout — resending the same
+// request on expiry, failing with a *ServerError once the retries are
+// spent — and books the receive side, the call latency, the comm-matrix
+// latency and the trace flow.  Call (one server) and CallPhasePacked (one
+// SPMD phase over all servers, barriers in accounting mode, macro replay
+// when level of detail allows) are the only entry points, Close uses the
+// same pair for the shutdown handshake, and the macro replay of lod.go
+// books its closed-form timeline through the same two helpers.
 package sciddle
 
 import (
@@ -73,6 +85,29 @@ func (s *Service) Register(method string, h Handler) {
 // Methods returns the registered method names in registration order.
 func (s *Service) Methods() []string { return append([]string(nil), s.order...) }
 
+// handler looks method up; calling an unregistered method is a bug in the
+// client, interfaces being static.
+func (s *Service) handler(method string) Handler {
+	h := s.handlers[method]
+	if h == nil {
+		panic(fmt.Sprintf("sciddle: service %s has no method %q", s.Name, method))
+	}
+	return h
+}
+
+// unpackHeader consumes the (call id, method) header that packRequest
+// puts in front of every request's arguments.
+func unpackHeader(req *pvm.Buffer) (callID int, method string) {
+	callID, err := req.UnpackInt()
+	if err == nil {
+		method, err = req.UnpackString()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("sciddle: malformed request: %v", err))
+	}
+	return callID, method
+}
+
 // ServeOptions configure a server loop.
 type ServeOptions struct {
 	// Accounting enables the paper's barrier-separated timing mode.  It
@@ -109,23 +144,13 @@ func Serve(t pvm.Task, svc *Service, opt ServeOptions) {
 		if !ok {
 			return
 		}
-		callID, err := req.UnpackInt()
-		if err != nil {
-			panic(fmt.Sprintf("sciddle: malformed request: %v", err))
-		}
-		method, err := req.UnpackString()
-		if err != nil {
-			panic(fmt.Sprintf("sciddle: malformed request: %v", err))
-		}
+		callID, method := unpackHeader(req)
 		if method == methodStop {
 			// Acknowledge and leave; no barriers around shutdown.
 			t.Send(src, replyTag(callID), pvm.NewBuffer())
 			return
 		}
-		h := svc.handlers[method]
-		if h == nil {
-			panic(fmt.Sprintf("sciddle: service %s has no method %q", svc.Name, method))
-		}
+		h := svc.handler(method)
 		if opt.Accounting {
 			t.Barrier(barrierKey(phase, "call"), opt.Parties)
 		}
@@ -252,18 +277,17 @@ type Conn struct {
 	stats       map[string]*MethodStats
 	statOrder   []string
 	// Steady-state scratch of CallPhasePacked: per-server request buffers
-	// reset and repacked each phase, plus call-id and reply collections.
+	// reset and repacked each phase, plus the issued calls and their replies.
 	reqBufs []*pvm.Buffer
-	callIDs []int
-	callT0s []float64 // per-server issue times for the latency histogram
+	calls   []call
 	replies []*pvm.Buffer
 	// Level-of-detail state (see lod.go): macro replay enabled, the
 	// accounting latch, and reusable macro-call scratch.
 	lod          bool
 	lodSusp      bool
 	macroAcct    bool
-	lodMacro     int // phases replayed as macro-events on this connection
-	lodFallback  int // phases that wanted macro replay but ran fine-grained
+	lodMacro     int   // phases replayed as macro-events on this connection
+	lodFallback  int   // phases that wanted macro replay but ran fine-grained
 	macroFleet   []int // fleet the memoized entries were resolved for
 	macroCalls   []pvm.MacroCall
 	macroEntries []pvm.DirectEntry
@@ -285,13 +309,13 @@ func (c *Conn) SetAccounting(on bool) {
 	c.accounting = on
 }
 
-// SetCallTimeout bounds every reply wait of the error-returning call
-// paths (WaitErr, CallErr, CallPhasePackedErr): after d without a reply
-// the request is resent up to retries times — safe because Sciddle
-// handlers are pure functions of their arguments, so at-least-once
-// delivery cannot corrupt server state — and when the last resend times
-// out the call fails with a *ServerError.  d = 0 restores the classic
-// wait-forever behaviour.  Incompatible with accounting mode: a resend
+// SetCallTimeout bounds every reply wait of Call, CallPhasePacked and
+// Close: after d without a reply the request is resent up to retries
+// times — safe because Sciddle handlers are pure functions of their
+// arguments, so at-least-once delivery cannot corrupt server state — and
+// when the last resend times out the call fails with a *ServerError.
+// d = 0 restores the classic wait-forever behaviour, in which only a dead
+// session fails a call.  Incompatible with accounting mode: a resend
 // would enter an extra phase barrier and desynchronize the parties.
 //
 // On fabrics without real deadlines (simulated, local) replies cannot be
@@ -346,9 +370,6 @@ func (c *Conn) ReplaceServer(i, tid int) {
 // Server returns the TID of the server at index i.
 func (c *Conn) Server(i int) int { return c.servers[i] }
 
-// Accounting reports whether accounting mode is active.
-func (c *Conn) Accounting() bool { return c.accounting }
-
 // Servers returns the server TIDs.
 func (c *Conn) Servers() []int { return append([]int(nil), c.servers...) }
 
@@ -381,162 +402,127 @@ func (c *Conn) Stats() []*MethodStats {
 	return out
 }
 
-// Pending is an outstanding asynchronous call.
-type Pending struct {
-	c      *Conn
-	index  int // server index at call time
-	server int
-	callID int
-	method string
-	req    *pvm.Buffer // retained for idempotent retry
-	t0     float64     // issue time, for the call-latency histogram
-	done   bool
-	reply  *pvm.Buffer
+// call is one issued request awaiting its reply.
+type call struct {
+	index int         // server index at issue time
+	tid   int         // the server's task id
+	id    int         // call id; selects the reply tag
+	req   *pvm.Buffer // retained for idempotent resend
+	t0    float64     // issue time, for the call-latency histogram
 }
 
-// CallAsync issues a request to server index i (0-based position in the
-// connection's server list) and returns immediately.
-func (c *Conn) CallAsync(i int, method string, args *pvm.Buffer) *Pending {
-	if i < 0 || i >= len(c.servers) {
-		panic(fmt.Sprintf("sciddle: server index %d out of range", i))
-	}
-	if args == nil {
-		args = pvm.NewBuffer()
-	}
-	callID := c.seq
+// packRequest starts a request in req: a fresh call id, the (call id,
+// method) header every server stub expects, then server i's arguments.
+func (c *Conn) packRequest(req *pvm.Buffer, method string, i int, pack func(i int, args *pvm.Buffer)) int {
+	id := c.seq
 	c.seq++
-	req := pvm.NewBuffer().PackInt(callID).PackString(method)
-	appendBuffer(req, args)
-	st := c.stat(method)
-	t0 := c.t.Now()
-	c.t.Send(c.servers[i], tagRequest, req)
-	st.TCall += c.t.Now() - t0
+	req.PackInt(id).PackString(method)
+	if pack != nil {
+		pack(i, req)
+	}
+	return id
+}
+
+// sent books one transmitted request: dt client seconds inside Send and
+// the request volume.
+func (st *MethodStats) sent(dt float64, bytes int) {
+	st.TCall += dt
 	st.Calls++
-	st.BytesOut += req.Bytes()
-	st.tBytesOut.Add(uint64(req.Bytes()))
-	return &Pending{c: c, index: i, server: c.servers[i], callID: callID, method: method, req: req, t0: t0}
+	st.BytesOut += bytes
+	st.tBytesOut.Add(uint64(bytes))
 }
 
-// Wait blocks until the reply arrives and returns it.  Waiting twice
-// returns the same reply.
-func (p *Pending) Wait() *pvm.Buffer {
-	if p.done {
-		return p.reply
-	}
-	st := p.c.stat(p.method)
-	t0 := p.c.t.Now()
-	b, _, _ := p.c.t.Recv(p.server, replyTag(p.callID))
-	now := p.c.t.Now()
-	st.TReturn += now - t0
-	st.BytesIn += b.Bytes()
-	st.tBytesIn.Add(uint64(b.Bytes()))
-	st.tLat.Observe(now - p.t0)
-	telemetry.MatrixRecordLatency(p.c.t.TID(), p.server, now-p.t0)
-	pvm.ReportFlow(p.c.t, p.method, p.server, p.t0, now)
-	p.reply = b
-	p.done = true
-	return b
+// replied books one collected reply from task tid: wait client seconds
+// inside the final receive, the reply volume, and the issue-to-collect
+// latency on the histogram, the comm matrix and the trace's flow records.
+// Fine-grained collection and macro replay both report through here, so
+// the two render identical statistics.
+func (c *Conn) replied(st *MethodStats, tid, bytes int, wait, issued, now float64) {
+	st.TReturn += wait
+	st.BytesIn += bytes
+	st.tBytesIn.Add(uint64(bytes))
+	st.tLat.Observe(now - issued)
+	telemetry.MatrixRecordLatency(c.t.TID(), tid, now-issued)
+	pvm.ReportFlow(c.t, st.Method, tid, issued, now)
 }
 
-// WaitErr is Wait with the connection's call timeout applied: when the
-// reply deadline expires the request is resent (same call id — handlers
-// are idempotent, and call ids are never reused, so a duplicate reply
-// simply lingers unmatched) up to the configured retry count, and a
-// server that stays silent yields a *ServerError instead of a hang.
-func (p *Pending) WaitErr() (*pvm.Buffer, error) {
-	if p.done {
-		return p.reply, nil
-	}
-	st := p.c.stat(p.method)
-	b, err := p.c.recvReply(p.index, p.server, p.callID, p.req, st)
-	if err != nil {
-		return nil, err
-	}
-	now := p.c.t.Now()
-	st.tLat.Observe(now - p.t0)
-	telemetry.MatrixRecordLatency(p.c.t.TID(), p.server, now-p.t0)
-	pvm.ReportFlow(p.c.t, p.method, p.server, p.t0, now)
-	p.reply = b
-	p.done = true
-	return b, nil
+// issue packs server i's request into req (see packRequest) and sends it.
+func (c *Conn) issue(st *MethodStats, i int, req *pvm.Buffer, pack func(i int, args *pvm.Buffer)) call {
+	k := call{index: i, tid: c.servers[i], req: req}
+	k.id = c.packRequest(req, st.Method, i, pack)
+	k.t0 = c.t.Now()
+	c.t.Send(k.tid, tagRequest, req)
+	st.sent(c.t.Now()-k.t0, req.Bytes())
+	return k
 }
 
-// recvReply waits for one reply under the call timeout, resending req on
-// each expiry.  index and tid identify the server for the error report.
-func (c *Conn) recvReply(index, tid, callID int, req *pvm.Buffer, st *MethodStats) (*pvm.Buffer, error) {
+// collect waits for k's reply under the call timeout.  When the deadline
+// expires the request is resent with the same call id — handlers are
+// idempotent and call ids are never reused, so a duplicate reply simply
+// lingers unmatched — up to the configured retry count; a server that
+// stays silent, or whose session died, yields a *ServerError instead of a
+// hang.  With no timeout set the wait is the classic unbounded one.
+func (c *Conn) collect(st *MethodStats, k call) (*pvm.Buffer, error) {
 	for attempt := 0; ; attempt++ {
 		t0 := c.t.Now()
-		b, _, _, err := pvm.RecvDeadline(c.t, tid, replyTag(callID), c.callTimeout)
-		st.TReturn += c.t.Now() - t0
+		b, _, _, err := pvm.RecvDeadline(c.t, k.tid, replyTag(k.id), c.callTimeout)
+		now := c.t.Now()
 		if err == nil {
-			st.BytesIn += b.Bytes()
-			st.tBytesIn.Add(uint64(b.Bytes()))
+			c.replied(st, k.tid, b.Bytes(), now-t0, k.t0, now)
 			return b, nil
 		}
+		st.TReturn += now - t0
 		if errors.Is(err, pvm.ErrRecvTimeout) {
 			st.tTimeouts.Add(1)
 		}
-		if !errors.Is(err, pvm.ErrRecvTimeout) || attempt >= c.callRetries || req == nil {
+		if !errors.Is(err, pvm.ErrRecvTimeout) || attempt >= c.callRetries {
 			telemetry.Emit("rpc_server_dead", telemetry.F{
-				"method": st.Method, "server": index, "tid": tid, "attempts": attempt + 1,
+				"method": st.Method, "server": k.index, "tid": k.tid, "attempts": attempt + 1,
 			})
-			return nil, &ServerError{Server: index, TID: tid, Err: err}
+			return nil, &ServerError{Server: k.index, TID: k.tid, Err: err}
 		}
 		t0 = c.t.Now()
-		c.t.Send(tid, tagRequest, req)
+		c.t.Send(k.tid, tagRequest, k.req)
 		st.TCall += c.t.Now() - t0
 		st.Retries++
 		st.tRetries.Add(1)
 		telemetry.Emit("rpc_retry", telemetry.F{
-			"method": st.Method, "server": index, "tid": tid, "attempt": attempt + 1,
+			"method": st.Method, "server": k.index, "tid": k.tid, "attempt": attempt + 1,
 		})
 	}
 }
 
-// Call is the synchronous convenience wrapper.
-func (c *Conn) Call(i int, method string, args *pvm.Buffer) *pvm.Buffer {
-	return c.CallAsync(i, method, args).Wait()
+// Call invokes method on server index i (0-based position in the
+// connection's server list) and waits for the reply.  Transport failures
+// come back as a *ServerError (see SetCallTimeout).
+func (c *Conn) Call(i int, method string, args *pvm.Buffer) (*pvm.Buffer, error) {
+	if i < 0 || i >= len(c.servers) {
+		panic(fmt.Sprintf("sciddle: server index %d out of range", i))
+	}
+	var pack func(int, *pvm.Buffer)
+	if args != nil {
+		pack = func(_ int, req *pvm.Buffer) { appendBuffer(req, args) }
+	}
+	st := c.stat(method)
+	return c.collect(st, c.issue(st, i, pvm.NewBuffer(), pack))
 }
 
-// CallErr is Call with transport failures surfaced as errors (see
-// SetCallTimeout) instead of unbounded waits.
-func (c *Conn) CallErr(i int, method string, args *pvm.Buffer) (*pvm.Buffer, error) {
-	return c.CallAsync(i, method, args).WaitErr()
-}
-
-// CallPhase performs one SPMD call phase: method is invoked once on every
-// server with per-server arguments from args(i).  In overlapped mode the
-// requests are all sent before any reply is awaited (the original Sciddle
-// behaviour); in accounting mode the two phase barriers separate the
-// request delivery, the parallel computation and the reply collection.
+// CallPhasePacked performs one SPMD call phase: method is invoked once on
+// every server, pack writing server i's arguments directly into a request
+// buffer the connection owns and reuses across phases — the
+// zero-allocation steady state of the parallel Opal step loop.  pack may
+// be nil for argument-free calls.  In overlapped mode the requests are all
+// sent before any reply is awaited (the original Sciddle behaviour); in
+// accounting mode the two phase barriers separate the request delivery,
+// the parallel computation and the reply collection.  With level of
+// detail on, the phase is first offered to the macro replay (see lod.go).
 // Replies are returned indexed by server.
-func (c *Conn) CallPhase(method string, args func(i int) *pvm.Buffer) []*pvm.Buffer {
-	pending := make([]*Pending, len(c.servers))
-	for i := range c.servers {
-		var a *pvm.Buffer
-		if args != nil {
-			a = args(i)
-		}
-		pending[i] = c.CallAsync(i, method, a)
-	}
-	if c.accounting {
-		parties := len(c.servers) + 1
-		c.t.Barrier(barrierKey(c.phase, "call"), parties)
-		c.t.Barrier(barrierKey(c.phase, "done"), parties)
-		c.phase++
-	}
-	replies := make([]*pvm.Buffer, len(pending))
-	for i, p := range pending {
-		replies[i] = p.Wait()
-	}
-	return replies
-}
-
-// CallPhasePacked performs the same SPMD call phase as CallPhase, but
-// packs each server's arguments directly into a per-server request buffer
-// the connection owns and reuses across phases — the zero-allocation
-// steady-state path of the parallel Opal step loop.  pack may be nil for
-// argument-free calls.
+//
+// The first server that stays silent through its retries aborts the
+// collection with a *ServerError naming it.  Replies already collected
+// are discarded and late replies from the remaining servers linger
+// unmatched (call ids are never reused), so the caller may drop the failed
+// server and simply redo the phase — Sciddle handlers are idempotent.
 //
 // Reuse contract: the returned reply buffers are owned by the servers and
 // the returned slice by the connection; both are valid only until the
@@ -544,28 +530,14 @@ func (c *Conn) CallPhase(method string, args func(i int) *pvm.Buffer) []*pvm.Buf
 // because the phase protocol is synchronous — every server has unpacked
 // its phase-k request before it sends the phase-k reply, and the client
 // holds all phase-k replies before starting phase k+1.
-func (c *Conn) CallPhasePacked(method string, pack func(i int, args *pvm.Buffer)) []*pvm.Buffer {
+func (c *Conn) CallPhasePacked(method string, pack func(i int, args *pvm.Buffer)) ([]*pvm.Buffer, error) {
 	if replies, ok := c.tryMacroPhase(method, pack); ok {
-		return replies
+		return replies, nil
 	}
 	c.ensurePhaseScratch()
 	st := c.stat(method)
 	for i := range c.servers {
-		req := c.reqBufs[i].Reset()
-		callID := c.seq
-		c.seq++
-		c.callIDs[i] = callID
-		req.PackInt(callID).PackString(method)
-		if pack != nil {
-			pack(i, req)
-		}
-		t0 := c.t.Now()
-		c.callT0s[i] = t0
-		c.t.Send(c.servers[i], tagRequest, req)
-		st.TCall += c.t.Now() - t0
-		st.Calls++
-		st.BytesOut += req.Bytes()
-		st.tBytesOut.Add(uint64(req.Bytes()))
+		c.calls[i] = c.issue(st, i, c.reqBufs[i].Reset(), pack)
 	}
 	if c.accounting {
 		parties := len(c.servers) + 1
@@ -573,93 +545,37 @@ func (c *Conn) CallPhasePacked(method string, pack func(i int, args *pvm.Buffer)
 		c.t.Barrier(barrierKey(c.phase, "done"), parties)
 		c.phase++
 	}
-	for i := range c.servers {
-		t0 := c.t.Now()
-		b, _, _ := c.t.Recv(c.servers[i], replyTag(c.callIDs[i]))
-		now := c.t.Now()
-		st.TReturn += now - t0
-		st.BytesIn += b.Bytes()
-		st.tBytesIn.Add(uint64(b.Bytes()))
-		st.tLat.Observe(now - c.callT0s[i])
-		telemetry.MatrixRecordLatency(c.t.TID(), c.servers[i], now-c.callT0s[i])
-		pvm.ReportFlow(c.t, method, c.servers[i], c.callT0s[i], now)
-		c.replies[i] = b
-	}
-	return c.replies
-}
-
-// CallPhasePackedErr is CallPhasePacked with transport failures surfaced
-// as errors: every reply wait runs under the call timeout, and the first
-// server that stays silent through its retries aborts the collection with
-// a *ServerError naming it.  Replies already collected are discarded and
-// late replies from the remaining servers linger unmatched (call ids are
-// never reused), so the caller may drop the failed server and simply redo
-// the phase — Sciddle handlers are idempotent.  Only available with
-// accounting off; the reuse contract of CallPhasePacked applies.
-func (c *Conn) CallPhasePackedErr(method string, pack func(i int, args *pvm.Buffer)) ([]*pvm.Buffer, error) {
-	if c.accounting {
-		panic("sciddle: CallPhasePackedErr is incompatible with accounting mode")
-	}
-	if replies, ok := c.tryMacroPhase(method, pack); ok {
-		return replies, nil
-	}
-	c.ensurePhaseScratch()
-	st := c.stat(method)
-	for i := range c.servers {
-		req := c.reqBufs[i].Reset()
-		callID := c.seq
-		c.seq++
-		c.callIDs[i] = callID
-		req.PackInt(callID).PackString(method)
-		if pack != nil {
-			pack(i, req)
-		}
-		t0 := c.t.Now()
-		c.callT0s[i] = t0
-		c.t.Send(c.servers[i], tagRequest, req)
-		st.TCall += c.t.Now() - t0
-		st.Calls++
-		st.BytesOut += req.Bytes()
-		st.tBytesOut.Add(uint64(req.Bytes()))
-	}
-	for i := range c.servers {
-		b, err := c.recvReply(i, c.servers[i], c.callIDs[i], c.reqBufs[i], st)
+	for i, k := range c.calls {
+		b, err := c.collect(st, k)
 		if err != nil {
 			return nil, err
 		}
-		now := c.t.Now()
-		st.tLat.Observe(now - c.callT0s[i])
-		telemetry.MatrixRecordLatency(c.t.TID(), c.servers[i], now-c.callT0s[i])
-		pvm.ReportFlow(c.t, method, c.servers[i], c.callT0s[i], now)
 		c.replies[i] = b
 	}
 	return c.replies, nil
 }
 
 // Close sends a stop request to every server and collects the
-// acknowledgements.  Servers dropped after a timeout also get a
-// best-effort stop — a false-positive drop leaves a live server loop
-// behind, and this lets it exit — waited on only as long as the call
-// timeout allows.  The connection must not be used afterwards.
+// acknowledgements; a server dying during shutdown is not an error worth
+// reporting.  Servers dropped after a timeout also get a best-effort stop
+// — a false-positive drop leaves a live server loop behind, and this lets
+// it exit — waited on only as long as the call timeout allows.  The
+// connection must not be used afterwards.
 func (c *Conn) Close() {
-	pending := make([]*Pending, len(c.servers))
+	c.ensurePhaseScratch()
+	st := c.stat(methodStop)
 	for i := range c.servers {
-		pending[i] = c.CallAsync(i, methodStop, nil)
+		c.calls[i] = c.issue(st, i, c.reqBufs[i].Reset(), nil)
 	}
-	for _, p := range pending {
-		if c.callTimeout > 0 {
-			p.WaitErr() // a server dying during shutdown is not an error worth hanging for
-		} else {
-			p.Wait()
-		}
+	for _, k := range c.calls {
+		c.collect(st, k)
 	}
 	for _, tid := range c.dropped {
-		callID := c.seq
-		c.seq++
-		req := pvm.NewBuffer().PackInt(callID).PackString(methodStop)
+		req := pvm.NewBuffer()
+		id := c.packRequest(req, methodStop, 0, nil)
 		c.t.Send(tid, tagRequest, req)
 		if c.callTimeout > 0 {
-			pvm.RecvDeadline(c.t, tid, replyTag(callID), c.callTimeout)
+			pvm.RecvDeadline(c.t, tid, replyTag(id), c.callTimeout)
 		}
 	}
 }

@@ -47,10 +47,29 @@ func runClient(t *testing.T, pl func() *platform.Platform, nsrv int, accounting 
 	return s, rec
 }
 
+// mustCall and mustPhase run one call / one single-float-argument call
+// phase and fail the simulated client on a transport error, which the
+// simulated fabric never produces.
+func mustCall(c *Conn, i int, method string, args *pvm.Buffer) *pvm.Buffer {
+	rep, err := c.Call(i, method, args)
+	if err != nil {
+		panic(err)
+	}
+	return rep
+}
+
+func mustPhase(c *Conn, method string, arg func(i int) float64) []*pvm.Buffer {
+	replies, err := c.CallPhasePacked(method, func(i int, args *pvm.Buffer) { args.PackFloat64(arg(i)) })
+	if err != nil {
+		panic(err)
+	}
+	return replies
+}
+
 func TestSyncCall(t *testing.T) {
 	runClient(t, platform.FastCoPs, 3, false, func(c *Conn) {
 		for i := 0; i < c.NumServers(); i++ {
-			rep := c.Call(i, "double", pvm.NewBuffer().PackFloat64(float64(i+1)))
+			rep := mustCall(c, i, "double", pvm.NewBuffer().PackFloat64(float64(i+1)))
 			if got := rep.MustFloat64(); got != float64(2*(i+1)) {
 				panic(fmt.Sprintf("server %d: %v", i, got))
 			}
@@ -67,9 +86,7 @@ func TestAsyncCallsOverlap(t *testing.T) {
 	const nsrv = 4
 	flops := 67e6 // 1 virtual second on FastCoPs
 	s, _ := runClient(t, platform.FastCoPs, nsrv, false, func(c *Conn) {
-		replies := c.CallPhase("work", func(i int) *pvm.Buffer {
-			return pvm.NewBuffer().PackFloat64(flops)
-		})
+		replies := mustPhase(c, "work", func(int) float64 { return flops })
 		if len(replies) != nsrv {
 			panic("wrong reply count")
 		}
@@ -84,9 +101,7 @@ func TestCallPhaseAccountingMode(t *testing.T) {
 	flops := 67e6
 	s, rec := runClient(t, platform.FastCoPs, nsrv, true, func(c *Conn) {
 		for phase := 0; phase < 2; phase++ {
-			c.CallPhase("work", func(i int) *pvm.Buffer {
-				return pvm.NewBuffer().PackFloat64(flops)
-			})
+			mustPhase(c, "work", func(int) float64 { return flops })
 		}
 	})
 	b := trace.ComputeBreakdown(rec, 0, []int{1, 2, 3}, s.Time())
@@ -113,10 +128,8 @@ func TestImbalanceSurfacesAsIdle(t *testing.T) {
 	// for the slowest; the residual idle equals max-mean parallel time.
 	const nsrv = 2
 	s, rec := runClient(t, platform.FastCoPs, nsrv, true, func(c *Conn) {
-		c.CallPhase("work", func(i int) *pvm.Buffer {
-			// Server 0: 1s, server 1: 3s.
-			return pvm.NewBuffer().PackFloat64(67e6 * float64(1+2*i))
-		})
+		// Server 0: 1s, server 1: 3s.
+		mustPhase(c, "work", func(i int) float64 { return 67e6 * float64(1+2*i) })
 	})
 	b := trace.ComputeBreakdown(rec, 0, []int{1, 2}, s.Time())
 	if b.ParComp < 1.9 || b.ParComp > 2.1 {
@@ -140,9 +153,7 @@ func TestAccountingOverheadSmall(t *testing.T) {
 	flops := 67e7 // 10 virtual seconds per server
 	run := func(acct bool) float64 {
 		s, _ := runClient(t, platform.FastCoPs, nsrv, acct, func(c *Conn) {
-			c.CallPhase("work", func(i int) *pvm.Buffer {
-				return pvm.NewBuffer().PackFloat64(flops)
-			})
+			mustPhase(c, "work", func(int) float64 { return flops })
 		})
 		return s.Time()
 	}
@@ -158,10 +169,8 @@ func TestAccountingOverheadSmall(t *testing.T) {
 
 func TestMethodStats(t *testing.T) {
 	runClient(t, platform.J90, 2, false, func(c *Conn) {
-		c.CallPhase("double", func(i int) *pvm.Buffer {
-			return pvm.NewBuffer().PackFloat64(1)
-		})
-		c.Call(0, "double", pvm.NewBuffer().PackFloat64(2))
+		mustPhase(c, "double", func(int) float64 { return 1 })
+		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(2))
 		st := c.Stats()
 		if len(st) != 1 || st[0].Method != "double" {
 			panic(fmt.Sprintf("stats = %+v", st))
@@ -180,8 +189,8 @@ func TestMethodStats(t *testing.T) {
 
 func TestStatsSeparatePerMethod(t *testing.T) {
 	runClient(t, platform.J90, 1, false, func(c *Conn) {
-		c.Call(0, "double", pvm.NewBuffer().PackFloat64(1))
-		c.Call(0, "work", pvm.NewBuffer().PackFloat64(100))
+		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
+		mustCall(c, 0, "work", pvm.NewBuffer().PackFloat64(100))
 		if n := len(c.Stats()); n != 2 {
 			panic(fmt.Sprintf("methods = %d, want 2", n))
 		}
@@ -200,8 +209,8 @@ func TestUnknownMethodPanicsServerSide(t *testing.T) {
 			Serve(st, echoService(), ServeOptions{})
 		})
 		c := Connect(ct, tids)
-		c.CallAsync(0, "no-such-method", nil)
-		// Do not wait: the server dies; just end the client.
+		// Issue without collecting: the server dies; just end the client.
+		c.issue(c.stat("no-such-method"), 0, pvm.NewBuffer(), nil)
 	})
 	// The server panics in its goroutine; the vm run may deadlock (client
 	// gone, server dead) — both are acceptable ends for this negative
@@ -232,17 +241,6 @@ func TestServerIndexOutOfRangePanics(t *testing.T) {
 	})
 }
 
-func TestPendingWaitIdempotent(t *testing.T) {
-	runClient(t, platform.J90, 1, false, func(c *Conn) {
-		p := c.CallAsync(0, "double", pvm.NewBuffer().PackFloat64(4))
-		r1 := p.Wait()
-		r2 := p.Wait()
-		if r1 != r2 {
-			panic("Wait not idempotent")
-		}
-	})
-}
-
 func TestServiceMethods(t *testing.T) {
 	svc := echoService()
 	ms := svc.Methods()
@@ -265,7 +263,7 @@ func TestJ90CommunicationDominatesSmallCalls(t *testing.T) {
 	// least 10 * 2 * 10ms of communication.
 	s, _ := runClient(t, platform.J90, 1, false, func(c *Conn) {
 		for i := 0; i < 10; i++ {
-			c.Call(0, "double", pvm.NewBuffer().PackFloat64(1))
+			mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
 		}
 	})
 	if s.Time() < 0.2 {
@@ -276,20 +274,18 @@ func TestJ90CommunicationDominatesSmallCalls(t *testing.T) {
 func TestVolumeScalesWithPayload(t *testing.T) {
 	var small, big int
 	runClient(t, platform.J90, 1, false, func(c *Conn) {
-		c.Call(0, "double", pvm.NewBuffer().PackFloat64(1))
+		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
 		small = c.Stats()[0].BytesOut
 	})
 	runClient(t, platform.J90, 1, false, func(c *Conn) {
-		c.CallAsync(0, "double", pvm.NewBuffer().PackFloat64(1))
-		// Pad with a second, larger call of the same method.
-		p := c.CallAsync(0, "double", pvm.NewBuffer().PackFloat64(1))
-		_ = p
+		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
+		// Pad with a second call of the same method.
+		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
 		big = c.Stats()[0].BytesOut
 	})
 	if big <= small {
 		t.Errorf("bytes out: %d then %d, want growth", small, big)
 	}
-	_ = math.Abs
 }
 
 func TestReplaceServerPreservesIndex(t *testing.T) {
@@ -316,7 +312,7 @@ func TestReplaceServerPreservesIndex(t *testing.T) {
 		}
 		// Calls through the replaced index reach the replacement (which,
 		// as a singleton spawn, reports instance 0).
-		b := c.Call(1, "double", pvm.NewBuffer().PackFloat64(3))
+		b := mustCall(c, 1, "double", pvm.NewBuffer().PackFloat64(3))
 		if got := b.MustFloat64(); got != 6 {
 			panic(fmt.Sprintf("double via replacement = %v, want 6", got))
 		}

@@ -116,9 +116,6 @@ func (s *Supervisor) publishState() {
 // State returns the supervisor's current rung.
 func (s *Supervisor) State() State { return s.state }
 
-// Width returns the configured fleet width.
-func (s *Supervisor) Width() int { return s.opts.Width }
-
 // Respawns returns the total replacements spawned so far.
 func (s *Supervisor) Respawns() int { return s.respawns }
 

@@ -13,10 +13,11 @@ import (
 // sync/pack model terms, rank-resolved).
 //
 // The instrument is armed separately from the metrics plane
-// (EnableMatrix): the fabrics call MatrixRecord next to every
-// PvmMsgsSent/PvmBytesSent increment — including the level-of-detail
-// macro replay, so matrices are bit-identical under -lod — and while
-// disarmed each call is one atomic load and a predicted branch.
+// (EnableMatrix): every fabric send — including the level-of-detail
+// macro replay, so matrices are bit-identical under -lod — goes through
+// RecordSend, which feeds the cell and the aggregate counters together,
+// and while disarmed the cell update is one atomic load and a predicted
+// branch.
 //
 // Cells are indexed by *rank*, not task id: MapRank pins a TID to a rank
 // slot (the md engine maps the client to rank 0 and server i to rank
@@ -138,10 +139,18 @@ func (m *matrixState) ensureRankLocked(tid int) int {
 	return r
 }
 
+// RecordSend is the fabrics' one send hook: one message of bytes payload
+// bytes from task src to task dst, booked on the opal_pvm_* aggregates
+// and on the src→dst matrix cell together, so matrix totals reconcile
+// with the counters by construction.
+func RecordSend(src, dst int, bytes uint64) {
+	PvmMsgsSent.Add(1)
+	PvmBytesSent.Add(bytes)
+	MatrixRecord(src, dst, 1, bytes)
+}
+
 // MatrixRecord accumulates msgs messages and bytes payload bytes on the
-// src→dst link.  Call sites mirror every PvmMsgsSent/PvmBytesSent
-// increment exactly, so matrix totals reconcile with the aggregate
-// counters.  Near-zero cost while disarmed.
+// src→dst link.  Near-zero cost while disarmed.
 func MatrixRecord(src, dst int, msgs, bytes uint64) {
 	if !matrixOn.Load() {
 		return

@@ -29,9 +29,6 @@ type Segment struct {
 	End   float64
 }
 
-// Duration returns the span length.
-func (s Segment) Duration() float64 { return s.End - s.Start }
-
 // Flow links one client RPC call to its execution on a server: the client
 // issues the request at Issue and receives the reply at Reply.  Flows let
 // the Chrome exporter draw arrows from call spans to the matching server

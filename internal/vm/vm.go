@@ -889,9 +889,6 @@ func (k *Kernel) Quiescent() bool { return len(k.ready) == 0 }
 // Comm returns the kernel's communication cost model.
 func (k *Kernel) Comm() CommModel { return k.comm }
 
-// Faults returns the installed fault model (nil when disabled).
-func (k *Kernel) Faults() FaultModel { return k.faults }
-
 // FaultFree reports whether the kernel is provably free of fault
 // injection: either no fault model is installed, or the installed model
 // declares itself inert via an optional `FaultFree() bool` method (the
