@@ -92,29 +92,27 @@ bench-smoke:
 bench-json:
 	$(GO) run ./cmd/benchjson -pkg . -bench .
 
-# Fail when the telemetry plane's enabled-vs-disabled CPU overhead exceeds
-# the budget (paired-median rusage comparison; see BenchmarkTelemetryOverhead).
-telemetry-budget:
-	@out=$$($(GO) test -bench BenchmarkTelemetryOverhead -benchtime 1x -run xxx . | tee /dev/stderr); \
-	echo "$$out" | awk -v budget=$(TELEMETRY_BUDGET) ' \
-		/BenchmarkTelemetryOverhead/ { for (i = 1; i < NF; i++) if ($$(i+1) == "overhead%") ov = $$i } \
-		END { \
-			if (ov == "") { print "telemetry-budget: no overhead% metric found"; exit 1 } \
-			if (ov + 0 > budget + 0) { printf "telemetry-budget: overhead %s%% exceeds budget %s%%\n", ov, budget; exit 1 } \
-			printf "telemetry-budget: overhead %s%% within budget %s%%\n", ov, budget \
-		}'
+# overhead-budget runs benchmark $(1) once and fails, under the label
+# $(3), when the overhead% metric it reports — enabled-vs-disabled CPU
+# time, a paired-median rusage comparison — exceeds $(2) percent.
+define overhead-budget
+@out=$$($(GO) test -bench $(1) -benchtime 1x -run xxx . | tee /dev/stderr); \
+echo "$$out" | awk -v budget=$(2) -v label=$(3) ' \
+	/$(1)/ { for (i = 1; i < NF; i++) if ($$(i+1) == "overhead%") ov = $$i } \
+	END { \
+		if (ov == "") { print label ": no overhead% metric found"; exit 1 } \
+		if (ov + 0 > budget + 0) { printf "%s: overhead %s%% exceeds budget %s%%\n", label, ov, budget; exit 1 } \
+		printf "%s: overhead %s%% within budget %s%%\n", label, ov, budget \
+	}'
+endef
 
-# Fail when the recovery plane's armed-vs-bare CPU overhead exceeds the
-# budget (same paired-median estimator; see BenchmarkSupervisionOverhead).
+# The telemetry plane, enabled vs disabled (see BenchmarkTelemetryOverhead).
+telemetry-budget:
+	$(call overhead-budget,BenchmarkTelemetryOverhead,$(TELEMETRY_BUDGET),telemetry-budget)
+
+# The recovery plane, armed vs bare (see BenchmarkSupervisionOverhead).
 supervision-budget:
-	@out=$$($(GO) test -bench BenchmarkSupervisionOverhead -benchtime 1x -run xxx . | tee /dev/stderr); \
-	echo "$$out" | awk -v budget=$(SUPERVISION_BUDGET) ' \
-		/BenchmarkSupervisionOverhead/ { for (i = 1; i < NF; i++) if ($$(i+1) == "overhead%") ov = $$i } \
-		END { \
-			if (ov == "") { print "supervision-budget: no overhead% metric found"; exit 1 } \
-			if (ov + 0 > budget + 0) { printf "supervision-budget: overhead %s%% exceeds budget %s%%\n", ov, budget; exit 1 } \
-			printf "supervision-budget: overhead %s%% within budget %s%%\n", ov, budget \
-		}'
+	$(call overhead-budget,BenchmarkSupervisionOverhead,$(SUPERVISION_BUDGET),supervision-budget)
 
 # The console's deterministic-frame contract: the opaltop goldens (live
 # /streamz snapshot, archive replay, journal replay) plus the matrix

@@ -580,13 +580,15 @@ func BenchmarkSimKernelMessaging(b *testing.B) {
 // BenchmarkScenarioThroughput measures end-to-end simulation throughput
 // in sims/sec over the scenario mix the level-of-detail layer targets: a
 // fault-free multi-step run with and without macro replay, plus a chaos
-// run (active fault plane) under -lod=auto where the static eligibility
-// gate must keep the run fine-grained without costing anything.  The
+// run (active fault plane) that the static eligibility gate must keep
+// fine-grained without costing anything.  The
 // scenario is deliberately communication-dominated — a tiny complex, a
 // wide fleet and per-step pair-list refresh — because that is where the
 // event-level DES overhead lives; runs are lean (no trace recorder),
 // matching a parameter-sweep campaign.  The faultfree lod=off/lod=on
-// pair is the speedup the perf gate pins with perfdiff -min-ratio.
+// pair (the fine-grained reference against the default, macro replay;
+// the names are the keys of the BENCH_*.json snapshots) is the speedup
+// the perf gate pins with perfdiff -min-ratio.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	sys := molecule.TestComplex(2, 4, 9)
 	opts := md.Options{
@@ -603,7 +605,7 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 		faults *fault.Config
 	}{
 		{"mix=faultfree/lod=off", md.LoDOff, nil},
-		{"mix=faultfree/lod=on", md.LoDOn, nil},
+		{"mix=faultfree/lod=on", md.LoDAuto, nil},
 		{"mix=chaos/lod=auto", md.LoDAuto, &fault.Config{Seed: 11, DelayRate: 0.02, StragglerRate: 0.01}},
 	}
 	for _, sc := range scenarios {

@@ -69,7 +69,7 @@ func main() {
 		oracleOn   = flag.Bool("oracle", false, "arm the model-in-the-loop oracle: check each step window against the platform's analytic model, emit oracle_anomaly events and degrade /healthz on residual blowup")
 		oracleWin  = flag.Int("oracle-window", 5, "oracle evaluation window in steps (a multiple of -update keeps windows uniform)")
 		modelz     = flag.Bool("modelz", false, "print the oracle's end-of-run predicted-vs-measured report (requires -oracle); the live /modelz endpoint is served under -http")
-		lodFlag    = flag.String("lod", "", "level-of-detail macro replay: auto (on when the run is provably fault-free), on, off; default consults OPAL_LOD")
+		lodFlag    = flag.String("lod", "auto", "level of detail: auto (macro-replay every RPC phase that is provably fault-free, same output), off (everything fine-grained, the reference)")
 		archDir    = flag.String("archive", "", "append this run's journal events and summary to the persistent run archive at this directory (query with opalquery)")
 		watchdog   = flag.Bool("watchdog", false, "judge this run against the archived rolling baseline for its spec; exit 3 on a flagged regression (requires -archive)")
 		watchTol   = flag.Float64("watchdog-tol", 1.25, "watchdog wall-time tolerance factor over the baseline median")

@@ -304,10 +304,7 @@ func resultOf(out harness.RunOutcome) *JobResult {
 		Idle:       out.Breakdown.Idle,
 		Respawns:   out.Result.Respawns,
 		Recoveries: out.Result.Recoveries,
-	}
-	res.Energies = make([]float64, len(out.Result.Steps))
-	for i, st := range out.Result.Steps {
-		res.Energies[i] = st.ETotal
+		Energies:   out.Result.Energies(),
 	}
 	if n := len(out.Result.Steps); n > 0 {
 		last := out.Result.Steps[n-1]

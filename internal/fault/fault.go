@@ -179,7 +179,7 @@ func (p *Plan) chance(rate float64) bool {
 func (p *Plan) scale() float64 { return 0.5 + p.rng.float64() }
 
 // SendFault implements vm.FaultModel: consulted once per simulated Send.
-func (p *Plan) SendFault(src, dst, tag, bytes int) (delay, resend float64) {
+func (p *Plan) SendFault(src, dst, bytes int) (delay, resend float64) {
 	if p.muted {
 		return 0, 0
 	}

@@ -13,7 +13,7 @@ import (
 func drive(p *Plan) []float64 {
 	var out []float64
 	for i := 0; i < 200; i++ {
-		d, r := p.SendFault(i%3, (i+1)%3, i, 64*i)
+		d, r := p.SendFault(i%3, (i+1)%3, 64*i)
 		out = append(out, d, r)
 		out = append(out, p.ComputeFault(i%3))
 		out = append(out, p.BarrierFault(i%3))
@@ -64,7 +64,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 
 func TestStatsCountInjections(t *testing.T) {
 	p := NewPlan(Uniform(3, 1)) // rate 1: every hook faults
-	p.SendFault(0, 1, 5, 100)
+	p.SendFault(0, 1, 100)
 	p.ComputeFault(0)
 	p.BarrierFault(1)
 	s := p.Stats()
@@ -78,7 +78,7 @@ func TestStatsCountInjections(t *testing.T) {
 
 func TestFaultMagnitudesUseDefaults(t *testing.T) {
 	p := NewPlan(Config{Seed: 1, DropRate: 1})
-	delay, _ := p.SendFault(0, 1, 0, 8)
+	delay, _ := p.SendFault(0, 1, 8)
 	// scale() is in [0.5, 1.5): the delay must be within those bounds of
 	// the default retry timeout.
 	if delay < 0.5*2e-3 || delay >= 1.5*2e-3 {

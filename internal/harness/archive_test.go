@@ -85,10 +85,7 @@ func TestRunArchivesSummary(t *testing.T) {
 // A differing configuration must hash to a different spec — otherwise the
 // watchdog would baseline unrelated runs against each other.
 func TestSpecHashSeparatesConfigurations(t *testing.T) {
-	sys := molecule.Generate(molecule.Config{
-		Name: "arch", SoluteAtoms: 60, Waters: 120, Seed: 7, Interleave: true,
-	})
-	base := archiveSpec(sys)
+	base := archiveSpec(harness.Sizes(0.1)["small"])
 	h := harness.SpecHashOf(base)
 	for name, mut := range map[string]func(*harness.RunSpec){
 		"servers": func(s *harness.RunSpec) { s.Servers = 5 },
@@ -101,6 +98,8 @@ func TestSpecHashSeparatesConfigurations(t *testing.T) {
 		"accounting": func(s *harness.RunSpec) { s.Opts.Accounting = !s.Opts.Accounting },
 		"celllist":   func(s *harness.RunSpec) { s.Opts.CellList = !s.Opts.CellList },
 		"faults":     func(s *harness.RunSpec) { c := fault.Uniform(1, 0.05); s.Faults = &c },
+		// Every reduced system of a size class carries the same name.
+		"scale": func(s *harness.RunSpec) { s.Sys = harness.Sizes(0.5)["small"] },
 	} {
 		mod := base
 		mut(&mod)

@@ -8,9 +8,7 @@ import (
 
 // RestartOutcome is the result of a kill-and-restart experiment.
 type RestartOutcome struct {
-	// Result carries the stitched trajectory: the first leg's steps up to
-	// the resume point followed by the resumed leg's, with final state,
-	// convergence and fault counters from the resumed leg.
+	// Result carries the stitched trajectory (see md.StitchRestart).
 	Result *md.Result
 	// ResumedAt is the absolute step of the checkpoint the second leg
 	// resumed from; 0 with no checkpoint captured before the kill (the
@@ -66,13 +64,5 @@ func RunWithRestart(spec RunSpec, every, killAt int) (RestartOutcome, error) {
 		return RestartOutcome{}, fmt.Errorf("harness: resumed leg: %w", err)
 	}
 
-	stitched := *so.Result
-	stitched.StartStep = 0
-	stitched.Steps = append(append([]md.StepInfo(nil), fo.Result.Steps[:resumedAt]...), so.Result.Steps...)
-	stitched.Recoveries += fo.Result.Recoveries
-	stitched.RecoverySeconds += fo.Result.RecoverySeconds
-	stitched.Respawns += fo.Result.Respawns
-	stitched.RespawnSeconds += fo.Result.RespawnSeconds
-	stitched.LostTIDs = append(append([]int(nil), fo.Result.LostTIDs...), so.Result.LostTIDs...)
-	return RestartOutcome{Result: &stitched, ResumedAt: resumedAt, First: fo, Second: so}, nil
+	return RestartOutcome{Result: md.StitchRestart(fo.Result, so.Result, resumedAt), ResumedAt: resumedAt, First: fo, Second: so}, nil
 }

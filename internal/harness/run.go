@@ -186,10 +186,6 @@ func Run(spec RunSpec) (RunOutcome, error) {
 // SummaryOf distills a run outcome into its archive digest.
 func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 	res := out.Result
-	energies := make([]float64, len(res.Steps))
-	for i, st := range res.Steps {
-		energies[i] = st.ETotal
-	}
 	b := out.Breakdown
 	sum := archive.RunSummary{
 		Run:          telemetry.Run(),
@@ -199,7 +195,7 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 		Servers:      spec.Servers,
 		Steps:        len(res.Steps),
 		Wall:         out.Wall,
-		EnergiesHash: archive.HashFloats(energies),
+		EnergiesHash: archive.HashFloats(res.Energies()),
 		FinalEnergy:  res.FinalEnergy(),
 		Par:          b.ParComp,
 		Seq:          b.SeqComp,
@@ -225,7 +221,8 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 // SpecHashOf derives the canonical spec hash of a run configuration — the
 // grouping key cross-run queries and the regression watchdog compare
 // under.  It covers everything that changes the physics or the timing
-// (platform, system, fleet, steps, cut-off, update period and algorithm,
+// (platform, system name and size — every -scale shares one name —
+// fleet, steps, cut-off, update period and algorithm,
 // distribution strategy and seed, engine mode, accounting barriers, the
 // fault plan) and nothing environmental.
 func SpecHashOf(spec RunSpec) string {
@@ -236,6 +233,8 @@ func SpecHashOf(spec RunSpec) string {
 	return archive.HashStrings(
 		spec.Platform.Name,
 		spec.Sys.Name,
+		fmt.Sprint(spec.Sys.N),
+		fmt.Sprint(spec.Sys.NSolute),
 		fmt.Sprint(spec.Servers),
 		fmt.Sprint(spec.Steps),
 		fmt.Sprint(spec.Opts.Cutoff),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -314,5 +315,44 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	}
 	if _, err := runSerialSimErr(sys, Options{CheckpointEvery: -1, CheckpointSink: sink}, 2); err == nil {
 		t.Error("negative CheckpointEvery accepted")
+	}
+}
+
+// TestStitchRestartSumsBothLegs: the stitched result of a kill-and-restart
+// run keeps the first leg's steps up to the resume point and loses no
+// counter of either leg.
+func TestStitchRestartSumsBothLegs(t *testing.T) {
+	step := func(e float64) StepInfo { return StepInfo{ETotal: e} }
+	first := &Result{
+		Steps:      []StepInfo{step(1), step(2), step(3)}, // killed after 3, checkpoint at 2
+		Recoveries: 1, RecoverySeconds: 0.5, LostTIDs: []int{4},
+		Respawns: 2, RespawnSeconds: 0.25,
+		LoDMacroPhases: 10, LoDFallbackPhases: 3,
+		EndSeconds: 7,
+	}
+	second := &Result{
+		Steps:      []StepInfo{step(30), step(40)},
+		StartStep:  2,
+		Recoveries: 4, RecoverySeconds: 1.5, LostTIDs: []int{9, 11},
+		Respawns: 1, RespawnSeconds: 0.125,
+		LoDMacroPhases: 6, LoDFallbackPhases: 1,
+		EndSeconds: 5, Converged: true, FinalPos: []float64{1, 2, 3},
+	}
+	got := StitchRestart(first, second, 2)
+	want := &Result{
+		Steps:      []StepInfo{step(1), step(2), step(30), step(40)},
+		Recoveries: 5, RecoverySeconds: 2, LostTIDs: []int{4, 9, 11},
+		Respawns: 3, RespawnSeconds: 0.375,
+		LoDMacroPhases: 16, LoDFallbackPhases: 4,
+		EndSeconds: 5, Converged: true, FinalPos: []float64{1, 2, 3},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stitched:\n got %+v\nwant %+v", got, want)
+	}
+	if e := got.Energies(); !reflect.DeepEqual(e, []float64{1, 2, 30, 40}) {
+		t.Fatalf("energies = %v", e)
+	}
+	if len(first.Steps) != 3 || len(second.LostTIDs) != 2 || second.StartStep != 2 {
+		t.Fatal("stitching modified a leg")
 	}
 }

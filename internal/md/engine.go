@@ -165,11 +165,11 @@ type Options struct {
 	// Checkpoint resumes set it so that periodic checkpoints captured in
 	// a resumed run carry trajectory-absolute step numbers.
 	StartStep int
-	// LoD selects level-of-detail macro replay for the parallel engine's
-	// RPC phases (see LoDMode): fault-free phases replayed analytically
-	// on the client's goroutine, bit-identical physics and Stats, an
-	// order of magnitude fewer kernel events.  LoDDefault consults the
-	// OPAL_LOD environment variable and is off when it is unset.
+	// LoD is the level of detail of the parallel engine's RPC phases (see
+	// LoDMode).  The zero value, LoDAuto, macro-replays every eligible
+	// phase on the client's coroutine — bit-identical physics and Stats,
+	// an order of magnitude fewer kernel events — and runs the rest
+	// fine-grained; LoDOff pins the fine-grained reference.
 	LoD LoDMode
 }
 
@@ -245,8 +245,9 @@ type Result struct {
 	// LoDMacroPhases and LoDFallbackPhases count, for this run's
 	// connection, the RPC phases replayed as analytic macro-events and
 	// the phases that wanted macro replay but ran fine-grained (kill
-	// windows, heal epochs, lost eligibility).  Both stay zero with LoD
-	// off and on the serial engine.
+	// windows, heal epochs, lost eligibility).  Both stay zero with
+	// LoDOff, on a run that cannot macro-replay at all (real fabric,
+	// active fault plane) and on the serial engine.
 	LoDMacroPhases    int
 	LoDFallbackPhases int
 }
@@ -257,6 +258,36 @@ func (r *Result) FinalEnergy() float64 {
 		return math.NaN()
 	}
 	return r.Steps[len(r.Steps)-1].ETotal
+}
+
+// Energies returns the total energy of every step, the series run digests
+// hash and compare.
+func (r *Result) Energies() []float64 {
+	e := make([]float64, len(r.Steps))
+	for i, st := range r.Steps {
+		e[i] = st.ETotal
+	}
+	return e
+}
+
+// StitchRestart joins the two legs of a killed-and-restarted run into the
+// result of the whole trajectory: the first leg's steps up to the absolute
+// step resumedAt the second leg resumed from (0 when it replayed from the
+// start), then the second leg's; final state, convergence and timing
+// fields are the second leg's, and every recovery, respawn and LoD counter
+// is summed over both legs.
+func StitchRestart(first, second *Result, resumedAt int) *Result {
+	r := *second
+	r.StartStep = 0
+	r.Steps = append(append([]StepInfo(nil), first.Steps[:resumedAt]...), second.Steps...)
+	r.Recoveries += first.Recoveries
+	r.RecoverySeconds += first.RecoverySeconds
+	r.LostTIDs = append(append([]int(nil), first.LostTIDs...), second.LostTIDs...)
+	r.Respawns += first.Respawns
+	r.RespawnSeconds += first.RespawnSeconds
+	r.LoDMacroPhases += first.LoDMacroPhases
+	r.LoDFallbackPhases += first.LoDFallbackPhases
+	return &r
 }
 
 // nbData is the replicated global data every server (and the serial

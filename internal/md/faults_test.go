@@ -102,7 +102,7 @@ func TestParallelSurvivesServerDeathsTCP(t *testing.T) {
 	}
 	defer host.Close()
 	host.RegisterSpawn("opal-server", func(st pvm.Task) {
-		ServeOpalOpts(st, sciddle.ServeOptions{
+		sciddle.Serve(st, newOpalService(), sciddle.ServeOptions{
 			Quit:         quits[st.Instance()],
 			PollInterval: 2 * time.Millisecond,
 		})

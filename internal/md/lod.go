@@ -1,130 +1,72 @@
 package md
 
-// Level-of-detail (LoD) plumbing for the parallel engine.  With LoD
-// enabled the Sciddle connection replays each fault-free RPC phase as
-// analytic macro-events (internal/pvm/macro.go): the servers' handlers
-// run in-process on the client's goroutine and the whole fan-out is
-// charged closed-form, skipping every goroutine handoff and message
-// allocation of fine-grained execution while producing bit-identical
-// clocks, energies and Stats breakdowns.  The phase profile — resolved
-// dispatch entries, request buffers, exec closures, timeline arrays —
-// is memoized per (fleet, phase shape) inside the connection, so the
-// steady state runs without registry lookups or heap allocation.
+// Level-of-detail (LoD) plumbing for the parallel engine.  Macro replay
+// is how an eligible RPC phase runs: the Sciddle connection replays it as
+// macro-events (internal/pvm/macro.go) — the servers' handlers run
+// in-process on the client's coroutine and the fan-out is charged through
+// the kernel's own send, receive and barrier rules — skipping every
+// coroutine switch and message allocation of fine-grained execution while
+// producing bit-identical clocks, energies and Stats breakdowns.  The
+// phase profile — resolved dispatch entries, request buffers, exec
+// closures, timeline arrays — is memoized per (fleet, phase shape) inside
+// the connection, so the steady state runs without registry lookups or
+// heap allocation.
 //
-// Fallback ladder, most detailed first: any window needing event-level
-// replay (active fault plane, administrative kill step, non-quiescent
-// kernel, unregistered dispatcher, non-simulated fabric) automatically
-// runs fine-grained; macro replay is a pure performance choice.
+// Fine-grained message passing is the fallback and the test reference:
+// any run or window needing event-level detail (non-simulated fabric,
+// active fault plane, administrative kill step, non-quiescent kernel,
+// unregistered dispatcher) takes it by itself, and LoDOff pins it for
+// the bit-identity sweeps.
 
 import (
 	"fmt"
-	"os"
 
 	"opalperf/internal/pvm"
 	"opalperf/internal/sciddle"
 )
 
-// LoDMode selects how the parallel engine uses level-of-detail macro
-// replay (Options.LoD).
+// LoDMode is the level of detail of the parallel engine's RPC phases
+// (Options.LoD).
 type LoDMode int
 
 const (
-	// LoDDefault consults the OPAL_LOD environment variable ("off",
-	// "auto" or "on"); unset or empty means LoDOff.
-	LoDDefault LoDMode = iota
-	// LoDOff runs every phase fine-grained.
+	// LoDAuto, the zero value, macro-replays every phase that can
+	// provably use it: the run must be on the simulated fabric with an
+	// inert fault plane (pvm.MacroCapable), and individual phases still
+	// fall back to fine-grained execution whenever eligibility is lost
+	// (kill windows, heal epochs).
+	LoDAuto LoDMode = iota
+	// LoDOff runs every phase fine-grained: the reference the
+	// bit-identity tests compare macro replay against.
 	LoDOff
-	// LoDAuto enables macro replay when the run can provably use it:
-	// the simulated fabric with an inert fault plane.  Individual phases
-	// still fall back to fine-grained replay whenever eligibility is
-	// lost (kill windows, heal epochs).
-	LoDAuto
-	// LoDOn requests macro replay unconditionally.  On runs that cannot
-	// replay — real transports, an active fault plane — every phase
-	// falls back by itself, so results are unchanged either way.
-	LoDOn
 )
 
-// ParseLoDMode parses the textual LoD modes accepted by the OPAL_LOD
-// environment variable and the opal -lod flag.
+// ParseLoDMode parses the textual LoD modes accepted by the opal -lod
+// flag and scenario files; the empty string is LoDAuto.
 func ParseLoDMode(s string) (LoDMode, error) {
 	switch s {
-	case "", "default":
-		return LoDDefault, nil
+	case "", "auto":
+		return LoDAuto, nil
 	case "off":
 		return LoDOff, nil
-	case "auto":
-		return LoDAuto, nil
-	case "on":
-		return LoDOn, nil
 	}
-	return LoDOff, fmt.Errorf("md: unknown LoD mode %q (want off, auto or on)", s)
+	return LoDOff, fmt.Errorf("md: unknown LoD mode %q (want auto or off)", s)
 }
 
 func (m LoDMode) String() string {
 	switch m {
-	case LoDDefault:
-		return "default"
-	case LoDOff:
-		return "off"
 	case LoDAuto:
 		return "auto"
-	case LoDOn:
-		return "on"
+	case LoDOff:
+		return "off"
 	}
 	return fmt.Sprintf("LoDMode(%d)", int(m))
 }
 
-// resolve folds LoDDefault into a concrete mode via OPAL_LOD.
-func (m LoDMode) resolve() LoDMode {
-	if m != LoDDefault {
-		return m
-	}
-	if env, err := ParseLoDMode(os.Getenv("OPAL_LOD")); err == nil && env != LoDDefault {
-		return env
-	}
-	return LoDOff
-}
-
-// wantMacro reports whether the run should construct its services
-// client-side and register in-process dispatchers at all.
-func (m LoDMode) wantMacro(t pvm.Task) bool {
-	switch m.resolve() {
-	case LoDOn:
-		return true
-	case LoDAuto:
-		return pvm.MacroCapable(t)
-	}
-	return false
-}
-
-// newLoDServices builds one service table + handler pair per server
-// rank, created on the client before the spawn so the Serve loops and
-// the macro dispatchers share handler state.
-func newLoDServices(n int) []*sciddle.Service {
-	svcs := make([]*sciddle.Service, n)
-	for i := range svcs {
-		svcs[i], _ = newOpalService()
-	}
-	return svcs
-}
-
 // registerDirect records svc's in-process dispatcher for server tid.
-// False means the fabric cannot macro-replay (not simulated) and the
-// run stays fine-grained.
-func registerDirect(t pvm.Task, tid int, svc *sciddle.Service) bool {
-	return pvm.RegisterDirect(t, tid, pvm.DirectEntry{
+func registerDirect(t pvm.Task, tid int, svc *sciddle.Service) {
+	pvm.RegisterDirect(t, tid, pvm.DirectEntry{
 		Obj:      svc,
 		Dispatch: sciddle.DirectDispatcher(svc),
 	})
-}
-
-// registerDirects registers the whole fleet; false on the first failure.
-func registerDirects(t pvm.Task, tids []int, svcs []*sciddle.Service) bool {
-	for i, tid := range tids {
-		if !registerDirect(t, tid, svcs[i]) {
-			return false
-		}
-	}
-	return true
 }

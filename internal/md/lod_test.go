@@ -115,7 +115,7 @@ func TestLoDBitIdenticalSeedSweep(t *testing.T) {
 
 		offOpts, onOpts := opts, opts
 		offOpts.LoD = LoDOff
-		onOpts.LoD = LoDOn
+		onOpts.LoD = LoDAuto
 		macro0 := telemetry.LoDMacroPhases.Value()
 		off, offStats, offTime := lodRun(t, sys, offOpts, nservers, steps)
 		if telemetry.LoDMacroPhases.Value() != macro0 {
@@ -160,7 +160,7 @@ func TestLoDBitIdenticalWithKills(t *testing.T) {
 
 		offOpts, onOpts := opts, opts
 		offOpts.LoD = LoDOff
-		onOpts.LoD = LoDOn
+		onOpts.LoD = LoDAuto
 		off, offStats, offTime := lodRun(t, sys, offOpts, nservers, steps)
 		macro0 := telemetry.LoDMacroPhases.Value()
 		fall0 := telemetry.LoDFallbackPhases.Value()
@@ -178,21 +178,20 @@ func TestLoDBitIdenticalWithKills(t *testing.T) {
 	}
 }
 
-// TestLoDAutoDisabledByFaultPlane checks the static half of LoDAuto's
-// eligibility: with an active fault plane the run stays fine-grained
-// (no dispatcher registration, no macro phases).
-func TestLoDAutoDisabledByFaultPlane(t *testing.T) {
-	telemetry.SetEnabled(true)
-	defer telemetry.SetEnabled(false)
+// lodPhasesUnder runs a short fault-free-physics job with the given fault
+// model installed (nil for none) and returns the run's macro and fallback
+// phase counts.
+func lodPhasesUnder(t *testing.T, fm vm.FaultModel, opts Options) (macro, fallback int) {
+	t.Helper()
 	sys := molecule.TestComplex(8, 16, 7)
-	opts := Options{Cutoff: 10, UpdateEvery: 1, Minimize: true, LoD: LoDAuto}
-
 	s := pvm.NewSimVM(platform.J90(), nil)
-	s.SetFaults(fault.NewPlan(fault.Config{Seed: 1, DelayRate: 0.5}))
-	macro0 := telemetry.LoDMacroPhases.Value()
+	if fm != nil {
+		s.SetFaults(fm)
+	}
+	var res *Result
 	var err error
 	s.SpawnRoot("opal-client", func(task pvm.Task) {
-		_, err = RunParallel(task, sys, opts, 2, 2)
+		res, err = RunParallel(task, sys, opts, 2, 2)
 	})
 	if e := s.Run(); e != nil {
 		t.Fatal(e)
@@ -200,7 +199,55 @@ func TestLoDAutoDisabledByFaultPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if telemetry.LoDMacroPhases.Value() != macro0 {
-		t.Fatal("LoDAuto replayed macro phases under an active fault plane")
+	return res.LoDMacroPhases, res.LoDFallbackPhases
+}
+
+// TestMacroReplayIsTheDefaultPath pins that nobody has to ask for macro
+// replay: zero-value options on a fault-free simulated fabric replay every
+// phase (an installed but inert plan is still fault-free), and only LoDOff
+// turns it off.
+func TestMacroReplayIsTheDefaultPath(t *testing.T) {
+	const phases = 4 // 2 steps x (update + nbint), UpdateEvery defaults to 1
+	for _, c := range []struct {
+		name   string
+		faults vm.FaultModel
+		opts   Options
+		macro  int
+	}{
+		{"zero options", nil, Options{}, phases},
+		{"inert plan", fault.NewPlan(fault.Config{Seed: 3}), Options{}, phases},
+		{"LoDOff", nil, Options{LoD: LoDOff}, 0},
+	} {
+		macro, fallback := lodPhasesUnder(t, c.faults, c.opts)
+		if macro != c.macro || fallback != 0 {
+			t.Errorf("%s: %d macro / %d fallback phases, want %d / 0", c.name, macro, fallback, c.macro)
+		}
+	}
+}
+
+// TestLoDAutoDisabledByFaultPlane checks the static half of LoDAuto's
+// eligibility: with an active fault plane the run stays fine-grained —
+// no dispatcher registration, so no macro phases and no fallbacks either.
+func TestLoDAutoDisabledByFaultPlane(t *testing.T) {
+	opts := Options{Cutoff: 10, UpdateEvery: 1, Minimize: true, LoD: LoDAuto}
+	macro, fallback := lodPhasesUnder(t, fault.NewPlan(fault.Config{Seed: 1, DelayRate: 0.5}), opts)
+	if macro != 0 || fallback != 0 {
+		t.Fatalf("active fault plane: %d macro / %d fallback phases, want 0 / 0", macro, fallback)
+	}
+}
+
+func TestParseLoDMode(t *testing.T) {
+	for in, want := range map[string]LoDMode{"": LoDAuto, "auto": LoDAuto, "off": LoDOff} {
+		if got, err := ParseLoDMode(in); err != nil || got != want {
+			t.Errorf("ParseLoDMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"on", "default", "AUTO", "bogus"} {
+		if _, err := ParseLoDMode(in); err == nil {
+			t.Errorf("ParseLoDMode(%q) accepted", in)
+		}
+	}
+	if LoDAuto != 0 {
+		t.Error("LoDAuto must be the zero value of Options.LoD")
 	}
 }

@@ -46,26 +46,27 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		return nil, err
 	}
 	parties := nservers + 1
-	// With LoD wanted, the services are constructed client-side before the
-	// spawn: the spawned Serve loops and the in-process macro dispatchers
-	// must share the same handler objects (see lod.go).
-	var svcs []*sciddle.Service
-	if opts.LoD.wantMacro(t) {
-		svcs = newLoDServices(nservers)
+	// The services are constructed client-side before the spawn: the
+	// spawned Serve loops and, when the run can macro-replay, the
+	// in-process dispatchers share the same handler objects (see lod.go).
+	svcs := make([]*sciddle.Service, nservers)
+	for i := range svcs {
+		svcs[i] = newOpalService()
 	}
 	tids := t.Spawn("opal-server", nservers, func(st pvm.Task) {
 		var quit <-chan struct{}
 		if opts.ServerQuit != nil {
 			quit = opts.ServerQuit(st.Instance())
 		}
-		opt := sciddle.ServeOptions{Accounting: accounting, Parties: parties, Quit: quit}
-		if svcs != nil {
-			sciddle.Serve(st, svcs[st.Instance()], opt)
-		} else {
-			ServeOpalOpts(st, opt)
-		}
+		sciddle.Serve(st, svcs[st.Instance()],
+			sciddle.ServeOptions{Accounting: accounting, Parties: parties, Quit: quit})
 	})
-	lod := svcs != nil && registerDirects(t, tids, svcs)
+	lod := opts.LoD == LoDAuto && pvm.MacroCapable(t)
+	if lod {
+		for i, tid := range tids {
+			registerDirect(t, tid, svcs[i])
+		}
+	}
 	// Pin the comm-matrix rank assignment to the MD topology: the client
 	// is rank 0, server i is rank i+1.  A replacement server inherits the
 	// dead rank (see healFrom), so its traffic lands in the same
@@ -91,23 +92,15 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 			Width:       nservers,
 			MaxRespawns: opts.MaxRespawns,
 			Spawn: func(k int) int {
-				var svc *sciddle.Service
-				if lod {
-					svc, _ = newOpalService()
-				}
+				svc := newOpalService()
 				rtids := t.Spawn("opal-server", 1, func(st pvm.Task) {
 					var quit <-chan struct{}
 					if opts.ServerQuit != nil {
 						quit = opts.ServerQuit(nservers + k)
 					}
-					opt := sciddle.ServeOptions{Parties: parties, Quit: quit}
-					if svc != nil {
-						sciddle.Serve(st, svc, opt)
-					} else {
-						ServeOpalOpts(st, opt)
-					}
+					sciddle.Serve(st, svc, sciddle.ServeOptions{Parties: parties, Quit: quit})
 				})
-				if svc != nil {
+				if lod {
 					registerDirect(t, rtids[0], svc)
 				}
 				return rtids[0]

@@ -28,27 +28,18 @@ type opalServer struct {
 // closes the connection.  accounting must match the client's setting;
 // parties is servers+1.
 func ServeOpal(t pvm.Task, accounting bool, parties int) {
-	ServeOpalOpts(t, sciddle.ServeOptions{Accounting: accounting, Parties: parties})
-}
-
-// ServeOpalOpts is ServeOpal with full control over the serve options —
-// in particular the cooperative Quit switch chaos tests use to kill live
-// servers.
-func ServeOpalOpts(t pvm.Task, opt sciddle.ServeOptions) {
-	svc, _ := newOpalService()
-	sciddle.Serve(t, svc, opt)
+	sciddle.Serve(t, newOpalService(), sciddle.ServeOptions{Accounting: accounting, Parties: parties})
 }
 
 // newOpalService builds one Opal server's service table and handler
-// state.  The parallel client constructs these before spawning when
-// level-of-detail replay is wanted: the spawned Serve loop and the
-// in-process macro dispatcher must share the same objects so server
-// state stays consistent whichever path executes a call.
-func newOpalService() (*sciddle.Service, *opalServer) {
+// state.  The parallel client constructs these before spawning: the
+// spawned Serve loop and the in-process macro dispatcher must share the
+// same objects so server state stays consistent whichever path executes
+// a call.
+func newOpalService() *sciddle.Service {
 	svc := sciddle.NewService("Opal")
-	h := &opalServer{}
-	opalrpc.RegisterOpal(svc, h)
-	return svc, h
+	opalrpc.RegisterOpal(svc, &opalServer{})
+	return svc
 }
 
 // Init receives the replicated global data (Section 2.6: the solute-solute,

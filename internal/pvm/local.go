@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"opalperf/internal/hpm"
 	"opalperf/internal/telemetry"
 )
 
@@ -39,16 +38,8 @@ func (l *LocalVM) Wait() { l.wg.Wait() }
 
 func (l *LocalVM) spawn(name string, parent, instance int, fn func(Task)) int {
 	l.mu.Lock()
-	t := &localTask{
-		vm:       l,
-		tid:      len(l.tasks),
-		name:     name,
-		parent:   parent,
-		instance: instance,
-		mon:      hpm.NewMonitor(hpm.CanonicalWeights()),
-		lastMark: time.Now(),
-	}
-	t.cond = sync.NewCond(&t.mu)
+	t := &localTask{vm: l}
+	t.init(len(l.tasks), name, parent, instance, l.start)
 	l.tasks = append(l.tasks, t)
 	l.mu.Unlock()
 	l.wg.Add(1)
@@ -68,36 +59,12 @@ func (l *LocalVM) task(tid int) *localTask {
 	return l.tasks[tid]
 }
 
-type localMsg struct {
-	src, tag int
-	buf      *Buffer
-}
-
+// localTask is a host task whose peers live in the same session: a send is
+// an append to the destination's mailbox.
 type localTask struct {
-	vm       *LocalVM
-	tid      int
-	name     string
-	parent   int
-	instance int
-	mon      *hpm.Monitor
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	mailbox []localMsg
-
-	lastMark time.Time // boundary for Charge time attribution
+	hostTask
+	vm *LocalVM
 }
-
-func (t *localTask) TID() int      { return t.tid }
-func (t *localTask) Parent() int   { return t.parent }
-func (t *localTask) Name() string  { return t.name }
-func (t *localTask) Instance() int { return t.instance }
-
-func (t *localTask) Now() float64 {
-	return time.Since(t.vm.start).Seconds()
-}
-
-func (t *localTask) Monitor() *hpm.Monitor { return t.mon }
 
 func (t *localTask) Send(dst, tag int, b *Buffer) {
 	q := t.vm.task(dst)
@@ -105,10 +72,7 @@ func (t *localTask) Send(dst, tag int, b *Buffer) {
 		panic(fmt.Sprintf("pvm: send to unknown task %d", dst))
 	}
 	telemetry.RecordSend(t.tid, dst, uint64(b.Bytes()))
-	q.mu.Lock()
-	q.mailbox = append(q.mailbox, localMsg{src: t.tid, tag: tag, buf: b})
-	q.cond.Broadcast()
-	q.mu.Unlock()
+	q.enqueue(t.tid, tag, b)
 	t.mark()
 }
 
@@ -118,41 +82,15 @@ func (t *localTask) Mcast(dsts []int, tag int, b *Buffer) {
 	}
 }
 
-func matches(m localMsg, src, tag int) bool {
-	return (src < 0 || m.src == src) && (tag < 0 || m.tag == tag)
-}
-
 func (t *localTask) Recv(src, tag int) (*Buffer, int, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		for i, m := range t.mailbox {
-			if matches(m, src, tag) {
-				t.mailbox = append(t.mailbox[:i], t.mailbox[i+1:]...)
-				t.markLocked()
-				return m.buf.reader(), m.src, m.tag
-			}
-		}
-		t.cond.Wait()
-	}
+	b, msrc, mtag, _ := t.recv(src, tag, nil)
+	return b, msrc, mtag
 }
 
-// RecvTimeout implements DeadlineRecver.  Local tasks share one process;
-// a message, once sent, always arrives, so the deadline is moot.
+// RecvTimeout never fails: local tasks share one process and a message,
+// once sent, always arrives, so the deadline is moot.
 func (t *localTask) RecvTimeout(src, tag int, _ time.Duration) (*Buffer, int, int, error) {
-	b, s, g := t.Recv(src, tag)
-	return b, s, g, nil
-}
-
-func (t *localTask) Probe(src, tag int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, m := range t.mailbox {
-		if matches(m, src, tag) {
-			return true
-		}
-	}
-	return false
+	return t.recv(src, tag, nil)
 }
 
 type localBarrier struct {
@@ -197,26 +135,3 @@ func (t *localTask) Spawn(name string, n int, fn func(Task)) []int {
 	}
 	return tids
 }
-
-// Charge attributes the wall time since the last boundary event (previous
-// charge, send, recv or barrier) to the named counter along with the op
-// counts — the best a real machine without virtual clocks can do, and the
-// same approximation the paper's instrumented middleware makes.
-func (t *localTask) Charge(counter string, ops hpm.Ops) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	dt := now.Sub(t.lastMark).Seconds()
-	t.lastMark = now
-	t.mon.Charge(counter, ops, dt)
-}
-
-func (t *localTask) SetWorkingSet(bytes int) {} // real memory hierarchy applies itself
-
-func (t *localTask) mark() {
-	t.mu.Lock()
-	t.markLocked()
-	t.mu.Unlock()
-}
-
-func (t *localTask) markLocked() { t.lastMark = time.Now() }

@@ -2,20 +2,21 @@ package pvm
 
 // Level-of-detail macro replay: the client→servers fan-out of one RPC
 // phase, normally dozens of fine-grained kernel events (sends, receive
-// wakeups, barrier entries, reply sends), is replayed analytically in a
-// single pass on the client's goroutine.  The engine is a miniature
-// deterministic event walk over the *same* scheduling rules the kernel
-// applies — keys are (virtual time, proc id), channel transfers contend
-// on the shared-channel horizon, barriers release at max(arrival)+sync —
-// so every clock, every Stats counter and every traced segment duration
-// comes out bit-identical to fine-grained execution, with zero goroutine
-// handoffs and zero Message allocations.
+// wakeups, barrier entries, reply sends), is replayed in a single pass on
+// the client's coroutine.  The engine is a miniature deterministic event
+// walk that decides only *order* — keys are (virtual time, proc id), as in
+// the kernel's scheduler — and prices nothing itself: every transfer,
+// delivery and barrier goes through the kernel's own timing rules
+// (vm.Proc.Transmit, Accept and Arrive), the functions Send, Recv and
+// Barrier call.  Clocks, Stats counters and traced segments are therefore
+// those of fine-grained execution by construction, with zero coroutine
+// switches and zero Message allocations.
 //
 // Safety: a phase is only replayed when the kernel is provably in the
-// quiescent steady state the closed form assumes — no fault model draws
-// from the RNG stream, no other process is runnable, and every target
-// server is parked in its receive loop.  Any violation falls back to
-// fine-grained execution, which is always correct.
+// quiescent steady state the walk assumes — no fault model draws from the
+// RNG stream, no other process is runnable, and every target server is
+// parked in its receive loop.  Any violation falls back to fine-grained
+// execution, which is always correct.
 
 import (
 	"opalperf/internal/telemetry"
@@ -102,6 +103,7 @@ func (mt *MacroTimes) reset(n int) {
 const (
 	mevSend      = iota // client sends request idx
 	mevWake             // server idx wakes on its request's arrival
+	mevJoinDone         // client enters the "done" barrier (accounting mode)
 	mevHandler          // server idx runs its handler (accounting mode)
 	mevReplySend        // server idx sends its reply
 	mevRecv             // client consumes reply idx
@@ -121,9 +123,8 @@ type macroEngine struct {
 	arr      []float64 // request arrival times
 	repArr   []float64 // reply arrival times
 	repReady []bool
-	barArr   [2][]float64 // member arrivals: [0]=client, [1+i]=server i
-	barCount [2]int
-	waiting  int // reply index the client needs next, -1 when none pending
+	bar      [2][]*vm.Proc // members waiting at the "call" and "done" barriers
+	waiting  int           // reply index the client needs next, -1 when none pending
 }
 
 func (e *macroEngine) reset(p int) {
@@ -132,10 +133,7 @@ func (e *macroEngine) reset(p int) {
 	e.arr = append(e.arr[:0], make([]float64, p)...)
 	e.repArr = append(e.repArr[:0], make([]float64, p)...)
 	e.repReady = append(e.repReady[:0], make([]bool, p)...)
-	for b := 0; b < 2; b++ {
-		e.barArr[b] = append(e.barArr[b][:0], make([]float64, p+1)...)
-		e.barCount[b] = 0
-	}
+	e.bar[0], e.bar[1] = e.bar[0][:0], e.bar[1][:0]
 	e.waiting = -1
 }
 
@@ -157,23 +155,6 @@ func (e *macroEngine) pop() macroEvent {
 	e.events[min] = e.events[last]
 	e.events = e.events[:last]
 	return ev
-}
-
-// chanSend replicates vm.Proc.Send's cost and shared-channel contention
-// for a fault-free transfer, returning the message's arrival time.
-func chanSend(k *vm.Kernel, comm vm.CommModel, p *vm.Proc, dst, bytes int) float64 {
-	busy, lat := 0.0, 0.0
-	if comm != nil {
-		busy, lat = comm.SendCost(p.ID(), dst, bytes)
-	}
-	if busy > 0 {
-		if cf := k.ChanFree(); cf > p.Now() {
-			p.Elapse(cf-p.Now(), vm.SegIdle)
-		}
-		k.SetChanFree(p.Now() + busy)
-	}
-	p.Elapse(busy, vm.SegComm)
-	return p.Now() + lat
 }
 
 // MacroPhase replays one client→servers RPC phase analytically.  calls
@@ -209,51 +190,29 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 	}
 	out.reset(p)
 
-	comm := k.Comm()
 	pc := ct.proc
 	eng.push(macroEvent{key: pc.Now(), id: pc.ID(), kind: mevSend})
 
-	joinBarrier := func(which, member int, arrival float64) {
-		eng.barArr[which][member] = arrival
-		eng.barCount[which]++
-		if eng.barCount[which] < parties {
+	// join enters m into phase barrier which (0 "call", 1 "done").  The
+	// last arriver releases the party, and every member's next act is
+	// queued at its release time.
+	join := func(which int, m *vm.Proc) {
+		var released bool
+		eng.bar[which], released = m.Arrive(eng.bar[which], parties)
+		if !released {
 			return
 		}
-		// Last arriver: release everybody at max(arrivals)+sync, idle
-		// until the release and the synchronization itself on top —
-		// exactly vm.Proc.Barrier's release rule.
-		release := eng.barArr[which][0]
-		for _, a := range eng.barArr[which][1:] {
-			if a > release {
-				release = a
-			}
-		}
-		sync := 0.0
-		if comm != nil {
-			sync = comm.SyncCost(parties)
-		}
 		telemetry.PvmBarriers.Add(uint64(parties))
-		pc.ElapseSpan(
-			vm.Span{D: release - eng.barArr[which][0], Kind: vm.SegIdle},
-			vm.Span{D: sync, Kind: vm.SegSync},
-		)
+		next := mevHandler
+		if which == 1 {
+			next = mevReplySend
+		}
 		for i := 0; i < p; i++ {
 			sv := eng.svt[i].proc
-			sv.ElapseSpan(
-				vm.Span{D: release - eng.barArr[which][1+i], Kind: vm.SegIdle},
-				vm.Span{D: sync, Kind: vm.SegSync},
-			)
-			if which == 0 {
-				eng.push(macroEvent{key: sv.Now(), id: sv.ID(), kind: mevHandler, idx: i})
-			} else {
-				eng.push(macroEvent{key: sv.Now(), id: sv.ID(), kind: mevReplySend, idx: i})
-			}
+			eng.push(macroEvent{key: sv.Now(), id: sv.ID(), kind: next, idx: i})
 		}
 		if which == 0 {
-			// The client's next act after the "call" barrier is joining
-			// the "done" barrier; it cannot release yet (parties >= 2).
-			eng.barArr[1][0] = pc.Now()
-			eng.barCount[1]++
+			eng.push(macroEvent{key: pc.Now(), id: pc.ID(), kind: mevJoinDone})
 		} else {
 			eng.waiting = 0
 		}
@@ -280,8 +239,7 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 			sv := eng.svt[i].proc
 			out.Issue[i] = pc.Now()
 			telemetry.RecordSend(pc.ID(), sv.ID(), uint64(calls[i].ReqBytes))
-			eng.arr[i] = chanSend(k, comm, pc, sv.ID(), calls[i].ReqBytes)
-			pc.AccountSend(1, calls[i].ReqBytes)
+			eng.arr[i] = pc.Transmit(sv.ID(), calls[i].ReqBytes)
 			out.SendEnd[i] = pc.Now()
 			wake := sv.Now()
 			if eng.arr[i] > wake {
@@ -291,7 +249,7 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 			if i+1 < p {
 				eng.push(macroEvent{key: pc.Now(), id: pc.ID(), kind: mevSend, idx: i + 1})
 			} else if accounting {
-				joinBarrier(0, 0, pc.Now())
+				join(0, pc)
 			} else {
 				eng.waiting = 0
 				scheduleRecv()
@@ -299,36 +257,30 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 		case mevWake:
 			i := ev.idx
 			sv := eng.svt[i].proc
-			if eng.arr[i] > sv.Now() {
-				sv.Elapse(eng.arr[i]-sv.Now(), vm.SegIdle)
-			}
-			sv.AccountRecv(1, calls[i].ReqBytes)
+			sv.Accept(eng.arr[i], calls[i].ReqBytes)
 			if accounting {
-				joinBarrier(0, 1+i, sv.Now())
+				join(0, sv)
 			} else {
 				out.RepBytes[i] = calls[i].Exec(eng.svt[i])
 				eng.push(macroEvent{key: sv.Now(), id: sv.ID(), kind: mevReplySend, idx: i})
 			}
+		case mevJoinDone:
+			join(1, pc)
 		case mevHandler:
 			i := ev.idx
-			sv := eng.svt[i].proc
 			out.RepBytes[i] = calls[i].Exec(eng.svt[i])
-			joinBarrier(1, 1+i, sv.Now())
+			join(1, eng.svt[i].proc)
 		case mevReplySend:
 			i := ev.idx
 			sv := eng.svt[i].proc
 			telemetry.RecordSend(sv.ID(), pc.ID(), uint64(out.RepBytes[i]))
-			eng.repArr[i] = chanSend(k, comm, sv, pc.ID(), out.RepBytes[i])
-			sv.AccountSend(1, out.RepBytes[i])
+			eng.repArr[i] = sv.Transmit(pc.ID(), out.RepBytes[i])
 			eng.repReady[i] = true
 			scheduleRecv()
 		case mevRecv:
 			i := ev.idx
 			out.RecvStart[i] = pc.Now()
-			if eng.repArr[i] > pc.Now() {
-				pc.Elapse(eng.repArr[i]-pc.Now(), vm.SegIdle)
-			}
-			pc.AccountRecv(1, out.RepBytes[i])
+			pc.Accept(eng.repArr[i], out.RepBytes[i])
 			out.Collect[i] = pc.Now()
 			if i+1 < p {
 				eng.waiting = i + 1

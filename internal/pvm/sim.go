@@ -19,7 +19,6 @@ type SimVM struct {
 	Kernel   *vm.Kernel
 	Platform *platform.Platform
 	Recorder *trace.Recorder
-	tasks    []*simTask
 	// taskByID indexes tasks by proc ID (dense, 0-based) for the O(1)
 	// lookups of the macro replay hot path.
 	taskByID []*simTask
@@ -68,10 +67,8 @@ func (s *SimVM) SpawnRoot(name string, fn func(Task)) int {
 	return t.proc.ID()
 }
 
-// register records a new task in both the creation-order list and the
-// dense by-ID index.
+// register records a new task in the dense by-ID index.
 func (s *SimVM) register(t *simTask) {
-	s.tasks = append(s.tasks, t)
 	id := t.proc.ID()
 	for len(s.taskByID) <= id {
 		s.taskByID = append(s.taskByID, nil)
@@ -162,9 +159,9 @@ func (t *simTask) Recv(src, tag int) (*Buffer, int, int) {
 	return b, msrc, mtag
 }
 
-// RecvTimeout implements DeadlineRecver.  Simulated messages are never
-// lost (faults only stretch virtual time), so the deadline is moot and
-// the call never fails — timeouts firing would break determinism.
+// RecvTimeout never fails: simulated messages are never lost (faults only
+// stretch virtual time), so the deadline is moot — timeouts firing would
+// break determinism.
 func (t *simTask) RecvTimeout(src, tag int, _ time.Duration) (*Buffer, int, int, error) {
 	b, s, g := t.Recv(src, tag)
 	return b, s, g, nil

@@ -26,6 +26,13 @@ type Task interface {
 	// AnySrc/AnyTag apply.  It returns the buffer and the actual source
 	// and tag.
 	Recv(src, tag int) (*Buffer, int, int)
+	// RecvTimeout is Recv with a deadline.  On the network fabric the
+	// timeout is real (ErrRecvTimeout) and a partitioned session returns
+	// its error immediately; on the simulated and local fabrics messages
+	// cannot be lost, so the call waits like Recv and never fails — which
+	// keeps code written against it (the Sciddle call-timeout path)
+	// deterministic when simulated.  d <= 0 waits indefinitely.
+	RecvTimeout(src, tag int, d time.Duration) (*Buffer, int, int, error)
 	// Probe reports whether a matching message is queued, without
 	// blocking or consuming it.
 	Probe(src, tag int) bool
@@ -53,27 +60,6 @@ type Task interface {
 	Now() float64
 	// Monitor returns the task's hardware performance monitor.
 	Monitor() *hpm.Monitor
-}
-
-// DeadlineRecver is the optional receive-with-deadline capability.  All
-// three fabrics implement it: on the network fabric the timeout is real
-// and a partitioned session returns its error immediately; on the
-// simulated and local fabrics messages cannot be lost, so the call simply
-// delegates to Recv and never fails — which keeps code written against
-// this interface (e.g. the Sciddle call-timeout path) deterministic when
-// simulated.
-type DeadlineRecver interface {
-	RecvTimeout(src, tag int, d time.Duration) (*Buffer, int, int, error)
-}
-
-// RecvDeadline receives with a deadline when the fabric supports one and
-// falls back to a plain blocking Recv otherwise.
-func RecvDeadline(t Task, src, tag int, d time.Duration) (*Buffer, int, int, error) {
-	if dr, ok := t.(DeadlineRecver); ok {
-		return dr.RecvTimeout(src, tag, d)
-	}
-	b, s, g := t.Recv(src, tag)
-	return b, s, g, nil
 }
 
 // RecoveryReporter is the optional capability to attribute a time window

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"opalperf/internal/hpm"
 	"opalperf/internal/telemetry"
 )
 
@@ -595,9 +594,7 @@ func (v *TCPVM) fail(err error) {
 	}
 	v.mu.Unlock()
 	for _, t := range tasks {
-		t.mu.Lock()
-		t.cond.Broadcast()
-		t.mu.Unlock()
+		t.wake()
 	}
 	for _, b := range bars {
 		b.mu.Lock()
@@ -804,27 +801,23 @@ func (v *TCPVM) write(typ byte, body []byte) {
 
 // SpawnRoot starts a local task.
 func (v *TCPVM) SpawnRoot(name string, fn func(Task)) int {
-	t := v.newTask(name, -1, 0)
+	return v.spawn(name, -1, 0, fn)
+}
+
+// spawn registers a local task and starts its goroutine.
+func (v *TCPVM) spawn(name string, parent, instance int, fn func(Task)) int {
+	v.mu.Lock()
+	t := &tcpTask{vm: v}
+	t.init(v.id*sessionStride+v.nextTask, name, parent, instance, v.start)
+	v.nextTask++
+	v.tasks[t.tid] = t
+	v.mu.Unlock()
 	v.wg.Add(1)
 	go func() {
 		defer v.wg.Done()
 		fn(t)
 	}()
 	return t.tid
-}
-
-func (v *TCPVM) newTask(name string, parent, instance int) *tcpTask {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	tid := v.id*sessionStride + v.nextTask
-	v.nextTask++
-	t := &tcpTask{
-		vm: v, tid: tid, name: name, parent: parent, instance: instance,
-		mon: hpm.NewMonitor(hpm.CanonicalWeights()), lastMark: time.Now(),
-	}
-	t.cond = sync.NewCond(&t.mu)
-	v.tasks[tid] = t
-	return t
 }
 
 func (v *TCPVM) readLoop(conn net.Conn) {
@@ -948,10 +941,7 @@ func (v *TCPVM) deliver(body []byte) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.mailbox = append(t.mailbox, localMsg{src: int(src), tag: int(tag), buf: &buf})
-	t.cond.Broadcast()
-	t.mu.Unlock()
+	t.enqueue(int(src), int(tag), &buf)
 }
 
 func (v *TCPVM) handleSpawnFwd(body []byte) {
@@ -973,13 +963,7 @@ func (v *TCPVM) handleSpawnFwd(body []byte) {
 	tids := make([]int, 0, n)
 	if fn != nil {
 		for i := 0; i < int(n); i++ {
-			t := v.newTask(fmt.Sprintf("%s-%d", name, i), int(reqTid), i)
-			tids = append(tids, t.tid)
-			v.wg.Add(1)
-			go func() {
-				defer v.wg.Done()
-				fn(t)
-			}()
+			tids = append(tids, v.spawn(fmt.Sprintf("%s-%d", name, i), int(reqTid), i, fn))
 		}
 	}
 	rep := appendU32(nil, reqTid)
@@ -1002,29 +986,12 @@ func (v *TCPVM) barrier(name string) *tcpBarrier {
 	return b
 }
 
-// tcpTask is one local task of a network session.
+// tcpTask is one local task of a network session: a host task whose sends
+// to non-local task ids are framed and routed through the daemon.
 type tcpTask struct {
-	vm       *TCPVM
-	tid      int
-	name     string
-	parent   int
-	instance int
-	mon      *hpm.Monitor
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	mailbox []localMsg
-
-	lastMark time.Time
+	hostTask
+	vm *TCPVM
 }
-
-func (t *tcpTask) TID() int              { return t.tid }
-func (t *tcpTask) Parent() int           { return t.parent }
-func (t *tcpTask) Name() string          { return t.name }
-func (t *tcpTask) Instance() int         { return t.instance }
-func (t *tcpTask) Monitor() *hpm.Monitor { return t.mon }
-func (t *tcpTask) Now() float64          { return time.Since(t.vm.start).Seconds() }
-func (t *tcpTask) SetWorkingSet(int)     {}
 
 func (t *tcpTask) Send(dst, tag int, b *Buffer) {
 	if b == nil {
@@ -1036,10 +1003,7 @@ func (t *tcpTask) Send(dst, tag int, b *Buffer) {
 	local := t.vm.tasks[dst]
 	t.vm.mu.Unlock()
 	if local != nil {
-		local.mu.Lock()
-		local.mailbox = append(local.mailbox, localMsg{src: t.tid, tag: tag, buf: b})
-		local.cond.Broadcast()
-		local.mu.Unlock()
+		local.enqueue(t.tid, tag, b)
 		return
 	}
 	wire, err := b.MarshalBinary()
@@ -1062,10 +1026,10 @@ func (t *tcpTask) Mcast(dsts []int, tag int, b *Buffer) {
 func (t *tcpTask) Recv(src, tag int) (*Buffer, int, int) {
 	b, msrc, mtag, err := t.RecvTimeout(src, tag, 0)
 	if err != nil {
-		// The session is permanently partitioned: with no error return
-		// in the Task interface, failing loudly is the liveness
-		// guarantee — a dead peer must never present as a silent hang.
-		// Callers that want an error use RecvTimeout.
+		// The session is permanently partitioned: Recv has no error
+		// return, so failing loudly is the liveness guarantee — a dead
+		// peer must never present as a silent hang.  Callers that want
+		// an error use RecvTimeout.
 		panic(fmt.Sprintf("pvm: recv on dead session: %v", err))
 	}
 	return b, msrc, mtag
@@ -1075,50 +1039,25 @@ func (t *tcpTask) Recv(src, tag int) (*Buffer, int, int) {
 // matching message.
 var ErrRecvTimeout = fmt.Errorf("pvm: recv timed out")
 
-// RecvTimeout implements DeadlineRecver: it waits at most d for a
-// matching message and returns an error on timeout or when the session
-// is permanently down.  d <= 0 waits indefinitely (but still fails fast
-// on session death).
+// RecvTimeout waits at most d for a matching message and returns an error
+// on timeout or when the session is permanently down.  d <= 0 waits
+// indefinitely (but still fails fast on session death).
 func (t *tcpTask) RecvTimeout(src, tag int, d time.Duration) (*Buffer, int, int, error) {
 	var deadline time.Time
 	if d > 0 {
 		deadline = time.Now().Add(d)
-		timer := time.AfterFunc(d, func() {
-			t.mu.Lock()
-			t.cond.Broadcast()
-			t.mu.Unlock()
-		})
+		timer := time.AfterFunc(d, t.wake)
 		defer timer.Stop()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		for i, m := range t.mailbox {
-			if matches(m, src, tag) {
-				t.mailbox = append(t.mailbox[:i], t.mailbox[i+1:]...)
-				t.lastMark = time.Now()
-				return m.buf.reader(), m.src, m.tag, nil
-			}
-		}
+	return t.recv(src, tag, func() error {
 		if err := t.vm.Err(); err != nil {
-			return nil, 0, 0, err
+			return err
 		}
 		if d > 0 && !time.Now().Before(deadline) {
-			return nil, 0, 0, ErrRecvTimeout
+			return ErrRecvTimeout
 		}
-		t.cond.Wait()
-	}
-}
-
-func (t *tcpTask) Probe(src, tag int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, m := range t.mailbox {
-		if matches(m, src, tag) {
-			return true
-		}
-	}
-	return false
+		return nil
+	})
 }
 
 func (t *tcpTask) Barrier(name string, parties int) {
@@ -1172,22 +1111,7 @@ func (t *tcpTask) Spawn(name string, n int, fn func(Task)) []int {
 	// Local fallback.
 	out := make([]int, n)
 	for i := 0; i < n; i++ {
-		child := t.vm.newTask(fmt.Sprintf("%s-%d", name, i), t.tid, i)
-		out[i] = child.tid
-		t.vm.wg.Add(1)
-		go func() {
-			defer t.vm.wg.Done()
-			fn(child)
-		}()
+		out[i] = t.vm.spawn(fmt.Sprintf("%s-%d", name, i), t.tid, i, fn)
 	}
 	return out
-}
-
-func (t *tcpTask) Charge(counter string, ops hpm.Ops) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	dt := now.Sub(t.lastMark).Seconds()
-	t.lastMark = now
-	t.mon.Charge(counter, ops, dt)
 }

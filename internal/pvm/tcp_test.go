@@ -575,8 +575,7 @@ func TestTCPRecvTimeoutExpires(t *testing.T) {
 	_, a, _ := tcpPair(t)
 	errc := make(chan error, 1)
 	a.SpawnRoot("waiter", func(task Task) {
-		dr := task.(DeadlineRecver)
-		_, _, _, err := dr.RecvTimeout(AnySrc, 42, 30*time.Millisecond)
+		_, _, _, err := task.RecvTimeout(AnySrc, 42, 30*time.Millisecond)
 		errc <- err
 	})
 	select {
@@ -604,9 +603,8 @@ func TestTCPPartitionYieldsError(t *testing.T) {
 	defer a.Close()
 	errc := make(chan error, 1)
 	a.SpawnRoot("waiter", func(task Task) {
-		dr := task.(DeadlineRecver)
 		// No timeout: only the partition error can end this wait.
-		_, _, _, err := dr.RecvTimeout(AnySrc, 1, 0)
+		_, _, _, err := task.RecvTimeout(AnySrc, 1, 0)
 		errc <- err
 	})
 	d.Close() // the daemon is gone for good; reconnects must give up

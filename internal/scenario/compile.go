@@ -236,12 +236,14 @@ func (p *plan) legSpec(opts md.Options, startStep, steps int, sink func(*md.Chec
 	return spec
 }
 
-// referenceSpec is the fault-free twin of the scenario: same fleet, same
-// options, no faults, kills, events or checkpointing.  Bit-identity and
-// makespan assertions compare against its outcome.
+// referenceSpec is the fault-free, fine-grained twin of the scenario:
+// same fleet, same options, no faults, kills, events, checkpointing or
+// macro replay.  Bit-identity and makespan assertions compare against its
+// outcome.
 func (p *plan) referenceSpec() harness.RunSpec {
 	opts := p.opts
 	opts.CheckpointEvery = 0 // no sink on the reference run
+	opts.LoD = md.LoDOff
 	return harness.RunSpec{
 		Platform: p.plat,
 		Sys:      p.sys,

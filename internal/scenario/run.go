@@ -140,7 +140,7 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 	}
 
 	var result *md.Result
-	var stats faultTotals
+	injected := 0 // faults injected, summed over the legs
 	resumedAt := 0
 	if p.restartAt == 0 {
 		leg := p.legSpec(p.opts, 0, spec.Fleet.Steps, sink)
@@ -152,7 +152,7 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 		}
 		result = out.Result
 		rep.Wall = out.Wall
-		stats.add(out)
+		injected += out.FaultStats.Total()
 	} else {
 		// Leg 1: run to the restart step, capturing checkpoints.
 		first := p.legSpec(p.opts, 0, p.restartAt, sink)
@@ -161,7 +161,7 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 			rep.Err = fmt.Errorf("scenario %s sweep %d: first leg: %w", spec.Name, sweep, err)
 			return rep
 		}
-		stats.add(fo)
+		injected += fo.FaultStats.Total()
 		// Leg 2: resume from the latest checkpoint, or replay from the
 		// start when none was captured before the kill.
 		sys, opts := p.sys, p.opts
@@ -186,17 +186,8 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 			rep.Err = fmt.Errorf("scenario %s sweep %d: resumed leg: %w", spec.Name, sweep, err)
 			return rep
 		}
-		stats.add(so)
-		stitched := *so.Result
-		stitched.StartStep = 0
-		stitched.Steps = append(append([]md.StepInfo(nil), fo.Result.Steps[:resumedAt]...), so.Result.Steps...)
-		stitched.Recoveries += fo.Result.Recoveries
-		stitched.RecoverySeconds += fo.Result.RecoverySeconds
-		stitched.Respawns += fo.Result.Respawns
-		stitched.RespawnSeconds += fo.Result.RespawnSeconds
-		stitched.LoDMacroPhases += fo.Result.LoDMacroPhases
-		stitched.LoDFallbackPhases += fo.Result.LoDFallbackPhases
-		result = &stitched
+		injected += so.FaultStats.Total()
+		result = md.StitchRestart(fo.Result, so.Result, resumedAt)
 		// The restarted run's makespan is the sum of both legs — the
 		// price of the replayed window is part of what makespan_factor
 		// bounds.
@@ -204,17 +195,13 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 	}
 
 	rep.Steps = len(result.Steps)
-	energies := make([]float64, len(result.Steps))
-	for i, st := range result.Steps {
-		energies[i] = st.ETotal
-	}
-	rep.EnergiesHash = archive.HashFloats(energies)
+	rep.EnergiesHash = archive.HashFloats(result.Energies())
 	rep.FinalEnergy = result.FinalEnergy()
 	rep.Respawns = result.Respawns
 	rep.Recoveries = result.Recoveries
 	rep.Checkpoints = checkpoints
 	rep.ResumedAt = resumedAt
-	rep.Injected = stats.injected
+	rep.Injected = injected
 	rep.LoDMacroPhases = result.LoDMacroPhases
 	rep.LoDFallbackPhases = result.LoDFallbackPhases
 	if orc != nil {
@@ -235,15 +222,6 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 	}
 	telemetry.Emit("scenario_end", ev)
 	return rep
-}
-
-// faultTotals accumulates injected-fault counts across legs.
-type faultTotals struct {
-	injected int
-}
-
-func (f *faultTotals) add(out harness.RunOutcome) {
-	f.injected += out.FaultStats.Total()
 }
 
 // evaluate judges every asserted check against the stitched result.

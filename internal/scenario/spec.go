@@ -57,7 +57,7 @@ type OptionsSpec struct {
 	Seed            int64
 	Strategy        string // lcg | round-robin | folded (default lcg)
 	CellList        bool
-	LoD             string // "" | off | auto | on ("" consults OPAL_LOD)
+	LoD             string // "" | auto | off (default auto)
 	CheckpointEvery int
 	InitTemperature float64
 	Thermostat      float64

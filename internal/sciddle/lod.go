@@ -1,15 +1,17 @@
 package sciddle
 
 // Level-of-detail (LoD) support: when enabled on a connection,
-// CallPhasePacked first tries to replay the whole phase as analytic
-// macro-events through pvm.MacroPhase — running the servers' handlers
-// in-process on shared state and charging the exact fine-grained timeline
-// closed-form — and falls back to ordinary message-passing execution
-// whenever the phase is not provably macro-safe.  Method statistics,
+// CallPhasePacked first tries to replay the whole phase as macro-events
+// through pvm.MacroPhase — running the servers' handlers in-process on
+// shared state and charging the timeline through the kernel's own send,
+// receive and barrier rules — and falls back to ordinary message-passing
+// execution whenever the phase is not provably macro-safe.  Method statistics,
 // telemetry and flow records are bit-identical either way: both report
 // through MethodStats.sent and Conn.replied.
 
 import (
+	"slices"
+
 	"opalperf/internal/pvm"
 	"opalperf/internal/telemetry"
 )
@@ -101,7 +103,7 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 	// server set is stable across thousands of phases, so the per-server
 	// registry lookups run once per fleet epoch (Connect, DropServer,
 	// ReplaceServer all change the slice contents and miss the memo).
-	if !intsEqual(c.macroFleet, c.servers) {
+	if !slices.Equal(c.macroFleet, c.servers) {
 		c.macroEntries = c.macroEntries[:0]
 		for _, tid := range c.servers {
 			entry, ok := pvm.DirectOf(c.t, tid)
@@ -181,18 +183,6 @@ func (c *Conn) tryMacroPhase(method string, pack func(i int, args *pvm.Buffer)) 
 		c.lod = false
 	}
 	return nil, false
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ensurePhaseScratch sizes the per-server scratch shared by the

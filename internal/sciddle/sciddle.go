@@ -190,7 +190,7 @@ func serveRecv(t pvm.Task, opt ServeOptions) (*pvm.Buffer, int, bool) {
 			return nil, 0, false
 		default:
 		}
-		b, src, _, err := pvm.RecvDeadline(t, pvm.AnySrc, tagRequest, poll)
+		b, src, _, err := t.RecvTimeout(pvm.AnySrc, tagRequest, poll)
 		if err == nil {
 			return b, src, true
 		}
@@ -465,7 +465,7 @@ func (c *Conn) issue(st *MethodStats, i int, req *pvm.Buffer, pack func(i int, a
 func (c *Conn) collect(st *MethodStats, k call) (*pvm.Buffer, error) {
 	for attempt := 0; ; attempt++ {
 		t0 := c.t.Now()
-		b, _, _, err := pvm.RecvDeadline(c.t, k.tid, replyTag(k.id), c.callTimeout)
+		b, _, _, err := c.t.RecvTimeout(k.tid, replyTag(k.id), c.callTimeout)
 		now := c.t.Now()
 		if err == nil {
 			c.replied(st, k.tid, b.Bytes(), now-t0, k.t0, now)
@@ -575,7 +575,7 @@ func (c *Conn) Close() {
 		id := c.packRequest(req, methodStop, 0, nil)
 		c.t.Send(tid, tagRequest, req)
 		if c.callTimeout > 0 {
-			pvm.RecvDeadline(c.t, tid, replyTag(id), c.callTimeout)
+			c.t.RecvTimeout(tid, replyTag(id), c.callTimeout)
 		}
 	}
 }

@@ -15,7 +15,7 @@ type scriptFaults struct {
 	calls      struct{ send, compute, barrier int }
 }
 
-func (f *scriptFaults) SendFault(src, dst, tag, bytes int) (float64, float64) {
+func (f *scriptFaults) SendFault(src, dst, bytes int) (float64, float64) {
 	f.calls.send++
 	return f.sendDelay, f.sendResend
 }

@@ -127,18 +127,18 @@ type ComputeModel interface {
 // terminates fault-free also terminates under faults.  internal/fault
 // provides the canonical seeded implementation.
 type FaultModel interface {
-	// SendFault is consulted once per Send.  delay is extra latency added
-	// to the message's arrival (a dropped first copy recovered by a
+	// SendFault is consulted once per transmission.  delay is extra latency
+	// added to the message's arrival (a dropped first copy recovered by a
 	// retransmission after a retry timeout); resend is extra shared-channel
 	// occupancy charged to the sender as SegRecovery (a spurious duplicate
 	// transmission).  Return zeros for no fault.
-	SendFault(src, dst, tag, bytes int) (delay, resend float64)
+	SendFault(src, dst, bytes int) (delay, resend float64)
 	// ComputeFault is consulted once per Compute burst; a positive return
 	// freezes the process for that many virtual seconds (a task crash
 	// followed by checkpoint restart on a hot spare), classified as
 	// SegRecovery.
 	ComputeFault(proc int) float64
-	// BarrierFault is consulted once per Barrier entry; a positive return
+	// BarrierFault is consulted once per barrier arrival; a positive return
 	// delays the process's arrival by that many seconds (a straggler),
 	// classified as SegRecovery.
 	BarrierFault(proc int) float64
@@ -225,7 +225,8 @@ func (s *Stats) Busy() float64 {
 
 // Proc is a simulated process.  All methods must be called from the
 // process's own coroutine while it holds the execution token (i.e. from
-// inside the function passed to NewProc or Spawn).
+// inside the function passed to NewProc or Spawn); the one exception is
+// the macro replay described at the three timing rules below.
 type Proc struct {
 	k       *Kernel
 	id      int
@@ -254,7 +255,6 @@ type Proc struct {
 	match              func(*Message) bool
 	matchSrc, matchTag int
 	got                *Message
-	barrier            *barrier
 	fn                 func(*Proc)
 }
 
@@ -310,46 +310,6 @@ func (p *Proc) Compute(flops float64) {
 	p.Elapse(dt, SegCompute)
 }
 
-// Span is one contiguous slice of virtual time with a classification,
-// used by ElapseSpan to charge a precomputed multi-segment timeline.
-type Span struct {
-	D    float64
-	Kind SegKind
-}
-
-// ElapseSpan advances the local clock through a precomputed sequence of
-// contiguous segments in one call, with per-kind Stats accounting exactly
-// as if each segment had been charged through Elapse individually.  This
-// is the macro-event primitive of the level-of-detail layer: an entire
-// analytically-derived phase (idle wait, channel occupancy, compute,
-// synchronization) lands on the timeline without a single scheduler
-// round-trip.
-//
-// Like Barrier release, ElapseSpan (and Elapse) may also be invoked on a
-// quiesced, receive-blocked process by whichever process currently holds
-// the execution token — the macro replay layer in pvm uses this to
-// position server clocks from the client's coroutine.
-func (p *Proc) ElapseSpan(spans ...Span) {
-	for _, s := range spans {
-		p.Elapse(s.D, s.Kind)
-	}
-}
-
-// AccountSend adds n sent messages totalling bytes to the process's
-// Stats counters without touching the timeline.  Macro replay layers use
-// it to keep message accounting bit-identical to fine-grained execution
-// when no Message objects are materialized.
-func (p *Proc) AccountSend(n, bytes int) {
-	p.stats.MsgsSent += n
-	p.stats.BytesSent += bytes
-}
-
-// AccountRecv is the receive-side counterpart of AccountSend.
-func (p *Proc) AccountRecv(n, bytes int) {
-	p.stats.MsgsRecv += n
-	p.stats.BytesRecv += bytes
-}
-
 // Waiting reports whether the process is blocked in a receive — the
 // state a quiesced RPC server parks in between phases.  Macro replay
 // layers use it to verify a fleet is safe to advance analytically.
@@ -369,19 +329,14 @@ func (p *Proc) Elapse(d float64, kind SegKind) {
 }
 
 // Send transmits a message to the process with id dst.  The sender is
-// charged busy time per the communication model; the message becomes
-// receivable busy+latency after the call started.  Payload is shared by
-// reference: simulated processes live in one address space, exactly like
-// PVM tasks on a shared-memory Cray J90 node; the honest data volume must
-// be declared in bytes for the cost model.
+// charged per the send rule (Transmit); the message becomes receivable at
+// the arrival time the rule returns.  Payload is shared by reference:
+// simulated processes live in one address space, exactly like PVM tasks on
+// a shared-memory Cray J90 node; the honest data volume must be declared
+// in bytes for the cost model.
 //
-// Transfers with a non-zero cost contend for one shared communication
-// channel (the single client-server channel whose contention the paper's
-// accounting barriers expose, Section 3.3): a transfer starts no earlier
-// than the previous one finished, and the queueing wait is classified as
-// communication.  To keep the shared channel causally consistent, Send
-// first yields to the scheduler so that all sends execute in global
-// virtual-time order.
+// To keep the shared channel causally consistent, Send first yields to the
+// scheduler so that all sends execute in global virtual-time order.
 func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	q := p.k.proc(dst)
 	if q == nil {
@@ -394,6 +349,39 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	if !p.k.soleRunnable(p) {
 		p.yield()
 	}
+	arrival := p.Transmit(dst, bytes)
+	m := p.k.newMessage()
+	*m = Message{
+		Src: p.id, Dst: dst, Tag: tag,
+		Bytes: bytes, Payload: payload,
+		Arrival: arrival,
+		seq:     p.k.nextSeq(),
+	}
+	q.mailbox = append(q.mailbox, m)
+	p.k.noteArrival(q, m)
+}
+
+// The three timing rules.  Every message and every barrier of a simulation
+// is priced here and nowhere else: Send, Recv and Barrier apply a rule to
+// the calling process once the scheduler has decided its turn, and the
+// level-of-detail replay in pvm (MacroPhase) applies the same rule to the
+// client and to its parked, receive-blocked servers (whose handlers it also
+// runs, charging Compute) from the client's coroutine, in the (time, id)
+// order the scheduler would have chosen.  A rule moves clocks, Stats and
+// traced segments and consults the fault plane; it never blocks, schedules
+// or materializes a Message.  The caller must hold the execution token.
+
+// Transmit is the send rule: p transmits bytes to dst, starting at its
+// current time, and the arrival time of the message is returned.  The
+// sender is busy per the communication model (SegComm) and the message is
+// visible busy+latency after the transfer started, the paper's
+// t = b1 + bytes/a1.
+//
+// Transfers with a non-zero cost contend for one shared communication
+// channel (the single client-server channel whose contention the paper's
+// accounting barriers expose, Section 3.3): a transfer starts no earlier
+// than the previous one finished.
+func (p *Proc) Transmit(dst, bytes int) (arrival Time) {
 	busy, latency := 0.0, 0.0
 	if p.k.comm != nil {
 		busy, latency = p.k.comm.SendCost(p.id, dst, bytes)
@@ -404,7 +392,7 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	// as recovery overhead.
 	delay, resend := 0.0, 0.0
 	if p.k.faults != nil {
-		delay, resend = p.k.faults.SendFault(p.id, dst, tag, bytes)
+		delay, resend = p.k.faults.SendFault(p.id, dst, bytes)
 	}
 	start := p.now
 	if busy+resend > 0 {
@@ -427,15 +415,57 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	latency += delay
 	p.stats.MsgsSent++
 	p.stats.BytesSent += bytes
-	m := p.k.newMessage()
-	*m = Message{
-		Src: p.id, Dst: dst, Tag: tag,
-		Bytes: bytes, Payload: payload,
-		Arrival: p.now + latency,
-		seq:     p.k.nextSeq(),
+	return p.now + latency
+}
+
+// Accept is the receive rule: p takes delivery of a message of the given
+// volume that arrives at arrival, idling (SegIdle) until then if it is
+// early.
+func (p *Proc) Accept(arrival Time, bytes int) {
+	if arrival > p.now {
+		p.segment(SegIdle, p.now, arrival)
+		p.now = arrival
 	}
-	q.mailbox = append(q.mailbox, m)
-	p.k.noteArrival(q, m)
+	p.stats.MsgsRecv++
+	p.stats.BytesRecv += bytes
+}
+
+// Arrive is the barrier rule: p arrives at a barrier of the given party
+// count at which waiting arrived before it, and the member list including
+// p is returned.  The fault plane may make p a straggler: it reaches the
+// barrier late, carrying the delay as SegRecovery, and the others see it
+// as load imbalance.  When p completes the party the barrier releases:
+// every member resumes at max(arrival)+SyncCost, the wait until the last
+// arrival classified as SegIdle and the synchronization operation itself
+// as SegSync, mirroring the accounting barriers the paper added to the
+// Sciddle middleware (Section 3.3).  A waiting member's clock is its
+// arrival time: nothing advances a process between arrival and release.
+func (p *Proc) Arrive(waiting []*Proc, parties int) (members []*Proc, released bool) {
+	if p.k.faults != nil {
+		if s := p.k.faults.BarrierFault(p.id); s > 0 {
+			p.Elapse(s, SegRecovery)
+		}
+	}
+	members = append(waiting, p)
+	if len(members) < parties {
+		return members, false
+	}
+	release := p.now
+	for _, q := range members {
+		if q.now > release {
+			release = q.now
+		}
+	}
+	sync := 0.0
+	if p.k.comm != nil {
+		sync = p.k.comm.SyncCost(parties)
+	}
+	for _, q := range members {
+		q.segment(SegIdle, q.now, release)
+		q.segment(SegSync, release, release+sync)
+		q.now = release + sync
+	}
+	return members, true
 }
 
 // noteArrival updates the ready queue after m was appended to q's
@@ -527,12 +557,7 @@ func (p *Proc) recvWait() *Message {
 	if m == nil {
 		panic("vm: resumed from recv without a message")
 	}
-	if m.Arrival > p.now {
-		p.segment(SegIdle, p.now, m.Arrival)
-		p.now = m.Arrival
-	}
-	p.stats.MsgsRecv++
-	p.stats.BytesRecv += m.Bytes
+	p.Accept(m.Arrival, m.Bytes)
 	return m
 }
 
@@ -561,22 +586,12 @@ func (p *Proc) ProbeSrcTag(src, tag int) bool {
 }
 
 // Barrier synchronizes the calling process with parties-1 other processes
-// calling Barrier with the same key.  All members resume at
-// max(arrival times)+syncCost; the wait until the last arrival is
-// classified as SegIdle (load imbalance) and the synchronization operation
-// itself as SegSync, mirroring the accounting barriers the paper added to
-// the Sciddle middleware (Section 3.3).
+// calling Barrier with the same key.  Timing follows the barrier rule
+// (Arrive); a member that does not complete the party parks until the last
+// arriver releases it.
 func (p *Proc) Barrier(key string, parties int) {
 	if parties <= 0 {
 		panic("vm: barrier with no parties")
-	}
-	if p.k.faults != nil {
-		if s := p.k.faults.BarrierFault(p.id); s > 0 {
-			// Straggler: this member reaches the barrier late; the others
-			// see the delay as load imbalance (idle), the straggler itself
-			// carries it as recovery time.
-			p.Elapse(s, SegRecovery)
-		}
 	}
 	b := p.k.barriers[key]
 	if b == nil {
@@ -586,30 +601,15 @@ func (p *Proc) Barrier(key string, parties int) {
 	if b.parties != parties {
 		panic(fmt.Sprintf("vm: barrier %q party count mismatch: %d vs %d", key, b.parties, parties))
 	}
-	b.members = append(b.members, p)
-	b.arrivals = append(b.arrivals, p.now)
-	if len(b.members) < parties {
+	var released bool
+	b.members, released = p.Arrive(b.members, parties)
+	if !released {
 		p.state = stateBarrier
-		p.barrier = b
 		p.yield()
-		p.barrier = nil
 		return
 	}
-	// Last arriver: release everybody.
-	release := b.arrivals[0]
-	for _, t := range b.arrivals {
-		if t > release {
-			release = t
-		}
-	}
-	sync := 0.0
-	if p.k.comm != nil {
-		sync = p.k.comm.SyncCost(parties)
-	}
-	for i, q := range b.members {
-		q.segment(SegIdle, b.arrivals[i], release)
-		q.segment(SegSync, release, release+sync)
-		q.now = release + sync
+	// Last arriver: everybody else is runnable again.
+	for _, q := range b.members {
 		if q != p {
 			q.state = stateReady
 			p.k.heapPush(q, q.now)
@@ -644,10 +644,9 @@ func (p *Proc) yield() {
 }
 
 type barrier struct {
-	key      string
-	parties  int
-	members  []*Proc
-	arrivals []Time
+	key     string
+	parties int
+	members []*Proc
 }
 
 // Kernel owns the processes of one simulation.
@@ -779,7 +778,6 @@ func (k *Kernel) newBarrier(key string, parties int) *barrier {
 
 func (k *Kernel) freeBarrier(b *barrier) {
 	b.members = b.members[:0]
-	b.arrivals = b.arrivals[:0]
 	k.barFree = append(k.barFree, b)
 }
 
@@ -886,9 +884,6 @@ func (k *Kernel) soleRunnableAt(p *Proc, key Time) bool {
 // level-of-detail macro replay in the layers above.
 func (k *Kernel) Quiescent() bool { return len(k.ready) == 0 }
 
-// Comm returns the kernel's communication cost model.
-func (k *Kernel) Comm() CommModel { return k.comm }
-
 // FaultFree reports whether the kernel is provably free of fault
 // injection: either no fault model is installed, or the installed model
 // declares itself inert via an optional `FaultFree() bool` method (the
@@ -903,16 +898,6 @@ func (k *Kernel) FaultFree() bool {
 	}
 	return false
 }
-
-// ChanFree returns the virtual time at which the shared communication
-// channel becomes free.
-func (k *Kernel) ChanFree() Time { return k.chanFree }
-
-// SetChanFree positions the shared-channel horizon.  Reserved for macro
-// replay layers that advance transfers analytically; must only be
-// called by the process holding the execution token, and never
-// backwards past an in-flight transfer.
-func (k *Kernel) SetChanFree(t Time) { k.chanFree = t }
 
 // earliestMatch finds the queued matching message with the smallest
 // (arrival, seq), removing nothing.

@@ -83,12 +83,11 @@ func matrixOfRun(t *testing.T, lod md.LoDMode) (telemetry.MatrixData, int) {
 // TestCommMatrixIdenticalUnderLoD requires the macro-replay fabric to
 // book the same matrix cells as the fine-grained DES: message counts,
 // byte counts, call counts and the float latency sums must all be
-// bit-identical, so -lod never changes what the console shows.
+// bit-identical, so macro replay never changes what the console shows.
 func TestCommMatrixIdenticalUnderLoD(t *testing.T) {
 	armMatrix(t)
-	t.Setenv("OPAL_LOD", "auto") // exercised via LoDDefault below
 	fine, finePhases := matrixOfRun(t, md.LoDOff)
-	macro, macroPhases := matrixOfRun(t, md.LoDDefault)
+	macro, macroPhases := matrixOfRun(t, md.LoDAuto)
 	if len(fine.Links) == 0 {
 		t.Fatal("fine-grained run produced no matrix links")
 	}
@@ -96,17 +95,10 @@ func TestCommMatrixIdenticalUnderLoD(t *testing.T) {
 		t.Fatalf("lod=off run replayed %d macro phases", finePhases)
 	}
 	if macroPhases == 0 {
-		t.Fatal("OPAL_LOD=auto run replayed no macro phases; identity is vacuous")
+		t.Fatal("lod=auto run replayed no macro phases; identity is vacuous")
 	}
 	if !reflect.DeepEqual(fine, macro) {
-		t.Fatalf("matrix differs under OPAL_LOD=auto:\nfine:  %+v\nmacro: %+v", fine, macro)
-	}
-	on, onPhases := matrixOfRun(t, md.LoDOn)
-	if onPhases == 0 {
-		t.Fatal("lod=on run replayed no macro phases")
-	}
-	if !reflect.DeepEqual(fine, on) {
-		t.Fatalf("matrix differs under lod=on:\nfine:  %+v\non:    %+v", fine, on)
+		t.Fatalf("matrix differs under lod=auto:\nfine:  %+v\nmacro: %+v", fine, macro)
 	}
 }
 

@@ -5,10 +5,13 @@ package opalperf
 // Go toolchain; skip them with -short.
 
 import (
+	"encoding/json"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -103,20 +106,32 @@ func TestCommandSmoke(t *testing.T) {
 		}
 	})
 	t.Run("opal-lod", func(t *testing.T) {
-		args := []string{"-size", "small", "-scale", "0.1", "-servers", "2",
-			"-steps", "3", "-v", "-metrics"}
-		off := runBuilt(t, dir, "opal", append([]string{"-lod", "off"}, args...)...)
-		on := runBuilt(t, dir, "opal", append([]string{"-lod", "on"}, args...)...)
-		if off != on {
-			t.Errorf("-lod=on output differs from -lod=off:\n--- off ---\n%s\n--- on ---\n%s", off, on)
+		// Macro replay is the default and must be invisible: everything
+		// the command prints is byte-identical to the fine-grained
+		// reference, and the trace holds the same events (the recorder
+		// sees them in a different order, so compare as a multiset).
+		tmp := t.TempDir()
+		run := func(name string, lod ...string) (string, []string) {
+			trace := filepath.Join(tmp, name+".json")
+			args := append(lod, "-size", "small", "-scale", "0.1", "-servers", "2",
+				"-steps", "3", "-v", "-metrics", "-timeline", "-trace-json", trace)
+			out := runBuilt(t, dir, "opal", args...)
+			return strings.ReplaceAll(out, trace, "TRACE"), traceEvents(t, trace)
 		}
-		auto := runBuilt(t, dir, "opal", append([]string{"-lod", "auto"}, args...)...)
-		if off != auto {
+		def, defEvents := run("default")
+		off, offEvents := run("off", "-lod", "off")
+		if def != off {
+			t.Errorf("default output differs from -lod=off:\n--- off ---\n%s\n--- default ---\n%s", off, def)
+		}
+		if len(offEvents) == 0 || !reflect.DeepEqual(defEvents, offEvents) {
+			t.Errorf("default trace differs from -lod=off as a multiset (%d vs %d events)",
+				len(defEvents), len(offEvents))
+		}
+		if auto, _ := run("auto", "-lod", "auto"); auto != off {
 			t.Errorf("-lod=auto output differs from -lod=off")
 		}
-		cmd := exec.Command(filepath.Join(dir, "opal"), "-lod", "bogus")
-		if outB, err := cmd.CombinedOutput(); err == nil {
-			t.Errorf("-lod=bogus exited zero:\n%s", outB)
+		for _, bad := range []string{"on", "bogus"} {
+			runBuiltErr(t, dir, "opal", "-lod", bad)
 		}
 	})
 	t.Run("opal-kill-rank-out-of-range", func(t *testing.T) {
@@ -243,6 +258,28 @@ func TestCommandSmoke(t *testing.T) {
 			}
 		}
 	})
+}
+
+// traceEvents returns the events of a chrome trace file as the writer
+// encoded them, in sorted order.
+func traceEvents(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	events := make([]string, len(doc.TraceEvents))
+	for i, ev := range doc.TraceEvents {
+		events[i] = string(ev)
+	}
+	sort.Strings(events)
+	return events
 }
 
 func TestExampleSmoke(t *testing.T) {
