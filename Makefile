@@ -67,6 +67,7 @@ check:
 	$(MAKE) stubs-check
 	$(GO) test ./...
 	$(GO) test -race ./...
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/pairlist ./internal/forcefield
 	$(MAKE) scenarios
 	$(MAKE) service-chaos
 	$(MAKE) opald-smoke
@@ -83,10 +84,12 @@ bench:
 # golden seed.  The point is its per-op check, not the numbers: energies
 # hash, makespan, every Breakdown term and the LoD phase counts of every
 # harness.Run must equal bench/golden.json bit for bit, macro-replayed
-# (sim-faultfree) and fine-grained under a fault plane (sim-chaos) alike.
+# (sim-faultfree), fine-grained under a fault plane (sim-chaos) and with
+# the pair kernels carrying the op (sim-physics) alike.
 bench-smoke:
 	$(GO) run ./bench -workload sim-faultfree -seed 1 -seconds 2 -trace 0
 	$(GO) run ./bench -workload sim-chaos -seed 1 -seconds 2 -trace 0
+	$(GO) run ./bench -workload sim-physics -seed 1 -seconds 2 -trace 0
 
 # Snapshot the hot-path benchmarks into BENCH_<date>.json.
 bench-json:

@@ -9,7 +9,9 @@
 package forcefield
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"opalperf/internal/hpm"
 	"opalperf/internal/molecule"
@@ -399,31 +401,64 @@ func BondedEnergy(sys *molecule.System, pos []float64, grad []float64) (e float6
 }
 
 // Exclusions is the set of bonded pairs excluded from the non-bonded sum
-// (1-2 and 1-3 neighbours), keyed by i*n+j with i < j.
+// (1-2 and 1-3 neighbours), held as one CSR table over the upper triangle:
+// row i lists the excluded partners j > i in ascending order.  A pair
+// travels to the servers as the key i*n+j with i < j.
 type Exclusions struct {
-	n   int
-	set map[int64]struct{}
+	n       int
+	start   []int32 // row i is partner[start[i]:start[i+1]]
+	partner []int32
 }
 
 // BuildExclusions derives the exclusion set from the bond and angle lists.
 func BuildExclusions(sys *molecule.System) *Exclusions {
-	e := &Exclusions{n: sys.N, set: make(map[int64]struct{})}
+	n := int64(sys.N)
+	keys := make([]int64, 0, len(sys.Bonds)+3*len(sys.Angles))
+	add := func(i, j int) {
+		if i > j {
+			i, j = j, i
+		}
+		keys = append(keys, int64(i)*n+int64(j))
+	}
 	for _, b := range sys.Bonds {
-		e.add(b.I, b.J)
+		add(b.I, b.J)
 	}
 	for _, a := range sys.Angles {
-		e.add(a.I, a.K)
-		e.add(a.I, a.J)
-		e.add(a.J, a.K)
+		add(a.I, a.K)
+		add(a.I, a.J)
+		add(a.J, a.K)
+	}
+	return ExclusionsFromKeys(sys.N, keys)
+}
+
+// ExclusionsFromKeys builds the exclusion set from pair keys in any order,
+// duplicates allowed; it is also how a server rebuilds the set it was sent.
+func ExclusionsFromKeys(n int, keys []int64) *Exclusions {
+	keys = slices.Clone(keys)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	e := &Exclusions{n: n, start: make([]int32, n+1), partner: make([]int32, len(keys))}
+	for k, key := range keys {
+		if n <= 0 || key < 0 || key/int64(n) >= key%int64(n) {
+			panic(fmt.Sprintf("forcefield: malformed exclusion key %d for %d centers", key, n))
+		}
+		i, j := key/int64(n), key%int64(n)
+		e.start[i+1]++
+		e.partner[k] = int32(j)
+	}
+	for i := 0; i < n; i++ {
+		e.start[i+1] += e.start[i]
 	}
 	return e
 }
 
-func (e *Exclusions) add(i, j int) {
-	if i > j {
-		i, j = j, i
+// Row returns the excluded partners j > i of mass center i, ascending; a
+// nil set excludes nothing.
+func (e *Exclusions) Row(i int) []int32 {
+	if e == nil {
+		return nil
 	}
-	e.set[int64(i)*int64(e.n)+int64(j)] = struct{}{}
+	return e.partner[e.start[i]:e.start[i+1]]
 }
 
 // Excluded reports whether the (i, j) non-bonded interaction is excluded.
@@ -431,27 +466,25 @@ func (e *Exclusions) Excluded(i, j int) bool {
 	if i > j {
 		i, j = j, i
 	}
-	_, ok := e.set[int64(i)*int64(e.n)+int64(j)]
-	return ok
+	for _, p := range e.Row(i) {
+		if int(p) >= j {
+			return int(p) == j
+		}
+	}
+	return false
 }
 
 // Len returns the number of excluded pairs.
-func (e *Exclusions) Len() int { return len(e.set) }
+func (e *Exclusions) Len() int { return len(e.partner) }
 
-// Keys returns the exclusion keys (i*n+j), for serialization to servers.
+// Keys returns the exclusion keys (i*n+j) in ascending order, for
+// serialization to servers.
 func (e *Exclusions) Keys() []int64 {
-	out := make([]int64, 0, len(e.set))
-	for k := range e.set {
-		out = append(out, k)
+	out := make([]int64, 0, len(e.partner))
+	for i := 0; i < e.n; i++ {
+		for _, j := range e.Row(i) {
+			out = append(out, int64(i)*int64(e.n)+int64(j))
+		}
 	}
 	return out
-}
-
-// ExclusionsFromKeys rebuilds an exclusion set on the server side.
-func ExclusionsFromKeys(n int, keys []int64) *Exclusions {
-	e := &Exclusions{n: n, set: make(map[int64]struct{}, len(keys))}
-	for _, k := range keys {
-		e.set[k] = struct{}{}
-	}
-	return e
 }

@@ -3,6 +3,8 @@ package forcefield
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -294,15 +296,78 @@ func TestExclusions(t *testing.T) {
 	if ex.Excluded(1, 3) {
 		t.Error("water pair excluded")
 	}
-	// Round trip through serialization.
-	ex2 := ExclusionsFromKeys(sys.N, ex.Keys())
-	if ex2.Len() != ex.Len() {
-		t.Fatalf("round trip lost exclusions: %d vs %d", ex2.Len(), ex.Len())
+}
+
+// TestExclusionsRoundTrip sends the set the way Init does: Keys() out,
+// ExclusionsFromKeys back.  The keys must come out ascending (a map used
+// to order them differently on every run) and the rebuilt table must
+// answer every query alike.
+func TestExclusionsRoundTrip(t *testing.T) {
+	sys := molecule.TestComplex(9, 5, 21)
+	ex := BuildExclusions(sys)
+	keys := ex.Keys()
+	if len(keys) != ex.Len() || len(keys) == 0 {
+		t.Fatalf("%d keys for %d exclusions", len(keys), ex.Len())
 	}
-	for _, b := range sys.Bonds {
-		if !ex2.Excluded(b.I, b.J) {
-			t.Fatal("round-tripped exclusion missing")
+	if !slices.IsSorted(keys) || len(slices.Compact(slices.Clone(keys))) != len(keys) {
+		t.Fatalf("keys not strictly ascending: %v", keys)
+	}
+	// The wire order does not matter, nor do duplicates.
+	shuffled := append(slices.Clone(keys), keys[0])
+	slices.Reverse(shuffled)
+	ex2 := ExclusionsFromKeys(sys.N, shuffled)
+	if ex2.Len() != ex.Len() || !slices.Equal(ex2.Keys(), keys) {
+		t.Fatalf("round trip changed the set: %d vs %d exclusions", ex2.Len(), ex.Len())
+	}
+	for i := 0; i < sys.N; i++ {
+		if !slices.Equal(ex2.Row(i), ex.Row(i)) {
+			t.Fatalf("row %d: %v, want %v", i, ex2.Row(i), ex.Row(i))
 		}
+		if !slices.IsSorted(ex.Row(i)) || (len(ex.Row(i)) > 0 && int(ex.Row(i)[0]) <= i) {
+			t.Fatalf("row %d = %v: want partners above the row, ascending", i, ex.Row(i))
+		}
+		for j := 0; j < sys.N; j++ {
+			want := i != j && slices.Contains(keys, int64(min(i, j))*int64(sys.N)+int64(max(i, j)))
+			if ex.Excluded(i, j) != want || ex2.Excluded(i, j) != want {
+				t.Fatalf("Excluded(%d,%d) = %v / %v after the round trip, want %v", i, j, ex.Excluded(i, j), ex2.Excluded(i, j), want)
+			}
+		}
+	}
+}
+
+func TestExclusionsFromKeysRejectsMalformedKey(t *testing.T) {
+	reject := func(n int, key int64) {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "malformed exclusion key") {
+				t.Errorf("key %d for %d centers: recovered %q, want the malformed-key panic", key, n, msg)
+			}
+		}()
+		ExclusionsFromKeys(n, []int64{key})
+	}
+	for _, key := range []int64{-1, 3*5 + 3, 4*5 + 1, 5 * 5} {
+		reject(5, key)
+	}
+	reject(0, 7)
+}
+
+// BenchmarkExcluded times one membership query over the bench system's
+// solute rows, hits and misses alike.
+func BenchmarkExcluded(b *testing.B) {
+	sys := molecule.Generate(molecule.Config{
+		Name: "medium (bench)", SoluteAtoms: 390, Waters: 680, Seed: 42, Interleave: true,
+	})
+	ex := BuildExclusions(sys)
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := (2 * n) % sys.N
+		if ex.Excluded(i, (i+2*(n%8))%sys.N) {
+			hits++
+		}
+	}
+	if hits == 0 && b.N > 100 {
+		b.Fatal("no query hit an exclusion, benchmark is vacuous")
 	}
 }
 

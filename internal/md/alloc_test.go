@@ -8,7 +8,7 @@ import (
 )
 
 // Steady-state allocation regression tests: the per-step force path —
-// the row kernel over the pair list and the cell-list rebuild — must not
+// the row kernel over the pair list and both list updates — must not
 // touch the heap once the scratch storage has been grown by the first
 // step.
 
@@ -41,16 +41,52 @@ func TestEvalListZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestListUpdateZeroAlloc repeats the update on unchanged positions, which
+// only filters the list's retained candidates.
 func TestListUpdateZeroAlloc(t *testing.T) {
 	_, d, list, pos, _ := allocTestSystem()
-	// First rebuild grows the per-row partner storage; steady-state
-	// rebuilds must reuse it.
+	// The first update grows the per-row partner storage; steady-state
+	// updates must reuse it.
 	list.Update(pos, d.cutoff, d.excl)
 	allocs := testing.AllocsPerRun(20, func() {
 		list.Update(pos, d.cutoff, d.excl)
 	})
 	if allocs != 0 {
-		t.Errorf("Update allocates %.1f objects per rebuild, want 0", allocs)
+		t.Errorf("Update allocates %.1f objects per update, want 0", allocs)
+	}
+	if list.Rebuilds != 1 {
+		t.Errorf("%d candidate rebuilds on unchanged positions, want the first only", list.Rebuilds)
+	}
+	// What the server declares as its working set counts the active
+	// pairs alone, not the candidates kept behind them (the number is the
+	// one the all-pairs update gave before candidates existed).
+	if ws := list.Bytes() + d.bytes() + 8*len(pos)*2; list.Bytes() != 4*list.NActive || ws != 42412 {
+		t.Errorf("working set %d B with a %d B list of %d pairs, want 42412 B and 4 B a pair", ws, list.Bytes(), list.NActive)
+	}
+}
+
+// TestListUpdateRebuildZeroAlloc alternates two position sets further
+// apart than the list's skin, so every update sweeps all pairs, copies the
+// reference positions and refills the candidate storage.
+func TestListUpdateRebuildZeroAlloc(t *testing.T) {
+	_, d, list, pos, _ := allocTestSystem()
+	moved := append([]float64(nil), pos...)
+	for k := range moved {
+		moved[k] += 3
+	}
+	sets := [2][]float64{pos, moved}
+	list.Update(sets[0], d.cutoff, d.excl)
+	list.Update(sets[1], d.cutoff, d.excl)
+	before, n := list.Rebuilds, 0
+	allocs := testing.AllocsPerRun(20, func() {
+		list.Update(sets[n%2], d.cutoff, d.excl)
+		n++
+	})
+	if allocs != 0 {
+		t.Errorf("Update allocates %.1f objects per candidate rebuild, want 0", allocs)
+	}
+	if list.Rebuilds-before != n {
+		t.Errorf("%d of %d updates rebuilt the candidates, want all", list.Rebuilds-before, n)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"opalperf/internal/molecule"
 	"opalperf/internal/pairlist"
 	"opalperf/internal/pvm"
+	"opalperf/internal/telemetry"
 )
 
 // Boltzmann constant in kcal/(mol K).
@@ -319,6 +320,21 @@ func newNBData(sys *molecule.System, cutoff float64) *nbData {
 func (d *nbData) bytes() int {
 	return 8*d.n /*types*/ + 8*d.n /*charges*/ +
 		16*d.lj.NTypes*d.lj.NTypes + 16*d.excl.Len()
+}
+
+// updateList refreshes one active pair list from fresh coordinates, by
+// the cell walk when cells is set and by the all-pairs routine otherwise.
+// The all-pairs routine is counted, and how often it had to rebuild the
+// list's retained candidates, so a run can report its reuse ratio.
+func (d *nbData) updateList(list *pairlist.List, pos []float64, box float64, cells bool) (checks int, ops hpm.Ops) {
+	if cells {
+		return list.UpdateCells(pos, d.cutoff, box, d.excl)
+	}
+	before := list.Rebuilds
+	checks, ops = list.Update(pos, d.cutoff, d.excl)
+	telemetry.PairlistUpdates.Inc()
+	telemetry.PairlistRebuilds.Add(uint64(list.Rebuilds - before))
+	return checks, ops
 }
 
 // evalList computes the partial non-bonded energies over one active pair

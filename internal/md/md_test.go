@@ -1,14 +1,18 @@
 package md
 
 import (
+	"bytes"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
+	"opalperf/internal/md/opalrpc"
 	"opalperf/internal/molecule"
 	"opalperf/internal/pairlist"
 	"opalperf/internal/platform"
 	"opalperf/internal/pvm"
+	"opalperf/internal/sciddle"
 	"opalperf/internal/sciddle/idl"
 	"opalperf/internal/trace"
 )
@@ -485,5 +489,60 @@ func TestVirtualTimesDifferAcrossPlatforms(t *testing.T) {
 	}
 	if fast >= j90 {
 		t.Errorf("fast CoPs %v should beat the J90 %v on this small run", fast, j90)
+	}
+}
+
+// TestInitPayloadDeterministic packs the Init request of one system twice
+// from scratch.  The exclusion block used to be read out of a map, so its
+// order — and with it the bytes on the wire — changed from run to run.
+func TestInitPayloadDeterministic(t *testing.T) {
+	sys := molecule.TestComplex(30, 20, 5)
+	pack := func() []byte {
+		d := newNBData(sys, 10)
+		if d.excl.Len() < 20 {
+			t.Fatalf("only %d exclusions, test is vacuous", d.excl.Len())
+		}
+		ids := make([]int64, sys.N)
+		b := pvm.NewBuffer()
+		opalrpc.PackOpalInitArgsInto(b, sys.N, sys.NSolute, ids, ids, sys.Charge,
+			d.lj.C12, d.lj.C6, d.excl.Keys(), d.cutoff, sys.Box, 0, 0, 1, 0, 2)
+		wire, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	if first, second := pack(), pack(); !bytes.Equal(first, second) {
+		t.Fatal("two Init requests for one system differ on the wire")
+	}
+}
+
+// TestInitRejectsMalformedExclusionKey sends the server an Init request
+// whose exclusion block names a pair that cannot exist.  Like malformed LJ
+// tables it must stop the handler with a panic that names the fault (which
+// opald's worker isolation turns into a failed job), not build a table
+// that answers wrongly or divide by a zero center count.
+func TestInitRejectsMalformedExclusionKey(t *testing.T) {
+	sys := molecule.TestComplex(4, 3, 5)
+	d := newNBData(sys, 10)
+	ids := make([]int64, sys.N)
+	dispatch := sciddle.DirectDispatcher(newOpalService())
+	for _, tc := range []struct {
+		n   int
+		key int64
+	}{{sys.N, int64(2*sys.N + 2)}, {sys.N, int64(sys.N * sys.N)}, {0, 1}} {
+		req := pvm.NewBuffer()
+		req.PackInt(0)
+		req.PackString("init")
+		opalrpc.PackOpalInitArgsInto(req, tc.n, sys.NSolute, ids, ids, sys.Charge,
+			d.lj.C12, d.lj.C6, []int64{tc.key}, d.cutoff, sys.Box, 0, 0, 1, 0, 2)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "malformed exclusion key") {
+					t.Errorf("n=%d key=%d: recovered %q, want the malformed-key panic", tc.n, tc.key, msg)
+				}
+			}()
+			dispatch(nil, req)
+		}()
 	}
 }

@@ -3,8 +3,6 @@ package md
 import (
 	"fmt"
 
-	"opalperf/internal/hpm"
-
 	"opalperf/internal/molecule"
 	"opalperf/internal/pairlist"
 	"opalperf/internal/pvm"
@@ -40,13 +38,7 @@ func RunSerial(t pvm.Task, sys *molecule.System, opts Options, steps int) (*Resu
 		info := StepInfo{}
 		if step%opts.UpdateEvery == 0 {
 			updT0 := t.Now()
-			var checks int
-			var ops hpm.Ops
-			if opts.CellList && sys.CutoffEffective(opts.Cutoff) {
-				checks, ops = list.UpdateCells(c.pos, opts.Cutoff, sys.Box, d.excl)
-			} else {
-				checks, ops = list.Update(c.pos, opts.Cutoff, d.excl)
-			}
+			checks, ops := d.updateList(list, c.pos, sys.Box, opts.CellList && sys.CutoffEffective(opts.Cutoff))
 			t.SetWorkingSet(list.Bytes() + d.bytes() + 8*3*sys.N*3)
 			t.Charge("update", ops)
 			telemetry.MDUpdateSeconds.Observe(t.Now() - updT0)

@@ -3,8 +3,6 @@ package md
 import (
 	"fmt"
 
-	"opalperf/internal/hpm"
-
 	"opalperf/internal/forcefield"
 	"opalperf/internal/md/opalrpc"
 	"opalperf/internal/pairlist"
@@ -92,12 +90,7 @@ func (s *opalServer) Init(t pvm.Task, n, nsolute int, kinds, types []int64,
 func (s *opalServer) Update(t pvm.Task, coords []float64) (checks int) {
 	s.mustInit()
 	copy(s.pos, coords)
-	var ops hpm.Ops
-	if s.cellList {
-		checks, ops = s.list.UpdateCells(s.pos, s.d.cutoff, s.box, s.d.excl)
-	} else {
-		checks, ops = s.list.Update(s.pos, s.d.cutoff, s.d.excl)
-	}
+	checks, ops := s.d.updateList(s.list, s.pos, s.box, s.cellList)
 	t.SetWorkingSet(s.list.Bytes() + s.d.bytes() + 8*len(s.pos)*2)
 	t.Charge("update", ops)
 	return checks

@@ -25,6 +25,8 @@ package pairlist
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"opalperf/internal/forcefield"
 	"opalperf/internal/hpm"
@@ -174,6 +176,12 @@ func PairChecks(rows []int, n int) int {
 	return c
 }
 
+// skin is how far beyond the cut-off the retained candidates reach.  While
+// no center has moved more than 0.45*skin from where they were built, no
+// two have closed by skin, so every pair now inside the cut-off is among
+// them; the margin below skin/2 swallows rounding.
+const skin = 2.0
+
 // List is one server's active pair list.
 type List struct {
 	N    int   // total mass centers
@@ -181,9 +189,23 @@ type List struct {
 	// Pairs[r] holds the partners j (> Rows[r]) within the cut-off.
 	Pairs   [][]int32
 	NActive int
+	// Rebuilds counts the Update calls that swept all pairs instead of
+	// reusing the candidates.
+	Rebuilds int
 	// bins is the cell-binning scratch of UpdateCells, kept across
 	// rebuilds so the steady-state update allocates nothing.
 	bins [][]int32
+
+	// cand holds, row after row, a count and then that many partners:
+	// the non-excluded partners of the row within cutoff+skin at the
+	// positions ref, under the cut-off and exclusion set candCutoff and
+	// candExcl.  It is host-side state only: the simulated machine is
+	// charged the all-pairs sweep on every update and Bytes does not
+	// count it.
+	cand       []int32
+	ref        []float64
+	candCutoff float64
+	candExcl   *forcefield.Exclusions
 }
 
 // NewList prepares an empty list for the given rows.
@@ -196,31 +218,122 @@ func NewList(n int, rows []int) *List {
 // (bonded) pairs are screened out.  cutoff <= 0 disables the radius test
 // (every non-excluded pair is active) but still costs the checks, exactly
 // like an ineffective 60 A cut-off.  It returns the number of checks and
-// the op count incurred.
+// the op count incurred: those of the full sweep (eq. 3 of the paper),
+// whatever part of it the host skipped by filtering retained candidates.
 func (l *List) Update(pos []float64, cutoff float64, excl *forcefield.Exclusions) (checks int, ops hpm.Ops) {
-	c2 := cutoff * cutoff
-	useCut := cutoff > 0
+	if len(l.Rows) == 0 {
+		return 0, hpm.Ops{} // no rows: nothing to sweep and no center to watch
+	}
+	checks = PairChecks(l.Rows, l.N)
+	if l.stale(pos, cutoff, excl) {
+		l.rebuild(pos, cutoff, excl)
+	}
+	c2 := reach2(cutoff, 0)
 	nexcl := 0
+	cand := l.cand
 	l.NActive = 0
 	for r, i := range l.Rows {
-		ps := l.Pairs[r][:0]
-		for j := i + 1; j < l.N; j++ {
-			checks++
-			if useCut && forcefield.Dist2(pos, i, j) > c2 {
-				continue
-			}
-			if excl != nil && excl.Excluded(i, j) {
-				nexcl++
-				continue
-			}
-			ps = append(ps, int32(j))
+		xi, yi, zi := pos[3*i], pos[3*i+1], pos[3*i+2]
+		// Every candidate is stored and the write cursor advances only
+		// past the ones inside the cut-off: whether a candidate stays is
+		// close to a coin toss, which a branch would mispredict.
+		cs := cand[1 : 1+cand[0]]
+		cand = cand[1+cand[0]:]
+		ps := l.Pairs[r]
+		if cap(ps) < len(cs) {
+			ps = make([]int32, len(cs))
 		}
-		l.Pairs[r] = ps
-		l.NActive += len(ps)
+		ps = ps[:len(cs)]
+		n := 0
+		for _, j := range cs {
+			p := pos[3*int(j) : 3*int(j)+3]
+			dx, dy, dz := xi-p[0], yi-p[1], zi-p[2]
+			ps[n] = j
+			keep := 1
+			if dx*dx+dy*dy+dz*dz > c2 {
+				keep = 0
+			}
+			n += keep
+		}
+		l.Pairs[r] = ps[:n]
+		l.NActive += n
+		for _, j := range excl.Row(i) {
+			if !(forcefield.Dist2(pos, i, int(j)) > c2) {
+				nexcl++
+			}
+		}
 	}
 	ops = forcefield.PairCheckOps.Times(float64(checks))
 	ops = ops.Plus(forcefield.ExclusionOps.Times(float64(nexcl)))
 	return checks, ops
+}
+
+// reach2 is the squared radius of the cut-off widened by margin; no
+// cut-off reaches everything, NaN distances included, under "not beyond".
+func reach2(cutoff, margin float64) float64 {
+	if cutoff > 0 {
+		return (cutoff + margin) * (cutoff + margin)
+	}
+	return math.Inf(1)
+}
+
+// stale reports whether the candidates may miss a pair now inside the
+// cut-off: they were built for another cut-off, exclusion set or system
+// size (or without reference positions), there is no cut-off to reach
+// beyond, or some center has moved (or is NaN) beyond the skin margin.
+func (l *List) stale(pos []float64, cutoff float64, excl *forcefield.Exclusions) bool {
+	if !(cutoff > 0) || cutoff != l.candCutoff || excl != l.candExcl || len(pos) != len(l.ref) {
+		return true
+	}
+	const lim2 = (0.45 * skin) * (0.45 * skin)
+	for k := 0; k+2 < len(pos); k += 3 {
+		dx, dy, dz := pos[k]-l.ref[k], pos[k+1]-l.ref[k+1], pos[k+2]-l.ref[k+2]
+		if !(dx*dx+dy*dy+dz*dz <= lim2) {
+			return true
+		}
+	}
+	return false
+}
+
+// rebuild sweeps every partner j > i of the owned rows and retains those
+// within cutoff+skin, with the positions they were found at.  Each row is
+// walked in the runs between its excluded partners, so the inner loop
+// carries no exclusion test.
+func (l *List) rebuild(pos []float64, cutoff float64, excl *forcefield.Exclusions) {
+	l.Rebuilds++
+	l.candCutoff, l.candExcl = cutoff, excl
+	l.ref = append(l.ref[:0], pos...)
+	rc2 := reach2(cutoff, skin)
+	l.cand = l.cand[:0]
+	for _, i := range l.Rows {
+		xi, yi, zi := pos[3*i], pos[3*i+1], pos[3*i+2]
+		ex := excl.Row(i)
+		// As in Update's filter: store every partner, advance on a keeper.
+		h := len(l.cand)
+		l.cand = slices.Grow(l.cand, l.N-i)
+		row := l.cand[h+1 : h+l.N-i]
+		n := 0
+		for lo := i + 1; lo < l.N; {
+			hi := l.N
+			if len(ex) > 0 {
+				hi, ex = int(ex[0]), ex[1:]
+			}
+			j := int32(lo)
+			for p := pos[3*lo : 3*hi]; len(p) >= 3; p = p[3:] {
+				dx, dy, dz := xi-p[0], yi-p[1], zi-p[2]
+				row[n] = j
+				keep := 1
+				if dx*dx+dy*dy+dz*dz > rc2 {
+					keep = 0
+				}
+				n += keep
+				j++
+			}
+			lo = hi + 1
+		}
+		l.cand = l.cand[:h+1+n]
+		l.cand[h] = int32(n)
+	}
 }
 
 // Bytes returns the memory the list occupies (4 bytes per stored partner),

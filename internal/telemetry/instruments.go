@@ -30,6 +30,8 @@ var (
 	MDSteps          = Default.Counter("opal_md_steps_total", "Completed simulation steps.")
 	MDStepSeconds    = Default.Histogram("opal_md_step_seconds", "Per-step duration (virtual seconds on the simulated fabric).", LatencyBuckets)
 	MDUpdateSeconds  = Default.Histogram("opal_md_pairlist_update_seconds", "Pair-list update phase duration.", LatencyBuckets)
+	PairlistUpdates  = Default.Counter("opal_pairlist_updates_total", "All-pairs pair-list updates (one per list and update phase).")
+	PairlistRebuilds = Default.Counter("opal_pairlist_rebuilds_total", "Pair-list updates that had to rebuild the retained candidate list instead of filtering it.")
 	MDCheckpointSecs = Default.Histogram("opal_md_checkpoint_seconds", "Checkpoint capture+sink duration (host wall seconds).", LatencyBuckets)
 	MDCheckpoints    = Default.Counter("opal_md_checkpoints_total", "Periodic checkpoints written.")
 

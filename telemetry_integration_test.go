@@ -156,8 +156,16 @@ func TestTelemetryMetricsOfSupervisedRun(t *testing.T) {
 	faultsBefore := telemetry.FaultsInjected.With("admin_kill").Value()
 	stepsBefore := telemetry.MDSteps.Value()
 	ckptBefore := telemetry.MDCheckpoints.Value()
+	updBefore, rebBefore := telemetry.PairlistUpdates.Value(), telemetry.PairlistRebuilds.Value()
 	if _, err := harness.Run(supervisedSpec(func(cp *md.Checkpoint) error { return nil })); err != nil {
 		t.Fatal(err)
+	}
+	// Four update phases over three lists plus the respawned server's
+	// replay; every list (the replacement's too) builds its candidates
+	// once and no minimizer step moves a centre far enough to rebuild.
+	upd, reb := telemetry.PairlistUpdates.Value()-updBefore, telemetry.PairlistRebuilds.Value()-rebBefore
+	if upd != 13 || reb != 4 {
+		t.Errorf("pair-list updates counted = %d with %d candidate rebuilds, want 13 with 4", upd, reb)
 	}
 	if got := telemetry.SupRespawns.Value() - before; got != 1 {
 		t.Errorf("respawns counted = %d, want 1", got)
@@ -179,6 +187,7 @@ func TestTelemetryMetricsOfSupervisedRun(t *testing.T) {
 		`opal_faults_injected_total{kind="admin_kill"}`,
 		"opal_sciddle_call_seconds_bucket",
 		"opal_md_step_seconds_count",
+		"opal_pairlist_rebuilds_total",
 	} {
 		if !strings.Contains(expo.String(), want) {
 			t.Errorf("exposition missing %q", want)
