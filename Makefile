@@ -14,6 +14,19 @@ TELEMETRY_BUDGET ?= 2.0
 # enforced by the supervision-budget target (DESIGN.md §11).
 SUPERVISION_BUDGET ?= 2.0
 
+# test-selected runs `go test $(1) -run '$(2)' $(3)`, but first asks
+# `go test -list` what the pattern selects: -run with a pattern that matches
+# nothing exits 0, so a renamed test would drop out of a pattern-selected
+# target without anybody noticing.  Every |-alternative of the pattern must
+# select at least one test.
+define test-selected
+@list=$$($(GO) test -list '$(2)' $(3)) || { echo "$$list"; exit 1; }; \
+for alt in $$(echo '$(2)' | tr '|' ' '); do \
+	echo "$$list" | grep -Eq "$$alt" || { echo "$@: '$$alt' selects no test in $(3)"; exit 1; }; \
+done
+$(GO) test $(1) -run '$(2)' $(3)
+endef
+
 all: build test
 
 build:
@@ -30,9 +43,7 @@ race:
 # fault sweep, the live TCP server-kill tests, the self-healing respawn
 # suite and the checkpoint-restart sweeps.
 chaos:
-	$(GO) test -race -count=5 \
-		-run 'TestChaos|TestParallelSurvives|TestServerQuit|TestSelfHeal|TestRestart|TestPeriodicCheckpoint' \
-		./internal/harness/ ./internal/md/ ./internal/scenario/
+	$(call test-selected,-race -count=5,TestChaos|TestParallelSurvives|TestServerQuit|TestSelfHeal|TestRestart|TestPeriodicCheckpoint,./internal/harness/ ./internal/md/ ./internal/scenario/)
 
 # Validate and sweep the checked-in chaos corpus through the scenario
 # runner: every scenario over SCENARIO_SEEDS fault/kill seeds.
@@ -43,14 +54,12 @@ scenarios:
 # Service-level chaos: the control plane's 25-seed worker-kill sweep plus
 # the drain/overload/quota property tests, all under the race detector.
 service-chaos:
-	$(GO) test -race -count=1 \
-		-run 'TestServiceChaos|TestDrain|TestQuota|TestFIFO|TestFullQueue|TestSingleFlight|TestPanicIsolation|TestRetryThenFail|TestHTTPOverload' \
-		./internal/ctlplane/
+	$(call test-selected,-race -count=1,TestServiceChaos|TestDrain|TestQuota|TestFIFO|TestFullQueue|TestSingleFlight|TestPanicIsolation|TestRetryThenFail|TestHTTPOverload,./internal/ctlplane/)
 
 # End-to-end opald smoke: boot the daemon, run a job and 1k predictions
 # over HTTP, SIGTERM it, and require a clean exit with a flushed journal.
 opald-smoke:
-	$(GO) test -count=1 -run TestOpaldSmoke .
+	$(call test-selected,-count=1,TestOpaldSmoke,.)
 
 # The run-archive plane: warehouse crash-safety (SIGKILL child, corrupt
 # corpus), query/watchdog units, the opalquery goldens, and the opald
@@ -58,7 +67,7 @@ opald-smoke:
 # persisted result store without re-execution).
 archive-check:
 	$(GO) test -race -count=1 ./internal/archive/ ./cmd/opalquery/
-	$(GO) test -count=1 -run TestOpaldRestartServesArchivedResult .
+	$(call test-selected,-count=1,TestOpaldRestartServesArchivedResult,.)
 
 # The full tier-1 gate: what CI runs.
 check:
@@ -122,7 +131,7 @@ supervision-budget:
 # reconciliation and LoD bit-identity integration tests.
 opaltop-check:
 	$(GO) test -race -count=1 ./cmd/opaltop/
-	$(GO) test -count=1 -run 'TestCommMatrix' .
+	$(call test-selected,-count=1,TestCommMatrix,.)
 
 # The perf gate: rerun the hot-path benchmarks and diff against the
 # checked-in baseline snapshot with cmd/perfdiff.  Shared CI hosts are

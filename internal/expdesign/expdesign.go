@@ -9,7 +9,6 @@ package expdesign
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"opalperf/internal/parallel"
 )
@@ -22,15 +21,6 @@ type Factor struct {
 
 // Case assigns one level to every factor.
 type Case map[string]string
-
-// Key renders a case deterministically for logging and map keys.
-func (c Case) Key(factors []Factor) string {
-	parts := make([]string, len(factors))
-	for i, f := range factors {
-		parts[i] = f.Name + "=" + c[f.Name]
-	}
-	return strings.Join(parts, " ")
-}
 
 // FullFactorial enumerates every combination of levels, varying the last
 // factor fastest.
@@ -126,24 +116,11 @@ type Record struct {
 // variables (e.g. the five time components).
 type Runner func(Case) (map[string]float64, error)
 
-// RunAll executes every case in order.  It fails fast on the first error:
-// a calibration with missing cases would silently bias the fit.
-func RunAll(cases []Case, run Runner) ([]Record, error) {
-	out := make([]Record, 0, len(cases))
-	for i, c := range cases {
-		resp, err := run(c)
-		if err != nil {
-			return nil, fmt.Errorf("expdesign: case %d: %w", i, err)
-		}
-		out = append(out, Record{Case: c, Responses: resp})
-	}
-	return out, nil
-}
-
 // RunAllParallel executes the cases concurrently on the default worker
-// pool and returns the records in case order, identical to RunAll.  run
-// must be safe to call concurrently.  On failure it returns the error of
-// the lowest-indexed failing case it observed.
+// pool and returns the records in case order.  run must be safe to call
+// concurrently.  Any failure fails the whole design — a calibration with
+// missing cases would silently bias the fit — with the error of the
+// lowest-indexed failing case observed; no new case starts after it.
 func RunAllParallel(cases []Case, run Runner) ([]Record, error) {
 	return parallel.Map(cases, func(i int, c Case) (Record, error) {
 		resp, err := run(c)

@@ -2,8 +2,11 @@ package expdesign
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"opalperf/internal/parallel"
 )
 
 func paperFactors() []Factor {
@@ -24,7 +27,7 @@ func TestFullFactorialPaperSize(t *testing.T) {
 	// All distinct.
 	seen := map[string]bool{}
 	for _, c := range cases {
-		k := c.Key(paperFactors())
+		k := c.key(paperFactors())
 		if seen[k] {
 			t.Fatalf("duplicate case %s", k)
 		}
@@ -40,8 +43,8 @@ func TestFullFactorialOrdering(t *testing.T) {
 	cases := FullFactorial(f)
 	want := []string{"a=1 b=x", "a=1 b=y", "a=2 b=x", "a=2 b=y"}
 	for i, c := range cases {
-		if c.Key(f) != want[i] {
-			t.Errorf("case %d = %s, want %s", i, c.Key(f), want[i])
+		if c.key(f) != want[i] {
+			t.Errorf("case %d = %s, want %s", i, c.key(f), want[i])
 		}
 	}
 }
@@ -115,7 +118,7 @@ func TestHalfFractionErrors(t *testing.T) {
 func TestRunAll(t *testing.T) {
 	f := []Factor{{Name: "x", Levels: []string{"1", "2", "3"}}}
 	cases := FullFactorial(f)
-	recs, err := RunAll(cases, func(c Case) (map[string]float64, error) {
+	recs, err := RunAllParallel(cases, func(c Case) (map[string]float64, error) {
 		return map[string]float64{"y": float64(len(c["x"]))}, nil
 	})
 	if err != nil {
@@ -124,8 +127,10 @@ func TestRunAll(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("records = %d", len(recs))
 	}
-	if recs[0].Responses["y"] != 1 {
-		t.Error("response missing")
+	for i, r := range recs {
+		if r.Case.key(f) != cases[i].key(f) || r.Responses["y"] != 1 {
+			t.Errorf("record %d = %+v, want case %s", i, r, cases[i].key(f))
+		}
 	}
 	names := ResponseNames(recs)
 	if len(names) != 1 || names[0] != "y" {
@@ -134,21 +139,35 @@ func TestRunAll(t *testing.T) {
 }
 
 func TestRunAllFailsFast(t *testing.T) {
+	// One worker makes the pool sequential, so "no new case starts after
+	// a failure" is exact: the third case never runs.
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
 	f := []Factor{{Name: "x", Levels: []string{"1", "2", "3"}}}
 	ran := 0
-	_, err := RunAll(FullFactorial(f), func(c Case) (map[string]float64, error) {
+	_, err := RunAllParallel(FullFactorial(f), func(c Case) (map[string]float64, error) {
 		ran++
 		if c["x"] == "2" {
 			return nil, fmt.Errorf("boom")
 		}
 		return nil, nil
 	})
-	if err == nil {
-		t.Fatal("expected error")
+	if err == nil || !strings.Contains(err.Error(), "case 1: boom") {
+		t.Fatalf("err = %v, want the failing case named", err)
 	}
 	if ran != 2 {
 		t.Errorf("ran %d cases, want fail-fast after 2", ran)
 	}
+}
+
+// key renders a case deterministically, for comparing and de-duplicating
+// cases in these tests.
+func (c Case) key(factors []Factor) string {
+	parts := make([]string, len(factors))
+	for i, f := range factors {
+		parts[i] = f.Name + "=" + c[f.Name]
+	}
+	return strings.Join(parts, " ")
 }
 
 // Property: the full factorial size is the product of the level counts
@@ -170,7 +189,7 @@ func TestFactorialSizeProperty(t *testing.T) {
 		}
 		seen := map[string]bool{}
 		for _, c := range cases {
-			k := c.Key(factors)
+			k := c.key(factors)
 			if seen[k] {
 				return false
 			}

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,94 @@ func TestSpecHashSeparatesConfigurations(t *testing.T) {
 		mut(&mod)
 		if harness.SpecHashOf(mod) == h {
 			t.Fatalf("%s change did not change the spec hash", name)
+		}
+	}
+}
+
+// A checkpoint resume is not a fresh run of the same length: it starts
+// elsewhere in the trajectory, so its energies differ by design and it
+// must not land in the fresh runs' cohort (where the watchdog would call
+// the difference a determinism alarm); a run under a kill schedule must
+// not share a wall-time baseline with undisturbed ones.  Building the same
+// spec twice, system included, must give the same hash.
+func TestSpecHashSeparatesResumedAndKilledRuns(t *testing.T) {
+	build := func() harness.RunSpec { return archiveSpec(harness.Sizes(0.1)["small"]) }
+	fresh := build()
+	if harness.SpecHashOf(fresh) != harness.SpecHashOf(build()) {
+		t.Fatal("two builds of the same spec hash differently")
+	}
+
+	out, err := harness.Run(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := md.CheckpointOf(fresh.Sys, out.Result)
+	resumed := fresh
+	resumed.Sys = cp.Sys
+	if resumed.Opts, err = cp.Resume(fresh.Opts); err != nil {
+		t.Fatal(err)
+	}
+	if harness.SpecHashOf(resumed) == harness.SpecHashOf(fresh) {
+		t.Fatal("a resumed run hashes like a fresh run of the same length")
+	}
+
+	killed := fresh
+	killed.Opts.SelfHeal = true
+	healing := killed
+	killed.Opts.Kills = func(int) []int { return nil }
+	if harness.SpecHashOf(killed) == harness.SpecHashOf(healing) {
+		t.Fatal("a kill schedule did not change the spec hash")
+	}
+}
+
+// environmentalOptions are the md.Options fields SpecHashOf leaves out on
+// purpose: they observe or bound a run without changing its physics or
+// its virtual timing.
+var environmentalOptions = map[string]bool{
+	"AfterInit": true, "AfterStep": true, "Cancel": true, "ServerQuit": true, // hooks
+	"Trajectory": true, "CheckpointEvery": true, "CheckpointSink": true, "CheckpointAt": true, // sinks
+	"CallTimeout": true, "CallRetries": true, // real-time bounds, inert in virtual time
+	"LoD": true, // bit-identical by contract
+}
+
+// Every md.Options field is either hashed or declared environmental, so
+// the next field added to the engine cannot be forgotten: the test sets
+// each field, alone, to a non-zero value and watches the hash.
+func TestSpecHashCoversEveryOption(t *testing.T) {
+	base := archiveSpec(harness.Sizes(0.1)["small"])
+	base.Opts = md.Options{}
+	h := harness.SpecHashOf(base)
+	typ := reflect.TypeOf(base.Opts)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		mod := base
+		f := reflect.ValueOf(&mod.Opts).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7.5)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Ptr:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Func:
+			f.Set(reflect.MakeFunc(f.Type(), func([]reflect.Value) []reflect.Value { panic("never called") }))
+		default:
+			t.Fatalf("md.Options.%s: kind %s not handled by this test", name, f.Kind())
+		}
+		switch changed := harness.SpecHashOf(mod) != h; {
+		case changed && environmentalOptions[name]:
+			t.Errorf("md.Options.%s is declared environmental but changes the spec hash", name)
+		case !changed && !environmentalOptions[name]:
+			t.Errorf("md.Options.%s is neither hashed by SpecHashOf nor declared environmental", name)
+		}
+	}
+	for name := range environmentalOptions {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("environmentalOptions names %s, which md.Options no longer has", name)
 		}
 	}
 }

@@ -189,7 +189,6 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 	b := out.Breakdown
 	sum := archive.RunSummary{
 		Run:          telemetry.Run(),
-		Spec:         SpecHashOf(spec),
 		Platform:     spec.Platform.Name,
 		System:       spec.Sys.Name,
 		Servers:      spec.Servers,
@@ -210,6 +209,11 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 		LoDMacroPhases:    res.LoDMacroPhases,
 		LoDFallbackPhases: res.LoDFallbackPhases,
 	}
+	if spec.Archive == nil || spec.Archive.Spec == "" {
+		// A sink that carries its own spec hash (the control plane's
+		// canonical job hash) overrides ours in Put: derive none.
+		sum.Spec = SpecHashOf(spec)
+	}
 	if o := spec.Oracle; o != nil {
 		sum.OracleWindows = o.Windows()
 		sum.OracleAnomalies = o.Anomalies()
@@ -220,12 +224,16 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 
 // SpecHashOf derives the canonical spec hash of a run configuration — the
 // grouping key cross-run queries and the regression watchdog compare
-// under.  It covers everything that changes the physics or the timing
-// (platform, system name and size — every -scale shares one name —
-// fleet, steps, cut-off, update period and algorithm,
-// distribution strategy and seed, engine mode, accounting barriers, the
-// fault plan) and nothing environmental.
+// under.  It covers everything that changes the physics or the timing:
+// platform; system name, size (every -scale shares one name) and start
+// coordinates; fleet and steps; where in a trajectory the run starts
+// (a checkpoint resume is not a fresh run of the same length); every
+// md.Options field that steers the engine; whether a kill schedule is
+// set; the fault plan.  It covers nothing environmental: hooks, sinks,
+// timeouts and the level of detail leave both untouched.
+// TestSpecHashCoversEveryOption holds md.Options to that split.
 func SpecHashOf(spec RunSpec) string {
+	o := spec.Opts
 	faults := "none"
 	if spec.Faults != nil {
 		faults = fmt.Sprintf("%+v", *spec.Faults)
@@ -233,18 +241,13 @@ func SpecHashOf(spec RunSpec) string {
 	return archive.HashStrings(
 		spec.Platform.Name,
 		spec.Sys.Name,
-		fmt.Sprint(spec.Sys.N),
-		fmt.Sprint(spec.Sys.NSolute),
-		fmt.Sprint(spec.Servers),
-		fmt.Sprint(spec.Steps),
-		fmt.Sprint(spec.Opts.Cutoff),
-		fmt.Sprint(orOne(spec.Opts.UpdateEvery)),
-		fmt.Sprint(spec.Opts.Strategy),
-		fmt.Sprint(spec.Opts.Seed),
-		fmt.Sprint(spec.Opts.Minimize),
-		fmt.Sprint(spec.Opts.SelfHeal),
-		fmt.Sprint(spec.Opts.Accounting),
-		fmt.Sprint(spec.Opts.CellList),
+		fmt.Sprintln(spec.Sys.N, spec.Sys.NSolute, spec.Servers, spec.Steps),
+		archive.HashFloats(spec.Sys.Pos),
+		fmt.Sprintln(o.StartStep, o.InitTemperature),
+		archive.HashFloats(o.StartVelocities),
+		fmt.Sprintln(o.Cutoff, orOne(o.UpdateEvery), o.Strategy, o.Seed, o.CellList, o.Accounting),
+		fmt.Sprintln(o.Minimize, o.StepSize, o.GradTol, o.Dt, o.Thermostat, o.ThermostatTau),
+		fmt.Sprintln(o.FaultTolerant, o.SelfHeal, o.MaxRespawns, o.Kills != nil),
 		faults,
 	)
 }

@@ -87,11 +87,11 @@ type Options struct {
 	// distribution recomputed over the smaller server set), refreshes
 	// their pair lists and redoes the failed phase.  The whole window is
 	// attributed as recovery (Result.RecoverySeconds; vm.SegRecovery on
-	// fabrics that record timelines).  Requires Accounting off — a
-	// retried call would desynchronize the phase barriers.  Only
-	// effective on fabrics with real receive deadlines (the network
-	// fabric); elsewhere replies cannot be lost and the options are
-	// inert.
+	// the simulated fabric, which records timelines).  Requires
+	// Accounting off — a retried call would desynchronize the phase
+	// barriers.  Only effective on the network fabric, whose receive
+	// deadlines are real; on the simulated fabric replies cannot be lost
+	// and the options are inert.
 	FaultTolerant bool
 	// CallTimeout bounds each reply wait in fault-tolerant mode (default
 	// 250ms); CallRetries is the number of idempotent resends before a
@@ -104,8 +104,8 @@ type Options struct {
 	// makes that server exit between requests.  Chaos tests use it to
 	// kill live servers; nil (and nil returns) mean servers run until the
 	// shutdown handshake.  Takes effect only when the servers run the
-	// closure passed to Spawn (local fabric, or a network session without
-	// a remote spawn host).
+	// closure passed to Spawn: on the simulated fabric, or in a network
+	// session without a remote spawn host.
 	ServerQuit func(instance int) <-chan struct{}
 	// AfterStep, when set, runs on the client after every completed step
 	// — chaos tests use it to trigger failures at a deterministic point.
@@ -118,8 +118,8 @@ type Options struct {
 	// pair-list update boundary — so the restored fleet computes the exact
 	// same partial sums as an undisturbed run and healed physics is
 	// bit-identical.  Deaths are detected through FaultTolerant call
-	// timeouts on fabrics with real receive deadlines, or declared by an
-	// administrative Kills schedule on the deterministic fabrics.
+	// timeouts on the network fabric, or declared by an administrative
+	// Kills schedule on the simulated one.
 	// Requires Accounting off, like FaultTolerant.
 	SelfHeal bool
 	// MaxRespawns bounds the total replacements a self-healing run may
@@ -138,8 +138,8 @@ type Options struct {
 	// Kills, with SelfHeal, is the administrative kill schedule: before
 	// the phases of step s, every server rank in Kills(s) is declared
 	// dead and healed without any timeout — the deterministic way to
-	// exercise the respawn path on the simulated and local fabrics, where
-	// replies cannot be lost and a call timeout would never fire.  The
+	// exercise the respawn path on the simulated fabric, where replies
+	// cannot be lost and a call timeout would never fire.  The
 	// victim task keeps running idle until the shutdown handshake stops
 	// it.  Requires SelfHeal.
 	Kills func(step int) []int

@@ -10,20 +10,19 @@ import (
 	"opalperf/internal/sciddle"
 )
 
-// runParallelLocal runs the parallel engine on the local fabric.
-func runParallelLocal(t *testing.T, sys *molecule.System, opts Options, nservers, steps int) *Result {
+// rejectedOnSim runs the parallel engine as the root task of a simulated
+// session and returns the error it refused the options with, nil if it ran.
+func rejectedOnSim(t *testing.T, sys *molecule.System, opts Options) error {
 	t.Helper()
-	l := pvm.NewLocalVM()
-	var res *Result
+	s := pvm.NewSimVM(platform.J90(), nil)
 	var err error
-	l.SpawnRoot("opal-client", func(task pvm.Task) {
-		res, err = RunParallel(task, sys, opts, nservers, steps)
+	s.SpawnRoot("opal-client", func(task pvm.Task) {
+		_, err = RunParallel(task, sys, opts, 2, 1)
 	})
-	l.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if runErr := s.Run(); runErr != nil {
+		t.Fatal(runErr)
 	}
-	return res
+	return err
 }
 
 // On the simulated fabric replies cannot be lost, so the fault-tolerance
@@ -61,13 +60,7 @@ func TestFaultToleranceInertOnSimFabric(t *testing.T) {
 
 func TestFaultToleranceRejectsAccounting(t *testing.T) {
 	sys := molecule.TestComplex(5, 5, 12)
-	l := pvm.NewLocalVM()
-	var err error
-	l.SpawnRoot("opal-client", func(task pvm.Task) {
-		_, err = RunParallel(task, sys, Options{FaultTolerant: true, Accounting: true}, 2, 1)
-	})
-	l.Wait()
-	if err == nil {
+	if rejectedOnSim(t, sys, Options{FaultTolerant: true, Accounting: true}) == nil {
 		t.Fatal("FaultTolerant+Accounting accepted")
 	}
 }
@@ -84,7 +77,7 @@ func TestParallelSurvivesServerDeathsTCP(t *testing.T) {
 	sys := molecule.TestComplex(12, 24, 3)
 	opts := Options{Minimize: true, UpdateEvery: 1}
 
-	ref := runParallelLocal(t, sys, opts, nservers, steps)
+	ref, _, _ := runParallelSim(t, platform.J90(), sys, opts, nservers, steps)
 
 	daemon, err := pvm.NewDaemon("127.0.0.1:0")
 	if err != nil {

@@ -316,14 +316,23 @@ func TestFoldedStrategyBalances(t *testing.T) {
 }
 
 func TestLocalFabricParallelRun(t *testing.T) {
-	// The same engine runs on real goroutines; energies match the
+	// The same engine runs on real goroutines — one network session, so
+	// every message is delivered locally — and its energies match the
 	// simulated run exactly (identical arithmetic, different fabric).
 	sys := molecule.TestComplex(10, 20, 11)
 	opts := Options{Minimize: true}
 	simRes, _, _ := runParallelSim(t, platform.J90(), sys, opts, 2, 3)
-	l := pvm.NewLocalVM()
+	daemon, err := pvm.NewDaemon("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Close()
+	l, err := pvm.ConnectTCP(daemon.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	var locRes *Result
-	var err error
 	l.SpawnRoot("client", func(task pvm.Task) {
 		locRes, err = RunParallel(task, sys, opts, 2, 3)
 	})

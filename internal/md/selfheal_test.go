@@ -100,7 +100,7 @@ func TestSelfHealRespawnTCP(t *testing.T) {
 	sys := molecule.TestComplex(12, 24, 3)
 	opts := Options{Minimize: true, UpdateEvery: 1}
 
-	ref := runParallelLocal(t, sys, opts, nservers, steps)
+	ref, _, _ := runParallelSim(t, platform.J90(), sys, opts, nservers, steps)
 
 	daemon, err := pvm.NewDaemon("127.0.0.1:0")
 	if err != nil {
@@ -213,7 +213,7 @@ func TestSelfHealBudgetFallsBackToDegrade(t *testing.T) {
 	sys := molecule.TestComplex(12, 24, 3)
 	opts := Options{Minimize: true, UpdateEvery: 1}
 
-	ref := runParallelLocal(t, sys, opts, nservers, steps)
+	ref, _, _ := runParallelSim(t, platform.J90(), sys, opts, nservers, steps)
 
 	daemon, err := pvm.NewDaemon("127.0.0.1:0")
 	if err != nil {
@@ -289,13 +289,7 @@ func TestSelfHealValidation(t *testing.T) {
 	sys := molecule.TestComplex(5, 5, 12)
 	check := func(name string, opts Options) {
 		t.Helper()
-		l := pvm.NewLocalVM()
-		var err error
-		l.SpawnRoot("opal-client", func(task pvm.Task) {
-			_, err = RunParallel(task, sys, opts, 2, 1)
-		})
-		l.Wait()
-		if err == nil {
+		if rejectedOnSim(t, sys, opts) == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

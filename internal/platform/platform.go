@@ -105,29 +105,6 @@ func (c *commModel) SendCost(src, dst, bytes int) (busy, latency float64) {
 
 func (c *commModel) SyncCost(n int) float64 { return c.pl.SyncSec }
 
-// Meter charges classified floating-point work to a simulated process and
-// its hardware performance monitor at once, the way the instrumented
-// Sciddle middleware accounts work on a real machine.
-type Meter struct {
-	P   *vm.Proc
-	Mon *hpm.Monitor
-	Pl  *Platform
-}
-
-// NewMeter creates a meter for a process running on pl.
-func NewMeter(p *vm.Proc, pl *Platform) *Meter {
-	return &Meter{P: p, Mon: hpm.NewMonitor(pl.Weights), Pl: pl}
-}
-
-// Charge advances virtual time for the ops and books them on the named
-// counter.
-func (m *Meter) Charge(counter string, ops hpm.Ops) {
-	counted := m.Pl.Weights.Counted(ops)
-	t0 := m.P.Now()
-	m.P.Compute(counted)
-	m.Mon.Charge(counter, ops, m.P.Now()-t0)
-}
-
 // J90 returns the Cray J90 "Classic" reference platform.  The observed
 // 3 MByte/s / 10 ms communication reflect the unfortunate interaction of
 // the Sciddle middleware with the Cray PVM implementation that the paper

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"opalperf/internal/hpm"
-	"opalperf/internal/vm"
 )
 
 // nbMix is roughly the op mix of one non-bonded pair evaluation; the
@@ -143,34 +142,6 @@ func TestMemoryHierarchySlowsComputation(t *testing.T) {
 	}
 	if math.Abs(swapped-4.0) > 1e-9 {
 		t.Errorf("out-of-core 32 MFlop = %v s, want 4.0 (8 MFlop/s)", swapped)
-	}
-}
-
-func TestMeterChargesProcAndMonitor(t *testing.T) {
-	pl := FastCoPs()
-	k := vm.NewKernel(pl.CommModel(), nil)
-	var mon *hpm.Monitor
-	var now float64
-	k.NewProc("p", pl.ComputeModel(), func(p *vm.Proc) {
-		p.SetWorkingSet(8 << 20) // in core: nominal rate
-		m := NewMeter(p, pl)
-		m.Charge("nbint", nbMix.Times(1e6)) // 34e6 canonical = counted on fast
-		mon = m.Mon
-		now = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	wantSec := 34e6 / 67e6
-	if math.Abs(now-wantSec) > 1e-9 {
-		t.Errorf("virtual time = %v, want %v", now, wantSec)
-	}
-	c := mon.Counter("nbint")
-	if c.Counted != 34e6 || c.Canonical != 34e6 {
-		t.Errorf("counter = %+v", c)
-	}
-	if relErr(c.MFlops(), 67) > 1e-9 {
-		t.Errorf("rate = %v, want 67", c.MFlops())
 	}
 }
 

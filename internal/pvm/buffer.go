@@ -4,15 +4,18 @@
 // middleware (and thus parallel Opal) runs on, mirroring the role PVM
 // played in the paper.
 //
-// Two fabrics implement the same Task interface:
+// Two fabrics implement the same Task interface, one virtual-time and one
+// real:
 //
 //   - the simulated fabric (NewSimVM) runs tasks as processes of the
 //     internal/vm discrete-event kernel on a chosen platform model, so a
 //     run yields the *virtual* execution time Opal would have had on a
 //     Cray J90, a T3E-900 or a Cluster of PCs;
-//   - the local fabric (NewLocalVM) runs tasks as real goroutines with
-//     channel-backed mailboxes, for functional testing under the race
-//     detector and for demonstrations on the host machine.
+//   - the network fabric (NewDaemon, ConnectTCP) runs tasks as real
+//     goroutines of sessions joined over TCP through a routing daemon.
+//     Tasks of one session deliver to each other without touching the
+//     wire, so a single loopback session is also how the engine runs for
+//     real on the host and under the race detector.
 package pvm
 
 import (

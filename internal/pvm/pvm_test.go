@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"opalperf/internal/hpm"
 	"opalperf/internal/platform"
@@ -142,26 +143,59 @@ func TestBufferRoundTripProperty(t *testing.T) {
 	}
 }
 
-// runBoth executes a PVM program on the simulated fabric (J90) and on the
-// local fabric, failing the test if either errors.
-func runBoth(t *testing.T, name string, root func(Task)) {
-	t.Helper()
-	t.Run(name+"/sim", func(t *testing.T) {
+// fabrics is the conformance table: every way a Task's messages can travel.
+// A program written against the Task interface must behave the same on
+// the simulated fabric, on a network session whose tasks are all local
+// (delivery never touches the wire) and across two sessions, where every
+// message, barrier and spawn goes through the daemon.
+var fabrics = []struct {
+	name string
+	run  func(t *testing.T, root func(Task))
+}{
+	{"sim", func(t *testing.T, root func(Task)) {
 		s := NewSimVM(platform.J90(), nil)
 		s.SpawnRoot("root", root)
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Run(name+"/local", func(t *testing.T) {
-		l := NewLocalVM()
-		l.SpawnRoot("root", root)
-		l.Wait()
-	})
+	}},
+	{"local", func(t *testing.T, root func(Task)) {
+		_, a, _ := tcpPair(t)
+		a.SpawnRoot("root", root)
+		a.Wait()
+	}},
+	{"daemon", func(t *testing.T, root func(Task)) {
+		_, a, b := tcpPair(t)
+		a.SpawnRoot("root", func(task Task) { root(remoteSpawner{task, b}) })
+		a.Wait()
+		b.Wait()
+	}},
+}
+
+// remoteSpawner makes a program's spawns land on another session: it
+// registers the spawn function there under the spawn's name first, the
+// way a pvm_spawn executable is installed on a remote host.
+type remoteSpawner struct {
+	Task
+	host *TCPVM
+}
+
+func (r remoteSpawner) Spawn(name string, n int, fn func(Task)) []int {
+	r.host.RegisterSpawn(name, fn)
+	return r.Task.Spawn(name, n, fn)
+}
+
+// runFabrics executes a PVM program on every fabric of the table.  A
+// program reports failure by panicking.
+func runFabrics(t *testing.T, name string, root func(Task)) {
+	t.Helper()
+	for _, f := range fabrics {
+		t.Run(name+"/"+f.name, func(t *testing.T) { f.run(t, root) })
+	}
 }
 
 func TestSendRecvBothFabrics(t *testing.T) {
-	runBoth(t, "echo", func(root Task) {
+	runFabrics(t, "echo", func(root Task) {
 		tids := root.Spawn("echo", 1, func(srv Task) {
 			b, src, tag := srv.Recv(AnySrc, 7)
 			x := b.MustFloat64()
@@ -179,7 +213,7 @@ func TestSendRecvBothFabrics(t *testing.T) {
 }
 
 func TestSpawnInstanceAndParent(t *testing.T) {
-	runBoth(t, "spawn", func(root Task) {
+	runFabrics(t, "spawn", func(root Task) {
 		const n = 4
 		var mu sync.Mutex
 		seen := map[int]bool{}
@@ -209,7 +243,7 @@ func TestSpawnInstanceAndParent(t *testing.T) {
 }
 
 func TestMcastBothFabrics(t *testing.T) {
-	runBoth(t, "mcast", func(root Task) {
+	runFabrics(t, "mcast", func(root Task) {
 		const n = 3
 		tids := root.Spawn("w", n, func(w Task) {
 			b, _, _ := w.Recv(AnySrc, 2)
@@ -229,7 +263,7 @@ func TestMcastBothFabrics(t *testing.T) {
 }
 
 func TestBarrierBothFabrics(t *testing.T) {
-	runBoth(t, "barrier", func(root Task) {
+	runFabrics(t, "barrier", func(root Task) {
 		const n = 3
 		root.Spawn("w", n, func(w Task) {
 			for it := 0; it < 4; it++ {
@@ -247,7 +281,7 @@ func TestBarrierBothFabrics(t *testing.T) {
 }
 
 func TestProbeBothFabrics(t *testing.T) {
-	runBoth(t, "probe", func(root Task) {
+	runFabrics(t, "probe", func(root Task) {
 		tids := root.Spawn("w", 1, func(w Task) {
 			w.Send(w.Parent(), 5, NewBuffer().PackInt(1))
 		})
@@ -336,10 +370,64 @@ func TestSimTraceIntegration(t *testing.T) {
 	}
 }
 
-func TestLocalVMRealParallelism(t *testing.T) {
-	l := NewLocalVM()
+func TestRecvWildcardsAllFabrics(t *testing.T) {
+	runFabrics(t, "wildcards", func(root Task) {
+		tids := root.Spawn("w", 2, func(w Task) {
+			// Each worker sends tag 10 then tag 20+instance, after the go
+			// message, so the root's mailbox order is not its match order.
+			w.Recv(w.Parent(), 1)
+			w.Send(w.Parent(), 10, NewBuffer().PackInt(w.Instance()))
+			w.Send(w.Parent(), 20+w.Instance(), NewBuffer().PackInt(w.Instance()))
+		})
+		root.Mcast(tids, 1, NewBuffer())
+		// (src, AnyTag): per-source order is send order.
+		if b, src, tag := root.Recv(tids[1], AnyTag); src != tids[1] || tag != 10 || b.MustInt() != 1 {
+			panic(fmt.Sprintf("(src, AnyTag) matched src %d tag %d", src, tag))
+		}
+		// (AnySrc, tag): skips everything queued under other tags.
+		if _, src, tag := root.Recv(AnySrc, 20); src != tids[0] || tag != 20 {
+			panic(fmt.Sprintf("(AnySrc, 20) matched src %d tag %d", src, tag))
+		}
+		// (AnySrc, AnyTag) drains the rest: tag 10 from worker 0 and tag
+		// 21 from worker 1, in either order.
+		got := map[[2]int]bool{}
+		for i := 0; i < 2; i++ {
+			_, src, tag := root.Recv(AnySrc, AnyTag)
+			got[[2]int{src, tag}] = true
+		}
+		if !got[[2]int{tids[0], 10}] || !got[[2]int{tids[1], 21}] {
+			panic(fmt.Sprintf("wildcard drain = %v", got))
+		}
+	})
+}
+
+func TestRecvTimeoutNonPositiveWaitsAllFabrics(t *testing.T) {
+	// d <= 0 means "no deadline" on every fabric: the call blocks until
+	// the message exists and returns it without an error.
+	runFabrics(t, "nodeadline", func(root Task) {
+		waits := []time.Duration{0, -time.Second}
+		tids := root.Spawn("w", 1, func(w Task) {
+			for range waits {
+				w.Recv(w.Parent(), 1)
+				w.Send(w.Parent(), 2, NewBuffer().PackInt(7))
+			}
+		})
+		for _, d := range waits {
+			root.Send(tids[0], 1, NewBuffer())
+			b, src, tag, err := root.RecvTimeout(tids[0], 2, d)
+			if err != nil || src != tids[0] || tag != 2 || b.MustInt() != 7 {
+				panic(fmt.Sprintf("RecvTimeout(%v) = src %d tag %d err %v", d, src, tag, err))
+			}
+		}
+	})
+}
+
+// Real goroutines on a loopback session: the workers genuinely run in
+// parallel, which is what the race detector is pointed at.
+func TestTCPLoopbackRealParallelism(t *testing.T) {
+	_, a, _ := tcpPair(t)
 	results := make([]float64, 4)
-	l.SpawnRoot("root", func(root Task) {
+	a.SpawnRoot("root", func(root Task) {
 		tids := root.Spawn("sq", 4, func(w Task) {
 			b, _, _ := w.Recv(AnySrc, 1)
 			x := b.MustFloat64()
@@ -356,24 +444,12 @@ func TestLocalVMRealParallelism(t *testing.T) {
 			results[idx] = v
 		}
 	})
-	l.Wait()
+	a.Wait()
 	want := []float64{1, 4, 9, 16}
 	for i := range want {
 		if results[i] != want[i] {
 			t.Errorf("results[%d] = %v, want %v", i, results[i], want[i])
 		}
-	}
-}
-
-func TestLocalSendToUnknownPanics(t *testing.T) {
-	l := NewLocalVM()
-	done := make(chan bool, 1)
-	l.SpawnRoot("r", func(root Task) {
-		defer func() { done <- recover() != nil }()
-		root.Send(99, 0, NewBuffer())
-	})
-	if !<-done {
-		t.Fatal("expected panic")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // Task is one PVM task.  Both fabrics implement it; application code (the
 // Opal client and servers, the Sciddle runtime) is written against this
 // interface only and therefore runs unchanged on a simulated Cray J90 and
-// on real host goroutines.
+// on the real goroutines of a network session.
 type Task interface {
 	// TID returns the task id.
 	TID() int
@@ -28,10 +28,10 @@ type Task interface {
 	Recv(src, tag int) (*Buffer, int, int)
 	// RecvTimeout is Recv with a deadline.  On the network fabric the
 	// timeout is real (ErrRecvTimeout) and a partitioned session returns
-	// its error immediately; on the simulated and local fabrics messages
-	// cannot be lost, so the call waits like Recv and never fails — which
-	// keeps code written against it (the Sciddle call-timeout path)
-	// deterministic when simulated.  d <= 0 waits indefinitely.
+	// its error immediately; on the simulated fabric messages cannot be
+	// lost, so the call waits like Recv and never fails — which keeps code
+	// written against it (the Sciddle call-timeout path) deterministic
+	// when simulated.  d <= 0 waits indefinitely.
 	RecvTimeout(src, tag int, d time.Duration) (*Buffer, int, int, error)
 	// Probe reports whether a matching message is queued, without
 	// blocking or consuming it.
@@ -49,14 +49,14 @@ type Task interface {
 
 	// Charge accounts floating-point work under the named HPM counter.
 	// On the simulated fabric it advances virtual time per the platform
-	// model; on the local fabric it attributes the real time since the
-	// previous boundary event.
+	// model; on the network fabric it attributes the real time since the
+	// task's previous charge or receive.
 	Charge(counter string, ops hpm.Ops)
 	// SetWorkingSet declares the current working-set size in bytes for
 	// the memory-hierarchy model.
 	SetWorkingSet(bytes int)
 	// Now returns the task's current time in seconds (virtual on the
-	// simulated fabric, real since session start on the local fabric).
+	// simulated fabric, real since session start on the network fabric).
 	Now() float64
 	// Monitor returns the task's hardware performance monitor.
 	Monitor() *hpm.Monitor

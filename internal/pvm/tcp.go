@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
+	"opalperf/internal/hpm"
 	"opalperf/internal/telemetry"
 )
 
@@ -49,26 +51,17 @@ type Daemon struct {
 }
 
 // daemonConn is one session's server-side state.  The session outlives
-// any single TCP connection: when the conn breaks the session detaches
-// (conn == nil) and sequenced outbound frames accumulate in unacked
-// until the client resumes with frameResume.
+// any single TCP connection: when the conn breaks the link detaches and
+// sequenced outbound frames accumulate until the client resumes with
+// frameResume.  A broken write is not acted on: the daemon waits for the
+// client to come back.
 type daemonConn struct {
-	id  int
-	wmu sync.Mutex
-	// conn is the live connection, nil while detached.
-	conn net.Conn
-	// done is closed when the serve loop of the current conn exits; a
-	// resume waits on it so no two readers process one session at once.
+	id int
+	link
+	// done (guarded by wmu) is closed when the serve loop of the current
+	// conn exits; a resume waits on it so no two readers process one
+	// session at once.
 	done chan struct{}
-	// sendSeq counts sequenced frames sent (or queued) to the session;
-	// recvSeq counts sequenced frames received and processed from it.
-	sendSeq, recvSeq uint64
-	// unacked retains sent sequenced frames until the client acks them
-	// (via frameAck or the seq piggybacked on pings); on resume, frames
-	// beyond the client's acked point are replayed.
-	unacked []frameRec
-	// sinceAck counts received sequenced frames since the last ack sent.
-	sinceAck int
 }
 
 type daemonBarrier struct {
@@ -115,11 +108,7 @@ func (d *Daemon) Close() {
 	d.mu.Unlock()
 	d.ln.Close()
 	for _, c := range conns {
-		c.wmu.Lock()
-		if c.conn != nil {
-			c.conn.Close()
-		}
-		c.wmu.Unlock()
+		c.hangUp()
 	}
 }
 
@@ -131,37 +120,6 @@ func (d *Daemon) acceptLoop() {
 		}
 		go d.serve(conn)
 	}
-}
-
-func (d *Daemon) send(c *daemonConn, typ byte, body []byte) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if sequenced(typ) {
-		c.sendSeq++
-		c.unacked = append(c.unacked, frameRec{seq: c.sendSeq, typ: typ, body: body})
-	}
-	if c.conn == nil {
-		// Detached: sequenced frames wait in unacked for the resume;
-		// control frames are droppable by design.
-		return
-	}
-	if err := writeFrame(c.conn, typ, body); err != nil {
-		// Broken mid-write: detach.  The retained copy in unacked will be
-		// replayed when the session resumes on a fresh connection.
-		c.conn.Close()
-		c.conn = nil
-	}
-}
-
-// trimAcked drops retained frames up to and including seq acked.
-func (c *daemonConn) trimAcked(acked uint64) {
-	c.wmu.Lock()
-	i := 0
-	for i < len(c.unacked) && c.unacked[i].seq <= acked {
-		i++
-	}
-	c.unacked = c.unacked[i:]
-	c.wmu.Unlock()
 }
 
 func (d *Daemon) sessionFor(tid int) *daemonConn {
@@ -192,10 +150,10 @@ func (d *Daemon) serve(conn net.Conn) {
 			return
 		}
 		d.nextID++
-		c = &daemonConn{id: d.nextID, conn: conn, done: done}
+		c = &daemonConn{id: d.nextID, link: link{conn: conn}, done: done}
 		d.sessions[c.id] = c
 		d.mu.Unlock()
-		d.send(c, frameWelcome, appendU32(nil, uint32(c.id)))
+		c.send(frameWelcome, appendU32(nil, uint32(c.id)))
 	case frameResume:
 		c = d.resume(conn, body, done)
 		if c == nil {
@@ -244,29 +202,19 @@ func (d *Daemon) resume(conn net.Conn, body []byte, done chan struct{}) *daemonC
 	if err := writeFrame(conn, frameResumeOK, appendU64(nil, c.recvSeq)); err != nil {
 		return nil
 	}
-	for _, f := range c.unacked {
-		if f.seq <= clientRecv {
-			continue
-		}
-		if err := writeFrame(conn, f.typ, f.body); err != nil {
-			return nil
-		}
+	if err := c.replay(conn, clientRecv); err != nil {
+		return nil
 	}
-	c.conn = conn
 	c.done = done
 	return c
 }
 
 func (d *Daemon) serveLoop(c *daemonConn, conn net.Conn, done chan struct{}) {
 	defer func() {
-		c.wmu.Lock()
-		if c.conn == conn {
-			// Detach rather than delete: the session's tids, barriers and
-			// queued frames survive until the client resumes (or the
-			// daemon shuts down).  Only frameBye removes a session.
-			c.conn = nil
-		}
-		c.wmu.Unlock()
+		// Detach rather than delete: the session's tids, barriers and
+		// queued frames survive until the client resumes (or the daemon
+		// shuts down).  Only frameBye removes a session.
+		c.detach(conn)
 		conn.Close()
 		close(done)
 	}()
@@ -278,19 +226,8 @@ func (d *Daemon) serveLoop(c *daemonConn, conn net.Conn, done chan struct{}) {
 		if err != nil {
 			return
 		}
-		if sequenced(typ) {
-			c.wmu.Lock()
-			c.recvSeq++
-			c.sinceAck++
-			ack := c.sinceAck >= ackEvery
-			if ack {
-				c.sinceAck = 0
-			}
-			seq := c.recvSeq
-			c.wmu.Unlock()
-			if ack {
-				d.send(c, frameAck, appendU64(nil, seq))
-			}
+		if control, _ := c.inbound(typ, body); control {
+			continue
 		}
 		switch typ {
 		case frameMsg:
@@ -300,7 +237,7 @@ func (d *Daemon) serveLoop(c *daemonConn, conn net.Conn, done chan struct{}) {
 				return
 			}
 			if target := d.sessionFor(int(dst)); target != nil {
-				d.send(target, frameMsg, body)
+				target.send(frameMsg, body)
 			}
 		case frameBarrier:
 			d.handleBarrier(body)
@@ -310,18 +247,11 @@ func (d *Daemon) serveLoop(c *daemonConn, conn net.Conn, done chan struct{}) {
 				return
 			}
 			d.mu.Lock()
-			dup := false
-			for _, id := range d.hosts[name] {
-				if id == c.id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.Contains(d.hosts[name], c.id) {
 				d.hosts[name] = append(d.hosts[name], c.id)
 			}
 			d.mu.Unlock()
-			d.send(c, frameRegAck, nil)
+			c.send(frameRegAck, nil)
 		case frameSpawnReq:
 			d.handleSpawnReq(c, body)
 		case frameSpawnRep:
@@ -331,23 +261,7 @@ func (d *Daemon) serveLoop(c *daemonConn, conn net.Conn, done chan struct{}) {
 				return
 			}
 			if target := d.sessionFor(int(req)); target != nil {
-				d.send(target, frameSpawnRep, body)
-			}
-		case framePing:
-			if acked, _, err := readU64(body); err == nil {
-				c.trimAcked(acked)
-			}
-			c.wmu.Lock()
-			seq := c.recvSeq
-			c.wmu.Unlock()
-			d.send(c, framePong, appendU64(nil, seq))
-		case framePong:
-			if acked, _, err := readU64(body); err == nil {
-				c.trimAcked(acked)
-			}
-		case frameAck:
-			if acked, _, err := readU64(body); err == nil {
-				c.trimAcked(acked)
+				target.send(frameSpawnRep, body)
 			}
 		case frameBye:
 			d.mu.Lock()
@@ -393,7 +307,7 @@ func (d *Daemon) handleBarrier(body []byte) {
 			if c != nil {
 				body := appendStr(nil, name)
 				body = appendU32(body, uint32(count))
-				d.send(c, frameRelease, body)
+				c.send(frameRelease, body)
 			}
 		}
 	}
@@ -425,13 +339,13 @@ func (d *Daemon) handleSpawnReq(from *daemonConn, body []byte) {
 		// Nobody registered: tell the requester to spawn locally.
 		rep := appendU32(nil, reqTid)
 		rep = appendU32(rep, 0)
-		d.send(from, frameSpawnRep, rep)
+		from.send(frameSpawnRep, rep)
 		return
 	}
 	fwd := appendU32(nil, reqTid)
 	fwd = appendU32(fwd, n)
 	fwd = appendStr(fwd, name)
-	d.send(host, frameSpawnFwd, fwd)
+	host.send(frameSpawnFwd, fwd)
 }
 
 // TCPOptions tunes a session's failure handling.  The zero value matches
@@ -483,14 +397,10 @@ type TCPVM struct {
 	opts TCPOptions
 	id   int
 
-	// wmu guards the connection, the sequence counters and the replay
-	// buffer.  conn is nil while disconnected (writes queue in unacked).
-	wmu              sync.Mutex
-	conn             net.Conn
-	sendSeq, recvSeq uint64
-	unacked          []frameRec
-	sinceAck         int
-	err              error // permanent failure, set once
+	// The link to the daemon; a broken connection starts a bounded
+	// reconnect (see lost).
+	link
+	err error // permanent failure, set once; guarded by wmu
 
 	stopOnce sync.Once
 	stopc    chan struct{} // closed on Close or permanent failure
@@ -507,10 +417,16 @@ type TCPVM struct {
 	closed   bool
 }
 
+// tcpBarrier is a session's view of one named barrier.  Local entries
+// take consecutive tickets and a ticket passes once that many releases
+// have arrived: a task released from one round that re-enters the name at
+// once queues behind the tasks still leaving that round, instead of
+// consuming their release.
 type tcpBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending int // releases received but not yet consumed
+	mu       sync.Mutex
+	cond     *sync.Cond
+	entered  int // tickets handed out
+	released int // releases received from the daemon
 }
 
 // ConnectTCP joins the daemon at addr and returns a session.
@@ -545,7 +461,7 @@ func ConnectTCPOpts(addr string, opts TCPOptions) (*TCPVM, error) {
 	v := &TCPVM{
 		addr:     addr,
 		opts:     opts,
-		conn:     conn,
+		link:     link{conn: conn},
 		id:       int(id),
 		stopc:    make(chan struct{}),
 		tasks:    make(map[int]*tcpTask),
@@ -583,20 +499,13 @@ func (v *TCPVM) fail(err error) {
 	}
 	v.wmu.Unlock()
 	v.stopOnce.Do(func() { close(v.stopc) })
+	// Nothing takes v.mu while holding a task's or a barrier's lock.
 	v.mu.Lock()
-	tasks := make([]*tcpTask, 0, len(v.tasks))
+	defer v.mu.Unlock()
 	for _, t := range v.tasks {
-		tasks = append(tasks, t)
-	}
-	bars := make([]*tcpBarrier, 0, len(v.barriers))
-	for _, b := range v.barriers {
-		bars = append(bars, b)
-	}
-	v.mu.Unlock()
-	for _, t := range tasks {
 		t.wake()
 	}
-	for _, b := range bars {
+	for _, b := range v.barriers {
 		b.mu.Lock()
 		b.cond.Broadcast()
 		b.mu.Unlock()
@@ -613,38 +522,32 @@ func (v *TCPVM) Close() {
 	v.closed = true
 	v.mu.Unlock()
 	v.stopOnce.Do(func() { close(v.stopc) })
-	v.wmu.Lock()
-	if v.conn != nil {
-		writeFrame(v.conn, frameBye, nil)
-		v.conn.Close()
-		v.conn = nil
-	}
-	v.wmu.Unlock()
+	v.send(frameBye, nil)
+	v.hangUp()
 }
 
 // Wait blocks until all local tasks finish.
 func (v *TCPVM) Wait() { v.wg.Wait() }
 
-// connBroken detaches conn (if it is still current) and starts the
-// bounded reconnect.  Safe to call from any goroutine; only the caller
-// that actually detaches launches the reconnector.
+// connBroken detaches conn and, if it was still the live connection,
+// starts the bounded reconnect.  Safe to call from any goroutine: only the
+// caller that actually detaches gets to react.
 func (v *TCPVM) connBroken(conn net.Conn) {
-	v.wmu.Lock()
-	if v.conn != conn || v.err != nil {
-		v.wmu.Unlock()
-		return
+	if v.detach(conn) {
+		v.lost()
 	}
-	v.conn = nil
-	noReconnect := v.opts.MaxReconnects < 0
-	v.wmu.Unlock()
-	conn.Close()
+}
+
+// lost reacts to the link having just lost its connection: reconnect,
+// unless the session is closing or reconnects are disabled.
+func (v *TCPVM) lost() {
 	v.mu.Lock()
 	closed := v.closed
 	v.mu.Unlock()
 	if closed {
 		return
 	}
-	if noReconnect {
+	if v.opts.MaxReconnects < 0 {
 		v.fail(fmt.Errorf("pvm: session %d: connection to daemon lost", v.id))
 		return
 	}
@@ -700,10 +603,7 @@ func reconnectDelay(attempt int, rng *rand.Rand) time.Duration {
 // resumeOn performs the resume handshake and replay on a fresh conn.
 func (v *TCPVM) resumeOn(conn net.Conn) bool {
 	conn.SetDeadline(time.Now().Add(v.opts.HandshakeTimeout))
-	v.wmu.Lock()
-	req := appendU32(nil, uint32(v.id))
-	req = appendU64(req, v.recvSeq)
-	v.wmu.Unlock()
+	req := appendU64(appendU32(nil, uint32(v.id)), v.received())
 	if err := writeFrame(conn, frameResume, req); err != nil {
 		conn.Close()
 		return false
@@ -720,31 +620,14 @@ func (v *TCPVM) resumeOn(conn net.Conn) bool {
 	}
 	conn.SetDeadline(time.Time{})
 	v.wmu.Lock()
-	for _, f := range v.unacked {
-		if f.seq <= daemonRecv {
-			continue
-		}
-		if err := writeFrame(conn, f.typ, f.body); err != nil {
-			v.wmu.Unlock()
-			conn.Close()
-			return false
-		}
-	}
-	v.conn = conn
+	err = v.replay(conn, daemonRecv)
 	v.wmu.Unlock()
+	if err != nil {
+		conn.Close()
+		return false
+	}
 	go v.readLoop(conn)
 	return true
-}
-
-// trimAcked drops retained frames up to and including seq acked.
-func (v *TCPVM) trimAcked(acked uint64) {
-	v.wmu.Lock()
-	i := 0
-	for i < len(v.unacked) && v.unacked[i].seq <= acked {
-		i++
-	}
-	v.unacked = v.unacked[i:]
-	v.wmu.Unlock()
 }
 
 func (v *TCPVM) heartbeatLoop() {
@@ -756,10 +639,7 @@ func (v *TCPVM) heartbeatLoop() {
 			return
 		case <-tick.C:
 			telemetry.PvmHeartbeats.Add(1)
-			v.wmu.Lock()
-			seq := v.recvSeq
-			v.wmu.Unlock()
-			v.write(framePing, appendU64(nil, seq))
+			v.write(framePing, appendU64(nil, v.received()))
 		}
 	}
 }
@@ -779,23 +659,11 @@ func (v *TCPVM) RegisterSpawn(name string, fn func(Task)) {
 	}
 }
 
+// write sends a frame to the daemon.  While disconnected a sequenced frame
+// waits for the resume replay and a control frame is dropped.
 func (v *TCPVM) write(typ byte, body []byte) {
-	v.wmu.Lock()
-	if sequenced(typ) {
-		v.sendSeq++
-		v.unacked = append(v.unacked, frameRec{seq: v.sendSeq, typ: typ, body: body})
-	}
-	conn := v.conn
-	if conn == nil || v.err != nil {
-		// Disconnected: a sequenced frame waits in unacked for the resume
-		// replay; a control frame is droppable.
-		v.wmu.Unlock()
-		return
-	}
-	err := writeFrame(conn, typ, body)
-	v.wmu.Unlock()
-	if err != nil {
-		v.connBroken(conn)
+	if v.send(typ, body) != nil {
+		v.lost()
 	}
 }
 
@@ -807,8 +675,13 @@ func (v *TCPVM) SpawnRoot(name string, fn func(Task)) int {
 // spawn registers a local task and starts its goroutine.
 func (v *TCPVM) spawn(name string, parent, instance int, fn func(Task)) int {
 	v.mu.Lock()
-	t := &tcpTask{vm: v}
-	t.init(v.id*sessionStride+v.nextTask, name, parent, instance, v.start)
+	t := &tcpTask{
+		vm: v, tid: v.id*sessionStride + v.nextTask,
+		name: name, parent: parent, instance: instance,
+		mon:      hpm.NewMonitor(hpm.CanonicalWeights()),
+		lastMark: time.Now(),
+	}
+	t.cond = sync.NewCond(&t.mu)
 	v.nextTask++
 	v.tasks[t.tid] = t
 	v.mu.Unlock()
@@ -830,37 +703,12 @@ func (v *TCPVM) readLoop(conn net.Conn) {
 			v.connBroken(conn)
 			return
 		}
-		switch typ {
-		case framePing:
-			v.wmu.Lock()
-			seq := v.recvSeq
-			v.wmu.Unlock()
-			v.write(framePong, appendU64(nil, seq))
-			continue
-		case framePong:
-			if acked, _, err := readU64(body); err == nil {
-				v.trimAcked(acked)
-			}
-			continue
-		case frameAck:
-			if acked, _, err := readU64(body); err == nil {
-				v.trimAcked(acked)
-			}
-			continue
+		control, broken := v.inbound(typ, body)
+		if broken != nil {
+			v.lost()
 		}
-		if sequenced(typ) {
-			v.wmu.Lock()
-			v.recvSeq++
-			v.sinceAck++
-			ack := v.sinceAck >= ackEvery
-			if ack {
-				v.sinceAck = 0
-			}
-			seq := v.recvSeq
-			v.wmu.Unlock()
-			if ack {
-				v.write(frameAck, appendU64(nil, seq))
-			}
+		if control {
+			continue
 		}
 		switch typ {
 		case frameMsg:
@@ -878,7 +726,7 @@ func (v *TCPVM) readLoop(conn net.Conn) {
 			}
 			b := v.barrier(name)
 			b.mu.Lock()
-			b.pending += int(count)
+			b.released += int(count)
 			b.cond.Broadcast()
 			b.mu.Unlock()
 		case frameRegAck:
@@ -986,11 +834,82 @@ func (v *TCPVM) barrier(name string) *tcpBarrier {
 	return b
 }
 
-// tcpTask is one local task of a network session: a host task whose sends
-// to non-local task ids are framed and routed through the daemon.
+// tcpTask is one local task of a network session: an identity, a hardware
+// performance monitor, wall-clock time and a mutex-protected mailbox that
+// real goroutines — a sending task of the same session, or the session's
+// reader — deliver into.  Sends to non-local task ids are framed and routed
+// through the daemon.
 type tcpTask struct {
-	hostTask
-	vm *TCPVM
+	vm       *TCPVM
+	tid      int
+	name     string
+	parent   int
+	instance int
+	mon      *hpm.Monitor
+
+	mu       sync.Mutex
+	cond     *sync.Cond
+	mailbox  []tcpMsg
+	lastMark time.Time // boundary for Charge time attribution
+}
+
+type tcpMsg struct {
+	src, tag int
+	buf      *Buffer
+}
+
+func (t *tcpTask) TID() int              { return t.tid }
+func (t *tcpTask) Parent() int           { return t.parent }
+func (t *tcpTask) Name() string          { return t.name }
+func (t *tcpTask) Instance() int         { return t.instance }
+func (t *tcpTask) Monitor() *hpm.Monitor { return t.mon }
+func (t *tcpTask) Now() float64          { return time.Since(t.vm.start).Seconds() }
+func (t *tcpTask) SetWorkingSet(int)     {} // real memory hierarchy applies itself
+
+// enqueue delivers a message into the task's mailbox and wakes its
+// receiver.  Called from the sender's (or the session reader's) goroutine.
+func (t *tcpTask) enqueue(src, tag int, b *Buffer) {
+	t.mu.Lock()
+	t.mailbox = append(t.mailbox, tcpMsg{src: src, tag: tag, buf: b})
+	t.cond.Broadcast()
+	t.mu.Unlock()
+}
+
+// wake makes a blocked receive re-evaluate its exit conditions.
+func (t *tcpTask) wake() {
+	t.mu.Lock()
+	t.cond.Broadcast()
+	t.mu.Unlock()
+}
+
+// find returns the mailbox index of the first message matching (src, tag),
+// or -1.  The caller holds t.mu.
+func (t *tcpTask) find(src, tag int) int {
+	for i, m := range t.mailbox {
+		if (src < 0 || m.src == src) && (tag < 0 || m.tag == tag) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (t *tcpTask) Probe(src, tag int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.find(src, tag) >= 0
+}
+
+// Charge attributes the wall time since the last boundary event (the
+// previous charge or receive) to the named counter along with the op
+// counts — the best a real machine without virtual clocks can do, and the
+// same approximation the paper's instrumented middleware makes.
+func (t *tcpTask) Charge(counter string, ops hpm.Ops) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := time.Now()
+	dt := now.Sub(t.lastMark).Seconds()
+	t.lastMark = now
+	t.mon.Charge(counter, ops, dt)
 }
 
 func (t *tcpTask) Send(dst, tag int, b *Buffer) {
@@ -1049,15 +968,23 @@ func (t *tcpTask) RecvTimeout(src, tag int, d time.Duration) (*Buffer, int, int,
 		timer := time.AfterFunc(d, t.wake)
 		defer timer.Stop()
 	}
-	return t.recv(src, tag, func() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for {
+		if i := t.find(src, tag); i >= 0 {
+			m := t.mailbox[i]
+			t.mailbox = append(t.mailbox[:i], t.mailbox[i+1:]...)
+			t.lastMark = time.Now()
+			return m.buf.reader(), m.src, m.tag, nil
+		}
 		if err := t.vm.Err(); err != nil {
-			return err
+			return nil, 0, 0, err
 		}
 		if d > 0 && !time.Now().Before(deadline) {
-			return ErrRecvTimeout
+			return nil, 0, 0, ErrRecvTimeout
 		}
-		return nil
-	})
+		t.cond.Wait()
+	}
 }
 
 func (t *tcpTask) Barrier(name string, parties int) {
@@ -1065,17 +992,20 @@ func (t *tcpTask) Barrier(name string, parties int) {
 	body := appendStr(nil, name)
 	body = appendU32(body, uint32(parties))
 	body = appendU32(body, uint32(t.vm.id))
-	t.vm.write(frameBarrier, body)
 	b := t.vm.barrier(name)
 	b.mu.Lock()
+	ticket := b.entered
+	b.entered++
+	b.mu.Unlock()
+	t.vm.write(frameBarrier, body)
+	b.mu.Lock()
 	defer b.mu.Unlock()
-	for b.pending == 0 {
+	for b.released <= ticket {
 		if err := t.vm.Err(); err != nil {
 			panic(fmt.Sprintf("pvm: barrier %q on dead session: %v", name, err))
 		}
 		b.cond.Wait()
 	}
-	b.pending--
 }
 
 // Spawn asks the daemon for a host registered under name; if none exists

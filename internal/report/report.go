@@ -307,48 +307,3 @@ func centerStr(s string, w int) string {
 	left := (w - len(s)) / 2
 	return strings.Repeat(" ", left) + s + strings.Repeat(" ", w-len(s)-left)
 }
-
-// Markdown renders the table as a GitHub-flavoured markdown table, for
-// pasting measured results into EXPERIMENTS.md-style documents.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "**%s**\n\n", t.Title)
-	}
-	cols := len(t.Headers)
-	for _, r := range t.Rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
-	}
-	if cols == 0 {
-		return sb.String()
-	}
-	row := func(cells []string) {
-		sb.WriteByte('|')
-		for i := 0; i < cols; i++ {
-			c := ""
-			if i < len(cells) {
-				c = strings.ReplaceAll(cells[i], "|", "\\|")
-			}
-			sb.WriteByte(' ')
-			sb.WriteString(c)
-			sb.WriteString(" |")
-		}
-		sb.WriteByte('\n')
-	}
-	headers := t.Headers
-	if len(headers) == 0 {
-		headers = make([]string, cols)
-	}
-	row(headers)
-	sb.WriteByte('|')
-	for i := 0; i < cols; i++ {
-		sb.WriteString("---|")
-	}
-	sb.WriteByte('\n')
-	for _, r := range t.Rows {
-		row(r)
-	}
-	return sb.String()
-}

@@ -145,24 +145,3 @@ func TestCenterStr(t *testing.T) {
 		t.Errorf("truncate = %q", centerStr("abcdef", 3))
 	}
 }
-
-func TestMarkdown(t *testing.T) {
-	tb := &Table{Title: "demo", Headers: []string{"a", "b"}}
-	tb.AddRow("1", "x|y")
-	md := tb.Markdown()
-	for _, want := range []string{"**demo**", "| a | b |", "|---|---|", "x\\|y"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-	empty := &Table{}
-	if empty.Markdown() != "" {
-		t.Error("empty table should render empty markdown")
-	}
-	// Headerless table with rows still renders a grid.
-	hl := &Table{}
-	hl.AddRow("only")
-	if !strings.Contains(hl.Markdown(), "| only |") {
-		t.Errorf("headerless markdown:\n%s", hl.Markdown())
-	}
-}

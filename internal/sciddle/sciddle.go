@@ -119,10 +119,10 @@ type ServeOptions struct {
 	// Quit, when non-nil, is a cooperative kill switch: the loop polls it
 	// between requests and returns once it is closed, without waiting for
 	// the client's stop request.  Chaos tests use it to kill live servers
-	// (a goroutine cannot be killed from outside).  Polling needs a
-	// fabric with real receive deadlines (the network fabric); on the
-	// simulated and local fabrics RecvTimeout never expires, so Quit only
-	// takes effect if the session itself dies.
+	// (a goroutine cannot be killed from outside).  Polling needs real
+	// receive deadlines, which only the network fabric has; on the
+	// simulated fabric RecvTimeout never expires, so a closed Quit is
+	// noticed only when the next request arrives.
 	Quit <-chan struct{}
 	// PollInterval is the receive deadline used while watching Quit
 	// (default 25ms).
@@ -369,9 +369,6 @@ func (c *Conn) ReplaceServer(i, tid int) {
 
 // Server returns the TID of the server at index i.
 func (c *Conn) Server(i int) int { return c.servers[i] }
-
-// Servers returns the server TIDs.
-func (c *Conn) Servers() []int { return append([]int(nil), c.servers...) }
 
 // NumServers returns the number of servers.
 func (c *Conn) NumServers() int { return len(c.servers) }

@@ -305,7 +305,7 @@ func TestReplaceServerPreservesIndex(t *testing.T) {
 			panic("width changed by ReplaceServer")
 		}
 		if c.Server(1) != rep[0] || c.Server(0) != tids[0] {
-			panic(fmt.Sprintf("servers = %v, want [%d %d]", c.Servers(), tids[0], rep[0]))
+			panic(fmt.Sprintf("servers = [%d %d], want [%d %d]", c.Server(0), c.Server(1), tids[0], rep[0]))
 		}
 		if old == c.Server(1) {
 			panic("replacement TID equals the retired one")

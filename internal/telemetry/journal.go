@@ -88,17 +88,6 @@ func (j *Journal) SetDumpWriter(w io.Writer) {
 	j.mu.Unlock()
 }
 
-// SetDumpTrigger replaces the set of event types that trigger a flight
-// dump to the dump writer.
-func (j *Journal) SetDumpTrigger(types ...string) {
-	j.mu.Lock()
-	j.dumpOn = make(map[string]bool, len(types))
-	for _, t := range types {
-		j.dumpOn[t] = true
-	}
-	j.mu.Unlock()
-}
-
 // Flight returns the journal's flight recorder.
 func (j *Journal) Flight() *Flight { return j.flight }
 

@@ -85,7 +85,6 @@ func TestJournalConcurrentDumpTriggers(t *testing.T) {
 	defer StopJournal()
 	var dump strings.Builder
 	j.SetDumpWriter(&dump)
-	j.SetDumpTrigger("degraded")
 
 	const workers, per = 8, 5
 	var wg sync.WaitGroup
@@ -95,14 +94,14 @@ func TestJournalConcurrentDumpTriggers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				j.Emit("noise", F{"w": w, "i": i})
-				j.Emit("degraded", F{"w": w, "i": i})
+				j.Emit("supervisor_degraded", F{"w": w, "i": i})
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	out := dump.String()
-	if got := strings.Count(out, "--- flight recorder dump (trigger: degraded) ---"); got != workers*per {
+	if got := strings.Count(out, "--- flight recorder dump (trigger: supervisor_degraded) ---"); got != workers*per {
 		t.Fatalf("dump headers = %d, want exactly %d (one per trigger)", got, workers*per)
 	}
 	if got := strings.Count(out, "--- end flight recorder dump ---"); got != workers*per {

@@ -68,8 +68,7 @@ func TestJournalGaugesOnMetrics(t *testing.T) {
 	}
 
 	j.SetDumpWriter(io.Discard)
-	j.SetDumpTrigger("boom")
-	j.Emit("boom", nil)
+	j.Emit("supervisor_degraded", nil)
 	DumpFlight(io.Discard)
 	if got := FlightDumps.Value() - dumpsBefore; got != 2 {
 		t.Fatalf("flight-dump gauge advanced by %d, want 2 (one trigger + one crash-path dump)", got)

@@ -214,15 +214,6 @@ type Stats struct {
 	Flops     float64 // flops charged through Compute
 }
 
-// Busy returns the total classified time (everything except untracked gaps).
-func (s *Stats) Busy() float64 {
-	var t float64
-	for _, v := range s.Seg {
-		t += v
-	}
-	return t
-}
-
 // Proc is a simulated process.  All methods must be called from the
 // process's own coroutine while it holds the execution token (i.e. from
 // inside the function passed to NewProc or Spawn); the one exception is
