@@ -170,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/md/ -run xxx -fuzz FuzzReadCheckpoint -fuzztime 15s
 	$(GO) test ./internal/scenario/ -run xxx -fuzz FuzzScenarioParse -fuzztime 15s
 	$(GO) test ./internal/archive/ -run xxx -fuzz FuzzArchiveRead -fuzztime 15s
+	$(GO) test ./internal/ctlplane/ -run xxx -fuzz FuzzSubmit -fuzztime 15s
 
 # Regenerate every paper table and figure at full problem scale (minutes).
 figures:

@@ -22,13 +22,11 @@ import (
 	"strings"
 
 	"opalperf/internal/archive"
-	"opalperf/internal/core"
 	"opalperf/internal/fault"
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
 	"opalperf/internal/molecule"
 	"opalperf/internal/oracle"
-	"opalperf/internal/pairlist"
 	"opalperf/internal/platform"
 	"opalperf/internal/report"
 	"opalperf/internal/sciddle"
@@ -36,18 +34,44 @@ import (
 	"opalperf/internal/trace"
 )
 
+// runConfig binds the flags that describe the run to a harness.Config
+// and returns the function that completes and validates it once fs is
+// parsed.  -supervise turns accounting off: heal-time calls bypass the
+// phase barriers.
+func runConfig(fs *flag.FlagSet) func() (harness.Config, error) {
+	var c harness.Config
+	f, o := &c.Fleet, &c.Options
+	fs.StringVar(&f.Platform, "platform", "j90", "platform: "+strings.Join(platform.Keys(), ", "))
+	fs.StringVar(&f.Size, "size", "medium", "problem size: small, medium, large")
+	fs.Float64Var(&f.Scale, "scale", 1.0, "problem size scale factor (<1 for quick runs)")
+	fs.IntVar(&f.Servers, "servers", 4, "computation servers (0 = serial Opal 2.6)")
+	fs.IntVar(&f.Steps, "steps", 10, "simulation steps")
+	fs.Float64Var(&o.Cutoff, "cutoff", harness.NoCutoff, "cut-off radius in Angstrom (60 = ineffective)")
+	fs.IntVar(&o.UpdateEvery, "update", 1, "steps between pair-list updates (1 = full, 10 = partial)")
+	fs.StringVar(&o.Strategy, "strategy", "lcg", "pair distribution: lcg, round-robin, folded")
+	fs.BoolVar(&o.Accounting, "accounting", true, "barrier-separated timing (Section 3.3)")
+	dynamics := fs.Bool("dynamics", false, "leapfrog dynamics instead of energy minimization")
+	faultRate := fs.Float64("fault-rate", 0, "per-event fault injection probability (0 = off)")
+	faultSeed := fs.Uint64("fault-seed", 1, "fault schedule seed; one seed is one schedule")
+	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "also write -checkpoint atomically every N steps, at pair-list update boundaries (0 = end of run only)")
+	fs.BoolVar(&o.SelfHeal, "supervise", false, "self-heal: respawn dead servers at their rank and re-expand to full width (forces -accounting=false)")
+	fs.StringVar(&o.LoD, "lod", "auto", "level of detail: auto (macro-replay every RPC phase that is provably fault-free, same output), off (everything fine-grained, the reference)")
+	return func() (harness.Config, error) {
+		o.Minimize = !*dynamics
+		if o.SelfHeal && o.Accounting {
+			fmt.Println("note: -supervise disables -accounting (heal-time calls bypass the phase barriers)")
+			o.Accounting = false
+		}
+		if *faultRate != 0 {
+			c.Faults = &harness.FaultSpec{Seed: *faultSeed, Rate: *faultRate}
+		}
+		return c, c.Validate()
+	}
+}
+
 func main() {
+	runCfg := runConfig(flag.CommandLine)
 	var (
-		plKey      = flag.String("platform", "j90", "platform: "+strings.Join(platform.Keys(), ", "))
-		size       = flag.String("size", "medium", "problem size: small, medium, large")
-		scale      = flag.Float64("scale", 1.0, "problem size scale factor (<1 for quick runs)")
-		servers    = flag.Int("servers", 4, "computation servers (0 = serial Opal 2.6)")
-		steps      = flag.Int("steps", 10, "simulation steps")
-		cutoff     = flag.Float64("cutoff", harness.NoCutoff, "cut-off radius in Angstrom (60 = ineffective)")
-		update     = flag.Int("update", 1, "steps between pair-list updates (1 = full, 10 = partial)")
-		strategy   = flag.String("strategy", "lcg", "pair distribution: lcg, round-robin, folded")
-		accounting = flag.Bool("accounting", true, "barrier-separated timing (Section 3.3)")
-		dynamics   = flag.Bool("dynamics", false, "leapfrog dynamics instead of energy minimization")
 		verbose    = flag.Bool("v", false, "print every simulation step")
 		timeline   = flag.Bool("timeline", false, "draw the per-process activity timeline")
 		metrics    = flag.Bool("metrics", false, "print the middleware-level metrics (Section 3.3)")
@@ -56,10 +80,6 @@ func main() {
 		resumeFile = flag.String("resume", "", "resume from a checkpoint file")
 		ckptFile   = flag.String("checkpoint", "", "write a checkpoint file after the run")
 		xyzFile    = flag.String("xyz", "", "write an XYZ trajectory of the run")
-		faultRate  = flag.Float64("fault-rate", 0, "per-event fault injection probability (0 = off)")
-		faultSeed  = flag.Uint64("fault-seed", 1, "fault schedule seed; one seed is one schedule")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "also write -checkpoint atomically every N steps, at pair-list update boundaries (0 = end of run only)")
-		heal       = flag.Bool("supervise", false, "self-heal: respawn dead servers at their rank and re-expand to full width (forces -accounting=false)")
 		killSrv    = flag.String("kill-server", "", "administrative kill schedule 'step:rank[,step:rank...]' (requires -supervise)")
 		journal    = flag.String("journal", "", "append a JSONL run journal of lifecycle events to this file")
 		traceJSON  = flag.String("trace-json", "", "write the run's timelines as Chrome trace-event JSON (load in chrome://tracing or ui.perfetto.dev)")
@@ -69,7 +89,6 @@ func main() {
 		oracleOn   = flag.Bool("oracle", false, "arm the model-in-the-loop oracle: check each step window against the platform's analytic model, emit oracle_anomaly events and degrade /healthz on residual blowup")
 		oracleWin  = flag.Int("oracle-window", 5, "oracle evaluation window in steps (a multiple of -update keeps windows uniform)")
 		modelz     = flag.Bool("modelz", false, "print the oracle's end-of-run predicted-vs-measured report (requires -oracle); the live /modelz endpoint is served under -http")
-		lodFlag    = flag.String("lod", "auto", "level of detail: auto (macro-replay every RPC phase that is provably fault-free, same output), off (everything fine-grained, the reference)")
 		archDir    = flag.String("archive", "", "append this run's journal events and summary to the persistent run archive at this directory (query with opalquery)")
 		watchdog   = flag.Bool("watchdog", false, "judge this run against the archived rolling baseline for its spec; exit 3 on a flagged regression (requires -archive)")
 		watchTol   = flag.Float64("watchdog-tol", 1.25, "watchdog wall-time tolerance factor over the baseline median")
@@ -139,79 +158,31 @@ func main() {
 		fmt.Printf("telemetry: serving /metrics, /healthz, /debug/pprof on http://%s\n", bound)
 	}
 
-	pl, err := platform.ByName(*plKey)
+	cfg, err := runCfg()
 	if err != nil {
 		fatal(err)
 	}
-	strat, err := pairlist.ParseStrategy(*strategy)
-	if err != nil {
-		fatal(err)
-	}
-	lod, err := md.ParseLoDMode(*lodFlag)
-	if err != nil {
-		fatal(err)
-	}
-	opts := md.Options{
-		Cutoff:      *cutoff,
-		UpdateEvery: *update,
-		Strategy:    strat,
-		Accounting:  *accounting,
-		Minimize:    !*dynamics,
-		LoD:         lod,
-	}
-	if *heal {
-		if *servers <= 0 {
-			fatal(fmt.Errorf("-supervise needs parallel servers (-servers > 0)"))
-		}
-		opts.SelfHeal = true
-		if opts.Accounting {
-			fmt.Println("note: -supervise disables -accounting (heal-time calls bypass the phase barriers)")
-			opts.Accounting = false
-		}
-	}
+	var kills fault.KillSchedule
 	if *killSrv != "" {
-		if !*heal {
+		if !cfg.Options.SelfHeal {
 			fatal(fmt.Errorf("-kill-server requires -supervise"))
 		}
-		ks, err := parseKills(*killSrv)
-		if err != nil {
+		if kills, err = parseKills(*killSrv, cfg.Fleet.Servers); err != nil {
 			fatal(err)
 		}
-		if err := validateKillRanks(ks, *servers); err != nil {
-			fatal(err)
-		}
-		opts.Kills = ks.Func()
 	}
-	if *ckptEvery < 0 {
-		fatal(fmt.Errorf("-checkpoint-every must be non-negative, have %d", *ckptEvery))
-	}
-	if *ckptEvery > 0 {
-		if *ckptFile == "" {
-			fatal(fmt.Errorf("-checkpoint-every needs -checkpoint <file>"))
-		}
-		opts.CheckpointEvery = *ckptEvery
-		opts.CheckpointSink = func(cp *md.Checkpoint) error {
-			if err := cp.WriteFile(*ckptFile); err != nil {
-				return err
-			}
-			fmt.Printf("checkpoint at step %d written to %s\n", cp.Step, *ckptFile)
-			return nil
-		}
+	if cfg.Options.CheckpointEvery > 0 && *ckptFile == "" {
+		fatal(fmt.Errorf("-checkpoint-every needs -checkpoint <file>"))
 	}
 
 	var sys *molecule.System
+	var resume *md.Checkpoint
 	switch {
 	case *resumeFile != "":
-		cp, err := md.ReadCheckpointFile(*resumeFile)
-		if err != nil {
+		if resume, err = md.ReadCheckpointFile(*resumeFile); err != nil {
 			fatal(err)
 		}
-		sys = cp.Sys
-		opts, err = cp.Resume(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("resuming from %s at step %d\n", *resumeFile, cp.Step)
+		sys = resume.Sys
 	case *molFile != "":
 		f, err := os.Open(*molFile)
 		if err != nil {
@@ -223,9 +194,29 @@ func main() {
 			fatal(err)
 		}
 	default:
-		sys = harness.Sizes(*scale)[*size]
-		if sys == nil {
-			fatal(fmt.Errorf("unknown size %q (want small, medium or large)", *size))
+		sys = harness.Sizes(cfg.Fleet.Scale)[cfg.Fleet.Size]
+	}
+	spec, err := cfg.RunSpec(sys)
+	if err != nil {
+		fatal(err)
+	}
+	opts := &spec.Opts
+	if resume != nil {
+		if *opts, err = resume.Resume(*opts); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("resuming from %s at step %d\n", *resumeFile, resume.Step)
+	}
+	if kills != nil {
+		opts.Kills = kills.Func()
+	}
+	if opts.CheckpointEvery > 0 {
+		opts.CheckpointSink = func(cp *md.Checkpoint) error {
+			if err := cp.WriteFile(*ckptFile); err != nil {
+				return err
+			}
+			fmt.Printf("checkpoint at step %d written to %s\n", cp.Step, *ckptFile)
+			return nil
 		}
 	}
 
@@ -251,35 +242,18 @@ func main() {
 		opts.Trajectory = md.NewTrajectoryWriter(xyzOut, sys, 1)
 	}
 
-	spec := harness.RunSpec{
-		Platform: pl,
-		Sys:      sys,
-		Opts:     opts,
-		Servers:  *servers,
-		Steps:    *steps,
-	}
 	if arch != nil {
 		spec.Archive = &archive.Sink{Archive: arch}
 	}
-	if *faultRate > 0 {
-		cfg := fault.Uniform(*faultSeed, *faultRate)
-		spec.Faults = &cfg
-	}
+	pl := spec.Platform
 	var orc *oracle.Oracle
 	if *oracleOn {
-		if *servers <= 0 {
+		if spec.Servers <= 0 {
 			fatal(fmt.Errorf("-oracle needs parallel servers (-servers > 0): the model predicts the client/server decomposition"))
 		}
-		orc = oracle.New(oracle.Config{
-			Machine:          core.MachineFor(pl, sys.Gamma()),
-			Sys:              sys,
-			Cutoff:           *cutoff,
-			UpdateEvery:      *update,
-			Servers:          *servers,
-			Window:           *oracleWin,
-			RecalibrateEvery: 4,
-			DegradeHealth:    true,
-		})
+		oc := harness.OracleConfig(spec, *oracleWin)
+		oc.RecalibrateEvery, oc.DegradeHealth = 4, true
+		orc = oracle.New(oc)
 		spec.Oracle = orc
 		telemetry.Handle("/modelz", orc.Handler())
 		telemetry.RegisterStreamExtra("oracle", orc.StreamExtra)
@@ -287,9 +261,9 @@ func main() {
 		fatal(fmt.Errorf("-modelz requires -oracle"))
 	}
 	fmt.Printf("Opal on %s — %s (%d mass centers, gamma %.3f), %d servers, %d steps\n",
-		pl.Name, sys.Name, sys.N, sys.Gamma(), *servers, *steps)
+		pl.Name, sys.Name, sys.N, sys.Gamma(), spec.Servers, spec.Steps)
 	fmt.Printf("cut-off %.0f A (%seffective), update every %d step(s), %s distribution\n\n",
-		*cutoff, effPrefix(sys, *cutoff), *update, strat)
+		opts.Cutoff, effPrefix(sys, opts.Cutoff), opts.UpdateEvery, opts.Strategy)
 
 	out, err := harness.Run(spec)
 	if err != nil {
@@ -313,7 +287,7 @@ func main() {
 	fmt.Printf("active pairs %d, volume %.0f A^3\n\n", last.ActivePairs, last.Volume)
 
 	b := out.Breakdown
-	fmt.Printf("virtual execution time on %s: %.3f s for %d steps\n", pl.Name, out.Wall, *steps)
+	fmt.Printf("virtual execution time on %s: %.3f s for %d steps\n", pl.Name, out.Wall, spec.Steps)
 	fmt.Printf("  parallel computation  %8.3f s  (busiest server %.3f, imbalance %.1f%%)\n",
 		b.ParComp, b.MaxParComp, 100*b.Imbalance())
 	fmt.Printf("  sequential computation%8.3f s\n", b.SeqComp)
@@ -324,9 +298,9 @@ func main() {
 		fs := out.FaultStats
 		fmt.Printf("  fault recovery        %8.3f s\n", b.Recovery)
 		fmt.Printf("injected faults (seed %d, rate %g): %d total — %d drops, %d dups, %d delays, %d crashes, %d stragglers\n",
-			*faultSeed, *faultRate, fs.Total(), fs.Drops, fs.Dups, fs.Delays, fs.Crashes, fs.Stragglers)
+			cfg.Faults.Seed, cfg.Faults.Rate, fs.Total(), fs.Drops, fs.Dups, fs.Delays, fs.Crashes, fs.Stragglers)
 	}
-	if *heal {
+	if opts.SelfHeal {
 		fmt.Printf("self-healing: %d respawn(s) (%.3f s), %d degraded recover(ies)\n",
 			out.Result.Respawns, out.Result.RespawnSeconds, out.Result.Recoveries)
 	}
@@ -352,7 +326,7 @@ func main() {
 		}
 	}
 
-	if *metrics && *servers > 0 {
+	if *metrics && spec.Servers > 0 {
 		fmt.Println()
 		fmt.Print(sciddle.MetricsOf(out.Recorder, 0, out.Result.ServerTIDs,
 			out.Result.StartSeconds, out.Result.EndSeconds))
@@ -398,25 +372,17 @@ func main() {
 
 	if *watchdog {
 		// This run's summary is already archived (the sink wrote it inside
-		// harness.Run); judge it against the rest of its spec's history.
-		runID := telemetry.Run()
-		hist := arch.Summaries(archive.Query{Spec: harness.SpecHashOf(spec)})
-		var mine archive.RunSummary
-		found := false
-		others := make([]archive.RunSummary, 0, len(hist))
-		for _, h := range hist {
-			if !found && h.Run == runID {
-				mine, found = h, true
-				continue
-			}
-			others = append(others, h)
-		}
-		if !found {
+		// harness.Run); judge it against its spec's history, which Watch
+		// takes without this run.
+		q := archive.Query{Spec: harness.SpecHashOf(spec), Run: telemetry.Run()}
+		mine := arch.Summaries(q)
+		if len(mine) == 0 {
 			fatal(fmt.Errorf("-watchdog: this run's summary did not reach the archive"))
 		}
 		tol := archive.DefaultTolerance()
 		tol.WallFactor = *watchTol
-		rep := archive.Watch(others, mine, tol)
+		q.Run = ""
+		rep := archive.Watch(arch.Summaries(q), mine[0], tol)
 		fmt.Println(rep.String())
 		if rep.Flagged {
 			// Exit 3 skips the defers, so flush them by hand first.
@@ -429,8 +395,9 @@ func main() {
 }
 
 // parseKills parses an administrative kill schedule of the form
-// "step:rank[,step:rank...]", e.g. "2:1,6:0".
-func parseKills(s string) (fault.KillSchedule, error) {
+// "step:rank[,step:rank...]", e.g. "2:1,6:0", for a fleet of servers
+// ranks: a rank outside the fleet would silently never fire.
+func parseKills(s string, servers int) (fault.KillSchedule, error) {
 	ks := fault.KillSchedule{}
 	for _, part := range strings.Split(s, ",") {
 		var step, rank int
@@ -440,22 +407,12 @@ func parseKills(s string) (fault.KillSchedule, error) {
 		if step < 0 || rank < 0 {
 			return nil, fmt.Errorf("bad -kill-server entry %q: negative step or rank", part)
 		}
+		if rank >= servers {
+			return nil, fmt.Errorf("-kill-server %d:%d: rank %d is outside the fleet [0, %d)", step, rank, rank, servers)
+		}
 		ks[step] = append(ks[step], rank)
 	}
 	return ks, nil
-}
-
-// validateKillRanks rejects kill entries naming ranks the fleet does not
-// have; a silent out-of-range kill would just never fire.
-func validateKillRanks(ks fault.KillSchedule, servers int) error {
-	for step, ranks := range ks {
-		for _, r := range ranks {
-			if r >= servers {
-				return fmt.Errorf("-kill-server %d:%d: rank %d is outside the fleet [0, %d)", step, r, r, servers)
-			}
-		}
-	}
-	return nil
 }
 
 func effPrefix(sys *molecule.System, cutoff float64) string {

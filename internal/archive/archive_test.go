@@ -325,8 +325,8 @@ func TestSinkPutFillsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	s := &Sink{Archive: a, Spec: "spec-x", Tenant: "t1", Label: "lab"}
-	if err := s.Put(RunSummary{Run: "r1", Wall: 2}); err != nil {
+	s := &Sink{Archive: a, Tenant: "t1", Label: "lab"}
+	if err := s.Put(RunSummary{Run: "r1", Spec: "spec-x", Wall: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sums := a.Summaries(Query{})

@@ -107,31 +107,27 @@ func (a *Archive) MirrorEvent(run, typ string, wall time.Time, line string) {
 }
 
 // Sink labels a destination archive for one producer's summaries: the
-// canonical spec hash and tenant ride on every record, the label names
-// the grouping in human-readable output.  A nil *Sink is a valid no-op
-// destination.
+// tenant rides on every record, the label names the grouping in
+// human-readable output.  The spec hash is the producer's: one run
+// identity whichever front end configured the sink.  A nil *Sink is a
+// valid no-op destination.
 type Sink struct {
 	Archive *Archive
 	Run     string // run ID ("" lets the producer supply one)
-	Spec    string // canonical spec hash ("" lets the producer derive one)
 	Tenant  string
 	Label   string
 }
 
-// Put labels the summary and appends it.  The sink's Run/Spec/Tenant/
-// Label, when set, override the producer's: the layer configuring the
-// sink holds the authoritative identity (the control plane's job ID and
-// canonical hash beat the harness's derived ones), while an unset sink
-// field keeps whatever the producer filled in.  No-op on a nil sink.
+// Put labels the summary and appends it.  The sink's Run/Tenant/Label,
+// when set, override the producer's: the layer configuring the sink holds
+// the authoritative job ID and tenant, while an unset sink field keeps
+// whatever the producer filled in.  No-op on a nil sink.
 func (s *Sink) Put(sum RunSummary) error {
 	if s == nil || s.Archive == nil {
 		return nil
 	}
 	if s.Run != "" {
 		sum.Run = s.Run
-	}
-	if s.Spec != "" {
-		sum.Spec = s.Spec
 	}
 	if s.Tenant != "" {
 		sum.Tenant = s.Tenant
@@ -155,8 +151,7 @@ func HashFloats(xs []float64) string {
 }
 
 // HashStrings digests a string tuple into a 12-byte hex spec hash — the
-// helper producers without a canonical ctlplane spec use to derive a
-// stable grouping key (scenario name + fleet, CLI platform/size/flags).
+// helper harness.SpecHashOf derives the run identity with.
 func HashStrings(parts ...string) string {
 	h := sha256.New()
 	for _, p := range parts {

@@ -41,9 +41,6 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 	if now == nil {
 		now = time.Now
 	}
-	if cooldown <= 0 {
-		cooldown = 30 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, now: now,
 		keys: map[string]*breakerState{}}
 }

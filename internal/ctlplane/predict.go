@@ -2,30 +2,17 @@ package ctlplane
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"opalperf/internal/core"
-	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
 )
 
-// PredictRequest asks the analytic model a what-if question: what does
-// the execution time of this run decompose into on that platform?  No
-// simulation runs — the answer comes from the calibrated platform tables
-// in microseconds, which is the whole calibrate-once/predict-many
-// economics of the read path.
-type PredictRequest struct {
-	Platform    string
-	Size        string
-	Scale       float64
-	Servers     int
-	Steps       int
-	Cutoff      float64
-	UpdateEvery int
-}
-
-// PredictResponse is the modelled breakdown.
+// PredictResponse answers the analytic model's what-if question about a
+// job spec: what does the execution time of this run decompose into on
+// that platform?  No simulation runs — the answer comes from the
+// calibrated platform tables in microseconds, which is the whole
+// calibrate-once/predict-many economics of the read path.
 type PredictResponse struct {
 	Platform    string  `json:"platform"`
 	Machine     string  `json:"machine"`
@@ -48,30 +35,13 @@ type PredictResponse struct {
 // after warm-up is pure closed-form arithmetic (~µs).
 type predictor struct {
 	systems *systemCache
-	lim     Limits
 
 	mu       sync.Mutex
 	machines map[string]core.Machine
 }
 
-func newPredictor(systems *systemCache, lim Limits) *predictor {
-	return &predictor{systems: systems, lim: lim.withDefaults(), machines: map[string]core.Machine{}}
-}
-
-func (p *predictor) system(size string, scale float64) (*molecule.System, error) {
-	switch size {
-	case "small", "medium", "large":
-	default:
-		return nil, fmt.Errorf("ctlplane: unknown size %q", size)
-	}
-	if scale < 0.01 || scale > 1 {
-		return nil, fmt.Errorf("ctlplane: scale %g outside [0.01, 1]", scale)
-	}
-	sys := p.systems.get(size, scale)
-	if sys == nil {
-		return nil, fmt.Errorf("ctlplane: unknown size %q", size)
-	}
-	return sys, nil
+func newPredictor(systems *systemCache) *predictor {
+	return &predictor{systems: systems, machines: map[string]core.Machine{}}
 }
 
 func (p *predictor) machine(pl *platform.Platform, key string, gamma float64) core.Machine {
@@ -85,52 +55,27 @@ func (p *predictor) machine(pl *platform.Platform, key string, gamma float64) co
 	return m
 }
 
-// predict answers one request.
-func (p *predictor) predict(req PredictRequest) (PredictResponse, error) {
-	req.Platform = strings.ToLower(strings.TrimSpace(req.Platform))
-	if req.Platform == "" {
-		req.Platform = "j90"
+// predict answers one canonical spec.  The model decomposes the
+// client/server split, so a serial spec has no prediction.
+func (p *predictor) predict(c JobSpec) (PredictResponse, error) {
+	if c.Servers < 1 {
+		return PredictResponse{}, fmt.Errorf("ctlplane: predict needs parallel servers (>= 1): the model decomposes the client/server split")
 	}
-	pl, err := platform.ByName(req.Platform)
+	pl, err := platform.ByName(c.Platform)
 	if err != nil {
 		return PredictResponse{}, fmt.Errorf("ctlplane: %w", err)
 	}
-	req.Size = strings.ToLower(strings.TrimSpace(req.Size))
-	if req.Size == "" {
-		req.Size = "small"
-	}
-	if req.Scale == 0 {
-		req.Scale = 1
-	}
-	if req.Steps <= 0 || req.Steps > p.lim.MaxSteps {
-		return PredictResponse{}, fmt.Errorf("ctlplane: steps %d outside [1, %d]", req.Steps, p.lim.MaxSteps)
-	}
-	if req.Servers <= 0 {
-		return PredictResponse{}, fmt.Errorf("ctlplane: predict needs parallel servers (>= 1): the model decomposes the client/server split")
-	}
-	if req.Servers > p.lim.MaxServers {
-		return PredictResponse{}, fmt.Errorf("ctlplane: servers %d outside [1, %d]", req.Servers, p.lim.MaxServers)
-	}
-	if req.Cutoff == 0 {
-		req.Cutoff = 60
-	}
-	if req.UpdateEvery <= 0 {
-		req.UpdateEvery = 1
-	}
-	sys, err := p.system(req.Size, req.Scale)
-	if err != nil {
-		return PredictResponse{}, err
-	}
-	key := fmt.Sprintf("%s|%s|%g", req.Platform, req.Size, req.Scale)
+	sys := p.systems.get(c.Size, c.Scale)
+	key := fmt.Sprintf("%s|%s|%g", c.Platform, c.Size, c.Scale)
 	m := p.machine(pl, key, sys.Gamma())
-	app := core.AppFor(sys, req.Cutoff, req.UpdateEvery, req.Servers, req.Steps)
+	app := core.AppFor(sys, c.Cutoff, c.UpdateEvery, c.Servers, c.Steps)
 	b := m.Predict(app)
 	app1 := app
 	app1.P = 1
 	t1 := m.Total(app1)
 	resp := PredictResponse{
-		Platform: req.Platform, Machine: m.Name, Size: req.Size,
-		Servers: req.Servers, Steps: req.Steps, N: sys.N,
+		Platform: c.Platform, Machine: m.Name, Size: c.Size,
+		Servers: c.Servers, Steps: c.Steps, N: sys.N,
 		Par: b.Par, Seq: b.Seq, Comm: b.Comm, Sync: b.Sync,
 		Total: b.Total(),
 	}

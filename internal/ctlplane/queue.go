@@ -17,9 +17,6 @@ type queue struct {
 }
 
 func newQueue(capacity int) *queue {
-	if capacity <= 0 {
-		capacity = 64
-	}
 	q := &queue{cap: capacity}
 	q.nonEmp = sync.NewCond(&q.mu)
 	return q

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"opalperf/internal/archive"
+	"opalperf/internal/harness"
 )
 
 // submitAndWait drives one spec to StateDone and returns its snapshot.
@@ -98,7 +99,11 @@ func TestResultStoreSurvivesRestart(t *testing.T) {
 	}
 	// The run summary the harness sink archived carries the same energies
 	// hash as a re-hash of the served result — warehouse and API agree.
-	sums := a2.Summaries(archive.Query{Spec: func() string { c, _ := spec.Canonicalize(Limits{}); return c.Hash() }()})
+	sums := a2.Summaries(archive.Query{Spec: func() string {
+		c, _ := spec.Canonicalize(Limits{})
+		rs, _ := c.runSpec(newSystemCache())
+		return harness.SpecHashOf(rs)
+	}()})
 	if len(sums) != 1 {
 		t.Fatalf("archived summaries = %d, want 1", len(sums))
 	}

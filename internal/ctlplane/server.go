@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -127,7 +128,6 @@ type Server struct {
 	predictQ *quotas
 	pred     *predictor
 	pool     *pool
-	systems  *systemCache
 }
 
 // New assembles a server; Start launches its workers.
@@ -141,8 +141,7 @@ func New(cfg Config) *Server {
 		brk:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
 		runQ:     newQuotas(cfg.TenantRate, cfg.TenantBurst, cfg.TenantJobs, cfg.now),
 		predictQ: newQuotas(cfg.PredictRate, cfg.PredictBurst, 0, cfg.now),
-		pred:     newPredictor(systems, cfg.Limits),
-		systems:  systems,
+		pred:     newPredictor(systems),
 	}
 	s.store.onRelease = s.runQ.release
 	s.pool = newPool(cfg, s.q, s.store, s.brk, systems)
@@ -385,32 +384,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	req := PredictRequest{
-		Platform: q.Get("platform"),
-		Size:     q.Get("size"),
+	spec := JobSpec{Platform: q.Get("platform"), Size: q.Get("size")}
+	err := errors.Join(
+		param(q, "scale", &spec.Scale, parseFloat), param(q, "servers", &spec.Servers, strconv.Atoi),
+		param(q, "steps", &spec.Steps, strconv.Atoi), param(q, "cutoff", &spec.Cutoff, parseFloat),
+		param(q, "update", &spec.UpdateEvery, strconv.Atoi))
+	var resp PredictResponse
+	if err == nil {
+		if spec, err = spec.Canonicalize(s.cfg.Limits); err == nil {
+			resp, err = s.pred.predict(spec)
+		}
 	}
-	var err error
-	if req.Scale, err = floatParam(q.Get("scale"), 0); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Servers, err = intParam(q.Get("servers"), 0); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Steps, err = intParam(q.Get("steps"), 0); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Cutoff, err = floatParam(q.Get("cutoff"), 0); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.UpdateEvery, err = intParam(q.Get("update"), 0); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := s.pred.predict(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -420,27 +404,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	mPredictSeconds.Observe(time.Since(t0).Seconds())
 }
 
-func intParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
+// param parses an optional query parameter into dst; an absent one
+// leaves dst zero, which Canonicalize reads as unset.
+func param[T any](q url.Values, key string, dst *T, parse func(string) (T, error)) error {
+	if s := q.Get(key); s != "" {
+		v, err := parse(s)
+		if err != nil {
+			return fmt.Errorf("bad %s %q", key, s)
+		}
+		*dst = v
 	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad integer %q", s)
-	}
-	return v, nil
+	return nil
 }
 
-func floatParam(s string, def float64) (float64, error) {
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
-	}
-	return v, nil
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // limitedReader bounds request bodies the way readFrame bounds frames:
 // a misbehaving client cannot make the server buffer without limit.

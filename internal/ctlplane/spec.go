@@ -8,12 +8,9 @@ import (
 	"strings"
 	"sync"
 
-	"opalperf/internal/fault"
 	"opalperf/internal/harness"
-	"opalperf/internal/md"
 	"opalperf/internal/molecule"
-	"opalperf/internal/pairlist"
-	"opalperf/internal/platform"
+	"opalperf/internal/schema"
 )
 
 // JobSpec is the wire form of one run submission.  Everything except
@@ -27,18 +24,20 @@ type JobSpec struct {
 	// execution.
 	Tenant string `json:"tenant,omitempty"`
 
-	Platform    string  `json:"platform,omitempty"`     // default "j90"
-	Size        string  `json:"size,omitempty"`         // small, medium, large (default "small")
-	Scale       float64 `json:"scale,omitempty"`        // problem scale factor (default 1)
-	Servers     int     `json:"servers"`                // 0 = serial Opal 2.6
-	Steps       int     `json:"steps"`                  // required, > 0
-	Cutoff      float64 `json:"cutoff,omitempty"`       // default 60 A (ineffective)
-	UpdateEvery int     `json:"update_every,omitempty"` // default 1
-	Strategy    string  `json:"strategy,omitempty"`     // default "lcg"
-	Seed        int64   `json:"seed,omitempty"`         // pair-distribution seed
-	Dynamics    bool    `json:"dynamics,omitempty"`     // leapfrog instead of minimization
-	SelfHeal    bool    `json:"self_heal,omitempty"`    // supervised self-healing fleet
-	FaultRate   float64 `json:"fault_rate,omitempty"`   // seeded chaos injection
+	// Zero values mean "unset": Canonicalize fills in the run schema's
+	// defaults (harness.Config's tags).
+	Platform    string  `json:"platform,omitempty"`
+	Size        string  `json:"size,omitempty"` // small, medium, large
+	Scale       float64 `json:"scale,omitempty"`
+	Servers     int     `json:"servers"` // 0 = serial Opal 2.6
+	Steps       int     `json:"steps"`   // required, > 0
+	Cutoff      float64 `json:"cutoff,omitempty"`
+	UpdateEvery int     `json:"update_every,omitempty"`
+	Strategy    string  `json:"strategy,omitempty"`
+	Seed        int64   `json:"seed,omitempty"`       // pair-distribution seed
+	Dynamics    bool    `json:"dynamics,omitempty"`   // leapfrog instead of minimization
+	SelfHeal    bool    `json:"self_heal,omitempty"`  // supervised self-healing fleet
+	FaultRate   float64 `json:"fault_rate,omitempty"` // seeded chaos injection
 	FaultSeed   uint64  `json:"fault_seed,omitempty"`
 }
 
@@ -60,63 +59,51 @@ func (l Limits) withDefaults() Limits {
 }
 
 // Canonicalize validates the spec against the limits and returns its
-// canonical form: defaults filled in, names lower-cased, tenant cleared.
-// Two submissions that canonicalize equal are the same run.
+// canonical form: names trimmed and lower-cased, tenant cleared, and every
+// unset field holding its default.  The defaults, ranges and cross-field
+// rules are the run schema's (harness.Config): the spec projects onto a
+// Config, takes the tag defaults, passes Config.Validate and the service
+// limits, and the filled-in fields project back.  Two submissions that
+// canonicalize equal are the same run.
 func (s JobSpec) Canonicalize(lim Limits) (JobSpec, error) {
 	lim = lim.withDefaults()
 	c := s
 	c.Tenant = ""
 	c.Platform = strings.ToLower(strings.TrimSpace(c.Platform))
-	if c.Platform == "" {
-		c.Platform = "j90"
-	}
-	if _, err := platform.ByName(c.Platform); err != nil {
+	c.Size = strings.ToLower(strings.TrimSpace(c.Size))
+	c.Strategy = strings.ToLower(strings.TrimSpace(c.Strategy))
+	cfg := c.config()
+	schema.Fill(&cfg)
+	if err := cfg.Validate(); err != nil {
 		return JobSpec{}, fmt.Errorf("ctlplane: %w", err)
 	}
-	c.Size = strings.ToLower(strings.TrimSpace(c.Size))
-	if c.Size == "" {
-		c.Size = "small"
-	}
-	switch c.Size {
-	case "small", "medium", "large":
-	default:
-		return JobSpec{}, fmt.Errorf("ctlplane: unknown size %q (want small, medium or large)", c.Size)
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Scale < 0.01 || c.Scale > 1 {
-		return JobSpec{}, fmt.Errorf("ctlplane: scale %g outside [0.01, 1]", c.Scale)
-	}
-	if c.Steps <= 0 || c.Steps > lim.MaxSteps {
+	if c.Steps > lim.MaxSteps {
 		return JobSpec{}, fmt.Errorf("ctlplane: steps %d outside [1, %d]", c.Steps, lim.MaxSteps)
 	}
-	if c.Servers < 0 || c.Servers > lim.MaxServers {
+	if c.Servers > lim.MaxServers {
 		return JobSpec{}, fmt.Errorf("ctlplane: servers %d outside [0, %d]", c.Servers, lim.MaxServers)
 	}
-	if c.Cutoff == 0 {
-		c.Cutoff = harness.NoCutoff
-	}
-	if c.Cutoff < 0 {
-		return JobSpec{}, fmt.Errorf("ctlplane: negative cutoff %g", c.Cutoff)
-	}
-	if c.UpdateEvery <= 0 {
-		c.UpdateEvery = 1
-	}
-	c.Strategy = strings.ToLower(strings.TrimSpace(c.Strategy))
-	if c.Strategy == "" {
-		c.Strategy = "lcg"
-	}
-	if _, err := pairlist.ParseStrategy(c.Strategy); err != nil {
-		return JobSpec{}, fmt.Errorf("ctlplane: %w", err)
-	}
-	if c.FaultRate < 0 || c.FaultRate > 1 {
-		return JobSpec{}, fmt.Errorf("ctlplane: fault rate %g outside [0, 1]", c.FaultRate)
-	}
-	if c.SelfHeal && c.Servers <= 0 {
-		return JobSpec{}, fmt.Errorf("ctlplane: self_heal needs parallel servers")
-	}
+	f, o := &cfg.Fleet, &cfg.Options
+	c.Platform, c.Size, c.Scale = f.Platform, f.Size, f.Scale
+	c.Cutoff, c.UpdateEvery, c.Strategy = o.Cutoff, o.UpdateEvery, o.Strategy
 	return c, nil
+}
+
+// config projects the spec onto the run schema.  A job runs accounted
+// unless it self-heals (heal-time calls bypass the phase barriers), and
+// minimizes unless it asks for dynamics.
+func (s JobSpec) config() harness.Config {
+	cfg := harness.Config{
+		Fleet: harness.Fleet{Platform: s.Platform, Size: s.Size, Scale: s.Scale, Servers: s.Servers, Steps: s.Steps},
+		Options: harness.OptionsSpec{
+			Cutoff: s.Cutoff, UpdateEvery: s.UpdateEvery, Strategy: s.Strategy, Seed: s.Seed,
+			Accounting: !s.SelfHeal, Minimize: !s.Dynamics, SelfHeal: s.SelfHeal,
+		},
+	}
+	if s.FaultRate != 0 {
+		cfg.Faults = &harness.FaultSpec{Seed: s.FaultSeed, Rate: s.FaultRate}
+	}
+	return cfg
 }
 
 // Hash returns the canonical identity of an already-canonicalized spec:
@@ -161,37 +148,5 @@ func (c *systemCache) get(size string, scale float64) *molecule.System {
 // through the cache.  The caller owns the returned spec and may attach
 // checkpoint sinks and cancellation hooks before running it.
 func (s JobSpec) runSpec(systems *systemCache) (harness.RunSpec, error) {
-	pl, err := platform.ByName(s.Platform)
-	if err != nil {
-		return harness.RunSpec{}, err
-	}
-	strat, err := pairlist.ParseStrategy(s.Strategy)
-	if err != nil {
-		return harness.RunSpec{}, err
-	}
-	sys := systems.get(s.Size, s.Scale)
-	if sys == nil {
-		return harness.RunSpec{}, fmt.Errorf("ctlplane: unknown size %q", s.Size)
-	}
-	opts := md.Options{
-		Cutoff:      s.Cutoff,
-		UpdateEvery: s.UpdateEvery,
-		Strategy:    strat,
-		Seed:        s.Seed,
-		Accounting:  !s.SelfHeal,
-		Minimize:    !s.Dynamics,
-		SelfHeal:    s.SelfHeal,
-	}
-	spec := harness.RunSpec{
-		Platform: pl,
-		Sys:      sys,
-		Opts:     opts,
-		Servers:  s.Servers,
-		Steps:    s.Steps,
-	}
-	if s.FaultRate > 0 {
-		cfg := fault.Uniform(s.FaultSeed, s.FaultRate)
-		spec.Faults = &cfg
-	}
-	return spec, nil
+	return s.config().RunSpec(systems.get(s.Size, s.Scale))
 }

@@ -274,11 +274,11 @@ func runAttempt(p *pool, j *job, attempt int) (*JobResult, error) {
 		spec.Deadline = time.Now().Add(p.cfg.JobDeadline)
 	}
 	if p.arch != nil {
-		// Label summaries with the canonical job hash — the authoritative
-		// grouping key — so the watchdog and cross-run percentiles compare
-		// the service's runs under the same identity the dedup store uses.
+		// The summary carries the run identity (harness.SpecHashOf), not
+		// the dedup key: the watchdog and cross-run percentiles compare a
+		// job with the identical opal run and scenario seed.
 		spec.Archive = &archive.Sink{
-			Archive: p.arch, Run: j.ID, Spec: j.Hash, Tenant: j.Tenant,
+			Archive: p.arch, Run: j.ID, Tenant: j.Tenant,
 			Label: j.Spec.Platform + "/" + j.Spec.Size,
 		}
 	}
@@ -318,12 +318,6 @@ func resultOf(out harness.RunOutcome) *JobResult {
 // hash and attempt number so schedules are reproducible in tests yet
 // decorrelated across jobs.
 func retryDelay(hash string, attempt int, base, max time.Duration) time.Duration {
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 500 * time.Millisecond
-	}
 	ceil := base << uint(attempt-1)
 	if ceil > max || ceil <= 0 {
 		ceil = max

@@ -6,7 +6,6 @@ import (
 
 	"opalperf/internal/core"
 	"opalperf/internal/expdesign"
-	"opalperf/internal/md"
 	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
 )
@@ -96,18 +95,7 @@ func (s Suite) SpecFor(c expdesign.Case) (RunSpec, error) {
 	if c[FactorUpdate] == LevelPartUpdate {
 		update = 10
 	}
-	return RunSpec{
-		Platform: s.Platform,
-		Sys:      sys,
-		Opts: md.Options{
-			Cutoff:      cutoff,
-			UpdateEvery: update,
-			Accounting:  true,
-			Minimize:    true,
-		},
-		Servers: p,
-		Steps:   s.Steps,
-	}, nil
+	return paperSpec(s.Platform, sys, cutoff, update, p, s.Steps), nil
 }
 
 // MeasureAll runs a set of cases concurrently on the default pool and

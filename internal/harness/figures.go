@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"opalperf/internal/core"
-	"opalperf/internal/md"
 	"opalperf/internal/molecule"
 	"opalperf/internal/parallel"
 	"opalperf/internal/platform"
@@ -28,16 +27,7 @@ func breakdownSpecs(pl *platform.Platform, sys *molecule.System,
 	cutoff float64, updateEvery, maxP, steps int) []RunSpec {
 	specs := make([]RunSpec, maxP)
 	for p := 1; p <= maxP; p++ {
-		specs[p-1] = RunSpec{
-			Platform: pl,
-			Sys:      sys,
-			Opts: md.Options{
-				Cutoff: cutoff, UpdateEvery: updateEvery,
-				Accounting: true, Minimize: true,
-			},
-			Servers: p,
-			Steps:   steps,
-		}
+		specs[p-1] = paperSpec(pl, sys, cutoff, updateEvery, p, steps)
 	}
 	return specs
 }

@@ -55,10 +55,20 @@ type RunSpec struct {
 	// Archive, when non-nil, receives a one-record RunSummary digest of
 	// every successful run — makespan, breakdown terms, the energies hash,
 	// recovery and LoD counts, and the oracle's residual means when one is
-	// armed.  The sink's spec hash labels the summary (SpecHashOf derives
-	// one when the sink leaves it empty), so cross-run queries can group
-	// runs of the identical configuration.
+	// armed.  The summary's spec is SpecHashOf of this spec, whichever
+	// front end built it, so cross-run queries group runs of the identical
+	// configuration.
 	Archive *archive.Sink
+}
+
+// paperSpec is the paper's measured run — an energy minimization timed
+// with barrier-separated accounting — as every figure, table and
+// calibration case runs it.
+func paperSpec(pl *platform.Platform, sys *molecule.System, cutoff float64, updateEvery, servers, steps int) RunSpec {
+	return RunSpec{
+		Platform: pl, Sys: sys, Servers: servers, Steps: steps,
+		Opts: md.Options{Cutoff: cutoff, UpdateEvery: updateEvery, Accounting: true, Minimize: true},
+	}
 }
 
 // ErrDeadline is the cancellation cause of a run stopped by
@@ -189,6 +199,7 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 	b := out.Breakdown
 	sum := archive.RunSummary{
 		Run:          telemetry.Run(),
+		Spec:         SpecHashOf(spec),
 		Platform:     spec.Platform.Name,
 		System:       spec.Sys.Name,
 		Servers:      spec.Servers,
@@ -208,11 +219,6 @@ func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 
 		LoDMacroPhases:    res.LoDMacroPhases,
 		LoDFallbackPhases: res.LoDFallbackPhases,
-	}
-	if spec.Archive == nil || spec.Archive.Spec == "" {
-		// A sink that carries its own spec hash (the control plane's
-		// canonical job hash) overrides ours in Put: derive none.
-		sum.Spec = SpecHashOf(spec)
 	}
 	if o := spec.Oracle; o != nil {
 		sum.OracleWindows = o.Windows()
@@ -250,6 +256,16 @@ func SpecHashOf(spec RunSpec) string {
 		fmt.Sprintln(o.FaultTolerant, o.SelfHeal, o.MaxRespawns, o.Kills != nil),
 		faults,
 	)
+}
+
+// OracleConfig arms the model oracle for a run: the platform's machine
+// for the run's system, with its cut-off, update interval and fleet,
+// checked every window steps.
+func OracleConfig(spec RunSpec, window int) oracle.Config {
+	return oracle.Config{
+		Machine: core.MachineFor(spec.Platform, spec.Sys.Gamma()), Sys: spec.Sys,
+		Cutoff: spec.Opts.Cutoff, UpdateEvery: spec.Opts.UpdateEvery, Servers: spec.Servers, Window: window,
+	}
 }
 
 // MeasurementOf converts a run outcome into a calibration measurement,

@@ -54,16 +54,7 @@ func ValidatePrediction(pls []*platform.Platform, sys *molecule.System,
 	}
 	specs := make([]RunSpec, len(grid))
 	for i, g := range grid {
-		specs[i] = RunSpec{
-			Platform: g.pl,
-			Sys:      sys,
-			Opts: md.Options{
-				Cutoff: cutoff, UpdateEvery: updateEvery,
-				Accounting: true, Minimize: true,
-			},
-			Servers: g.p,
-			Steps:   steps,
-		}
+		specs[i] = paperSpec(g.pl, sys, cutoff, updateEvery, g.p, steps)
 	}
 	outs, err := RunMany(specs)
 	if err != nil {

@@ -190,12 +190,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// UpdateFrequency returns the model's u parameter, updates per step.
-func (o Options) UpdateFrequency() float64 {
-	oo := o.withDefaults()
-	return 1 / float64(oo.UpdateEvery)
-}
-
 // StepInfo is what Opal displays at the end of every simulation step:
 // the energies and the temperature, pressure and volume of the complex.
 type StepInfo struct {

@@ -369,15 +369,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestUpdateFrequency(t *testing.T) {
-	if u := (Options{}).UpdateFrequency(); u != 1 {
-		t.Errorf("default u = %v", u)
-	}
-	if u := (Options{UpdateEvery: 10}).UpdateFrequency(); u != 0.1 {
-		t.Errorf("partial u = %v", u)
-	}
-}
-
 func TestSpaceModel(t *testing.T) {
 	sys := molecule.LFB()
 	entries := SpaceModel(sys, 0, 1)

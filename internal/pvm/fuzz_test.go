@@ -101,7 +101,7 @@ func parseFrameBody(typ byte, body []byte) {
 			return
 		}
 		n, rest, err := readU32(rest)
-		if err != nil {
+		if err != nil || n > uint32(len(rest)/4) {
 			return
 		}
 		for i := uint32(0); i < n; i++ {
@@ -144,6 +144,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frame(frameBarrier, appendU32(appendU32(appendStr(nil, "b"), 2), 0)))
 	f.Add(frame(frameSpawnReq, appendStr(appendU32(appendU32(nil, 0), 3), "opal-server")))
 	f.Add(frame(frameSpawnRep, appendU32(appendU32(appendU32(nil, 0), 1), 5)))
+	// A spawn reply whose count claims 2^32-1 TIDs in an 8-byte body.
+	f.Add(frame(frameSpawnRep, appendU32(appendU32(nil, 0), 0xFFFFFFFF)))
 	f.Add(frame(frameResume, appendU64(appendU32(nil, 1), 42)))
 	f.Add(frame(framePing, appendU64(nil, 7)))
 	f.Add(frame(frameAck, appendU64(nil, 9)))

@@ -740,7 +740,9 @@ func (v *TCPVM) readLoop(conn net.Conn) {
 				return
 			}
 			n, rest, err := readU32(rest)
-			if err != nil {
+			if err != nil || n > uint32(len(rest)/4) {
+				// A count the body cannot hold is a broken peer, not
+				// a reason to size a slice from the wire.
 				v.connBroken(conn)
 				return
 			}
@@ -808,7 +810,7 @@ func (v *TCPVM) handleSpawnFwd(body []byte) {
 	v.mu.Lock()
 	fn := v.spawnFns[name]
 	v.mu.Unlock()
-	tids := make([]int, 0, n)
+	var tids []int
 	if fn != nil {
 		for i := 0; i < int(n); i++ {
 			tids = append(tids, v.spawn(fmt.Sprintf("%s-%d", name, i), int(reqTid), i, fn))

@@ -366,6 +366,26 @@ func TestTCPMessageToUnknownTIDIsDropped(t *testing.T) {
 	}
 }
 
+// A spawn reply whose TID count the body cannot hold is a broken
+// connection: the session must not size a slice from the wire count
+// first.  One 8-byte body claiming 2^20 TIDs would otherwise cost 8 MiB
+// (2^32-1 of them, 32 GiB).
+func TestSpawnReplyCountBoundedByBody(t *testing.T) {
+	v := &TCPVM{tasks: map[int]*tcpTask{}, barriers: map[string]*tcpBarrier{}, spawnRep: map[int]chan []int{}}
+	ours, theirs := net.Pipe()
+	go func() {
+		writeFrame(theirs, frameSpawnRep, appendU32(appendU32(nil, 0), 1<<20))
+		theirs.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v.readLoop(ours)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("one hostile spawn reply allocated %d bytes", d)
+	}
+}
+
 // waitGoroutinesBack polls until the goroutine count returns to within
 // slack of base, failing the test after 5s.  A manual stand-in for a
 // leak-checker dependency: the transport's readers, reconnectors and

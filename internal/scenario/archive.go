@@ -9,21 +9,9 @@ import (
 // Warehouse projection: one archived RunSummary per scenario sweep, so
 // `scenario run -archive DIR` feeds the same cross-run analytics plane
 // opald and opal do — opalquery percentiles over a 27-scenario corpus
-// sweep, chaos-vs-fault-free cohort splits, watchdog baselines.
-
-// SpecHash is the scenario's cross-run grouping key: the scenario name
-// plus the fleet shape.  Sweeps reseed fault and kill schedules but never
-// the fleet, so every seed of one scenario lands in one cohort — stable
-// across corpus reorderings and runner hosts.
-func SpecHash(spec *Spec) string {
-	return archive.HashStrings(
-		"scenario", spec.Name,
-		spec.Fleet.Platform, spec.Fleet.Size,
-		fmt.Sprint(spec.Fleet.Scale),
-		fmt.Sprint(spec.Fleet.Servers),
-		fmt.Sprint(spec.Fleet.Steps),
-	)
-}
+// sweep, chaos-vs-fault-free cohort splits, watchdog baselines.  A
+// summary carries the run identity (Report.Spec) and the scenario name
+// as its label; DESIGN.md §17 has the cohort rule.
 
 // Chaos reports whether the scenario arms any adversarial machinery —
 // the cohort split opalquery's percentiles -split uses.
@@ -46,7 +34,7 @@ func (s *Spec) Chaos() bool {
 func Summarize(spec *Spec, r Report) archive.RunSummary {
 	return archive.RunSummary{
 		Run:    fmt.Sprintf("%s#%02d", spec.Name, r.Sweep),
-		Spec:   SpecHash(spec),
+		Spec:   r.Spec,
 		Label:  spec.Name,
 		System: spec.Fleet.Size,
 

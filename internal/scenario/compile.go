@@ -1,13 +1,13 @@
 package scenario
 
-// Compiling a declarative Spec onto the engine's knobs: the fleet block
-// resolves to a platform and a scaled molecular system, the options
-// block to md.Options, the kills block and kill_server events to one
-// merged fault.KillSchedule, inject_fault events to a muted fault.Plan
-// whose active windows are toggled from the client's step hooks, and
-// checkpoint events to an Options.CheckpointAt predicate.  Sweeps
-// offset the fault and kill seeds by the sweep index, so `-seeds N`
-// explores N distinct schedules of the same scenario.
+// Compiling a declarative Spec onto the engine's knobs: the run
+// configuration goes through harness.Config.RunSpec like every front
+// end's, the kills block and kill_server events become one merged
+// fault.KillSchedule, inject_fault events a muted fault.Plan whose active
+// windows are toggled from the client's step hooks, and checkpoint events
+// an Options.CheckpointAt predicate.  Sweeps offset the fault and kill
+// seeds by the sweep index, so `-seeds N` explores N distinct schedules
+// of the same scenario.
 
 import (
 	"fmt"
@@ -16,9 +16,6 @@ import (
 	"opalperf/internal/fault"
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
-	"opalperf/internal/molecule"
-	"opalperf/internal/pairlist"
-	"opalperf/internal/platform"
 )
 
 // window is a half-open absolute-step interval [Start, End) during which
@@ -30,15 +27,11 @@ type window struct {
 // plan is a Spec compiled for one sweep index: everything RunScenario
 // needs to assemble the harness legs.
 type plan struct {
-	spec  *Spec
-	sweep int
-
-	plat *platform.Platform
-	sys  *molecule.System
-	opts md.Options // base options; per-leg hooks are layered on copies
+	// base is the whole run as harness.Config.RunSpec compiles it, fault
+	// plane included; per-leg hooks are layered on copies.
+	base harness.RunSpec
 
 	kills     fault.KillSchedule // merged schedule, absolute steps
-	faults    *fault.Config      // nil when the scenario injects nothing
 	windows   []window           // non-empty only with inject_fault events
 	ckptAt    map[int]bool       // absolute steps of timed checkpoints
 	restartAt int                // 0: no restart event
@@ -50,45 +43,13 @@ func (s *Spec) compile(sweep int) (*plan, error) {
 	if sweep < 0 {
 		return nil, fmt.Errorf("scenario: sweep index must be non-negative, have %d", sweep)
 	}
-	pl, err := platform.ByName(s.Fleet.Platform)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	cfg := s.Config
+	if s.Faults != nil {
+		f := *s.Faults
+		f.Seed += uint64(sweep)
+		cfg.Faults = &f
 	}
-	sys, ok := harness.Sizes(s.Fleet.Scale)[s.Fleet.Size]
-	if !ok {
-		return nil, fmt.Errorf("scenario %s: unknown size %q", s.Name, s.Fleet.Size)
-	}
-	strat, err := pairlist.ParseStrategy(s.Options.Strategy)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	lod, err := md.ParseLoDMode(s.Options.LoD)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	p := &plan{
-		spec:  s,
-		sweep: sweep,
-		plat:  pl,
-		sys:   sys,
-		opts: md.Options{
-			Cutoff:          s.Options.Cutoff,
-			UpdateEvery:     s.Options.UpdateEvery,
-			Strategy:        strat,
-			Seed:            s.Options.Seed,
-			Accounting:      s.Options.Accounting,
-			Minimize:        s.Options.Minimize,
-			Dt:              s.Options.Dt,
-			InitTemperature: s.Options.InitTemperature,
-			Thermostat:      s.Options.Thermostat,
-			CellList:        s.Options.CellList,
-			SelfHeal:        s.Options.SelfHeal,
-			FaultTolerant:   s.Options.FaultTolerant,
-			MaxRespawns:     s.Options.MaxRespawns,
-			CheckpointEvery: s.Options.CheckpointEvery,
-			LoD:             lod,
-		},
-	}
+	p := &plan{}
 
 	// Merge the seeded kill sweep and the timed kill_server events into
 	// one absolute-step schedule.  Ordering within a step follows the
@@ -117,28 +78,16 @@ func (s *Spec) compile(sweep int) (*plan, error) {
 				end = ev.Until.Step
 			}
 			p.windows = append(p.windows, window{Start: ev.At.Step, End: end})
-			if p.faults == nil {
-				cfg := fault.Uniform(ev.Seed+uint64(sweep), ev.Rate)
-				p.faults = &cfg
+			if cfg.Faults == nil {
+				cfg.Faults = &harness.FaultSpec{Seed: ev.Seed + uint64(sweep), Rate: ev.Rate}
 			}
 		}
 	}
 	sort.Slice(p.windows, func(i, j int) bool { return p.windows[i].Start < p.windows[j].Start })
 
-	if s.Faults != nil {
-		cfg := fault.Config{Seed: s.Faults.Seed + uint64(sweep)}
-		rate := func(override *float64) float64 {
-			if override != nil {
-				return *override
-			}
-			return s.Faults.Rate
-		}
-		cfg.DropRate = rate(s.Faults.DropRate)
-		cfg.DupRate = rate(s.Faults.DupRate)
-		cfg.DelayRate = rate(s.Faults.DelayRate)
-		cfg.CrashRate = rate(s.Faults.CrashRate)
-		cfg.StragglerRate = rate(s.Faults.StragglerRate)
-		p.faults = &cfg
+	var err error
+	if p.base, err = cfg.RunSpec(harness.Sizes(s.Fleet.Scale)[s.Fleet.Size]); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return p, nil
 }
@@ -198,17 +147,8 @@ func (p *plan) legSpec(opts md.Options, startStep, steps int, sink func(*md.Chec
 		opts.CheckpointEvery = 0
 		opts.CheckpointAt = nil
 	}
-	spec := harness.RunSpec{
-		Platform: p.plat,
-		Sys:      p.sys,
-		Opts:     opts,
-		Servers:  p.spec.Fleet.Servers,
-		Steps:    steps,
-	}
-	if p.faults != nil {
-		cfg := *p.faults
-		spec.Faults = &cfg
-	}
+	spec := p.base
+	spec.Opts, spec.Steps = opts, steps
 	if len(p.windows) > 0 {
 		// The plane starts muted; the client's step hooks — which run
 		// while it holds the execution token — open and close the
@@ -241,16 +181,11 @@ func (p *plan) legSpec(opts md.Options, startStep, steps int, sink func(*md.Chec
 // macro replay.  Bit-identity and makespan assertions compare against its
 // outcome.
 func (p *plan) referenceSpec() harness.RunSpec {
-	opts := p.opts
-	opts.CheckpointEvery = 0 // no sink on the reference run
-	opts.LoD = md.LoDOff
-	return harness.RunSpec{
-		Platform: p.plat,
-		Sys:      p.sys,
-		Opts:     opts,
-		Servers:  p.spec.Fleet.Servers,
-		Steps:    p.spec.Fleet.Steps,
-	}
+	ref := p.base
+	ref.Faults = nil
+	ref.Opts.CheckpointEvery = 0 // no sink on the reference run
+	ref.Opts.LoD = md.LoDOff
+	return ref
 }
 
 // NeedsReference reports whether any assertion compares against the

@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"opalperf/internal/archive"
-	"opalperf/internal/core"
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
 	"opalperf/internal/oracle"
@@ -32,6 +31,11 @@ type Report struct {
 	Scenario string
 	Sweep    int
 	Err      error // compile or run failure; Checks is empty when set
+
+	// Spec is the run identity, harness.SpecHashOf of the whole run from
+	// step 0 (fault seed, kill presence and all), the key archived
+	// summaries group by.
+	Spec string
 
 	Wall    float64
 	RefWall float64 // 0 when no reference assertion was requested
@@ -118,14 +122,7 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 
 	var orc *oracle.Oracle
 	if spec.Assert.Oracle != nil {
-		orc = oracle.New(oracle.Config{
-			Machine:     core.MachineFor(p.plat, p.sys.Gamma()),
-			Sys:         p.sys,
-			Cutoff:      p.opts.Cutoff,
-			UpdateEvery: p.opts.UpdateEvery,
-			Servers:     spec.Fleet.Servers,
-			Window:      spec.Assert.Oracle.Window,
-		})
+		orc = oracle.New(harness.OracleConfig(p.base, spec.Assert.Oracle.Window))
 	}
 
 	var latest *md.Checkpoint
@@ -142,8 +139,9 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 	var result *md.Result
 	injected := 0 // faults injected, summed over the legs
 	resumedAt := 0
+	rep.Spec = harness.SpecHashOf(p.legSpec(p.base.Opts, 0, spec.Fleet.Steps, nil))
 	if p.restartAt == 0 {
-		leg := p.legSpec(p.opts, 0, spec.Fleet.Steps, sink)
+		leg := p.legSpec(p.base.Opts, 0, spec.Fleet.Steps, sink)
 		leg.Oracle = orc
 		out, err := harness.Run(leg)
 		if err != nil {
@@ -155,7 +153,7 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 		injected += out.FaultStats.Total()
 	} else {
 		// Leg 1: run to the restart step, capturing checkpoints.
-		first := p.legSpec(p.opts, 0, p.restartAt, sink)
+		first := p.legSpec(p.base.Opts, 0, p.restartAt, sink)
 		fo, err := harness.Run(first)
 		if err != nil {
 			rep.Err = fmt.Errorf("scenario %s sweep %d: first leg: %w", spec.Name, sweep, err)
@@ -164,9 +162,9 @@ func RunScenario(spec *Spec, sweep int, ref *harness.RunOutcome) Report {
 		injected += fo.FaultStats.Total()
 		// Leg 2: resume from the latest checkpoint, or replay from the
 		// start when none was captured before the kill.
-		sys, opts := p.sys, p.opts
+		sys, opts := p.base.Sys, p.base.Opts
 		if latest != nil {
-			ropts, err := latest.Resume(p.opts)
+			ropts, err := latest.Resume(opts)
 			if err != nil {
 				rep.Err = fmt.Errorf("scenario %s sweep %d: resuming: %w", spec.Name, sweep, err)
 				return rep
