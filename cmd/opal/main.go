@@ -260,6 +260,11 @@ func main() {
 	} else if *modelz {
 		fatal(fmt.Errorf("-modelz requires -oracle"))
 	}
+	if *metrics || *timeline || *traceJSON != "" {
+		// These read the run's intervals, which harness.Run keeps only
+		// for a caller that passes a recorder.
+		spec.Recorder = trace.NewRecorder()
+	}
 	fmt.Printf("Opal on %s — %s (%d mass centers, gamma %.3f), %d servers, %d steps\n",
 		pl.Name, sys.Name, sys.N, sys.Gamma(), spec.Servers, spec.Steps)
 	fmt.Printf("cut-off %.0f A (%seffective), update every %d step(s), %s distribution\n\n",

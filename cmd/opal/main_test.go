@@ -1,9 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -134,5 +138,59 @@ options:
 	}
 	if k0.Spec == want {
 		t.Error("a kill sweep shares the undisturbed run's identity")
+	}
+}
+
+// TestTraceJSON drives the built command: -trace-json writes a Chrome
+// trace holding segments and RPC flows, and the breakdown opal prints is
+// the same with and without it — the run keeps its intervals only when a
+// reader asks, and keeping them moves no term.
+func TestTraceJSON(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "opal")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	breakdown := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-size", "small", "-scale", "0.05", "-servers", "3", "-steps", "4", "-cutoff", "10"}, args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("opal %v: %v\n%s", args, err, out)
+		}
+		s := string(out)
+		i := strings.Index(s, "virtual execution time")
+		j := strings.Index(s, "idle (load imbalance)")
+		if i < 0 || j < i {
+			t.Fatalf("opal %v printed no breakdown:\n%s", args, s)
+		}
+		return s[i : j+strings.IndexByte(s[j:], '\n')]
+	}
+	file := filepath.Join(dir, "f.json")
+	plain, traced := breakdown(), breakdown("-trace-json", file)
+	if plain != traced {
+		t.Fatalf("breakdown moved under -trace-json:\n%s\nvs\n%s", plain, traced)
+	}
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Ph, Cat string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	segments, flows := 0, 0
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph == "X" && ev.Cat != "rpc":
+			segments++
+		case ev.Ph == "s":
+			flows++
+		}
+	}
+	if segments == 0 || flows == 0 {
+		t.Fatalf("trace holds %d segments and %d flows, want both", segments, flows)
 	}
 }

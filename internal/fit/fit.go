@@ -147,28 +147,3 @@ func NonNegativeLeastSquares(a [][]float64, b []float64) ([]float64, error) {
 	}
 	return nil, fmt.Errorf("fit: NNLS failed to converge")
 }
-
-// Residuals returns b - A x.
-func Residuals(a [][]float64, b, x []float64) []float64 {
-	out := make([]float64, len(b))
-	for i := range a {
-		pred := 0.0
-		for j := range x {
-			pred += a[i][j] * x[j]
-		}
-		out[i] = b[i] - pred
-	}
-	return out
-}
-
-// RMS returns the root-mean-square of a vector.
-func RMS(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(v)))
-}

@@ -18,9 +18,10 @@ func TestLeastSquaresExact(t *testing.T) {
 	if math.Abs(x[0]-2) > 1e-10 || math.Abs(x[1]-3) > 1e-10 {
 		t.Errorf("x = %v", x)
 	}
-	res := Residuals(a, b, x)
-	if RMS(res) > 1e-10 {
-		t.Errorf("residuals = %v", res)
+	for i := range a {
+		if r := b[i] - a[i][0]*x[0] - a[i][1]*x[1]; math.Abs(r) > 1e-10 {
+			t.Errorf("row %d residual = %v", i, r)
+		}
 	}
 }
 
@@ -95,15 +96,6 @@ func TestNNLSAgreesWhenFeasible(t *testing.T) {
 		if math.Abs(uncon[j]-nn[j]) > 1e-10 {
 			t.Errorf("solutions differ: %v vs %v", uncon, nn)
 		}
-	}
-}
-
-func TestRMS(t *testing.T) {
-	if RMS(nil) != 0 {
-		t.Error("empty RMS should be 0")
-	}
-	if got := RMS([]float64{3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMS = %v", got)
 	}
 }
 

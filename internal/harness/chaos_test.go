@@ -65,7 +65,9 @@ func TestChaosSweep(t *testing.T) {
 	faulted, totalInjected := 0, 0
 	for seed := uint64(0); seed < seeds; seed++ {
 		cfg := fault.Uniform(seed, 0.05)
-		out, err := Run(chaosSpec(sys, &cfg))
+		spec := chaosSpec(sys, &cfg)
+		spec.Recorder = trace.NewRecorder() // read below over the full timelines
+		out, err := Run(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

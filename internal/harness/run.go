@@ -59,6 +59,14 @@ type RunSpec struct {
 	// front end built it, so cross-run queries group runs of the identical
 	// configuration.
 	Archive *archive.Sink
+	// Recorder, when non-nil, is the run's trace recorder: pass
+	// trace.NewRecorder() to read the run's intervals afterwards (timeline,
+	// Chrome export, middleware metrics, totals over other windows).  When
+	// nil, the run records into a window recorder, which sums the
+	// measurement window as it goes and keeps no intervals — or, with an
+	// Oracle armed, which reads windows mid-run, into a keeping one.  Like
+	// every hook, it is not part of SpecHashOf.
+	Recorder *trace.Recorder
 }
 
 // paperSpec is the paper's measured run — an energy minimization timed
@@ -82,8 +90,9 @@ type RunOutcome struct {
 	// Wall is the virtual time of the simulation steps (excluding the
 	// amortized initialization, as in the paper's measurements).
 	Wall float64
-	// Recorder holds the full classified timelines for timeline charts
-	// and middleware metrics.
+	// Recorder is the run's recorder: RunSpec.Recorder with its full
+	// classified timelines when one was passed, else one that answers the
+	// run's own window (Breakdown) and keeps no intervals.
 	Recorder *trace.Recorder
 	// FaultStats counts the faults injected during the run (zero value
 	// when RunSpec.Faults was nil).
@@ -94,7 +103,12 @@ type RunOutcome struct {
 // Timing starts after server initialization, matching the paper's
 // measurement of the simulation phase.
 func Run(spec RunSpec) (RunOutcome, error) {
-	rec := trace.NewRecorder()
+	rec := spec.Recorder
+	if rec == nil && spec.Oracle != nil {
+		rec = trace.NewRecorder() // the oracle reads windows mid-run
+	} else if rec == nil {
+		rec = trace.NewWindowRecorder()
+	}
 	sim := pvm.NewSimVM(spec.Platform, rec)
 	telemetry.Emit("run_start", telemetry.F{
 		"platform": spec.Platform.Name, "system": spec.Sys.Name,
@@ -182,7 +196,8 @@ func Run(spec RunSpec) (RunOutcome, error) {
 		out.FaultStats = plan.Stats()
 	}
 	// Aggregate only the simulation window, excluding the amortized
-	// initialization and the shutdown handshake.
+	// initialization and the shutdown handshake: the window the engine
+	// reported, which the recorder summed as it recorded.
 	out.Breakdown = trace.ComputeBreakdownBetween(rec, 0, res.ServerTIDs,
 		res.StartSeconds, res.EndSeconds, out.Wall)
 	if spec.Archive != nil {

@@ -98,7 +98,7 @@ func ValidationTable(cases []ValidationCase) *report.Table {
 // servers.
 func ClusterRun(spec platform.ClusterSpec, sys *molecule.System, opts md.Options,
 	servers, steps int) (RunOutcome, error) {
-	rec := trace.NewRecorder()
+	rec := trace.NewWindowRecorder()
 	sim := pvm.NewSimVMComm(spec.Base, spec.Comm, rec)
 	var res *md.Result
 	var runErr error

@@ -116,7 +116,6 @@ func (c *Counter) AdjustedMFlops() float64 {
 type Monitor struct {
 	W        Weights
 	counters map[string]*Counter
-	order    []string
 }
 
 // NewMonitor creates a monitor using the given platform weights.
@@ -130,7 +129,6 @@ func (m *Monitor) Counter(name string) *Counter {
 	if c == nil {
 		c = &Counter{Name: name}
 		m.counters[name] = c
-		m.order = append(m.order, name)
 	}
 	return c
 }
@@ -138,31 +136,6 @@ func (m *Monitor) Counter(name string) *Counter {
 // Charge accumulates ops under the named counter with their virtual time.
 func (m *Monitor) Charge(name string, o Ops, seconds float64) {
 	m.Counter(name).Add(m.W, o, seconds)
-}
-
-// Counted returns the platform-counted flops a set of ops would produce
-// under this monitor's weights.
-func (m *Monitor) Counted(o Ops) float64 { return m.W.Counted(o) }
-
-// Counters returns all counters in creation order.
-func (m *Monitor) Counters() []*Counter {
-	out := make([]*Counter, 0, len(m.order))
-	for _, n := range m.order {
-		out = append(out, m.counters[n])
-	}
-	return out
-}
-
-// Total returns the sum over all counters.
-func (m *Monitor) Total() Counter {
-	t := Counter{Name: "total"}
-	for _, n := range m.order {
-		c := m.counters[n]
-		t.Counted += c.Counted
-		t.Canonical += c.Canonical
-		t.Seconds += c.Seconds
-	}
-	return t
 }
 
 func (c *Counter) String() string {

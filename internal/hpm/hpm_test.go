@@ -60,28 +60,12 @@ func TestCounterZeroSeconds(t *testing.T) {
 	}
 }
 
-func TestMonitorCountersOrderAndTotal(t *testing.T) {
-	m := NewMonitor(CanonicalWeights())
-	m.Charge("update", Ops{Add: 100}, 1)
-	m.Charge("nbint", Ops{Mul: 200}, 2)
-	m.Charge("update", Ops{Add: 50}, 0.5)
-	cs := m.Counters()
-	if len(cs) != 2 || cs[0].Name != "update" || cs[1].Name != "nbint" {
-		t.Fatalf("counters = %v", cs)
-	}
-	if cs[0].Canonical != 150 {
-		t.Errorf("update canonical = %v", cs[0].Canonical)
-	}
-	tot := m.Total()
-	if tot.Canonical != 350 || tot.Seconds != 3.5 {
-		t.Errorf("total = %+v", tot)
-	}
-}
-
 func TestMonitorCounted(t *testing.T) {
 	m := NewMonitor(Weights{Add: 1, Sqrt: 10})
-	if got := m.Counted(Ops{Add: 5, Sqrt: 2}); got != 25 {
-		t.Errorf("counted = %v", got)
+	m.Charge("k", Ops{Add: 5, Sqrt: 2}, 1)
+	m.Charge("k", Ops{Add: 1}, 1)
+	if c := m.Counter("k"); c.Counted != 26 || c.Canonical != 8 || c.Seconds != 2 {
+		t.Errorf("counter = %+v", c)
 	}
 }
 

@@ -214,7 +214,9 @@ type Result struct {
 	StepSeconds float64
 	// StartSeconds and EndSeconds are the absolute client times bounding
 	// the simulation steps — the measurement window that excludes the
-	// start-up and the shutdown handshake.
+	// start-up and the shutdown handshake.  The engines report it to the
+	// task's trace recorder as they reach each end (pvm.OpenWindow,
+	// pvm.CloseWindow).
 	StartSeconds float64
 	EndSeconds   float64
 	// Converged reports that the minimizer reached Options.GradTol

@@ -144,6 +144,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	res := &Result{ServerTIDs: tids, StartStep: opts.StartStep}
 	t0 := t.Now()
 	res.InitSeconds = t0
+	pvm.OpenWindow(t, t0)
 
 	c := newClientState(sys, opts)
 	grad := make([]float64, 3*sys.N)
@@ -417,6 +418,10 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	}
 	res.StartSeconds = t0
 	res.EndSeconds = t.Now()
+	// Every server segment precedes the client's receipt of that server's
+	// last reply or barrier release, so the window closes on a trace that
+	// ends here; the shutdown handshake below is outside it.
+	pvm.CloseWindow(t, res.EndSeconds)
 	res.StepSeconds = res.EndSeconds - t0
 	res.FinalPos = append([]float64(nil), c.pos...)
 	res.FinalVel = append([]float64(nil), c.vel...)

@@ -30,6 +30,7 @@ func RunSerial(t pvm.Task, sys *molecule.System, opts Options, steps int) (*Resu
 	res := &Result{StartStep: opts.StartStep}
 	t0 := t.Now()
 	res.InitSeconds = t0
+	pvm.OpenWindow(t, t0)
 
 	grad := make([]float64, 3*sys.N)
 	ckpt := newCkptSched(opts)
@@ -86,6 +87,7 @@ func RunSerial(t pvm.Task, sys *molecule.System, opts Options, steps int) (*Resu
 	}
 	res.StartSeconds = t0
 	res.EndSeconds = t.Now()
+	pvm.CloseWindow(t, res.EndSeconds)
 	res.StepSeconds = res.EndSeconds - t0
 	res.FinalPos = append([]float64(nil), c.pos...)
 	res.FinalVel = append([]float64(nil), c.vel...)

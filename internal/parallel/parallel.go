@@ -110,11 +110,3 @@ func MapN[T, R any](workers int, items []T, f func(i int, item T) (R, error)) ([
 	}
 	return out, nil
 }
-
-// ForEach is Map for side-effecting work with no result value.
-func ForEach[T any](items []T, f func(i int, item T) error) error {
-	_, err := MapN(0, items, func(i int, it T) (struct{}, error) {
-		return struct{}{}, f(i, it)
-	})
-	return err
-}

@@ -116,17 +116,3 @@ func TestSetWorkers(t *testing.T) {
 		t.Fatalf("Workers() = %d, want >= 1", Workers())
 	}
 }
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	items := []int{1, 2, 3, 4, 5}
-	if err := ForEach(items, func(_ int, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Fatalf("sum = %d, want 15", sum.Load())
-	}
-}

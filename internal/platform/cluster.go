@@ -77,22 +77,3 @@ func J90Cluster(procsPerNode int) ClusterSpec {
 		},
 	}
 }
-
-// CoPsCluster builds a CoPs-style cluster with explicit SMP nodes: fast
-// intra-node shared memory, the platform's network between nodes.
-func CoPsCluster(base *Platform, procsPerNode int) ClusterSpec {
-	b := *base
-	b.Name = fmt.Sprintf("%s (%d cpus/node, two-tier)", base.Name, procsPerNode)
-	return ClusterSpec{
-		Base:         &b,
-		ProcsPerNode: procsPerNode,
-		Comm: TwoTierComm{
-			ProcsPerNode: procsPerNode,
-			IntraMBs:     200, // memcpy-speed shared memory
-			IntraLatency: 5e-6,
-			InterMBs:     base.CommMBs,
-			InterLatency: base.LatencySec,
-			SyncSeconds:  base.SyncSec,
-		},
-	}
-}

@@ -63,17 +63,3 @@ func TestJ90ClusterSpec(t *testing.T) {
 		t.Error("HIPPI should out-run the intra-node PVM bandwidth")
 	}
 }
-
-func TestCoPsClusterSpec(t *testing.T) {
-	spec := CoPsCluster(FastCoPs(), 2)
-	if spec.Comm.IntraMBs <= spec.Comm.InterMBs {
-		t.Error("shared memory should beat the network")
-	}
-	if !strings.Contains(spec.Base.Name, "two-tier") {
-		t.Errorf("name = %q", spec.Base.Name)
-	}
-	// The base platform is copied, not aliased.
-	if spec.Base == FastCoPs() {
-		t.Error("base should be a copy")
-	}
-}

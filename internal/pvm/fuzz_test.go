@@ -101,7 +101,7 @@ func parseFrameBody(typ byte, body []byte) {
 			return
 		}
 		n, rest, err := readU32(rest)
-		if err != nil || n > uint32(len(rest)/4) {
+		if err != nil || n == spawnRefused || n > uint32(len(rest)/4) {
 			return
 		}
 		for i := uint32(0); i < n; i++ {
@@ -144,8 +144,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frame(frameBarrier, appendU32(appendU32(appendStr(nil, "b"), 2), 0)))
 	f.Add(frame(frameSpawnReq, appendStr(appendU32(appendU32(nil, 0), 3), "opal-server")))
 	f.Add(frame(frameSpawnRep, appendU32(appendU32(appendU32(nil, 0), 1), 5)))
-	// A spawn reply whose count claims 2^32-1 TIDs in an 8-byte body.
-	f.Add(frame(frameSpawnRep, appendU32(appendU32(nil, 0), 0xFFFFFFFF)))
+	// A refused spawn, a reply whose count claims 2^20 TIDs in an 8-byte
+	// body, and a forwarded spawn of 2^20 tasks (past any session's range).
+	f.Add(frame(frameSpawnRep, appendU32(appendU32(nil, 0), spawnRefused)))
+	f.Add(frame(frameSpawnRep, appendU32(appendU32(nil, 0), 1<<20)))
+	f.Add(frame(frameSpawnFwd, appendStr(appendU32(appendU32(nil, 0), 1<<20), "opal-server")))
 	f.Add(frame(frameResume, appendU64(appendU32(nil, 1), 42)))
 	f.Add(frame(framePing, appendU64(nil, 7)))
 	f.Add(frame(frameAck, appendU64(nil, 9)))

@@ -175,6 +175,20 @@ func (t *simTask) ReportRecovery(start, end float64) {
 	}
 }
 
+// OpenWindow implements WindowReporter on the session's trace recorder.
+func (t *simTask) OpenWindow(t0 float64) {
+	if t.vm.Recorder != nil {
+		t.vm.Recorder.OpenWindow(t0)
+	}
+}
+
+// CloseWindow implements WindowReporter on the session's trace recorder.
+func (t *simTask) CloseWindow(t1 float64) {
+	if t.vm.Recorder != nil {
+		t.vm.Recorder.CloseWindow(t1)
+	}
+}
+
 // ReportFlow implements FlowReporter by recording the RPC flow on the
 // session's trace recorder.
 func (t *simTask) ReportFlow(method string, server int, issue, reply float64) {

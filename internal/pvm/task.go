@@ -77,6 +77,30 @@ func ReportRecovery(t Task, start, end float64) {
 	}
 }
 
+// WindowReporter is the optional capability to bound the run's measurement
+// window on the task's trace recorder, which then sums the window as it
+// records (trace.Recorder.OpenWindow/CloseWindow).
+type WindowReporter interface {
+	OpenWindow(t0 float64)
+	CloseWindow(t1 float64)
+}
+
+// OpenWindow opens the measurement window at t0 on fabrics that record
+// timelines, and is a no-op elsewhere.
+func OpenWindow(t Task, t0 float64) {
+	if wr, ok := t.(WindowReporter); ok {
+		wr.OpenWindow(t0)
+	}
+}
+
+// CloseWindow closes the measurement window at t1 on fabrics that record
+// timelines, and is a no-op elsewhere.
+func CloseWindow(t Task, t1 float64) {
+	if wr, ok := t.(WindowReporter); ok {
+		wr.CloseWindow(t1)
+	}
+}
+
 // FlowReporter is the optional capability to record one client→server RPC
 // flow — method name, the server task it executed on, the issue and reply
 // times — on the task's trace recorder, linking the client's call span to

@@ -1,6 +1,7 @@
 package pvm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -24,6 +25,23 @@ import (
 // executable names.
 
 const sessionStride = 1 << 16
+
+// ErrTaskRange is the failure of a spawn that would run past the
+// sessionStride task ids its session owns, into the next session's range.
+// Both the local spawn and a spawn forwarded from another session refuse
+// it whole, starting no task; the requester's Spawn panics with an error
+// wrapping it.
+var ErrTaskRange = errors.New("pvm: spawn past the session's task-id range")
+
+// spawnRefused is the count of a spawn reply whose host refused the spawn.
+const spawnRefused = 1<<32 - 1
+
+// spawnReply is what a session's Spawn learns from the daemon: the TIDs
+// started remotely, none (spawn locally), or a refusal.
+type spawnReply struct {
+	tids    []int
+	refused bool
+}
 
 // DaemonOptions tunes the daemon's failure detection.  The zero value
 // keeps the historical behaviour: no read deadlines, sessions retained
@@ -410,7 +428,7 @@ type TCPVM struct {
 	nextTask int
 	spawnFns map[string]func(Task)
 	barriers map[string]*tcpBarrier
-	spawnRep map[int]chan []int
+	spawnRep map[int]chan spawnReply
 	regAck   chan struct{}
 	start    time.Time
 	wg       sync.WaitGroup
@@ -467,7 +485,7 @@ func ConnectTCPOpts(addr string, opts TCPOptions) (*TCPVM, error) {
 		tasks:    make(map[int]*tcpTask),
 		spawnFns: make(map[string]func(Task)),
 		barriers: make(map[string]*tcpBarrier),
-		spawnRep: make(map[int]chan []int),
+		spawnRep: make(map[int]chan spawnReply),
 		regAck:   make(chan struct{}, 16),
 		start:    time.Now(),
 	}
@@ -667,30 +685,63 @@ func (v *TCPVM) write(typ byte, body []byte) {
 	}
 }
 
-// SpawnRoot starts a local task.
+// SpawnRoot starts a local task.  It panics with ErrTaskRange once the
+// session's task ids are spent.
 func (v *TCPVM) SpawnRoot(name string, fn func(Task)) int {
-	return v.spawn(name, -1, 0, fn)
+	tid, err := v.reserve(1)
+	if err != nil {
+		panic(err)
+	}
+	v.spawn(tid, name, -1, 0, fn)
+	return tid
 }
 
-// spawn registers a local task and starts its goroutine.
-func (v *TCPVM) spawn(name string, parent, instance int, fn func(Task)) int {
+// reserve claims n consecutive task ids of the session's range and returns
+// the first, or claims none and fails with ErrTaskRange.
+func (v *TCPVM) reserve(n int) (int, error) {
 	v.mu.Lock()
+	defer v.mu.Unlock()
+	if left := sessionStride - v.nextTask; n < 0 || n > left {
+		return 0, fmt.Errorf("%w: %d tasks asked of session %d, %d ids left", ErrTaskRange, n, v.id, left)
+	}
+	first := v.id*sessionStride + v.nextTask
+	v.nextTask += n
+	return first, nil
+}
+
+// spawnChildren reserves ids for n children of parent and starts them,
+// named name-0 … name-(n-1).
+func (v *TCPVM) spawnChildren(name string, parent, n int, fn func(Task)) ([]int, error) {
+	first, err := v.reserve(n)
+	if err != nil {
+		return nil, err
+	}
+	tids := make([]int, n)
+	for i := range tids {
+		tids[i] = first + i
+		v.spawn(tids[i], fmt.Sprintf("%s-%d", name, i), parent, i, fn)
+	}
+	return tids, nil
+}
+
+// spawn registers a local task under a reserved tid and starts its
+// goroutine.
+func (v *TCPVM) spawn(tid int, name string, parent, instance int, fn func(Task)) {
 	t := &tcpTask{
-		vm: v, tid: v.id*sessionStride + v.nextTask,
+		vm: v, tid: tid,
 		name: name, parent: parent, instance: instance,
 		mon:      hpm.NewMonitor(hpm.CanonicalWeights()),
 		lastMark: time.Now(),
 	}
 	t.cond = sync.NewCond(&t.mu)
-	v.nextTask++
-	v.tasks[t.tid] = t
+	v.mu.Lock()
+	v.tasks[tid] = t
 	v.mu.Unlock()
 	v.wg.Add(1)
 	go func() {
 		defer v.wg.Done()
 		fn(t)
 	}()
-	return t.tid
 }
 
 func (v *TCPVM) readLoop(conn net.Conn) {
@@ -740,13 +791,17 @@ func (v *TCPVM) readLoop(conn net.Conn) {
 				return
 			}
 			n, rest, err := readU32(rest)
-			if err != nil || n > uint32(len(rest)/4) {
+			if err != nil || n != spawnRefused && n > uint32(len(rest)/4) {
 				// A count the body cannot hold is a broken peer, not
 				// a reason to size a slice from the wire.
 				v.connBroken(conn)
 				return
 			}
-			tids := make([]int, 0, n)
+			rep := spawnReply{refused: n == spawnRefused}
+			if rep.refused {
+				n = 0
+			}
+			rep.tids = make([]int, 0, n)
 			for i := uint32(0); i < n; i++ {
 				var tid uint32
 				tid, rest, err = readU32(rest)
@@ -754,13 +809,13 @@ func (v *TCPVM) readLoop(conn net.Conn) {
 					v.connBroken(conn)
 					return
 				}
-				tids = append(tids, int(tid))
+				rep.tids = append(rep.tids, int(tid))
 			}
 			v.mu.Lock()
 			ch := v.spawnRep[int(reqTid)]
 			v.mu.Unlock()
 			if ch != nil {
-				ch <- tids
+				ch <- rep
 			}
 		}
 	}
@@ -812,8 +867,12 @@ func (v *TCPVM) handleSpawnFwd(body []byte) {
 	v.mu.Unlock()
 	var tids []int
 	if fn != nil {
-		for i := 0; i < int(n); i++ {
-			tids = append(tids, v.spawn(fmt.Sprintf("%s-%d", name, i), int(reqTid), i, fn))
+		// A count past this session's task ids is refused whole: the
+		// wire's u32 would otherwise start that many goroutines under
+		// TIDs of the next session's range.
+		if tids, err = v.spawnChildren(name, int(reqTid), int(n), fn); err != nil {
+			v.write(frameSpawnRep, appendU32(appendU32(nil, reqTid), spawnRefused))
+			return
 		}
 	}
 	rep := appendU32(nil, reqTid)
@@ -1013,9 +1072,11 @@ func (t *tcpTask) Barrier(name string, parties int) {
 // Spawn asks the daemon for a host registered under name; if none exists
 // the tasks run locally with fn.  Note that a remote host runs its own
 // *registered* function for the name — like pvm_spawn starting a named
-// executable — so fn is only the local fallback.
+// executable — so fn is only the local fallback.  A spawn past the
+// session's task ids, local or on the host, panics with an error wrapping
+// ErrTaskRange.
 func (t *tcpTask) Spawn(name string, n int, fn func(Task)) []int {
-	ch := make(chan []int, 1)
+	ch := make(chan spawnReply, 1)
 	t.vm.mu.Lock()
 	t.vm.spawnRep[t.tid] = ch
 	t.vm.mu.Unlock()
@@ -1028,22 +1089,25 @@ func (t *tcpTask) Spawn(name string, n int, fn func(Task)) []int {
 	body = appendU32(body, uint32(n))
 	body = appendStr(body, name)
 	t.vm.write(frameSpawnReq, body)
-	var tids []int
+	var rep spawnReply
 	select {
-	case tids = <-ch:
+	case rep = <-ch:
 	case <-t.vm.stopc:
 		if err := t.vm.Err(); err != nil {
 			panic(fmt.Sprintf("pvm: spawn %q on dead session: %v", name, err))
 		}
 		return nil
 	}
-	if len(tids) > 0 {
-		return tids
+	if rep.refused {
+		panic(fmt.Errorf("%w: the host of %q refused %d tasks", ErrTaskRange, name, n))
+	}
+	if len(rep.tids) > 0 {
+		return rep.tids
 	}
 	// Local fallback.
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = t.vm.spawn(fmt.Sprintf("%s-%d", name, i), t.tid, i, fn)
+	tids, err := t.vm.spawnChildren(name, t.tid, n, fn)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return tids
 }

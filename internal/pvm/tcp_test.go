@@ -1,10 +1,12 @@
 package pvm
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -371,7 +373,7 @@ func TestTCPMessageToUnknownTIDIsDropped(t *testing.T) {
 // first.  One 8-byte body claiming 2^20 TIDs would otherwise cost 8 MiB
 // (2^32-1 of them, 32 GiB).
 func TestSpawnReplyCountBoundedByBody(t *testing.T) {
-	v := &TCPVM{tasks: map[int]*tcpTask{}, barriers: map[string]*tcpBarrier{}, spawnRep: map[int]chan []int{}}
+	v := &TCPVM{tasks: map[int]*tcpTask{}, barriers: map[string]*tcpBarrier{}, spawnRep: map[int]chan spawnReply{}}
 	ours, theirs := net.Pipe()
 	go func() {
 		writeFrame(theirs, frameSpawnRep, appendU32(appendU32(nil, 0), 1<<20))
@@ -383,6 +385,39 @@ func TestSpawnReplyCountBoundedByBody(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
 		t.Fatalf("one hostile spawn reply allocated %d bytes", d)
+	}
+}
+
+// A spawn forwarded with a count past the host session's task ids starts
+// no task there — neither 2^20 goroutines nor any under the next
+// session's TIDs — and the requester's Spawn fails with ErrTaskRange.  The
+// local fallback refuses the same way.
+func TestSpawnPastTaskRangeRefused(t *testing.T) {
+	_, a, b := tcpPair(t)
+	var started atomic.Int32
+	b.RegisterSpawn("srv", func(Task) { started.Add(1) })
+	spawn := func(name string, n int) error {
+		got := make(chan error, 1)
+		a.SpawnRoot("req", func(task Task) {
+			defer func() {
+				err, _ := recover().(error)
+				got <- err
+			}()
+			task.Spawn(name, n, func(Task) { started.Add(1) })
+		})
+		return <-got
+	}
+	if err := spawn("srv", 1<<20); !errors.Is(err, ErrTaskRange) {
+		t.Fatalf("forwarded spawn of 2^20 tasks: %v, want ErrTaskRange", err)
+	}
+	if err := spawn("unhosted", sessionStride); !errors.Is(err, ErrTaskRange) {
+		t.Fatalf("local spawn past the range: %v, want ErrTaskRange", err)
+	}
+	b.mu.Lock()
+	hosted, claimed := len(b.tasks), b.nextTask
+	b.mu.Unlock()
+	if n := started.Load(); n != 0 || hosted != 0 || claimed != 0 {
+		t.Fatalf("refused spawns started %d tasks (host holds %d, claimed %d ids)", n, hosted, claimed)
 	}
 }
 

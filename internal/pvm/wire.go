@@ -128,7 +128,7 @@ const (
 	frameRelease             // daemon -> session: barrier released (name)
 	frameSpawnReq            // session -> daemon: spawn n tasks named X
 	frameSpawnFwd            // daemon -> host session: please spawn (name, instance, tid)
-	frameSpawnRep            // daemon -> requester: spawned tids
+	frameSpawnRep            // daemon -> requester: spawned tids (count spawnRefused: refused)
 	frameRegHost             // session -> daemon: I can host spawns of name X
 	frameRegAck              // daemon -> session: registration processed
 	frameBye                 // session -> daemon: closing

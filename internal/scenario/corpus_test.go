@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"opalperf/internal/harness"
 	"opalperf/internal/telemetry"
+	"opalperf/internal/trace"
 )
 
 const corpusDir = "../../scenarios"
@@ -127,6 +129,46 @@ func TestRestartOfSelfHealingRunCorpus(t *testing.T) {
 	}
 	if rep.ResumedAt == 0 {
 		t.Fatal("restart replayed from scratch; the periodic checkpoint was not used")
+	}
+}
+
+// TestCorpusWindowBreakdownMatchesChunkReduction runs every corpus
+// scenario's whole run (a restart event aside) twice — into the window
+// recorder harness.Run picks, and into a keeping recorder — and holds both
+// breakdowns to the chunk reduction of the kept trace, bit for bit.  The
+// corpus brings the shapes the seed sweeps do not: fault windows opened
+// and closed from step hooks, heals mid-interval and at the fleet's edge,
+// respawn budgets that run out into degradation, checkpoints.
+func TestCorpusWindowBreakdownMatchesChunkReduction(t *testing.T) {
+	specs, err := LoadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range specs {
+		p, err := s.compile(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leg := p.legSpec(p.base.Opts, 0, s.Fleet.Steps, nil)
+		lean, err := harness.Run(leg)
+		if err != nil {
+			t.Fatalf("%s: %v", s.File, err)
+		}
+		leg.Recorder = trace.NewRecorder()
+		full, err := harness.Run(leg)
+		if err != nil {
+			t.Fatalf("%s (keeping): %v", s.File, err)
+		}
+		ref := trace.NewRecorder()
+		for _, seg := range full.Recorder.Segments() {
+			ref.Segment(seg.Proc, seg.Name, seg.Kind, seg.Start, seg.End)
+		}
+		res := full.Result
+		chunks := trace.ComputeBreakdownBetween(ref, 0, res.ServerTIDs, res.StartSeconds, res.EndSeconds, full.Wall)
+		if lean.Breakdown != chunks || full.Breakdown != chunks {
+			t.Errorf("%s: breakdowns differ:\nwindow-only %+v\nkeeping     %+v\nchunks      %+v",
+				s.File, lean.Breakdown, full.Breakdown, chunks)
+		}
 	}
 }
 

@@ -40,23 +40,6 @@ func Variance(xs []float64) float64 {
 // Std returns the sample standard deviation.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the extrema; zeros for an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Median returns the median; zero for an empty slice.
 func Median(xs []float64) float64 {
 	n := len(xs)
@@ -69,16 +52,6 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under a normal approximation (1.96 sigma / sqrt(n)).
-func CI95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * Std(xs) / math.Sqrt(float64(n))
 }
 
 // RelErr returns |a-b| / |b|; +Inf when b is zero and a is not, 0 when
@@ -138,48 +111,4 @@ func R2(pred, meas []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// LinearFit fits y = a + b*x by ordinary least squares and returns the
-// intercept a and slope b.
-func LinearFit(x, y []float64) (a, b float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("stats: LinearFit length mismatch %d vs %d", len(x), len(y)))
-	}
-	n := float64(len(x))
-	if n == 0 {
-		return 0, 0
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy float64
-	for i := range x {
-		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
-	}
-	if sxx == 0 {
-		return my, 0
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b
-}
-
-// Pearson returns the correlation coefficient of two samples.
-func Pearson(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) == 0 {
-		return 0
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, syy, sxy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,25 +23,14 @@ func TestMeanVarianceStd(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || CI95(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 || Median(nil) != 0 {
 		t.Error("empty slices should give zeros")
 	}
-	if Variance([]float64{5}) != 0 || CI95([]float64{5}) != 0 {
+	if Variance([]float64{5}) != 0 {
 		t.Error("singleton variance should be zero")
 	}
 	if Mean([]float64{5}) != 5 || Median([]float64{5}) != 5 {
 		t.Error("singleton mean/median wrong")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Errorf("minmax = %v %v", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Error("empty minmax should be zeros")
 	}
 }
 
@@ -103,40 +93,6 @@ func TestR2(t *testing.T) {
 	}
 }
 
-func TestLinearFitExact(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{5, 7, 9, 11} // y = 5 + 2x
-	a, b := LinearFit(x, y)
-	if !eq(a, 5) || !eq(b, 2) {
-		t.Errorf("fit = %v + %v x", a, b)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	a, b := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
-	if !eq(a, 2) || b != 0 {
-		t.Errorf("constant-x fit = %v, %v", a, b)
-	}
-	a, b = LinearFit(nil, nil)
-	if a != 0 || b != 0 {
-		t.Error("empty fit should be zeros")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if !eq(Pearson(x, x), 1) {
-		t.Error("self correlation should be 1")
-	}
-	y := []float64{4, 3, 2, 1}
-	if !eq(Pearson(x, y), -1) {
-		t.Error("reversed correlation should be -1")
-	}
-	if Pearson(x, []float64{5, 5, 5, 5}) != 0 {
-		t.Error("constant series correlation should be 0")
-	}
-}
-
 // Property: mean is between min and max; variance is non-negative.
 func TestMeanBoundsProperty(t *testing.T) {
 	f := func(raw []int16) bool {
@@ -148,28 +104,8 @@ func TestMeanBoundsProperty(t *testing.T) {
 			xs[i] = float64(v)
 		}
 		m := Mean(xs)
-		lo, hi := MinMax(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		return m >= lo-1e-9 && m <= hi+1e-9 && Variance(xs) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: LinearFit recovers a and b exactly (up to fp error) on
-// noise-free lines.
-func TestLinearFitRecoversLineProperty(t *testing.T) {
-	f := func(a8, b8 int8, n uint8) bool {
-		n = n%20 + 2
-		a, b := float64(a8), float64(b8)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = float64(i)
-			y[i] = a + b*x[i]
-		}
-		ga, gb := LinearFit(x, y)
-		return math.Abs(ga-a) < 1e-6 && math.Abs(gb-b) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -38,6 +38,7 @@ type chromeEvent struct {
 // ids fall back to the segment's recorded process name); all processes
 // share one trace pid so they stack as threads of one process group.
 func WriteChromeTrace(w io.Writer, r *Recorder, names map[int]string) error {
+	r.mustKeep()
 	bw := &errWriter{w: w}
 	io.WriteString(bw, `{"displayTimeUnit":"ms","traceEvents":[`)
 	first := true
@@ -65,20 +66,17 @@ func WriteChromeTrace(w io.Writer, r *Recorder, names map[int]string) error {
 			Args: map[string]any{"name": label},
 		})
 	}
-	var segs []Segment
-	for ci := 0; ; ci++ {
-		if segs = r.segmentsOfChunk(segs[:0], ci); len(segs) == 0 {
-			break
-		}
-		for _, s := range segs {
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		for _, s := range r.segs.filled(ci) {
+			kind := vm.SegKind(s.kind).String()
 			emit(chromeEvent{
-				Name: s.Kind.String(),
-				Cat:  s.Kind.String(),
+				Name: kind,
+				Cat:  kind,
 				Ph:   "X",
-				Ts:   s.Start * 1e6,
-				Dur:  (s.End - s.Start) * 1e6,
+				Ts:   s.start * 1e6,
+				Dur:  (s.end - s.start) * 1e6,
 				Pid:  0,
-				Tid:  s.Proc,
+				Tid:  r.tracks[s.track].proc,
 			})
 		}
 	}

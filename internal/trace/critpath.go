@@ -45,8 +45,7 @@ func (c CritPath) String() string {
 // ComputeCriticalPath attributes the client's timeline in [t0, t1] to the
 // model terms using the recorded flows to resolve idle time.
 func ComputeCriticalPath(r *Recorder, clientID int, t0, t1 float64) CritPath {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mustKeep()
 	var cp CritPath
 
 	// Server compute intervals, clipped to the window, indexed by proc.
@@ -108,8 +107,7 @@ func ComputeCriticalPath(r *Recorder, clientID int, t0, t1 float64) CritPath {
 }
 
 // awaitedCompute appends to dst the parts of the client's wait iv during
-// which a server it had an open flow to was computing.  Caller holds the
-// mutex.
+// which a server it had an open flow to was computing.
 func (r *Recorder) awaitedCompute(dst []ival, compute map[int][]ival, clientID int, iv ival) []ival {
 	for ci := 0; ci < r.flows.numChunks(); ci++ {
 		for _, f := range r.flows.filled(ci) {

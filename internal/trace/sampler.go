@@ -53,8 +53,8 @@ type procIndex struct {
 }
 
 func buildProcIndex(r *Recorder, proc int) procIndex {
+	r.mustKeep()
 	var idx procIndex
-	r.mu.Lock()
 	for ci := 0; ci < r.segs.numChunks(); ci++ {
 		for _, s := range r.segs.filled(ci) {
 			if r.tracks[s.track].proc == proc {
@@ -62,7 +62,6 @@ func buildProcIndex(r *Recorder, proc int) procIndex {
 			}
 		}
 	}
-	r.mu.Unlock()
 	sort.SliceStable(idx.segs, func(i, j int) bool { return idx.segs[i].start < idx.segs[j].start })
 	idx.maxEnd = make([]float64, len(idx.segs))
 	for i, s := range idx.segs {

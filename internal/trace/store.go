@@ -1,8 +1,9 @@
 package trace
 
 // Storage of the recorder.  A fault-free comm-bound run records ~58 000
-// segments and 6 400 flows, so what one record costs to store *is* the
-// cost of tracing.  Records therefore hold no pointers and live in
+// segments and 6 400 flows, so what one record costs to store is the cost
+// of tracing for a caller that keeps them (a window recorder stores only
+// what precedes its window).  Records therefore hold no pointers and live in
 // fixed-length chunks: a chunk is allocated once, never re-copied when the
 // trace grows, sits in a span the garbage collector does not scan, and is
 // written without write barriers.  The strings of a Segment or Flow (the
@@ -72,35 +73,52 @@ type track struct {
 	row int // index of proc in Recorder.procs
 }
 
-// recentTrack is one entry of the direct-mapped cache in front of the
-// track table.  id1 is the track index plus one; zero marks an empty entry.
-type recentTrack struct {
-	trackKey
-	id1 uint32
+// maxDenseProc bounds the process ids the track lookup indexes directly.
+// Kernel ids are dense from zero; a larger id (a network-fabric TID) goes
+// through the map.
+const maxDenseProc = 1 << 12
+
+// denseTrack is the latest track of one process.  id1 is the track index
+// plus one; zero marks an empty entry.
+type denseTrack struct {
+	name string
+	id1  uint32
+	row  int
 }
 
-// trackOf interns (proc, name).  Consecutive segments alternate between a
-// few processes (a macro-replayed phase charges the client and each server
-// a span or two at a time), so the lookup goes through a small cache
-// indexed by the low bits of proc before falling back to the map.  Caller
-// holds the mutex.
-func (r *Recorder) trackOf(proc int, name string) uint32 {
-	key := trackKey{proc, name}
-	e := &r.recent[uint(proc)%uint(len(r.recent))]
-	if e.id1 != 0 && e.trackKey == key {
-		return e.id1 - 1
+// trackOf interns (proc, name) and returns the track and the process's
+// row.  Every vm.Proc call site passes the process's own name, so the
+// process's latest track, indexed by its id, nearly always answers.
+func (r *Recorder) trackOf(proc int, name string) (id uint32, row int) {
+	if uint(proc) < uint(len(r.dense)) {
+		if e := &r.dense[proc]; e.id1 != 0 && e.name == name {
+			return e.id1 - 1, e.row
+		}
 	}
+	return r.trackSlow(proc, name)
+}
+
+// trackSlow is trackOf past the dense index: the map, then a new track.
+func (r *Recorder) trackSlow(proc int, name string) (uint32, int) {
+	key := trackKey{proc, name}
 	id, ok := r.trackID[key]
 	if !ok {
 		id = r.addTrack(key)
 	}
-	*e = recentTrack{key, id + 1}
-	return id
+	row := r.tracks[id].row
+	if uint(proc) < maxDenseProc {
+		for len(r.dense) <= proc {
+			r.dense = append(r.dense, denseTrack{})
+		}
+		r.dense[proc] = denseTrack{name, id + 1, row}
+	}
+	return id, row
 }
 
 // addTrack appends a pair seen for the first time, and its process to the
-// set of processes seen if it is new too — the set that keeps Procs and
-// the per-process reduction independent of the trace length.
+// set of processes seen if it is new too — the set that keeps Procs, the
+// window table and the per-process reduction independent of the trace
+// length.
 func (r *Recorder) addTrack(key trackKey) uint32 {
 	if r.trackID == nil {
 		r.trackID = map[trackKey]uint32{}
@@ -111,6 +129,7 @@ func (r *Recorder) addTrack(key trackKey) uint32 {
 		row = len(r.procs)
 		r.procs = append(r.procs, key.proc)
 		r.procRow[key.proc] = row
+		r.win.addRow()
 	}
 	id := uint32(len(r.tracks))
 	r.tracks = append(r.tracks, track{key, row})

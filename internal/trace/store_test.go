@@ -1,10 +1,11 @@
 package trace
 
 import (
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"opalperf/internal/vm"
@@ -166,16 +167,6 @@ func TestRoundTripAcrossChunks(t *testing.T) {
 		if got := r.Flows(); !reflect.DeepEqual(got, flows) {
 			t.Fatalf("round %d: Flows() differs from the recorded input", round)
 		}
-		var viaChunks []Segment
-		for ci := 0; ; ci++ {
-			before := len(viaChunks)
-			if viaChunks = r.segmentsOfChunk(viaChunks, ci); len(viaChunks) == before {
-				break
-			}
-		}
-		if !reflect.DeepEqual(viaChunks, segs) {
-			t.Fatalf("round %d: chunk-wise walk differs from the recorded input", round)
-		}
 		if got := r.Procs(); len(got) != len(procSet) {
 			t.Fatalf("round %d: Procs() = %v, want the %d recorded", round, got, len(procSet))
 		}
@@ -183,46 +174,155 @@ func TestRoundTripAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording has eight goroutines share one recorder, as the
-// tasks of a real-goroutine fabric do.  Durations are powers of two, so
-// every total is exact whatever the interleaving.
-func TestConcurrentRecording(t *testing.T) {
-	const workers, each = 8, 3000
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				start := float64(i)
-				r.Segment(w, procNames[w%len(procNames)], vm.SegKind(i%2), start, start+0.25)
-				r.Segment(workers, "shared", vm.SegSync, start, start+0.5)
-				if i%10 == 0 {
-					r.Flow(methodNames[w%len(methodNames)], workers, w, start, start+0.25)
-					r.TotalsBetween(w, 0, start)
+// TestWindowTableMatchesReference is the bit-identity property of the
+// window summed at record time: over random traces whose window opens and
+// closes at random points, the table equals the per-process reference
+// reduction of everything recorded, cell for cell, and the breakdown read
+// from it equals the one a chunk reduction gives.  The traces carry
+// segments recorded before the window opens that straddle t0, retroactive
+// recovery spans (the shape pvm.ReportRecovery records, starting before
+// the segments already recorded), shutdown traffic recorded after the
+// close that starts before t1, sparse TIDs, and a Reset between windows.
+// Half the recorders keep their intervals, half drop them.
+func TestWindowTableMatchesReference(t *testing.T) {
+	ids := []int{0, 1, 2, 3, 17, 1<<16 + 3, 1 << 30}
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keep := seed%2 == 0
+		r := NewWindowRecorder()
+		if keep {
+			r = NewRecorder()
+		}
+		procs := ids[:2+rng.Intn(len(ids)-1)]
+		for round := 0; round < 1+rng.Intn(3); round++ {
+			if round > 0 {
+				r.Reset()
+			}
+			t0 := 1 + 3*rng.Float64()
+			t1 := t0 + 4*rng.Float64()
+			var in []Segment
+			record := func(s Segment) {
+				r.Segment(s.Proc, s.Name, s.Kind, s.Start, s.End)
+				in = append(in, s)
+			}
+			// draw is a random segment starting in [lo, hi), ending no
+			// later than cap: zero-length and inverted spans included.
+			draw := func(lo, hi, cap float64) Segment {
+				s := Segment{Proc: procs[rng.Intn(len(procs))], Name: "proc", Kind: vm.SegKind(rng.Intn(vm.NumSegKinds))}
+				if rng.Intn(10) == 0 {
+					s.Name = "proc (respawned)"
+				}
+				s.Start = lo + (hi-lo)*rng.Float64()
+				switch rng.Intn(8) {
+				case 0:
+					s.End = s.Start
+				case 1:
+					s.End = s.Start - rng.Float64()
+				default:
+					s.End = min(s.Start+2*rng.Float64()*rng.Float64(), cap)
+				}
+				return s
+			}
+			for i := rng.Intn(200); i > 0; i-- {
+				record(draw(0, t0+0.5, t1)) // init traffic, some straddling t0
+			}
+			r.OpenWindow(t0)
+			for i := rng.Intn(600); i > 0; i-- {
+				s := draw(0, t1, t1)
+				if rng.Intn(20) == 0 {
+					s.Kind, s.End = vm.SegRecovery, t1*rng.Float64()
+					s.Start = s.End * rng.Float64()
+				}
+				record(s)
+			}
+			r.CloseWindow(t1)
+			for i := rng.Intn(50); i > 0; i-- {
+				record(draw(t1-1, t1+2, math.Inf(1))) // shutdown traffic
+			}
+			if r.Len() != len(in) {
+				t.Fatalf("seed %d: Len() = %d, recorded %d", seed, r.Len(), len(in))
+			}
+			if got := len(r.Segments()); keep && got != len(in) || !keep && got != 0 {
+				t.Fatalf("seed %d: keep=%v recorder retains %d of %d segments", seed, keep, got, len(in))
+			}
+			all := append(append([]int(nil), procs...), 99) // 99 never recorded
+			table := r.totalsBetween(t0, t1, all...)
+			for i, id := range all {
+				if want := refTotalsBetween(in, id, t0, t1); !sameBits(table[i], want) {
+					t.Fatalf("seed %d round %d [%g,%g] proc %d: table %v, reference %v", seed, round, t0, t1, id, table[i], want)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-
-	if want := 2 * workers * each; r.Len() != want || len(r.Segments()) != want {
-		t.Fatalf("recorded %d segments (%d materialised), want %d", r.Len(), len(r.Segments()), want)
-	}
-	if got := len(r.Flows()); got != workers*each/10 {
-		t.Fatalf("recorded %d flows, want %d", got, workers*each/10)
-	}
-	if got := r.Procs(); len(got) != workers+1 {
-		t.Fatalf("Procs() = %v, want %d processes", got, workers+1)
-	}
-	for w := 0; w < workers; w++ {
-		tot := r.Totals(w)
-		if tot[vm.SegCompute] != 0.25*each/2 || tot[vm.SegComm] != 0.25*each/2 {
-			t.Fatalf("worker %d totals %v", w, tot)
+			ref := NewRecorder()
+			for _, s := range in {
+				ref.Segment(s.Proc, s.Name, s.Kind, s.Start, s.End)
+			}
+			got := ComputeBreakdownBetween(r, procs[0], procs[1:], t0, t1, t1-t0)
+			want := ComputeBreakdownBetween(ref, procs[0], procs[1:], t0, t1, t1-t0)
+			if got != want {
+				t.Fatalf("seed %d round %d: window breakdown %+v, chunk reduction %+v", seed, round, got, want)
+			}
 		}
 	}
-	if got := r.Totals(workers)[vm.SegSync]; got != 0.5*workers*each {
-		t.Fatalf("shared process sync total %v, want %v", got, 0.5*workers*each)
+}
+
+// TestLateSegmentPanics records, before the close, a segment ending after
+// the window's end: CloseWindow must refuse with ErrLateSegment, since the
+// table summed the segment unclipped.
+func TestLateSegmentPanics(t *testing.T) {
+	for _, keep := range []bool{true, false} {
+		r := NewWindowRecorder()
+		if keep {
+			r = NewRecorder()
+		}
+		r.Segment(0, "client", vm.SegCompute, 0, 1)
+		r.OpenWindow(1)
+		r.Segment(0, "client", vm.SegCompute, 1, 2)
+		r.Segment(1<<30, "server", vm.SegCompute, 1.5, 3.5)
+		r.Segment(0, "client", vm.SegIdle, 4, 4) // empty: cannot break the table
+		err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			r.CloseWindow(3)
+			return nil
+		}()
+		if !errors.Is(err, ErrLateSegment) {
+			t.Fatalf("keep=%v: CloseWindow past a late segment: %v, want ErrLateSegment", keep, err)
+		}
+	}
+}
+
+// TestWindowRecorderRefusesOtherWindows: a window recorder answers its own
+// window and panics with ErrIntervalsDropped on any reader that needs the
+// intervals it dropped.
+func TestWindowRecorderRefusesOtherWindows(t *testing.T) {
+	r := NewWindowRecorder()
+	r.Segment(0, "client", vm.SegCompute, 0, 2)
+	r.Flow("nbint", 0, 1, 0, 1)
+	if len(r.Segments()) != 1 || len(r.Flows()) != 1 {
+		t.Fatal("a window recorder must keep what precedes its window")
+	}
+	r.OpenWindow(1)
+	r.Segment(1, "server", vm.SegCompute, 1, 3)
+	r.CloseWindow(3)
+	if got := ComputeBreakdownBetween(r, 0, []int{1}, 1, 3, 2); got.SeqComp != 1 || got.ParComp != 2 {
+		t.Fatalf("own window breakdown %+v", got)
+	}
+	readers := map[string]func(){
+		"other window":  func() { r.TotalsBetween(0, 0, 3) },
+		"totals":        func() { r.Totals(1) },
+		"timeline":      func() { RenderTimeline(r, nil, 0, 3, 10) },
+		"chrome":        func() { WriteChromeTrace(io.Discard, r, nil) },
+		"critical path": func() { ComputeCriticalPath(r, 0, 1, 3) },
+		"sampler":       func() { SampleShares(r, 1, 1, 3, 0.5) },
+		"reopen":        func() { r.OpenWindow(0) },
+	}
+	for name, read := range readers {
+		err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			read()
+			return nil
+		}()
+		if !errors.Is(err, ErrIntervalsDropped) {
+			t.Errorf("%s on a window recorder: %v, want ErrIntervalsDropped", name, err)
+		}
 	}
 }

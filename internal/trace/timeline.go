@@ -33,12 +33,11 @@ func RenderTimeline(r *Recorder, names map[int]string, t0, t1 float64, width int
 	if t1 <= t0 {
 		return ""
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mustKeep()
 	if len(r.procs) == 0 {
 		return ""
 	}
-	procs := r.sortedProcs()
+	procs := r.Procs()
 	dt := (t1 - t0) / float64(width)
 
 	labelW := 0

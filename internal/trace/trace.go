@@ -11,10 +11,10 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"opalperf/internal/telemetry"
 	"opalperf/internal/vm"
@@ -43,26 +43,52 @@ type Flow struct {
 	Reply  float64
 }
 
-// Recorder implements vm.Tracer and accumulates segments.  It is safe for
-// concurrent use so that the real-goroutine PVM fabric can share it.
+// Recorder implements vm.Tracer: it classifies the spans of one kernel's
+// processes and reduces them to per-process totals.  A recorder belongs to
+// one kernel and is written only by the process holding that kernel's
+// execution token, so it takes no lock; read it after the run, or from the
+// token holder (the model oracle's step hooks).
 //
-// Segments and flows are kept in recording order in pointer-free chunks
-// (store.go); Segments and Flows materialise the exported form on demand.
+// It sums the run's measurement window as it records.  OpenWindow folds the
+// segments recorded so far into a per-(process, kind) table clipped to the
+// window's start, every later segment is clipped and added as it arrives,
+// and CloseWindow fixes the end (window.go).  Totals over exactly that
+// window read the table.  A recorder from NewRecorder also keeps every
+// segment and flow, in recording order in pointer-free chunks (store.go),
+// for the readers that need intervals: other windows, the timeline, the
+// Chrome export, the critical path and the sampler.  One from
+// NewWindowRecorder drops them once its window opens.
 type Recorder struct {
-	mu    sync.Mutex
+	keep  bool // retain segments and flows after the window opens
+	n     int  // segments recorded, retained or not
 	segs  chunked[segRec]
 	flows chunked[flowRec]
+	win   window
 
 	tracks  []track             // interned (proc, name) pairs, first-seen order
 	trackID map[trackKey]uint32 // (proc, name) → index into tracks
-	recent  [16]recentTrack     // direct-mapped cache in front of trackID
+	dense   []denseTrack        // proc → its latest track, for dense proc ids
 	procs   []int               // processes with recorded segments, first-seen order
 	procRow map[int]int         // proc → index into procs
 	methods interner            // Flow.Method strings
 }
 
-// NewRecorder creates an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// ErrIntervalsDropped is the panic of an interval reader — totals over a
+// window other than the recorder's own, the timeline, the Chrome export,
+// the critical path, the sampler — called on a recorder from
+// NewWindowRecorder whose window has opened: the intervals it would read
+// were summed and dropped.
+var ErrIntervalsDropped = errors.New("trace: the recorder kept no intervals")
+
+// NewRecorder creates an empty recorder that keeps every segment and flow.
+func NewRecorder() *Recorder { return &Recorder{keep: true} }
+
+// NewWindowRecorder creates an empty recorder that keeps only the totals
+// of its measurement window: what it records before OpenWindow is kept
+// until then (to be folded), everything after is counted and summed but
+// not stored.  Segments and Flows then return nothing and every other
+// interval reader panics with ErrIntervalsDropped.
+func NewWindowRecorder() *Recorder { return &Recorder{} }
 
 // Segment implements vm.Tracer.
 func (r *Recorder) Segment(proc int, name string, kind vm.SegKind, start, end float64) {
@@ -70,20 +96,46 @@ func (r *Recorder) Segment(proc int, name string, kind vm.SegKind, start, end fl
 		panic(fmt.Sprintf("trace: segment of unknown kind %d", int(kind)))
 	}
 	telemetry.RankSegment(proc, int(kind), end-start)
-	r.mu.Lock()
-	*r.segs.next() = segRec{start: start, end: end, track: r.trackOf(proc, name), kind: uint8(kind)}
-	r.mu.Unlock()
+	r.n++
+	id, row := r.trackOf(proc, name)
+	if r.win.state != windowNone {
+		r.win.add(row, uint8(kind), start, end)
+		if !r.keep {
+			return
+		}
+	}
+	*r.segs.next() = segRec{start: start, end: end, track: id, kind: uint8(kind)}
 }
 
-// Len returns the number of recorded segments.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.segs.n
+// Len returns the number of recorded segments, retained or not.
+func (r *Recorder) Len() int { return r.n }
+
+// dropped reports whether the recorder has stopped keeping intervals: a
+// window recorder whose window has opened.
+func (r *Recorder) dropped() bool { return !r.keep && r.win.state != windowNone }
+
+// mustKeep panics with ErrIntervalsDropped when the intervals are gone.
+func (r *Recorder) mustKeep() {
+	if r.dropped() {
+		panic(ErrIntervalsDropped)
+	}
+}
+
+// Segments returns a copy of the retained segments in recording order:
+// all of them, unless the recorder is a window recorder whose window has
+// opened.  The result is always non-nil: an empty recorder yields an
+// empty, non-nil slice, so callers can range, marshal and append without
+// a nil check.
+func (r *Recorder) Segments() []Segment {
+	out := make([]Segment, 0, r.segs.n)
+	for ci := 0; ci < r.segs.numChunks(); ci++ {
+		out = r.appendChunk(out, ci)
+	}
+	return out
 }
 
 // appendChunk appends the segments of storage chunk ci, materialised, to
-// dst.  Caller holds the mutex.
+// dst.
 func (r *Recorder) appendChunk(dst []Segment, ci int) []Segment {
 	for _, s := range r.segs.filled(ci) {
 		t := &r.tracks[s.track]
@@ -92,38 +144,9 @@ func (r *Recorder) appendChunk(dst []Segment, ci int) []Segment {
 	return dst
 }
 
-// Segments returns a copy of all recorded segments in recording order.
-// The result is always non-nil: an empty recorder yields an empty,
-// non-nil slice, so callers can range, marshal and append without a nil
-// check.
-func (r *Recorder) Segments() []Segment {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Segment, 0, r.segs.n)
-	for ci := 0; ci < r.segs.numChunks(); ci++ {
-		out = r.appendChunk(out, ci)
-	}
-	return out
-}
-
-// segmentsOfChunk appends the segments of storage chunk ci to dst; past the
-// last chunk it returns dst unchanged.  It lets a reducer that calls out
-// (the Chrome exporter writes to its caller's io.Writer) walk the trace
-// without copying all of it and without holding the mutex while it does.
-func (r *Recorder) segmentsOfChunk(dst []Segment, ci int) []Segment {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ci < r.segs.numChunks() {
-		dst = r.appendChunk(dst, ci)
-	}
-	return dst
-}
-
 // procNames returns the processes with recorded segments in first-seen
 // order, each with the name its first segment was recorded under.
 func (r *Recorder) procNames() (procs []int, names []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	procs = append(procs, r.procs...)
 	names = make([]string, len(procs))
 	// A process's first track is the (proc, name) pair of its first
@@ -134,40 +157,39 @@ func (r *Recorder) procNames() (procs []int, names []string) {
 	return procs, names
 }
 
-// Reset discards all recorded segments and flows while retaining the
-// chunks and the interning tables' capacity, so a recorder reused across
-// measurement windows (e.g. via md.Options.AfterInit) reaches a steady
-// state where recording allocates nothing.  The tracks go too, because
-// with them goes the set of processes Procs reports; the method names are
-// only a dictionary and stay.
+// Reset discards all recorded segments, flows and the window while
+// retaining the chunks and the tables' capacity, so a recorder reused
+// across measurement windows (e.g. via md.Options.AfterInit) reaches a
+// steady state where recording allocates nothing.  The tracks go too,
+// because with them goes the set of processes Procs reports; the method
+// names are only a dictionary and stay.
 func (r *Recorder) Reset() {
-	r.mu.Lock()
+	r.n = 0
 	r.segs.reset()
 	r.flows.reset()
+	r.win.reset()
 	r.tracks = r.tracks[:0]
 	clear(r.trackID)
-	r.recent = [len(r.recent)]recentTrack{}
+	r.dense = r.dense[:0]
 	r.procs = r.procs[:0]
 	clear(r.procRow)
-	r.mu.Unlock()
 }
 
 // Flow records one client→server RPC flow; IDs are assigned in recording
 // order.
 func (r *Recorder) Flow(method string, client, server int, issue, reply float64) {
-	r.mu.Lock()
+	if r.dropped() {
+		return
+	}
 	*r.flows.next() = flowRec{
 		issue: issue, reply: reply,
 		client: client, server: server, method: r.methods.id(method),
 	}
-	r.mu.Unlock()
 }
 
-// Flows returns a copy of all recorded flows in recording order; like
+// Flows returns a copy of the retained flows in recording order; like
 // Segments the result is non-nil.
 func (r *Recorder) Flows() []Flow {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Flow, 0, r.flows.n)
 	for ci := 0; ci < r.flows.numChunks(); ci++ {
 		for _, f := range r.flows.filled(ci) {
@@ -195,31 +217,45 @@ func (r *Recorder) TotalsBetween(proc int, t0, t1 float64) [vm.NumSegKinds]float
 	return r.totalsBetween(t0, t1, proc)[0]
 }
 
-// totalsBetween is the one reduction behind every per-process total: a
-// single pass over the trace in recording order into a per-process ×
-// per-kind table, from which the totals of the requested processes are
-// returned in request order (zero for a process that recorded nothing).
-// Each cell receives its additions in recording order — the order a pass
-// filtered to that one process would add them in — so the sums do not
-// depend on how many processes are reduced together.
+// totalsBetween is the one reduction behind every per-process total: the
+// totals of the requested processes over [t0, t1], in request order (zero
+// for a process that recorded nothing).  The recorder's own closed window
+// is answered from the table summed while recording; any other window is
+// a single pass over the retained trace in recording order into a
+// per-process × per-kind table.  Either way each cell receives its
+// additions in recording order — the order a pass filtered to that one
+// process would add them in — so the sums do not depend on how many
+// processes are reduced together, nor on which of the two answers.
 func (r *Recorder) totalsBetween(t0, t1 float64, procs ...int) []kindTotals {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if r.win.covers(t0, t1) {
+		return r.pick(r.win.tot, procs)
+	}
+	r.mustKeep()
 	rows := make([]kindTotals, len(r.procs))
 	for ci := 0; ci < r.segs.numChunks(); ci++ {
 		for _, s := range r.segs.filled(ci) {
-			start, end := s.start, s.end
-			if start < t0 {
-				start = t0
-			}
-			if end > t1 {
-				end = t1
-			}
-			if end > start {
-				rows[r.tracks[s.track].row][s.kind] += end - start
-			}
+			addClipped(&rows[r.tracks[s.track].row], s.kind, s.start, s.end, t0, t1)
 		}
 	}
+	return r.pick(rows, procs)
+}
+
+// addClipped adds the part of [start, end] inside [t0, t1] to tot[kind]:
+// the arithmetic of every per-process total, the window table's included.
+func addClipped(tot *kindTotals, kind uint8, start, end, t0, t1 float64) {
+	if start < t0 {
+		start = t0
+	}
+	if end > t1 {
+		end = t1
+	}
+	if end > start {
+		tot[kind] += end - start
+	}
+}
+
+// pick copies out the rows of the requested processes in request order.
+func (r *Recorder) pick(rows []kindTotals, procs []int) []kindTotals {
 	out := make([]kindTotals, len(procs))
 	for i, p := range procs {
 		if row, ok := r.procRow[p]; ok {
@@ -231,13 +267,6 @@ func (r *Recorder) totalsBetween(t0, t1 float64, procs ...int) []kindTotals {
 
 // Procs returns the sorted ids of all processes with recorded segments.
 func (r *Recorder) Procs() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sortedProcs()
-}
-
-// sortedProcs is Procs for a caller that holds the mutex.
-func (r *Recorder) sortedProcs() []int {
 	ids := append([]int(nil), r.procs...)
 	sort.Ints(ids)
 	return ids
