@@ -5,6 +5,11 @@ package opalperf
 // measured-figure benches run at a reduced problem scale so the whole
 // suite finishes quickly; every shape they report is scale-stable, and
 // cmd/figures -scale 1 regenerates the paper-scale outputs.
+//
+// What a figure bench reports is virtual time or a quantity derived from
+// it, so it is deterministic: each one is an eval function that
+// TestFidelityGolden (fidelity_test.go) holds to testdata/fidelity.golden
+// bit for bit, and the bench only times it.
 
 import (
 	"fmt"
@@ -24,6 +29,30 @@ import (
 	"opalperf/internal/trace"
 )
 
+// metric is one value a benchmark reports through b.ReportMetric.
+type metric struct {
+	unit  string
+	value float64
+}
+
+// eval computes the metrics of one figure bench.
+type eval func() ([]metric, error)
+
+// benchEval times e and reports the metrics of its last run.
+func benchEval(b *testing.B, e eval) {
+	b.Helper()
+	var ms []metric
+	for i := 0; i < b.N; i++ {
+		var err error
+		if ms, err = e(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, m := range ms {
+		b.ReportMetric(m.value, m.unit)
+	}
+}
+
 // benchSystem returns a consistent scaled-down complex per size label.
 func benchSystem(label string) *molecule.System {
 	switch label {
@@ -39,10 +68,10 @@ func benchSystem(label string) *molecule.System {
 	}
 }
 
-func benchBreakdownFigure(b *testing.B, sys *molecule.System) {
-	b.Helper()
-	var wall float64
-	for i := 0; i < b.N; i++ {
+// breakdownFigure is one panel of Figures 1-2: the measured breakdown of
+// sys on the virtual J90.
+func breakdownFigure(sys *molecule.System) eval {
+	return func() ([]metric, error) {
 		out, err := harness.Run(harness.RunSpec{
 			Platform: platform.J90(),
 			Sys:      sys,
@@ -56,67 +85,62 @@ func benchBreakdownFigure(b *testing.B, sys *molecule.System) {
 			Steps:   10,
 		})
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		wall = out.Wall
+		return []metric{{"virtual-s", out.Wall}}, nil
 	}
-	b.ReportMetric(wall, "virtual-s")
 }
 
 // BenchmarkFig1Breakdown regenerates one panel of Figure 1: the measured
 // execution-time breakdown of the medium complex on the virtual J90.
-func BenchmarkFig1Breakdown(b *testing.B) {
-	benchBreakdownFigure(b, benchSystem("medium"))
-}
+func BenchmarkFig1Breakdown(b *testing.B) { benchEval(b, breakdownFigure(benchSystem("medium"))) }
 
 // BenchmarkFig2Breakdown does the same for the large complex (Figure 2).
-func BenchmarkFig2Breakdown(b *testing.B) {
-	benchBreakdownFigure(b, benchSystem("large"))
+func BenchmarkFig2Breakdown(b *testing.B) { benchEval(b, breakdownFigure(benchSystem("large"))) }
+
+func benchSuite() harness.Suite {
+	return harness.NewSuite(map[string]*molecule.System{
+		"small": benchSystem("small"), "medium": benchSystem("medium"), "large": benchSystem("large"),
+	})
+}
+
+// fig3Design enumerates the paper's experimental designs.
+func fig3Design(suite harness.Suite) eval {
+	return func() ([]metric, error) {
+		full := len(suite.FullCases())
+		cases, err := suite.FractionCases()
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"full-cases", float64(full)}, {"fraction-cases", float64(len(cases))}}, nil
+	}
 }
 
 // BenchmarkFig3Design enumerates the paper's experimental designs.
-func BenchmarkFig3Design(b *testing.B) {
-	suite := harness.NewSuite(map[string]*molecule.System{
-		"small": benchSystem("small"), "medium": benchSystem("medium"), "large": benchSystem("large"),
-	})
-	var full, frac int
-	for i := 0; i < b.N; i++ {
-		full = len(suite.FullCases())
-		cases, err := suite.FractionCases()
+func BenchmarkFig3Design(b *testing.B) { benchEval(b, fig3Design(benchSuite())) }
+
+// fig4Calibration runs the reduced factorial design and fits the model.
+func fig4Calibration(suite harness.Suite) eval {
+	suite.Steps = 5
+	return func() ([]metric, error) {
+		rep, err := suite.Calibrate(nil)
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		frac = len(cases)
+		return []metric{{"MAPE-%", 100 * rep.MAPE}, {"R2", rep.R2}}, nil
 	}
-	b.ReportMetric(float64(full), "full-cases")
-	b.ReportMetric(float64(frac), "fraction-cases")
 }
 
 // BenchmarkFig4Calibration runs the reduced factorial design and fits the
 // model, reporting the fit quality of Figure 4.
-func BenchmarkFig4Calibration(b *testing.B) {
-	suite := harness.NewSuite(map[string]*molecule.System{
-		"small": benchSystem("small"), "medium": benchSystem("medium"), "large": benchSystem("large"),
-	})
-	suite.Steps = 5
-	var mape, r2 float64
-	for i := 0; i < b.N; i++ {
-		rep, err := suite.Calibrate(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mape, r2 = rep.MAPE, rep.R2
-	}
-	b.ReportMetric(100*mape, "MAPE-%")
-	b.ReportMetric(r2, "R2")
-}
+func BenchmarkFig4Calibration(b *testing.B) { benchEval(b, fig4Calibration(benchSuite())) }
 
-func benchPrediction(b *testing.B, sys *molecule.System) {
-	b.Helper()
-	var j90Speedup, t3eSpeedup float64
-	for i := 0; i < b.N; i++ {
-		series := harness.PredictFigure(platform.All(), sys, harness.EffectiveCutoff, 1, 10, 7)
-		for _, s := range series {
+// predictionFigure is the cross-platform prediction of Figures 5-6: the
+// J90 and T3E speed-ups at p=7.
+func predictionFigure(sys *molecule.System) eval {
+	return func() ([]metric, error) {
+		var j90Speedup, t3eSpeedup float64
+		for _, s := range harness.PredictFigure(platform.All(), sys, harness.EffectiveCutoff, 1, 10, 7) {
 			switch s.Platform {
 			case platform.J90().Name:
 				j90Speedup = s.Speedups[6]
@@ -124,173 +148,195 @@ func benchPrediction(b *testing.B, sys *molecule.System) {
 				t3eSpeedup = s.Speedups[6]
 			}
 		}
+		return []metric{{"j90-speedup@7", j90Speedup}, {"t3e-speedup@7", t3eSpeedup}}, nil
 	}
-	b.ReportMetric(j90Speedup, "j90-speedup@7")
-	b.ReportMetric(t3eSpeedup, "t3e-speedup@7")
 }
 
 // BenchmarkFig5Prediction evaluates the cross-platform prediction for the
 // paper's medium complex (Figure 5) at full scale — the model is analytic.
 func BenchmarkFig5Prediction(b *testing.B) {
-	benchPrediction(b, molecule.Antennapedia())
+	benchEval(b, predictionFigure(molecule.Antennapedia()))
 }
 
 // BenchmarkFig6Prediction does the same for the large complex (Figure 6).
-func BenchmarkFig6Prediction(b *testing.B) {
-	benchPrediction(b, molecule.LFB())
+func BenchmarkFig6Prediction(b *testing.B) { benchEval(b, predictionFigure(molecule.LFB())) }
+
+// table1Kernel is the isolated Opal kernel time on the J90 (Table 1).
+func table1Kernel() ([]metric, error) {
+	rows, err := harness.Table1(platform.All())
+	if err != nil {
+		return nil, err
+	}
+	var j90Time float64
+	for _, r := range rows {
+		if r.Platform == platform.J90().Name {
+			j90Time = r.ExecSeconds
+		}
+	}
+	return []metric{{"j90-kernel-s", j90Time}}, nil
 }
 
 // BenchmarkTable1Kernel measures the isolated Opal kernel on every
 // platform (Table 1).
-func BenchmarkTable1Kernel(b *testing.B) {
-	var j90Time float64
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table1(platform.All())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Platform == platform.J90().Name {
-				j90Time = r.ExecSeconds
-			}
+func BenchmarkTable1Kernel(b *testing.B) { benchEval(b, table1Kernel) }
+
+// table2PingPong is the J90's observed ping-pong bandwidth (Table 2).
+func table2PingPong() ([]metric, error) {
+	rows, err := harness.Table2(platform.All())
+	if err != nil {
+		return nil, err
+	}
+	var j90MBs float64
+	for _, r := range rows {
+		if r.Platform == platform.J90().Name {
+			j90MBs = r.ObservedMBs
 		}
 	}
-	b.ReportMetric(j90Time, "j90-kernel-s")
+	return []metric{{"j90-MB/s", j90MBs}}, nil
 }
 
 // BenchmarkTable2PingPong measures the communication parameters (Table 2).
-func BenchmarkTable2PingPong(b *testing.B) {
-	var j90MBs float64
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table2(platform.All())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Platform == platform.J90().Name {
-				j90MBs = r.ObservedMBs
-			}
-		}
+func BenchmarkTable2PingPong(b *testing.B) { benchEval(b, table2PingPong) }
+
+// memHierarchy is the out-of-core rate of the Section 2.6 working-set
+// sweep.
+func memHierarchy() ([]metric, error) {
+	rows, err := harness.MemoryHierarchy()
+	if err != nil {
+		return nil, err
 	}
-	b.ReportMetric(j90MBs, "j90-MB/s")
+	return []metric{{"out-of-core-MFlop/s", rows[2].RateMFlops}}, nil
 }
 
 // BenchmarkMemHierarchy reproduces the Section 2.6 working-set sweep.
-func BenchmarkMemHierarchy(b *testing.B) {
-	var swapRate float64
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.MemoryHierarchy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		swapRate = rows[2].RateMFlops
-	}
-	b.ReportMetric(swapRate, "out-of-core-MFlop/s")
-}
+func BenchmarkMemHierarchy(b *testing.B) { benchEval(b, memHierarchy) }
 
-// BenchmarkSpaceModel evaluates the Section 2.6 space-complexity table
-// for the paper's large example.
-func BenchmarkSpaceModel(b *testing.B) {
-	sys := molecule.LFB()
-	var pairListMB float64
-	for i := 0; i < b.N; i++ {
+// spaceModel is the pair-list row of the Section 2.6 space-complexity
+// table for the paper's large example.
+func spaceModel(sys *molecule.System) eval {
+	return func() ([]metric, error) {
+		var pairListMB float64
 		for _, e := range md.SpaceModel(sys, 0, 1) {
 			if e.Name == "pair list" {
 				pairListMB = float64(e.Bytes) / 1e6
 			}
 		}
+		return []metric{{"pairlist-MB", pairListMB}}, nil
 	}
-	b.ReportMetric(pairListMB, "pairlist-MB")
 }
 
-// BenchmarkAccountingOverhead is the Section 3.3 ablation: the cost of
-// the barrier-separated timing mode (the paper accepts < 5%).
-func BenchmarkAccountingOverhead(b *testing.B) {
-	sys := benchSystem("medium")
-	run := func(acct bool) float64 {
-		out, err := harness.Run(harness.RunSpec{
+// BenchmarkSpaceModel evaluates the Section 2.6 space-complexity table
+// for the paper's large example.
+func BenchmarkSpaceModel(b *testing.B) { benchEval(b, spaceModel(molecule.LFB())) }
+
+// wallOf runs spec and returns its measured virtual time.
+func wallOf(spec harness.RunSpec) (float64, error) {
+	out, err := harness.Run(spec)
+	return out.Wall, err
+}
+
+// imbalanceOf runs spec and returns its load imbalance.
+func imbalanceOf(spec harness.RunSpec) (float64, error) {
+	out, err := harness.Run(spec)
+	return out.Breakdown.Imbalance(), err
+}
+
+// accountingOverhead is the Section 3.3 ablation: the cost of the
+// barrier-separated timing mode (the paper accepts < 5%).
+func accountingOverhead(sys *molecule.System) eval {
+	spec := func(acct bool) harness.RunSpec {
+		return harness.RunSpec{
 			Platform: platform.FastCoPs(),
 			Sys:      sys,
 			Opts:     md.Options{Accounting: acct, Minimize: true},
 			Servers:  4,
 			Steps:    10,
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
-		return out.Wall
 	}
-	var overheadPct float64
-	for i := 0; i < b.N; i++ {
-		over := run(false)
-		acct := run(true)
-		overheadPct = 100 * (acct - over) / over
+	return func() ([]metric, error) {
+		over, err := wallOf(spec(false))
+		if err != nil {
+			return nil, err
+		}
+		acct, err := wallOf(spec(true))
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"overhead-%", 100 * (acct - over) / over}}, nil
 	}
-	b.ReportMetric(overheadPct, "overhead-%")
 }
 
-// BenchmarkPairDistribution is the even-server-anomaly ablation: load
-// imbalance of the pseudo-random (LCG) deal versus the balanced folded
-// deal at an even server count.
-func BenchmarkPairDistribution(b *testing.B) {
-	sys := benchSystem("medium")
-	run := func(strat pairlist.Strategy) float64 {
-		out, err := harness.Run(harness.RunSpec{
+// BenchmarkAccountingOverhead is the Section 3.3 ablation: the cost of
+// the barrier-separated timing mode (the paper accepts < 5%).
+func BenchmarkAccountingOverhead(b *testing.B) {
+	benchEval(b, accountingOverhead(benchSystem("medium")))
+}
+
+// pairDistribution is the even-server-anomaly ablation: load imbalance of
+// the pseudo-random (LCG) deal versus the balanced folded deal at an even
+// server count.
+func pairDistribution(sys *molecule.System) eval {
+	spec := func(strat pairlist.Strategy) harness.RunSpec {
+		return harness.RunSpec{
 			Platform: platform.J90(),
 			Sys:      sys,
 			Opts:     md.Options{Accounting: true, Minimize: true, Strategy: strat},
 			Servers:  4,
 			Steps:    4,
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
-		return out.Breakdown.Imbalance()
 	}
-	var lcg, folded float64
-	for i := 0; i < b.N; i++ {
-		lcg = run(pairlist.LCG)
-		folded = run(pairlist.Folded)
+	return func() ([]metric, error) {
+		lcg, err := imbalanceOf(spec(pairlist.LCG))
+		if err != nil {
+			return nil, err
+		}
+		folded, err := imbalanceOf(spec(pairlist.Folded))
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"lcg-imbalance-%", 100 * lcg}, {"folded-imbalance-%", 100 * folded}}, nil
 	}
-	b.ReportMetric(100*lcg, "lcg-imbalance-%")
-	b.ReportMetric(100*folded, "folded-imbalance-%")
+}
+
+// BenchmarkPairDistribution is the even-server-anomaly ablation: load
+// imbalance of the pseudo-random (LCG) deal versus the balanced folded
+// deal at an even server count.
+func BenchmarkPairDistribution(b *testing.B) { benchEval(b, pairDistribution(benchSystem("medium"))) }
+
+// updateEveryLevels are the levels of BenchmarkUpdateSweep.
+var updateEveryLevels = []int{1, 2, 5, 10}
+
+// updateSweep is one level of the update-parameter sweep.
+func updateSweep(sys *molecule.System, every int) eval {
+	return func() ([]metric, error) {
+		wall, err := wallOf(harness.RunSpec{
+			Platform: platform.J90(),
+			Sys:      sys,
+			Opts: md.Options{
+				Cutoff: harness.EffectiveCutoff, UpdateEvery: every,
+				Accounting: true, Minimize: true,
+			},
+			Servers: 4,
+			Steps:   10,
+		})
+		return []metric{{"virtual-s", wall}}, err
+	}
 }
 
 // BenchmarkUpdateSweep sweeps the update parameter (the
 // communication-computation balance factor of the design).
 func BenchmarkUpdateSweep(b *testing.B) {
 	sys := benchSystem("medium")
-	for _, every := range []int{1, 2, 5, 10} {
-		every := every
-		b.Run(fmt.Sprintf("update=%d", every), func(b *testing.B) {
-			var wall float64
-			for i := 0; i < b.N; i++ {
-				out, err := harness.Run(harness.RunSpec{
-					Platform: platform.J90(),
-					Sys:      sys,
-					Opts: md.Options{
-						Cutoff: harness.EffectiveCutoff, UpdateEvery: every,
-						Accounting: true, Minimize: true,
-					},
-					Servers: 4,
-					Steps:   10,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				wall = out.Wall
-			}
-			b.ReportMetric(wall, "virtual-s")
-		})
+	for _, every := range updateEveryLevels {
+		b.Run(fmt.Sprintf("update=%d", every), func(b *testing.B) { benchEval(b, updateSweep(sys, every)) })
 	}
 }
 
-// BenchmarkWaterModel is the Section 2.1 ablation: single-unit waters
-// versus three-site waters (workload and list-size reduction).
-func BenchmarkWaterModel(b *testing.B) {
-	single := benchSystem("small")
+// waterModel is the Section 2.1 ablation: single-unit waters versus
+// three-site waters (workload and list-size reduction).
+func waterModel(single *molecule.System) eval {
 	three := single.ExpandWaters(1)
-	run := func(sys *molecule.System) (float64, int) {
+	run := func(sys *molecule.System) (float64, int, error) {
 		out, err := harness.Run(harness.RunSpec{
 			Platform: platform.J90(),
 			Sys:      sys,
@@ -299,30 +345,33 @@ func BenchmarkWaterModel(b *testing.B) {
 			Steps:    3,
 		})
 		if err != nil {
-			b.Fatal(err)
+			return 0, 0, err
 		}
-		return out.Wall, out.Result.Steps[0].ActivePairs
+		return out.Wall, out.Result.Steps[0].ActivePairs, nil
 	}
-	var ratio float64
-	var pairsSingle, pairsThree int
-	for i := 0; i < b.N; i++ {
-		ws, ps := run(single)
-		wt, pt := run(three)
-		ratio = wt / ws
-		pairsSingle, pairsThree = ps, pt
+	return func() ([]metric, error) {
+		ws, ps, err := run(single)
+		if err != nil {
+			return nil, err
+		}
+		wt, pt, err := run(three)
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"3site/single-time", wt / ws}, {"3site/single-pairs", float64(pt) / float64(ps)}}, nil
 	}
-	b.ReportMetric(ratio, "3site/single-time")
-	b.ReportMetric(float64(pairsThree)/float64(pairsSingle), "3site/single-pairs")
 }
 
-// BenchmarkDecompositionComparison compares the replicated-data engine
-// against the spatial and force decompositions at the same server count.
-func BenchmarkDecompositionComparison(b *testing.B) {
-	sys := benchSystem("medium")
+// BenchmarkWaterModel is the Section 2.1 ablation: single-unit waters
+// versus three-site waters (workload and list-size reduction).
+func BenchmarkWaterModel(b *testing.B) { benchEval(b, waterModel(benchSystem("small"))) }
+
+// decompositionComparison compares the replicated-data engine against the
+// spatial and force decompositions at the same server count.
+func decompositionComparison(sys *molecule.System) eval {
 	const p, steps = 4, 4
-	var rdT, sdT, fdT float64
-	for i := 0; i < b.N; i++ {
-		out, err := harness.Run(harness.RunSpec{
+	return func() ([]metric, error) {
+		rdT, err := wallOf(harness.RunSpec{
 			Platform: platform.T3E900(),
 			Sys:      sys,
 			Opts:     md.Options{Cutoff: harness.EffectiveCutoff, Minimize: true},
@@ -330,66 +379,65 @@ func BenchmarkDecompositionComparison(b *testing.B) {
 			Steps:    steps,
 		})
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		rdT = out.Wall
-		for _, m := range []struct {
-			f   func(pvm.Task, *molecule.System, decomp.Options, int, int) (*decomp.Result, error)
-			dst *float64
-		}{{decomp.RunSD, &sdT}, {decomp.RunFD, &fdT}} {
+		ms := []metric{{"rd-virtual-s", rdT}, {"sd-virtual-s", 0}, {"fd-virtual-s", 0}}
+		for i, f := range []func(pvm.Task, *molecule.System, decomp.Options, int, int) (*decomp.Result, error){decomp.RunSD, decomp.RunFD} {
 			sim := pvm.NewSimVM(platform.T3E900(), nil)
 			var res *decomp.Result
 			var err error
-			m := m
 			sim.SpawnRoot("coord", func(task pvm.Task) {
-				res, err = m.f(task, sys, decomp.Options{Cutoff: harness.EffectiveCutoff}, p, steps)
+				res, err = f(task, sys, decomp.Options{Cutoff: harness.EffectiveCutoff}, p, steps)
 			})
 			if e := sim.Run(); e != nil {
-				b.Fatal(e)
+				return nil, e
 			}
 			if err != nil {
-				b.Fatal(err)
+				return nil, err
 			}
-			*m.dst = res.StepSeconds()
+			ms[1+i].value = res.StepSeconds()
 		}
+		return ms, nil
 	}
-	b.ReportMetric(rdT, "rd-virtual-s")
-	b.ReportMetric(sdT, "sd-virtual-s")
-	b.ReportMetric(fdT, "fd-virtual-s")
+}
+
+// BenchmarkDecompositionComparison compares the replicated-data engine
+// against the spatial and force decompositions at the same server count.
+func BenchmarkDecompositionComparison(b *testing.B) {
+	benchEval(b, decompositionComparison(benchSystem("medium")))
+}
+
+// evenOddLevels are the server counts of BenchmarkEvenOddServers.
+var evenOddLevels = []int{2, 3, 4, 5}
+
+// evenOddServers is the load imbalance at p servers.
+func evenOddServers(sys *molecule.System, p int) eval {
+	return func() ([]metric, error) {
+		imb, err := imbalanceOf(harness.RunSpec{
+			Platform: platform.J90(),
+			Sys:      sys,
+			Opts:     md.Options{Accounting: true, Minimize: true},
+			Servers:  p,
+			Steps:    3,
+		})
+		return []metric{{"imbalance-%", 100 * imb}}, err
+	}
 }
 
 // BenchmarkEvenOddServers quantifies the anomaly across server counts.
 func BenchmarkEvenOddServers(b *testing.B) {
 	sys := benchSystem("medium")
-	for _, p := range []int{2, 3, 4, 5} {
-		p := p
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var imb float64
-			for i := 0; i < b.N; i++ {
-				out, err := harness.Run(harness.RunSpec{
-					Platform: platform.J90(),
-					Sys:      sys,
-					Opts:     md.Options{Accounting: true, Minimize: true},
-					Servers:  p,
-					Steps:    3,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				imb = out.Breakdown.Imbalance()
-			}
-			b.ReportMetric(100*imb, "imbalance-%")
-		})
+	for _, p := range evenOddLevels {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) { benchEval(b, evenOddServers(sys, p)) })
 	}
 }
 
-// BenchmarkCellListAblation quantifies the future-work optimization: the
+// cellListAblation quantifies the future-work optimization: the
 // spatial-cell update versus the O(n^2) scan of the original Opal, on the
 // update-dominated cut-off configuration.
-func BenchmarkCellListAblation(b *testing.B) {
-	sys := benchSystem("large")
-	run := func(cells bool) float64 {
-		out, err := harness.Run(harness.RunSpec{
+func cellListAblation(sys *molecule.System) eval {
+	spec := func(cells bool) harness.RunSpec {
+		return harness.RunSpec{
 			Platform: platform.J90(),
 			Sys:      sys,
 			Opts: md.Options{
@@ -398,70 +446,72 @@ func BenchmarkCellListAblation(b *testing.B) {
 			},
 			Servers: 4,
 			Steps:   5,
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
-		return out.Wall
 	}
-	var plain, cells float64
-	for i := 0; i < b.N; i++ {
-		plain = run(false)
-		cells = run(true)
+	return func() ([]metric, error) {
+		plain, err := wallOf(spec(false))
+		if err != nil {
+			return nil, err
+		}
+		cells, err := wallOf(spec(true))
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"n2-update-s", plain}, {"cell-update-s", cells}, {"speedup", plain / cells}}, nil
 	}
-	b.ReportMetric(plain, "n2-update-s")
-	b.ReportMetric(cells, "cell-update-s")
-	b.ReportMetric(plain/cells, "speedup")
+}
+
+// BenchmarkCellListAblation quantifies the future-work optimization: the
+// spatial-cell update versus the O(n^2) scan of the original Opal, on the
+// update-dominated cut-off configuration.
+func BenchmarkCellListAblation(b *testing.B) { benchEval(b, cellListAblation(benchSystem("large"))) }
+
+// clusterOfJ90s is the extension the paper's site planned: Opal spanning
+// four HIPPI-connected J90s, versus one shared-memory node.
+func clusterOfJ90s(sys *molecule.System) eval {
+	spec := platform.J90Cluster(8)
+	opts := md.Options{Accounting: true, Minimize: true}
+	return func() ([]metric, error) {
+		single, err := wallOf(harness.RunSpec{Platform: platform.J90(), Sys: sys, Opts: opts, Servers: 7, Steps: 3})
+		if err != nil {
+			return nil, err
+		}
+		cl, err := harness.ClusterRun(spec, sys, opts, 15, 3)
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"single-p7-s", single}, {"cluster-p15-s", cl.Wall}}, nil
+	}
 }
 
 // BenchmarkClusterOfJ90s is the extension the paper's site planned:
 // Opal spanning four HIPPI-connected J90s, versus one shared-memory node.
-func BenchmarkClusterOfJ90s(b *testing.B) {
-	sys := benchSystem("large")
-	spec := platform.J90Cluster(8)
-	var single, cluster float64
-	for i := 0; i < b.N; i++ {
-		out, err := harness.Run(harness.RunSpec{
-			Platform: platform.J90(),
-			Sys:      sys,
-			Opts:     md.Options{Accounting: true, Minimize: true},
-			Servers:  7,
-			Steps:    3,
-		})
+func BenchmarkClusterOfJ90s(b *testing.B) { benchEval(b, clusterOfJ90s(benchSystem("large"))) }
+
+// predictionValidation quantifies how closely the analytic model tracks
+// the instrumented simulation per platform (the one-rate extraction bias
+// of Section 4.1).
+func predictionValidation(sys *molecule.System) eval {
+	return func() ([]metric, error) {
+		cases, err := harness.ValidatePrediction(
+			[]*platform.Platform{platform.FastCoPs(), platform.T3E900()},
+			sys, harness.NoCutoff, 1, 3, []int{4})
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		single = out.Wall
-		cl, err := harness.ClusterRun(spec, sys,
-			md.Options{Accounting: true, Minimize: true}, 15, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cluster = cl.Wall
+		sum := harness.ValidationSummary(cases)
+		return []metric{
+			{"fastCoPs-err-%", 100 * sum[platform.FastCoPs().Name]},
+			{"t3e-err-%", 100 * sum[platform.T3E900().Name]},
+		}, nil
 	}
-	b.ReportMetric(single, "single-p7-s")
-	b.ReportMetric(cluster, "cluster-p15-s")
 }
 
 // BenchmarkPredictionValidation quantifies how closely the analytic model
 // tracks the instrumented simulation per platform (the one-rate
 // extraction bias of Section 4.1).
 func BenchmarkPredictionValidation(b *testing.B) {
-	sys := benchSystem("medium")
-	var fastErr, t3eErr float64
-	for i := 0; i < b.N; i++ {
-		cases, err := harness.ValidatePrediction(
-			[]*platform.Platform{platform.FastCoPs(), platform.T3E900()},
-			sys, harness.NoCutoff, 1, 3, []int{4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum := harness.ValidationSummary(cases)
-		fastErr = sum[platform.FastCoPs().Name]
-		t3eErr = sum[platform.T3E900().Name]
-	}
-	b.ReportMetric(100*fastErr, "fastCoPs-err-%")
-	b.ReportMetric(100*t3eErr, "t3e-err-%")
+	benchEval(b, predictionValidation(benchSystem("medium")))
 }
 
 // BenchmarkPairEnergy measures the raw Go speed of the non-bonded inner
@@ -478,8 +528,7 @@ func BenchmarkPairEnergy(b *testing.B) {
 // BenchmarkEvalListRow measures the batched row kernel over a realistic
 // pair list (the md.evalList hot path), with BenchmarkEvalListPerPair as
 // the historical per-pair baseline it replaced.
-func benchEvalListSetup(b *testing.B) (sys *molecule.System, l *pairlist.List, lj *forcefield.LJTable, grad []float64) {
-	b.Helper()
+func benchEvalListSetup() (sys *molecule.System, l *pairlist.List, lj *forcefield.LJTable, grad []float64) {
 	sys = benchSystem("medium")
 	owners := pairlist.Owners(sys.N, 1, pairlist.LCG, 1)
 	l = pairlist.NewList(sys.N, pairlist.RowsOf(owners, 0))
@@ -490,7 +539,7 @@ func benchEvalListSetup(b *testing.B) (sys *molecule.System, l *pairlist.List, l
 }
 
 func BenchmarkEvalListRow(b *testing.B) {
-	sys, l, lj, grad := benchEvalListSetup(b)
+	sys, l, lj, grad := benchEvalListSetup()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var evdw, ecoul float64
@@ -511,7 +560,7 @@ func BenchmarkEvalListRow(b *testing.B) {
 }
 
 func BenchmarkEvalListPerPair(b *testing.B) {
-	sys, l, lj, grad := benchEvalListSetup(b)
+	sys, l, lj, grad := benchEvalListSetup()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var evdw, ecoul float64
@@ -635,10 +684,15 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 	}
 }
 
+// benchModel is the model case BenchmarkModelEvaluation evaluates: the
+// medium complex at p=7 on the J90.
+func benchModel() (core.Machine, core.App) {
+	return core.MachineFor(platform.J90(), 0.633), core.AppFor(molecule.Antennapedia(), 10, 1, 7, 10)
+}
+
 // BenchmarkModelEvaluation measures the analytic model itself.
 func BenchmarkModelEvaluation(b *testing.B) {
-	mach := core.MachineFor(platform.J90(), 0.633)
-	app := core.AppFor(molecule.Antennapedia(), 10, 1, 7, 10)
+	mach, app := benchModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var total float64
