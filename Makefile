@@ -41,9 +41,13 @@ race:
 
 # Repeat the chaos suite under the race detector: the seeded sim-fabric
 # fault sweep, the live TCP server-kill tests, the self-healing respawn
-# suite and the checkpoint-restart sweeps.
+# suite and the checkpoint-restart sweeps.  Then the handler run-ahead
+# property and lifecycle tests at GOMAXPROCS 1 and 2: at 1 a session has
+# no helper and runs every handler in place, at 2 handlers run ahead.
+AHEAD_CPUS := 1,2
 chaos:
 	$(call test-selected,-race -count=5,TestChaos|TestParallelSurvives|TestServerQuit|TestSelfHeal|TestRestart|TestPeriodicCheckpoint,./internal/harness/ ./internal/md/ ./internal/scenario/)
+	$(call test-selected,-race -count=10 -cpu $(AHEAD_CPUS),TestAheadBitIdentical|TestAheadReplay|TestAheadPanic|TestRunStopsHelper,./internal/pvm/ ./internal/md/)
 
 # Validate and sweep the checked-in chaos corpus through the scenario
 # runner: every scenario over SCENARIO_SEEDS fault/kill seeds.

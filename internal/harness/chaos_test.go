@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"opalperf/internal/fault"
@@ -169,5 +171,23 @@ func TestZeroRateFaultConfigByteIdenticalToNil(t *testing.T) {
 	}
 	if wired.FaultStats.Total() != 0 {
 		t.Fatalf("zero-rate plan injected faults: %+v", wired.FaultStats)
+	}
+}
+
+// TestAllServersLostIsTheRunError: a kill schedule that outlasts the
+// respawn budget degrades the fleet to zero servers.  The run must fail
+// with the engine's "all servers lost", not with a kernel deadlock of the
+// dropped servers left parked in their receive loops.
+func TestAllServersLostIsTheRunError(t *testing.T) {
+	kills := fault.KillSchedule{1: {0}, 2: {0}, 3: {0}}
+	_, err := Run(RunSpec{
+		Platform: platform.J90(), Sys: molecule.TestComplex(8, 16, 5),
+		Opts: md.Options{Cutoff: 10, Minimize: true, SelfHeal: true, MaxRespawns: 1,
+			Kills: kills.Func()},
+		Servers: 2, Steps: 6,
+	})
+	var deadlock *vm.DeadlockError
+	if err == nil || !strings.Contains(err.Error(), "all servers lost") || errors.As(err, &deadlock) {
+		t.Fatalf("fleet killed past its respawn budget: err = %v, want md's all-servers-lost error", err)
 	}
 }

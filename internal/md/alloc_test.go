@@ -1,10 +1,14 @@
 package md
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"opalperf/internal/molecule"
 	"opalperf/internal/pairlist"
+	"opalperf/internal/platform"
+	"opalperf/internal/pvm"
 )
 
 // Steady-state allocation regression tests: the per-step force path —
@@ -98,5 +102,48 @@ func TestListUpdateCellsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("UpdateCells allocates %.1f objects per rebuild, want 0", allocs)
+	}
+}
+
+// TestAheadPhaseLoopZeroAlloc: with handlers running ahead on a second
+// core, the accounting-mode step loop — fine-grained and macro-replayed —
+// allocates nothing per phase once the first steps have grown the lanes,
+// their call records and the helper's stack.  The budget tolerates the
+// step records' amortized growth and stray runtime bookkeeping (about ten
+// objects however long the window), not a per-phase allocation, which
+// would read at least 1.  The cut-off is ineffective, so the minimizer's
+// moves never regrow a pair list's retained candidates.
+func TestAheadPhaseLoopZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates in the macro walk's scratch resets")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, measured = 4, 64
+	for _, lod := range []LoDMode{LoDOff, LoDAuto} {
+		var m0, m1 runtime.MemStats
+		opts := Options{UpdateEvery: 1, Accounting: true, Minimize: true, LoD: lod,
+			AfterStep: func(step int, _ StepInfo) {
+				switch step {
+				case warm - 1:
+					runtime.ReadMemStats(&m0)
+				case warm + measured - 1:
+					runtime.ReadMemStats(&m1)
+				}
+			}}
+		s := pvm.NewSimVM(platform.J90(), nil)
+		var err error
+		s.SpawnRoot("opal-client", func(task pvm.Task) {
+			_, err = RunParallel(task, aheadSystem(1), opts, 3, warm+measured)
+		})
+		if e := s.Run(); e != nil || err != nil {
+			t.Fatal(e, err)
+		}
+		if s.AheadRuns() == 0 {
+			t.Fatalf("%v: no handler ran ahead; the test is vacuous", lod)
+		}
+		if perPhase := float64(m1.Mallocs-m0.Mallocs) / (2 * measured); perPhase > 0.25 {
+			t.Errorf("%v: the phase loop allocates %.3f objects per phase with run-ahead engaged", lod, perPhase)
+		}
 	}
 }

@@ -7,10 +7,12 @@ package md
 // the kernel's own send, receive and barrier rules — skipping every
 // coroutine switch and message allocation of fine-grained execution while
 // producing bit-identical clocks, energies and Stats breakdowns.  The
-// phase profile — resolved dispatch entries, request buffers, exec
-// closures, timeline arrays — is memoized per (fleet, phase shape) inside
-// the connection, so the steady state runs without registry lookups or
-// heap allocation.
+// phase profile — resolved dispatch entries and each method's handler
+// entries, request buffers, per-server calls, timeline arrays — is
+// memoized per fleet inside the connection, so the steady state runs
+// without registry or method lookups or heap allocation.  In accounting
+// mode the handlers of a phase run ahead on a spare core
+// (pvm.StartAhead), macro-replayed and fine-grained alike.
 //
 // Fine-grained message passing is the fallback and the test reference:
 // any run or window needing event-level detail (non-simulated fabric,

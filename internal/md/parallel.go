@@ -22,7 +22,9 @@ var errAdminKill = errors.New("administratively killed")
 // replicated-data design of Section 2.1: the client replicates the global
 // interaction data once, then per step ships coordinates, gathers partial
 // energies and gradients, evaluates the bonded terms and integrates.
-func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps int) (*Result, error) {
+// However it returns, it closes the connection: every server it spawned,
+// dropped ones included, gets the shutdown handshake.
+func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps int) (_ *Result, err error) {
 	opts = opts.withDefaults()
 	if err := validateRun(sys, steps); err != nil {
 		return nil, err
@@ -76,6 +78,11 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		telemetry.MapRank(tid, i+1)
 	}
 	conn := sciddle.Connect(t, tids)
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	conn.SetAccounting(accounting)
 	if ft {
 		conn.SetCallTimeout(opts.CallTimeout, opts.CallRetries)
@@ -403,11 +410,11 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		if opts.Cancel != nil {
 			if cerr := opts.Cancel(); cerr != nil {
 				// Stop cleanly at the boundary: the shutdown handshake
-				// parks the servers exactly as a completed run would.
+				// (deferred above) stops the servers exactly as a completed
+				// run would.
 				telemetry.Emit("run_canceled", telemetry.F{
 					"step": opts.StartStep + step + 1, "cause": cerr.Error(),
 				})
-				conn.Close()
 				return nil, &CancelError{Step: opts.StartStep + step + 1, Cause: cerr}
 			}
 		}

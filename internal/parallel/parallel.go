@@ -3,10 +3,13 @@
 //
 // Every simulated run (harness.Run) builds its own vm.Kernel, whose
 // token-handoff scheduler is deterministic regardless of host
-// scheduling. Concurrency therefore lives strictly *between* runs: a
-// pool of at most Workers() goroutines drains an index queue, and
-// results are collected into a slice ordered by input index. The
-// output of Map is byte-identical to the sequential loop it replaces.
+// scheduling. Runs are independent, so this pool fans them out: at most
+// Workers() goroutines drain an index queue, and results are collected
+// into a slice ordered by input index. The output of Map is
+// byte-identical to the sequential loop it replaces. The one concurrency
+// inside a run is the session's own: in accounting mode a simulated run
+// hands its server handlers to one helper goroutine (pvm.StartAhead),
+// which changes no result either.
 package parallel
 
 import (

@@ -17,6 +17,9 @@ package pvm
 // RNG stream, no other process is runnable, and every target server is
 // parked in its receive loop.  Any violation falls back to fine-grained
 // execution, which is always correct.
+//
+// In accounting mode a server's handler starts ahead (ahead.go) when its
+// request wakes the server, and is finished at its handler event.
 
 import (
 	"opalperf/internal/telemetry"
@@ -74,10 +77,10 @@ func MacroCapable(t Task) bool {
 type MacroCall struct {
 	Server   int // server TID
 	ReqBytes int // request message volume
-	// Exec runs the server's handler in-process, charging virtual time
-	// to st exactly as the fine-grained handler would, and returns the
-	// reply message volume.
-	Exec func(st Task) int
+	// Exec is the server's handler for the request: its Run runs the
+	// handler in-process, charging virtual time to st exactly as the
+	// fine-grained handler would, and returns the reply message volume.
+	Exec Call
 }
 
 // MacroTimes is the per-call client timeline of a macro-replayed phase,
@@ -123,6 +126,7 @@ type macroEngine struct {
 	arr      []float64 // request arrival times
 	repArr   []float64 // reply arrival times
 	repReady []bool
+	ahead    []bool        // handlers started ahead at their request's wake
 	bar      [2][]*vm.Proc // members waiting at the "call" and "done" barriers
 	waiting  int           // reply index the client needs next, -1 when none pending
 }
@@ -133,6 +137,7 @@ func (e *macroEngine) reset(p int) {
 	e.arr = append(e.arr[:0], make([]float64, p)...)
 	e.repArr = append(e.repArr[:0], make([]float64, p)...)
 	e.repReady = append(e.repReady[:0], make([]bool, p)...)
+	e.ahead = append(e.ahead[:0], make([]bool, p)...)
 	e.bar[0], e.bar[1] = e.bar[0][:0], e.bar[1][:0]
 	e.waiting = -1
 }
@@ -259,16 +264,21 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 			sv := eng.svt[i].proc
 			sv.Accept(eng.arr[i], calls[i].ReqBytes)
 			if accounting {
+				eng.ahead[i] = eng.svt[i].startAhead(calls[i].Exec)
 				join(0, sv)
 			} else {
-				out.RepBytes[i] = calls[i].Exec(eng.svt[i])
+				out.RepBytes[i] = calls[i].Exec.Run(eng.svt[i])
 				eng.push(macroEvent{key: sv.Now(), id: sv.ID(), kind: mevReplySend, idx: i})
 			}
 		case mevJoinDone:
 			join(1, pc)
 		case mevHandler:
 			i := ev.idx
-			out.RepBytes[i] = calls[i].Exec(eng.svt[i])
+			if eng.ahead[i] {
+				out.RepBytes[i] = eng.svt[i].ahead.finish()
+			} else {
+				out.RepBytes[i] = calls[i].Exec.Run(eng.svt[i])
+			}
 			join(1, eng.svt[i].proc)
 		case mevReplySend:
 			i := ev.idx

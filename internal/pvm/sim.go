@@ -28,6 +28,8 @@ type SimVM struct {
 	// holds the execution token, so they need no synchronization.
 	directs map[int]DirectEntry
 	macro   macroEngine
+	// helper runs server handlers ahead of their turn (see ahead.go).
+	helper helper
 }
 
 // NewSimVM creates a session for the given platform.  rec may be nil to
@@ -76,8 +78,14 @@ func (s *SimVM) register(t *simTask) {
 	s.taskByID[id] = t
 }
 
-// Run executes the session to completion.
-func (s *SimVM) Run() error { return s.Kernel.Run() }
+// Run executes the session to completion.  However it returns — done, in
+// a DeadlockError or with a task's panic — no handler started ahead is
+// still running and the session's helper goroutine has exited.
+func (s *SimVM) Run() error {
+	s.helper.begin()
+	defer s.helper.stop()
+	return s.Kernel.Run()
+}
 
 // Time returns the virtual makespan after Run.
 func (s *SimVM) Time() float64 { return s.Kernel.MaxTime() }
@@ -104,6 +112,7 @@ type simTask struct {
 	mon      *hpm.Monitor
 	parent   int
 	instance int
+	ahead    lane // run-ahead handle (ahead.go)
 }
 
 func (t *simTask) TID() int      { return t.proc.ID() }

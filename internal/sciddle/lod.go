@@ -28,26 +28,76 @@ func DirectDispatcher(svc *Service) func(st pvm.Task, req *pvm.Buffer) *pvm.Buff
 	// Steady-state phases repeat the same method thousands of times, so a
 	// one-entry handler cache removes the map lookup from the hot path.
 	var lastMethod string
-	var lastHandler Handler
+	var last *entry
 	return func(st pvm.Task, req *pvm.Buffer) *pvm.Buffer {
 		_, method := unpackHeader(req)
 		if method == methodStop {
 			panic("sciddle: stop requests are never macro-dispatched")
 		}
-		h := lastHandler
-		if method != lastMethod || h == nil {
-			h = svc.handler(method)
-			lastMethod, lastHandler = method, h
+		if method != lastMethod || last == nil {
+			last, lastMethod = svc.entry(method), method
 		}
-		reply := h(st, req)
-		if reply == nil {
-			if voidReply == nil {
-				voidReply = pvm.NewBuffer()
-			}
-			reply = voidReply.Reset()
-		}
-		return reply
+		return last.run(st, req, &voidReply)
 	}
+}
+
+// macroCall is server i's call of a macro-replayed phase, as the walk
+// runs it.  When the server's dispatch entry exposes its *Service, the
+// phase's method is resolved once per fleet (entriesFor) and the call
+// runs the handler entry itself — no per-call method lookup — under that
+// entry's run-ahead gate; otherwise it goes through the entry's Dispatch
+// and stays inline.
+type macroCall struct {
+	c    *Conn
+	i    int
+	void *pvm.Buffer
+}
+
+func (m *macroCall) Run(st pvm.Task) int {
+	c := m.c
+	req := c.reqBufs[m.i].Rewind()
+	var rep *pvm.Buffer
+	if e := c.macroHandlers[m.i]; e != nil {
+		unpackHeader(req)
+		rep = e.run(st, req, &m.void)
+	} else {
+		rep = c.macroEntries[m.i].Dispatch(st, req)
+	}
+	c.replies[m.i] = rep.Rewind()
+	return rep.Bytes()
+}
+
+func (m *macroCall) Gate() *pvm.Gate {
+	if e := m.c.macroHandlers[m.i]; e != nil {
+		return &e.gate
+	}
+	return nil
+}
+
+// methodEntries are one method's handler entries over the memoized fleet,
+// in server order; nil where the dispatch entry is not a *Service.
+type methodEntries struct {
+	method  string
+	entries []*entry
+}
+
+// entriesFor returns method's handler entries over the memoized fleet.  A
+// run calls a handful of methods, so a scan finds them without a map
+// lookup.
+func (c *Conn) entriesFor(method string) []*entry {
+	for _, m := range c.macroMethods {
+		if m.method == method {
+			return m.entries
+		}
+	}
+	entries := make([]*entry, len(c.macroEntries))
+	for i, e := range c.macroEntries {
+		if svc, ok := e.Obj.(*Service); ok {
+			entries[i] = svc.entry(method)
+		}
+	}
+	c.macroMethods = append(c.macroMethods, methodEntries{method, entries})
+	return entries
 }
 
 // SetLoD toggles level-of-detail macro replay for this connection's
@@ -92,12 +142,7 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 	}
 	c.ensurePhaseScratch()
 	for len(c.macroExecs) < n {
-		i := len(c.macroExecs)
-		c.macroExecs = append(c.macroExecs, func(st pvm.Task) int {
-			rep := c.macroEntries[i].Dispatch(st, c.reqBufs[i].Rewind())
-			c.replies[i] = rep.Rewind()
-			return rep.Bytes()
-		})
+		c.macroExecs = append(c.macroExecs, &macroCall{c: c, i: len(c.macroExecs)})
 	}
 	// The dispatch entries are memoized per fleet: in the steady state the
 	// server set is stable across thousands of phases, so the per-server
@@ -105,6 +150,7 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 	// ReplaceServer all change the slice contents and miss the memo).
 	if !slices.Equal(c.macroFleet, c.servers) {
 		c.macroEntries = c.macroEntries[:0]
+		c.macroMethods = c.macroMethods[:0]
 		for _, tid := range c.servers {
 			entry, ok := pvm.DirectOf(c.t, tid)
 			if !ok {
@@ -115,6 +161,7 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 		}
 		c.macroFleet = append(c.macroFleet[:0], c.servers...)
 	}
+	c.macroHandlers = c.entriesFor(method)
 	c.macroCalls = c.macroCalls[:0]
 	seq0 := c.seq
 	for i := range c.servers {

@@ -33,6 +33,17 @@
 // when level of detail allows) are the only entry points, Close uses the
 // same pair for the shutdown handshake, and the macro replay of lod.go
 // books its closed-form timeline through the same two helpers.
+//
+// The handler contract: a handler is a function of its server's state and
+// its request, and of its task it may use only the identity (TID, Parent,
+// Name, Instance), Charge and SetWorkingSet.  Retries rely on it — a
+// resent request must be safe to handle twice — and so does accounting
+// mode on the simulated fabric, where the handlers of a phase are
+// independent between its two barriers: a server starts its handler on a
+// spare core as soon as it holds the request, with its charges recorded,
+// and replays them on its own clock where the handler would have run
+// (pvm.StartAhead).  A handler that breaks the contract there panics
+// with pvm.ErrAheadTask.
 package sciddle
 
 import (
@@ -57,19 +68,45 @@ const (
 
 // Handler is one exported server subroutine: it consumes the unpacked
 // request buffer and returns the reply buffer (nil for a void reply).
+//
+// A handler is a function of its server's state and its request, and of
+// its task it may use only the identity, Charge and SetWorkingSet (see
+// the package comment).
 type Handler func(t pvm.Task, req *pvm.Buffer) *pvm.Buffer
 
 // Service is a set of named handlers exported by a server, the runtime
 // equivalent of a Sciddle interface specification.
 type Service struct {
 	Name     string
-	handlers map[string]Handler
+	handlers map[string]*entry
 	order    []string
+}
+
+// entry is one registered method: its handler, and whether the handler
+// runs ahead on this server (pvm.Gate).
+type entry struct {
+	h    Handler
+	gate pvm.Gate
+}
+
+// run calls the handler, substituting the reusable empty buffer *void for
+// a void reply.  Resetting it is safe because the client has finished
+// with the previous acknowledgement before the server's next handler
+// could run.
+func (e *entry) run(t pvm.Task, req *pvm.Buffer, void **pvm.Buffer) *pvm.Buffer {
+	reply := e.h(t, req)
+	if reply == nil {
+		if *void == nil {
+			*void = pvm.NewBuffer()
+		}
+		reply = (*void).Reset()
+	}
+	return reply
 }
 
 // NewService creates an empty service.
 func NewService(name string) *Service {
-	return &Service{Name: name, handlers: make(map[string]Handler)}
+	return &Service{Name: name, handlers: make(map[string]*entry)}
 }
 
 // Register adds a handler under the given method name.  Registering a
@@ -78,22 +115,38 @@ func (s *Service) Register(method string, h Handler) {
 	if _, dup := s.handlers[method]; dup {
 		panic(fmt.Sprintf("sciddle: duplicate method %q in service %s", method, s.Name))
 	}
-	s.handlers[method] = h
+	s.handlers[method] = &entry{h: h}
 	s.order = append(s.order, method)
 }
 
 // Methods returns the registered method names in registration order.
 func (s *Service) Methods() []string { return append([]string(nil), s.order...) }
 
-// handler looks method up; calling an unregistered method is a bug in the
+// entry looks method up; calling an unregistered method is a bug in the
 // client, interfaces being static.
-func (s *Service) handler(method string) Handler {
-	h := s.handlers[method]
-	if h == nil {
+func (s *Service) entry(method string) *entry {
+	e := s.handlers[method]
+	if e == nil {
 		panic(fmt.Sprintf("sciddle: service %s has no method %q", s.Name, method))
 	}
-	return h
+	return e
 }
+
+// heldCall is a request a server holds, bound to its method's entry: the
+// pvm.Call a handler runs ahead as.
+type heldCall struct {
+	e     *entry
+	req   *pvm.Buffer
+	reply *pvm.Buffer
+	void  *pvm.Buffer
+}
+
+func (c *heldCall) Run(t pvm.Task) int {
+	c.reply = c.e.run(t, c.req, &c.void)
+	return c.reply.Bytes()
+}
+
+func (c *heldCall) Gate() *pvm.Gate { return &c.e.gate }
 
 // unpackHeader consumes the (call id, method) header that packRequest
 // puts in front of every request's arguments.
@@ -132,12 +185,14 @@ type ServeOptions struct {
 // Serve runs the server loop on task t until the client sends a stop
 // request, the Quit channel closes, or the session dies.  In accounting
 // mode each request is bracketed by the two phase barriers described in
-// the package comment.
+// the package comment, and on the simulated fabric the handler starts
+// ahead as soon as the request is held (pvm.StartAhead): it is claimed
+// after the "call" barrier, where it would otherwise run.
 func Serve(t pvm.Task, svc *Service, opt ServeOptions) {
 	if opt.Accounting && opt.Parties < 2 {
 		panic("sciddle: accounting mode needs Parties >= 2")
 	}
-	var voidReply *pvm.Buffer
+	held := &heldCall{}
 	phase := 0
 	for {
 		req, src, ok := serveRecv(t, opt)
@@ -150,23 +205,22 @@ func Serve(t pvm.Task, svc *Service, opt ServeOptions) {
 			t.Send(src, replyTag(callID), pvm.NewBuffer())
 			return
 		}
-		h := svc.handler(method)
+		e := svc.entry(method)
+		var reply *pvm.Buffer
 		if opt.Accounting {
+			held.e, held.req = e, req
+			ahead := !e.gate.Inline() && pvm.StartAhead(t, held)
 			t.Barrier(barrierKey(phase, "call"), opt.Parties)
-		}
-		reply := h(t, req)
-		if reply == nil {
-			// Void reply: reuse one empty buffer for every acknowledgement.
-			// Reset is safe here because the client has finished with the
-			// previous acknowledgement before this handler could run again.
-			if voidReply == nil {
-				voidReply = pvm.NewBuffer()
+			if ahead {
+				pvm.FinishAhead(t)
+				reply = held.reply
+			} else {
+				reply = e.run(t, req, &held.void)
 			}
-			reply = voidReply.Reset()
-		}
-		if opt.Accounting {
 			t.Barrier(barrierKey(phase, "done"), opt.Parties)
 			phase++
+		} else {
+			reply = e.run(t, req, &held.void)
 		}
 		t.Send(src, replyTag(callID), reply)
 	}
@@ -283,16 +337,18 @@ type Conn struct {
 	replies []*pvm.Buffer
 	// Level-of-detail state (see lod.go): macro replay enabled, the
 	// accounting latch, and reusable macro-call scratch.
-	lod          bool
-	lodSusp      bool
-	macroAcct    bool
-	lodMacro     int   // phases replayed as macro-events on this connection
-	lodFallback  int   // phases that wanted macro replay but ran fine-grained
-	macroFleet   []int // fleet the memoized entries were resolved for
-	macroCalls   []pvm.MacroCall
-	macroEntries []pvm.DirectEntry
-	macroExecs   []func(pvm.Task) int
-	macroTimes   pvm.MacroTimes
+	lod           bool
+	lodSusp       bool
+	macroAcct     bool
+	lodMacro      int   // phases replayed as macro-events on this connection
+	lodFallback   int   // phases that wanted macro replay but ran fine-grained
+	macroFleet    []int // fleet the memoized entries were resolved for
+	macroCalls    []pvm.MacroCall
+	macroEntries  []pvm.DirectEntry
+	macroExecs    []*macroCall
+	macroMethods  []methodEntries // handler entries per method over macroFleet
+	macroHandlers []*entry        // the current phase's, from macroMethods
+	macroTimes    pvm.MacroTimes
 }
 
 // Connect builds a connection from a client task to its servers.

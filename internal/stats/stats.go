@@ -21,25 +21,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance; zero for fewer than two
-// points.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// Std returns the sample standard deviation.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median; zero for an empty slice.
 func Median(xs []float64) float64 {
 	n := len(xs)

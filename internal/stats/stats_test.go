@@ -9,25 +9,9 @@ import (
 
 func eq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
-func TestMeanVarianceStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !eq(Mean(xs), 5) {
-		t.Errorf("mean = %v", Mean(xs))
-	}
-	if !eq(Variance(xs), 32.0/7.0) {
-		t.Errorf("variance = %v", Variance(xs))
-	}
-	if !eq(Std(xs), math.Sqrt(32.0/7.0)) {
-		t.Errorf("std = %v", Std(xs))
-	}
-}
-
 func TestEmptyAndSingleton(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Error("empty slices should give zeros")
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Error("singleton variance should be zero")
 	}
 	if Mean([]float64{5}) != 5 || Median([]float64{5}) != 5 {
 		t.Error("singleton mean/median wrong")
@@ -93,7 +77,7 @@ func TestR2(t *testing.T) {
 	}
 }
 
-// Property: mean is between min and max; variance is non-negative.
+// Property: mean is between min and max.
 func TestMeanBoundsProperty(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -105,7 +89,7 @@ func TestMeanBoundsProperty(t *testing.T) {
 		}
 		m := Mean(xs)
 		lo, hi := slices.Min(xs), slices.Max(xs)
-		return m >= lo-1e-9 && m <= hi+1e-9 && Variance(xs) >= 0
+		return m >= lo-1e-9 && m <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
