@@ -18,7 +18,9 @@ SUPERVISION_BUDGET ?= 2.0
 # `go test -list` what the pattern selects: -run with a pattern that matches
 # nothing exits 0, so a renamed test would drop out of a pattern-selected
 # target without anybody noticing.  Every |-alternative of the pattern must
-# select at least one test.
+# select at least one test.  A comma in $(1) is written $(comma), since a
+# literal one would split the call's arguments.
+comma := ,
 define test-selected
 @list=$$($(GO) test -list '$(2)' $(3)) || { echo "$$list"; exit 1; }; \
 for alt in $$(echo '$(2)' | tr '|' ' '); do \
@@ -44,10 +46,9 @@ race:
 # suite and the checkpoint-restart sweeps.  Then the handler run-ahead
 # property and lifecycle tests at GOMAXPROCS 1 and 2: at 1 a session has
 # no helper and runs every handler in place, at 2 handlers run ahead.
-AHEAD_CPUS := 1,2
 chaos:
 	$(call test-selected,-race -count=5,TestChaos|TestParallelSurvives|TestServerQuit|TestSelfHeal|TestRestart|TestPeriodicCheckpoint,./internal/harness/ ./internal/md/ ./internal/scenario/)
-	$(call test-selected,-race -count=10 -cpu $(AHEAD_CPUS),TestAheadBitIdentical|TestAheadReplay|TestAheadPanic|TestRunStopsHelper,./internal/pvm/ ./internal/md/)
+	$(call test-selected,-race -count=10 -cpu 1$(comma)2,TestAheadBitIdentical|TestAheadReplay|TestAheadPanic|TestRunStopsHelper,./internal/pvm/ ./internal/md/)
 
 # Validate and sweep the checked-in chaos corpus through the scenario
 # runner: every scenario over SCENARIO_SEEDS fault/kill seeds.

@@ -65,10 +65,7 @@ func (m LoDMode) String() string {
 	return fmt.Sprintf("LoDMode(%d)", int(m))
 }
 
-// registerDirect records svc's in-process dispatcher for server tid.
+// registerDirect records svc as server tid's in-process handlers.
 func registerDirect(t pvm.Task, tid int, svc *sciddle.Service) {
-	pvm.RegisterDirect(t, tid, pvm.DirectEntry{
-		Obj:      svc,
-		Dispatch: sciddle.DirectDispatcher(svc),
-	})
+	pvm.RegisterDirect(t, tid, pvm.DirectEntry{Obj: svc})
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // OpalHandler is the server-side implementation of service Opal.
-// The task argument gives handlers access to HPM charging and barriers.
+// Of the task argument a handler may use only its identity, Charge and
+// SetWorkingSet (see sciddle.Handler).
 type OpalHandler interface {
 	Init(t pvm.Task, n int, nsolute int, kinds []int64, types []int64, charges []float64, c12 []float64, c6 []float64, excl []int64, cutoff float64, box float64, celllist int, strategy int, seed int, rank int, nservers int)
 	Update(t pvm.Task, coords []float64) (checks int)

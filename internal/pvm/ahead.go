@@ -52,8 +52,7 @@ var ErrAheadTask = errors.New("pvm: a handler running ahead may use only its tas
 type Call interface {
 	// Run runs the handler against st and returns the reply volume.
 	Run(st Task) int
-	// Gate is the run-ahead decision of the call's (server, method) pair;
-	// nil keeps the call inline.
+	// Gate is the run-ahead decision of the call's (server, method) pair.
 	Gate() *Gate
 }
 
@@ -73,7 +72,7 @@ const (
 )
 
 // Inline reports whether the pair's calls run in place.
-func (g *Gate) Inline() bool { return g == nil || g.state == gateInline }
+func (g *Gate) Inline() bool { return g.state == gateInline }
 
 // decide takes one more timed call of an unsettled gate into account.
 func (g *Gate) decide(host time.Duration) {

@@ -27,10 +27,11 @@ import (
 )
 
 // DirectEntry describes how the macro layer can run one server's
-// handlers in-process.  Dispatch implements the generic buffer-level
-// protocol (exactly what the server's Serve loop would do with a
-// delivered request); Obj optionally exposes the underlying typed
-// handler object so higher layers can skip buffer marshalling entirely.
+// handlers in-process.  Obj exposes the server's handler object, which
+// the layer above runs directly (sciddle requires its *Service there);
+// Dispatch optionally implements the generic buffer-level protocol
+// (exactly what the server's Serve loop would do with a delivered
+// request) for callers that drive a server by buffers alone.
 type DirectEntry struct {
 	Obj      any
 	Dispatch func(st Task, req *Buffer) *Buffer

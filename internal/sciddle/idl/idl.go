@@ -269,7 +269,8 @@ func genService(b *strings.Builder, s *Service) {
 	name := export(s.Name)
 	// Handler interface.
 	fmt.Fprintf(b, "// %sHandler is the server-side implementation of service %s.\n", name, s.Name)
-	fmt.Fprintf(b, "// The task argument gives handlers access to HPM charging and barriers.\n")
+	fmt.Fprintf(b, "// Of the task argument a handler may use only its identity, Charge and\n")
+	fmt.Fprintf(b, "// SetWorkingSet (see sciddle.Handler).\n")
 	fmt.Fprintf(b, "type %sHandler interface {\n", name)
 	for _, m := range s.Methods {
 		fmt.Fprintf(b, "\t%s(t pvm.Task%s)%s\n", export(m.Name), sigParams(m.Args), sigResults(m.Rets))

@@ -10,6 +10,7 @@ package sciddle
 // through MethodStats.sent and Conn.replied.
 
 import (
+	"fmt"
 	"slices"
 
 	"opalperf/internal/pvm"
@@ -20,9 +21,9 @@ import (
 // suitable as pvm.DirectEntry.Dispatch.  It consumes a request buffer
 // with the standard Sciddle header (call id, method) exactly as the
 // Serve loop would after delivery, runs the handler on the server's
-// task, and returns the (possibly void) reply.  The code that spawns a
-// server with Serve(t, svc, ...) should register the dispatcher built
-// from the *same* svc, so handler state is shared whichever path runs.
+// task, and returns the (possibly void) reply.  Macro replay does not
+// use it: it runs the handler entries of the *Service registered as
+// pvm.DirectEntry.Obj, which must be the svc the server serves from.
 func DirectDispatcher(svc *Service) func(st pvm.Task, req *pvm.Buffer) *pvm.Buffer {
 	var voidReply *pvm.Buffer
 	// Steady-state phases repeat the same method thousands of times, so a
@@ -42,11 +43,9 @@ func DirectDispatcher(svc *Service) func(st pvm.Task, req *pvm.Buffer) *pvm.Buff
 }
 
 // macroCall is server i's call of a macro-replayed phase, as the walk
-// runs it.  When the server's dispatch entry exposes its *Service, the
-// phase's method is resolved once per fleet (entriesFor) and the call
-// runs the handler entry itself — no per-call method lookup — under that
-// entry's run-ahead gate; otherwise it goes through the entry's Dispatch
-// and stays inline.
+// runs it.  The phase's method is resolved once per fleet (entriesFor),
+// so the call runs the handler entry itself — no per-call method lookup —
+// under that entry's run-ahead gate.
 type macroCall struct {
 	c    *Conn
 	i    int
@@ -56,26 +55,16 @@ type macroCall struct {
 func (m *macroCall) Run(st pvm.Task) int {
 	c := m.c
 	req := c.reqBufs[m.i].Rewind()
-	var rep *pvm.Buffer
-	if e := c.macroHandlers[m.i]; e != nil {
-		unpackHeader(req)
-		rep = e.run(st, req, &m.void)
-	} else {
-		rep = c.macroEntries[m.i].Dispatch(st, req)
-	}
+	unpackHeader(req)
+	rep := c.macroHandlers[m.i].run(st, req, &m.void)
 	c.replies[m.i] = rep.Rewind()
 	return rep.Bytes()
 }
 
-func (m *macroCall) Gate() *pvm.Gate {
-	if e := m.c.macroHandlers[m.i]; e != nil {
-		return &e.gate
-	}
-	return nil
-}
+func (m *macroCall) Gate() *pvm.Gate { return &m.c.macroHandlers[m.i].gate }
 
 // methodEntries are one method's handler entries over the memoized fleet,
-// in server order; nil where the dispatch entry is not a *Service.
+// in server order.
 type methodEntries struct {
 	method  string
 	entries []*entry
@@ -83,7 +72,8 @@ type methodEntries struct {
 
 // entriesFor returns method's handler entries over the memoized fleet.  A
 // run calls a handful of methods, so a scan finds them without a map
-// lookup.
+// lookup.  Every dispatch entry a macro phase uses must expose the
+// server's *Service as its Obj.
 func (c *Conn) entriesFor(method string) []*entry {
 	for _, m := range c.macroMethods {
 		if m.method == method {
@@ -92,9 +82,11 @@ func (c *Conn) entriesFor(method string) []*entry {
 	}
 	entries := make([]*entry, len(c.macroEntries))
 	for i, e := range c.macroEntries {
-		if svc, ok := e.Obj.(*Service); ok {
-			entries[i] = svc.entry(method)
+		svc, ok := e.Obj.(*Service)
+		if !ok {
+			panic(fmt.Sprintf("sciddle: lod: server %d's dispatch entry exposes %T, not its *sciddle.Service", c.macroFleet[i], e.Obj))
 		}
+		entries[i] = svc.entry(method)
 	}
 	c.macroMethods = append(c.macroMethods, methodEntries{method, entries})
 	return entries
