@@ -43,11 +43,12 @@ race:
 
 # Repeat the chaos suite under the race detector: the seeded sim-fabric
 # fault sweep, the live TCP server-kill tests, the self-healing respawn
-# suite and the checkpoint-restart sweeps.  Then the handler run-ahead
+# suite, the checkpoint-restart sweeps and two concurrent runs keeping
+# their telemetry apart.  Then the handler run-ahead
 # property and lifecycle tests at GOMAXPROCS 1 and 2: at 1 a session has
 # no helper and runs every handler in place, at 2 handlers run ahead.
 chaos:
-	$(call test-selected,-race -count=5,TestChaos|TestParallelSurvives|TestServerQuit|TestSelfHeal|TestRestart|TestPeriodicCheckpoint,./internal/harness/ ./internal/md/ ./internal/scenario/)
+	$(call test-selected,-race -count=5,TestChaos|TestParallelSurvives|TestServerQuit|TestSelfHeal|TestRestart|TestPeriodicCheckpoint|TestConcurrentRunsKeepTheirTelemetry,./internal/harness/ ./internal/md/ ./internal/scenario/)
 	$(call test-selected,-race -count=10 -cpu 1$(comma)2,TestAheadBitIdentical|TestAheadReplay|TestAheadPanic|TestRunStopsHelper,./internal/pvm/ ./internal/md/)
 
 # Validate and sweep the checked-in chaos corpus through the scenario

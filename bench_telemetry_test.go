@@ -36,18 +36,16 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 	run := func(enabled bool) func() {
 		return func() {
+			spec := spec
 			if enabled {
 				telemetry.SetEnabled(true)
 				telemetry.StartJournal(io.Discard, 256)
-				telemetry.EnableMatrix(true)
-				telemetry.ResetMatrix()
+				spec.Scope = &telemetry.Scope{Matrix: new(telemetry.Matrix)}
 			}
 			if _, err := harness.Run(spec); err != nil {
 				b.Fatal(err)
 			}
 			if enabled {
-				telemetry.EnableMatrix(false)
-				telemetry.ResetMatrix()
 				telemetry.SetEnabled(false)
 				telemetry.StopJournal()
 			}

@@ -100,10 +100,13 @@ func main() {
 	// The telemetry plane observes the run; it never feeds back into the
 	// simulation, so physics and virtual times are unchanged by enabling it.
 	telemetry.SetEnabled(true)
-	telemetry.SetRun(telemetry.NewRunID())
+	// The process runs one run, so the run's scope is the process's:
+	// /healthz reports its health and /streamz its matrix.
+	scope := &telemetry.Scope{ID: telemetry.NewRunID()}
+	telemetry.SetRun(scope.ID)
+	telemetry.Attach(scope)
 	if *matrixOn {
-		telemetry.EnableMatrix(true)
-		telemetry.SetMatrixEmitEvery(*matrixEvy)
+		scope.Matrix, scope.MatrixEvery = new(telemetry.Matrix), *matrixEvy
 	} else if *matrixEvy != 0 {
 		fatal(fmt.Errorf("-matrix-every requires -matrix"))
 	}
@@ -242,6 +245,7 @@ func main() {
 		opts.Trajectory = md.NewTrajectoryWriter(xyzOut, sys, 1)
 	}
 
+	spec.Scope = scope
 	if arch != nil {
 		spec.Archive = &archive.Sink{Archive: arch}
 	}
@@ -252,7 +256,7 @@ func main() {
 			fatal(fmt.Errorf("-oracle needs parallel servers (-servers > 0): the model predicts the client/server decomposition"))
 		}
 		oc := harness.OracleConfig(spec, *oracleWin)
-		oc.RecalibrateEvery, oc.DegradeHealth = 4, true
+		oc.RecalibrateEvery = 4
 		orc = oracle.New(oc)
 		spec.Oracle = orc
 		telemetry.Handle("/modelz", orc.Handler())
@@ -379,7 +383,7 @@ func main() {
 		// This run's summary is already archived (the sink wrote it inside
 		// harness.Run); judge it against its spec's history, which Watch
 		// takes without this run.
-		q := archive.Query{Spec: harness.SpecHashOf(spec), Run: telemetry.Run()}
+		q := archive.Query{Spec: harness.SpecHashOf(spec), Run: scope.ID}
 		mine := arch.Summaries(q)
 		if len(mine) == 0 {
 			fatal(fmt.Errorf("-watchdog: this run's summary did not reach the archive"))

@@ -16,6 +16,7 @@ import (
 	"opalperf/internal/ctlplane"
 	"opalperf/internal/harness"
 	"opalperf/internal/scenario"
+	"opalperf/internal/telemetry"
 )
 
 // opalSpec is the RunSpec opal builds from these flags for a generated
@@ -87,7 +88,8 @@ func TestOneRunIdentityAcrossFrontEnds(t *testing.T) {
 	waitDone(t, srv.Handler(), id)
 
 	spec := opalSpec(t, "-size", "small", "-scale", "0.02", "-servers", "2", "-steps", "4", "-cutoff", "10", "-update", "2")
-	spec.Archive = &archive.Sink{Archive: a, Run: "opal"}
+	spec.Archive = &archive.Sink{Archive: a}
+	spec.Scope = &telemetry.Scope{ID: "opal"}
 	if _, err := harness.Run(spec); err != nil {
 		t.Fatal(err)
 	}

@@ -105,16 +105,13 @@ func TestRenderDegradedShowsDrops(t *testing.T) {
 // -snapshot against a live /streamz endpoint prints one deterministic
 // frame built from the armed matrix.
 func TestSnapshotFromLiveStream(t *testing.T) {
-	telemetry.EnableMatrix(true)
-	telemetry.ResetMatrix()
-	defer func() {
-		telemetry.EnableMatrix(false)
-		telemetry.ResetMatrix()
-	}()
-	telemetry.MapRank(100, 0)
-	telemetry.MapRank(200, 1)
-	telemetry.MatrixRecord(100, 200, 10, 1000)
-	telemetry.MatrixRecord(200, 100, 5, 50)
+	m := new(telemetry.Matrix)
+	telemetry.Attach(&telemetry.Scope{ID: "live", Matrix: m})
+	defer telemetry.Attach(nil)
+	m.MapRank(100, 0)
+	m.MapRank(200, 1)
+	m.Record(100, 200, 10, 1000)
+	m.Record(200, 100, 5, 50)
 
 	telemetry.SetStreamInterval(5 * time.Millisecond)
 	defer telemetry.SetStreamInterval(500 * time.Millisecond)

@@ -113,21 +113,17 @@ func (a *Archive) MirrorEvent(run, typ string, wall time.Time, line string) {
 // valid no-op destination.
 type Sink struct {
 	Archive *Archive
-	Run     string // run ID ("" lets the producer supply one)
 	Tenant  string
 	Label   string
 }
 
-// Put labels the summary and appends it.  The sink's Run/Tenant/Label,
-// when set, override the producer's: the layer configuring the sink holds
-// the authoritative job ID and tenant, while an unset sink field keeps
-// whatever the producer filled in.  No-op on a nil sink.
+// Put labels the summary and appends it.  The sink's Tenant/Label, when
+// set, override the producer's: the layer configuring the sink holds the
+// authoritative tenant, while an unset sink field keeps whatever the
+// producer filled in.  The run ID is the producer's.  No-op on a nil sink.
 func (s *Sink) Put(sum RunSummary) error {
 	if s == nil || s.Archive == nil {
 		return nil
-	}
-	if s.Run != "" {
-		sum.Run = s.Run
 	}
 	if s.Tenant != "" {
 		sum.Tenant = s.Tenant

@@ -25,10 +25,7 @@ func newTestServer(t *testing.T, cfg Config, runner func(p *pool, j *job, attemp
 	}
 	s.pool.sleep = func(time.Duration) {}
 	s.Start()
-	t.Cleanup(func() {
-		s.Drain()
-		telemetry.ResetHealth()
-	})
+	t.Cleanup(s.Drain)
 	return s
 }
 

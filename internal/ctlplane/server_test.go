@@ -9,6 +9,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"opalperf/internal/fault"
+	"opalperf/internal/harness"
+	"opalperf/internal/telemetry"
 )
 
 func postJSON(t *testing.T, client *http.Client, url, tenant, body string) (*http.Response, map[string]any) {
@@ -322,5 +326,44 @@ func TestPredictHotPathLatency(t *testing.T) {
 	}
 	if p99 > time.Millisecond {
 		t.Fatalf("/predict p99 = %v, want < 1ms", p99)
+	}
+}
+
+// A job's run reports under the job ID, not the daemon's: its run-level
+// journal lines name the job, and a supervisor the job exhausts degrades
+// the job's health only — the daemon's /healthz stays the control plane's.
+func TestJobTelemetryCarriesJobID(t *testing.T) {
+	j := telemetry.StartJournal(nil, 256)
+	defer telemetry.StopJournal()
+	s := New(Config{Workers: 1})
+	// The first kill of rank 0 heals, the second finds the budget spent.
+	s.pool.amend = func(spec *harness.RunSpec) {
+		spec.Opts.Kills, spec.Opts.MaxRespawns = fault.KillSchedule{1: {0}, 2: {0}}.Func(), 1
+	}
+	s.Start()
+	defer s.Drain()
+	jobID, _, err := s.Submit("t", JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 4, SelfHeal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, jobID)
+
+	runs := map[string]string{} // event type -> run ID
+	for _, line := range j.Flight().Events() {
+		var ev struct{ Run, Type string }
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		runs[ev.Type] = ev.Run
+	}
+	for _, typ := range []string{"run_start", "respawn", "supervisor_healing", "supervisor_healthy", "supervisor_degraded", "run_end"} {
+		if runs[typ] != jobID {
+			t.Errorf("%s carries run %q, want the job's %q", typ, runs[typ], jobID)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"state":"idle"`) {
+		t.Fatalf("/healthz after a degraded job = %d %s, want 200 and idle", rec.Code, rec.Body.String())
 	}
 }

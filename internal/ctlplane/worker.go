@@ -74,6 +74,10 @@ type pool struct {
 	killAt func(hash string, attempt int) int
 	// sleep is swapped in tests so backoff is instant.
 	sleep func(time.Duration)
+	// amend, when non-nil, edits each attempt's run spec just before it
+	// runs — the hook tests arm run-level faults the wire form cannot
+	// state (kill schedules, respawn budgets) with.
+	amend func(*harness.RunSpec)
 }
 
 func newPool(cfg Config, q *queue, st *store, brk *breaker, systems *systemCache) *pool {
@@ -273,14 +277,21 @@ func runAttempt(p *pool, j *job, attempt int) (*JobResult, error) {
 	if p.cfg.JobDeadline > 0 {
 		spec.Deadline = time.Now().Add(p.cfg.JobDeadline)
 	}
+	// The job's run reports under the job ID: its journal lines and its
+	// archived summary.  Its health stays its own; the daemon's /healthz
+	// is the control plane's.
+	spec.Scope = &telemetry.Scope{ID: j.ID}
 	if p.arch != nil {
 		// The summary carries the run identity (harness.SpecHashOf), not
 		// the dedup key: the watchdog and cross-run percentiles compare a
 		// job with the identical opal run and scenario seed.
 		spec.Archive = &archive.Sink{
-			Archive: p.arch, Run: j.ID, Tenant: j.Tenant,
+			Archive: p.arch, Tenant: j.Tenant,
 			Label: j.Spec.Platform + "/" + j.Spec.Size,
 		}
+	}
+	if p.amend != nil {
+		p.amend(&spec)
 	}
 	out, err := harness.Run(spec)
 	if err != nil {

@@ -39,15 +39,14 @@ func TestRunArchivesSummary(t *testing.T) {
 	}
 	defer a.Close()
 
-	telemetry.SetRun("test-run-1")
-	defer telemetry.SetRun("")
 	spec := archiveSpec(sys)
 	spec.Archive = &archive.Sink{Archive: a, Tenant: "t-acme", Label: "unit"}
+	spec.Scope = &telemetry.Scope{ID: "test-run-1"}
 	out1, err := harness.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	telemetry.SetRun("test-run-2")
+	spec.Scope = &telemetry.Scope{ID: "test-run-2"}
 	if _, err := harness.Run(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +214,10 @@ func TestJournalMirrorsIntoArchive(t *testing.T) {
 	defer telemetry.StopJournal()
 	j.SetClock(func() time.Time { return time.Unix(1700000000, 0).UTC() })
 	j.SetMirror(a.MirrorEvent)
-	telemetry.SetRun("mirrored-run")
-	defer telemetry.SetRun("")
 
 	spec := archiveSpec(sys)
 	spec.Archive = &archive.Sink{Archive: a}
+	spec.Scope = &telemetry.Scope{ID: "mirrored-run"}
 	if _, err := harness.Run(spec); err != nil {
 		t.Fatal(err)
 	}

@@ -67,6 +67,12 @@ type RunSpec struct {
 	// Oracle armed, which reads windows mid-run, into a keeping one.  Like
 	// every hook, it is not part of SpecHashOf.
 	Recorder *trace.Recorder
+	// Scope, when non-nil, is the run's telemetry: the ID its journal
+	// lines and archived summary carry, the health its supervisor and
+	// oracle report, and its comm matrix when one is armed.  When nil the
+	// run gets a fresh scope stamped with the process run ID.  Like every
+	// hook, it is not part of SpecHashOf.
+	Scope *telemetry.Scope
 }
 
 // paperSpec is the paper's measured run — an energy minimization timed
@@ -109,8 +115,14 @@ func Run(spec RunSpec) (RunOutcome, error) {
 	} else if rec == nil {
 		rec = trace.NewWindowRecorder()
 	}
+	sc := spec.Scope
+	if sc == nil {
+		sc = &telemetry.Scope{ID: telemetry.Run()}
+		spec.Scope = sc
+	}
 	sim := pvm.NewSimVM(spec.Platform, rec)
-	telemetry.Emit("run_start", telemetry.F{
+	sim.SetScope(sc)
+	sc.Emit("run_start", telemetry.F{
 		"platform": spec.Platform.Name, "system": spec.Sys.Name,
 		"servers": spec.Servers, "steps": spec.Steps,
 	})
@@ -136,7 +148,7 @@ func Run(spec RunSpec) (RunOutcome, error) {
 			return cancel()
 		}
 	}
-	if every := telemetry.MatrixEmitEvery(); telemetry.MatrixEnabled() && every > 0 {
+	if every := sc.MatrixEvery; sc.Matrix != nil && every > 0 {
 		// Periodic comm_matrix/rank_profile journal records; the final
 		// state is emitted after the run regardless.
 		prev := opts.AfterStep
@@ -145,7 +157,7 @@ func Run(spec RunSpec) (RunOutcome, error) {
 				prev(step, info)
 			}
 			if (step+1)%every == 0 {
-				telemetry.EmitMatrix()
+				sc.EmitMatrix()
 			}
 		}
 	}
@@ -154,7 +166,7 @@ func Run(spec RunSpec) (RunOutcome, error) {
 			// The hooks run on the client goroutine while it holds the
 			// execution token, so t.Now() is exact and race-free.
 			o := spec.Oracle
-			o.Attach(rec, 0, spec.Servers)
+			o.Attach(sc, rec, 0, spec.Servers)
 			prevInit, prevStep := opts.AfterInit, opts.AfterStep
 			opts.AfterInit = func() {
 				if prevInit != nil {
@@ -176,19 +188,19 @@ func Run(spec RunSpec) (RunOutcome, error) {
 		res, runErr = md.RunParallel(t, spec.Sys, opts, spec.Servers, spec.Steps)
 	})
 	if err := sim.Run(); err != nil {
-		telemetry.Emit("run_end", telemetry.F{"error": err.Error()})
+		sc.Emit("run_end", telemetry.F{"error": err.Error()})
 		return RunOutcome{}, fmt.Errorf("harness: simulation: %w", err)
 	}
 	if runErr != nil {
-		telemetry.Emit("run_end", telemetry.F{"error": runErr.Error()})
+		sc.Emit("run_end", telemetry.F{"error": runErr.Error()})
 		return RunOutcome{}, runErr
 	}
 	out := RunOutcome{Result: res, Wall: res.StepSeconds, Recorder: rec}
 	if spec.Oracle != nil {
 		spec.Oracle.Finish(res.EndSeconds)
 	}
-	telemetry.EmitMatrix()
-	telemetry.Emit("run_end", telemetry.F{
+	sc.EmitMatrix()
+	sc.Emit("run_end", telemetry.F{
 		"wall": out.Wall, "steps": len(res.Steps),
 		"respawns": res.Respawns, "recoveries": res.Recoveries,
 	})
@@ -203,17 +215,18 @@ func Run(spec RunSpec) (RunOutcome, error) {
 	if spec.Archive != nil {
 		// Summary loss must not fail a completed run: the physics are
 		// done, the warehouse can be refilled by the next run.
-		_ = spec.Archive.Put(SummaryOf(spec, out))
+		_ = spec.Archive.Put(summaryOf(spec, out))
 	}
 	return out, nil
 }
 
-// SummaryOf distills a run outcome into its archive digest.
-func SummaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
+// summaryOf distills a run outcome into its archive digest, named by the
+// run's scope.
+func summaryOf(spec RunSpec, out RunOutcome) archive.RunSummary {
 	res := out.Result
 	b := out.Breakdown
 	sum := archive.RunSummary{
-		Run:          telemetry.Run(),
+		Run:          spec.Scope.ID,
 		Spec:         SpecHashOf(spec),
 		Platform:     spec.Platform.Name,
 		System:       spec.Sys.Name,

@@ -48,6 +48,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		return nil, err
 	}
 	parties := nservers + 1
+	sc := pvm.ScopeOf(t)
 	// The services are constructed client-side before the spawn: the
 	// spawned Serve loops and, when the run can macro-replay, the
 	// in-process dispatchers share the same handler objects (see lod.go).
@@ -69,14 +70,6 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 			registerDirect(t, tid, svcs[i])
 		}
 	}
-	// Pin the comm-matrix rank assignment to the MD topology: the client
-	// is rank 0, server i is rank i+1.  A replacement server inherits the
-	// dead rank (see healFrom), so its traffic lands in the same
-	// row/column across a heal.
-	telemetry.MapRank(t.TID(), 0)
-	for i, tid := range tids {
-		telemetry.MapRank(tid, i+1)
-	}
 	conn := sciddle.Connect(t, tids)
 	defer func() {
 		if err != nil {
@@ -96,6 +89,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	var sup *supervise.Supervisor
 	if opts.SelfHeal {
 		sup = supervise.New(supervise.Options{
+			Scope:       sc,
 			Width:       nservers,
 			MaxRespawns: opts.MaxRespawns,
 			Spawn: func(k int) int {
@@ -221,7 +215,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		res.RecoverySeconds += end - start
 		pvm.ReportRecovery(t, start, end)
 		telemetry.Recoveries.Add(1)
-		telemetry.Emit("recovery", telemetry.F{
+		sc.Emit("recovery", telemetry.F{
 			"step": curStep, "servers_left": conn.NumServers(), "seconds": end - start,
 		})
 		return nil
@@ -255,10 +249,9 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 			res.LostTIDs = append(res.LostTIDs, se.TID)
 			conn.ReplaceServer(se.Server, newTID)
 			res.ServerTIDs[se.Server] = newTID
-			telemetry.MapRank(newTID, se.Server+1)
 			res.Respawns++
 			healed = true
-			telemetry.Emit("respawn", telemetry.F{
+			sc.Emit("respawn", telemetry.F{
 				"rank": se.Server, "old_tid": se.TID, "new_tid": newTID, "step": curStep,
 			})
 			err := func() error {
@@ -336,7 +329,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 				}
 				se := &sciddle.ServerError{Server: rank, TID: conn.Server(rank), Err: errAdminKill}
 				telemetry.FaultsInjected.With("admin_kill").Add(1)
-				telemetry.Emit("fault_injected", telemetry.F{
+				sc.Emit("fault_injected", telemetry.F{
 					"kind": "admin_kill", "rank": rank, "tid": se.TID, "step": step,
 				})
 				if err := healFrom(se); err != nil {
@@ -402,7 +395,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 			}
 			telemetry.MDCheckpoints.Add(1)
 			telemetry.MDCheckpointSecs.Observe(t.Now() - ckT0)
-			telemetry.Emit("checkpoint", telemetry.F{"step": opts.StartStep + step + 1})
+			sc.Emit("checkpoint", telemetry.F{"step": opts.StartStep + step + 1})
 		}
 		if opts.AfterStep != nil {
 			opts.AfterStep(step, fin)
@@ -412,7 +405,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 				// Stop cleanly at the boundary: the shutdown handshake
 				// (deferred above) stops the servers exactly as a completed
 				// run would.
-				telemetry.Emit("run_canceled", telemetry.F{
+				sc.Emit("run_canceled", telemetry.F{
 					"step": opts.StartStep + step + 1, "cause": cerr.Error(),
 				})
 				return nil, &CancelError{Step: opts.StartStep + step + 1, Cause: cerr}

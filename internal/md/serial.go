@@ -70,11 +70,11 @@ func RunSerial(t pvm.Task, sys *molecule.System, opts Options, steps int) (*Resu
 			}
 			telemetry.MDCheckpoints.Add(1)
 			telemetry.MDCheckpointSecs.Observe(t.Now() - ckT0)
-			telemetry.Emit("checkpoint", telemetry.F{"step": opts.StartStep + step + 1})
+			pvm.ScopeOf(t).Emit("checkpoint", telemetry.F{"step": opts.StartStep + step + 1})
 		}
 		if opts.Cancel != nil {
 			if cerr := opts.Cancel(); cerr != nil {
-				telemetry.Emit("run_canceled", telemetry.F{
+				pvm.ScopeOf(t).Emit("run_canceled", telemetry.F{
 					"step": opts.StartStep + step + 1, "cause": cerr.Error(),
 				})
 				return nil, &CancelError{Step: opts.StartStep + step + 1, Cause: cerr}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"opalperf/internal/core"
-	"opalperf/internal/telemetry"
 )
 
 // The /modelz endpoint: the oracle's predicted-vs-measured state as one
@@ -49,12 +48,14 @@ func (o *Oracle) Snapshot() Snapshot {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := Snapshot{
-		Run:       telemetry.Run(),
 		Windows:   o.windows,
 		Anomalies: o.anomalies,
 		Window:    o.cfg.Window,
 		Z:         o.cfg.Z,
 		Machine:   paramsOf(o.cfg.Machine),
+	}
+	if o.scope != nil {
+		s.Run = o.scope.ID
 	}
 	if o.refit != nil {
 		p := paramsOf(o.refit.Machine)

@@ -8,9 +8,9 @@
 // per-term residuals as gauges and histograms.  EWMA-tracked residuals
 // that breach a z-score threshold raise oracle_anomaly journal events
 // (catching e.g. a fault-induced Comm/Sync blowup or the even-p
-// imbalance) and can trip /healthz degradation; periodic sliding-window
-// recalibration via core.Calibrate makes drift of the fitted machine
-// parameters (a1, b1, b5, ...) itself observable.
+// imbalance) and mark the run's health model_anomaly; periodic
+// sliding-window recalibration via core.Calibrate makes drift of the
+// fitted machine parameters (a1, b1, b5, ...) itself observable.
 //
 // This is the online continuation of the paper's Section 3 accounting
 // loop: the authors pushed HPM counters into the middleware so every
@@ -61,10 +61,6 @@ type Config struct {
 	// RecalibrateEvery runs core.Calibrate over the measurement ring
 	// every that many windows; 0 disables recalibration.
 	RecalibrateEvery int
-	// DegradeHealth, when set, marks telemetry health degraded on the
-	// first anomaly, so /healthz turns 503 — the oracle as a liveness
-	// check for the *model*, not just the process.
-	DegradeHealth bool
 }
 
 func (c Config) withDefaults() Config {
@@ -144,6 +140,7 @@ type Oracle struct {
 	mu  sync.Mutex
 	cfg Config
 
+	scope  *telemetry.Scope
 	rec    *trace.Recorder
 	client int
 
@@ -186,11 +183,15 @@ func New(cfg Config) *Oracle {
 // Config returns the effective (defaulted) configuration.
 func (o *Oracle) Config() Config { return o.cfg }
 
-// Attach binds the oracle to a run's trace recorder, client process id
-// and fleet width.  The harness calls this before the run starts.
-func (o *Oracle) Attach(rec *trace.Recorder, clientID, servers int) {
+// Attach binds the oracle to a run: its telemetry scope, which carries the
+// oracle's events and which the first anomaly marks model_anomaly (the
+// oracle as a liveness check for the *model*, not just the process), its
+// trace recorder, client process id and fleet width.  The harness calls
+// this before the run starts.
+func (o *Oracle) Attach(sc *telemetry.Scope, rec *trace.Recorder, clientID, servers int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.scope = sc
 	o.rec = rec
 	o.client = clientID
 	if servers > 0 {
@@ -210,7 +211,7 @@ func (o *Oracle) Start(now float64) {
 	o.checks = 0
 	o.active = 0
 	o.started = true
-	telemetry.Emit("oracle_start", telemetry.F{
+	o.scope.Emit("oracle_start", telemetry.F{
 		"machine": o.cfg.Machine.Name, "window": o.cfg.Window, "z": o.cfg.Z,
 	})
 }
@@ -244,7 +245,7 @@ func (o *Oracle) Finish(now float64) {
 	if o.winSteps > 0 {
 		o.closeWindow(o.winStartStep+o.winSteps, now, true)
 	}
-	telemetry.Emit("oracle_finish", telemetry.F{
+	o.scope.Emit("oracle_finish", telemetry.F{
 		"windows": o.windows, "anomalies": o.anomalies,
 	})
 	o.started = false
@@ -300,14 +301,12 @@ func (o *Oracle) closeWindow(endStep int, now float64, partial bool) {
 				}
 				o.anomTerms[names[i]]++
 				o.cAnom[i].Add(1)
-				telemetry.Emit("oracle_anomaly", telemetry.F{
+				o.scope.Emit("oracle_anomaly", telemetry.F{
 					"term": names[i], "window": o.windows,
 					"predicted": pv[i], "measured": mv[i], "residual": r,
 					"z": tr.Z, "start_step": o.winStartStep, "end_step": endStep,
 				})
-				if o.cfg.DegradeHealth {
-					telemetry.SetHealth("model_anomaly", false)
-				}
+				o.scope.SetHealth("model_anomaly", false)
 			} else {
 				e.observe(o.cfg.Alpha, r)
 			}
@@ -377,7 +376,7 @@ func (o *Oracle) recalibrate() {
 	}{{"a1", m.A1}, {"b1", m.B1}, {"a2", m.A2}, {"a3", m.A3}, {"a4", m.A4}, {"b5", m.B5}} {
 		telemetry.OracleParam.With(p.name).Set(p.v)
 	}
-	telemetry.Emit("oracle_recalibrated", telemetry.F{
+	o.scope.Emit("oracle_recalibrated", telemetry.F{
 		"windows": o.windows, "cases": len(o.history),
 		"a1": m.A1, "b1": m.B1, "a2": m.A2, "a3": m.A3, "a4": m.A4, "b5": m.B5,
 		"mape": rep.MAPE, "r2": rep.R2,

@@ -43,7 +43,7 @@ func newSynthetic(cfg Config) *synthetic {
 		cfg.Machine.A1 = 1e12
 	}
 	s := &synthetic{rec: trace.NewRecorder(), o: New(cfg)}
-	s.o.Attach(s.rec, 0, 2)
+	s.o.Attach(&telemetry.Scope{ID: "synthetic"}, s.rec, 0, 2)
 	s.o.Start(0)
 	return s
 }
@@ -64,9 +64,7 @@ func (s *synthetic) doStep(comm float64) {
 // breakdown is pure bias: absorbed by the first EWMA observation, never
 // anomalous — until one window's communication actually changes.
 func TestOracleFlagsCommSpike(t *testing.T) {
-	telemetry.ResetHealth()
-	t.Cleanup(telemetry.ResetHealth)
-	s := newSynthetic(Config{Window: 1, DegradeHealth: true})
+	s := newSynthetic(Config{Window: 1})
 
 	for i := 0; i < 5; i++ {
 		s.doStep(0.1)
@@ -74,7 +72,7 @@ func TestOracleFlagsCommSpike(t *testing.T) {
 	if got := s.o.Anomalies(); got != 0 {
 		t.Fatalf("constant bias raised %d anomalies, want 0", got)
 	}
-	if _, ok := telemetry.Health(); !ok {
+	if _, ok := s.o.scope.Health(); !ok {
 		t.Fatal("health degraded without an anomaly")
 	}
 
@@ -92,8 +90,8 @@ func TestOracleFlagsCommSpike(t *testing.T) {
 	if commTerm == nil || !commTerm.Anomaly {
 		t.Fatalf("anomaly not attributed to comm: %+v", last.Terms)
 	}
-	if state, ok := telemetry.Health(); ok || state != "model_anomaly" {
-		t.Fatalf("DegradeHealth did not trip /healthz: state=%q ok=%v", state, ok)
+	if state, ok := s.o.scope.Health(); ok || state != "model_anomaly" {
+		t.Fatalf("the anomaly did not mark the run's health: state=%q ok=%v", state, ok)
 	}
 
 	// The anomalous residual is not folded into the EWMA, so a return to
@@ -191,7 +189,7 @@ func TestModelzHandler(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("/modelz not JSON: %v\n%s", err, rr.Body.String())
 	}
-	if snap.Windows != 2 || snap.Anomalies != 0 || snap.Machine.Name != "m-test" {
+	if snap.Run != "synthetic" || snap.Windows != 2 || snap.Anomalies != 0 || snap.Machine.Name != "m-test" {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	if snap.Last == nil || len(snap.Last.Terms) != 4 {
@@ -229,7 +227,7 @@ func TestOracleWindowsMatchPerProcessReduction(t *testing.T) {
 	cfg.Machine.A1 = 1e9
 	rec := trace.NewRecorder()
 	o := New(cfg)
-	o.Attach(rec, 0, 2)
+	o.Attach(&telemetry.Scope{}, rec, 0, 2)
 	o.Start(0)
 
 	rng := rand.New(rand.NewSource(5))

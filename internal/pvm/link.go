@@ -52,15 +52,13 @@ func (l *link) send(typ byte, body []byte) (broken net.Conn) {
 
 // inbound does the link's share of one received frame.  A sequenced frame
 // is counted and every ackEvery-th acknowledged; the liveness and ack
-// frames are consumed here (control reports that): their payload is the
-// peer's receive count, and a ping is answered with ours.  broken is the
-// connection a reply could not be written to, as from send.
-func (l *link) inbound(typ byte, body []byte) (control bool, broken net.Conn) {
+// frames are consumed here (control reports that): acked, their decoded
+// payload, is the peer's receive count, and a ping is answered with ours.
+// broken is the connection a reply could not be written to, as from send.
+func (l *link) inbound(typ byte, acked uint64) (control bool, broken net.Conn) {
 	switch typ {
 	case framePing, framePong, frameAck:
-		if acked, _, err := readU64(body); err == nil {
-			l.trimAcked(acked)
-		}
+		l.trimAcked(acked)
 		if typ == framePing {
 			broken = l.send(framePong, appendU64(nil, l.received()))
 		}

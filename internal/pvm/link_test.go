@@ -8,26 +8,21 @@ import (
 	"testing"
 )
 
-type wireFrame struct {
-	typ  byte
-	body []byte
-}
-
 // pipeEnd attaches a fresh in-memory connection to l (replaying past
 // peerRecv) and returns the frames the far end reads, one channel send per
 // frame, until the connection closes.
-func pipeEnd(t *testing.T, l *link, peerRecv uint64) (far net.Conn, frames <-chan wireFrame) {
+func pipeEnd(t *testing.T, l *link, peerRecv uint64) (far net.Conn, frames <-chan frame) {
 	t.Helper()
 	near, far := net.Pipe()
-	ch := make(chan wireFrame, 256)
+	ch := make(chan frame, 256)
 	go func() {
 		defer close(ch)
 		for {
-			typ, body, err := readFrame(far)
+			f, err := readFrame(far)
 			if err != nil {
 				return
 			}
-			ch <- wireFrame{typ, body}
+			ch <- f
 		}
 	}()
 	l.wmu.Lock()
@@ -58,11 +53,12 @@ func TestLinkRetainAckTrimReplay(t *testing.T) {
 	far, frames := pipeEnd(t, &l, 0)
 
 	// Sequenced frames are numbered and retained; control frames are not.
+	// A RegAck's body is never decoded, so one byte can tag each frame.
 	for i := byte(1); i <= 3; i++ {
-		if broken := l.send(frameMsg, []byte{i}); broken != nil {
+		if broken := l.send(frameRegAck, []byte{i}); broken != nil {
 			t.Fatal("send broke a healthy conn")
 		}
-		if f := <-frames; f.typ != frameMsg || f.body[0] != i {
+		if f := <-frames; f.typ != frameRegAck || f.body[0] != i {
 			t.Fatalf("frame %d arrived as %+v", i, f)
 		}
 	}
@@ -78,19 +74,18 @@ func TestLinkRetainAckTrimReplay(t *testing.T) {
 
 	// One cumulative ack per ackEvery sequenced frames received, none
 	// before; handshake frames are neither counted nor consumed.
-	if control, _ := l.inbound(frameWelcome, nil); control || l.received() != 0 {
+	if control, _ := l.inbound(frameWelcome, 0); control || l.received() != 0 {
 		t.Fatal("handshake frame counted or consumed")
 	}
 	for i := 1; i <= 2*ackEvery; i++ {
-		if control, broken := l.inbound(frameMsg, nil); control || broken != nil {
+		if control, broken := l.inbound(frameMsg, 0); control || broken != nil {
 			t.Fatalf("inbound %d: control %v broken %v", i, control, broken)
 		}
 		if i%ackEvery != 0 {
 			continue
 		}
-		f := <-frames
-		if seq, _, err := readU64(f.body); f.typ != frameAck || err != nil || seq != uint64(i) {
-			t.Fatalf("after %d frames: got frame %d seq %d, want ack %d", i, f.typ, seq, i)
+		if f := <-frames; f.typ != frameAck || f.seq != uint64(i) {
+			t.Fatalf("after %d frames: got frame %d seq %d, want ack %d", i, f.typ, f.seq, i)
 		}
 	}
 	select {
@@ -101,17 +96,16 @@ func TestLinkRetainAckTrimReplay(t *testing.T) {
 
 	// Ping, pong and ack all carry the peer's receive count and trim up to
 	// it; a ping is answered with ours.
-	if control, _ := l.inbound(frameAck, appendU64(nil, 1)); !control {
+	if control, _ := l.inbound(frameAck, 1); !control {
 		t.Fatal("ack not consumed by the link")
 	}
 	if got := retained(&l); len(got) != 2 || got[0] != 2 {
 		t.Fatalf("after ack 1: retained %v, want [2 3]", got)
 	}
-	l.inbound(framePong, appendU64(nil, 1)) // stale count: no-op
-	l.inbound(framePing, appendU64(nil, 2))
-	f := <-frames
-	if seq, _, _ := readU64(f.body); f.typ != framePong || seq != 2*ackEvery {
-		t.Fatalf("ping answered with frame %d seq %d", f.typ, seq)
+	l.inbound(framePong, 1) // stale count: no-op
+	l.inbound(framePing, 2)
+	if f := <-frames; f.typ != framePong || f.seq != 2*ackEvery {
+		t.Fatalf("ping answered with frame %d seq %d", f.typ, f.seq)
 	}
 	if got := retained(&l); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("after ping 2: retained %v, want [3]", got)
@@ -120,14 +114,14 @@ func TestLinkRetainAckTrimReplay(t *testing.T) {
 	// A failed write detaches, reports the conn and keeps the frame;
 	// detached sends only queue.
 	far.Close()
-	broken := l.send(frameMsg, []byte{4})
+	broken := l.send(frameRegAck, []byte{4})
 	if broken == nil || l.conn != nil {
 		t.Fatalf("write on a closed conn: broken %v, still attached %v", broken, l.conn != nil)
 	}
 	if l.detach(broken) {
 		t.Fatal("detach of an already-detached conn reported live")
 	}
-	if l.send(frameMsg, []byte{5}) != nil {
+	if l.send(frameRegAck, []byte{5}) != nil {
 		t.Fatal("detached send reported a broken conn")
 	}
 	l.send(framePing, appendU64(nil, 0)) // dropped, not queued
@@ -139,11 +133,11 @@ func TestLinkRetainAckTrimReplay(t *testing.T) {
 	// the fresh conn is live.
 	_, frames = pipeEnd(t, &l, 3)
 	for _, want := range []byte{4, 5} {
-		if f := <-frames; f.typ != frameMsg || f.body[0] != want {
+		if f := <-frames; f.typ != frameRegAck || f.body[0] != want {
 			t.Fatalf("replayed %+v, want msg %d", f, want)
 		}
 	}
-	l.send(frameMsg, []byte{6})
+	l.send(frameRegAck, []byte{6})
 	if f := <-frames; f.body[0] != 6 {
 		t.Fatalf("first live frame after replay = %+v", f)
 	}
@@ -179,13 +173,13 @@ func firstFrames(t *testing.T, stream []byte) map[byte]string {
 	r := bytes.NewReader(stream)
 	for r.Len() > 0 {
 		before := r.Len()
-		typ, _, err := readFrame(r)
+		f, err := readFrame(r)
 		if err != nil {
 			break // a frame still in flight when the stream was cut
 		}
-		if _, seen := first[typ]; !seen {
+		if _, seen := first[f.typ]; !seen {
 			start := len(stream) - before
-			first[typ] = hex.EncodeToString(stream[start : len(stream)-r.Len()])
+			first[f.typ] = hex.EncodeToString(stream[start : len(stream)-r.Len()])
 		}
 	}
 	return first

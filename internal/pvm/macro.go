@@ -244,7 +244,7 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 			i := ev.idx
 			sv := eng.svt[i].proc
 			out.Issue[i] = pc.Now()
-			telemetry.RecordSend(pc.ID(), sv.ID(), uint64(calls[i].ReqBytes))
+			telemetry.RecordSend(s.scope.Matrix, pc.ID(), sv.ID(), uint64(calls[i].ReqBytes))
 			eng.arr[i] = pc.Transmit(sv.ID(), calls[i].ReqBytes)
 			out.SendEnd[i] = pc.Now()
 			wake := sv.Now()
@@ -284,7 +284,7 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 		case mevReplySend:
 			i := ev.idx
 			sv := eng.svt[i].proc
-			telemetry.RecordSend(sv.ID(), pc.ID(), uint64(out.RepBytes[i]))
+			telemetry.RecordSend(s.scope.Matrix, sv.ID(), pc.ID(), uint64(out.RepBytes[i]))
 			eng.repArr[i] = sv.Transmit(pc.ID(), out.RepBytes[i])
 			eng.repReady[i] = true
 			scheduleRecv()

@@ -30,6 +30,8 @@ type SimVM struct {
 	macro   macroEngine
 	// helper runs server handlers ahead of their turn (see ahead.go).
 	helper helper
+	// scope is the run's telemetry (SetScope), never nil.
+	scope *telemetry.Scope
 }
 
 // NewSimVM creates a session for the given platform.  rec may be nil to
@@ -50,7 +52,30 @@ func NewSimVMComm(pl *platform.Platform, comm vm.CommModel, rec *trace.Recorder)
 		Kernel:   vm.NewKernel(comm, tr),
 		Platform: pl,
 		Recorder: rec,
+		scope:    &telemetry.Scope{ID: telemetry.Run()},
 	}
+}
+
+// SetScope makes sc the session's run telemetry, before Run: its matrix,
+// if any, books the session's sends, RPC latencies and traced segments,
+// and the engines running on the session reach it through ScopeOf.  A
+// session is born with a scope of its own, stamped with the process run
+// ID.
+func (s *SimVM) SetScope(sc *telemetry.Scope) {
+	s.scope = sc
+	if s.Recorder != nil {
+		s.Recorder.SetMatrix(sc.Matrix)
+	}
+}
+
+// ScopeOf returns the telemetry scope of t's run: its simulated session's,
+// or for a task of another fabric a fresh one stamped with the process run
+// ID and without a matrix.
+func ScopeOf(t Task) *telemetry.Scope {
+	if st, ok := t.(*simTask); ok {
+		return st.vm.scope
+	}
+	return &telemetry.Scope{ID: telemetry.Run()}
 }
 
 // SetFaults installs a fault model on the underlying kernel (see
@@ -131,7 +156,7 @@ func (t *simTask) Send(dst, tag int, b *Buffer) {
 	}
 	b.sent = true
 	n := b.Bytes()
-	telemetry.RecordSend(t.TID(), dst, uint64(n))
+	telemetry.RecordSend(t.vm.scope.Matrix, t.TID(), dst, uint64(n))
 	t.proc.Send(dst, tag, b, n)
 }
 
@@ -142,7 +167,7 @@ func (t *simTask) Mcast(dsts []int, tag int, b *Buffer) {
 	b.sent = true
 	n := b.Bytes()
 	for _, d := range dsts {
-		telemetry.RecordSend(t.TID(), d, uint64(n))
+		telemetry.RecordSend(t.vm.scope.Matrix, t.TID(), d, uint64(n))
 		t.proc.Send(d, tag, b, n)
 	}
 }
@@ -198,9 +223,12 @@ func (t *simTask) CloseWindow(t1 float64) {
 	}
 }
 
-// ReportFlow implements FlowReporter by recording the RPC flow on the
-// session's trace recorder.
+// ReportFlow implements FlowReporter: the RPC's latency on the run's comm
+// matrix, its flow on the session's trace recorder.
 func (t *simTask) ReportFlow(method string, server int, issue, reply float64) {
+	if m := t.vm.scope.Matrix; m != nil {
+		m.RecordLatency(t.TID(), server, reply-issue)
+	}
 	if t.vm.Recorder != nil {
 		t.vm.Recorder.Flow(method, t.TID(), server, issue, reply)
 	}

@@ -103,14 +103,15 @@ func CloseWindow(t Task, t1 float64) {
 
 // FlowReporter is the optional capability to record one client→server RPC
 // flow — method name, the server task it executed on, the issue and reply
-// times — on the task's trace recorder, linking the client's call span to
-// the matching server execution span.
+// times — on the run's telemetry: its latency on the comm matrix, and its
+// flow on the task's trace recorder, linking the client's call span to the
+// matching server execution span.
 type FlowReporter interface {
 	ReportFlow(method string, server int, issue, reply float64)
 }
 
-// ReportFlow records an RPC flow on fabrics that record timelines, and is
-// a no-op elsewhere.
+// ReportFlow records an RPC flow on fabrics that record timelines and comm
+// matrices, and is a no-op elsewhere.
 func ReportFlow(t Task, method string, server int, issue, reply float64) {
 	if fr, ok := t.(FlowReporter); ok {
 		fr.ReportFlow(method, server, issue, reply)

@@ -151,7 +151,7 @@ func (d *Daemon) serve(conn net.Conn) {
 	// Either way the peer must speak within a bounded window so a silent
 	// connection cannot pin this goroutine forever.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, body, err := readFrame(conn)
+	f, err := readFrame(conn)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
@@ -159,7 +159,7 @@ func (d *Daemon) serve(conn net.Conn) {
 	}
 	var c *daemonConn
 	done := make(chan struct{})
-	switch typ {
+	switch f.typ {
 	case frameHello:
 		d.mu.Lock()
 		if d.closed {
@@ -173,7 +173,7 @@ func (d *Daemon) serve(conn net.Conn) {
 		d.mu.Unlock()
 		c.send(frameWelcome, appendU32(nil, uint32(c.id)))
 	case frameResume:
-		c = d.resume(conn, body, done)
+		c = d.resume(conn, f, done)
 		if c == nil {
 			conn.Close()
 			return
@@ -185,19 +185,12 @@ func (d *Daemon) serve(conn net.Conn) {
 	d.serveLoop(c, conn, done)
 }
 
-// resume attaches conn to an existing detached (or stale-connected)
-// session and replays the frames the client has not acknowledged.
-func (d *Daemon) resume(conn net.Conn, body []byte, done chan struct{}) *daemonConn {
-	sid, rest, err := readU32(body)
-	if err != nil {
-		return nil
-	}
-	clientRecv, _, err := readU64(rest)
-	if err != nil {
-		return nil
-	}
+// resume attaches conn to the existing detached (or stale-connected)
+// session a frameResume names and replays the frames the client has not
+// acknowledged.
+func (d *Daemon) resume(conn net.Conn, f frame, done chan struct{}) *daemonConn {
 	d.mu.Lock()
-	c := d.sessions[int(sid)]
+	c := d.sessions[int(f.id)]
 	closed := d.closed
 	d.mu.Unlock()
 	if c == nil || closed {
@@ -220,7 +213,7 @@ func (d *Daemon) resume(conn net.Conn, body []byte, done chan struct{}) *daemonC
 	if err := writeFrame(conn, frameResumeOK, appendU64(nil, c.recvSeq)); err != nil {
 		return nil
 	}
-	if err := c.replay(conn, clientRecv); err != nil {
+	if err := c.replay(conn, f.seq); err != nil {
 		return nil
 	}
 	c.done = done
@@ -240,46 +233,34 @@ func (d *Daemon) serveLoop(c *daemonConn, conn net.Conn, done chan struct{}) {
 		if d.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(d.opts.IdleTimeout))
 		}
-		typ, body, err := readFrame(conn)
+		f, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		if control, _ := c.inbound(typ, body); control {
+		if control, _ := c.inbound(f.typ, f.seq); control {
 			continue
 		}
-		switch typ {
+		switch f.typ {
 		case frameMsg:
-			// [dst u32, rest...] — route on dst.
-			dst, _, err := readU32(body)
-			if err != nil {
-				return
-			}
-			if target := d.sessionFor(int(dst)); target != nil {
-				target.send(frameMsg, body)
+			// Route on dst; the body travels on as it came.
+			if target := d.sessionFor(int(f.id)); target != nil {
+				target.send(frameMsg, f.body)
 			}
 		case frameBarrier:
-			d.handleBarrier(body)
+			d.handleBarrier(f.name, int(f.n), int(f.id))
 		case frameRegHost:
-			name, _, err := readStr(body)
-			if err != nil {
-				return
-			}
 			d.mu.Lock()
-			if !slices.Contains(d.hosts[name], c.id) {
-				d.hosts[name] = append(d.hosts[name], c.id)
+			if !slices.Contains(d.hosts[f.name], c.id) {
+				d.hosts[f.name] = append(d.hosts[f.name], c.id)
 			}
 			d.mu.Unlock()
 			c.send(frameRegAck, nil)
 		case frameSpawnReq:
-			d.handleSpawnReq(c, body)
+			d.handleSpawnReq(c, f)
 		case frameSpawnRep:
-			// [requester u32, ...] — route back.
-			req, _, err := readU32(body)
-			if err != nil {
-				return
-			}
-			if target := d.sessionFor(int(req)); target != nil {
-				target.send(frameSpawnRep, body)
+			// Route back to the requester.
+			if target := d.sessionFor(int(f.id)); target != nil {
+				target.send(frameSpawnRep, f.body)
 			}
 		case frameBye:
 			d.mu.Lock()
@@ -290,28 +271,17 @@ func (d *Daemon) serveLoop(c *daemonConn, conn net.Conn, done chan struct{}) {
 	}
 }
 
-func (d *Daemon) handleBarrier(body []byte) {
-	name, rest, err := readStr(body)
-	if err != nil {
-		return
-	}
-	parties, rest, err := readU32(rest)
-	if err != nil {
-		return
-	}
-	sid, _, err := readU32(rest)
-	if err != nil {
-		return
-	}
+// handleBarrier counts session sid's entry into barrier name of parties.
+func (d *Daemon) handleBarrier(name string, parties, sid int) {
 	var release map[int]int
 	d.mu.Lock()
 	b := d.barriers[name]
 	if b == nil {
-		b = &daemonBarrier{parties: int(parties), members: make(map[int]int)}
+		b = &daemonBarrier{parties: parties, members: make(map[int]int)}
 		d.barriers[name] = b
 	}
 	b.entered++
-	b.members[int(sid)]++
+	b.members[sid]++
 	if b.entered == b.parties {
 		release = b.members
 		delete(d.barriers, name)
@@ -331,38 +301,26 @@ func (d *Daemon) handleBarrier(body []byte) {
 	}
 }
 
-func (d *Daemon) handleSpawnReq(from *daemonConn, body []byte) {
-	// [requester tid u32, n u32, name]
-	reqTid, rest, err := readU32(body)
-	if err != nil {
-		return
-	}
-	n, rest, err := readU32(rest)
-	if err != nil {
-		return
-	}
-	name, _, err := readStr(rest)
-	if err != nil {
-		return
-	}
+// handleSpawnReq forwards a spawn request to a session hosting its name.
+func (d *Daemon) handleSpawnReq(from *daemonConn, f frame) {
 	d.mu.Lock()
-	hosts := d.hosts[name]
+	hosts := d.hosts[f.name]
 	var host *daemonConn
 	if len(hosts) > 0 {
-		host = d.sessions[hosts[d.rrSpawn[name]%len(hosts)]]
-		d.rrSpawn[name]++
+		host = d.sessions[hosts[d.rrSpawn[f.name]%len(hosts)]]
+		d.rrSpawn[f.name]++
 	}
 	d.mu.Unlock()
 	if host == nil {
 		// Nobody registered: tell the requester to spawn locally.
-		rep := appendU32(nil, reqTid)
+		rep := appendU32(nil, f.id)
 		rep = appendU32(rep, 0)
 		from.send(frameSpawnRep, rep)
 		return
 	}
-	fwd := appendU32(nil, reqTid)
-	fwd = appendU32(fwd, n)
-	fwd = appendStr(fwd, name)
+	fwd := appendU32(nil, f.id)
+	fwd = appendU32(fwd, f.n)
+	fwd = appendStr(fwd, f.name)
 	host.send(frameSpawnFwd, fwd)
 }
 
@@ -465,22 +423,17 @@ func ConnectTCPOpts(addr string, opts TCPOptions) (*TCPVM, error) {
 		conn.Close()
 		return nil, err
 	}
-	typ, body, err := readFrame(conn)
-	if err != nil || typ != frameWelcome {
+	welcome, err := readFrame(conn)
+	if err != nil || welcome.typ != frameWelcome {
 		conn.Close()
 		return nil, fmt.Errorf("pvm: bad welcome from daemon")
-	}
-	id, _, err := readU32(body)
-	if err != nil {
-		conn.Close()
-		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
 	v := &TCPVM{
 		addr:     addr,
 		opts:     opts,
 		link:     link{conn: conn},
-		id:       int(id),
+		id:       int(welcome.id),
 		stopc:    make(chan struct{}),
 		tasks:    make(map[int]*tcpTask),
 		spawnFns: make(map[string]func(Task)),
@@ -626,19 +579,14 @@ func (v *TCPVM) resumeOn(conn net.Conn) bool {
 		conn.Close()
 		return false
 	}
-	typ, body, err := readFrame(conn)
-	if err != nil || typ != frameResumeOK {
-		conn.Close()
-		return false
-	}
-	daemonRecv, _, err := readU64(body)
-	if err != nil {
+	resumed, err := readFrame(conn)
+	if err != nil || resumed.typ != frameResumeOK {
 		conn.Close()
 		return false
 	}
 	conn.SetDeadline(time.Time{})
 	v.wmu.Lock()
-	err = v.replay(conn, daemonRecv)
+	err = v.replay(conn, resumed.seq)
 	v.wmu.Unlock()
 	if err != nil {
 		conn.Close()
@@ -749,133 +697,77 @@ func (v *TCPVM) readLoop(conn net.Conn) {
 		if v.opts.Heartbeat > 0 {
 			conn.SetReadDeadline(time.Now().Add(3 * v.opts.Heartbeat))
 		}
-		typ, body, err := readFrame(conn)
+		f, err := readFrame(conn)
 		if err != nil {
 			v.connBroken(conn)
 			return
 		}
-		control, broken := v.inbound(typ, body)
+		control, broken := v.inbound(f.typ, f.seq)
 		if broken != nil {
 			v.lost()
 		}
 		if control {
 			continue
 		}
-		switch typ {
+		switch f.typ {
 		case frameMsg:
-			v.deliver(body)
+			v.deliver(f)
 		case frameRelease:
-			name, rest, err := readStr(body)
-			if err != nil {
-				v.connBroken(conn)
-				return
-			}
-			count, _, err := readU32(rest)
-			if err != nil {
-				v.connBroken(conn)
-				return
-			}
-			b := v.barrier(name)
+			b := v.barrier(f.name)
 			b.mu.Lock()
-			b.released += int(count)
+			b.released += int(f.n)
 			b.cond.Broadcast()
 			b.mu.Unlock()
 		case frameRegAck:
 			v.regAck <- struct{}{}
 		case frameSpawnFwd:
-			go v.handleSpawnFwd(body)
+			go v.handleSpawnFwd(f)
 		case frameSpawnRep:
-			reqTid, rest, err := readU32(body)
-			if err != nil {
-				v.connBroken(conn)
-				return
-			}
-			n, rest, err := readU32(rest)
-			if err != nil || n != spawnRefused && n > uint32(len(rest)/4) {
-				// A count the body cannot hold is a broken peer, not
-				// a reason to size a slice from the wire.
-				v.connBroken(conn)
-				return
-			}
-			rep := spawnReply{refused: n == spawnRefused}
-			if rep.refused {
-				n = 0
-			}
-			rep.tids = make([]int, 0, n)
-			for i := uint32(0); i < n; i++ {
-				var tid uint32
-				tid, rest, err = readU32(rest)
-				if err != nil {
-					v.connBroken(conn)
-					return
-				}
-				rep.tids = append(rep.tids, int(tid))
-			}
 			v.mu.Lock()
-			ch := v.spawnRep[int(reqTid)]
+			ch := v.spawnRep[int(f.id)]
 			v.mu.Unlock()
 			if ch != nil {
-				ch <- rep
+				ch <- f.rep
 			}
 		}
 	}
 }
 
-// deliver parses a routed message [dst, src, tag, payload] into the local
-// task's mailbox.
-func (v *TCPVM) deliver(body []byte) {
-	dst, rest, err := readU32(body)
-	if err != nil {
-		return
-	}
-	src, rest, err := readU32(rest)
-	if err != nil {
-		return
-	}
-	tag, rest, err := readU32(rest)
-	if err != nil {
-		return
-	}
+// deliver unpacks a routed message's buffer into the local task's
+// mailbox.  A message whose buffer does not decode, or whose task is gone,
+// is dropped.
+func (v *TCPVM) deliver(f frame) {
 	var buf Buffer
-	if err := buf.UnmarshalBinary(rest); err != nil {
+	if err := buf.UnmarshalBinary(f.payload); err != nil {
 		return
 	}
 	v.mu.Lock()
-	t := v.tasks[int(dst)]
+	t := v.tasks[int(f.id)]
 	v.mu.Unlock()
 	if t == nil {
 		return
 	}
-	t.enqueue(int(src), int(tag), &buf)
+	t.enqueue(int(f.src), int(f.tag), &buf)
 }
 
-func (v *TCPVM) handleSpawnFwd(body []byte) {
-	reqTid, rest, err := readU32(body)
-	if err != nil {
-		return
-	}
-	n, rest, err := readU32(rest)
-	if err != nil {
-		return
-	}
-	name, _, err := readStr(rest)
-	if err != nil {
-		return
-	}
+// handleSpawnFwd spawns the tasks a forwarded spawn request asks of this
+// session and answers the requester.
+func (v *TCPVM) handleSpawnFwd(f frame) {
 	v.mu.Lock()
-	fn := v.spawnFns[name]
+	fn := v.spawnFns[f.name]
 	v.mu.Unlock()
 	var tids []int
 	if fn != nil {
 		// A count past this session's task ids is refused whole: the
 		// wire's u32 would otherwise start that many goroutines under
 		// TIDs of the next session's range.
-		if tids, err = v.spawnChildren(name, int(reqTid), int(n), fn); err != nil {
-			v.write(frameSpawnRep, appendU32(appendU32(nil, reqTid), spawnRefused))
+		var err error
+		if tids, err = v.spawnChildren(f.name, int(f.id), int(f.n), fn); err != nil {
+			v.write(frameSpawnRep, appendU32(appendU32(nil, f.id), spawnRefused))
 			return
 		}
 	}
-	rep := appendU32(nil, reqTid)
+	rep := appendU32(nil, f.id)
 	rep = appendU32(rep, uint32(len(tids)))
 	for _, tid := range tids {
 		rep = appendU32(rep, uint32(tid))
@@ -977,7 +869,7 @@ func (t *tcpTask) Send(dst, tag int, b *Buffer) {
 	if b == nil {
 		b = NewBuffer()
 	}
-	telemetry.RecordSend(t.tid, dst, uint64(b.Bytes()))
+	telemetry.RecordSend(nil, t.tid, dst, uint64(b.Bytes()))
 	// Local fast path.
 	t.vm.mu.Lock()
 	local := t.vm.tasks[dst]

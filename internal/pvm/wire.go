@@ -175,17 +175,19 @@ func writeFrame(w io.Writer, typ byte, body []byte) error {
 	return err
 }
 
-// readFrame reads one frame.  The body is read in bounded chunks so a
-// lying length prefix from a broken or malicious peer cannot force a
-// gigabyte allocation before the short stream is discovered.
-func readFrame(r io.Reader) (typ byte, body []byte, err error) {
+// readFrame reads and decodes one frame: the daemon's loop, the session's
+// loop and both handshakes read every frame through it.  The body is read
+// in bounded chunks so a lying length prefix from a broken or malicious
+// peer cannot force a gigabyte allocation before the short stream is
+// discovered.
+func readFrame(r io.Reader) (frame, error) {
 	hdr := make([]byte, 4)
-	if _, err = io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return frame{}, err
 	}
 	size := int(binary.BigEndian.Uint32(hdr))
 	if size == 0 || size > 1<<30 {
-		return 0, nil, fmt.Errorf("pvm: bad frame size %d", size)
+		return frame{}, fmt.Errorf("pvm: bad frame size %d", size)
 	}
 	const chunk = 1 << 16
 	first := size
@@ -193,8 +195,8 @@ func readFrame(r io.Reader) (typ byte, body []byte, err error) {
 		first = chunk
 	}
 	buf := make([]byte, first)
-	if _, err = io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return frame{}, err
 	}
 	for len(buf) < size {
 		n := size - len(buf)
@@ -203,39 +205,117 @@ func readFrame(r io.Reader) (typ byte, body []byte, err error) {
 		}
 		old := len(buf)
 		buf = append(buf, make([]byte, n)...)
-		if _, err = io.ReadFull(r, buf[old:]); err != nil {
-			return 0, nil, err
+		if _, err := io.ReadFull(r, buf[old:]); err != nil {
+			return frame{}, err
 		}
 	}
-	return buf[0], buf[1:], nil
+	return decodeFrame(buf[0], buf[1:])
 }
 
 // Small helpers for frame bodies.
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func readU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("pvm: short frame")
-	}
-	return binary.BigEndian.Uint64(b), b[8:], nil
-}
 func appendStr(b []byte, s string) []byte { b = appendU32(b, uint32(len(s))); return append(b, s...) }
 
-func readU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("pvm: short frame")
-	}
-	return binary.BigEndian.Uint32(b), b[4:], nil
+// frame is one decoded frame: its type, its raw body (which the daemon
+// forwards as it came) and what the body holds.  The fields a type fills:
+//
+//	frameWelcome                       id: the session id
+//	frameMsg                           id: dst, src, tag, payload: the buffer's wire form
+//	frameBarrier                       name, n: parties, id: the entering session
+//	frameRelease                       name, n: the entries released
+//	frameRegHost                       name
+//	frameSpawnReq, frameSpawnFwd       id: the requester tid, n: the task count, name
+//	frameSpawnRep                      id: the requester tid, rep
+//	frameResume                        id: the session, seq: its receive count
+//	frameResumeOK, framePing,
+//	framePong, frameAck                seq: the sender's receive count
+//
+// Every other type has an empty body; what it holds is ignored.
+type frame struct {
+	typ             byte
+	body            []byte
+	id, src, tag, n uint32
+	name            string
+	seq             uint64
+	payload         []byte
+	rep             spawnReply
 }
 
-func readStr(b []byte) (string, []byte, error) {
-	n, rest, err := readU32(b)
-	if err != nil {
-		return "", nil, err
+// decodeFrame is the one decoder of every frame body.  A body too short
+// for its type, or a spawn reply counting more TIDs than it holds, is an
+// error; bytes past what the type reads are ignored.
+func decodeFrame(typ byte, body []byte) (frame, error) {
+	f := frame{typ: typ, body: body}
+	d := bodyDecoder{b: body}
+	switch typ {
+	case frameWelcome:
+		f.id = d.u32()
+	case frameMsg:
+		f.id, f.src, f.tag = d.u32(), d.u32(), d.u32()
+		f.payload = d.b
+	case frameBarrier:
+		f.name, f.n, f.id = d.str(), d.u32(), d.u32()
+	case frameRelease:
+		f.name, f.n = d.str(), d.u32()
+	case frameRegHost:
+		f.name = d.str()
+	case frameSpawnReq, frameSpawnFwd:
+		f.id, f.n, f.name = d.u32(), d.u32(), d.str()
+	case frameSpawnRep:
+		f.id, f.n = d.u32(), d.u32()
+		f.rep.refused = f.n == spawnRefused
+		if f.rep.refused || d.err != nil {
+			break
+		}
+		// A count the body cannot hold is a broken peer, not a reason to
+		// size a slice from the wire.
+		if f.n > uint32(len(d.b)/4) {
+			return frame{}, fmt.Errorf("pvm: spawn reply counts %d tids in %d bytes", f.n, len(d.b))
+		}
+		f.rep.tids = make([]int, f.n)
+		for i := range f.rep.tids {
+			f.rep.tids[i] = int(d.u32())
+		}
+	case frameResume:
+		f.id, f.seq = d.u32(), d.u64()
+	case frameResumeOK, framePing, framePong, frameAck:
+		f.seq = d.u64()
 	}
-	if len(rest) < int(n) {
-		return "", nil, fmt.Errorf("pvm: short string in frame")
-	}
-	return string(rest[:n]), rest[n:], nil
+	return f, d.err
 }
+
+// bodyDecoder reads a frame body front to back; the first short read
+// sticks in err and every later read returns zero.
+type bodyDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *bodyDecoder) next(n int) []byte {
+	if d.err == nil && len(d.b) < n {
+		d.err = fmt.Errorf("pvm: short frame")
+	}
+	if d.err != nil {
+		return nil
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *bodyDecoder) u32() uint32 {
+	if v := d.next(4); v != nil {
+		return binary.BigEndian.Uint32(v)
+	}
+	return 0
+}
+
+func (d *bodyDecoder) u64() uint64 {
+	if v := d.next(8); v != nil {
+		return binary.BigEndian.Uint64(v)
+	}
+	return 0
+}
+
+func (d *bodyDecoder) str() string { return string(d.next(int(d.u32()))) }

@@ -27,12 +27,13 @@
 // header and arguments, sends, and books the send side; collect waits for
 // the reply under the connection's call timeout — resending the same
 // request on expiry, failing with a *ServerError once the retries are
-// spent — and books the receive side, the call latency, the comm-matrix
-// latency and the trace flow.  Call (one server) and CallPhasePacked (one
-// SPMD phase over all servers, barriers in accounting mode, macro replay
-// when level of detail allows) are the only entry points, Close uses the
-// same pair for the shutdown handshake, and the macro replay of lod.go
-// books its closed-form timeline through the same two helpers.
+// spent — and books the receive side, the call latency and the RPC's flow
+// (the comm-matrix latency and the trace record, pvm.ReportFlow).  Call
+// (one server) and CallPhasePacked (one SPMD phase over all servers,
+// barriers in accounting mode, macro replay when level of detail allows)
+// are the only entry points, Close uses the same pair for the shutdown
+// handshake, and the macro replay of lod.go books its closed-form
+// timeline through the same two helpers.
 //
 // The handler contract: a handler is a function of its server's state and
 // its request, and of its task it may use only the identity (TID, Parent,
@@ -318,6 +319,7 @@ func (e *ServerError) Unwrap() error { return e.Err }
 // tasks exporting the same service.
 type Conn struct {
 	t          pvm.Task
+	scope      *telemetry.Scope // the run's telemetry (pvm.ScopeOf)
 	servers    []int
 	dropped    []int // TIDs removed by DropServer, stopped best-effort at Close
 	seq        int
@@ -351,9 +353,20 @@ type Conn struct {
 	macroTimes    pvm.MacroTimes
 }
 
-// Connect builds a connection from a client task to its servers.
+// Connect builds a connection from a client task to its servers.  The
+// connection owns the comm-matrix rank assignment of the run: the client
+// is rank 0, server i is rank i+1, and a replacement inherits the rank of
+// the server it replaces (ReplaceServer), so its traffic lands in the same
+// row and column across a heal.
 func Connect(t pvm.Task, servers []int) *Conn {
-	return &Conn{t: t, servers: append([]int(nil), servers...), stats: make(map[string]*MethodStats)}
+	c := &Conn{t: t, scope: pvm.ScopeOf(t), servers: append([]int(nil), servers...), stats: make(map[string]*MethodStats)}
+	if m := c.scope.Matrix; m != nil {
+		m.MapRank(t.TID(), 0)
+		for i, tid := range servers {
+			m.MapRank(tid, i+1)
+		}
+	}
+	return c
 }
 
 // SetAccounting toggles the barrier-separated timing mode.  It must match
@@ -421,6 +434,9 @@ func (c *Conn) ReplaceServer(i, tid int) {
 	}
 	c.dropped = append(c.dropped, c.servers[i])
 	c.servers[i] = tid
+	if m := c.scope.Matrix; m != nil {
+		m.MapRank(tid, i+1)
+	}
 }
 
 // Server returns the TID of the server at index i.
@@ -487,15 +503,14 @@ func (st *MethodStats) sent(dt float64, bytes int) {
 
 // replied books one collected reply from task tid: wait client seconds
 // inside the final receive, the reply volume, and the issue-to-collect
-// latency on the histogram, the comm matrix and the trace's flow records.
-// Fine-grained collection and macro replay both report through here, so
-// the two render identical statistics.
+// latency on the histogram and the RPC's flow.  Fine-grained collection
+// and macro replay both report through here, so the two render identical
+// statistics.
 func (c *Conn) replied(st *MethodStats, tid, bytes int, wait, issued, now float64) {
 	st.TReturn += wait
 	st.BytesIn += bytes
 	st.tBytesIn.Add(uint64(bytes))
 	st.tLat.Observe(now - issued)
-	telemetry.MatrixRecordLatency(c.t.TID(), tid, now-issued)
 	pvm.ReportFlow(c.t, st.Method, tid, issued, now)
 }
 
@@ -529,7 +544,7 @@ func (c *Conn) collect(st *MethodStats, k call) (*pvm.Buffer, error) {
 			st.tTimeouts.Add(1)
 		}
 		if !errors.Is(err, pvm.ErrRecvTimeout) || attempt >= c.callRetries {
-			telemetry.Emit("rpc_server_dead", telemetry.F{
+			c.scope.Emit("rpc_server_dead", telemetry.F{
 				"method": st.Method, "server": k.index, "tid": k.tid, "attempts": attempt + 1,
 			})
 			return nil, &ServerError{Server: k.index, TID: k.tid, Err: err}
@@ -539,7 +554,7 @@ func (c *Conn) collect(st *MethodStats, k call) (*pvm.Buffer, error) {
 		st.TCall += c.t.Now() - t0
 		st.Retries++
 		st.tRetries.Add(1)
-		telemetry.Emit("rpc_retry", telemetry.F{
+		c.scope.Emit("rpc_retry", telemetry.F{
 			"method": st.Method, "server": k.index, "tid": k.tid, "attempt": attempt + 1,
 		})
 	}

@@ -60,6 +60,10 @@ type SpawnFunc func(replacement int) int
 
 // Options configure a supervisor.
 type Options struct {
+	// Scope is the run's telemetry: its journal carries the transitions and
+	// its health tracks the rung.  nil: a fresh scope stamped with the
+	// process run ID.
+	Scope *telemetry.Scope
 	// Width is the configured fleet width p; every heal restores it.
 	Width int
 	// MaxRespawns bounds the total replacements the supervisor may spawn
@@ -88,14 +92,18 @@ func New(opts Options) *Supervisor {
 	if opts.Spawn == nil {
 		panic("supervise: Spawn is required")
 	}
+	if opts.Scope == nil {
+		opts.Scope = &telemetry.Scope{ID: telemetry.Run()}
+	}
 	s := &Supervisor{opts: opts, perRank: make([]int, opts.Width)}
 	s.publishState()
 	return s
 }
 
 // setState performs a state transition and publishes it to the telemetry
-// plane: the gauge and /healthz reflect the new rung, the journal records
-// the transition, and entering Degraded trips the flight-recorder dump.
+// plane: the gauge and the run's health reflect the new rung, the journal
+// records the transition, and entering Degraded trips the flight-recorder
+// dump.
 func (s *Supervisor) setState(to State) {
 	if s.state == to {
 		return
@@ -103,14 +111,14 @@ func (s *Supervisor) setState(to State) {
 	from := s.state
 	s.state = to
 	s.publishState()
-	telemetry.Emit("supervisor_"+to.String(), telemetry.F{
+	s.opts.Scope.Emit("supervisor_"+to.String(), telemetry.F{
 		"from": from.String(), "respawns": s.respawns, "deaths": len(s.lost),
 	})
 }
 
 func (s *Supervisor) publishState() {
 	telemetry.SupState.Set(int64(s.state))
-	telemetry.SetHealth(s.state.String(), s.state != Degraded)
+	s.opts.Scope.SetHealth(s.state.String(), s.state != Degraded)
 }
 
 // State returns the supervisor's current rung.

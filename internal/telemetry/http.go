@@ -11,8 +11,11 @@ import (
 )
 
 // The HTTP plane: /metrics in Prometheus text format, /healthz reflecting
-// the supervisor's state, and the standard pprof handlers — mounted on a
-// private mux so library users never pollute http.DefaultServeMux.
+// the attached run's health (its supervisor's rung, its oracle's verdict)
+// and the registered components', and the standard pprof handlers —
+// mounted on a private mux so library users never pollute
+// http.DefaultServeMux.  A process without an attached run, a service
+// running many, reports only its components.
 
 // extra holds endpoints registered by other packages (e.g. the model
 // oracle's /modelz) so they are mounted on every Handler/Serve without
@@ -63,7 +66,7 @@ func Handler() http.Handler {
 		Default.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		state, ok := Health()
+		state, ok := processHealth()
 		comps, compsOK := ComponentHealth()
 		ok = ok && compsOK
 		w.Header().Set("Content-Type", "application/json")

@@ -48,8 +48,6 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestHealthzReflectsSupervisorState(t *testing.T) {
-	ResetHealth()
-	t.Cleanup(ResetHealth)
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
@@ -68,7 +66,10 @@ func TestHealthzReflectsSupervisorState(t *testing.T) {
 		t.Fatalf("idle health = %+v", h)
 	}
 
-	SetHealth("degraded", false)
+	run := &Scope{ID: "r"}
+	Attach(run) // a run's health is the process's once attached
+	t.Cleanup(func() { Attach(nil) })
+	run.SetHealth("degraded", false)
 	code, body = get(t, srv, "/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded /healthz status %d, want 503", code)

@@ -137,9 +137,9 @@ func (j *Journal) Written() int64 {
 	return j.written
 }
 
-// Emit records one event on the installed journal; a no-op when no
-// journal is installed.  The event is stamped with the wall clock and the
-// current run ID.
+// Emit records one event of the process on the installed journal; a no-op
+// when no journal is installed.  The event is stamped with the wall clock
+// and the process's run ID; a run's own events go through its Scope.
 func Emit(typ string, fields F) {
 	j := current.Load()
 	if j == nil {
@@ -148,10 +148,13 @@ func Emit(typ string, fields F) {
 	j.Emit(typ, fields)
 }
 
-// Emit records one event: renders it once, appends it to the JSONL stream
-// and the flight ring, and fires a flight dump when the event type is a
-// configured trigger.
-func (j *Journal) Emit(typ string, fields F) {
+// Emit records one event stamped with the process's run ID.
+func (j *Journal) Emit(typ string, fields F) { j.emit(Run(), typ, fields) }
+
+// emit records one event of run: renders it once, appends it to the JSONL
+// stream and the flight ring, and fires a flight dump when the event type
+// is a configured trigger.
+func (j *Journal) emit(run, typ string, fields F) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	now := time.Now
@@ -159,11 +162,11 @@ func (j *Journal) Emit(typ string, fields F) {
 		now = j.clock
 	}
 	wall := now()
-	j.buf = appendEvent(j.buf[:0], wall, Run(), typ, fields)
+	j.buf = appendEvent(j.buf[:0], wall, run, typ, fields)
 	line := string(j.buf)
 	j.flight.add(line)
 	if j.mirror != nil {
-		j.mirror(Run(), typ, wall, line)
+		j.mirror(run, typ, wall, line)
 	}
 	if j.w != nil {
 		if j.maxBytes > 0 && j.written+int64(len(line)) > j.maxBytes {

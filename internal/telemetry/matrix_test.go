@@ -7,46 +7,25 @@ import (
 	"testing"
 )
 
-// withMatrix arms a fresh matrix epoch and restores the disarmed,
-// empty state afterwards.
-func withMatrix(t *testing.T) {
-	t.Helper()
-	EnableMatrix(true)
-	ResetMatrix()
-	t.Cleanup(func() {
-		EnableMatrix(false)
-		ResetMatrix()
-	})
-}
-
-func TestMatrixDisarmedIsNoOp(t *testing.T) {
-	EnableMatrix(false)
-	ResetMatrix()
-	MatrixRecord(1, 2, 1, 100)
-	MatrixRecordLatency(1, 2, 0.5)
-	RankSegment(1, 0, 1.0)
-	MapRank(1, 0)
-	if snap := MatrixSnapshot(); snap.Ranks != 0 || len(snap.Links) != 0 {
-		t.Fatalf("disarmed matrix accumulated state: %+v", snap)
-	}
-	if msgs, bytes := MatrixTotals(); msgs != 0 || bytes != 0 {
-		t.Fatalf("disarmed totals = %d msgs, %d bytes", msgs, bytes)
-	}
-}
-
 func TestMatrixRecordAndSnapshot(t *testing.T) {
-	withMatrix(t)
-	MapRank(100, 0)
-	MapRank(200, 1)
-	MapRank(300, 2)
-	MatrixRecord(100, 200, 1, 64)
-	MatrixRecord(100, 200, 1, 64)
-	MatrixRecord(200, 100, 1, 16)
-	MatrixRecord(100, 300, 3, 300)
-	MatrixRecordLatency(100, 200, 0.25)
-	MatrixRecordLatency(100, 200, 0.25)
+	withEnabled(t)
+	sent := PvmMsgsSent.Value()
+	m := new(Matrix)
+	m.MapRank(100, 0)
+	m.MapRank(200, 1)
+	m.MapRank(300, 2)
+	RecordSend(m, 100, 200, 64)
+	RecordSend(m, 100, 200, 64)
+	RecordSend(nil, 100, 200, 64) // a run without a matrix books the counters only
+	if got := PvmMsgsSent.Value() - sent; got != 3 {
+		t.Fatalf("counters booked %d sends, want 3", got)
+	}
+	m.Record(200, 100, 1, 16)
+	m.Record(100, 300, 3, 300)
+	m.RecordLatency(100, 200, 0.25)
+	m.RecordLatency(100, 200, 0.25)
 
-	snap := MatrixSnapshot()
+	snap := m.Snapshot()
 	if snap.Ranks != 3 {
 		t.Fatalf("ranks = %d, want 3", snap.Ranks)
 	}
@@ -58,17 +37,17 @@ func TestMatrixRecordAndSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(snap.Links, want) {
 		t.Fatalf("links = %+v, want %+v", snap.Links, want)
 	}
-	msgs, bytes := MatrixTotals()
+	msgs, bytes := m.Totals()
 	if msgs != 6 || bytes != 444 {
 		t.Fatalf("totals = %d msgs %d bytes, want 6/444", msgs, bytes)
 	}
 }
 
 func TestMatrixAutoAssignsUnmappedTIDs(t *testing.T) {
-	withMatrix(t)
-	MatrixRecord(7, 9, 1, 10) // both unmapped: ranks assigned in appearance order
-	MatrixRecord(9, 7, 2, 20)
-	snap := MatrixSnapshot()
+	m := new(Matrix)
+	m.Record(7, 9, 1, 10) // both unmapped: ranks assigned in appearance order
+	m.Record(9, 7, 2, 20)
+	snap := m.Snapshot()
 	if snap.Ranks != 2 {
 		t.Fatalf("ranks = %d, want 2", snap.Ranks)
 	}
@@ -81,36 +60,14 @@ func TestMatrixAutoAssignsUnmappedTIDs(t *testing.T) {
 	}
 }
 
-func TestMatrixRemapInheritsCells(t *testing.T) {
-	withMatrix(t)
-	MapRank(10, 0)
-	MapRank(20, 1)
-	MatrixRecord(10, 20, 1, 100)
-	// Rank 1's server dies; TID 30 replaces it at the same rank.
-	MapRank(30, 1)
-	MatrixRecord(10, 30, 1, 100)
-	MatrixRecord(30, 10, 1, 7)
-	snap := MatrixSnapshot()
-	if snap.Ranks != 2 {
-		t.Fatalf("ranks = %d, want 2 (replacement must not widen the grid)", snap.Ranks)
-	}
-	want := []MatrixLink{
-		{Src: 0, Dst: 1, Msgs: 2, Bytes: 200},
-		{Src: 1, Dst: 0, Msgs: 1, Bytes: 7},
-	}
-	if !reflect.DeepEqual(snap.Links, want) {
-		t.Fatalf("links = %+v, want %+v", snap.Links, want)
-	}
-}
-
 func TestMatrixRankProfiles(t *testing.T) {
-	withMatrix(t)
-	MapRank(5, 0)
-	RankSegment(5, 0, 1.5) // comp
-	RankSegment(5, 1, 0.5) // comm
-	RankSegment(5, 3, 2.0) // idle
-	RankSegment(5, 4, 0.25)
-	snap := MatrixSnapshot()
+	m := new(Matrix)
+	m.MapRank(5, 0)
+	m.RankSegment(5, 0, 1.5) // comp
+	m.RankSegment(5, 1, 0.5) // comm
+	m.RankSegment(5, 3, 2.0) // idle
+	m.RankSegment(5, 4, 0.25)
+	snap := m.Snapshot()
 	if len(snap.Profiles) != 1 {
 		t.Fatalf("profiles = %+v", snap.Profiles)
 	}
@@ -125,12 +82,12 @@ func TestMatrixRankProfiles(t *testing.T) {
 }
 
 func TestMatrixGrowPreservesCells(t *testing.T) {
-	withMatrix(t)
-	MapRank(1, 0)
-	MapRank(2, 1)
-	MatrixRecord(1, 2, 4, 40)
-	MapRank(3, 5) // forces growth 2 → 6 with re-indexing
-	snap := MatrixSnapshot()
+	m := new(Matrix)
+	m.MapRank(1, 0)
+	m.MapRank(2, 1)
+	m.Record(1, 2, 4, 40)
+	m.MapRank(3, 5) // forces growth 2 → 6 with re-indexing
+	snap := m.Snapshot()
 	if snap.Ranks != 6 {
 		t.Fatalf("ranks = %d, want 6", snap.Ranks)
 	}
@@ -140,27 +97,28 @@ func TestMatrixGrowPreservesCells(t *testing.T) {
 }
 
 func TestEmitMatrixJournalsBothRecords(t *testing.T) {
-	withMatrix(t)
 	SetEnabled(true)
 	defer SetEnabled(false)
 	var buf bytes.Buffer
 	StartJournal(&buf, 8)
 	defer StopJournal()
 
-	MatrixRecord(1, 2, 1, 10)
-	EmitMatrix()
+	run := &Scope{ID: "r7"}
+	run.EmitMatrix()
+	run.Matrix = new(Matrix)
+	run.EmitMatrix()
+	if strings.Contains(buf.String(), "comm_matrix") {
+		t.Fatalf("a run without a matrix, or with an empty one, journaled:\n%s", buf.String())
+	}
+	run.Matrix.Record(1, 2, 1, 10)
+	run.EmitMatrix()
 	out := buf.String()
-	for _, want := range []string{`"type":"comm_matrix"`, `"type":"rank_profile"`, `"links":[{"src":0,"dst":1,"msgs":1,"bytes":10}]`} {
+	for _, want := range []string{
+		`"run":"r7","type":"comm_matrix"`, `"run":"r7","type":"rank_profile"`,
+		`"links":[{"src":0,"dst":1,"msgs":1,"bytes":10}]`,
+	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("journal missing %q:\n%s", want, out)
 		}
-	}
-
-	// Disarmed, EmitMatrix is silent.
-	buf.Reset()
-	EnableMatrix(false)
-	EmitMatrix()
-	if buf.String() != "" {
-		t.Fatalf("disarmed EmitMatrix journaled: %s", buf.String())
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // The streaming plane: /streamz pushes bounded, coalesced snapshots of
-// the whole observability surface — metric values, the comm matrix and
-// rank profiles, health, and any registered extras (oracle residuals,
-// control-plane queue depth) — as server-sent events.
+// the whole observability surface — metric values, the attached run's
+// comm matrix and rank profiles, health, and any registered extras
+// (oracle residuals, control-plane queue depth) — as server-sent events.
 //
 // One hub goroutine builds a snapshot per tick and broadcasts the same
 // rendered payload to every subscriber over a capacity-1 channel.  A
@@ -231,11 +231,11 @@ func RegisterStreamExtra(name string, fn func() any) {
 
 func buildStreamSnapshot(seq uint64) StreamSnapshot {
 	snap := StreamSnapshot{Seq: seq, Run: Run(), Metrics: Default.Values()}
-	state, ok := Health()
+	state, ok := processHealth()
 	_, compsOK := ComponentHealth()
 	snap.Health, snap.HealthOK = state, ok && compsOK
-	if MatrixEnabled() {
-		md := MatrixSnapshot()
+	if s := attached.Load(); s != nil && s.Matrix != nil {
+		md := s.Matrix.Snapshot()
 		snap.Matrix = &md
 	}
 	extrasMu.Lock()

@@ -105,14 +105,14 @@ func TestStreamExtrasAppearInSnapshots(t *testing.T) {
 }
 
 func TestStreamSnapshotCarriesMatrixAndMetrics(t *testing.T) {
-	EnableMatrix(true)
-	ResetMatrix()
-	defer func() {
-		EnableMatrix(false)
-		ResetMatrix()
-	}()
-	MatrixRecord(1, 2, 3, 30)
-	snap := buildStreamSnapshot(1)
+	m := new(Matrix)
+	m.Record(1, 2, 3, 30)
+	if snap := buildStreamSnapshot(1); snap.Matrix != nil {
+		t.Fatalf("no run attached, yet the snapshot carries a matrix: %+v", snap.Matrix)
+	}
+	Attach(&Scope{Matrix: m})
+	defer Attach(nil)
+	snap := buildStreamSnapshot(2)
 	if snap.Matrix == nil || snap.Matrix.Ranks != 2 || len(snap.Matrix.Links) != 1 {
 		t.Fatalf("matrix = %+v", snap.Matrix)
 	}

@@ -11,11 +11,15 @@
 // half: the same code-integrated instrumentation, readable while a run is
 // in flight, cheap enough to leave armed in production.
 //
-// Everything is gated on one package-level switch.  Disabled (the
+// The process-wide instruments — the registry's counters, gauges and
+// histograms — are gated on one package-level switch.  Disabled (the
 // default), every instrument call is a single atomic load and a predicted
 // branch — the no-op compilation the recovery plane's <2% overhead budget
-// requires (BenchmarkTelemetryOverhead guards it).  Telemetry never feeds
-// back into the simulation: virtual timelines and physics are bit-identical
+// requires (BenchmarkTelemetryOverhead guards it).  What belongs to one
+// run — the ID its journal lines carry, its health, its comm matrix —
+// lives on the run's Scope, never in package state, so concurrent runs in
+// one process keep their telemetry apart.  Telemetry never feeds back
+// into the simulation: virtual timelines and physics are bit-identical
 // with the plane on or off.
 package telemetry
 
@@ -38,14 +42,15 @@ func SetEnabled(v bool) { on.Store(v) }
 // Enabled reports whether the telemetry plane is armed.
 func Enabled() bool { return on.Load() }
 
-// runID identifies the current run in journal lines and /metrics.
+// runID identifies the process in journal lines and /metrics.
 var runID atomic.Pointer[string]
 
-// SetRun installs the run identifier threaded through journal events and
-// the opal_run info metric.
+// SetRun installs the process's run identifier: the opal_run info metric,
+// the journal lines the process emits outside any run, and the ID a run
+// without its own scope is stamped with.
 func SetRun(id string) { runID.Store(&id) }
 
-// Run returns the current run identifier ("" when none is set).
+// Run returns the process's run identifier ("" when none is set).
 func Run() string {
 	if p := runID.Load(); p != nil {
 		return *p
@@ -64,6 +69,26 @@ func NewRunID() string {
 	return time.Now().UTC().Format("20060102T150405") + "-" + hex.EncodeToString(b[:])
 }
 
+// Scope is one run's telemetry: the ID its journal lines carry, the health
+// its supervisor and oracle report, and, when armed, its comm matrix.  A
+// run owns its scope (harness.RunSpec.Scope) and every layer of the run
+// reaches it from the run's session, so concurrent runs keep apart what
+// they report.  The process reports a run's health and matrix only when a
+// single-run front door attaches its scope (Attach).
+type Scope struct {
+	// ID names the run in its journal lines and archived summary.
+	ID string
+	// Matrix, when non-nil, books the run's sends, RPC latencies and
+	// traced segments per rank.
+	Matrix *Matrix
+	// MatrixEvery asks for a comm_matrix/rank_profile journal snapshot
+	// every so many completed steps besides the one at run end (0: only
+	// at run end).
+	MatrixEvery int
+
+	health atomic.Pointer[healthState]
+}
+
 // healthState is what /healthz reports: the supervisor's current rung and
 // whether it still counts as healthy.
 type healthState struct {
@@ -71,23 +96,46 @@ type healthState struct {
 	ok    bool
 }
 
-var health atomic.Pointer[healthState]
+// SetHealth records the run's current health; the supervisor calls it on
+// every state transition and the oracle on an anomaly.  ok=false turns an
+// attached run's /healthz into a 503.
+func (s *Scope) SetHealth(state string, ok bool) {
+	s.health.Store(&healthState{state: state, ok: ok})
+}
 
-// SetHealth records the current health of the run; the supervisor calls it
-// on every state transition.  ok=false turns /healthz into a 503.
-func SetHealth(state string, ok bool) { health.Store(&healthState{state: state, ok: ok}) }
-
-// Health returns the current health state.  Before any supervisor reports,
-// the plane is "idle" and healthy.
-func Health() (state string, ok bool) {
-	if h := health.Load(); h != nil {
+// Health returns the run's health.  Before anything reports, a run is
+// "idle" and healthy.
+func (s *Scope) Health() (state string, ok bool) {
+	if h := s.health.Load(); h != nil {
 		return h.state, h.ok
 	}
 	return "idle", true
 }
 
-// ResetHealth restores the initial "idle" health state (tests).
-func ResetHealth() { health.Store(nil) }
+// Emit records one event of the run on the installed journal, stamped
+// with the run's ID; a no-op when no journal is installed.
+func (s *Scope) Emit(typ string, fields F) {
+	if j := current.Load(); j != nil {
+		j.emit(s.ID, typ, fields)
+	}
+}
+
+// attached is the run whose health and matrix the process endpoints
+// (/healthz, /streamz) report; nil for a process that runs many.
+var attached atomic.Pointer[Scope]
+
+// Attach makes s the process's run: /healthz reports its health and
+// /streamz its matrix.  A single-run front door attaches its run; a
+// service attaches none, so its health is its components'.  nil detaches.
+func Attach(s *Scope) { attached.Store(s) }
+
+// processHealth is the attached run's health, or "idle" and healthy.
+func processHealth() (state string, ok bool) {
+	if s := attached.Load(); s != nil {
+		return s.Health()
+	}
+	return "idle", true
+}
 
 // Component health: long-lived services (the control plane's queue and
 // circuit breaker, for instance) register named suppliers that /healthz

@@ -71,7 +71,14 @@ type Recorder struct {
 	procs   []int               // processes with recorded segments, first-seen order
 	procRow map[int]int         // proc → index into procs
 	methods interner            // Flow.Method strings
+
+	matrix *telemetry.Matrix // the run's comm matrix, fed per segment; nil: none
 }
+
+// SetMatrix feeds every segment recorded from now on into m's per-rank
+// profile as well; nil stops it.  The simulated session wires its run's
+// matrix in (pvm.SimVM.SetScope).
+func (r *Recorder) SetMatrix(m *telemetry.Matrix) { r.matrix = m }
 
 // ErrIntervalsDropped is the panic of an interval reader — totals over a
 // window other than the recorder's own, the timeline, the Chrome export,
@@ -95,7 +102,9 @@ func (r *Recorder) Segment(proc int, name string, kind vm.SegKind, start, end fl
 	if uint(kind) >= vm.NumSegKinds {
 		panic(fmt.Sprintf("trace: segment of unknown kind %d", int(kind)))
 	}
-	telemetry.RankSegment(proc, int(kind), end-start)
+	if r.matrix != nil {
+		r.matrix.RankSegment(proc, int(kind), end-start)
+	}
 	r.n++
 	id, row := r.trackOf(proc, name)
 	if r.win.state != windowNone {

@@ -12,35 +12,44 @@ import (
 	"opalperf/internal/telemetry"
 )
 
-// armMatrix arms a fresh comm-matrix epoch for one test and restores
-// the disarmed empty state afterwards.
-func armMatrix(t *testing.T) {
-	t.Helper()
-	telemetry.EnableMatrix(true)
-	telemetry.ResetMatrix()
-	t.Cleanup(func() {
-		telemetry.EnableMatrix(false)
-		telemetry.ResetMatrix()
-	})
-}
-
 // TestCommMatrixReconcilesWithCounters pins the matrix instrument's
 // accounting contract: every message the pvm layer counts lands in
 // exactly one matrix cell, so the matrix totals equal the aggregate
-// opal_pvm_* counter deltas — not approximately, exactly.
+// opal_pvm_* counter deltas — not approximately, exactly.  The run is
+// attached and /streamz publishes from another goroutine all along: the
+// hub reads the live matrix across goroutines, which -race holds to the
+// matrix's lock.
 func TestCommMatrixReconcilesWithCounters(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
-	armMatrix(t)
 
+	spec := supervisedSpec(func(cp *md.Checkpoint) error { return nil })
+	spec.Scope = &telemetry.Scope{Matrix: new(telemetry.Matrix)}
+	telemetry.Attach(spec.Scope)
+	defer telemetry.Attach(nil)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			telemetry.PublishStreamSnapshot()
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	msgsBefore := telemetry.PvmMsgsSent.Value()
 	bytesBefore := telemetry.PvmBytesSent.Value()
-	if _, err := harness.Run(supervisedSpec(func(cp *md.Checkpoint) error { return nil })); err != nil {
+	_, err := harness.Run(spec)
+	close(stop)
+	<-stopped
+	if err != nil {
 		t.Fatal(err)
 	}
 	wantMsgs := uint64(telemetry.PvmMsgsSent.Value() - msgsBefore)
 	wantBytes := uint64(telemetry.PvmBytesSent.Value() - bytesBefore)
-	gotMsgs, gotBytes := telemetry.MatrixTotals()
+	gotMsgs, gotBytes := spec.Scope.Matrix.Totals()
 	if gotMsgs != wantMsgs || gotBytes != wantBytes {
 		t.Fatalf("matrix totals = %d msgs / %d bytes, counters moved %d msgs / %d bytes",
 			gotMsgs, gotBytes, wantMsgs, wantBytes)
@@ -51,11 +60,10 @@ func TestCommMatrixReconcilesWithCounters(t *testing.T) {
 }
 
 // matrixOfRun runs one fault-free parallel simulation under the given
-// LoD mode with the matrix armed and returns its snapshot plus the
-// number of phases the run replayed as macro-events.
+// LoD mode with a matrix armed and returns its snapshot plus the number
+// of phases the run replayed as macro-events.
 func matrixOfRun(t *testing.T, lod md.LoDMode) (telemetry.MatrixData, int) {
 	t.Helper()
-	telemetry.ResetMatrix()
 	sys := molecule.TestComplex(2, 4, 9)
 	opts := md.Options{
 		Cutoff:          10,
@@ -66,6 +74,8 @@ func matrixOfRun(t *testing.T, lod md.LoDMode) (telemetry.MatrixData, int) {
 		LoD:             lod,
 	}
 	s := pvm.NewSimVM(platform.J90(), nil)
+	run := &telemetry.Scope{Matrix: new(telemetry.Matrix)}
+	s.SetScope(run)
 	var res *md.Result
 	var runErr error
 	s.SpawnRoot("opal-client", func(task pvm.Task) {
@@ -77,7 +87,7 @@ func matrixOfRun(t *testing.T, lod md.LoDMode) (telemetry.MatrixData, int) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return telemetry.MatrixSnapshot(), res.LoDMacroPhases
+	return run.Matrix.Snapshot(), res.LoDMacroPhases
 }
 
 // TestCommMatrixIdenticalUnderLoD requires the macro-replay fabric to
@@ -85,7 +95,6 @@ func matrixOfRun(t *testing.T, lod md.LoDMode) (telemetry.MatrixData, int) {
 // byte counts, call counts and the float latency sums must all be
 // bit-identical, so macro replay never changes what the console shows.
 func TestCommMatrixIdenticalUnderLoD(t *testing.T) {
-	armMatrix(t)
 	fine, finePhases := matrixOfRun(t, md.LoDOff)
 	macro, macroPhases := matrixOfRun(t, md.LoDAuto)
 	if len(fine.Links) == 0 {
@@ -109,13 +118,13 @@ func TestCommMatrixIdenticalUnderLoD(t *testing.T) {
 func TestCommMatrixHealInheritance(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
-	armMatrix(t)
 
 	spec := supervisedSpec(func(cp *md.Checkpoint) error { return nil })
+	spec.Scope = &telemetry.Scope{Matrix: new(telemetry.Matrix)}
 	if _, err := harness.Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	snap := telemetry.MatrixSnapshot()
+	snap := spec.Scope.Matrix.Snapshot()
 	wantRanks := spec.Servers + 1 // client is rank 0
 	if snap.Ranks != wantRanks {
 		t.Fatalf("ranks = %d, want %d (replacement server must inherit the dead rank)",

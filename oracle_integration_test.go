@@ -152,8 +152,7 @@ func TestOracleFlagsKillServerAnomaly(t *testing.T) {
 	sys := benchSystem("small")
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
-	telemetry.ResetHealth()
-	defer telemetry.ResetHealth()
+	run := &telemetry.Scope{}
 	var journal bytes.Buffer
 	telemetry.StartJournal(&journal, 64)
 	defer telemetry.StopJournal()
@@ -164,10 +163,9 @@ func TestOracleFlagsKillServerAnomaly(t *testing.T) {
 		Cutoff:      harness.EffectiveCutoff,
 		UpdateEvery: 2,
 		Servers:     3,
-		Window:      2,
 		// The kill lands at step 9, inside window 4 (steps 8-10): by then
 		// the EWMA has seen 4 clean windows, past its warm-up.
-		DegradeHealth: true,
+		Window: 2,
 	})
 	if _, err := harness.Run(harness.RunSpec{
 		Platform: platform.J90(),
@@ -183,6 +181,7 @@ func TestOracleFlagsKillServerAnomaly(t *testing.T) {
 		Servers: 3,
 		Steps:   12,
 		Oracle:  o,
+		Scope:   run,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestOracleFlagsKillServerAnomaly(t *testing.T) {
 			t.Errorf("anomaly attributed to %q, want comm or sync: %v", term, ev)
 		}
 	}
-	if state, ok := telemetry.Health(); ok || state != "model_anomaly" {
+	if state, ok := run.Health(); ok || state != "model_anomaly" {
 		t.Errorf("anomaly did not degrade health: state=%q ok=%v", state, ok)
 	}
 }

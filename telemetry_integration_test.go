@@ -51,14 +51,7 @@ func TestTelemetryPhysicsBitIdentical(t *testing.T) {
 			telemetry.StartJournal(io.Discard, 64)
 			defer telemetry.StopJournal()
 			defer telemetry.SetEnabled(false)
-			telemetry.EnableMatrix(true)
-			telemetry.ResetMatrix()
-			telemetry.SetMatrixEmitEvery(2)
-			defer func() {
-				telemetry.SetMatrixEmitEvery(0)
-				telemetry.EnableMatrix(false)
-				telemetry.ResetMatrix()
-			}()
+			spec.Scope = &telemetry.Scope{Matrix: new(telemetry.Matrix), MatrixEvery: 2}
 			spec.Oracle = oracle.New(oracle.Config{
 				Machine:          core.MachineFor(platform.J90(), spec.Sys.Gamma()),
 				Sys:              spec.Sys,
