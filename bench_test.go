@@ -626,59 +626,56 @@ func BenchmarkSimKernelMessaging(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioThroughput measures end-to-end simulation throughput
-// in sims/sec over the scenario mix the level-of-detail layer targets: a
-// fault-free multi-step run with and without macro replay, plus a chaos
-// run (active fault plane) that the static eligibility gate must keep
-// fine-grained without costing anything.  The
+// scenarioThroughput is the scenario mix the level-of-detail layer
+// targets, one eval per row, each one simulated run: a fault-free
+// multi-step run fine-grained (lod=off) and at the default (lod=auto,
+// macro replay), plus a chaos run (active fault plane) that the static
+// eligibility gate must keep fine-grained without costing anything.  The
 // scenario is deliberately communication-dominated — a tiny complex, a
 // wide fleet and per-step pair-list refresh — because that is where the
 // event-level DES overhead lives; runs are lean (no trace recorder),
-// matching a parameter-sweep campaign.  The faultfree lod=off/lod=on
-// pair (the fine-grained reference against the default, macro replay;
-// the names are the keys of the BENCH_*.json snapshots) is the speedup
-// the perf gate pins with perfdiff -min-ratio.
-func BenchmarkScenarioThroughput(b *testing.B) {
+// matching a parameter-sweep campaign.
+func scenarioThroughput() []namedEval {
 	sys := molecule.TestComplex(2, 4, 9)
-	opts := md.Options{
-		Cutoff:          10,
-		UpdateEvery:     1,
-		Accounting:      true,
-		InitTemperature: 300,
-		Seed:            7,
-	}
 	const servers, steps = 8, 400
-	scenarios := []struct {
-		name   string
-		lod    md.LoDMode
-		faults *fault.Config
-	}{
-		{"mix=faultfree/lod=off", md.LoDOff, nil},
-		{"mix=faultfree/lod=on", md.LoDAuto, nil},
-		{"mix=chaos/lod=auto", md.LoDAuto, &fault.Config{Seed: 11, DelayRate: 0.02, StragglerRate: 0.01}},
+	row := func(lod md.LoDMode, faults *fault.Config) eval {
+		opts := md.Options{
+			Cutoff:          10,
+			UpdateEvery:     1,
+			Accounting:      true,
+			InitTemperature: 300,
+			Seed:            7,
+			LoD:             lod,
+		}
+		return func() ([]metric, error) {
+			s := pvm.NewSimVM(platform.J90(), nil)
+			if faults != nil {
+				s.SetFaults(fault.NewPlan(*faults))
+			}
+			var err error
+			s.SpawnRoot("opal-client", func(task pvm.Task) {
+				_, err = md.RunParallel(task, sys, opts, servers, steps)
+			})
+			if e := s.Run(); e != nil {
+				return nil, e
+			}
+			return nil, err
+		}
 	}
-	for _, sc := range scenarios {
-		sc := sc
-		runOpts := opts
-		runOpts.LoD = sc.lod
+	return []namedEval{
+		{"mix=faultfree/lod=off", row(md.LoDOff, nil)},
+		{"mix=faultfree/lod=auto", row(md.LoDAuto, nil)},
+		{"mix=chaos/lod=auto", row(md.LoDAuto, &fault.Config{Seed: 11, DelayRate: 0.02, StragglerRate: 0.01})},
+	}
+}
+
+// BenchmarkScenarioThroughput measures end-to-end simulation throughput
+// in sims/sec over the scenarioThroughput mix.
+func BenchmarkScenarioThroughput(b *testing.B) {
+	for _, sc := range scenarioThroughput() {
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := pvm.NewSimVM(platform.J90(), nil)
-				if sc.faults != nil {
-					s.SetFaults(fault.NewPlan(*sc.faults))
-				}
-				var err error
-				s.SpawnRoot("opal-client", func(task pvm.Task) {
-					_, err = md.RunParallel(task, sys, runOpts, servers, steps)
-				})
-				if e := s.Run(); e != nil {
-					b.Fatal(e)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchEval(b, sc.eval)
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sims/s")
 		})
 	}

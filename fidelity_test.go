@@ -1,18 +1,20 @@
 package opalperf
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
 	"opalperf/internal/molecule"
 )
 
-var updateFidelity = flag.Bool("update", false, "rewrite testdata/fidelity.golden")
+var update = flag.Bool("update", false, "rewrite testdata/fidelity.golden and testdata/allocs.golden")
 
 // namedEval is a figure bench's eval under the benchmark's name.
 type namedEval struct {
@@ -66,6 +68,22 @@ func evalListPairs() ([]metric, error) {
 	return []metric{{"pairs", float64(l.NActive)}}, nil
 }
 
+// golden returns the contents of the golden file path, first rewriting
+// it with got under -update.
+func golden(t *testing.T, path, got string) string {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	return string(want)
+}
+
 // TestFidelityGolden recomputes every value of fidelityEvals and holds it
 // to testdata/fidelity.golden by its bits: virtual time is deterministic,
 // so any drift in a figure, a table row, the calibration fit or a model
@@ -84,22 +102,8 @@ func TestFidelityGolden(t *testing.T) {
 		}
 	}
 	const path = "testdata/fidelity.golden"
-	if *updateFidelity {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if bytes.Equal([]byte(got.String()), want) {
-		return
-	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	want := golden(t, path, got.String())
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
 	for i := 0; i < max(len(gl), len(wl)); i++ {
 		var g, w string
 		if i < len(gl) {
@@ -110,6 +114,58 @@ func TestFidelityGolden(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("%s line %d:\n got  %s\n want %s", path, i+1, g, w)
+		}
+	}
+}
+
+// TestAllocsGolden holds the heap allocations of one run of every
+// fidelityEvals eval and every scenarioThroughput row to
+// testdata/allocs.golden.  Unlike ns/op an allocation count does not
+// depend on the host, so it can gate: a count that moves past the
+// tolerance either way is a behaviour change to explain, and a real drop
+// is refreshed with `go test . -run AllocsGolden -update`.
+// AllocsPerRun pins GOMAXPROCS to 1, so no handler run-ahead helper
+// starts and every count is the in-place path's.  A collection that
+// lands mid-run, at a point set by the heap earlier evals left, drops
+// pooled objects the run then allocates again, which moved counts by up
+// to ±8; so each eval starts from a collected heap and the collector
+// runs only at a 256 MiB cap, and the counts repeat almost exactly.
+func TestAllocsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	evals := fidelityEvals()
+	for _, sc := range scenarioThroughput() {
+		evals = append(evals, namedEval{"ScenarioThroughput/" + sc.name, sc.eval})
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
+	var got strings.Builder
+	for _, e := range evals {
+		runtime.GC()
+		var err error
+		n := testing.AllocsPerRun(1, func() { _, err = e.eval() })
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		fmt.Fprintf(&got, "%s %.0f\n", e.name, n)
+	}
+	const path = "testdata/allocs.golden"
+	want := golden(t, path, got.String())
+	gl, wl := strings.Fields(got.String()), strings.Fields(want)
+	if len(gl) != len(wl) {
+		t.Fatalf("%s holds %d evals, the test measures %d", path, len(wl)/2, len(gl)/2)
+	}
+	for i := 0; i < len(gl); i += 2 {
+		g, _ := strconv.ParseFloat(gl[i+1], 64)
+		w, err := strconv.ParseFloat(wl[i+1], 64)
+		// What jitter is left (a count or two on the largest evals) is
+		// well inside 0.1 % plus 4.
+		if gl[i] != wl[i] || err != nil || math.Abs(g-w) > 0.001*w+4 {
+			t.Errorf("%s: got %s %s allocs, want %s %s", path, gl[i], gl[i+1], wl[i], wl[i+1])
 		}
 	}
 }
