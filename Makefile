@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget perf-gate opald-smoke service-chaos archive-check opaltop-check stubs stubs-check
+.PHONY: all build test race bench bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget opald-smoke service-chaos archive-check opaltop-check stubs stubs-check
 
 # Seeds per scenario when sweeping the checked-in chaos corpus.
 SCENARIO_SEEDS ?= 10
@@ -82,7 +82,7 @@ check:
 	$(MAKE) stubs-check
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/pairlist ./internal/forcefield
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/pairlist ./internal/forcefield
 	$(MAKE) scenarios
 	$(MAKE) service-chaos
 	$(MAKE) opald-smoke
@@ -105,10 +105,6 @@ bench-smoke:
 	$(GO) run ./bench -workload sim-faultfree -seed 1 -seconds 2 -trace 0
 	$(GO) run ./bench -workload sim-chaos -seed 1 -seconds 2 -trace 0
 	$(GO) run ./bench -workload sim-physics -seed 1 -seconds 2 -trace 0
-
-# Snapshot the hot-path benchmarks into BENCH_<date>.json.
-bench-json:
-	$(GO) run ./cmd/benchjson -pkg . -bench .
 
 # overhead-budget runs benchmark $(1) once and fails, under the label
 # $(3), when the overhead% metric it reports — enabled-vs-disabled CPU
@@ -138,32 +134,6 @@ supervision-budget:
 opaltop-check:
 	$(GO) test -race -count=1 ./cmd/opaltop/
 	$(call test-selected,-count=1,TestCommMatrix,.)
-
-# The perf gate: rerun the hot-path benchmarks and diff against the
-# checked-in baseline snapshot with cmd/perfdiff.  Shared CI hosts are
-# noisy, so the default tolerance is generous (PERF_TOL, relative ns/op);
-# allocation counts are deterministic and compared near-exactly (the
-# 0.01% -alloc-tol only matters on the ~300k-allocs/op calibration
-# benches, whose amortized one-time allocations jitter by a few counts
-# past the flat -alloc-slack).  On top of
-# the baseline diff, -min-ratio pins the level-of-detail speedup inside
-# the fresh snapshot itself (host-speed independent): the fault-free
-# scenario must run at least LOD_MIN_SPEEDUP times faster with macro
-# replay than fine-grained.  The floor was 5 while a fine-grained phase
-# paid channel hand-offs (measured ratio ~6.8); the coroutine kernel made
-# the fine-grained side ~2.3x faster with macro replay no slower, so the
-# same scenario now measures ~3 (2.5-3.2 across host-load spells; lod=on
-# is allocation-bound and slows more than lod=off when the box is busy)
-# and the floor is 2.5.
-PERF_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-PERF_TOL ?= 0.75
-LOD_MIN_SPEEDUP ?= 2.5
-perf-gate:
-	@test -n "$(PERF_BASELINE)" || { echo "perf-gate: no BENCH_*.json baseline found"; exit 1; }
-	$(GO) run ./cmd/benchjson -pkg . -bench . -count 3 -out /tmp/bench-now.json
-	$(GO) run ./cmd/perfdiff -tol $(PERF_TOL) -alloc-tol 0.0001 \
-		-min-ratio 'ScenarioThroughput/mix=faultfree/lod=off|ScenarioThroughput/mix=faultfree/lod=on|$(LOD_MIN_SPEEDUP)' \
-		$(PERF_BASELINE) /tmp/bench-now.json
 
 cover:
 	$(GO) test ./internal/... -cover

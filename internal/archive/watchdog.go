@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// The regression watchdog: perfdiff semantics generalized from two
-// snapshots to N archived runs.  The baseline for a spec hash is the
-// median makespan of the last Window archived runs of that spec; a new
-// run slower than baseline × WallFactor is flagged, as is an energies
-// hash diverging from the archived consensus (a determinism break is
-// worse than a slowdown).
+// The regression watchdog: a before/after comparison generalized to N
+// archived runs.  The baseline for a spec hash is the median makespan of
+// the last Window archived runs of that spec; a new run slower than
+// baseline × WallFactor is flagged, as is an energies hash diverging
+// from the archived consensus (a determinism break is worse than a
+// slowdown).
 
 // Tolerance bounds how far a run may drift from its rolling baseline.
 type Tolerance struct {

@@ -204,22 +204,6 @@ func TestCommandSmoke(t *testing.T) {
 			}
 		}
 	})
-	t.Run("perfdiff", func(t *testing.T) {
-		base := filepath.Join("cmd", "perfdiff", "testdata", "base.json")
-		bad := filepath.Join("cmd", "perfdiff", "testdata", "regressed.json")
-		out := runBuilt(t, dir, "perfdiff", base, base)
-		if !strings.Contains(out, "perfdiff: ok") {
-			t.Errorf("self-diff not ok:\n%s", out)
-		}
-		cmd := exec.Command(filepath.Join(dir, "perfdiff"), base, bad)
-		outB, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Errorf("injected regression exited zero:\n%s", outB)
-		}
-		if !strings.Contains(string(outB), "REGRESSION") {
-			t.Errorf("regression not reported:\n%s", outB)
-		}
-	})
 	t.Run("calibrate", func(t *testing.T) {
 		out := runBuilt(t, dir, "calibrate", "-scale", "0.08", "-steps", "3")
 		for _, want := range []string{"fitted model parameters", "MAPE", "a1"} {
