@@ -11,6 +11,7 @@ import (
 	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
 	"opalperf/internal/pvm"
+	"opalperf/internal/telemetry"
 	"opalperf/internal/trace"
 	"opalperf/internal/vm"
 )
@@ -24,7 +25,8 @@ func aheadSystem(seed int64) *molecule.System {
 }
 
 // observables lists, bit for bit, everything a run-ahead must leave as
-// running every handler in place leaves it.
+// running every handler in place leaves it, and the reactor servers as
+// the blocking ones.
 type observables struct {
 	names []string
 	bits  []uint64
@@ -35,6 +37,21 @@ func (o *observables) add(name string, v float64) {
 	o.bits = append(o.bits, math.Float64bits(v))
 }
 
+// diff describes the first observable o and ref disagree on, or returns
+// "" when they agree bit for bit.
+func (o observables) diff(ref observables) string {
+	if len(o.bits) != len(ref.bits) {
+		return fmt.Sprintf("%d observables vs %d", len(o.bits), len(ref.bits))
+	}
+	for i := range ref.bits {
+		if o.names[i] != ref.names[i] || o.bits[i] != ref.bits[i] {
+			return fmt.Sprintf("%s = %v vs %s = %v", o.names[i], math.Float64frombits(o.bits[i]),
+				ref.names[i], math.Float64frombits(ref.bits[i]))
+		}
+	}
+	return ""
+}
+
 // observe runs one accounting-mode run on a simulated J90 at the given
 // GOMAXPROCS — 1 leaves the session no helper, so every handler runs in
 // place — and returns its observables and how many handlers ran ahead.
@@ -43,6 +60,8 @@ func observe(t *testing.T, procs int, sys *molecule.System, opts Options, faults
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	rec := trace.NewWindowRecorder()
 	s := pvm.NewSimVM(platform.J90(), rec)
+	matrix := new(telemetry.Matrix)
+	s.SetScope(&telemetry.Scope{Matrix: matrix})
 	var plan *fault.Plan
 	if faults != nil {
 		plan = fault.NewPlan(*faults)
@@ -87,6 +106,13 @@ func observe(t *testing.T, procs int, sys *molecule.System, opts Options, faults
 	b := trace.ComputeBreakdownBetween(rec, client, res.ServerTIDs, res.StartSeconds, res.EndSeconds, res.StepSeconds)
 	for _, v := range []float64{b.Wall, b.ParComp, b.MaxParComp, b.MinParComp, b.SeqComp, b.Comm, b.Sync, b.Recovery, b.Idle} {
 		o.add("breakdown term", v)
+	}
+	for _, l := range matrix.Snapshot().Links {
+		cell := fmt.Sprintf("matrix %d→%d", l.Src, l.Dst)
+		o.add(cell+" msgs", float64(l.Msgs))
+		o.add(cell+" bytes", float64(l.Bytes))
+		o.add(cell+" calls", float64(l.Calls))
+		o.add(cell+" latency", l.LatSeconds)
 	}
 	if plan != nil {
 		fs := plan.Stats()

@@ -17,6 +17,11 @@ import (
 // schedule (Options.Kills) rather than detected by a call timeout.
 var errAdminKill = errors.New("administratively killed")
 
+// serve runs a spawned server's Sciddle loop.  The driver-equivalence
+// tests swap it for one that hides the simulated task's type, so the same
+// loop runs on the blocking driver.
+var serve = sciddle.Serve
+
 // RunParallel executes the parallel Opal on the calling task (the client)
 // with nservers spawned computation servers, following the client-server
 // replicated-data design of Section 2.1: the client replicates the global
@@ -61,7 +66,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		if opts.ServerQuit != nil {
 			quit = opts.ServerQuit(st.Instance())
 		}
-		sciddle.Serve(st, svcs[st.Instance()],
+		serve(st, svcs[st.Instance()],
 			sciddle.ServeOptions{Accounting: accounting, Parties: parties, Quit: quit})
 	})
 	lod := opts.LoD == LoDAuto && pvm.MacroCapable(t)
@@ -99,7 +104,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 					if opts.ServerQuit != nil {
 						quit = opts.ServerQuit(nservers + k)
 					}
-					sciddle.Serve(st, svc, sciddle.ServeOptions{Parties: parties, Quit: quit})
+					serve(st, svc, sciddle.ServeOptions{Parties: parties, Quit: quit})
 				})
 				if lod {
 					registerDirect(t, rtids[0], svc)

@@ -137,7 +137,8 @@ type simTask struct {
 	mon      *hpm.Monitor
 	parent   int
 	instance int
-	ahead    lane // run-ahead handle (ahead.go)
+	ahead    lane       // run-ahead handle (ahead.go)
+	reactor  simReactor // the program Drive hands the kernel, if any
 }
 
 func (t *simTask) TID() int      { return t.proc.ID() }
@@ -173,7 +174,12 @@ func (t *simTask) Mcast(dsts []int, tag int, b *Buffer) {
 }
 
 func (t *simTask) Recv(src, tag int) (*Buffer, int, int) {
-	m := t.proc.RecvSrcTag(src, tag)
+	return t.deliver(t.proc.RecvSrcTag(src, tag))
+}
+
+// deliver hands the receiver a delivered message's buffer, source and tag,
+// and returns the message to the kernel's freelist.
+func (t *simTask) deliver(m *vm.Message) (*Buffer, int, int) {
 	b, ok := m.Payload.(*Buffer)
 	if !ok {
 		panic(fmt.Sprintf("pvm: non-buffer payload %T", m.Payload))
@@ -191,6 +197,40 @@ func (t *simTask) Recv(src, tag int) (*Buffer, int, int) {
 	// sender's buffer directly — no wrapper allocation.
 	b.pos = 0
 	return b, msrc, mtag
+}
+
+// simReactor is a task's Reactor as the kernel steps it (Drive): each
+// step completes the last wait through the task's own calls — the send
+// whose turn came, the message a receive delivered — and posts the
+// reactor's next wait as the matching kernel wait.  A receive's deadline
+// is moot here, as in RecvTimeout.
+type simReactor struct {
+	t   *simTask
+	r   Reactor
+	out Wait // a send waiting for the task's turn
+}
+
+func (s *simReactor) Step(_ *vm.Proc, m *vm.Message) vm.Wait {
+	var b *Buffer
+	src := -1
+	if s.out.op == waitSend {
+		s.t.Send(s.out.peer, s.out.tag, s.out.buf)
+		s.out = Wait{}
+	} else if m != nil {
+		b, src, _ = s.t.deliver(m)
+	}
+	w := s.r.Next(b, src)
+	switch w.op {
+	case waitRecv:
+		return vm.RecvWait(w.peer, w.tag)
+	case waitSend:
+		s.out = w
+		return vm.TurnWait()
+	case waitBarrier:
+		telemetry.PvmBarriers.Add(1)
+		return vm.BarrierWait(w.name, w.parties)
+	}
+	return vm.ExitWait()
 }
 
 // RecvTimeout never fails: simulated messages are never lost (faults only

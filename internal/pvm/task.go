@@ -1,6 +1,7 @@
 package pvm
 
 import (
+	"errors"
 	"time"
 
 	"opalperf/internal/hpm"
@@ -60,6 +61,93 @@ type Task interface {
 	Now() float64
 	// Monitor returns the task's hardware performance monitor.
 	Monitor() *hpm.Monitor
+}
+
+// Reactor is a task's program written as a state machine — a fixed
+// protocol loop such as a Sciddle server's — so that a fabric can drive it
+// without a blocked call stack (Drive).  Next consumes the outcome of the
+// last wait and returns the next one: b and src are the message a receive
+// delivered, or nil and -1 at the start, after any other wait, and when a
+// receive's deadline passed.
+type Reactor interface {
+	Next(b *Buffer, src int) Wait
+}
+
+// Wait is what a Reactor waits for next: a receive, a send (which waits
+// for the task's turn on the fabric), a barrier, or the end of the
+// program (the zero Wait).
+type Wait struct {
+	op        waitOp
+	peer, tag int
+	buf       *Buffer
+	name      string
+	parties   int
+	timeout   time.Duration
+}
+
+type waitOp uint8
+
+const (
+	waitExit waitOp = iota
+	waitRecv
+	waitSend
+	waitBarrier
+)
+
+// RecvWait receives the next message matching (src, tag), as Recv does.
+// A positive timeout bounds the wait as RecvTimeout's deadline does.
+func RecvWait(src, tag int, timeout time.Duration) Wait {
+	return Wait{op: waitRecv, peer: src, tag: tag, timeout: timeout}
+}
+
+// SendWait sends b to dst with tag, as Send does.
+func SendWait(dst, tag int, b *Buffer) Wait {
+	return Wait{op: waitSend, peer: dst, tag: tag, buf: b}
+}
+
+// BarrierWait enters the named barrier of parties tasks, as Barrier does.
+func BarrierWait(name string, parties int) Wait {
+	return Wait{op: waitBarrier, name: name, parties: parties}
+}
+
+// Drive runs r as task t's program until r exits.  On the simulated
+// fabric the kernel steps r as a reactor process (vm.Proc.React) and
+// Drive returns at once: the task's function must return right after.
+// On any other task — the network fabric, or a simulated task behind a
+// wrapper that hides its type — Drive blocks, carrying out each wait with
+// t's own calls, and returns early when a receive fails for any reason
+// but its deadline.
+func Drive(t Task, r Reactor) {
+	if st, ok := t.(*simTask); ok {
+		st.reactor = simReactor{t: st, r: r}
+		st.proc.React(&st.reactor)
+		return
+	}
+	var b *Buffer
+	src := -1
+	for {
+		w := r.Next(b, src)
+		b, src = nil, -1
+		switch w.op {
+		case waitRecv:
+			if w.timeout <= 0 {
+				b, src, _ = t.Recv(w.peer, w.tag)
+				continue
+			}
+			rb, rsrc, _, err := t.RecvTimeout(w.peer, w.tag, w.timeout)
+			if err == nil {
+				b, src = rb, rsrc
+			} else if !errors.Is(err, ErrRecvTimeout) {
+				return
+			}
+		case waitSend:
+			t.Send(w.peer, w.tag, w.buf)
+		case waitBarrier:
+			t.Barrier(w.name, w.parties)
+		default:
+			return
+		}
+	}
 }
 
 // RecoveryReporter is the optional capability to attribute a time window

@@ -22,6 +22,14 @@
 //     times, volumes) and every task carries an hpm.Monitor, so the
 //     counters live at the same abstraction level as the RPCs.
 //
+// The server side is one protocol loop — receive a request, in accounting
+// mode arrive at "call", run the handler, arrive at "done", send the
+// reply — written once as a state machine (pvm.Reactor) whose steps hold
+// the whole request: header, stop handling, run-ahead, handler, barrier
+// keys, reply tag and the quit switch.  Serve hands it to pvm.Drive: the
+// simulated fabric steps it as a kernel reactor, so a server's wait costs
+// no stack switch; any other task drives it by blocking calls.
+//
 // That monitoring works because every RPC passes through one instrumented
 // place.  The client has a single call path: issue packs the request
 // header and arguments, sends, and books the send side; collect waits for
@@ -189,70 +197,117 @@ type ServeOptions struct {
 // the package comment, and on the simulated fabric the handler starts
 // ahead as soon as the request is held (pvm.StartAhead): it is claimed
 // after the "call" barrier, where it would otherwise run.
+//
+// The loop is one state machine, driven by pvm.Drive.  On the simulated
+// fabric the kernel steps it as a reactor: Serve returns at once, and the
+// spawned task's function must return right after it.  Elsewhere Serve
+// blocks in the task's own calls until the loop ends.
 func Serve(t pvm.Task, svc *Service, opt ServeOptions) {
 	if opt.Accounting && opt.Parties < 2 {
 		panic("sciddle: accounting mode needs Parties >= 2")
 	}
-	held := &heldCall{}
-	phase := 0
-	for {
-		req, src, ok := serveRecv(t, opt)
-		if !ok {
-			return
+	s := &server{t: t, svc: svc, opt: opt}
+	if opt.Quit != nil {
+		s.poll = opt.PollInterval
+		if s.poll <= 0 {
+			s.poll = 25 * time.Millisecond
 		}
-		callID, method := unpackHeader(req)
-		if method == methodStop {
-			// Acknowledge and leave; no barriers around shutdown.
-			t.Send(src, replyTag(callID), pvm.NewBuffer())
-			return
-		}
-		e := svc.entry(method)
-		var reply *pvm.Buffer
-		if opt.Accounting {
-			held.e, held.req = e, req
-			ahead := !e.gate.Inline() && pvm.StartAhead(t, held)
-			t.Barrier(barrierKey(phase, "call"), opt.Parties)
-			if ahead {
-				pvm.FinishAhead(t)
-				reply = held.reply
-			} else {
-				reply = e.run(t, req, &held.void)
-			}
-			t.Barrier(barrierKey(phase, "done"), opt.Parties)
-			phase++
-		} else {
-			reply = e.run(t, req, &held.void)
-		}
-		t.Send(src, replyTag(callID), reply)
 	}
+	pvm.Drive(t, s)
 }
 
-// serveRecv blocks for the next request, honouring the quit switch.  The
-// boolean result is false when the loop should exit: the quit channel
-// closed, or the session died under a deadline-aware fabric.
-func serveRecv(t pvm.Task, opt ServeOptions) (*pvm.Buffer, int, bool) {
-	if opt.Quit == nil {
-		b, src, _ := t.Recv(pvm.AnySrc, tagRequest)
-		return b, src, true
+// server is one task's Sciddle server protocol as a pvm.Reactor: every
+// step of a request — header, stop, run-ahead, handler, phase barriers,
+// reply — exists here once, whichever driver runs it.
+type server struct {
+	t     pvm.Task
+	svc   *Service
+	opt   ServeOptions
+	poll  time.Duration // receive deadline while watching opt.Quit
+	at    serveState
+	held  heldCall
+	phase int
+	ahead bool // the held call started ahead (pvm.StartAhead)
+	src   int  // the held request's client
+	reply int  // the held request's reply tag
+}
+
+// serveState is what the server last waited for.
+type serveState uint8
+
+const (
+	serveListen serveState = iota // a request
+	serveCall                     // the "call" barrier
+	serveDone                     // the "done" barrier
+	serveReply                    // the reply's send
+	serveStop                     // the stop acknowledgement's send
+)
+
+// Next implements pvm.Reactor.
+func (s *server) Next(req *pvm.Buffer, src int) pvm.Wait {
+	switch s.at {
+	case serveListen:
+		if req == nil {
+			// The start, or a poll deadline passed.
+			return s.listen()
+		}
+		return s.request(req, src)
+	case serveCall:
+		if s.ahead {
+			pvm.FinishAhead(s.t)
+		} else {
+			s.held.Run(s.t)
+		}
+		s.at = serveDone
+		return pvm.BarrierWait(barrierKey(s.phase, "done"), s.opt.Parties)
+	case serveDone:
+		s.phase++
+		s.at = serveReply
+		return pvm.SendWait(s.src, s.reply, s.held.reply)
+	case serveReply:
+		return s.listen()
 	}
-	poll := opt.PollInterval
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
-	for {
+	return pvm.Wait{} // serveStop: acknowledged, leave
+}
+
+// listen waits for the next request, unless the quit switch has closed.
+// The switch is polled between requests: on the network fabric the poll
+// deadline wakes the wait to look again; a simulated receive never
+// expires, so there a closed switch is noticed once the next request has
+// been served.
+func (s *server) listen() pvm.Wait {
+	if s.opt.Quit != nil {
 		select {
-		case <-opt.Quit:
-			return nil, 0, false
+		case <-s.opt.Quit:
+			return pvm.Wait{}
 		default:
 		}
-		b, src, _, err := t.RecvTimeout(pvm.AnySrc, tagRequest, poll)
-		if err == nil {
-			return b, src, true
-		}
-		if !errors.Is(err, pvm.ErrRecvTimeout) {
-			return nil, 0, false
-		}
 	}
+	s.at = serveListen
+	return pvm.RecvWait(pvm.AnySrc, tagRequest, s.poll)
+}
+
+// request takes delivery of a request from src: a stop is acknowledged,
+// with no barriers around shutdown; in accounting mode the call is held,
+// started ahead where it may be, until the "call" barrier; otherwise the
+// handler runs at once.
+func (s *server) request(req *pvm.Buffer, src int) pvm.Wait {
+	callID, method := unpackHeader(req)
+	s.src, s.reply = src, replyTag(callID)
+	if method == methodStop {
+		s.at = serveStop
+		return pvm.SendWait(src, s.reply, pvm.NewBuffer())
+	}
+	e := s.svc.entry(method)
+	s.held.e, s.held.req = e, req
+	if !s.opt.Accounting {
+		s.held.Run(s.t)
+		s.at = serveReply
+		return pvm.SendWait(src, s.reply, s.held.reply)
+	}
+	s.ahead = !e.gate.Inline() && pvm.StartAhead(s.t, &s.held)
+	s.at = serveCall
+	return pvm.BarrierWait(barrierKey(s.phase, "call"), s.opt.Parties)
 }
 
 func replyTag(callID int) int { return tagReplyBase + 1 + callID }

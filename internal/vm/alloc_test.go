@@ -83,3 +83,40 @@ func TestBarrierSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state %d-party barrier round allocates %.3f objects", parties, perRound)
 	}
 }
+
+// TestReactorSteadyStateAllocs is the same audit for reactor processes: a
+// request/reply exchange with a reactor server and an 8-party barrier
+// round with seven reactor members, both stepped in place on the
+// measuring coroutine's stack, must not allocate once warm.
+func TestReactorSteadyStateAllocs(t *testing.T) {
+	const parties, warm, measured = 8, 200, 1000
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	k := NewKernel(FixedCost{Overhead: 1e-6, ByteRate: 1e9, Latency: 1e-6}, nil)
+	var payload any = "x"
+	var perExchange float64
+	k.NewProc("client", nil, func(p *Proc) {
+		perExchange = mallocsPerOp(warm, measured, func() {
+			p.Send(1, 1, payload, 64)
+			p.Kernel().Recycle(p.RecvSrcTag(1, 2))
+		})
+	})
+	k.NewProc("server", nil, func(p *Proc) { p.React(echoReactor(0, 1, 2, warm+measured)) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	k = NewKernel(FixedCost{SyncDelay: 1e-6}, nil)
+	var perRound float64
+	k.NewProc("sampler", ConstRate(1e9), func(p *Proc) {
+		perRound = mallocsPerOp(warm, measured, func() { barrierRound(p, parties) })
+	})
+	addReactorMembers(k, parties, warm+measured)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if perExchange > 0.1 || perRound > 0.1 {
+		t.Fatalf("steady state allocates %.3f objects per exchange with a reactor server, %.3f per %d-party round with reactor members",
+			perExchange, perRound, parties)
+	}
+}

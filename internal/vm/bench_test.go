@@ -66,3 +66,90 @@ func BenchmarkKernelBarrier8(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// stepFunc adapts a function to Reactor.
+type stepFunc func(p *Proc, m *Message) Wait
+
+func (f stepFunc) Step(p *Proc, m *Message) Wait { return f(p, m) }
+
+// echoReactor answers n messages from src tagged in with the same payload
+// tagged out, then exits: the server of the hand-off workloads as a
+// reactor.
+func echoReactor(src, in, out, n int) Reactor {
+	var payload any
+	replied := 0
+	return stepFunc(func(p *Proc, m *Message) Wait {
+		if m != nil {
+			payload = m.Payload
+			p.Kernel().Recycle(m)
+			return TurnWait()
+		}
+		if payload != nil {
+			p.Send(src, out, payload, 64)
+			payload = nil
+			replied++
+		}
+		if replied == n {
+			return ExitWait()
+		}
+		return RecvWait(src, in)
+	})
+}
+
+// BenchmarkKernelHandoffReactor is BenchmarkKernelHandoff with the server
+// a reactor: the client's Recv parks, steps the server in place on its own
+// stack and finds itself next, so an op switches no stack at all.
+func BenchmarkKernelHandoffReactor(b *testing.B) {
+	k := NewKernel(nil, nil)
+	var payload any = "x"
+	k.NewProc("client", nil, func(p *Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Send(1, 1, payload, 64)
+			p.Kernel().Recycle(p.RecvSrcTag(1, 2))
+		}
+		b.StopTimer()
+	})
+	k.NewProc("server", nil, func(p *Proc) { p.React(echoReactor(0, 1, 2, b.N)) })
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// addReactorMembers is addBarrierMembers with every member a reactor.
+func addReactorMembers(k *Kernel, parties, rounds int) {
+	for id := 1; id < parties; id++ {
+		k.NewProc("member", ConstRate(1e9), func(p *Proc) {
+			done := 0
+			p.React(stepFunc(func(p *Proc, _ *Message) Wait {
+				if done == rounds {
+					return ExitWait()
+				}
+				done++
+				p.Compute(float64(1 + p.ID()))
+				return BarrierWait("round", parties)
+			}))
+		})
+	}
+}
+
+// BenchmarkKernelBarrier8Reactor is BenchmarkKernelBarrier8 with the seven
+// other members reactors: the timed coroutine steps them in place while it
+// waits, and is released without a switch.
+func BenchmarkKernelBarrier8Reactor(b *testing.B) {
+	const parties = 8
+	k := NewKernel(FixedCost{SyncDelay: 1e-6}, nil)
+	k.NewProc("timed", ConstRate(1e9), func(p *Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			barrierRound(p, parties)
+		}
+		b.StopTimer()
+	})
+	addReactorMembers(k, parties, b.N)
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -3,23 +3,36 @@
 //
 // The kernel stands in for the hardware platforms of the paper (Cray J90,
 // Cray T3E-900 and the three Cluster-of-PCs flavours) that are no longer
-// available.  Every simulated process (a PVM task in the layers above) is a
-// coroutine (iter.Pull) with a local virtual clock.  Exactly one process
-// executes at any instant: Kernel.Run switches directly into the runnable
-// process with the smallest local time (ties broken by process id), the
-// process switches straight back when it blocks, and no Go scheduler
-// decision is involved — which makes simulations reproducible bit for bit
-// and a hand-off a few hundred nanoseconds cheaper than a channel round
-// trip.
+// available.  Every simulated process (a PVM task in the layers above) has
+// a local virtual clock, and exactly one process executes at any instant:
+// the runnable process with the smallest local time, ties broken by
+// process id.  No Go scheduler decision is involved, which makes
+// simulations reproducible bit for bit.
+//
+// A process is driven one of two ways, under one set of rules.  It starts
+// as a coroutine (iter.Pull) running its function, which blocks in Send,
+// Recv and Barrier by switching back to the kernel.  A process whose
+// program is a fixed protocol loop — an RPC server — may instead hand
+// itself to a Reactor (Proc.React): a state machine that posts its next
+// wait (a receive criterion, a barrier arrival, or its turn to send) and
+// returns.  The kernel steps a reactor wherever it would have resumed the
+// coroutine, in the same (time, id) order, through the same fast paths
+// and timing rules, so a wait costs a ready-heap entry instead of two
+// stack switches.  And a coroutine that must give up its turn first steps,
+// on its own stack, the reactors the scheduler would run before it; it
+// switches to the kernel only when another coroutine precedes it or
+// nothing is runnable.  Which stack a step runs on changes no clock.
 //
 // Lifecycle is owned by Run.  Whenever Run exits with unfinished processes
-// (a DeadlockError, a panic, a runtime.Goexit), it stops every one of them:
+// (a DeadlockError, a panic, a runtime.Goexit), it stops every coroutine:
 // a stopped process unwinds from the yield it is parked in by panicking
 // with a private sentinel, so its deferred calls run and its coroutine
 // exits; a deferred call that tries to block again gets the same sentinel.
-// A panic raised by a simulated task propagates, with its original value,
-// out of Run on the goroutine that called Run, where the caller's own
-// recover can see it.
+// Reactors hold no stack and are simply abandoned.  A panic raised by a
+// simulated task propagates, with its original value, out of Run on the
+// goroutine that called Run, where the caller's own recover can see it —
+// including one raised by a reactor stepped on another process's stack,
+// which is recovered there and re-raised by Run.
 //
 // Virtual time is charged through a pluggable cost model:
 //
@@ -214,10 +227,11 @@ type Stats struct {
 	Flops     float64 // flops charged through Compute
 }
 
-// Proc is a simulated process.  All methods must be called from the
-// process's own coroutine while it holds the execution token (i.e. from
-// inside the function passed to NewProc or Spawn); the one exception is
-// the macro replay described at the three timing rules below.
+// Proc is a simulated process.  All methods must be called by the
+// process while it holds the execution token — from inside the function
+// passed to NewProc or Spawn, or from its reactor's Step; the one
+// exception is the macro replay described at the three timing rules
+// below.
 type Proc struct {
 	k       *Kernel
 	id      int
@@ -232,9 +246,15 @@ type Proc struct {
 	// process until it blocks (true) or finishes (false), stop unwinds it,
 	// suspend (valid once the process has run) switches back to whoever
 	// called resume and reports false when the process has been stopped.
+	// stopped latches that report, and resumes counts switches in.
 	resume  func() (struct{}, bool)
 	stop    func()
 	suspend func(struct{}) bool
+	stopped bool
+	resumes int
+	// reactor, once set by React, drives the process in place of its
+	// coroutine.
+	reactor Reactor
 	mailbox []*Message
 	// Ready-queue bookkeeping: index into Kernel.ready (-1 when not
 	// enqueued) and the cached scheduling key while enqueued.
@@ -521,25 +541,10 @@ func (p *Proc) matches(m *Message) bool {
 }
 
 func (p *Proc) recvWait() *Message {
-	p.state = stateRecv
-	// Fast path: a matching message is already queued and no other
-	// process would be scheduled before this one at the delivery key, so
-	// handing the token back would provably resume us immediately.
-	var m *Message
-	if best, ok := earliestMatch(p); ok {
-		key := p.now
-		if best.Arrival > key {
-			key = best.Arrival
-		}
-		if p.k.soleRunnableAt(p, key) {
-			p.removeMessage(best)
-			p.state = stateRunning
-			m = best
-		}
-	}
+	m := p.tryRecv()
 	if m == nil {
 		p.yield()
-		// The kernel has selected our earliest matching message and
+		// The scheduler has selected our earliest matching message and
 		// stored it in p.got before resuming us.
 		m = p.got
 		p.got = nil
@@ -550,6 +555,29 @@ func (p *Proc) recvWait() *Message {
 	}
 	p.Accept(m.Arrival, m.Bytes)
 	return m
+}
+
+// tryRecv posts p's receive, its criterion already set, and takes the
+// fast path: a matching message is already queued and no other process
+// would be scheduled before p at the delivery key, so handing the token
+// back would provably resume p at once — the message is removed and
+// returned.  Otherwise p is left in stateRecv and nil is returned.
+func (p *Proc) tryRecv() *Message {
+	p.state = stateRecv
+	best, ok := earliestMatch(p)
+	if !ok {
+		return nil
+	}
+	key := p.now
+	if best.Arrival > key {
+		key = best.Arrival
+	}
+	if !p.k.soleRunnableAt(p, key) {
+		return nil
+	}
+	p.removeMessage(best)
+	p.state = stateRunning
+	return best
 }
 
 // Probe reports whether a matching message is already queued (regardless of
@@ -581,6 +609,15 @@ func (p *Proc) ProbeSrcTag(src, tag int) bool {
 // (Arrive); a member that does not complete the party parks until the last
 // arriver releases it.
 func (p *Proc) Barrier(key string, parties int) {
+	if !p.arrive(key, parties) {
+		p.yield()
+	}
+}
+
+// arrive enters p into the barrier key by the barrier rule and reports
+// whether p released it, making every other member runnable again.  A
+// member that does not complete the party is left in stateBarrier.
+func (p *Proc) arrive(key string, parties int) bool {
 	if parties <= 0 {
 		panic("vm: barrier with no parties")
 	}
@@ -596,8 +633,7 @@ func (p *Proc) Barrier(key string, parties int) {
 	b.members, released = p.Arrive(b.members, parties)
 	if !released {
 		p.state = stateBarrier
-		p.yield()
-		return
+		return false
 	}
 	// Last arriver: everybody else is runnable again.
 	for _, q := range b.members {
@@ -608,6 +644,7 @@ func (p *Proc) Barrier(key string, parties int) {
 	}
 	delete(p.k.barriers, key)
 	p.k.freeBarrier(b)
+	return true
 }
 
 // Spawn creates a new process starting at the caller's current virtual
@@ -624,14 +661,150 @@ func (p *Proc) Spawn(name string, compute ComputeModel, fn func(*Proc)) int {
 // procStopped is the panic value that unwinds a stopped process.
 type procStopped struct{}
 
-// yield hands the execution token back to the kernel and blocks until the
-// kernel resumes this process.  If the kernel stops the process instead —
-// or already has, and a deferred call running during the unwind blocks
-// again — yield panics with procStopped.
+// yield gives up the execution token until the scheduler picks this
+// process again.  The process parks by the state it blocks in, steps the
+// reactors that come before it in place (stepReactors), and switches to
+// the kernel only if it is not next after them.  If the kernel stops the
+// process instead — or already has, and a deferred call running during
+// the unwind blocks again — yield panics with procStopped.
 func (p *Proc) yield() {
-	if !p.suspend(struct{}{}) {
+	if p.reactor != nil {
+		panic(fmt.Sprintf("vm: reactor proc %d blocks outside a posted wait", p.id))
+	}
+	if p.stopped {
 		panic(procStopped{})
 	}
+	k := p.k
+	k.park(p)
+	if k.stepReactors(p) {
+		return
+	}
+	if !p.suspend(struct{}{}) {
+		p.stopped = true
+		panic(procStopped{})
+	}
+}
+
+// A Reactor drives a process as a state machine in place of its
+// coroutine (Proc.React).  Step runs the process from its last wait to
+// its next: m is the message a receive wait delivered — already accepted
+// by the receive rule and out of the mailbox, so Step may Recycle it —
+// and nil after any other wait and at the first step.  Step may use every
+// Proc method that does not block, Send included right after a TurnWait,
+// and returns the wait to post next.  It runs on whichever stack the
+// scheduler reaches the process from: the kernel's, or that of a
+// coroutine stepping the reactors ahead of it.
+type Reactor interface {
+	Step(p *Proc, m *Message) Wait
+}
+
+// Wait is what a reactor process waits for next.
+type Wait struct {
+	kind     waitKind
+	src, tag int
+	key      string
+	parties  int
+}
+
+type waitKind uint8
+
+const (
+	waitExit waitKind = iota
+	waitRecv
+	waitBarrier
+	waitTurn
+)
+
+// RecvWait waits for the earliest matching message from src with tag
+// (either may be -1), as RecvSrcTag does.
+func RecvWait(src, tag int) Wait { return Wait{kind: waitRecv, src: src, tag: tag} }
+
+// BarrierWait arrives at the barrier key of parties processes, as Barrier
+// does.
+func BarrierWait(key string, parties int) Wait {
+	return Wait{kind: waitBarrier, key: key, parties: parties}
+}
+
+// TurnWait waits for the process's turn at its current time: the
+// re-entry through the scheduler that Send makes before it transmits, so
+// a Send in the next step hits the shared channel in global virtual-time
+// order without blocking.
+func TurnWait() Wait { return Wait{kind: waitTurn} }
+
+// ExitWait ends the process.
+func ExitWait() Wait { return Wait{} }
+
+// React hands the calling process to r for good: from now on the kernel
+// steps r wherever it would have resumed the process's coroutine.  React
+// posts r's first wait and returns; the process's function must return
+// right after, which ends its coroutine but not the process, which lives
+// until a step returns ExitWait.
+func (p *Proc) React(r Reactor) {
+	p.reactor = r
+	p.k.react(p, nil)
+}
+
+// react runs reactor p from a completed wait — m is the message a
+// receive delivered — through every wait that completes at once by the
+// fast paths a coroutine takes, and parks p at the first that does not.
+func (k *Kernel) react(p *Proc, m *Message) {
+	for {
+		w := p.reactor.Step(p, m)
+		m = nil
+		switch w.kind {
+		case waitRecv:
+			p.match = nil
+			p.matchSrc, p.matchTag = w.src, w.tag
+			if m = p.tryRecv(); m == nil {
+				k.park(p)
+				return
+			}
+			p.Accept(m.Arrival, m.Bytes)
+		case waitBarrier:
+			if !p.arrive(w.key, w.parties) {
+				return
+			}
+		case waitTurn:
+			if !k.soleRunnable(p) {
+				k.park(p)
+				return
+			}
+		default:
+			p.state = stateDone
+			k.nDone++
+			return
+		}
+	}
+}
+
+// stepReactors is the scheduler loop run on the stack of coroutine p,
+// which has just parked: it pops and steps the reactors that come before
+// p, in (time, id) order, and reports whether p itself is next — popped
+// and ready to go on.  It stops when another coroutine comes first or
+// nothing is runnable, and p must then switch to the kernel.  A panic in
+// a step is recovered and left for Run to re-raise once p has switched:
+// unwinding p's own stack in the middle of a blocking call would run its
+// deferred calls with the token held by nobody.
+func (k *Kernel) stepReactors(p *Proc) (next bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.pv, k.panicked = r, true
+			next = false
+		}
+	}()
+	for len(k.ready) > 0 {
+		q := k.ready[0]
+		if q == p {
+			k.heapPop()
+			p.got = k.take(p)
+			return true
+		}
+		if q.reactor == nil {
+			return false
+		}
+		k.step(k.heapPop())
+	}
+	return false
 }
 
 type barrier struct {
@@ -663,6 +836,10 @@ type Kernel struct {
 	msgFree []*Message
 	// barFree recycles completed barrier records the same way.
 	barFree []*barrier
+	// pv is a panic recovered from a reactor stepped on a coroutine's
+	// stack, for Run to re-raise once the coroutine has switched back.
+	pv       any
+	panicked bool
 }
 
 // NewKernel creates a kernel with the given communication cost model
@@ -964,32 +1141,61 @@ func (k *Kernel) Run() error {
 		if len(k.ready) == 0 {
 			return k.deadlock()
 		}
-		next := k.heapPop()
-		if next.state == stateRecv {
-			next.got = takeEarliestMatch(next)
-		}
-		next.state = stateRunning
-		if _, alive := next.resume(); !alive {
-			next.state = stateDone
-		}
-		k.park(next)
+		k.step(k.heapPop())
 	}
 	return nil
 }
 
-// stopProcs unwinds every unfinished process.  The stops are deferred so
+// take readies popped process p to run: a receiver gets its earliest
+// matching message, removed from its mailbox.
+func (k *Kernel) take(p *Proc) *Message {
+	var m *Message
+	if p.state == stateRecv {
+		m = takeEarliestMatch(p)
+	}
+	p.state = stateRunning
+	return m
+}
+
+// step runs popped process q until it gives the token back: a reactor by
+// its steps, a coroutine by a switch into it, after which Run re-raises a
+// panic the coroutine recovered from a reactor it stepped.
+func (k *Kernel) step(q *Proc) {
+	m := k.take(q)
+	if q.reactor != nil {
+		if m != nil {
+			q.Accept(m.Arrival, m.Bytes)
+		}
+		k.react(q, m)
+		return
+	}
+	q.got = m
+	q.resumes++
+	_, alive := q.resume()
+	if k.panicked {
+		pv := k.pv
+		k.pv, k.panicked = nil, false
+		panic(pv)
+	}
+	if !alive && q.reactor == nil {
+		q.state = stateDone
+		k.nDone++
+	}
+}
+
+// stopProcs unwinds every unfinished coroutine.  The stops are deferred so
 // that each one runs even if an earlier one re-raises a panic from a
 // deferred call of the process it unwound.
 func (k *Kernel) stopProcs() {
 	for _, p := range k.procs {
-		if p.state != stateDone {
+		if p.state != stateDone && p.reactor == nil {
 			defer p.stop()
 		}
 	}
 }
 
-// park re-enqueues a process that just handed the token back, according
-// to the state it blocked in.
+// park enqueues a process that is giving the token back, according to the
+// state it blocks in.
 func (k *Kernel) park(p *Proc) {
 	switch p.state {
 	case stateRunning:
@@ -1006,8 +1212,6 @@ func (k *Kernel) park(p *Proc) {
 			}
 			k.heapPush(p, key)
 		}
-	case stateDone:
-		k.nDone++
 	case stateBarrier:
 		// Woken by the last arriver, which re-enqueues all members.
 	}
