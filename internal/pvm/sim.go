@@ -230,7 +230,7 @@ func (s *simReactor) Step(_ *vm.Proc, m *vm.Message) vm.Wait {
 		telemetry.PvmBarriers.Add(1)
 		return vm.BarrierWait(w.name, w.parties)
 	}
-	return vm.ExitWait()
+	return vm.Wait{}
 }
 
 // RecvTimeout never fails: simulated messages are never lost (faults only

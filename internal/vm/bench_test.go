@@ -90,7 +90,7 @@ func echoReactor(src, in, out, n int) Reactor {
 			replied++
 		}
 		if replied == n {
-			return ExitWait()
+			return Wait{}
 		}
 		return RecvWait(src, in)
 	})
@@ -124,7 +124,7 @@ func addReactorMembers(k *Kernel, parties, rounds int) {
 			done := 0
 			p.React(stepFunc(func(p *Proc, _ *Message) Wait {
 				if done == rounds {
-					return ExitWait()
+					return Wait{}
 				}
 				done++
 				p.Compute(float64(1 + p.ID()))

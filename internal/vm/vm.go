@@ -698,7 +698,8 @@ type Reactor interface {
 	Step(p *Proc, m *Message) Wait
 }
 
-// Wait is what a reactor process waits for next.
+// Wait is what a reactor process waits for next; the zero Wait ends the
+// process.
 type Wait struct {
 	kind     waitKind
 	src, tag int
@@ -731,14 +732,11 @@ func BarrierWait(key string, parties int) Wait {
 // order without blocking.
 func TurnWait() Wait { return Wait{kind: waitTurn} }
 
-// ExitWait ends the process.
-func ExitWait() Wait { return Wait{} }
-
 // React hands the calling process to r for good: from now on the kernel
 // steps r wherever it would have resumed the process's coroutine.  React
 // posts r's first wait and returns; the process's function must return
 // right after, which ends its coroutine but not the process, which lives
-// until a step returns ExitWait.
+// until a step returns the zero Wait.
 func (p *Proc) React(r Reactor) {
 	p.reactor = r
 	p.k.react(p, nil)
