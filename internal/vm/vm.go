@@ -662,9 +662,10 @@ func (p *Proc) Spawn(name string, compute ComputeModel, fn func(*Proc)) int {
 type procStopped struct{}
 
 // yield gives up the execution token until the scheduler picks this
-// process again.  The process parks by the state it blocks in, steps the
-// reactors that come before it in place (stepReactors), and switches to
-// the kernel only if it is not next after them.  If the kernel stops the
+// process again.  The process parks by the state it blocks in and, when a
+// reactor or the process itself is next, steps the reactors that come
+// before it in place (stepReactors); it switches to the kernel only if it
+// is not next after them.  If the kernel stops the
 // process instead — or already has, and a deferred call running during
 // the unwind blocks again — yield panics with procStopped.
 func (p *Proc) yield() {
@@ -676,7 +677,7 @@ func (p *Proc) yield() {
 	}
 	k := p.k
 	k.park(p)
-	if k.stepReactors(p) {
+	if len(k.ready) > 0 && (k.ready[0] == p || k.ready[0].reactor != nil) && k.stepReactors(p) {
 		return
 	}
 	if !p.suspend(struct{}{}) {
@@ -1139,7 +1140,26 @@ func (k *Kernel) Run() error {
 		if len(k.ready) == 0 {
 			return k.deadlock()
 		}
-		k.step(k.heapPop())
+		q := k.heapPop()
+		if q.reactor != nil {
+			k.step(q)
+			continue
+		}
+		// A coroutine runs until it switches back; it has parked itself
+		// (yield) unless it finished, or recovered a panic from a reactor
+		// it stepped, which is re-raised here.
+		q.got = k.take(q)
+		q.resumes++
+		_, alive := q.resume()
+		if k.panicked {
+			pv := k.pv
+			k.pv, k.panicked = nil, false
+			panic(pv)
+		}
+		if !alive && q.reactor == nil {
+			q.state = stateDone
+			k.nDone++
+		}
 	}
 	return nil
 }
@@ -1155,30 +1175,14 @@ func (k *Kernel) take(p *Proc) *Message {
 	return m
 }
 
-// step runs popped process q until it gives the token back: a reactor by
-// its steps, a coroutine by a switch into it, after which Run re-raises a
-// panic the coroutine recovered from a reactor it stepped.
+// step runs popped reactor q: a receiver takes delivery of its message by
+// the receive rule, then its steps run until it parks again.
 func (k *Kernel) step(q *Proc) {
 	m := k.take(q)
-	if q.reactor != nil {
-		if m != nil {
-			q.Accept(m.Arrival, m.Bytes)
-		}
-		k.react(q, m)
-		return
+	if m != nil {
+		q.Accept(m.Arrival, m.Bytes)
 	}
-	q.got = m
-	q.resumes++
-	_, alive := q.resume()
-	if k.panicked {
-		pv := k.pv
-		k.pv, k.panicked = nil, false
-		panic(pv)
-	}
-	if !alive && q.reactor == nil {
-		q.state = stateDone
-		k.nDone++
-	}
+	k.react(q, m)
 }
 
 // stopProcs unwinds every unfinished coroutine.  The stops are deferred so
