@@ -41,7 +41,7 @@ type DirectEntry struct {
 // task tid.  Only the simulated fabric supports direct dispatch; other
 // fabrics return false and the caller stays fine-grained.  The entry
 // must be registered by the code that spawns the server, with the same
-// handler objects the spawned goroutine serves from, so state is shared
+// handler objects the spawned server serves from, so state is shared
 // whichever path executes a call.
 func RegisterDirect(t Task, tid int, e DirectEntry) bool {
 	st, ok := t.(*simTask)

@@ -752,7 +752,6 @@ func (k *Kernel) react(p *Proc, m *Message) {
 		m = nil
 		switch w.kind {
 		case waitRecv:
-			p.match = nil
 			p.matchSrc, p.matchTag = w.src, w.tag
 			if m = p.tryRecv(); m == nil {
 				k.park(p)
