@@ -44,12 +44,13 @@ race:
 # Repeat the chaos suite under the race detector: the seeded sim-fabric
 # fault sweep, the live TCP server-kill tests, the self-healing respawn
 # suite, the checkpoint-restart sweeps and two concurrent runs keeping
-# their telemetry apart.  Then the handler run-ahead and reactor-server
-# property and lifecycle tests at GOMAXPROCS 1 and 2: at 1 a session has
-# no helper and runs every handler in place, at 2 handlers run ahead.
+# their telemetry apart.  Then the handler run-ahead, reactor-server and
+# per-phase level-of-detail property and lifecycle tests at GOMAXPROCS 1
+# and 2: at 1 a session has no helper and runs every handler in place, at
+# 2 handlers run ahead.
 chaos:
 	$(call test-selected,-race -count=5,TestChaos|TestParallelSurvives|TestServerQuit|TestSelfHeal|TestRestart|TestPeriodicCheckpoint|TestConcurrentRunsKeepTheirTelemetry,./internal/harness/ ./internal/md/ ./internal/scenario/)
-	$(call test-selected,-race -count=10 -cpu 1$(comma)2,TestAheadBitIdentical|TestAheadReplay|TestAheadPanic|TestRunStopsHelper|TestServeDriversBitIdentical|TestReactor,./internal/pvm/ ./internal/md/ ./internal/sciddle/)
+	$(call test-selected,-race -count=10 -cpu 1$(comma)2,TestAheadBitIdentical|TestAheadReplay|TestAheadPanic|TestRunStopsHelper|TestServeDriversBitIdentical|TestReactor|TestAccountingLoDAlternates,./internal/pvm/ ./internal/md/ ./internal/sciddle/)
 
 # Validate and sweep the checked-in chaos corpus through the scenario
 # runner: every scenario over SCENARIO_SEEDS fault/kill seeds.

@@ -373,7 +373,7 @@ func TestPanicIsolationSimulatedTask(t *testing.T) {
 		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
 	}, func(p *pool, j *job, attempt int) (*JobResult, error) {
 		k := vm.NewKernel(nil, nil)
-		k.NewProc("server", nil, func(p *vm.Proc) { p.Recv(nil) })
+		k.NewProc("server", nil, func(p *vm.Proc) { p.RecvSrcTag(-1, -1) })
 		k.NewProc("client", nil, func(p *vm.Proc) {
 			if j.Spec.Seed == bad.Seed {
 				panic("task kaboom")

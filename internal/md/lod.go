@@ -2,30 +2,25 @@ package md
 
 // Level-of-detail (LoD) plumbing for the parallel engine.  Macro replay
 // is how an eligible RPC phase runs: the Sciddle connection replays it as
-// macro-events (internal/pvm/macro.go) — the servers' handlers run
+// macro-events (internal/pvm/macro.go) — each server's own held call runs
 // in-process on the client's coroutine and the fan-out is charged through
 // the kernel's own send, receive and barrier rules — skipping every
 // coroutine switch and message allocation of fine-grained execution while
-// producing bit-identical clocks, energies and Stats breakdowns.  The
-// phase profile — resolved dispatch entries and each method's handler
-// entries, request buffers, per-server calls, timeline arrays — is
-// memoized per fleet inside the connection, so the steady state runs
-// without registry or method lookups or heap allocation.  In accounting
-// mode the handlers of a phase run ahead on a spare core
-// (pvm.StartAhead), macro-replayed and fine-grained alike.
+// producing bit-identical clocks, energies and Stats breakdowns.  There is
+// no handler registry: every server builds its own service and the
+// connection finds the servers' reactors once per fleet, so the steady
+// state runs without lookups or heap allocation.  In accounting mode the
+// handlers of a phase run ahead on a spare core (pvm.StartAhead),
+// macro-replayed and fine-grained alike.
 //
 // Fine-grained message passing is the fallback and the test reference:
-// any run or window needing event-level detail (non-simulated fabric,
-// active fault plane, administrative kill step, non-quiescent kernel,
-// unregistered dispatcher) takes it by itself, and LoDOff pins it for
-// the bit-identity sweeps.
+// any run or phase needing event-level detail (non-simulated fabric,
+// active fault plane, administrative kill step, non-quiescent kernel, a
+// server that is not a Sciddle reactor parked in its receive) takes it by
+// itself, phase by phase in either mode, and LoDOff pins it for the
+// bit-identity sweeps.
 
-import (
-	"fmt"
-
-	"opalperf/internal/pvm"
-	"opalperf/internal/sciddle"
-)
+import "fmt"
 
 // LoDMode is the level of detail of the parallel engine's RPC phases
 // (Options.LoD).
@@ -63,9 +58,4 @@ func (m LoDMode) String() string {
 		return "off"
 	}
 	return fmt.Sprintf("LoDMode(%d)", int(m))
-}
-
-// registerDirect records svc as server tid's in-process handlers.
-func registerDirect(t pvm.Task, tid int, svc *sciddle.Service) {
-	pvm.RegisterDirect(t, tid, pvm.DirectEntry{Obj: svc})
 }

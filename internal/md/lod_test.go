@@ -7,6 +7,7 @@ import (
 	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
 	"opalperf/internal/pvm"
+	"opalperf/internal/sciddle"
 	"opalperf/internal/telemetry"
 	"opalperf/internal/vm"
 )
@@ -227,12 +228,40 @@ func TestMacroReplayIsTheDefaultPath(t *testing.T) {
 
 // TestLoDAutoDisabledByFaultPlane checks the static half of LoDAuto's
 // eligibility: with an active fault plane the run stays fine-grained —
-// no dispatcher registration, so no macro phases and no fallbacks either.
+// macro replay is never switched on, so no macro phases and no fallbacks
+// either.
 func TestLoDAutoDisabledByFaultPlane(t *testing.T) {
 	opts := Options{Cutoff: 10, UpdateEvery: 1, Minimize: true, LoD: LoDAuto}
 	macro, fallback := lodPhasesUnder(t, fault.NewPlan(fault.Config{Seed: 1, DelayRate: 0.5}), opts)
 	if macro != 0 || fallback != 0 {
 		t.Fatalf("active fault plane: %d macro / %d fallback phases, want 0 / 0", macro, fallback)
+	}
+}
+
+// TestLoDAutoNeedsReactorServers checks the per-phase half: macro replay
+// runs each server's own held call, so a LoDAuto run whose servers are on
+// the blocking driver (blockingTask) — not Sciddle reactors — replays no
+// phase and counts every phase as a fallback, in both modes, and stays
+// bit-identical to the run whose reactor servers replay every phase.
+func TestLoDAutoNeedsReactorServers(t *testing.T) {
+	const nservers, steps, phases = 3, 4, 8 // UpdateEvery 1: update + nbint per step
+	sys := molecule.TestComplex(8, 16, 7)
+	defer func() { serve = sciddle.Serve }()
+	for _, accounting := range []bool{false, true} {
+		opts := Options{Cutoff: 10, Minimize: true, Accounting: accounting}
+		on, onStats, onTime := lodRun(t, sys, opts, nservers, steps)
+		serve = blockingServe
+		blk, blkStats, blkTime := lodRun(t, sys, opts, nservers, steps)
+		serve = sciddle.Serve
+		if on.LoDMacroPhases != phases || on.LoDFallbackPhases != 0 {
+			t.Errorf("accounting %v, reactor servers: %d macro / %d fallback phases, want %d / 0",
+				accounting, on.LoDMacroPhases, on.LoDFallbackPhases, phases)
+		}
+		if blk.LoDMacroPhases != 0 || blk.LoDFallbackPhases != phases {
+			t.Errorf("accounting %v, blocking servers: %d macro / %d fallback phases, want 0 / %d",
+				accounting, blk.LoDMacroPhases, blk.LoDFallbackPhases, phases)
+		}
+		assertLoDIdentical(t, "blocking servers", blk, on, blkStats, onStats, blkTime, onTime)
 	}
 }
 

@@ -54,27 +54,14 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	}
 	parties := nservers + 1
 	sc := pvm.ScopeOf(t)
-	// The services are constructed client-side before the spawn: the
-	// spawned Serve loops and, when the run can macro-replay, the
-	// in-process dispatchers share the same handler objects (see lod.go).
-	svcs := make([]*sciddle.Service, nservers)
-	for i := range svcs {
-		svcs[i] = newOpalService()
-	}
 	tids := t.Spawn("opal-server", nservers, func(st pvm.Task) {
 		var quit <-chan struct{}
 		if opts.ServerQuit != nil {
 			quit = opts.ServerQuit(st.Instance())
 		}
-		serve(st, svcs[st.Instance()],
+		serve(st, newOpalService(),
 			sciddle.ServeOptions{Accounting: accounting, Parties: parties, Quit: quit})
 	})
-	lod := opts.LoD == LoDAuto && pvm.MacroCapable(t)
-	if lod {
-		for i, tid := range tids {
-			registerDirect(t, tid, svcs[i])
-		}
-	}
 	conn := sciddle.Connect(t, tids)
 	defer func() {
 		if err != nil {
@@ -98,17 +85,13 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 			Width:       nservers,
 			MaxRespawns: opts.MaxRespawns,
 			Spawn: func(k int) int {
-				svc := newOpalService()
 				rtids := t.Spawn("opal-server", 1, func(st pvm.Task) {
 					var quit <-chan struct{}
 					if opts.ServerQuit != nil {
 						quit = opts.ServerQuit(nservers + k)
 					}
-					serve(st, svc, sciddle.ServeOptions{Parties: parties, Quit: quit})
+					serve(st, newOpalService(), sciddle.ServeOptions{Parties: parties, Quit: quit})
 				})
-				if lod {
-					registerDirect(t, rtids[0], svc)
-				}
 				return rtids[0]
 			},
 		})
@@ -142,7 +125,7 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	}); err != nil {
 		return nil, err
 	}
-	conn.SetLoD(lod)
+	conn.SetLoD(opts.LoD == LoDAuto && pvm.MacroCapable(t))
 
 	if opts.AfterInit != nil {
 		opts.AfterInit()

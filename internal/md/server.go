@@ -30,10 +30,8 @@ func ServeOpal(t pvm.Task, accounting bool, parties int) {
 }
 
 // newOpalService builds one Opal server's service table and handler
-// state.  The parallel client constructs these before spawning: the
-// spawned Serve loop and the in-process macro dispatcher must share the
-// same objects so server state stays consistent whichever path executes
-// a call.
+// state.  Each server builds its own: macro replay runs the server's held
+// call, so both levels of detail use the same handler state.
 func newOpalService() *sciddle.Service {
 	svc := sciddle.NewService("Opal")
 	opalrpc.RegisterOpal(svc, &opalServer{})

@@ -12,6 +12,12 @@ package pvm
 // those of fine-grained execution by construction, with zero coroutine
 // switches and zero Message allocations.
 //
+// There is no handler registry: each call's Exec is the request its
+// server holds, bound to that server's handler entry by the server's own
+// program (ReactorOf finds it), so the handler, its run-ahead gate and
+// its reply are the server's whichever level runs the phase.  The walk
+// keeps its own event loop and leaves the server reactors parked.
+//
 // Safety: a phase is only replayed when the kernel is provably in the
 // quiescent steady state the walk assumes — no fault model draws from the
 // RNG stream, no other process is runnable, and every target server is
@@ -26,43 +32,34 @@ import (
 	"opalperf/internal/vm"
 )
 
-// DirectEntry describes how the macro layer can run one server's
-// handlers in-process.  Obj exposes the server's handler object, which
-// the layer above runs directly (sciddle requires its *Service there);
-// Dispatch optionally implements the generic buffer-level protocol
-// (exactly what the server's Serve loop would do with a delivered
-// request) for callers that drive a server by buffers alone.
+// DirectEntry is RegisterDirect's argument: a server's handler object
+// and its buffer-level dispatch function.
+//
+// Deprecated: macro replay runs each server's own reactor (ReactorOf),
+// so there is nothing to register.
 type DirectEntry struct {
 	Obj      any
 	Dispatch func(st Task, req *Buffer) *Buffer
 }
 
-// RegisterDirect records the in-process dispatch entry for the server
-// task tid.  Only the simulated fabric supports direct dispatch; other
-// fabrics return false and the caller stays fine-grained.  The entry
-// must be registered by the code that spawns the server, with the same
-// handler objects the spawned server serves from, so state is shared
-// whichever path executes a call.
-func RegisterDirect(t Task, tid int, e DirectEntry) bool {
-	st, ok := t.(*simTask)
-	if !ok {
-		return false
-	}
-	if st.vm.directs == nil {
-		st.vm.directs = make(map[int]DirectEntry)
-	}
-	st.vm.directs[tid] = e
-	return true
-}
+// RegisterDirect does nothing and returns false.
+//
+// Deprecated: macro replay runs each server's own reactor (ReactorOf).
+func RegisterDirect(Task, int, DirectEntry) bool { return false }
 
-// DirectOf returns the dispatch entry registered for tid, if any.
-func DirectOf(t Task, tid int) (DirectEntry, bool) {
+// ReactorOf returns the program Drive handed the kernel as simulated task
+// tid's, if it has one: the macro replay layer above runs a parked
+// server's own held call through it.
+func ReactorOf(t Task, tid int) (Reactor, bool) {
 	st, ok := t.(*simTask)
 	if !ok {
-		return DirectEntry{}, false
+		return nil, false
 	}
-	e, ok := st.vm.directs[tid]
-	return e, ok
+	sv := st.vm.task(tid)
+	if sv == nil || sv.reactor.r == nil {
+		return nil, false
+	}
+	return sv.reactor.r, true
 }
 
 // MacroCapable reports whether t runs on a fabric that can macro-replay
@@ -78,9 +75,9 @@ func MacroCapable(t Task) bool {
 type MacroCall struct {
 	Server   int // server TID
 	ReqBytes int // request message volume
-	// Exec is the server's handler for the request: its Run runs the
-	// handler in-process, charging virtual time to st exactly as the
-	// fine-grained handler would, and returns the reply message volume.
+	// Exec is the request as the server holds it: its Run runs the
+	// server's handler in-process, charging virtual time to st exactly
+	// as the fine-grained server would, and returns the reply volume.
 	Exec Call
 }
 

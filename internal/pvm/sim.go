@@ -22,12 +22,10 @@ type SimVM struct {
 	// taskByID indexes tasks by proc ID (dense, 0-based) for the O(1)
 	// lookups of the macro replay hot path.
 	taskByID []*simTask
-	// directs maps a server TID to its in-process dispatch entry and
 	// macro holds the reusable scratch of the level-of-detail replay
-	// engine (see macro.go).  Both are touched only while one process
-	// holds the execution token, so they need no synchronization.
-	directs map[int]DirectEntry
-	macro   macroEngine
+	// engine (see macro.go), touched only while one process holds the
+	// execution token, so it needs no synchronization.
+	macro macroEngine
 	// helper runs server handlers ahead of their turn (see ahead.go).
 	helper helper
 	// scope is the run's telemetry (SetScope), never nil.

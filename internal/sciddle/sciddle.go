@@ -28,7 +28,11 @@
 // the whole request: header, stop handling, run-ahead, handler, barrier
 // keys, reply tag and the quit switch.  Serve hands it to pvm.Drive: the
 // simulated fabric steps it as a kernel reactor, so a server's wait costs
-// no stack switch; any other task drives it by blocking calls.
+// no stack switch; any other task drives it by blocking calls.  It is the
+// one owner of its request state: a macro-replayed phase (lod.go) takes
+// each request through the server's own intake and runs its held call,
+// and advances its barrier parity with the client's, so either level of
+// detail may run any phase.
 //
 // That monitoring works because every RPC passes through one instrumented
 // place.  The client has a single call path: issue packs the request
@@ -86,16 +90,16 @@ type Handler func(t pvm.Task, req *pvm.Buffer) *pvm.Buffer
 // Service is a set of named handlers exported by a server, the runtime
 // equivalent of a Sciddle interface specification.
 type Service struct {
-	Name     string
-	handlers map[string]*entry
-	order    []string
+	Name    string
+	entries []entry // in registration order
 }
 
-// entry is one registered method: its handler, and whether the handler
-// runs ahead on this server (pvm.Gate).
+// entry is one registered method: its name, its handler, and whether the
+// handler runs ahead on this server (pvm.Gate).
 type entry struct {
-	h    Handler
-	gate pvm.Gate
+	method string
+	h      Handler
+	gate   pvm.Gate
 }
 
 // run calls the handler, substituting the reusable empty buffer *void for
@@ -114,35 +118,42 @@ func (e *entry) run(t pvm.Task, req *pvm.Buffer, void **pvm.Buffer) *pvm.Buffer 
 }
 
 // NewService creates an empty service.
-func NewService(name string) *Service {
-	return &Service{Name: name, handlers: make(map[string]*entry)}
-}
+func NewService(name string) *Service { return &Service{Name: name} }
 
 // Register adds a handler under the given method name.  Registering a
 // duplicate name panics: interfaces are static in Sciddle.
 func (s *Service) Register(method string, h Handler) {
-	if _, dup := s.handlers[method]; dup {
-		panic(fmt.Sprintf("sciddle: duplicate method %q in service %s", method, s.Name))
+	for _, e := range s.entries {
+		if e.method == method {
+			panic(fmt.Sprintf("sciddle: duplicate method %q in service %s", method, s.Name))
+		}
 	}
-	s.handlers[method] = &entry{h: h}
-	s.order = append(s.order, method)
+	s.entries = append(s.entries, entry{method: method, h: h})
 }
 
 // Methods returns the registered method names in registration order.
-func (s *Service) Methods() []string { return append([]string(nil), s.order...) }
-
-// entry looks method up; calling an unregistered method is a bug in the
-// client, interfaces being static.
-func (s *Service) entry(method string) *entry {
-	e := s.handlers[method]
-	if e == nil {
-		panic(fmt.Sprintf("sciddle: service %s has no method %q", s.Name, method))
+func (s *Service) Methods() []string {
+	names := make([]string, len(s.entries))
+	for i, e := range s.entries {
+		names[i] = e.method
 	}
-	return e
+	return names
+}
+
+// entry looks method up; a service exports a handful of methods, so a
+// scan finds it.  Calling an unregistered method is a bug in the client,
+// interfaces being static.
+func (s *Service) entry(method string) *entry {
+	for i := range s.entries {
+		if s.entries[i].method == method {
+			return &s.entries[i]
+		}
+	}
+	panic(fmt.Sprintf("sciddle: service %s has no method %q", s.Name, method))
 }
 
 // heldCall is a request a server holds, bound to its method's entry: the
-// pvm.Call a handler runs ahead as.
+// pvm.Call a handler runs ahead as, and the one macro replay runs.
 type heldCall struct {
 	e     *entry
 	req   *pvm.Buffer
@@ -292,22 +303,32 @@ func (s *server) listen() pvm.Wait {
 // started ahead where it may be, until the "call" barrier; otherwise the
 // handler runs at once.
 func (s *server) request(req *pvm.Buffer, src int) pvm.Wait {
-	callID, method := unpackHeader(req)
-	s.src, s.reply = src, replyTag(callID)
-	if method == methodStop {
+	if s.hold(req, src) {
 		s.at = serveStop
 		return pvm.SendWait(src, s.reply, pvm.NewBuffer())
 	}
-	e := s.svc.entry(method)
-	s.held.e, s.held.req = e, req
 	if !s.opt.Accounting {
 		s.held.Run(s.t)
 		s.at = serveReply
 		return pvm.SendWait(src, s.reply, s.held.reply)
 	}
-	s.ahead = !e.gate.Inline() && pvm.StartAhead(s.t, &s.held)
+	s.ahead = !s.held.e.gate.Inline() && pvm.StartAhead(s.t, &s.held)
 	s.at = serveCall
 	return pvm.BarrierWait(barrierKey(s.phase, "call"), s.opt.Parties)
+}
+
+// hold takes a request from src: its reply tag and, unless it is a stop,
+// its method's entry bound to it as the held call.  Every request a
+// server handles comes through here, delivered (request) or
+// macro-replayed (lod.go).
+func (s *server) hold(req *pvm.Buffer, src int) (stop bool) {
+	callID, method := unpackHeader(req)
+	s.src, s.reply = src, replyTag(callID)
+	if method == methodStop {
+		return true
+	}
+	s.held.e, s.held.req = s.svc.entry(method), req
+	return false
 }
 
 func replyTag(callID int) int { return tagReplyBase + 1 + callID }
@@ -392,20 +413,17 @@ type Conn struct {
 	reqBufs []*pvm.Buffer
 	calls   []call
 	replies []*pvm.Buffer
-	// Level-of-detail state (see lod.go): macro replay enabled, the
-	// accounting latch, and reusable macro-call scratch.
-	lod           bool
-	lodSusp       bool
-	macroAcct     bool
-	lodMacro      int   // phases replayed as macro-events on this connection
-	lodFallback   int   // phases that wanted macro replay but ran fine-grained
-	macroFleet    []int // fleet the memoized entries were resolved for
-	macroCalls    []pvm.MacroCall
-	macroEntries  []pvm.DirectEntry
-	macroExecs    []*macroCall
-	macroMethods  []methodEntries // handler entries per method over macroFleet
-	macroHandlers []*entry        // the current phase's, from macroMethods
-	macroTimes    pvm.MacroTimes
+	// Level-of-detail state (see lod.go): macro replay enabled or
+	// suspended, the phase counts, the fleet's servers and reusable
+	// macro-call scratch.
+	lod          bool
+	lodSusp      bool
+	lodMacro     int       // phases replayed as macro-events on this connection
+	lodFallback  int       // phases that wanted macro replay but ran fine-grained
+	macroFleet   []int     // fleet macroServers was resolved for
+	macroServers []*server // the fleet's servers, as their reactors
+	macroCalls   []pvm.MacroCall
+	macroTimes   pvm.MacroTimes
 }
 
 // Connect builds a connection from a client task to its servers.  The

@@ -143,11 +143,11 @@ func TestRecorderWithKernel(t *testing.T) {
 	k.NewProc("client", vm.ConstRate(1), func(p *vm.Proc) {
 		p.Compute(2)
 		p.Send(1, 0, nil, 0)
-		p.Recv(vm.MatchSrcTag(1, 1))
+		p.RecvSrcTag(1, 1)
 		p.Barrier("end", 2)
 	})
 	k.NewProc("server", vm.ConstRate(1), func(p *vm.Proc) {
-		p.Recv(nil)
+		p.RecvSrcTag(-1, -1)
 		p.Compute(5)
 		p.Send(0, 1, nil, 0)
 		p.Barrier("end", 2)

@@ -19,8 +19,8 @@ func TestSharedChannelSerializesTransfers(t *testing.T) {
 		})
 	}
 	k.NewProc("r", nil, func(p *Proc) {
-		p.Recv(nil)
-		p.Recv(nil)
+		p.RecvSrcTag(-1, -1)
+		p.RecvSrcTag(-1, -1)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -46,8 +46,8 @@ func TestQueueingClassifiedAsIdle(t *testing.T) {
 		stats = p.Stats()
 	})
 	k.NewProc("r", nil, func(p *Proc) {
-		p.Recv(nil)
-		p.Recv(nil)
+		p.RecvSrcTag(-1, -1)
+		p.RecvSrcTag(-1, -1)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestZeroCostSendsDoNotContend(t *testing.T) {
 	})
 	k.NewProc("r", nil, func(p *Proc) {
 		for i := 0; i < 100; i++ {
-			p.Recv(nil)
+			p.RecvSrcTag(-1, -1)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -100,8 +100,8 @@ func TestSendCausalOrder(t *testing.T) {
 		p.Send(2, 7, "early", 0)
 	})
 	k.NewProc("r", nil, func(p *Proc) {
-		m1 := p.Recv(nil)
-		m2 := p.Recv(nil)
+		m1 := p.RecvSrcTag(-1, -1)
+		m2 := p.RecvSrcTag(-1, -1)
 		if m1.Payload.(string) != "early" {
 			t.Errorf("first delivery = %v, want early", m1.Payload)
 		}
@@ -133,8 +133,8 @@ func TestChannelGapIsNotCarriedForward(t *testing.T) {
 		end = p.Now()
 	})
 	k.NewProc("r", nil, func(p *Proc) {
-		p.Recv(nil)
-		p.Recv(nil)
+		p.RecvSrcTag(-1, -1)
+		p.RecvSrcTag(-1, -1)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestManySendersFairSerialization(t *testing.T) {
 	}
 	k.NewProc("sink", nil, func(pr *Proc) {
 		for i := 0; i < p; i++ {
-			pr.Recv(nil)
+			pr.RecvSrcTag(-1, -1)
 		}
 	})
 	if err := k.Run(); err != nil {

@@ -36,13 +36,13 @@ func runPingPong(t *testing.T, fm FaultModel) (*Kernel, [2]Stats) {
 	k.NewProc("a", ConstRate(1e6), func(p *Proc) {
 		p.Compute(1000)
 		p.Send(1, 7, "hi", 100)
-		m := p.Recv(MatchSrcTag(1, 8))
+		m := p.RecvSrcTag(1, 8)
 		_ = m
 		p.Barrier("end", 2)
 		stats[0] = p.Stats()
 	})
 	k.NewProc("b", ConstRate(1e6), func(p *Proc) {
-		m := p.Recv(MatchSrcTag(0, 7))
+		m := p.RecvSrcTag(0, 7)
 		_ = m
 		p.Compute(500)
 		p.Send(0, 8, "yo", 50)

@@ -27,7 +27,7 @@ func TestRunReleasesProcsOnDeadlock(t *testing.T) {
 	unwound := 0
 	for i := 0; i < 100; i++ {
 		k := NewKernel(FixedCost{Overhead: 1e-6}, nil)
-		k.NewProc("recv", nil, func(p *Proc) { p.Recv(nil) })
+		k.NewProc("recv", nil, func(p *Proc) { p.RecvSrcTag(-1, -1) })
 		k.NewProc("barrier", nil, func(p *Proc) { p.Barrier("never", 3) })
 		k.NewProc("defer-send", nil, func(p *Proc) {
 			defer func() {
@@ -66,7 +66,7 @@ func TestTaskPanicPropagatesOutOfRun(t *testing.T) {
 	k := NewKernel(nil, nil)
 	k.NewProc("bystander", nil, func(p *Proc) {
 		defer func() { unwound = true }()
-		p.Recv(nil)
+		p.RecvSrcTag(-1, -1)
 	})
 	k.NewProc("released", ConstRate(1), func(p *Proc) {
 		p.Compute(1)

@@ -11,7 +11,7 @@
 //
 // A process is driven one of two ways, under one set of rules.  It starts
 // as a coroutine (iter.Pull) running its function, which blocks in Send,
-// Recv and Barrier by switching back to the kernel.  A process whose
+// RecvSrcTag and Barrier by switching back to the kernel.  A process whose
 // program is a fixed protocol loop — an RPC server — may instead hand
 // itself to a Reactor (Proc.React): a state machine that posts its next
 // wait (a receive criterion, a barrier arrival, or its turn to send) and
@@ -42,8 +42,8 @@
 //   - Send charges the sender `busy` seconds and stamps the message with an
 //     arrival time `busy+latency` later, per the paper's t = b1 + bytes/a1
 //     communication model;
-//   - Recv blocks until the earliest-arriving matching message is safe to
-//     deliver;
+//   - RecvSrcTag blocks until the earliest-arriving matching message is
+//     safe to deliver;
 //   - Barrier releases all member processes at max(arrival)+syncCost and
 //     classifies the wait as idle and the release as synchronization, which
 //     is exactly the accounting instrumentation the paper added to Sciddle.
@@ -260,10 +260,8 @@ type Proc struct {
 	// enqueued) and the cached scheduling key while enqueued.
 	heapIdx int
 	key     Time
-	// Receive matching: either a predicate closure (Recv) or an inline
-	// (src, tag) pair (RecvSrcTag), the latter so the common pvm_recv
-	// shape allocates nothing.
-	match              func(*Message) bool
+	// Receive matching: the pending receive's (src, tag) pair, -1 a
+	// wildcard.
 	matchSrc, matchTag int
 	got                *Message
 	fn                 func(*Proc)
@@ -501,42 +499,16 @@ func (k *Kernel) noteArrival(q *Proc, m *Message) {
 	k.heapPush(q, key)
 }
 
-// MatchAny matches every message.
-func MatchAny(*Message) bool { return true }
-
-// MatchSrcTag returns a match predicate for a (source, tag) pair; src or
-// tag may be -1 to act as a wildcard, mirroring pvm_recv semantics.
-func MatchSrcTag(src, tag int) func(*Message) bool {
-	return func(m *Message) bool {
-		return (src < 0 || m.Src == src) && (tag < 0 || m.Tag == tag)
-	}
-}
-
-// Recv blocks until a message matching the predicate is deliverable and
-// returns the earliest-arriving such message.  Waiting time is classified
-// as SegIdle.  A nil match accepts any message.
-func (p *Proc) Recv(match func(*Message) bool) *Message {
-	if match == nil {
-		match = MatchAny
-	}
-	p.match = match
-	return p.recvWait()
-}
-
-// RecvSrcTag is Recv with the pvm_recv (source, tag) match inline — the
-// hot receive shape — avoiding the per-call predicate closure.  Either
-// may be -1 as a wildcard.
+// RecvSrcTag blocks until a message from src with tag is deliverable and
+// returns the earliest-arriving such message, as pvm_recv does; either may
+// be -1 as a wildcard.  Waiting time is classified as SegIdle.
 func (p *Proc) RecvSrcTag(src, tag int) *Message {
-	p.match = nil
 	p.matchSrc, p.matchTag = src, tag
 	return p.recvWait()
 }
 
 // matches applies the pending receive criterion of a blocked process.
 func (p *Proc) matches(m *Message) bool {
-	if p.match != nil {
-		return p.match(m)
-	}
 	return (p.matchSrc < 0 || m.Src == p.matchSrc) && (p.matchTag < 0 || m.Tag == p.matchTag)
 }
 
@@ -549,7 +521,6 @@ func (p *Proc) recvWait() *Message {
 		m = p.got
 		p.got = nil
 	}
-	p.match = nil
 	if m == nil {
 		panic("vm: resumed from recv without a message")
 	}
@@ -580,21 +551,9 @@ func (p *Proc) tryRecv() *Message {
 	return best
 }
 
-// Probe reports whether a matching message is already queued (regardless of
-// its arrival time).  It does not advance time and does not block.
-func (p *Proc) Probe(match func(*Message) bool) bool {
-	if match == nil {
-		match = MatchAny
-	}
-	for _, m := range p.mailbox {
-		if match(m) {
-			return true
-		}
-	}
-	return false
-}
-
-// ProbeSrcTag is Probe with the (source, tag) match inline.
+// ProbeSrcTag reports whether a message from src with tag (-1 a
+// wildcard) is already queued, regardless of its arrival time.  It does
+// not advance time and does not block.
 func (p *Proc) ProbeSrcTag(src, tag int) bool {
 	for _, m := range p.mailbox {
 		if (src < 0 || m.Src == src) && (tag < 0 || m.Tag == tag) {

@@ -59,7 +59,7 @@ func TestSendRecvTiming(t *testing.T) {
 		senderEnd = p.Now()
 	})
 	k.NewProc("b", nil, func(p *Proc) {
-		m := p.Recv(MatchSrcTag(a.ID(), 7))
+		m := p.RecvSrcTag(a.ID(), 7)
 		if m.Payload.(string) != "hi" {
 			t.Errorf("payload = %v", m.Payload)
 		}
@@ -86,7 +86,7 @@ func TestRecvIdleAccounting(t *testing.T) {
 		p.Send(1, 0, nil, 0)
 	})
 	k.NewProc("recv", nil, func(p *Proc) {
-		p.Recv(nil)
+		p.RecvSrcTag(-1, -1)
 		idle = p.Stats().Seg[SegIdle]
 	})
 	if err := k.Run(); err != nil {
@@ -112,7 +112,7 @@ func TestEarliestMessageWins(t *testing.T) {
 		p.Send(2, 0, "early", 0)
 	})
 	k.NewProc("recv", nil, func(p *Proc) {
-		m := p.Recv(nil)
+		m := p.RecvSrcTag(-1, -1)
 		first = m.Payload.(string)
 	})
 	if err := k.Run(); err != nil {
@@ -133,8 +133,8 @@ func TestTieBreakBySequence(t *testing.T) {
 		p.Send(1, 0, "second", 0)
 	})
 	k.NewProc("r", nil, func(p *Proc) {
-		order = append(order, p.Recv(nil).Payload.(string))
-		order = append(order, p.Recv(nil).Payload.(string))
+		order = append(order, p.RecvSrcTag(-1, -1).Payload.(string))
+		order = append(order, p.RecvSrcTag(-1, -1).Payload.(string))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -144,6 +144,8 @@ func TestTieBreakBySequence(t *testing.T) {
 	}
 }
 
+// TestMatchSrcTagWildcards: a receive's (source, tag) criterion treats -1
+// as a wildcard on either side, as pvm_recv does.
 func TestMatchSrcTagWildcards(t *testing.T) {
 	m := &Message{Src: 3, Tag: 9}
 	cases := []struct {
@@ -153,9 +155,14 @@ func TestMatchSrcTagWildcards(t *testing.T) {
 		{3, 9, true}, {-1, 9, true}, {3, -1, true}, {-1, -1, true},
 		{2, 9, false}, {3, 8, false},
 	}
+	p := &Proc{mailbox: []*Message{m}}
 	for _, c := range cases {
-		if got := MatchSrcTag(c.src, c.tag)(m); got != c.want {
-			t.Errorf("MatchSrcTag(%d,%d) = %v, want %v", c.src, c.tag, got, c.want)
+		p.matchSrc, p.matchTag = c.src, c.tag
+		if got := p.matches(m); got != c.want {
+			t.Errorf("matches(src %d, tag %d) = %v, want %v", c.src, c.tag, got, c.want)
+		}
+		if got := p.ProbeSrcTag(c.src, c.tag); got != c.want {
+			t.Errorf("ProbeSrcTag(%d, %d) = %v, want %v", c.src, c.tag, got, c.want)
 		}
 	}
 }
@@ -228,7 +235,7 @@ func TestBarrierPartyMismatchPanics(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(nil, nil)
 	k.NewProc("waiter", nil, func(p *Proc) {
-		p.Recv(nil) // nobody ever sends
+		p.RecvSrcTag(-1, -1) // nobody ever sends
 	})
 	err := k.Run()
 	de, ok := err.(*DeadlockError)
@@ -262,7 +269,7 @@ func TestSpawnDuringRun(t *testing.T) {
 			childTime = q.Now()
 			q.Send(p.ID(), 1, nil, 0)
 		})
-		m := p.Recv(MatchSrcTag(id, 1))
+		m := p.RecvSrcTag(id, 1)
 		_ = m
 	})
 	if err := k.Run(); err != nil {
@@ -293,14 +300,14 @@ func TestProbe(t *testing.T) {
 	k.NewProc("s", nil, func(p *Proc) { p.Send(1, 5, nil, 0) })
 	k.NewProc("r", nil, func(p *Proc) {
 		// Force the sender to run first by receiving its message.
-		if p.Probe(MatchSrcTag(-1, 6)) {
+		if p.ProbeSrcTag(-1, 6) {
 			t.Error("probe matched wrong tag")
 		}
-		m := p.Recv(MatchSrcTag(-1, 5))
+		m := p.RecvSrcTag(-1, 5)
 		if m.Tag != 5 {
 			t.Errorf("tag = %d", m.Tag)
 		}
-		if p.Probe(nil) {
+		if p.ProbeSrcTag(-1, -1) {
 			t.Error("probe matched on empty mailbox")
 		}
 	})
@@ -319,8 +326,8 @@ func TestStatsCounters(t *testing.T) {
 		sent = p.Stats()
 	})
 	k.NewProc("r", nil, func(p *Proc) {
-		p.Recv(nil)
-		p.Recv(nil)
+		p.RecvSrcTag(-1, -1)
+		p.RecvSrcTag(-1, -1)
 		recvd = p.Stats()
 	})
 	if err := k.Run(); err != nil {
@@ -364,7 +371,7 @@ func TestTracerReceivesSegments(t *testing.T) {
 		p.Compute(1)
 		p.Send(1, 0, nil, 0)
 	})
-	k.NewProc("b", nil, func(p *Proc) { p.Recv(nil) })
+	k.NewProc("b", nil, func(p *Proc) { p.RecvSrcTag(-1, -1) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +405,7 @@ func TestDeterminism(t *testing.T) {
 				for it := 0; it < 10; it++ {
 					p.Compute(float64((i*7+it*13)%50 + 1))
 					p.Send((i+1)%n, it, nil, (i*31+it)%1000)
-					p.Recv(MatchSrcTag(-1, it))
+					p.RecvSrcTag(-1, it)
 					p.Barrier(fmt.Sprintf("it%d", it), n)
 				}
 			})
@@ -460,7 +467,7 @@ func TestFIFODeliveryProperty(t *testing.T) {
 		ok := true
 		k.NewProc("r", nil, func(p *Proc) {
 			for i := 0; i < n; i++ {
-				m := p.Recv(nil)
+				m := p.RecvSrcTag(-1, -1)
 				if m.Payload.(int) != i {
 					ok = false
 				}
@@ -539,7 +546,7 @@ func TestAccountingCompletenessProperty(t *testing.T) {
 			for it := 0; it < 6; it++ {
 				p.Compute(float64((i*13+it*7)%40 + 1))
 				p.Send((i+1)%n, it, nil, (i*97+it*31)%500)
-				p.Recv(MatchSrcTag(-1, it))
+				p.RecvSrcTag(-1, it)
 				p.Barrier(fmt.Sprintf("b%d", it), n)
 			}
 		})
