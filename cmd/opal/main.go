@@ -110,36 +110,14 @@ func main() {
 	} else if *matrixEvy != 0 {
 		fatal(fmt.Errorf("-matrix-every requires -matrix"))
 	}
-	var journalOut *os.File
-	if *journal != "" {
-		var err error
-		journalOut, err = os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer journalOut.Close()
+	rec, err := harness.StartRecording(*journal, *flightN, *jMaxBytes, *archDir)
+	if err != nil {
+		fatal(err)
 	}
-	j := telemetry.StartJournal(journalOut, *flightN)
-	j.SetDumpWriter(os.Stderr)
-	if *jMaxBytes > 0 {
-		j.SetMaxBytes(*jMaxBytes)
-	}
-	defer telemetry.StopJournal()
-	if *watchdog && *archDir == "" {
+	defer rec.Close()
+	arch := rec.Archive
+	if *watchdog && arch == nil {
 		fatal(fmt.Errorf("-watchdog requires -archive"))
-	}
-	var arch *archive.Archive
-	if *archDir != "" {
-		var err error
-		arch, err = archive.Open(*archDir)
-		if err != nil {
-			fatal(err)
-		}
-		j.SetMirror(arch.MirrorEvent)
-		defer func() {
-			j.SetMirror(nil)
-			arch.Close()
-		}()
 	}
 	defer func() {
 		// A panicking run dumps the flight recorder before dying: the last
@@ -394,10 +372,8 @@ func main() {
 		rep := archive.Watch(arch.Summaries(q), mine[0], tol)
 		fmt.Println(rep.String())
 		if rep.Flagged {
-			// Exit 3 skips the defers, so flush them by hand first.
-			j.SetMirror(nil)
-			arch.Close()
-			telemetry.StopJournal()
+			// Exit 3 skips the defers, so close the recording first.
+			rec.Close()
 			os.Exit(3)
 		}
 	}

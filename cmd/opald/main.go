@@ -29,8 +29,8 @@ import (
 	"syscall"
 	"time"
 
-	"opalperf/internal/archive"
 	"opalperf/internal/ctlplane"
+	"opalperf/internal/harness"
 	"opalperf/internal/telemetry"
 )
 
@@ -69,42 +69,16 @@ func main() {
 
 	telemetry.SetEnabled(true)
 	telemetry.SetRun(telemetry.NewRunID())
-	var journalOut *os.File
-	if *journal != "" {
-		var err error
-		journalOut, err = os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "opald: %v\n", err)
-			os.Exit(1)
+	rec, err := harness.StartRecording(*journal, *flightN, *jMaxBytes, *archiveDir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "opald: %v\n", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := rec.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "opald: closing the journal and archive: %v\n", err)
 		}
-		defer journalOut.Close()
-	}
-	j := telemetry.StartJournal(journalOut, *flightN)
-	j.SetDumpWriter(os.Stderr)
-	if *jMaxBytes > 0 {
-		j.SetMaxBytes(*jMaxBytes)
-	}
-	defer telemetry.StopJournal()
-
-	// This defer runs before the journal's (LIFO), so the mirror must be
-	// uninstalled before the archive closes — late drain events then skip
-	// the warehouse instead of hitting a closed file.
-	var arch *archive.Archive
-	if *archiveDir != "" {
-		var err error
-		arch, err = archive.Open(*archiveDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "opald: cannot open archive: %v\n", err)
-			os.Exit(1)
-		}
-		j.SetMirror(arch.MirrorEvent)
-		defer func() {
-			j.SetMirror(nil)
-			if err := arch.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "opald: archive close: %v\n", err)
-			}
-		}()
-	}
+	}()
 
 	srv := ctlplane.New(ctlplane.Config{
 		Workers:          *workers,
@@ -119,7 +93,7 @@ func main() {
 		BreakerCooldown:  *brkCooldown,
 		JobDeadline:      *jobDeadline,
 		Limits:           ctlplane.Limits{MaxSteps: *maxSteps, MaxServers: *maxServers},
-		Archive:          arch,
+		Archive:          rec.Archive,
 	})
 	srv.Start()
 
@@ -143,8 +117,8 @@ func main() {
 
 	// Graceful drain: stop admitting (new submissions shed as
 	// "draining"), let accepted jobs finish or checkpoint at their next
-	// pair-list boundary, then tear the listener down and flush the
-	// journal via the deferred StopJournal/Close.
+	// pair-list boundary, then tear the listener down and close the
+	// journal and archive via the deferred Close.
 	srv.Drain()
 	stopHTTP()
 	fmt.Println("opald: drained, exiting")

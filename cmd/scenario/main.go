@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"opalperf/internal/archive"
+	"opalperf/internal/harness"
 	"opalperf/internal/scenario"
 	"opalperf/internal/telemetry"
 )
@@ -167,20 +168,16 @@ func cmdRun(stdout io.Writer, args []string) error {
 	if *journal != "" || *deterministic {
 		telemetry.SetEnabled(true)
 		defer telemetry.SetEnabled(false)
-		var out io.Writer
-		if *journal != "" {
-			f, err := os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
+		// The archive takes one summary per sweep (below), not the
+		// journal's events.
+		rec, err := harness.StartRecording(*journal, 256, 0, "")
+		if err != nil {
+			return err
 		}
-		j := telemetry.StartJournal(out, 256)
-		defer telemetry.StopJournal()
+		defer rec.Close()
 		if *deterministic {
 			telemetry.SetRun("scenario-corpus")
-			j.SetClock(fakeClock())
+			rec.Journal.SetClock(fakeClock())
 		} else {
 			telemetry.SetRun(telemetry.NewRunID())
 		}

@@ -383,91 +383,6 @@ func (a *Archive) Close() error {
 	return nil
 }
 
-// Compact rewrites the sealed segments, dropping event records older
-// than cutoff while keeping every summary and result — journal streams
-// age out, the longitudinal skeleton (what the watchdog and the learned
-// corrector feed on) is permanent.  The surviving records are written to
-// a temp segment, fsynced, atomically renamed into place, and the old
-// sealed segments are removed.  The active segment is untouched.
-func (a *Archive) Compact(cutoff time.Time) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	sealed, err := filepath.Glob(filepath.Join(a.dir, "seg-*.seal"))
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	if len(sealed) == 0 {
-		return nil
-	}
-	sort.Strings(sealed)
-	var keep []Record
-	for _, p := range sealed {
-		f, err := os.Open(p)
-		if err != nil {
-			return fmt.Errorf("archive: %w", err)
-		}
-		recs, _, _ := ReadSegment(f)
-		f.Close()
-		for _, r := range recs {
-			if r.Kind == KindEvent && r.Unix < cutoff.UnixNano() {
-				continue
-			}
-			keep = append(keep, r)
-		}
-	}
-	// The compacted segment takes the first sealed sequence number; the
-	// rename replaces that file in one atomic step, then the now-merged
-	// later segments go away.
-	var seq int
-	if _, err := fmt.Sscanf(filepath.Base(sealed[0]), "seg-%06d.seal", &seq); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	tmp := filepath.Join(a.dir, fmt.Sprintf("seg-%06d.tmp", seq))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	err = atomicfile.Commit(f, sealed[0], func(w io.Writer) error {
-		if err := writeSegMagic(w); err != nil {
-			return err
-		}
-		for _, r := range keep {
-			payload, err := json.Marshal(r)
-			if err != nil {
-				return err
-			}
-			frame := make([]byte, 8+len(payload))
-			binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-			binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-			copy(frame[8:], payload)
-			if _, err := w.Write(frame); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	for _, p := range sealed[1:] {
-		os.Remove(p)
-	}
-	atomicfile.SyncDir(a.dir)
-	// Rebuild the index: compacted sealed records + whatever the active
-	// segment holds (its records are the tail of a.recs already, but
-	// recomputing from keep + active scan keeps this simple and exact).
-	tail := a.recs[:0:0]
-	if a.activePath != "" {
-		if f, err := os.Open(a.activePath); err == nil {
-			recs, _, _ := ReadSegment(f)
-			f.Close()
-			tail = recs
-		}
-	}
-	a.recs = append(keep, tail...)
-	return nil
-}
-
 // ReadSegment decodes one segment stream: it returns every valid record,
 // the byte offset just past the last valid record, and a non-nil error
 // when the stream ends in a torn or corrupt tail (a clean EOF returns a

@@ -245,53 +245,6 @@ func TestArchiveStaleTempRemoved(t *testing.T) {
 	}
 }
 
-func TestArchiveCompact(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := time.Unix(1700000000, 0).UTC()
-	a.SetClock(func() time.Time { clock = clock.Add(time.Second); return clock })
-	for i := 0; i < 50; i++ {
-		mustAppend(t, a, event("r", fmt.Sprintf("old %d", i)))
-	}
-	if err := a.AppendSummary(RunSummary{Run: "r", Spec: "s", Wall: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Roll(); err != nil {
-		t.Fatal(err)
-	}
-	cutoff := clock.Add(time.Second) // everything so far is "old"
-	for i := 0; i < 10; i++ {
-		mustAppend(t, a, event("r2", fmt.Sprintf("new %d", i)))
-	}
-	if err := a.Roll(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := a.Compact(cutoff); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	// Old events dropped; the summary and every post-cutoff event kept.
-	if got := len(a.Select(Query{Kind: KindEvent})); got != 10 {
-		t.Fatalf("events after compaction = %d, want 10", got)
-	}
-	if got := len(a.Select(Query{Kind: KindSummary})); got != 1 {
-		t.Fatalf("summaries after compaction = %d, want 1", got)
-	}
-	a.Close()
-
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen after compaction: %v", err)
-	}
-	defer b.Close()
-	if got := b.Len(); got != 11 {
-		t.Fatalf("reopened Len = %d, want 11", got)
-	}
-}
-
 func TestArchiveRejectsOversizedRecord(t *testing.T) {
 	a, err := Open(t.TempDir())
 	if err != nil {

@@ -191,3 +191,57 @@ func TestAllServersLostIsTheRunError(t *testing.T) {
 		t.Fatalf("fleet killed past its respawn budget: err = %v, want md's all-servers-lost error", err)
 	}
 }
+
+// healSpec is the run the self-heal sweep perturbs: small system, two
+// servers, several unaccounted steps with a partial pair-list update —
+// long enough for kills to land anywhere in the update interval.
+func healSpec() RunSpec {
+	return RunSpec{
+		Platform: platform.J90(),
+		Sys:      Sizes(0.02)["small"],
+		Opts:     md.Options{Cutoff: EffectiveCutoff, UpdateEvery: 2, Minimize: true},
+		Servers:  2,
+		Steps:    8,
+	}
+}
+
+// TestSelfHealKillSweepSim drives seeded respawn-aware crash schedules
+// (fault.Kills) through the self-healing parallel engine: every run must
+// finish with Respawns equal to the schedule's kill count, the fleet
+// back at its configured width, and physics bit-identical to the
+// fault-free run.
+func TestSelfHealKillSweepSim(t *testing.T) {
+	spec := healSpec()
+	spec.Opts.SelfHeal = true
+	base, err := Run(healSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const seeds = 25
+	killed := 0
+	for seed := uint64(0); seed < seeds; seed++ {
+		ks := fault.Kills(seed, spec.Steps, spec.Servers, 0.12)
+		s := spec
+		s.Opts.Kills = ks.Func()
+		out, err := Run(s)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if out.Result.Respawns != ks.Total() {
+			t.Fatalf("seed %d: Respawns = %d, want %d (the schedule's kill count)",
+				seed, out.Result.Respawns, ks.Total())
+		}
+		if len(out.Result.ServerTIDs) != spec.Servers {
+			t.Fatalf("seed %d: fleet width %d, want %d", seed, len(out.Result.ServerTIDs), spec.Servers)
+		}
+		if ks.Total() > 0 && out.Result.RespawnSeconds <= 0 {
+			t.Fatalf("seed %d: %d kills but no respawn time accounted", seed, ks.Total())
+		}
+		killed += ks.Total()
+		samePhysics(t, seed, base.Result, out.Result)
+	}
+	if killed == 0 {
+		t.Fatal("no schedule killed anything; the sweep is not exercising respawns")
+	}
+}

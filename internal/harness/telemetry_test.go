@@ -20,7 +20,7 @@ import (
 // journal line names the run that wrote it.  Both runs number their
 // tasks from 0, so shared cells would fold them together.
 func TestConcurrentRunsKeepTheirTelemetry(t *testing.T) {
-	healthy, degraded := restartSpec(), restartSpec()
+	healthy, degraded := healSpec(), healSpec()
 	healthy.Opts.SelfHeal, healthy.Opts.Kills = true, fault.KillSchedule{3: {1}}.Func()
 	// The second kill finds the one-respawn budget spent: the fleet degrades.
 	degraded.Opts.SelfHeal, degraded.Opts.MaxRespawns = true, 1

@@ -239,36 +239,48 @@ func (t *simTask) RecvTimeout(src, tag int, _ time.Duration) (*Buffer, int, int,
 	return b, s, g, nil
 }
 
-// ReportRecovery implements RecoveryReporter by attributing the window
-// to the task's simulated timeline.
-func (t *simTask) ReportRecovery(start, end float64) {
-	if t.vm.Recorder != nil && end > start {
-		t.vm.Recorder.Segment(t.TID(), t.Name(), vm.SegRecovery, start, end)
+// ReportRecovery attributes [start, end] — e.g. the client-side
+// re-initialization after a server death — to t's recorded timeline as
+// recovery (vm.SegRecovery).  A no-op on a task that is not a simulated
+// one (another fabric's, or one behind a wrapper) or records no timeline.
+func ReportRecovery(t Task, start, end float64) {
+	if st, ok := t.(*simTask); ok && st.vm.Recorder != nil && end > start {
+		st.vm.Recorder.Segment(st.TID(), st.Name(), vm.SegRecovery, start, end)
 	}
 }
 
-// OpenWindow implements WindowReporter on the session's trace recorder.
-func (t *simTask) OpenWindow(t0 float64) {
-	if t.vm.Recorder != nil {
-		t.vm.Recorder.OpenWindow(t0)
+// OpenWindow opens the run's measurement window at t0 on t's trace
+// recorder, which then sums the window as it records
+// (trace.Recorder.OpenWindow).  A no-op where ReportRecovery is one.
+func OpenWindow(t Task, t0 float64) {
+	if st, ok := t.(*simTask); ok && st.vm.Recorder != nil {
+		st.vm.Recorder.OpenWindow(t0)
 	}
 }
 
-// CloseWindow implements WindowReporter on the session's trace recorder.
-func (t *simTask) CloseWindow(t1 float64) {
-	if t.vm.Recorder != nil {
-		t.vm.Recorder.CloseWindow(t1)
+// CloseWindow closes the measurement window at t1 on t's trace recorder.
+// A no-op where ReportRecovery is one.
+func CloseWindow(t Task, t1 float64) {
+	if st, ok := t.(*simTask); ok && st.vm.Recorder != nil {
+		st.vm.Recorder.CloseWindow(t1)
 	}
 }
 
-// ReportFlow implements FlowReporter: the RPC's latency on the run's comm
-// matrix, its flow on the session's trace recorder.
-func (t *simTask) ReportFlow(method string, server int, issue, reply float64) {
-	if m := t.vm.scope.Matrix; m != nil {
-		m.RecordLatency(t.TID(), server, reply-issue)
+// ReportFlow records one client→server RPC flow — method name, the server
+// task it executed on, the issue and reply times — on the run's
+// telemetry: its latency on the comm matrix, and its flow on the trace
+// recorder, linking the client's call span to the matching server
+// execution span.  A no-op on a task that is not a simulated one.
+func ReportFlow(t Task, method string, server int, issue, reply float64) {
+	st, ok := t.(*simTask)
+	if !ok {
+		return
 	}
-	if t.vm.Recorder != nil {
-		t.vm.Recorder.Flow(method, t.TID(), server, issue, reply)
+	if m := st.vm.scope.Matrix; m != nil {
+		m.RecordLatency(st.TID(), server, reply-issue)
+	}
+	if st.vm.Recorder != nil {
+		st.vm.Recorder.Flow(method, st.TID(), server, issue, reply)
 	}
 }
 

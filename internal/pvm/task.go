@@ -149,59 +149,3 @@ func Drive(t Task, r Reactor) {
 		}
 	}
 }
-
-// RecoveryReporter is the optional capability to attribute a time window
-// — e.g. the client-side re-initialization after a server death — to the
-// task's recorded timeline as recovery (vm.SegRecovery).
-type RecoveryReporter interface {
-	ReportRecovery(start, end float64)
-}
-
-// ReportRecovery attributes [start, end] as recovery time on fabrics that
-// record timelines, and is a no-op elsewhere.
-func ReportRecovery(t Task, start, end float64) {
-	if rr, ok := t.(RecoveryReporter); ok {
-		rr.ReportRecovery(start, end)
-	}
-}
-
-// WindowReporter is the optional capability to bound the run's measurement
-// window on the task's trace recorder, which then sums the window as it
-// records (trace.Recorder.OpenWindow/CloseWindow).
-type WindowReporter interface {
-	OpenWindow(t0 float64)
-	CloseWindow(t1 float64)
-}
-
-// OpenWindow opens the measurement window at t0 on fabrics that record
-// timelines, and is a no-op elsewhere.
-func OpenWindow(t Task, t0 float64) {
-	if wr, ok := t.(WindowReporter); ok {
-		wr.OpenWindow(t0)
-	}
-}
-
-// CloseWindow closes the measurement window at t1 on fabrics that record
-// timelines, and is a no-op elsewhere.
-func CloseWindow(t Task, t1 float64) {
-	if wr, ok := t.(WindowReporter); ok {
-		wr.CloseWindow(t1)
-	}
-}
-
-// FlowReporter is the optional capability to record one client→server RPC
-// flow — method name, the server task it executed on, the issue and reply
-// times — on the run's telemetry: its latency on the comm matrix, and its
-// flow on the task's trace recorder, linking the client's call span to the
-// matching server execution span.
-type FlowReporter interface {
-	ReportFlow(method string, server int, issue, reply float64)
-}
-
-// ReportFlow records an RPC flow on fabrics that record timelines and comm
-// matrices, and is a no-op elsewhere.
-func ReportFlow(t Task, method string, server int, issue, reply float64) {
-	if fr, ok := t.(FlowReporter); ok {
-		fr.ReportFlow(method, server, issue, reply)
-	}
-}

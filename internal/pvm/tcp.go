@@ -36,6 +36,11 @@ var ErrTaskRange = errors.New("pvm: spawn past the session's task-id range")
 // spawnRefused is the count of a spawn reply whose host refused the spawn.
 const spawnRefused = 1<<32 - 1
 
+// maxForwardedSpawn bounds the tasks one forwarded spawn may start on its
+// host session: each is a goroutine, and the count comes from a peer's
+// frame.  It is 16 times opald's default -max-servers.
+const maxForwardedSpawn = 1024
+
 // spawnReply is what a session's Spawn learns from the daemon: the TIDs
 // started remotely, none (spawn locally), or a refusal.
 type spawnReply struct {
@@ -758,11 +763,17 @@ func (v *TCPVM) handleSpawnFwd(f frame) {
 	v.mu.Unlock()
 	var tids []int
 	if fn != nil {
-		// A count past this session's task ids is refused whole: the
-		// wire's u32 would otherwise start that many goroutines under
-		// TIDs of the next session's range.
-		var err error
-		if tids, err = v.spawnChildren(f.name, int(f.id), int(f.n), fn); err != nil {
+		// Refused whole, before any task id is claimed: a count above
+		// maxForwardedSpawn, or past this session's task ids — the wire's
+		// u32 would otherwise start that many goroutines, under TIDs of
+		// the next session's range.
+		refused := f.n > maxForwardedSpawn
+		if !refused {
+			var err error
+			tids, err = v.spawnChildren(f.name, int(f.id), int(f.n), fn)
+			refused = err != nil
+		}
+		if refused {
 			v.write(frameSpawnRep, appendU32(appendU32(nil, f.id), spawnRefused))
 			return
 		}
@@ -965,7 +976,8 @@ func (t *tcpTask) Barrier(name string, parties int) {
 // the tasks run locally with fn.  Note that a remote host runs its own
 // *registered* function for the name — like pvm_spawn starting a named
 // executable — so fn is only the local fallback.  A spawn past the
-// session's task ids, local or on the host, panics with an error wrapping
+// session's task ids, local or on the host, and one of more than
+// maxForwardedSpawn tasks on the host, panics with an error wrapping
 // ErrTaskRange.
 func (t *tcpTask) Spawn(name string, n int, fn func(Task)) []int {
 	ch := make(chan spawnReply, 1)

@@ -421,6 +421,32 @@ func TestSpawnPastTaskRangeRefused(t *testing.T) {
 	}
 }
 
+// A forwarded spawn asking for more than maxForwardedSpawn tasks — here
+// 2^15, which the session's task ids would still hold — is refused before
+// any id is claimed: the host answers spawnRefused and starts nothing.
+// The session has no connection, so the reply stays in its retained
+// frames for the test to read.
+func TestForwardedSpawnCountBounded(t *testing.T) {
+	v := &TCPVM{tasks: map[int]*tcpTask{}, spawnFns: map[string]func(Task){}}
+	var started atomic.Int32
+	v.spawnFns["srv"] = func(Task) { started.Add(1) }
+	f, err := decodeFrame(frameSpawnFwd, appendStr(appendU32(appendU32(nil, 7), 1<<15), "srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.handleSpawnFwd(f)
+	if len(v.unacked) != 1 || v.unacked[0].typ != frameSpawnRep {
+		t.Fatalf("host sent %+v, want one spawn reply", v.unacked)
+	}
+	rep, err := decodeFrame(frameSpawnRep, v.unacked[0].body)
+	if err != nil || rep.id != 7 || !rep.rep.refused {
+		t.Fatalf("spawn reply %+v (%v), want requester 7 refused", rep, err)
+	}
+	if n := started.Load(); n != 0 || len(v.tasks) != 0 || v.nextTask != 0 {
+		t.Fatalf("refused spawn started %d tasks (host holds %d, claimed %d ids)", n, len(v.tasks), v.nextTask)
+	}
+}
+
 // waitGoroutinesBack polls until the goroutine count returns to within
 // slack of base, failing the test after 5s.  A manual stand-in for a
 // leak-checker dependency: the transport's readers, reconnectors and

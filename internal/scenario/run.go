@@ -3,10 +3,11 @@ package scenario
 // Executing one compiled scenario and judging its assertions.  A run is
 // one leg, or two when the scenario carries a restart event: the first
 // leg is killed at the restart step, the second resumes from the latest
-// checkpoint (or from scratch) and the trajectories are stitched like
-// harness.RunWithRestart — except the scenario engine rebases the
-// absolute-step kill schedule and fault windows into the resumed leg
-// itself.
+// checkpoint (or from scratch) and the trajectories are stitched
+// (md.StitchRestart).  The kill schedule and fault windows are in absolute
+// steps; each leg rebases them onto its own, so the resumed leg replays
+// the kills between the checkpoint and the restart step.  These two legs
+// are the one client-restart driver.
 
 import (
 	"fmt"

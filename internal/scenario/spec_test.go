@@ -180,6 +180,15 @@ events:
   - at: {step: 4}
     action: restart
 `, "step 4 outside [1, 4)"},
+		{"restart at step zero", `
+name: x
+fleet:
+  servers: 2
+  steps: 4
+events:
+  - at: {step: 0}
+    action: restart
+`, "step 0 outside [1, 4)"},
 		{"two restarts", `
 name: x
 fleet:

@@ -19,7 +19,8 @@
 //	          fleet onto the survivors (PR 2's graceful degradation).
 //
 // The third rung — restart from a periodic checkpoint — lives above the
-// supervisor, in md.Options.CheckpointEvery and harness.RunWithRestart.
+// supervisor, in md.Options.CheckpointEvery and the scenario runner's two
+// legs (a restart event).
 package supervise
 
 import (

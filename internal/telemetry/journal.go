@@ -46,8 +46,7 @@ type Journal struct {
 	clock func() time.Time
 	// mirror, when set, receives every rendered event line — the archive
 	// ingestion hook.  A plain function keeps telemetry free of an archive
-	// import; the byte cap does not apply to the mirror (the warehouse has
-	// its own retention via compaction).
+	// import; the byte cap does not apply to the mirror.
 	mirror func(run, typ string, wall time.Time, line string)
 }
 

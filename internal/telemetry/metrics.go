@@ -88,10 +88,12 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 }
 
 // valuer is implemented by metrics that can report their current values
-// as flat name→value pairs (labels rendered prometheus-style into the
-// name).  The streaming plane snapshots the registry through it.
+// as flat name→value pairs, labels rendered prometheus-style into the
+// name: labels is the rendered label set (see family.labels), "" for an
+// instrument outside a family.  The streaming plane snapshots the
+// registry through it.
 type valuer interface {
-	values(out map[string]float64)
+	values(out map[string]float64, labels string)
 }
 
 // Values returns a flat snapshot of every registered metric's current
@@ -104,14 +106,18 @@ func (r *Registry) Values() map[string]float64 {
 	out := make(map[string]float64, 2*len(ms))
 	for _, m := range ms {
 		if v, ok := m.(valuer); ok {
-			v.values(out)
+			v.values(out, "")
 		}
 	}
 	return out
 }
 
-func labeled(name, label, val string) string {
-	return fmt.Sprintf("%s{%s=%q}", name, label, promLabelEscape(val))
+// braced wraps a rendered label set in braces; an empty one stays empty.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
 }
 
 // promLabelEscaper implements the text-format escaping for label values:
@@ -174,10 +180,16 @@ func (c *Counter) metricName() string { return c.name }
 
 func (c *Counter) writeProm(w io.Writer) {
 	writeHeader(w, c.name, c.help, "counter")
-	fmt.Fprintf(w, "%s %d\n", c.name, c.Value())
+	c.writeBody(w, "")
 }
 
-func (c *Counter) values(out map[string]float64) { out[c.name] = float64(c.Value()) }
+func (c *Counter) writeBody(w io.Writer, labels string) {
+	fmt.Fprintf(w, "%s%s %d\n", c.name, braced(labels), c.Value())
+}
+
+func (c *Counter) values(out map[string]float64, labels string) {
+	out[c.name+braced(labels)] = float64(c.Value())
+}
 
 // Gauge is a settable instantaneous value (e.g. the supervisor's state).
 type Gauge struct {
@@ -210,7 +222,7 @@ func (g *Gauge) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", g.name, g.Value())
 }
 
-func (g *Gauge) values(out map[string]float64) { out[g.name] = float64(g.Value()) }
+func (g *Gauge) values(out map[string]float64, _ string) { out[g.name] = float64(g.Value()) }
 
 // FGauge is a settable float-valued gauge — the model oracle's residuals
 // and fitted machine parameters are seconds and rates, not integers.
@@ -219,8 +231,6 @@ func (g *Gauge) values(out map[string]float64) { out[g.name] = float64(g.Value()
 // high-frequency instruments are disarmed.
 type FGauge struct {
 	name, help string
-	labelKey   string // optional single label (set by FGaugeVec)
-	labelVal   string
 	bits       atomic.Uint64
 }
 
@@ -239,81 +249,17 @@ func (g *FGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *FGauge) metricName() string { return g.name }
 
-func (g *FGauge) writeBody(w io.Writer) {
-	if g.labelKey == "" {
-		fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.Value()))
-		return
-	}
-	fmt.Fprintf(w, "%s{%s=\"%s\"} %s\n", g.name, g.labelKey, promLabelEscape(g.labelVal), formatFloat(g.Value()))
+func (g *FGauge) writeBody(w io.Writer, labels string) {
+	fmt.Fprintf(w, "%s%s %s\n", g.name, braced(labels), formatFloat(g.Value()))
 }
 
 func (g *FGauge) writeProm(w io.Writer) {
 	writeHeader(w, g.name, g.help, "gauge")
-	g.writeBody(w)
+	g.writeBody(w, "")
 }
 
-func (g *FGauge) values(out map[string]float64) {
-	if g.labelKey == "" {
-		out[g.name] = g.Value()
-		return
-	}
-	out[labeled(g.name, g.labelKey, g.labelVal)] = g.Value()
-}
-
-// FGaugeVec is a family of float gauges split by one label (e.g. a model
-// term or a fitted parameter name).
-type FGaugeVec struct {
-	name, help, label string
-	mu                sync.RWMutex
-	children          map[string]*FGauge
-	order             []string
-}
-
-// FGaugeVec registers a new float gauge family.
-func (r *Registry) FGaugeVec(name, help, label string) *FGaugeVec {
-	v := &FGaugeVec{name: name, help: help, label: label, children: make(map[string]*FGauge)}
-	r.register(v)
-	return v
-}
-
-// With returns the child gauge for the given label value, creating it on
-// first use.
-func (v *FGaugeVec) With(val string) *FGauge {
-	v.mu.RLock()
-	g := v.children[val]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.children[val]; g != nil {
-		return g
-	}
-	g = &FGauge{name: v.name, help: v.help, labelKey: v.label, labelVal: val}
-	v.children[val] = g
-	v.order = append(v.order, val)
-	sort.Strings(v.order)
-	return g
-}
-
-func (v *FGaugeVec) metricName() string { return v.name }
-
-func (v *FGaugeVec) writeProm(w io.Writer) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	writeHeader(w, v.name, v.help, "gauge")
-	for _, val := range v.order {
-		v.children[val].writeBody(w)
-	}
-}
-
-func (v *FGaugeVec) values(out map[string]float64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, val := range v.order {
-		v.children[val].values(out)
-	}
+func (g *FGauge) values(out map[string]float64, labels string) {
+	out[g.name+braced(labels)] = g.Value()
 }
 
 // Histogram is a fixed-bucket histogram: cumulative `le` buckets in the
@@ -321,8 +267,6 @@ func (v *FGaugeVec) values(out map[string]float64) {
 // Observations are two atomic operations (bucket increment + sum update).
 type Histogram struct {
 	name, help string
-	labelKey   string // optional single label, e.g. method="nbint"
-	labelVal   string
 	bounds     []float64
 	counts     []paddedCount // len(bounds)+1; the last is +Inf
 	sumBits    atomic.Uint64
@@ -385,162 +329,131 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 
 func (h *Histogram) metricName() string { return h.name }
 
-func (h *Histogram) label(le string) string {
-	if h.labelKey == "" {
-		return fmt.Sprintf("{le=%q}", le)
+// writeBody renders buckets/sum/count without the HELP/TYPE header, so a
+// HistogramVec shares one header across its children.
+func (h *Histogram) writeBody(w io.Writer, labels string) {
+	le := "{"
+	if labels != "" {
+		le += labels + ","
 	}
-	return fmt.Sprintf("{%s=\"%s\",le=%q}", h.labelKey, promLabelEscape(h.labelVal), le)
-}
-
-func (h *Histogram) suffix() string {
-	if h.labelKey == "" {
-		return ""
-	}
-	return fmt.Sprintf("{%s=\"%s\"}", h.labelKey, promLabelEscape(h.labelVal))
-}
-
-// writeBody renders buckets/sum/count without the HELP/TYPE header so a
-// HistogramVec can share one header across children.
-func (h *Histogram) writeBody(w io.Writer) {
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += h.counts[i].v.Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, h.label(formatFloat(b)), cum)
+		fmt.Fprintf(w, "%s_bucket%sle=%q} %d\n", h.name, le, formatFloat(b), cum)
 	}
 	cum += h.counts[len(h.bounds)].v.Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, h.label("+Inf"), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", h.name, h.suffix(), formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", h.name, h.suffix(), cum)
+	fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", h.name, le, cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", h.name, braced(labels), formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", h.name, braced(labels), cum)
 }
 
 func (h *Histogram) writeProm(w io.Writer) {
 	writeHeader(w, h.name, h.help, "histogram")
-	h.writeBody(w)
+	h.writeBody(w, "")
 }
 
-func (h *Histogram) values(out map[string]float64) {
-	out[h.name+"_count"+h.suffix()] = float64(h.Count())
-	out[h.name+"_sum"+h.suffix()] = h.Sum()
+func (h *Histogram) values(out map[string]float64, labels string) {
+	out[h.name+"_count"+braced(labels)] = float64(h.Count())
+	out[h.name+"_sum"+braced(labels)] = h.Sum()
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// CounterVec is a family of counters split by one label (e.g. RPC method
-// or fault kind).  Children are created on first use and live forever —
-// label cardinality is expected to be small and static.
-type CounterVec struct {
-	name, help, label string
-	mu                sync.RWMutex
-	children          map[string]*Counter
-	order             []string
+// member is an instrument a family holds one of per label value: it
+// renders its samples under the family's label set, without the header
+// the family writes once.
+type member interface {
+	writeBody(w io.Writer, labels string)
+	values(out map[string]float64, labels string)
 }
+
+// family is a set of instruments of one kind split by one label (e.g.
+// RPC method, fault kind or model term).  Members are created on first use
+// and live forever — label cardinality is expected to be small and static
+// — and render in label-value order.
+type family[T member] struct {
+	name, help, typ, label string
+	newMember              func() T
+	mu                     sync.RWMutex
+	members                map[string]T
+	order                  []string
+}
+
+func newFamily[T member](r *Registry, name, help, typ, label string, newMember func() T) *family[T] {
+	f := &family[T]{name: name, help: help, typ: typ, label: label, newMember: newMember, members: make(map[string]T)}
+	r.register(f)
+	return f
+}
+
+// With returns the member for the given label value, creating it on
+// first use.  Callers on hot paths should cache the handle.
+func (f *family[T]) With(val string) T {
+	f.mu.RLock()
+	m, ok := f.members[val]
+	f.mu.RUnlock()
+	if ok {
+		return m
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if m, ok = f.members[val]; ok {
+		return m
+	}
+	m = f.newMember()
+	f.members[val] = m
+	f.order = append(f.order, val)
+	sort.Strings(f.order)
+	return m
+}
+
+// labels renders the label set of the member for val.
+func (f *family[T]) labels(val string) string {
+	return f.label + `="` + promLabelEscape(val) + `"`
+}
+
+func (f *family[T]) metricName() string { return f.name }
+
+func (f *family[T]) writeProm(w io.Writer) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	writeHeader(w, f.name, f.help, f.typ)
+	for _, val := range f.order {
+		f.members[val].writeBody(w, f.labels(val))
+	}
+}
+
+func (f *family[T]) values(out map[string]float64, _ string) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	for _, val := range f.order {
+		f.members[val].values(out, f.labels(val))
+	}
+}
+
+// CounterVec is a family of counters split by one label.
+type CounterVec = family[*Counter]
 
 // CounterVec registers a new counter family.
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{name: name, help: help, label: label, children: make(map[string]*Counter)}
-	r.register(v)
-	return v
+	return newFamily(r, name, help, "counter", label, func() *Counter { return &Counter{name: name, help: help} })
 }
 
-// With returns the child counter for the given label value, creating it
-// on first use.  Callers on hot paths should cache the handle.
-func (v *CounterVec) With(val string) *Counter {
-	v.mu.RLock()
-	c := v.children[val]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.children[val]; c != nil {
-		return c
-	}
-	c = &Counter{name: v.name, help: v.help}
-	v.children[val] = c
-	v.order = append(v.order, val)
-	sort.Strings(v.order)
-	return c
+// FGaugeVec is a family of float gauges split by one label (e.g. a model
+// term or a fitted parameter name).
+type FGaugeVec = family[*FGauge]
+
+// FGaugeVec registers a new float gauge family.
+func (r *Registry) FGaugeVec(name, help, label string) *FGaugeVec {
+	return newFamily(r, name, help, "gauge", label, func() *FGauge { return &FGauge{name: name, help: help} })
 }
 
-func (v *CounterVec) metricName() string { return v.name }
-
-func (v *CounterVec) writeProm(w io.Writer) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	writeHeader(w, v.name, v.help, "counter")
-	for _, val := range v.order {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, promLabelEscape(val), v.children[val].Value())
-	}
-}
-
-func (v *CounterVec) values(out map[string]float64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, val := range v.order {
-		out[labeled(v.name, v.label, val)] = float64(v.children[val].Value())
-	}
-}
-
-// HistogramVec is a family of histograms split by one label.
-type HistogramVec struct {
-	name, help, label string
-	bounds            []float64
-	mu                sync.RWMutex
-	children          map[string]*Histogram
-	order             []string
-}
+// HistogramVec is a family of histograms with shared buckets split by one
+// label.
+type HistogramVec = family[*Histogram]
 
 // HistogramVec registers a new histogram family with shared buckets.
 func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	v := &HistogramVec{
-		name: name, help: help, label: label,
-		bounds:   append([]float64(nil), bounds...),
-		children: make(map[string]*Histogram),
-	}
-	r.register(v)
-	return v
-}
-
-// With returns the child histogram for the given label value, creating it
-// on first use.  Callers on hot paths should cache the handle.
-func (v *HistogramVec) With(val string) *Histogram {
-	v.mu.RLock()
-	h := v.children[val]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.children[val]; h != nil {
-		return h
-	}
-	h = newHistogram(v.name, v.help, v.bounds)
-	h.labelKey, h.labelVal = v.label, val
-	v.children[val] = h
-	v.order = append(v.order, val)
-	sort.Strings(v.order)
-	return h
-}
-
-func (v *HistogramVec) metricName() string { return v.name }
-
-func (v *HistogramVec) writeProm(w io.Writer) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	writeHeader(w, v.name, v.help, "histogram")
-	for _, val := range v.order {
-		v.children[val].writeBody(w)
-	}
-}
-
-func (v *HistogramVec) values(out map[string]float64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, val := range v.order {
-		v.children[val].values(out)
-	}
+	return newFamily(r, name, help, "histogram", label, func() *Histogram { return newHistogram(name, help, bounds) })
 }
 
 // ExpBuckets returns n exponentially spaced boundaries start, start*factor,

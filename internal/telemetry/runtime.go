@@ -73,7 +73,7 @@ func (goRuntime) writeProm(w io.Writer) {
 	}
 }
 
-func (goRuntime) values(out map[string]float64) {
+func (goRuntime) values(out map[string]float64, _ string) {
 	for k, v := range sampleRuntime() {
 		out[k] = v
 	}

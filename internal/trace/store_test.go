@@ -307,13 +307,12 @@ func TestWindowRecorderRefusesOtherWindows(t *testing.T) {
 		t.Fatalf("own window breakdown %+v", got)
 	}
 	readers := map[string]func(){
-		"other window":  func() { r.TotalsBetween(0, 0, 3) },
-		"totals":        func() { r.Totals(1) },
-		"timeline":      func() { RenderTimeline(r, nil, 0, 3, 10) },
-		"chrome":        func() { WriteChromeTrace(io.Discard, r, nil) },
-		"critical path": func() { ComputeCriticalPath(r, 0, 1, 3) },
-		"sampler":       func() { SampleShares(r, 1, 1, 3, 0.5) },
-		"reopen":        func() { r.OpenWindow(0) },
+		"other window": func() { r.TotalsBetween(0, 0, 3) },
+		"totals":       func() { r.Totals(1) },
+		"timeline":     func() { RenderTimeline(r, nil, 0, 3, 10) },
+		"chrome":       func() { WriteChromeTrace(io.Discard, r, nil) },
+		"sampler":      func() { SampleShares(r, 1, 1, 3, 0.5) },
+		"reopen":       func() { r.OpenWindow(0) },
 	}
 	for name, read := range readers {
 		err := func() (err error) {

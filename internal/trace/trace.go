@@ -32,8 +32,7 @@ type Segment struct {
 // Flow links one client RPC call to its execution on a server: the client
 // issues the request at Issue and receives the reply at Reply.  Flows let
 // the Chrome exporter draw arrows from call spans to the matching server
-// execution spans and let the critical-path reducer attribute client wait
-// time to the server that caused it.
+// execution spans.
 type Flow struct {
 	ID     int
 	Method string
@@ -56,7 +55,7 @@ type Flow struct {
 // window read the table.  A recorder from NewRecorder also keeps every
 // segment and flow, in recording order in pointer-free chunks (store.go),
 // for the readers that need intervals: other windows, the timeline, the
-// Chrome export, the critical path and the sampler.  One from
+// Chrome export and the sampler.  One from
 // NewWindowRecorder drops them once its window opens.
 type Recorder struct {
 	keep  bool // retain segments and flows after the window opens
@@ -82,7 +81,7 @@ func (r *Recorder) SetMatrix(m *telemetry.Matrix) { r.matrix = m }
 
 // ErrIntervalsDropped is the panic of an interval reader — totals over a
 // window other than the recorder's own, the timeline, the Chrome export,
-// the critical path, the sampler — called on a recorder from
+// the sampler — called on a recorder from
 // NewWindowRecorder whose window has opened: the intervals it would read
 // were summed and dropped.
 var ErrIntervalsDropped = errors.New("trace: the recorder kept no intervals")

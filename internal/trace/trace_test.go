@@ -232,3 +232,31 @@ var (
 		"opal-server-3", "opal-server-4", "opal-server-5", "opal-server-6", "opal-server-7"}
 	methodNames = []string{"update", "nbint", "shutdown"}
 )
+
+func TestRecorderFlows(t *testing.T) {
+	r := NewRecorder()
+	if f := r.Flows(); f == nil || len(f) != 0 {
+		t.Fatalf("empty recorder Flows() = %#v, want empty non-nil", f)
+	}
+	r.Flow("nbint", 0, 1, 0.5, 1.5)
+	r.Flow("update", 0, 2, 0.6, 1.8)
+	f := r.Flows()
+	if len(f) != 2 {
+		t.Fatalf("recorded %d flows, want 2", len(f))
+	}
+	if f[0].ID != 0 || f[1].ID != 1 {
+		t.Fatalf("flow ids not in recording order: %+v", f)
+	}
+	want := Flow{ID: 1, Method: "update", Client: 0, Server: 2, Issue: 0.6, Reply: 1.8}
+	if f[1] != want {
+		t.Fatalf("flow = %+v, want %+v", f[1], want)
+	}
+	r.Reset()
+	if len(r.Flows()) != 0 {
+		t.Fatal("Reset did not clear flows")
+	}
+	r.Flow("nbint", 0, 1, 0, 1)
+	if got := r.Flows()[0].ID; got != 0 {
+		t.Fatalf("ids do not restart after Reset: %d", got)
+	}
+}

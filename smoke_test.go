@@ -266,6 +266,7 @@ func traceEvents(t *testing.T, path string) []string {
 	return events
 }
 
+// TestExampleSmoke runs every example main to its closing output.
 func TestExampleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -277,6 +278,7 @@ func TestExampleSmoke(t *testing.T) {
 	}{
 		{"./examples/quickstart", nil, "virtual J90 time"},
 		{"./examples/antennapedia", []string{"-scale", "0.08"}, "idle spikes"},
+		{"./examples/clusterplanning", nil, "conclusion: the fast and SMP Clusters of PCs"},
 		{"./examples/middleware", nil, "accounting overhead"},
 		{"./examples/tcpcluster", nil, "remote servers"},
 	}
