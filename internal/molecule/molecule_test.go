@@ -244,3 +244,21 @@ func TestGammaEdgeCases(t *testing.T) {
 		t.Error("empty system gamma/density should be 0")
 	}
 }
+
+// BenchmarkGenerate prices generating the paper's three complexes, the
+// cold-start cost a never-seen (size, scale) pays before anything runs.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		gen  func() *System
+	}{{"small", SmallComplex}, {"medium", Antennapedia}, {"large", LFB}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = c.gen()
+			}
+		})
+	}
+}
+
+var benchSink *System
