@@ -55,9 +55,9 @@ func main() {
 		fmt.Println(harness.MemoryReport(rows))
 	}
 	if want("space") {
-		sys := harness.Sizes(1)[*size]
-		if sys == nil {
-			fatal(fmt.Errorf("unknown size %q", *size))
+		sys, err := harness.Size(*size, 1)
+		if err != nil {
+			fatal(err)
 		}
 		fmt.Println(harness.SpaceReport(sys, 0, *p))
 		fmt.Println(harness.SpaceReport(sys, harness.EffectiveCutoff, *p))

@@ -175,7 +175,9 @@ func main() {
 			fatal(err)
 		}
 	default:
-		sys = harness.Sizes(cfg.Fleet.Scale)[cfg.Fleet.Size]
+		if sys, err = harness.Size(cfg.Fleet.Size, cfg.Fleet.Scale); err != nil {
+			fatal(err)
+		}
 	}
 	spec, err := cfg.RunSpec(sys)
 	if err != nil {

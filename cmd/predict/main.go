@@ -41,9 +41,9 @@ func main() {
 	flag.Parse()
 	parallel.SetWorkers(*jobs)
 
-	sys := harness.Sizes(1)[*size]
-	if sys == nil {
-		fatal(fmt.Errorf("unknown size %q", *size))
+	sys, err := harness.Size(*size, 1)
+	if err != nil {
+		fatal(err)
 	}
 	pls := platform.All()
 
@@ -99,7 +99,10 @@ func main() {
 
 	if *validate {
 		fmt.Println("validating the model against instrumented simulations (scaled problem)...")
-		vsys := harness.Sizes(*scale)[*size]
+		vsys, err := harness.Size(*size, *scale)
+		if err != nil {
+			fatal(err)
+		}
 		cases, err := harness.ValidatePrediction(pls, vsys, harness.NoCutoff, 1, *steps, []int{1, 4, 7})
 		if err != nil {
 			fatal(err)

@@ -65,7 +65,10 @@ func (p *predictor) predict(c JobSpec) (PredictResponse, error) {
 	if err != nil {
 		return PredictResponse{}, fmt.Errorf("ctlplane: %w", err)
 	}
-	sys := p.systems.get(c.Size, c.Scale)
+	sys, err := p.systems.get(c.Size, c.Scale)
+	if err != nil {
+		return PredictResponse{}, fmt.Errorf("ctlplane: %w", err)
+	}
 	key := fmt.Sprintf("%s|%s|%g", c.Platform, c.Size, c.Scale)
 	m := p.machine(pl, key, sys.Gamma())
 	app := core.AppFor(sys, c.Cutoff, c.UpdateEvery, c.Servers, c.Steps)

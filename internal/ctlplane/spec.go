@@ -121,32 +121,48 @@ func (s JobSpec) Hash() string {
 	return hex.EncodeToString(sum[:12])
 }
 
-// systemCache memoizes the generated molecular systems per (size, scale):
-// generation is the expensive part of a submission, and canonical specs
-// reuse systems freely because runs never mutate their input system.
+// systemCache memoizes generated molecular systems, one entry per (size,
+// scale), each filled once and outside the cache's lock: a never-seen key
+// generates only the complex it names, its concurrent askers wait on that
+// entry alone, and requests for warm keys pass straight through.
+// Canonical specs share systems freely because runs never mutate their
+// input system.
 type systemCache struct {
-	mu   sync.Mutex
-	sets map[float64]map[string]*molecule.System
+	// gen generates one entry's system; harness.Size outside tests.
+	gen func(size string, scale float64) (*molecule.System, error)
+
+	mu      sync.Mutex
+	entries map[systemKey]func() (*molecule.System, error)
+}
+
+type systemKey struct {
+	size  string
+	scale float64
 }
 
 func newSystemCache() *systemCache {
-	return &systemCache{sets: map[float64]map[string]*molecule.System{}}
+	return &systemCache{gen: harness.Size, entries: map[systemKey]func() (*molecule.System, error){}}
 }
 
-func (c *systemCache) get(size string, scale float64) *molecule.System {
+func (c *systemCache) get(size string, scale float64) (*molecule.System, error) {
+	k := systemKey{size, scale}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	set := c.sets[scale]
-	if set == nil {
-		set = harness.Sizes(scale)
-		c.sets[scale] = set
+	entry := c.entries[k]
+	if entry == nil {
+		entry = sync.OnceValues(func() (*molecule.System, error) { return c.gen(size, scale) })
+		c.entries[k] = entry
 	}
-	return set[size]
+	c.mu.Unlock()
+	return entry()
 }
 
 // runSpec compiles a canonical JobSpec onto the harness, sharing systems
 // through the cache.  The caller owns the returned spec and may attach
 // checkpoint sinks and cancellation hooks before running it.
 func (s JobSpec) runSpec(systems *systemCache) (harness.RunSpec, error) {
-	return s.config().RunSpec(systems.get(s.Size, s.Scale))
+	sys, err := systems.get(s.Size, s.Scale)
+	if err != nil {
+		return harness.RunSpec{}, fmt.Errorf("ctlplane: %w", err)
+	}
+	return s.config().RunSpec(sys)
 }

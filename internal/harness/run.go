@@ -346,35 +346,51 @@ func orOne(v int) int {
 	return v
 }
 
-// Sizes returns the paper's three problem sizes, or proportionally
-// reduced versions when scale < 1 (for fast test and bench runs; the
-// model and all qualitative results are size-stable).
-func Sizes(scale float64) map[string]*molecule.System {
-	if scale >= 1 {
-		return map[string]*molecule.System{
-			"small":  molecule.SmallComplex(),
-			"medium": molecule.Antennapedia(),
-			"large":  molecule.LFB(),
+// paperSizes are the paper's three problem sizes: each complex's solute
+// atoms, waters and generator seed, and its full-scale constructor.
+var paperSizes = []struct {
+	name          string
+	atoms, waters int
+	seed          int64
+	full          func() *molecule.System
+}{
+	{"small", 460, 840, 44, molecule.SmallComplex},
+	{"medium", 1575, 2714, 42, molecule.Antennapedia},
+	{"large", 1655, 4634, 43, molecule.LFB},
+}
+
+// Size returns one of the paper's problem sizes — "small", "medium" or
+// "large" — generating that complex alone: the paper's own at scale >= 1,
+// a proportionally reduced one below (at least 8 solute atoms and 8
+// waters), the same system Sizes(scale)[name] holds.
+func Size(name string, scale float64) (*molecule.System, error) {
+	for _, p := range paperSizes {
+		if p.name != name {
+			continue
 		}
-	}
-	gen := func(name string, atoms, waters int, seed int64) *molecule.System {
-		a := int(float64(atoms) * scale)
-		w := int(float64(waters) * scale)
-		if a < 8 {
-			a = 8
-		}
-		if w < 8 {
-			w = 8
+		if scale >= 1 {
+			return p.full(), nil
 		}
 		return molecule.Generate(molecule.Config{
-			Name: name, SoluteAtoms: a, Waters: w, Seed: seed, Interleave: true,
-		})
+			Name:        name + " (scaled)",
+			SoluteAtoms: max(int(float64(p.atoms)*scale), 8),
+			Waters:      max(int(float64(p.waters)*scale), 8),
+			Seed:        p.seed, Interleave: true,
+		}), nil
 	}
-	return map[string]*molecule.System{
-		"small":  gen("small (scaled)", 460, 840, 44),
-		"medium": gen("medium (scaled)", 1575, 2714, 42),
-		"large":  gen("large (scaled)", 1655, 4634, 43),
+	return nil, fmt.Errorf("harness: unknown size %q: want small, medium or large", name)
+}
+
+// Sizes returns the paper's three problem sizes, or proportionally
+// reduced versions when scale < 1 (for fast test and bench runs; the
+// model and all qualitative results are size-stable).  A caller that
+// needs one size asks Size for it and generates only that one.
+func Sizes(scale float64) map[string]*molecule.System {
+	set := make(map[string]*molecule.System, len(paperSizes))
+	for _, p := range paperSizes {
+		set[p.name], _ = Size(p.name, scale) // a name from the table is known
 	}
+	return set
 }
 
 // NoCutoff is the paper's ineffective 60 A cut-off; on the ~50 A boxes it

@@ -26,7 +26,8 @@ func fingerprint(s *molecule.System) string {
 }
 
 // TestSizesGolden pins the scaled systems the scenario corpus (scale
-// 0.02) and the run-schema tests (0.05) build on, bit for bit.
+// 0.02) and the run-schema tests (0.05) build on, bit for bit, and holds
+// the single-size constructor to the same systems.
 func TestSizesGolden(t *testing.T) {
 	golden := []struct {
 		scale float64
@@ -47,8 +48,29 @@ func TestSizesGolden(t *testing.T) {
 			"n=125 solute=33 box=402f054d3ce61198 bonds=32 angles=31 dihedrals=30 impropers=8 pos=6254aa064f18cf1d"},
 	}
 	for _, g := range golden {
-		if got := fingerprint(Sizes(g.scale)[g.size]); got != g.want {
+		set := Sizes(g.scale)[g.size]
+		if got := fingerprint(set); got != g.want {
 			t.Errorf("Sizes(%g)[%q]:\n got %s\nwant %s", g.scale, g.size, got, g.want)
 		}
+		one, err := Size(g.size, g.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Name != set.Name || fingerprint(one) != fingerprint(set) {
+			t.Errorf("Size(%q, %g) = %s %s, Sizes has %s %s", g.size, g.scale,
+				one.Name, fingerprint(one), set.Name, fingerprint(set))
+		}
+	}
+	for _, size := range []string{"small", "medium", "large"} {
+		one, err := Size(size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full := Sizes(1)[size]; one.Name != full.Name || fingerprint(one) != fingerprint(full) {
+			t.Errorf("Size(%q, 1) is not Sizes(1)[%q]", size, size)
+		}
+	}
+	if _, err := Size("huge", 1); err == nil {
+		t.Error("Size accepted an unknown name")
 	}
 }

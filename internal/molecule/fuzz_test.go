@@ -10,10 +10,14 @@ import (
 // into a valid system or fail with an error, never panic; accepted input
 // must survive a write/read round trip.
 func FuzzRead(f *testing.F) {
-	var buf bytes.Buffer
-	TestComplex(4, 5, 1).Write(&buf)
-	f.Add(buf.String())
-	f.Add("")
+	for _, c := range [][3]int{{4, 5, 1}, {2, 4, 9}, {12, 18, 77}, {0, 3, 2}} {
+		var buf bytes.Buffer
+		TestComplex(c[0], c[1], int64(c[2])).Write(&buf)
+		f.Add(buf.String())
+	}
+	for _, c := range corruptInputs() {
+		f.Add(c.src)
+	}
 	f.Add("name x\nbox 10\natoms 0 0\nbonds 0\nangles 0\ndihedrals 0\nimpropers 0\n")
 	f.Add("name x\nbox nan\n")
 	f.Add("# only a comment")

@@ -151,11 +151,9 @@ func Read(r io.Reader) (*System, error) {
 		return nil, errf("bad atom counts")
 	}
 	s.N, s.NSolute = n, ns
-	s.Kind = make([]Kind, n)
-	s.Type = make([]int, n)
-	s.Pos = make([]float64, 3*n)
-	s.Charge = make([]float64, n)
-	s.Mass = make([]float64, n)
+	// The header's count is not trusted to size anything: atoms are
+	// appended as their lines arrive, so a lying header ends in an
+	// unexpected end of file, not in an allocation it asked for.
 	for i := 0; i < n; i++ {
 		if f, err = next(); err != nil {
 			return nil, err
@@ -167,21 +165,21 @@ func Read(r io.Reader) (*System, error) {
 		if err != nil || (kind != int(Solute) && kind != int(Water)) {
 			return nil, errf("bad kind %q", f[0])
 		}
-		s.Kind[i] = Kind(kind)
-		if s.Type[i], err = strconv.Atoi(f[1]); err != nil || s.Type[i] < 0 || s.Type[i] >= NumTypes {
+		typ, err := strconv.Atoi(f[1])
+		if err != nil || typ < 0 || typ >= NumTypes {
 			return nil, errf("bad type %q", f[1])
 		}
-		for d := 0; d < 3; d++ {
-			if s.Pos[3*i+d], err = strconv.ParseFloat(f[2+d], 64); err != nil {
-				return nil, errf("bad coordinate: %v", err)
+		var v [5]float64 // x, y, z, charge, mass
+		for d, what := range [5]string{"coordinate", "coordinate", "coordinate", "charge", "mass"} {
+			if v[d], err = strconv.ParseFloat(f[2+d], 64); err != nil {
+				return nil, errf("bad %s: %v", what, err)
 			}
 		}
-		if s.Charge[i], err = strconv.ParseFloat(f[5], 64); err != nil {
-			return nil, errf("bad charge: %v", err)
-		}
-		if s.Mass[i], err = strconv.ParseFloat(f[6], 64); err != nil {
-			return nil, errf("bad mass: %v", err)
-		}
+		s.Kind = append(s.Kind, Kind(kind))
+		s.Type = append(s.Type, typ)
+		s.Pos = append(s.Pos, v[0], v[1], v[2])
+		s.Charge = append(s.Charge, v[3])
+		s.Mass = append(s.Mass, v[4])
 	}
 	// bonded sections
 	readCount := func(key string) (int, error) {

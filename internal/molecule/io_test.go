@@ -57,33 +57,32 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 }
 
-func TestReadRejectsCorruption(t *testing.T) {
+// corruptInputs are malformed complex files Read must reject, each a
+// small edit of a valid one.
+func corruptInputs() []struct{ name, src string } {
 	s := TestComplex(4, 4, 3)
 	var buf bytes.Buffer
 	s.Write(&buf)
 	good := buf.String()
-	cases := []struct {
-		name   string
-		mutate func(string) string
-	}{
-		{"empty", func(string) string { return "" }},
-		{"no name", func(g string) string { return strings.Replace(g, "name", "nom", 1) }},
-		{"bad box", func(g string) string { return strings.Replace(g, "box ", "box x", 1) }},
-		{"truncated atoms", func(g string) string {
-			lines := strings.Split(g, "\n")
-			return strings.Join(lines[:5], "\n")
-		}},
-		{"bad kind", func(g string) string {
-			lines := strings.Split(g, "\n")
-			lines[4] = "9 " + strings.SplitN(lines[4], " ", 2)[1]
-			return strings.Join(lines, "\n")
-		}},
-		{"bad bond index", func(g string) string {
-			return strings.Replace(g, "bonds 3", "bonds 3\n0 999 1 1", 1)
-		}},
+	lines := func() []string { return strings.Split(good, "\n") }
+	badKind := lines()
+	badKind[4] = "9 " + strings.SplitN(badKind[4], " ", 2)[1]
+	return []struct{ name, src string }{
+		{"empty", ""},
+		{"no name", strings.Replace(good, "name", "nom", 1)},
+		{"bad box", strings.Replace(good, "box ", "box x", 1)},
+		{"truncated atoms", strings.Join(lines()[:5], "\n")},
+		{"bad kind", strings.Join(badKind, "\n")},
+		{"bad bond index", strings.Replace(good, "bonds 3", "bonds 3\n0 999 1 1", 1)},
+		// The header alone asks for 10^14 atoms: Read must hit the end of
+		// the file, not allocate what the header claims.
+		{"huge atom count", "name x\nbox 10\natoms 100000000000000 0\n"},
 	}
-	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c.mutate(good))); err == nil {
+}
+
+func TestReadRejectsCorruption(t *testing.T) {
+	for _, c := range corruptInputs() {
+		if _, err := Read(strings.NewReader(c.src)); err == nil {
 			t.Errorf("%s: corruption accepted", c.name)
 		}
 	}

@@ -228,8 +228,8 @@ func Generate(cfg Config) *System {
 	box := math.Cbrt(float64(n) / cfg.DensityPerA3)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	sol := genChain(rng, cfg.SoluteAtoms, box)
-	wat := genWaters(rng, cfg.Waters, box, sol)
+	sol, placed := genChain(rng, cfg.SoluteAtoms, box)
+	wat := genWaters(rng, cfg.Waters, box, &placed)
 
 	s := &System{
 		Name:    cfg.Name,
@@ -295,14 +295,97 @@ func Generate(cfg Config) *System {
 // internal).
 func (s *System) N0() int { return len(s.Kind) }
 
+// clashCell is the smallest side, in Angstrom, of a clashGrid cell.  It
+// lies above both clash radii (1.6 A along the chain, 1.5 A for waters)
+// with room to spare for rounding in a cell index, so every atom closer
+// than a clash radius to a point lies in the 27 cells around the point's.
+const clashCell = 1.7
+
+// clashGrid buckets the atoms placed so far in a cell linked list over
+// the box: head holds each cell's most recently inserted atom and next
+// the atom inserted into the same cell before it, -1 ending both.
+// Atoms outside the box fall into its border cells, which keeps the
+// 27-cell neighbourhood complete.
+type clashGrid struct {
+	pos  []float64 // flat [3n] coordinates the indices refer to
+	nc   int       // cells per side
+	inv  float64   // cells per Angstrom
+	head []int32
+	next []int32
+}
+
+func newClashGrid(box float64, pos []float64) clashGrid {
+	nc := max(1, int(box/clashCell))
+	g := clashGrid{
+		pos:  pos,
+		nc:   nc,
+		inv:  float64(nc) / box,
+		head: make([]int32, nc*nc*nc),
+		next: make([]int32, len(pos)/3),
+	}
+	for c := range g.head {
+		g.head[c] = -1
+	}
+	return g
+}
+
+// cell maps one coordinate to its cell index along an axis.
+func (g *clashGrid) cell(v float64) int {
+	return min(max(int(v*g.inv), 0), g.nc-1)
+}
+
+// insert adds atom i.
+func (g *clashGrid) insert(i int) {
+	c := (g.cell(g.pos[3*i])*g.nc+g.cell(g.pos[3*i+1]))*g.nc + g.cell(g.pos[3*i+2])
+	g.next[i] = g.head[c]
+	g.head[c] = int32(i)
+}
+
+// minDist2 returns the smallest squared distance from (x, y, z) to an
+// inserted atom in the 27 cells around the point's, +Inf when there is
+// none, returning early once a distance falls below stop.  Below the
+// clash radius the answer is exact: every atom that close lies in those
+// cells, and the distance is the same expression over the same operands
+// an all-pairs scan evaluates.  Above it the answer is only known to be
+// above it — and no generator decision depends on more than that.
+func (g *clashGrid) minDist2(x, y, z, stop float64) float64 {
+	best := math.Inf(1)
+	cx, cy, cz := g.cell(x), g.cell(y), g.cell(z)
+	for ix := max(cx-1, 0); ix <= min(cx+1, g.nc-1); ix++ {
+		for iy := max(cy-1, 0); iy <= min(cy+1, g.nc-1); iy++ {
+			for iz := max(cz-1, 0); iz <= min(cz+1, g.nc-1); iz++ {
+				for j := g.head[(ix*g.nc+iy)*g.nc+iz]; j >= 0; j = g.next[j] {
+					dx := x - g.pos[3*j]
+					dy := y - g.pos[3*j+1]
+					dz := z - g.pos[3*j+2]
+					if d := dx*dx + dy*dy + dz*dz; d < best {
+						best = d
+						if best < stop {
+							return best
+						}
+					}
+				}
+			}
+		}
+	}
+	return best
+}
+
 // genChain lays a self-avoiding polymer chain with 1.5 A bonds inside a
 // sphere of radius box/3 around the box center: candidate steps that come
 // within 1.6 A of an earlier (non-bonded) atom are rejected, and among
-// failed tries the best candidate wins so the generator never stalls.
-func genChain(rng *rand.Rand, n int, box float64) []float64 {
+// failed tries the best candidate wins so the generator never stalls.  It
+// returns the chain with every atom in a clashGrid.
+//
+// A candidate's clearance decides the outcome only while it is below
+// 1.6 A: a first clearance at or above it wins and ends the tries, and it
+// beats every earlier candidate's, which were all below.  So the grid's
+// neighbourhood minimum picks exactly the atoms an all-pairs scan would.
+func genChain(rng *rand.Rand, n int, box float64) ([]float64, clashGrid) {
 	pos := make([]float64, 3*n)
+	grid := newClashGrid(box, pos)
 	if n == 0 {
-		return pos
+		return pos, grid
 	}
 	cx := box / 2
 	r := box / 3
@@ -310,18 +393,6 @@ func genChain(rng *rand.Rand, n int, box float64) []float64 {
 	pos[0], pos[1], pos[2] = x, y, z
 	const bond = 1.5
 	const minD2 = 1.6 * 1.6
-	minDist2To := func(px, py, pz float64, upto int) float64 {
-		best := math.Inf(1)
-		for j := 0; j < upto; j++ {
-			dx := px - pos[3*j]
-			dy := py - pos[3*j+1]
-			dz := pz - pos[3*j+2]
-			if d := dx*dx + dy*dy + dz*dz; d < best {
-				best = d
-			}
-		}
-		return best
-	}
 	for i := 1; i < n; i++ {
 		bestX, bestY, bestZ := x, y, z
 		bestClearance := -1.0
@@ -335,8 +406,9 @@ func genChain(rng *rand.Rand, n int, box float64) []float64 {
 			if dx*dx+dy*dy+dz*dz > r*r {
 				continue // stay inside the globule
 			}
-			// Clearance against all atoms except the bonded predecessor.
-			clearance := minDist2To(nx, ny, nz, i-1)
+			// Clearance against all atoms except the bonded predecessor,
+			// which enters the grid only once atom i is placed.
+			clearance := grid.minDist2(nx, ny, nz, 0)
 			if clearance > bestClearance {
 				bestClearance, bestX, bestY, bestZ = clearance, nx, ny, nz
 			}
@@ -346,13 +418,15 @@ func genChain(rng *rand.Rand, n int, box float64) []float64 {
 		}
 		x, y, z = bestX, bestY, bestZ
 		pos[3*i], pos[3*i+1], pos[3*i+2] = x, y, z
+		grid.insert(i - 1)
 	}
-	return pos
+	grid.insert(n - 1)
+	return pos, grid
 }
 
 // genWaters fills the box with jittered-lattice waters, skipping sites
-// within 1.2 A of a solute atom.
-func genWaters(rng *rand.Rand, n int, box float64, sol []float64) []float64 {
+// within 1.5 A of a solute atom in sol.
+func genWaters(rng *rand.Rand, n int, box float64, sol *clashGrid) []float64 {
 	pos := make([]float64, 0, 3*n)
 	if n == 0 {
 		return pos
@@ -372,15 +446,7 @@ outer:
 				x := (float64(ix) + 0.35 + 0.3*rng.Float64()) * h
 				y := (float64(iy) + 0.35 + 0.3*rng.Float64()) * h
 				z := (float64(iz) + 0.35 + 0.3*rng.Float64()) * h
-				ok := true
-				for j := 0; j+2 < len(sol); j += 3 {
-					dx, dy, dz := x-sol[j], y-sol[j+1], z-sol[j+2]
-					if dx*dx+dy*dy+dz*dz < minD2 {
-						ok = false
-						break
-					}
-				}
-				if ok {
+				if sol.minDist2(x, y, z, minD2) >= minD2 {
 					pos = append(pos, x, y, z)
 				}
 			}

@@ -85,8 +85,11 @@ func (s *Spec) compile(sweep int) (*plan, error) {
 	}
 	sort.Slice(p.windows, func(i, j int) bool { return p.windows[i].Start < p.windows[j].Start })
 
-	var err error
-	if p.base, err = cfg.RunSpec(harness.Sizes(s.Fleet.Scale)[s.Fleet.Size]); err != nil {
+	sys, err := harness.Size(s.Fleet.Size, s.Fleet.Scale)
+	if err == nil {
+		p.base, err = cfg.RunSpec(sys)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return p, nil
