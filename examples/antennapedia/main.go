@@ -21,7 +21,10 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "problem scale (1 = the paper's 4289 mass centers)")
 	flag.Parse()
 
-	sys := harness.Sizes(*scale)["medium"]
+	sys, err := harness.Size("medium", *scale)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%s: %d mass centers, gamma %.3f, box %.1f A\n\n", sys.Name, sys.N, sys.Gamma(), sys.Box)
 
 	panel, err := harness.MeasureBreakdownPanel(

@@ -76,9 +76,9 @@ func TestGeneratorGolden(t *testing.T) {
 	}
 }
 
-// refGenChain is genChain as it was before its clash check went through a
-// cell list: every candidate is compared with every earlier atom.  It is
-// the reference the cell-list generator must match bit for bit.
+// refGenChain is genChain with the all-pairs clash check: every
+// candidate is compared with every earlier atom.  It is the reference the
+// cell-list generator must match bit for bit.
 func refGenChain(rng *rand.Rand, n int, box float64) []float64 {
 	pos := make([]float64, 3*n)
 	if n == 0 {
@@ -197,8 +197,8 @@ func refPositions(cfg Config) []float64 {
 
 // TestGenerateMatchesReference draws random complexes — 2-400 solute
 // atoms, 4-800 waters, both layouts, a third of them at a non-default
-// density — and requires Generate to place every atom on the reference
-// generator's coordinates, bit for bit.
+// density down to 0.001 per A^3 — and requires Generate to place every
+// atom on the reference generator's coordinates, bit for bit.
 func TestGenerateMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -208,8 +208,8 @@ func TestGenerateMatchesReference(t *testing.T) {
 			Seed:        r.Int63(),
 			Interleave:  seed%2 == 0,
 		}
-		if seed%3 == 0 {
-			cfg.DensityPerA3 = 0.01 + 0.05*r.Float64()
+		if seed%3 == 0 { // sparse boxes reach the grid's cells-per-atom cap
+			cfg.DensityPerA3 = 0.001 + 0.05*r.Float64()
 		}
 		got, want := Generate(cfg).Pos, refPositions(cfg)
 		if len(got) != len(want) {

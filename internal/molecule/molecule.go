@@ -305,7 +305,8 @@ const clashCell = 1.7
 // the box: head holds each cell's most recently inserted atom and next
 // the atom inserted into the same cell before it, -1 ending both.
 // Atoms outside the box fall into its border cells, which keeps the
-// 27-cell neighbourhood complete.
+// 27-cell neighbourhood complete.  A sparse box gets wider cells, at most
+// 64 per atom, so head never outgrows the atoms it indexes.
 type clashGrid struct {
 	pos  []float64 // flat [3n] coordinates the indices refer to
 	nc   int       // cells per side
@@ -315,7 +316,7 @@ type clashGrid struct {
 }
 
 func newClashGrid(box float64, pos []float64) clashGrid {
-	nc := max(1, int(box/clashCell))
+	nc := max(1, min(int(box/clashCell), int(math.Cbrt(64*float64(len(pos)/3)))))
 	g := clashGrid{
 		pos:  pos,
 		nc:   nc,
