@@ -346,37 +346,44 @@ func orOne(v int) int {
 	return v
 }
 
-// paperSizes are the paper's three problem sizes: each complex's solute
+// paperSize is one of the paper's problem sizes: its complex's solute
 // atoms, waters and generator seed, and its full-scale constructor.
-var paperSizes = []struct {
+type paperSize struct {
 	name          string
 	atoms, waters int
 	seed          int64
 	full          func() *molecule.System
-}{
+}
+
+var paperSizes = []paperSize{
 	{"small", 460, 840, 44, molecule.SmallComplex},
 	{"medium", 1575, 2714, 42, molecule.Antennapedia},
 	{"large", 1655, 4634, 43, molecule.LFB},
 }
 
+// at generates the complex at scale: the paper's own at scale >= 1, a
+// proportionally reduced one below (at least 8 solute atoms and 8
+// waters).
+func (p paperSize) at(scale float64) *molecule.System {
+	if scale >= 1 {
+		return p.full()
+	}
+	return molecule.Generate(molecule.Config{
+		Name:        p.name + " (scaled)",
+		SoluteAtoms: max(int(float64(p.atoms)*scale), 8),
+		Waters:      max(int(float64(p.waters)*scale), 8),
+		Seed:        p.seed, Interleave: true,
+	})
+}
+
 // Size returns one of the paper's problem sizes — "small", "medium" or
-// "large" — generating that complex alone: the paper's own at scale >= 1,
-// a proportionally reduced one below (at least 8 solute atoms and 8
-// waters), the same system Sizes(scale)[name] holds.
+// "large" — at scale, generating that complex alone: the same system
+// Sizes(scale)[name] holds.
 func Size(name string, scale float64) (*molecule.System, error) {
 	for _, p := range paperSizes {
-		if p.name != name {
-			continue
+		if p.name == name {
+			return p.at(scale), nil
 		}
-		if scale >= 1 {
-			return p.full(), nil
-		}
-		return molecule.Generate(molecule.Config{
-			Name:        name + " (scaled)",
-			SoluteAtoms: max(int(float64(p.atoms)*scale), 8),
-			Waters:      max(int(float64(p.waters)*scale), 8),
-			Seed:        p.seed, Interleave: true,
-		}), nil
 	}
 	return nil, fmt.Errorf("harness: unknown size %q: want small, medium or large", name)
 }
@@ -388,7 +395,7 @@ func Size(name string, scale float64) (*molecule.System, error) {
 func Sizes(scale float64) map[string]*molecule.System {
 	set := make(map[string]*molecule.System, len(paperSizes))
 	for _, p := range paperSizes {
-		set[p.name], _ = Size(p.name, scale) // a name from the table is known
+		set[p.name] = p.at(scale)
 	}
 	return set
 }
