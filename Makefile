@@ -83,7 +83,7 @@ check:
 	$(MAKE) stubs-check
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/pairlist ./internal/forcefield ./internal/molecule
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/pairlist ./internal/forcefield ./internal/molecule ./internal/vm ./internal/trace
 	$(MAKE) scenarios
 	$(MAKE) service-chaos
 	$(MAKE) opald-smoke

@@ -31,26 +31,25 @@ type PredictResponse struct {
 // predictor serves model predictions from memoized platform tables.  The
 // expensive pieces — generating the molecular system and extracting the
 // machine parameters from the platform's key data — are computed once
-// per (size, scale) and (platform, size, scale) respectively; a request
-// after warm-up is pure closed-form arithmetic (~µs).
+// per (size, scale) and (platform, size, scale) respectively, the most
+// recent maxCacheKeys of each kept; a request after warm-up is pure
+// closed-form arithmetic (~µs).
 type predictor struct {
 	systems *systemCache
 
 	mu       sync.Mutex
-	machines map[string]core.Machine
+	machines fifoMap[string, core.Machine]
 }
 
-func newPredictor(systems *systemCache) *predictor {
-	return &predictor{systems: systems, machines: map[string]core.Machine{}}
-}
+func newPredictor(systems *systemCache) *predictor { return &predictor{systems: systems} }
 
 func (p *predictor) machine(pl *platform.Platform, key string, gamma float64) core.Machine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	m, ok := p.machines[key]
+	m, ok := p.machines.get(key)
 	if !ok {
 		m = core.MachineFor(pl, gamma)
-		p.machines[key] = m
+		p.machines.put(key, m)
 	}
 	return m
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,10 +161,17 @@ func TestRestartDoesNotRestoreFailures(t *testing.T) {
 	}
 }
 
+// perTenantRuns numbers the invocations of TestPerTenantMetricsOnServer.
+var perTenantRuns atomic.Int64
+
 // Per-tenant SLO instruments appear on /metrics with the tenant label:
 // admitted/completed counters and the queue-wait histogram for the
 // tenants that ran, a shed counter for the tenant that was rate-limited.
+// The registry is process-global, so each invocation names its own
+// tenants and the exact counts hold under -count=N.
 func TestPerTenantMetricsOnServer(t *testing.T) {
+	run := perTenantRuns.Add(1)
+	tenantA, tenantB, tenantShed := fmt.Sprintf("tenant-a-%d", run), fmt.Sprintf("tenant-b-%d", run), fmt.Sprintf("tenant-shed-%d", run)
 	s := newTestServer(t, Config{
 		Workers: 2, QueueCap: 16,
 		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 16,
@@ -171,18 +179,18 @@ func TestPerTenantMetricsOnServer(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	submitAndWait(t, s, "tenant-a", JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 4, UpdateEvery: 2, Seed: 101})
-	submitAndWait(t, s, "tenant-b", JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 4, UpdateEvery: 2, Seed: 102})
+	submitAndWait(t, s, tenantA, JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 4, UpdateEvery: 2, Seed: 101})
+	submitAndWait(t, s, tenantB, JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 4, UpdateEvery: 2, Seed: 102})
 
 	// A near-zero-rate tenant gets the bucket's single initial token —
 	// spent on a submission that coalesces onto tenant-a's cached result —
 	// and the next submission is rate-limited and shed.
 	s.runQ = newQuotas(1e-9, 1, 0, nil)
 	specA := JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 4, UpdateEvery: 2, Seed: 101}
-	if _, coalesced, err := s.Submit("tenant-shed", specA); err != nil || !coalesced {
+	if _, coalesced, err := s.Submit(tenantShed, specA); err != nil || !coalesced {
 		t.Fatalf("first tenant-shed submission: coalesced=%v err=%v", coalesced, err)
 	}
-	if _, _, err := s.Submit("tenant-shed", specA); err == nil {
+	if _, _, err := s.Submit(tenantShed, specA); err == nil {
 		t.Fatal("rate-exhausted tenant was admitted")
 	}
 
@@ -193,14 +201,14 @@ func TestPerTenantMetricsOnServer(t *testing.T) {
 	defer resp.Body.Close()
 	body := readAll(t, resp)
 	for _, want := range []string{
-		`opal_ctl_tenant_admitted_total{tenant="tenant-a"} 1`,
-		`opal_ctl_tenant_admitted_total{tenant="tenant-b"} 1`,
-		`opal_ctl_tenant_completed_total{tenant="tenant-a"} 1`,
-		`opal_ctl_tenant_completed_total{tenant="tenant-b"} 1`,
-		`opal_ctl_tenant_shed_total{tenant="tenant-shed"} 1`,
-		`opal_ctl_queue_wait_seconds_count{tenant="tenant-a"} 1`,
-		`opal_ctl_queue_wait_seconds_bucket{tenant="tenant-a",le="+Inf"} 1`,
-		`opal_ctl_tenant_job_seconds_count{tenant="tenant-b"} 1`,
+		`opal_ctl_tenant_admitted_total{tenant="` + tenantA + `"} 1`,
+		`opal_ctl_tenant_admitted_total{tenant="` + tenantB + `"} 1`,
+		`opal_ctl_tenant_completed_total{tenant="` + tenantA + `"} 1`,
+		`opal_ctl_tenant_completed_total{tenant="` + tenantB + `"} 1`,
+		`opal_ctl_tenant_shed_total{tenant="` + tenantShed + `"} 1`,
+		`opal_ctl_queue_wait_seconds_count{tenant="` + tenantA + `"} 1`,
+		`opal_ctl_queue_wait_seconds_bucket{tenant="` + tenantA + `",le="+Inf"} 1`,
+		`opal_ctl_tenant_job_seconds_count{tenant="` + tenantB + `"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -124,15 +124,16 @@ func (s JobSpec) Hash() string {
 // systemCache memoizes generated molecular systems, one entry per (size,
 // scale), each filled once and outside the cache's lock: a never-seen key
 // generates only the complex it names, its concurrent askers wait on that
-// entry alone, and requests for warm keys pass straight through.
-// Canonical specs share systems freely because runs never mutate their
-// input system.
+// entry alone, and requests for warm keys pass straight through.  At most
+// maxCacheKeys entries are kept; an evicted entry still being generated
+// serves the askers already waiting on it.  Canonical specs share systems
+// freely because runs never mutate their input system.
 type systemCache struct {
 	// gen generates one entry's system; harness.Size outside tests.
 	gen func(size string, scale float64) (*molecule.System, error)
 
 	mu      sync.Mutex
-	entries map[systemKey]func() (*molecule.System, error)
+	entries fifoMap[systemKey, func() (*molecule.System, error)]
 }
 
 type systemKey struct {
@@ -140,20 +141,48 @@ type systemKey struct {
 	scale float64
 }
 
-func newSystemCache() *systemCache {
-	return &systemCache{gen: harness.Size, entries: map[systemKey]func() (*molecule.System, error){}}
-}
+func newSystemCache() *systemCache { return &systemCache{gen: harness.Size} }
 
 func (c *systemCache) get(size string, scale float64) (*molecule.System, error) {
 	k := systemKey{size, scale}
 	c.mu.Lock()
-	entry := c.entries[k]
-	if entry == nil {
+	entry, ok := c.entries.get(k)
+	if !ok {
 		entry = sync.OnceValues(func() (*molecule.System, error) { return c.gen(size, scale) })
-		c.entries[k] = entry
+		c.entries.put(k, entry)
 	}
 	c.mu.Unlock()
 	return entry()
+}
+
+// maxCacheKeys bounds the system and machine caches.  Every distinct scale
+// a client names is a key, so without a bound any tenant could grow the
+// daemon's heap for its whole life (~145 KB a key).
+const maxCacheKeys = 64
+
+// fifoMap is a map of at most maxCacheKeys keys that drops the oldest
+// inserted to make room.  Its owner holds the lock.
+type fifoMap[K comparable, V any] struct {
+	m     map[K]V
+	order []K // insertion order, oldest first
+}
+
+func (f *fifoMap[K, V]) get(k K) (V, bool) {
+	v, ok := f.m[k]
+	return v, ok
+}
+
+// put inserts a key the map does not hold.
+func (f *fifoMap[K, V]) put(k K, v V) {
+	if f.m == nil {
+		f.m = map[K]V{}
+	}
+	if len(f.order) == maxCacheKeys {
+		delete(f.m, f.order[0])
+		f.order = append(f.order[:0], f.order[1:]...)
+	}
+	f.order = append(f.order, k)
+	f.m[k] = v
 }
 
 // runSpec compiles a canonical JobSpec onto the harness, sharing systems

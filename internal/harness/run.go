@@ -62,10 +62,11 @@ type RunSpec struct {
 	// Recorder, when non-nil, is the run's trace recorder: pass
 	// trace.NewRecorder() to read the run's intervals afterwards (timeline,
 	// Chrome export, middleware metrics, totals over other windows).  When
-	// nil, the run records into a window recorder, which sums the
-	// measurement window as it goes and keeps no intervals — or, with an
-	// Oracle armed, which reads windows mid-run, into a keeping one.  Like
-	// every hook, it is not part of SpecHashOf.
+	// nil, the run is traced only if an Oracle (which reads windows
+	// mid-run) or the Scope's comm matrix (which books every segment into
+	// its rank profile) needs it; the Breakdown never does, the kernel sums
+	// the measurement window.  Like every hook, it is not part of
+	// SpecHashOf.
 	Recorder *trace.Recorder
 	// Scope, when non-nil, is the run's telemetry: the ID its journal
 	// lines and archived summary carry, the health its supervisor and
@@ -96,9 +97,9 @@ type RunOutcome struct {
 	// Wall is the virtual time of the simulation steps (excluding the
 	// amortized initialization, as in the paper's measurements).
 	Wall float64
-	// Recorder is the run's recorder: RunSpec.Recorder with its full
-	// classified timelines when one was passed, else one that answers the
-	// run's own window (Breakdown) and keeps no intervals.
+	// Recorder is the run's recorder, never nil: RunSpec.Recorder with its
+	// full classified timelines when one was passed, the one an oracle or
+	// comm matrix needed, else an empty one.
 	Recorder *trace.Recorder
 	// FaultStats counts the faults injected during the run (zero value
 	// when RunSpec.Faults was nil).
@@ -109,18 +110,14 @@ type RunOutcome struct {
 // Timing starts after server initialization, matching the paper's
 // measurement of the simulation phase.
 func Run(spec RunSpec) (RunOutcome, error) {
-	rec := spec.Recorder
-	if rec == nil && spec.Oracle != nil {
-		rec = trace.NewRecorder() // the oracle reads windows mid-run
-	} else if rec == nil {
-		rec = trace.NewWindowRecorder()
-	}
 	sc := spec.Scope
 	if sc == nil {
 		sc = &telemetry.Scope{ID: telemetry.Run()}
 		spec.Scope = sc
 	}
+	rec := tracerOf(spec)
 	sim := pvm.NewSimVM(spec.Platform, rec)
+	sim.Kernel.HoldWindow()
 	sim.SetScope(sc)
 	sc.Emit("run_start", telemetry.F{
 		"platform": spec.Platform.Name, "system": spec.Sys.Name,
@@ -196,6 +193,9 @@ func Run(spec RunSpec) (RunOutcome, error) {
 		return RunOutcome{}, runErr
 	}
 	out := RunOutcome{Result: res, Wall: res.StepSeconds, Recorder: rec}
+	if rec == nil {
+		out.Recorder = trace.NewRecorder()
+	}
 	if spec.Oracle != nil {
 		spec.Oracle.Finish(res.EndSeconds)
 	}
@@ -207,17 +207,31 @@ func Run(spec RunSpec) (RunOutcome, error) {
 	if plan != nil {
 		out.FaultStats = plan.Stats()
 	}
-	// Aggregate only the simulation window, excluding the amortized
-	// initialization and the shutdown handshake: the window the engine
-	// reported, which the recorder summed as it recorded.
-	out.Breakdown = trace.ComputeBreakdownBetween(rec, 0, res.ServerTIDs,
-		res.StartSeconds, res.EndSeconds, out.Wall)
+	out.Breakdown = windowBreakdown(sim, res, out.Wall)
 	if spec.Archive != nil {
 		// Summary loss must not fail a completed run: the physics are
 		// done, the warehouse can be refilled by the next run.
 		_ = spec.Archive.Put(summaryOf(spec, out))
 	}
 	return out, nil
+}
+
+// tracerOf returns the recorder a run's kernel traces into: the spec's
+// own, a fresh one when an oracle or the scope's comm matrix reads the
+// segments, else nil — an untraced run.
+func tracerOf(spec RunSpec) *trace.Recorder {
+	if spec.Recorder == nil && (spec.Oracle != nil || spec.Scope != nil && spec.Scope.Matrix != nil) {
+		return trace.NewRecorder()
+	}
+	return spec.Recorder
+}
+
+// windowBreakdown aggregates the simulation window of a run on sim —
+// excluding the amortized initialization and the shutdown handshake, the
+// window the engine reported — from the totals its kernel summed.
+func windowBreakdown(sim *pvm.SimVM, res *md.Result, wall float64) trace.Breakdown {
+	tot := sim.Kernel.WindowTotals(append([]int{0}, res.ServerTIDs...)...)
+	return trace.BreakdownOf(tot[0], tot[1:], wall)
 }
 
 // summaryOf distills a run outcome into its archive digest, named by the

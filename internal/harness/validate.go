@@ -98,8 +98,8 @@ func ValidationTable(cases []ValidationCase) *report.Table {
 // servers.
 func ClusterRun(spec platform.ClusterSpec, sys *molecule.System, opts md.Options,
 	servers, steps int) (RunOutcome, error) {
-	rec := trace.NewWindowRecorder()
-	sim := pvm.NewSimVMComm(spec.Base, spec.Comm, rec)
+	sim := pvm.NewSimVMComm(spec.Base, spec.Comm, nil)
+	sim.Kernel.HoldWindow()
 	var res *md.Result
 	var runErr error
 	sim.SpawnRoot("opal-client", func(t pvm.Task) {
@@ -111,9 +111,8 @@ func ClusterRun(spec platform.ClusterSpec, sys *molecule.System, opts md.Options
 	if runErr != nil {
 		return RunOutcome{}, runErr
 	}
-	out := RunOutcome{Result: res, Wall: res.StepSeconds, Recorder: rec}
-	out.Breakdown = trace.ComputeBreakdownBetween(rec, 0, res.ServerTIDs,
-		res.StartSeconds, res.EndSeconds, out.Wall)
+	out := RunOutcome{Result: res, Wall: res.StepSeconds, Recorder: trace.NewRecorder()}
+	out.Breakdown = windowBreakdown(sim, res, out.Wall)
 	return out, nil
 }
 

@@ -58,8 +58,8 @@ func (o observables) diff(ref observables) string {
 func observe(t *testing.T, procs int, sys *molecule.System, opts Options, faults *fault.Config, nservers, steps int) (observables, int) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	rec := trace.NewWindowRecorder()
-	s := pvm.NewSimVM(platform.J90(), rec)
+	s := pvm.NewSimVM(platform.J90(), nil)
+	s.Kernel.HoldWindow()
 	matrix := new(telemetry.Matrix)
 	s.SetScope(&telemetry.Scope{Matrix: matrix})
 	var plan *fault.Plan
@@ -93,7 +93,7 @@ func observe(t *testing.T, procs int, sys *molecule.System, opts Options, faults
 		o.add(fmt.Sprintf("proc %d bytes sent", id), float64(st.BytesSent))
 		o.add(fmt.Sprintf("proc %d msgs recv", id), float64(st.MsgsRecv))
 		o.add(fmt.Sprintf("proc %d bytes recv", id), float64(st.BytesRecv))
-		for k, v := range rec.TotalsBetween(id, res.StartSeconds, res.EndSeconds) {
+		for k, v := range s.Kernel.WindowTotals(id)[0] {
 			o.add(fmt.Sprintf("proc %d window[%v]", id, vm.SegKind(k)), v)
 		}
 		for _, name := range []string{"update", "nbint", "reduce", "seq"} {
@@ -103,7 +103,8 @@ func observe(t *testing.T, procs int, sys *molecule.System, opts Options, faults
 			o.add(fmt.Sprintf("proc %d hpm %s seconds", id, name), c.Seconds)
 		}
 	}
-	b := trace.ComputeBreakdownBetween(rec, client, res.ServerTIDs, res.StartSeconds, res.EndSeconds, res.StepSeconds)
+	tot := s.Kernel.WindowTotals(append([]int{client}, res.ServerTIDs...)...)
+	b := trace.BreakdownOf(tot[0], tot[1:], res.StepSeconds)
 	for _, v := range []float64{b.Wall, b.ParComp, b.MaxParComp, b.MinParComp, b.SeqComp, b.Comm, b.Sync, b.Recovery, b.Idle} {
 		o.add("breakdown term", v)
 	}

@@ -215,7 +215,7 @@ type Result struct {
 	// StartSeconds and EndSeconds are the absolute client times bounding
 	// the simulation steps — the measurement window that excludes the
 	// start-up and the shutdown handshake.  The engines report it to the
-	// task's trace recorder as they reach each end (pvm.OpenWindow,
+	// task's kernel as they reach each end (pvm.OpenWindow,
 	// pvm.CloseWindow).
 	StartSeconds float64
 	EndSeconds   float64

@@ -33,7 +33,8 @@ type SimVM struct {
 }
 
 // NewSimVM creates a session for the given platform.  rec may be nil to
-// disable segment tracing (per-task totals remain available via vm stats).
+// disable segment tracing: the kernel's per-task Stats and its measurement
+// window (vm.Kernel.HoldWindow) need no recorder.
 func NewSimVM(pl *platform.Platform, rec *trace.Recorder) *SimVM {
 	return NewSimVMComm(pl, pl.CommModel(), rec)
 }
@@ -240,29 +241,30 @@ func (t *simTask) RecvTimeout(src, tag int, _ time.Duration) (*Buffer, int, int,
 }
 
 // ReportRecovery attributes [start, end] — e.g. the client-side
-// re-initialization after a server death — to t's recorded timeline as
-// recovery (vm.SegRecovery).  A no-op on a task that is not a simulated
-// one (another fabric's, or one behind a wrapper) or records no timeline.
+// re-initialization after a server death — to t as recovery
+// (vm.SegRecovery), in its kernel's measurement window and on the
+// session's recorder (vm.Proc.Attribute).  A no-op on a task that is not a
+// simulated one (another fabric's, or one behind a wrapper).
 func ReportRecovery(t Task, start, end float64) {
-	if st, ok := t.(*simTask); ok && st.vm.Recorder != nil && end > start {
-		st.vm.Recorder.Segment(st.TID(), st.Name(), vm.SegRecovery, start, end)
+	if st, ok := t.(*simTask); ok {
+		st.proc.Attribute(vm.SegRecovery, start, end)
 	}
 }
 
-// OpenWindow opens the run's measurement window at t0 on t's trace
-// recorder, which then sums the window as it records
-// (trace.Recorder.OpenWindow).  A no-op where ReportRecovery is one.
+// OpenWindow opens the run's measurement window at t0 on t's kernel, which
+// then sums the window as it books segments (vm.Kernel.OpenWindow) if it
+// was told to hold one.  A no-op where ReportRecovery is one.
 func OpenWindow(t Task, t0 float64) {
-	if st, ok := t.(*simTask); ok && st.vm.Recorder != nil {
-		st.vm.Recorder.OpenWindow(t0)
+	if st, ok := t.(*simTask); ok {
+		st.vm.Kernel.OpenWindow(t0)
 	}
 }
 
-// CloseWindow closes the measurement window at t1 on t's trace recorder.
-// A no-op where ReportRecovery is one.
+// CloseWindow closes the measurement window at t1 on t's kernel.  A no-op
+// where ReportRecovery is one.
 func CloseWindow(t Task, t1 float64) {
-	if st, ok := t.(*simTask); ok && st.vm.Recorder != nil {
-		st.vm.Recorder.CloseWindow(t1)
+	if st, ok := t.(*simTask); ok {
+		st.vm.Kernel.CloseWindow(t1)
 	}
 }
 

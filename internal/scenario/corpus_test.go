@@ -133,8 +133,8 @@ func TestRestartOfSelfHealingRunCorpus(t *testing.T) {
 }
 
 // TestCorpusWindowBreakdownMatchesChunkReduction runs every corpus
-// scenario's whole run (a restart event aside) twice — into the window
-// recorder harness.Run picks, and into a keeping recorder — and holds both
+// scenario's whole run (a restart event aside) twice — untraced, the
+// kernel summing the window, and into a keeping recorder — and holds both
 // breakdowns to the chunk reduction of the kept trace, bit for bit.  The
 // corpus brings the shapes the seed sweeps do not: fault windows opened
 // and closed from step hooks, heals mid-interval and at the fleet's edge,

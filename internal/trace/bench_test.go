@@ -18,8 +18,8 @@ func recordOp(r *Recorder, i int) {
 	r.Segment(p, procNames[p], vm.SegKind(i%vm.NumSegKinds), t, t+1e-3)
 }
 
-// BenchmarkRecorderSegment is the cost of one Segment call as a run pays
-// it: a fresh recorder per op, so the chunks' allocation is in the number,
+// BenchmarkRecorderSegment is the cost of one Segment call as a traced run
+// pays it: a fresh recorder per op, so the chunks' allocation is in the number,
 // amortised over the 4096 records each one holds.
 func BenchmarkRecorderSegment(b *testing.B) {
 	b.ReportAllocs()
@@ -35,7 +35,8 @@ func BenchmarkRecorderSegment(b *testing.B) {
 var sinkBreakdown Breakdown
 
 // BenchmarkComputeBreakdown reduces one op's trace to the paper's
-// breakdown over the measurement window, as harness.Run does once a run.
+// breakdown over the measurement window: the chunk reduction a caller of a
+// traced run pays to read a window from its recorder.
 func BenchmarkComputeBreakdown(b *testing.B) {
 	r := NewRecorder()
 	for i := 0; i < benchSegments; i++ {

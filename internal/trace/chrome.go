@@ -38,7 +38,6 @@ type chromeEvent struct {
 // ids fall back to the segment's recorded process name); all processes
 // share one trace pid so they stack as threads of one process group.
 func WriteChromeTrace(w io.Writer, r *Recorder, names map[int]string) error {
-	r.mustKeep()
 	bw := &errWriter{w: w}
 	io.WriteString(bw, `{"displayTimeUnit":"ms","traceEvents":[`)
 	first := true

@@ -53,7 +53,6 @@ type procIndex struct {
 }
 
 func buildProcIndex(r *Recorder, proc int) procIndex {
-	r.mustKeep()
 	var idx procIndex
 	for ci := 0; ci < r.segs.numChunks(); ci++ {
 		for _, s := range r.segs.filled(ci) {

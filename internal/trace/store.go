@@ -2,8 +2,7 @@ package trace
 
 // Storage of the recorder.  A fault-free comm-bound run records ~58 000
 // segments and 6 400 flows, so what one record costs to store is the cost
-// of tracing for a caller that keeps them (a window recorder stores only
-// what precedes its window).  Records therefore hold no pointers and live in
+// of tracing.  Records therefore hold no pointers and live in
 // fixed-length chunks: a chunk is allocated once, never re-copied when the
 // trace grows, sits in a span the garbage collector does not scan, and is
 // written without write barriers.  The strings of a Segment or Flow (the
@@ -83,42 +82,39 @@ const maxDenseProc = 1 << 12
 type denseTrack struct {
 	name string
 	id1  uint32
-	row  int
 }
 
-// trackOf interns (proc, name) and returns the track and the process's
-// row.  Every vm.Proc call site passes the process's own name, so the
-// process's latest track, indexed by its id, nearly always answers.
-func (r *Recorder) trackOf(proc int, name string) (id uint32, row int) {
+// trackOf interns (proc, name) and returns its track.  Every vm.Proc call
+// site passes the process's own name, so the process's latest track,
+// indexed by its id, nearly always answers.
+func (r *Recorder) trackOf(proc int, name string) uint32 {
 	if uint(proc) < uint(len(r.dense)) {
 		if e := &r.dense[proc]; e.id1 != 0 && e.name == name {
-			return e.id1 - 1, e.row
+			return e.id1 - 1
 		}
 	}
 	return r.trackSlow(proc, name)
 }
 
 // trackSlow is trackOf past the dense index: the map, then a new track.
-func (r *Recorder) trackSlow(proc int, name string) (uint32, int) {
+func (r *Recorder) trackSlow(proc int, name string) uint32 {
 	key := trackKey{proc, name}
 	id, ok := r.trackID[key]
 	if !ok {
 		id = r.addTrack(key)
 	}
-	row := r.tracks[id].row
 	if uint(proc) < maxDenseProc {
 		for len(r.dense) <= proc {
 			r.dense = append(r.dense, denseTrack{})
 		}
-		r.dense[proc] = denseTrack{name, id + 1, row}
+		r.dense[proc] = denseTrack{name, id + 1}
 	}
-	return id, row
+	return id
 }
 
 // addTrack appends a pair seen for the first time, and its process to the
-// set of processes seen if it is new too — the set that keeps Procs, the
-// window table and the per-process reduction independent of the trace
-// length.
+// set of processes seen if it is new too — the set that keeps Procs and
+// the per-process reduction independent of the trace length.
 func (r *Recorder) addTrack(key trackKey) uint32 {
 	if r.trackID == nil {
 		r.trackID = map[trackKey]uint32{}
@@ -129,7 +125,6 @@ func (r *Recorder) addTrack(key trackKey) uint32 {
 		row = len(r.procs)
 		r.procs = append(r.procs, key.proc)
 		r.procRow[key.proc] = row
-		r.win.addRow()
 	}
 	id := uint32(len(r.tracks))
 	r.tracks = append(r.tracks, track{key, row})

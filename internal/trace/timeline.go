@@ -33,7 +33,6 @@ func RenderTimeline(r *Recorder, names map[int]string, t0, t1 float64, width int
 	if t1 <= t0 {
 		return ""
 	}
-	r.mustKeep()
 	if len(r.procs) == 0 {
 		return ""
 	}

@@ -11,7 +11,6 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -42,27 +41,18 @@ type Flow struct {
 	Reply  float64
 }
 
-// Recorder implements vm.Tracer: it classifies the spans of one kernel's
-// processes and reduces them to per-process totals.  A recorder belongs to
-// one kernel and is written only by the process holding that kernel's
-// execution token, so it takes no lock; read it after the run, or from the
-// token holder (the model oracle's step hooks).
-//
-// It sums the run's measurement window as it records.  OpenWindow folds the
-// segments recorded so far into a per-(process, kind) table clipped to the
-// window's start, every later segment is clipped and added as it arrives,
-// and CloseWindow fixes the end (window.go).  Totals over exactly that
-// window read the table.  A recorder from NewRecorder also keeps every
-// segment and flow, in recording order in pointer-free chunks (store.go),
-// for the readers that need intervals: other windows, the timeline, the
-// Chrome export and the sampler.  One from
-// NewWindowRecorder drops them once its window opens.
+// Recorder implements vm.Tracer: it stores every classified span of one
+// kernel's processes and every RPC flow, in recording order in pointer-free
+// chunks (store.go), for the readers that need intervals: totals over any
+// window, the timeline, the Chrome export and the sampler.  A recorder
+// belongs to one kernel and is written only by the process holding that
+// kernel's execution token, so it takes no lock; read it after the run, or
+// from the token holder (the model oracle's step hooks).  A run's own
+// measurement window needs none: the kernel sums it
+// (vm.Kernel.WindowTotals).
 type Recorder struct {
-	keep  bool // retain segments and flows after the window opens
-	n     int  // segments recorded, retained or not
 	segs  chunked[segRec]
 	flows chunked[flowRec]
-	win   window
 
 	tracks  []track             // interned (proc, name) pairs, first-seen order
 	trackID map[trackKey]uint32 // (proc, name) → index into tracks
@@ -79,22 +69,8 @@ type Recorder struct {
 // matrix in (pvm.SimVM.SetScope).
 func (r *Recorder) SetMatrix(m *telemetry.Matrix) { r.matrix = m }
 
-// ErrIntervalsDropped is the panic of an interval reader — totals over a
-// window other than the recorder's own, the timeline, the Chrome export,
-// the sampler — called on a recorder from
-// NewWindowRecorder whose window has opened: the intervals it would read
-// were summed and dropped.
-var ErrIntervalsDropped = errors.New("trace: the recorder kept no intervals")
-
-// NewRecorder creates an empty recorder that keeps every segment and flow.
-func NewRecorder() *Recorder { return &Recorder{keep: true} }
-
-// NewWindowRecorder creates an empty recorder that keeps only the totals
-// of its measurement window: what it records before OpenWindow is kept
-// until then (to be folded), everything after is counted and summed but
-// not stored.  Segments and Flows then return nothing and every other
-// interval reader panics with ErrIntervalsDropped.
-func NewWindowRecorder() *Recorder { return &Recorder{} }
+// NewRecorder creates an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Segment implements vm.Tracer.
 func (r *Recorder) Segment(proc int, name string, kind vm.SegKind, start, end float64) {
@@ -104,36 +80,15 @@ func (r *Recorder) Segment(proc int, name string, kind vm.SegKind, start, end fl
 	if r.matrix != nil {
 		r.matrix.RankSegment(proc, int(kind), end-start)
 	}
-	r.n++
-	id, row := r.trackOf(proc, name)
-	if r.win.state != windowNone {
-		r.win.add(row, uint8(kind), start, end)
-		if !r.keep {
-			return
-		}
-	}
-	*r.segs.next() = segRec{start: start, end: end, track: id, kind: uint8(kind)}
+	*r.segs.next() = segRec{start: start, end: end, track: r.trackOf(proc, name), kind: uint8(kind)}
 }
 
-// Len returns the number of recorded segments, retained or not.
-func (r *Recorder) Len() int { return r.n }
+// Len returns the number of recorded segments.
+func (r *Recorder) Len() int { return r.segs.n }
 
-// dropped reports whether the recorder has stopped keeping intervals: a
-// window recorder whose window has opened.
-func (r *Recorder) dropped() bool { return !r.keep && r.win.state != windowNone }
-
-// mustKeep panics with ErrIntervalsDropped when the intervals are gone.
-func (r *Recorder) mustKeep() {
-	if r.dropped() {
-		panic(ErrIntervalsDropped)
-	}
-}
-
-// Segments returns a copy of the retained segments in recording order:
-// all of them, unless the recorder is a window recorder whose window has
-// opened.  The result is always non-nil: an empty recorder yields an
-// empty, non-nil slice, so callers can range, marshal and append without
-// a nil check.
+// Segments returns a copy of the recorded segments in recording order.
+// The result is always non-nil: an empty recorder yields an empty, non-nil
+// slice, so callers can range, marshal and append without a nil check.
 func (r *Recorder) Segments() []Segment {
 	out := make([]Segment, 0, r.segs.n)
 	for ci := 0; ci < r.segs.numChunks(); ci++ {
@@ -165,17 +120,15 @@ func (r *Recorder) procNames() (procs []int, names []string) {
 	return procs, names
 }
 
-// Reset discards all recorded segments, flows and the window while
-// retaining the chunks and the tables' capacity, so a recorder reused
-// across measurement windows (e.g. via md.Options.AfterInit) reaches a
-// steady state where recording allocates nothing.  The tracks go too,
+// Reset discards all recorded segments and flows while retaining the
+// chunks and the tables' capacity, so a recorder reused across measurement
+// windows (e.g. via md.Options.AfterInit) reaches a steady state where
+// recording allocates nothing.  The tracks go too,
 // because with them goes the set of processes Procs reports; the method
 // names are only a dictionary and stay.
 func (r *Recorder) Reset() {
-	r.n = 0
 	r.segs.reset()
 	r.flows.reset()
-	r.win.reset()
 	r.tracks = r.tracks[:0]
 	clear(r.trackID)
 	r.dense = r.dense[:0]
@@ -186,16 +139,13 @@ func (r *Recorder) Reset() {
 // Flow records one client→server RPC flow; IDs are assigned in recording
 // order.
 func (r *Recorder) Flow(method string, client, server int, issue, reply float64) {
-	if r.dropped() {
-		return
-	}
 	*r.flows.next() = flowRec{
 		issue: issue, reply: reply,
 		client: client, server: server, method: r.methods.id(method),
 	}
 }
 
-// Flows returns a copy of the retained flows in recording order; like
+// Flows returns a copy of the recorded flows in recording order; like
 // Segments the result is non-nil.
 func (r *Recorder) Flows() []Flow {
 	out := make([]Flow, 0, r.flows.n)
@@ -227,43 +177,28 @@ func (r *Recorder) TotalsBetween(proc int, t0, t1 float64) [vm.NumSegKinds]float
 
 // totalsBetween is the one reduction behind every per-process total: the
 // totals of the requested processes over [t0, t1], in request order (zero
-// for a process that recorded nothing).  The recorder's own closed window
-// is answered from the table summed while recording; any other window is
-// a single pass over the retained trace in recording order into a
-// per-process × per-kind table.  Either way each cell receives its
-// additions in recording order — the order a pass filtered to that one
-// process would add them in — so the sums do not depend on how many
-// processes are reduced together, nor on which of the two answers.
+// for a process that recorded nothing), from a single pass over the trace
+// in recording order into a per-process × per-kind table.  Each cell
+// receives its additions in recording order — the order a pass filtered
+// to that one process would add them in, and the order the kernel's
+// window sums them in (vm.Kernel.OpenWindow) — so the sums do not depend
+// on how many processes are reduced together.
 func (r *Recorder) totalsBetween(t0, t1 float64, procs ...int) []kindTotals {
-	if r.win.covers(t0, t1) {
-		return r.pick(r.win.tot, procs)
-	}
-	r.mustKeep()
 	rows := make([]kindTotals, len(r.procs))
 	for ci := 0; ci < r.segs.numChunks(); ci++ {
 		for _, s := range r.segs.filled(ci) {
-			addClipped(&rows[r.tracks[s.track].row], s.kind, s.start, s.end, t0, t1)
+			tot, start, end := &rows[r.tracks[s.track].row], s.start, s.end
+			if start < t0 {
+				start = t0
+			}
+			if end > t1 {
+				end = t1
+			}
+			if end > start {
+				tot[s.kind] += end - start
+			}
 		}
 	}
-	return r.pick(rows, procs)
-}
-
-// addClipped adds the part of [start, end] inside [t0, t1] to tot[kind]:
-// the arithmetic of every per-process total, the window table's included.
-func addClipped(tot *kindTotals, kind uint8, start, end, t0, t1 float64) {
-	if start < t0 {
-		start = t0
-	}
-	if end > t1 {
-		end = t1
-	}
-	if end > start {
-		tot[kind] += end - start
-	}
-}
-
-// pick copies out the rows of the requested processes in request order.
-func (r *Recorder) pick(rows []kindTotals, procs []int) []kindTotals {
 	out := make([]kindTotals, len(procs))
 	for i, p := range procs {
 		if row, ok := r.procRow[p]; ok {
@@ -325,17 +260,25 @@ func ComputeBreakdown(r *Recorder, clientID int, serverIDs []int, wall float64) 
 // recorded timelines: the simulation phase of a run, excluding start-up
 // and shutdown traffic.
 func ComputeBreakdownBetween(r *Recorder, clientID int, serverIDs []int, t0, t1, wall float64) Breakdown {
-	b := Breakdown{Wall: wall, Servers: len(serverIDs)}
 	tot := r.totalsBetween(t0, t1, append([]int{clientID}, serverIDs...)...)
-	ct := tot[0]
-	b.SeqComp = ct[vm.SegCompute] + ct[vm.SegOther]
-	b.Comm = ct[vm.SegComm]
-	b.Sync = ct[vm.SegSync]
-	b.Recovery = ct[vm.SegRecovery]
-	if len(serverIDs) > 0 {
+	return BreakdownOf(tot[0], tot[1:], wall)
+}
+
+// BreakdownOf aggregates per-kind totals — the client's and each server's,
+// over one window — into the paper's five response variables; wall is the
+// window's wall-clock time.  The totals come from a recorder
+// (ComputeBreakdownBetween) or from the kernel's measurement window
+// (vm.Kernel.WindowTotals).
+func BreakdownOf(client [vm.NumSegKinds]float64, servers [][vm.NumSegKinds]float64, wall float64) Breakdown {
+	b := Breakdown{Wall: wall, Servers: len(servers)}
+	b.SeqComp = client[vm.SegCompute] + client[vm.SegOther]
+	b.Comm = client[vm.SegComm]
+	b.Sync = client[vm.SegSync]
+	b.Recovery = client[vm.SegRecovery]
+	if len(servers) > 0 {
 		b.MinParComp = -1
 		var sum float64
-		for _, st := range tot[1:] {
+		for _, st := range servers {
 			c := st[vm.SegCompute] + st[vm.SegOther]
 			sum += c
 			if c > b.MaxParComp {
@@ -351,7 +294,7 @@ func ComputeBreakdownBetween(r *Recorder, clientID int, serverIDs []int, t0, t1,
 			// recovery cost: the client waits it out on the critical path.
 			b.Recovery += st[vm.SegRecovery]
 		}
-		b.ParComp = sum / float64(len(serverIDs))
+		b.ParComp = sum / float64(len(servers))
 		if b.MinParComp < 0 {
 			b.MinParComp = 0
 		}

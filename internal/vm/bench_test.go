@@ -153,3 +153,18 @@ func BenchmarkKernelBarrier8Reactor(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkKernelWindowSegment prices what the kernel adds to one booked
+// segment of an untraced run whose measurement window is open: the Stats
+// sum and the clipped window sum.
+func BenchmarkKernelWindowSegment(b *testing.B) {
+	k := NewKernel(nil, nil)
+	k.HoldWindow()
+	p := k.NewProc("p", nil, nil)
+	k.OpenWindow(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Elapse(1e-3, SegKind(i%NumSegKinds))
+	}
+}

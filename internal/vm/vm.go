@@ -240,6 +240,10 @@ type Proc struct {
 	compute ComputeModel
 	ws      int // current working-set size in bytes
 	stats   Stats
+	// win is the time per kind inside the measurement window, winEnd the
+	// latest end of a segment summed while it was open (window.go).
+	win    [NumSegKinds]float64
+	winEnd Time
 
 	state procState
 	// Coroutine controls, set by startProc: resume switches into the
@@ -295,6 +299,27 @@ func (p *Proc) segment(kind SegKind, start, end Time) {
 		return
 	}
 	p.stats.Seg[kind] += end - start
+	if p.k.win.state != windowNone || p.k.tracer != nil {
+		p.Attribute(kind, start, end)
+	}
+}
+
+// Attribute books [start, end] to the process as kind — in its window
+// totals and on the tracer — without moving its clock or its Stats: a span
+// its engine classifies after the fact, such as a recovery window laid
+// over the segments already booked inside it.  An empty span books
+// nothing.
+func (p *Proc) Attribute(kind SegKind, start, end Time) {
+	if end <= start {
+		return
+	}
+	switch k := p.k; k.win.state {
+	case windowNone:
+	case windowHeld:
+		k.win.held = append(k.win.held, heldSegment{start, end, int32(p.id), uint8(kind)})
+	default:
+		p.sum(kind, start, end)
+	}
 	if p.k.tracer != nil {
 		p.k.tracer.Segment(p.id, p.name, kind, start, end)
 	}
@@ -774,6 +799,7 @@ type barrier struct {
 type Kernel struct {
 	comm     CommModel
 	tracer   Tracer
+	win      window
 	faults   FaultModel
 	procs    []*Proc
 	seq      uint64
