@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget opald-smoke service-chaos archive-check opaltop-check stubs stubs-check
+.PHONY: all build test race bench bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget opald-smoke service-chaos archive-check opaltop-check stubs stubs-check fmt-check
 
 # Seeds per scenario when sweeping the checked-in chaos corpus.
 SCENARIO_SEEDS ?= 10
@@ -78,6 +78,7 @@ archive-check:
 
 # The full tier-1 gate: what CI runs.
 check:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(MAKE) stubs-check
@@ -156,6 +157,10 @@ figures:
 # Regenerate the Sciddle stubs from the IDL.
 stubs:
 	$(GO) run ./cmd/sciddlegen -pkg opalrpc -o internal/md/opalrpc/opalrpc.go internal/md/opal.idl
+
+# Fail when any Go file is not gofmt-clean, listing the files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Fail when the checked-in stubs differ from what the generator emits.
 stubs-check: stubs

@@ -244,7 +244,7 @@ func main() {
 	} else if *modelz {
 		fatal(fmt.Errorf("-modelz requires -oracle"))
 	}
-	if *metrics || *timeline || *traceJSON != "" {
+	if *timeline || *traceJSON != "" {
 		// These read the run's intervals, which harness.Run keeps only
 		// for a caller that passes a recorder.
 		spec.Recorder = trace.NewRecorder()
@@ -317,8 +317,7 @@ func main() {
 
 	if *metrics && spec.Servers > 0 {
 		fmt.Println()
-		fmt.Print(sciddle.MetricsOf(out.Recorder, 0, out.Result.ServerTIDs,
-			out.Result.StartSeconds, out.Result.EndSeconds))
+		fmt.Print(sciddle.MetricsOf(out.Breakdown))
 	}
 	if *timeline {
 		names := map[int]string{0: "client"}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 func main() {
@@ -98,48 +99,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // normalizeURL appends the /streamz path to a bare endpoint and a
-// scheme to a bare host:port.
+// scheme to a bare host:port.  A "://" names a scheme only before any
+// other ':', '/', '?' or '#'.
 func normalizeURL(u string) string {
-	if !hasScheme(u) {
-		u = "http://" + u
+	scheme, rest, ok := strings.Cut(u, "://")
+	if !ok || strings.ContainsAny(scheme, ":/?#") {
+		u, rest = "http://"+u, u
 	}
 	// A URL that already names a path (beyond the bare root) is taken
 	// verbatim.
-	rest := u[len(schemeOf(u)):]
-	if i := indexByte(rest, '/'); i < 0 {
+	if i := strings.IndexByte(rest, '/'); i < 0 {
 		return u + "/streamz"
 	} else if rest[i:] == "/" {
 		return u + "streamz"
 	}
 	return u
-}
-
-func hasScheme(u string) bool {
-	for i := 0; i < len(u); i++ {
-		switch u[i] {
-		case ':':
-			return i+2 < len(u) && u[i+1] == '/' && u[i+2] == '/'
-		case '/', '?', '#':
-			return false
-		}
-	}
-	return false
-}
-
-func schemeOf(u string) string {
-	for i := 0; i+2 < len(u); i++ {
-		if u[i] == ':' && u[i+1] == '/' && u[i+2] == '/' {
-			return u[:i+3]
-		}
-	}
-	return ""
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

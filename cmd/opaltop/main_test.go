@@ -243,6 +243,12 @@ func TestNormalizeURL(t *testing.T) {
 		{"http://localhost:9100/", "http://localhost:9100/streamz"},
 		{"http://localhost:9100/streamz", "http://localhost:9100/streamz"},
 		{"http://host/custom", "http://host/custom"},
+		{"host:9100", "http://host:9100/streamz"},
+		{"http://h/", "http://h/streamz"},
+		{"http://h/x?y", "http://h/x?y"},
+		{"h", "http://h/streamz"},
+		{"h/x?u=a://b", "http://h/x?u=a://b"},
+		{"h:1/?u=a://b", "http://h:1/?u=a://b"},
 	}
 	for _, c := range cases {
 		if got := normalizeURL(c.in); got != c.want {

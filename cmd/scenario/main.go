@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -277,14 +276,4 @@ func fakeClock() func() time.Time {
 		t = t.Add(time.Millisecond)
 		return t
 	}
-}
-
-// sortedNames is used by tests to assert corpus coverage.
-func sortedNames(specs []*scenario.Spec) []string {
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	return names
 }

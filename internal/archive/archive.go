@@ -88,17 +88,6 @@ func Open(dir string) (*Archive, error) {
 	return a, nil
 }
 
-// SetSegmentBytes overrides the active-segment roll threshold (tests use
-// tiny segments to exercise rolling; <= 0 restores the default).
-func (a *Archive) SetSegmentBytes(n int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n <= 0 {
-		n = DefaultSegmentBytes
-	}
-	a.segBytes = n
-}
-
 // SetClock replaces the wall clock stamping records whose Unix field is
 // zero (nil restores time.Now).  Deterministic tests pin it so archived
 // records — and the opalquery output rendering them — are byte-stable.
@@ -111,29 +100,11 @@ func (a *Archive) SetClock(fn func() time.Time) {
 	a.clock = fn
 }
 
-// Dir returns the archive's root directory.
-func (a *Archive) Dir() string { return a.dir }
-
 // Len returns the number of indexed records.
 func (a *Archive) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.recs)
-}
-
-// Truncated reports how many torn segment tails the last Open truncated.
-func (a *Archive) Truncated() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.truncated
-}
-
-// Corrupt reports how many sealed-segment records the last Open skipped
-// as corrupt (CRC or decode failures past which the segment is ignored).
-func (a *Archive) Corrupt() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.corrupt
 }
 
 // recover scans the segment files, truncates a torn active tail, and
@@ -272,14 +243,8 @@ func writeSegMagic(w io.Writer) error {
 	return err
 }
 
-// Roll seals the active segment and starts a fresh one — the boundary
-// after which the sealed file is immutable.
-func (a *Archive) Roll() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rollLocked()
-}
-
+// rollLocked seals the active segment and starts a fresh one — the
+// boundary after which the sealed file is immutable.
 func (a *Archive) rollLocked() error {
 	seq := a.activeSeq
 	if err := a.sealLocked(); err != nil {

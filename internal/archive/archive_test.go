@@ -57,8 +57,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if got := b.Len(); got != 101 {
 		t.Fatalf("reopened Len = %d, want 101", got)
 	}
-	if b.Truncated() != 0 || b.Corrupt() != 0 {
-		t.Fatalf("clean reopen reported truncated=%d corrupt=%d", b.Truncated(), b.Corrupt())
+	if b.truncated != 0 || b.corrupt != 0 {
+		t.Fatalf("clean reopen reported truncated=%d corrupt=%d", b.truncated, b.corrupt)
 	}
 	evs := b.Select(Query{Kind: KindEvent, Run: "run-000"})
 	if len(evs) != 20 {
@@ -84,7 +84,7 @@ func TestArchiveSegmentRoll(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	a.SetClock(testClock())
-	a.SetSegmentBytes(512) // tiny segments: force many rolls
+	a.segBytes = 512 // tiny segments: force many rolls
 	for i := 0; i < 200; i++ {
 		mustAppend(t, a, event("r", fmt.Sprintf("payload %04d", i)))
 	}
@@ -155,8 +155,8 @@ func TestArchiveTornTailTruncated(t *testing.T) {
 	if got := b.Len(); got != 10 {
 		t.Fatalf("Len after torn-tail recovery = %d, want 10", got)
 	}
-	if b.Truncated() != 1 {
-		t.Fatalf("Truncated = %d, want 1", b.Truncated())
+	if b.truncated != 1 {
+		t.Fatalf("Truncated = %d, want 1", b.truncated)
 	}
 	if got := fileSize(t, open[0]); got >= sizeBefore {
 		t.Fatalf("torn tail not truncated: %d >= %d bytes", got, sizeBefore)
@@ -186,7 +186,10 @@ func TestArchiveCorruptSealedSegmentSkipped(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustAppend(t, a, event("r", fmt.Sprintf("seg1 %d", i)))
 	}
-	if err := a.Roll(); err != nil {
+	a.mu.Lock()
+	err = a.rollLocked()
+	a.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -215,8 +218,8 @@ func TestArchiveCorruptSealedSegmentSkipped(t *testing.T) {
 		t.Fatalf("reopen with corrupt sealed segment: %v", err)
 	}
 	defer b.Close()
-	if b.Corrupt() != 1 {
-		t.Fatalf("Corrupt = %d, want 1", b.Corrupt())
+	if b.corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1", b.corrupt)
 	}
 	if got := b.Len(); got != 9 {
 		t.Fatalf("Len = %d, want 9 (4 surviving + 5 active)", got)

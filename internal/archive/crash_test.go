@@ -37,7 +37,7 @@ func crashChildMain(dir string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	a.SetSegmentBytes(4096) // roll often: the kill can land on a roll too
+	a.segBytes = 4096 // roll often: the kill can land on a roll too
 	for i := 0; ; i++ {
 		rec := Record{
 			Kind: KindEvent,
@@ -122,7 +122,7 @@ func TestArchiveSurvivesSIGKILLMidAppend(t *testing.T) {
 					t.Fatalf("record %d has seq %d: recovery lost or reordered an acknowledged record", i, body.Seq)
 				}
 			}
-			t.Logf("round %d: %d records survived, truncated=%d", round, len(recs), a.Truncated())
+			t.Logf("round %d: %d records survived, truncated=%d", round, len(recs), a.truncated)
 
 			// The recovered archive must accept appends and reopen cleanly.
 			if err := a.Append(Record{Kind: KindEvent, Run: "post", Unix: 1, Data: json.RawMessage(strconv.Quote("after crash"))}); err != nil {

@@ -167,7 +167,7 @@ func TestQuerySweepScaleUnderOneSecond(t *testing.T) {
 	a.Close()
 
 	start := time.Now()
-	b, err := Open(a.Dir())
+	b, err := Open(a.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Analysis helpers over the calibrated model: where parallelization stops
@@ -26,19 +24,6 @@ func (m Machine) OptimalServers(app App, maxP int) (bestP int, bestT float64) {
 		}
 	}
 	return bestP, bestT
-}
-
-// Efficiency returns speed-up(p)/p, the parallel efficiency at the
-// application's server count.
-func (m Machine) Efficiency(app App) float64 {
-	a1 := app
-	a1.P = 1
-	t1 := m.Total(a1)
-	tp := m.Total(app)
-	if tp <= 0 || app.P <= 0 {
-		return 0
-	}
-	return t1 / tp / float64(app.P)
 }
 
 // UpdateNbintCrossover returns the problem size n* at which the update
@@ -93,53 +78,4 @@ func (m Machine) Elasticities(app App) []Elasticity {
 		return math.Abs(out[i].Value) > math.Abs(out[j].Value)
 	})
 	return out
-}
-
-// Bound classifies a configuration as compute or communication bound by
-// comparing the parallel-computation and communication terms.
-func (m Machine) Bound(app App) string {
-	b := m.Predict(app)
-	if b.Comm > b.Par {
-		return "communication"
-	}
-	return "compute"
-}
-
-// BreakEvenServers returns the smallest p at which adding one more server
-// no longer reduces the predicted time (maxP if the time is still falling
-// at maxP).  On the J90 with an effective cut-off this lands at ~3, the
-// paper's observation.
-func (m Machine) BreakEvenServers(app App, maxP int) int {
-	prev := math.Inf(1)
-	for p := 1; p <= maxP; p++ {
-		a := app
-		a.P = p
-		t := m.Total(a)
-		if t >= prev {
-			return p - 1
-		}
-		prev = t
-	}
-	return maxP
-}
-
-// AnalysisReport renders the model analysis for one configuration.
-func (m Machine) AnalysisReport(app App, maxP int) string {
-	var sb strings.Builder
-	b := m.Predict(app)
-	fmt.Fprintf(&sb, "%s, n=%d, p=%d, u=%.2g, cutoff=%v\n", m.Name, app.N, app.P, app.U, app.Cutoff)
-	fmt.Fprintf(&sb, "  predicted: total %.3gs = par %.3g + seq %.3g + comm %.3g + sync %.3g (%s bound)\n",
-		b.Total(), b.Par, b.Seq, b.Comm, b.Sync, m.Bound(app))
-	bp, bt := m.OptimalServers(app, maxP)
-	fmt.Fprintf(&sb, "  optimal servers: %d (%.3gs); efficiency at p=%d: %.2f\n",
-		bp, bt, app.P, m.Efficiency(app))
-	fmt.Fprintf(&sb, "  sensitivities:")
-	for _, e := range m.Elasticities(app) {
-		if math.Abs(e.Value) < 0.01 {
-			continue
-		}
-		fmt.Fprintf(&sb, " %s %+0.2f", e.Param, e.Value)
-	}
-	sb.WriteByte('\n')
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"opalperf/internal/molecule"
@@ -21,9 +20,6 @@ func TestOptimalServersJ90Cutoff(t *testing.T) {
 	if bestT <= 0 {
 		t.Errorf("best time = %v", bestT)
 	}
-	if be := m.BreakEvenServers(app, 7); be != bestP {
-		t.Errorf("break-even %d != optimal %d", be, bestP)
-	}
 }
 
 func TestOptimalServersComputeBound(t *testing.T) {
@@ -34,31 +30,31 @@ func TestOptimalServersComputeBound(t *testing.T) {
 	if bestP != 7 {
 		t.Errorf("optimal servers = %d, want 7", bestP)
 	}
-	if be := m.BreakEvenServers(app, 7); be != 7 {
-		t.Errorf("break-even = %d, want 7 (still falling)", be)
-	}
 }
 
+// TestEfficiencyBounds holds the parallel efficiency, speed-up(p)/p, to
+// (0, 1] at p = 4 and to exactly 1 at p = 1.
 func TestEfficiencyBounds(t *testing.T) {
 	m := MachineFor(platform.FastCoPs(), 0.633)
-	app := mediumApp(4, false, true)
-	eff := m.Efficiency(app)
-	if eff <= 0 || eff > 1.01 {
+	sp := m.Speedup(mediumApp(1, false, true), 4)
+	if eff := sp[3] / 4; eff <= 0 || eff > 1.01 {
 		t.Errorf("efficiency = %v", eff)
 	}
-	app1 := mediumApp(1, false, true)
-	if e1 := m.Efficiency(app1); math.Abs(e1-1) > 1e-9 {
-		t.Errorf("efficiency at p=1 = %v, want 1", e1)
+	if math.Abs(sp[0]-1) > 1e-9 {
+		t.Errorf("efficiency at p=1 = %v, want 1", sp[0])
 	}
 }
 
+// TestBoundClassification compares the parallel-computation and
+// communication terms: the J90 without a cut-off at p = 1 is compute
+// bound, with one at p = 7 communication bound.
 func TestBoundClassification(t *testing.T) {
 	j90 := MachineFor(platform.J90(), 0.633)
-	if got := j90.Bound(mediumApp(1, false, true)); got != "compute" {
-		t.Errorf("no cut-off p=1 on J90 = %q", got)
+	if b := j90.Predict(mediumApp(1, false, true)); b.Comm > b.Par {
+		t.Errorf("no cut-off p=1 on J90: comm %g above par %g", b.Comm, b.Par)
 	}
-	if got := j90.Bound(mediumApp(7, true, true)); got != "communication" {
-		t.Errorf("cut-off p=7 on J90 = %q", got)
+	if b := j90.Predict(mediumApp(7, true, true)); b.Comm <= b.Par {
+		t.Errorf("cut-off p=7 on J90: comm %g not above par %g", b.Comm, b.Par)
 	}
 }
 
@@ -120,16 +116,6 @@ func TestElasticitiesIdentifyBottleneck(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 0.01 {
 		t.Errorf("elasticities sum = %v, want ~1", sum)
-	}
-}
-
-func TestAnalysisReport(t *testing.T) {
-	m := MachineFor(platform.J90(), 0.633)
-	s := m.AnalysisReport(mediumApp(4, true, true), 7)
-	for _, want := range []string{"optimal servers", "sensitivities", "bound"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
 	}
 }
 

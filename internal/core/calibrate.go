@@ -25,11 +25,6 @@ type Measurement struct {
 	TotalActive float64
 }
 
-// Wall returns the accounted wall clock of the measurement.
-func (m Measurement) Wall() float64 {
-	return m.Par + m.Seq + m.Comm + m.Sync + m.Idle
-}
-
 func (m Measurement) checks() float64 {
 	if m.TotalChecks > 0 {
 		return m.TotalChecks

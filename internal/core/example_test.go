@@ -19,21 +19,20 @@ func Example() {
 	b := mach.Predict(app)
 	fmt.Printf("total %.1fs (par %.1f, comm %.2f)\n", b.Total(), b.Par, b.Comm)
 	fmt.Printf("speed-up at 7 servers: %.1f\n", mach.Speedup(app, 7)[6])
-	fmt.Printf("bound: %s\n", mach.Bound(app))
 	// Output:
 	// total 2.5s (par 1.7, comm 0.72)
 	// speed-up at 7 servers: 4.9
-	// bound: compute
 }
 
-// The break-even analysis reproduces the paper's observation that the
+// The optimal server count reproduces the paper's observation that the
 // J90 stops benefiting beyond three servers once the cut-off makes Opal
 // communication bound.
-func ExampleMachine_BreakEvenServers() {
+func ExampleMachine_OptimalServers() {
 	sys := molecule.Antennapedia()
 	mach := core.MachineFor(platform.J90(), sys.Gamma())
 	app := core.AppFor(sys, 10, 1, 1, 10)
-	fmt.Println("useful servers on the J90:", mach.BreakEvenServers(app, 7))
+	p, _ := mach.OptimalServers(app, 7)
+	fmt.Println("useful servers on the J90:", p)
 	// Output:
 	// useful servers on the J90: 3
 }

@@ -16,9 +16,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"opalperf/internal/hpm"
 	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
@@ -225,20 +222,4 @@ func MachineFor(pl *platform.Platform, gamma float64) Machine {
 		A4:   a4,
 		B5:   pl.SyncSec,
 	}
-}
-
-// Validate sanity-checks fitted parameters.
-func (m Machine) Validate() error {
-	if m.A1 <= 0 {
-		return fmt.Errorf("core: non-positive communication rate a1=%g", m.A1)
-	}
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{{"b1", m.B1}, {"a2", m.A2}, {"a3", m.A3}, {"a4", m.A4}, {"b5", m.B5}} {
-		if c.v < 0 || math.IsNaN(c.v) {
-			return fmt.Errorf("core: invalid %s=%g", c.name, c.v)
-		}
-	}
-	return nil
 }

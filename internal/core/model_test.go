@@ -179,28 +179,6 @@ func TestMachineForFastNetworksScaleBetter(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	m := testMachine()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := m
-	bad.A1 = 0
-	if bad.Validate() == nil {
-		t.Error("a1=0 should fail")
-	}
-	bad = m
-	bad.A3 = -1
-	if bad.Validate() == nil {
-		t.Error("negative a3 should fail")
-	}
-	bad = m
-	bad.B5 = math.NaN()
-	if bad.Validate() == nil {
-		t.Error("NaN b5 should fail")
-	}
-}
-
 // Property: every component is monotone non-decreasing in the step count.
 func TestMonotoneInSteps(t *testing.T) {
 	m := testMachine()

@@ -36,16 +36,16 @@ func TestCanonicalizeDefaultsAndHash(t *testing.T) {
 
 func TestCanonicalizeRejects(t *testing.T) {
 	bad := []JobSpec{
-		{Steps: 0, Servers: 1},                         // steps required
-		{Steps: 10, Servers: 1, Platform: "pdp11"},     // unknown platform
-		{Steps: 10, Servers: 1, Size: "gigantic"},      // unknown size
-		{Steps: 10, Servers: 1, Scale: 2},              // scale out of range
-		{Steps: 10, Servers: 999},                      // servers over limit
-		{Steps: 99999, Servers: 1},                     // steps over limit
-		{Steps: 10, Servers: 1, Strategy: "random"},    // unknown strategy
-		{Steps: 10, Servers: 1, FaultRate: 2},          // fault rate out of range
-		{Steps: 10, Servers: 0, SelfHeal: true},        // self-heal needs servers
-		{Steps: 10, Servers: 1, Cutoff: -1},            // negative cutoff
+		{Steps: 0, Servers: 1},                      // steps required
+		{Steps: 10, Servers: 1, Platform: "pdp11"},  // unknown platform
+		{Steps: 10, Servers: 1, Size: "gigantic"},   // unknown size
+		{Steps: 10, Servers: 1, Scale: 2},           // scale out of range
+		{Steps: 10, Servers: 999},                   // servers over limit
+		{Steps: 99999, Servers: 1},                  // steps over limit
+		{Steps: 10, Servers: 1, Strategy: "random"}, // unknown strategy
+		{Steps: 10, Servers: 1, FaultRate: 2},       // fault rate out of range
+		{Steps: 10, Servers: 0, SelfHeal: true},     // self-heal needs servers
+		{Steps: 10, Servers: 1, Cutoff: -1},         // negative cutoff
 	}
 	for i, s := range bad {
 		if _, err := s.Canonicalize(Limits{}); err == nil {

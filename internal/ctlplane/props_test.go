@@ -409,3 +409,13 @@ func TestPanicIsolationSimulatedTask(t *testing.T) {
 		t.Fatalf("task panic cost a worker: crashes %d -> %d", crashesBefore, after)
 	}
 }
+
+// activeJobs reports tenant's reserved concurrent-job slots.
+func (q *quotas) activeJobs(tenant string) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if st := q.tenants[tenant]; st != nil {
+		return st.active
+	}
+	return 0
+}

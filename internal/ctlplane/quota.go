@@ -119,13 +119,3 @@ func (q *quotas) release(tenant string) {
 		st.active--
 	}
 }
-
-// active reports tenant's reserved concurrent-job slots (tests).
-func (q *quotas) activeJobs(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if st := q.tenants[tenant]; st != nil {
-		return st.active
-	}
-	return 0
-}

@@ -76,29 +76,13 @@ const (
 	tagStop
 )
 
-// nbEval evaluates one (i, j) pair given the shared tables, accumulating
-// the gradient; it mirrors md's evaluation exactly so energies agree.
+// nbTables are the replicated non-bonded tables a server evaluates its
+// pairs from, as md's evaluation does, so energies agree.
 type nbTables struct {
 	types   []int
 	charges []float64
 	lj      *forcefield.LJTable
 	excl    *forcefield.Exclusions
-}
-
-func newNBTables(sys *molecule.System) *nbTables {
-	return &nbTables{
-		types:   sys.Type,
-		charges: sys.Charge,
-		lj:      forcefield.BuildLJ(forcefield.DefaultLJ()),
-		excl:    forcefield.BuildExclusions(sys),
-	}
-}
-
-func (tb *nbTables) eval(pos []float64, i, j int, grad []float64) (evdw, ecoul float64, charged bool) {
-	c12, c6 := tb.lj.Coeffs(tb.types[i], tb.types[j])
-	qq := forcefield.CoulombK * tb.charges[i] * tb.charges[j]
-	ev, ec := forcefield.PairEnergy(pos, i, j, c12, c6, qq, grad)
-	return ev, ec, qq != 0
 }
 
 // chargeEval books the op cost of nq charged and nu uncharged pair

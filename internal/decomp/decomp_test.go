@@ -4,10 +4,29 @@ import (
 	"math"
 	"testing"
 
+	"opalperf/internal/forcefield"
 	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
 	"opalperf/internal/pvm"
 )
+
+// newNBTables builds the tables of sys directly; eval evaluates one
+// (i, j) pair from them, accumulating the gradient.
+func newNBTables(sys *molecule.System) *nbTables {
+	return &nbTables{
+		types:   sys.Type,
+		charges: sys.Charge,
+		lj:      forcefield.BuildLJ(forcefield.DefaultLJ()),
+		excl:    forcefield.BuildExclusions(sys),
+	}
+}
+
+func (tb *nbTables) eval(pos []float64, i, j int, grad []float64) (evdw, ecoul float64, charged bool) {
+	c12, c6 := tb.lj.Coeffs(tb.types[i], tb.types[j])
+	qq := forcefield.CoulombK * tb.charges[i] * tb.charges[j]
+	ev, ec := forcefield.PairEnergy(pos, i, j, c12, c6, qq, grad)
+	return ev, ec, qq != 0
+}
 
 // refNB computes the reference non-bonded energy over all non-excluded
 // pairs (optionally within the cut-off) with the shared tables.
@@ -230,17 +249,6 @@ func TestValidation(t *testing.T) {
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGhostFraction(t *testing.T) {
-	sys := molecule.TestComplex(50, 100, 12)
-	if g := ghostFractionSD(sys, 0, 4); g != 1 {
-		t.Errorf("no cut-off ghost fraction = %v, want 1", g)
-	}
-	g := ghostFractionSD(sys, sys.Box/8, 4)
-	if g <= 0 || g > 0.6 {
-		t.Errorf("tight cut-off ghost fraction = %v", g)
 	}
 }
 

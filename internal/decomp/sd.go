@@ -252,17 +252,3 @@ func boolToInt(b bool) int {
 	}
 	return 0
 }
-
-// ghostFractionSD estimates the ghost-region share of an SD run, exposed
-// for the ablation benchmarks.
-func ghostFractionSD(sys *molecule.System, cutoff float64, p int) float64 {
-	if cutoff <= 0 || cutoff >= sys.Box {
-		return 1
-	}
-	slab := sys.Box / float64(p)
-	g := cutoff / slab
-	if g > 1 {
-		g = 1
-	}
-	return g
-}

@@ -89,8 +89,10 @@ func TestChaosSweep(t *testing.T) {
 		// land during initialization.
 		charged := out.FaultStats.Dups + out.FaultStats.Crashes + out.FaultStats.Stragglers
 		var recovery float64
-		for _, id := range out.Recorder.Procs() {
-			recovery += out.Recorder.Totals(id)[vm.SegRecovery]
+		for _, s := range out.Recorder.Segments() {
+			if s.Kind == vm.SegRecovery {
+				recovery += s.End - s.Start
+			}
 		}
 		if charged > 0 && recovery <= 0 {
 			t.Fatalf("seed %d: %d recovery-charging faults but zero recovery time", seed, charged)

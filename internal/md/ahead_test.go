@@ -79,7 +79,7 @@ func observe(t *testing.T, procs int, sys *molecule.System, opts Options, faults
 		t.Fatal(err)
 	}
 	var o observables
-	o.add("makespan", s.Time())
+	o.add("makespan", s.Kernel.MaxTime())
 	o.add("window start", res.StartSeconds)
 	o.add("window end", res.EndSeconds)
 	for _, p := range s.Kernel.Procs() {

@@ -32,7 +32,7 @@ func lodRun(t *testing.T, sys *molecule.System, opts Options, nservers, steps in
 	for _, p := range s.Kernel.Procs() {
 		stats[p.ID()] = p.Stats()
 	}
-	return res, stats, s.Time()
+	return res, stats, s.Kernel.MaxTime()
 }
 
 // assertLoDIdentical checks that a LoD-on run reproduced a LoD-off run

@@ -33,7 +33,7 @@ func runSerialSim(t *testing.T, sys *molecule.System, opts Options, steps int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, s.Time()
+	return res, s.Kernel.MaxTime()
 }
 
 // runSerialSimErr is runSerialSim for runs expected to error out.
@@ -67,7 +67,7 @@ func runParallelSim(t *testing.T, pl *platform.Platform, sys *molecule.System,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, rec, s.Time()
+	return res, rec, s.Kernel.MaxTime()
 }
 
 func relDiff(a, b float64) float64 {
@@ -213,12 +213,7 @@ func TestBreakdownComponentsPresent(t *testing.T) {
 	rec := trace.NewRecorder()
 	s := pvm.NewSimVM(platform.J90(), rec)
 	var res *Result
-	var t0 float64
 	s.SpawnRoot("client", func(task pvm.Task) {
-		opts.AfterInit = func() {
-			rec.Reset()
-			t0 = task.Now()
-		}
 		var err error
 		res, err = RunParallel(task, sys, opts, 3, 5)
 		if err != nil {
@@ -229,8 +224,7 @@ func TestBreakdownComponentsPresent(t *testing.T) {
 		t.Fatal(err)
 	}
 	wall := res.StepSeconds
-	_ = t0
-	b := trace.ComputeBreakdown(rec, 0, res.ServerTIDs, wall)
+	b := trace.ComputeBreakdownBetween(rec, 0, res.ServerTIDs, res.StartSeconds, res.EndSeconds, wall)
 	if b.ParComp <= 0 {
 		t.Error("no parallel computation recorded")
 	}
@@ -263,7 +257,6 @@ func TestEvenServerImbalance(t *testing.T) {
 		s := pvm.NewSimVM(platform.J90(), rec)
 		var res *Result
 		s.SpawnRoot("client", func(task pvm.Task) {
-			o.AfterInit = func() { rec.Reset() }
 			var err error
 			res, err = RunParallel(task, sys, o, p, 4)
 			if err != nil {
@@ -273,7 +266,7 @@ func TestEvenServerImbalance(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		b := trace.ComputeBreakdown(rec, 0, res.ServerTIDs, res.StepSeconds)
+		b := trace.ComputeBreakdownBetween(rec, 0, res.ServerTIDs, res.StartSeconds, res.EndSeconds, res.StepSeconds)
 		imbalance[p] = b.Imbalance()
 	}
 	t.Logf("imbalance by servers: %v", imbalance)
@@ -296,7 +289,6 @@ func TestFoldedStrategyBalances(t *testing.T) {
 		var res *Result
 		s.SpawnRoot("client", func(task pvm.Task) {
 			o := Options{Minimize: true, Accounting: true, Strategy: strat}
-			o.AfterInit = func() { rec.Reset() }
 			var err error
 			res, err = RunParallel(task, sys, o, 2, 4)
 			if err != nil {
@@ -306,7 +298,7 @@ func TestFoldedStrategyBalances(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return trace.ComputeBreakdown(rec, 0, res.ServerTIDs, res.StepSeconds).Imbalance()
+		return trace.ComputeBreakdownBetween(rec, 0, res.ServerTIDs, res.StartSeconds, res.EndSeconds, res.StepSeconds).Imbalance()
 	}
 	lcg := get(pairlist.LCG)
 	folded := get(pairlist.Folded)
@@ -404,19 +396,30 @@ func TestSpaceModel(t *testing.T) {
 	}
 }
 
+// TestWorkingSetBytes sums one server's space model, its share of the
+// pair list plus the replicated data: it must shrink with more servers.
 func TestWorkingSetBytes(t *testing.T) {
 	sys := molecule.SmallComplex()
-	ws1 := WorkingSetBytes(sys, 0, 1)
-	ws4 := WorkingSetBytes(sys, 0, 4)
+	workingSet := func(p int) (total int64) {
+		for _, e := range SpaceModel(sys, 0, p) {
+			total += e.Bytes
+		}
+		return total
+	}
+	ws1, ws4 := workingSet(1), workingSet(4)
 	if ws4 >= ws1 {
 		t.Errorf("working set should shrink with servers: %d vs %d", ws4, ws1)
 	}
 }
 
-// TestStubsInSync regenerates the Opal stubs from the IDL constant and
-// compares them with the checked-in file.
+// TestStubsInSync regenerates the Opal stubs from opal.idl, as `make
+// stubs` does, and compares them with the checked-in file.
 func TestStubsInSync(t *testing.T) {
-	f, err := idl.Parse(OpalIDL)
+	src, err := os.ReadFile("opal.idl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := idl.Parse(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}

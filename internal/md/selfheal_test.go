@@ -81,8 +81,10 @@ func TestSelfHealAdministrativeKillSim(t *testing.T) {
 	// The respawn window must be attributed to SegRecovery on the
 	// client's recorded timeline.
 	recovery := 0.0
-	for _, id := range rec.Procs() {
-		recovery += rec.Totals(id)[vm.SegRecovery]
+	for _, s := range rec.Segments() {
+		if s.Kind == vm.SegRecovery {
+			recovery += s.End - s.Start
+		}
 	}
 	if recovery <= 0 {
 		t.Fatalf("no SegRecovery attributed for the respawn windows")

@@ -55,14 +55,3 @@ func SpaceModel(sys *molecule.System, cutoff float64, p int) []SpaceEntry {
 		},
 	}
 }
-
-// WorkingSetBytes estimates one server's working set for the memory
-// hierarchy model: its share of the pair list plus the replicated data.
-func WorkingSetBytes(sys *molecule.System, cutoff float64, p int) int {
-	entries := SpaceModel(sys, cutoff, p)
-	total := int64(0)
-	for _, e := range entries {
-		total += e.Bytes
-	}
-	return int(total)
-}

@@ -57,16 +57,6 @@ func applyThermostat(vel []float64, current, target, dt, tau float64) {
 	}
 }
 
-// Temperature computes the instantaneous temperature of a velocity set.
-func Temperature(sys *molecule.System, vel []float64) float64 {
-	var kinetic float64
-	for i := 0; i < sys.N; i++ {
-		v2 := vel[3*i]*vel[3*i] + vel[3*i+1]*vel[3*i+1] + vel[3*i+2]*vel[3*i+2]
-		kinetic += 0.5 * sys.Mass[i] * v2 / energyToMD
-	}
-	return 2 * kinetic / (3 * float64(sys.N) * kB)
-}
-
 // TrajectoryWriter accumulates XYZ frames of a run.
 type TrajectoryWriter struct {
 	W     io.Writer

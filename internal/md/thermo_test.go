@@ -14,7 +14,7 @@ func TestInitVelocitiesTemperature(t *testing.T) {
 	sys := molecule.TestComplex(200, 300, 9)
 	vel := make([]float64, 3*sys.N)
 	initVelocities(sys, vel, 300, 7)
-	got := Temperature(sys, vel)
+	got := temperature(sys, vel)
 	// Law of large numbers: within a few percent at 500 atoms.
 	if math.Abs(got-300)/300 > 0.10 {
 		t.Errorf("initial temperature = %v, want ~300", got)
@@ -60,10 +60,10 @@ func TestThermostatDrivesTemperature(t *testing.T) {
 	initVelocities(sys, vel, 600, 3)
 	// Repeated application with dt/tau pulls toward the 300 K target.
 	for i := 0; i < 200; i++ {
-		cur := Temperature(sys, vel)
+		cur := temperature(sys, vel)
 		applyThermostat(vel, cur, 300, 0.001, 0.01)
 	}
-	got := Temperature(sys, vel)
+	got := temperature(sys, vel)
 	if math.Abs(got-300)/300 > 0.05 {
 		t.Errorf("temperature after coupling = %v, want ~300", got)
 	}
@@ -131,4 +131,15 @@ func TestTrajectoryOnParallelRun(t *testing.T) {
 	if par == nil || tw.Frames() != 3 {
 		t.Fatalf("frames = %d", tw.Frames())
 	}
+}
+
+// temperature is the instantaneous temperature of a velocity set, as the
+// engine computes it after each dynamics step.
+func temperature(sys *molecule.System, vel []float64) float64 {
+	var kinetic float64
+	for i := 0; i < sys.N; i++ {
+		v2 := vel[3*i]*vel[3*i] + vel[3*i+1]*vel[3*i+1] + vel[3*i+2]*vel[3*i+2]
+		kinetic += 0.5 * sys.Mass[i] * v2 / energyToMD
+	}
+	return 2 * kinetic / (3 * float64(sys.N) * kB)
 }

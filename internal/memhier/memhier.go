@@ -56,19 +56,6 @@ func (m Model) Scale(workingSet int) float64 {
 	return 1.0
 }
 
-// LevelFor returns the name of the level a working set resides in.
-func (m Model) LevelFor(workingSet int) string {
-	for _, lv := range m.Levels {
-		if workingSet <= lv.Capacity {
-			return lv.Name
-		}
-	}
-	if n := len(m.Levels); n > 0 {
-		return m.Levels[n-1].Name
-	}
-	return "flat"
-}
-
 // Validate checks that levels are ordered by strictly increasing capacity
 // and have positive scales.
 func (m Model) Validate() error {

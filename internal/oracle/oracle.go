@@ -180,9 +180,6 @@ func New(cfg Config) *Oracle {
 	return o
 }
 
-// Config returns the effective (defaulted) configuration.
-func (o *Oracle) Config() Config { return o.cfg }
-
 // Attach binds the oracle to a run: its telemetry scope, which carries the
 // oracle's events and which the first anomaly marks model_anomaly (the
 // oracle as a liveness check for the *model*, not just the process), its

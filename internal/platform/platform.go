@@ -48,27 +48,6 @@ type Platform struct {
 	Notes string
 }
 
-// AdjustedRateMFlops returns the "adjusted computation rate" of Table 1
-// for a given reference op mix: the rate at which the platform retires
-// canonical (PGI lower-bound) flops.  mix is any representative op count
-// (only its category proportions matter).
-func (pl *Platform) AdjustedRateMFlops(mix hpm.Ops) float64 {
-	counted := pl.Weights.Counted(mix)
-	if counted <= 0 {
-		return 0
-	}
-	return pl.RawRateMFlops * mix.Canonical() / counted
-}
-
-// FlopFactor returns counted/canonical flops for the given op mix.
-func (pl *Platform) FlopFactor(mix hpm.Ops) float64 {
-	c := mix.Canonical()
-	if c <= 0 {
-		return 1
-	}
-	return pl.Weights.Counted(mix) / c
-}
-
 // ComputeModel returns the vm cost model: counted flops retire at
 // RawRateMFlops scaled by the memory-hierarchy factor for the current
 // working set.

@@ -85,17 +85,13 @@ type MacroCall struct {
 // in call order.  All values are client-side virtual clocks matching
 // what the fine-grained protocol would have observed.
 type MacroTimes struct {
-	Issue     []float64 // clock when the call was issued (before its send)
-	SendEnd   []float64 // clock when the request send completed
-	RecvStart []float64 // clock when the client began waiting for the reply
-	Collect   []float64 // clock when the reply was consumed
-	RepBytes  []int     // reply volume produced by each handler
+	Issue    []float64 // clock when the call was issued (before its send)
+	Collect  []float64 // clock when the reply was consumed
+	RepBytes []int     // reply volume produced by each handler
 }
 
 func (mt *MacroTimes) reset(n int) {
 	mt.Issue = append(mt.Issue[:0], make([]float64, n)...)
-	mt.SendEnd = append(mt.SendEnd[:0], make([]float64, n)...)
-	mt.RecvStart = append(mt.RecvStart[:0], make([]float64, n)...)
 	mt.Collect = append(mt.Collect[:0], make([]float64, n)...)
 	mt.RepBytes = append(mt.RepBytes[:0], make([]int, n)...)
 }
@@ -243,7 +239,6 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 			out.Issue[i] = pc.Now()
 			telemetry.RecordSend(s.scope.Matrix, pc.ID(), sv.ID(), uint64(calls[i].ReqBytes))
 			eng.arr[i] = pc.Transmit(sv.ID(), calls[i].ReqBytes)
-			out.SendEnd[i] = pc.Now()
 			wake := sv.Now()
 			if eng.arr[i] > wake {
 				wake = eng.arr[i]
@@ -287,7 +282,6 @@ func MacroPhase(t Task, calls []MacroCall, accounting bool, parties int, out *Ma
 			scheduleRecv()
 		case mevRecv:
 			i := ev.idx
-			out.RecvStart[i] = pc.Now()
 			pc.Accept(eng.repArr[i], out.RepBytes[i])
 			out.Collect[i] = pc.Now()
 			if i+1 < p {

@@ -314,8 +314,8 @@ func TestSimChargeAdvancesVirtualTime(t *testing.T) {
 	if mon.Counter("kernel").Canonical != 67e6 {
 		t.Errorf("counter = %+v", mon.Counter("kernel"))
 	}
-	if s.Time() != now {
-		t.Errorf("session time %v != task time %v", s.Time(), now)
+	if s.Kernel.MaxTime() != now {
+		t.Errorf("session time %v != task time %v", s.Kernel.MaxTime(), now)
 	}
 }
 
@@ -356,7 +356,7 @@ func TestSimTraceIntegration(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	b := trace.ComputeBreakdown(rec, 0, []int{1, 2}, s.Time())
+	b := trace.ComputeBreakdown(rec, 0, []int{1, 2}, s.Kernel.MaxTime())
 	if b.ParComp <= 0.9 || b.ParComp >= 1.1 {
 		t.Errorf("par comp = %v, want ~1s", b.ParComp)
 	}

@@ -104,8 +104,9 @@ func TestReportsReachOnlyBareSimTasks(t *testing.T) {
 // TestReportRecoveryInWindow books recovery spans through ReportRecovery
 // around a measurement window — one straddling its start, one laid over
 // the client's own segments inside it, one straddling its end after the
-// close — and requires the kernel's window totals to equal the recorder's
-// reduction of the same timeline over the window, bit for bit.
+// close — and requires the breakdown of the kernel's window totals to
+// equal the recorder's reduction of the same timeline over the window,
+// bit for bit.
 func TestReportRecoveryInWindow(t *testing.T) {
 	rec := trace.NewRecorder()
 	s := NewSimVM(platform.J90(), rec)
@@ -127,8 +128,8 @@ func TestReportRecoveryInWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := s.Kernel.WindowTotals(tid)[0]
-	if want := rec.TotalsBetween(tid, 1, 3); got != want {
-		t.Fatalf("window totals %v, recorder %v", got, want)
+	if b, want := trace.BreakdownOf(got, nil, 2), trace.ComputeBreakdownBetween(rec, tid, nil, 1, 3, 2); b != want {
+		t.Fatalf("window breakdown %+v, recorder %+v", b, want)
 	}
 	if got[vm.SegRecovery] != 0.5+0.75+0.5 {
 		t.Fatalf("window recovery %g, want 1.75", got[vm.SegRecovery])

@@ -111,9 +111,6 @@ func (s *SimVM) Run() error {
 	return s.Kernel.Run()
 }
 
-// Time returns the virtual makespan after Run.
-func (s *SimVM) Time() float64 { return s.Kernel.MaxTime() }
-
 // Task returns the task with the given TID, or nil.
 func (s *SimVM) Task(tid int) Task {
 	if t := s.task(tid); t != nil {

@@ -8,9 +8,8 @@ package sciddle
 // receive and barrier rules — and falls back to ordinary message-passing
 // execution whenever the phase is not provably macro-safe.  Both levels
 // drive the same server state, barrier parity included, so the choice is
-// made phase by phase.  Method statistics, telemetry and flow records are
-// bit-identical either way: both report through MethodStats.sent and
-// Conn.replied.
+// made phase by phase.  Telemetry and flow records are bit-identical
+// either way: both report through methodStats.sent and Conn.replied.
 
 import (
 	"slices"
@@ -121,7 +120,7 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 	st := c.stat(method)
 	mt := &c.macroTimes
 	for i := range c.servers {
-		st.sent(mt.SendEnd[i]-mt.Issue[i], c.macroCalls[i].ReqBytes)
+		st.sent(c.macroCalls[i].ReqBytes)
 	}
 	if c.accounting {
 		c.phase++
@@ -131,7 +130,7 @@ func (c *Conn) macroPhasePacked(method string, pack func(i int, args *pvm.Buffer
 	}
 	for i, s := range c.macroServers {
 		c.replies[i] = s.held.reply.Rewind()
-		c.replied(st, c.servers[i], mt.RepBytes[i], mt.Collect[i]-mt.RecvStart[i], mt.Issue[i], mt.Collect[i])
+		c.replied(st, c.servers[i], mt.RepBytes[i], mt.Issue[i], mt.Collect[i])
 	}
 	return c.replies, true
 }

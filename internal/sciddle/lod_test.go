@@ -7,6 +7,7 @@ import (
 	"opalperf/internal/hpm"
 	"opalperf/internal/platform"
 	"opalperf/internal/pvm"
+	"opalperf/internal/trace"
 	"opalperf/internal/vm"
 )
 
@@ -26,31 +27,25 @@ func busyService() *Service {
 	return svc
 }
 
-// methodTotals is a MethodStats without its telemetry handles.
-type methodTotals struct {
-	Method                            string
-	Calls, Retries, BytesOut, BytesIn int
-	TCall, TReturn                    float64
-}
-
 // TestAccountingLoDAlternates: level of detail is a per-phase choice in
 // accounting mode.  A connection to four reactor servers suspends macro
 // replay every third phase from the second on, so every fine-grained
 // phase follows an odd number of replayed ones: a replay that left the
 // servers' barrier parity behind the client's would deadlock there.  The
 // run reproduces a fine-grained run bit for bit — makespan, every proc's
-// vm.Stats and the method statistics — and counts its phases exactly.
+// vm.Stats and the RPC flows — and counts its phases exactly.
 func TestAccountingLoDAlternates(t *testing.T) {
 	const nsrv, phases = 4, 12
 	type outcome struct {
 		makespan        float64
 		procs           []vm.Stats
-		methods         []methodTotals
+		flows           []trace.Flow
 		macro, fallback int
 	}
 	run := func(lod bool) outcome {
 		var o outcome
-		s := pvm.NewSimVM(platform.J90(), nil)
+		rec := trace.NewRecorder()
+		s := pvm.NewSimVM(platform.J90(), rec)
 		s.SpawnRoot("client", func(ct pvm.Task) {
 			tids := ct.Spawn("server", nsrv, func(st pvm.Task) {
 				Serve(st, busyService(), ServeOptions{Accounting: true, Parties: nsrv + 1})
@@ -72,18 +67,16 @@ func TestAccountingLoDAlternates(t *testing.T) {
 				c.ResumeLoD()
 			}
 			o.macro, o.fallback = c.LoDPhases()
-			for _, m := range c.Stats() {
-				o.methods = append(o.methods, methodTotals{m.Method, m.Calls, m.Retries, m.BytesOut, m.BytesIn, m.TCall, m.TReturn})
-			}
 			c.Close()
 		})
 		if err := s.Run(); err != nil {
 			t.Fatalf("LoD %v: %v", lod, err)
 		}
-		o.makespan = s.Time()
+		o.makespan = s.Kernel.MaxTime()
 		for _, p := range s.Kernel.Procs() {
 			o.procs = append(o.procs, p.Stats())
 		}
+		o.flows = rec.Flows()
 		return o
 	}
 	off, on := run(false), run(true)
@@ -104,12 +97,12 @@ func TestAccountingLoDAlternates(t *testing.T) {
 			t.Errorf("proc %d stats differ:\nLoD on  %+v\nLoD off %+v", id, on.procs[id], off.procs[id])
 		}
 	}
-	if len(on.methods) != len(off.methods) {
-		t.Fatalf("%d methods with LoD, %d without", len(on.methods), len(off.methods))
+	if len(on.flows) != len(off.flows) {
+		t.Fatalf("%d flows with LoD, %d without", len(on.flows), len(off.flows))
 	}
-	for i := range off.methods {
-		if on.methods[i] != off.methods[i] {
-			t.Errorf("method stats differ:\nLoD on  %+v\nLoD off %+v", on.methods[i], off.methods[i])
+	for i := range off.flows {
+		if on.flows[i] != off.flows[i] {
+			t.Errorf("flow %d differs:\nLoD on  %+v\nLoD off %+v", i, on.flows[i], off.flows[i])
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // measure ... high level metrics like server computation rate, client
 // computation rate ..., but low level indicators like communication
 // efficiency, idle times, and load imbalance ... are much harder to get."
-// With the accounting barriers in place, all of them fall out of the
-// recorded timelines; Metrics packages them.
+// With the accounting barriers in place, all of them fall out of a run's
+// breakdown; Metrics packages them.
 
 // Metrics summarizes one instrumented client-server run.
 type Metrics struct {
@@ -25,10 +25,10 @@ type Metrics struct {
 	// ServerComputeShare is the mean fraction of the wall clock a server
 	// spent computing (the "server computation rate" in time terms).
 	ServerComputeShare float64
-	// CommEfficiency is the fraction of total communication time spent
-	// moving payload bytes rather than per-message overhead; it needs the
-	// byte volume and the platform's key data to split, so here it is
-	// the simpler ratio of communication to wall clock.
+	// CommShare is the communication share of the wall clock.  It stands
+	// in for the communication efficiency (payload time over total
+	// communication time), which would need the byte volume and the
+	// platform's key data to split.
 	CommShare float64
 	// LoadImbalance is (max-mean)/mean over server compute times.
 	LoadImbalance float64
@@ -38,10 +38,10 @@ type Metrics struct {
 	IdleShare float64
 }
 
-// MetricsOf derives the middleware metrics from a recorded run window.
-func MetricsOf(rec *trace.Recorder, clientID int, serverIDs []int, t0, t1 float64) Metrics {
-	wall := t1 - t0
-	b := trace.ComputeBreakdownBetween(rec, clientID, serverIDs, t0, t1, wall)
+// MetricsOf derives the middleware metrics from a run window's breakdown,
+// as harness.Run reports it.
+func MetricsOf(b trace.Breakdown) Metrics {
+	wall := b.Wall
 	m := Metrics{Wall: wall}
 	if wall <= 0 {
 		return m

@@ -10,6 +10,11 @@ import (
 	"opalperf/internal/vm"
 )
 
+// metricsOf derives the metrics of a recorded window [t0, t1].
+func metricsOf(rec *trace.Recorder, clientID int, serverIDs []int, t0, t1 float64) Metrics {
+	return MetricsOf(trace.ComputeBreakdownBetween(rec, clientID, serverIDs, t0, t1, t1-t0))
+}
+
 func TestMetricsOf(t *testing.T) {
 	rec := trace.NewRecorder()
 	// Window [0, 10]: client computes 1.5, comm 1, sync 0.5; two servers
@@ -19,7 +24,7 @@ func TestMetricsOf(t *testing.T) {
 	rec.Segment(0, "client", vm.SegSync, 2.5, 3)
 	rec.Segment(1, "s0", vm.SegCompute, 0, 6)
 	rec.Segment(2, "s1", vm.SegCompute, 0, 8)
-	m := MetricsOf(rec, 0, []int{1, 2}, 0, 10)
+	m := metricsOf(rec, 0, []int{1, 2}, 0, 10)
 	if m.Wall != 10 {
 		t.Errorf("wall = %v", m.Wall)
 	}
@@ -51,7 +56,7 @@ func TestMetricsOf(t *testing.T) {
 
 func TestMetricsDegenerateWindow(t *testing.T) {
 	rec := trace.NewRecorder()
-	m := MetricsOf(rec, 0, nil, 5, 5)
+	m := metricsOf(rec, 0, nil, 5, 5)
 	if m.Wall != 0 || m.ClientComputeShare != 0 {
 		t.Errorf("metrics = %+v", m)
 	}
@@ -62,7 +67,7 @@ func TestMetricsFromRealRun(t *testing.T) {
 	sim, rec := runClient(t, platform.FastCoPs, 3, true, func(c *Conn) {
 		mustPhase(c, "work", func(int) float64 { return 67e6 })
 	})
-	m := MetricsOf(rec, 0, []int{1, 2, 3}, 0, sim.Time())
+	m := metricsOf(rec, 0, []int{1, 2, 3}, 0, sim.Kernel.MaxTime())
 	if m.ServerComputeShare <= 0.5 {
 		t.Errorf("server compute share = %v, want dominant", m.ServerComputeShare)
 	}
@@ -77,7 +82,7 @@ func TestMetricsFromRealRun(t *testing.T) {
 func TestMetricsEmptyWindow(t *testing.T) {
 	// A window with no recorded segments: well-defined zero shares, no NaN.
 	rec := trace.NewRecorder()
-	m := MetricsOf(rec, 0, []int{1, 2}, 0, 4)
+	m := metricsOf(rec, 0, []int{1, 2}, 0, 4)
 	if m.Wall != 4 {
 		t.Errorf("wall = %v", m.Wall)
 	}
@@ -95,7 +100,7 @@ func TestMetricsNegativeWall(t *testing.T) {
 	// t1 < t0 (wall < 0) must not divide: all shares stay zero.
 	rec := trace.NewRecorder()
 	rec.Segment(0, "client", vm.SegCompute, 0, 1)
-	m := MetricsOf(rec, 0, []int{1}, 3, 1)
+	m := metricsOf(rec, 0, []int{1}, 3, 1)
 	if m.Wall != -2 {
 		t.Errorf("wall = %v", m.Wall)
 	}
@@ -114,7 +119,7 @@ func TestMetricsNoServers(t *testing.T) {
 	rec := trace.NewRecorder()
 	rec.Segment(0, "client", vm.SegCompute, 0, 3)
 	rec.Segment(0, "client", vm.SegComm, 3, 4)
-	m := MetricsOf(rec, 0, nil, 0, 8)
+	m := metricsOf(rec, 0, nil, 0, 8)
 	if m.ServerComputeShare != 0 || m.LoadImbalance != 0 {
 		t.Errorf("serverless metrics = %+v, want zero server terms", m)
 	}

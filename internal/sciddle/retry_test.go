@@ -102,9 +102,6 @@ func TestCallTimeoutRetries(t *testing.T) {
 					} else if got := rep.MustFloat64(); got != 42 {
 						t.Errorf("reply = %v, want 42", got)
 					}
-					if got := c.Stats()[0].Retries; got != tc.wantRetries {
-						t.Errorf("Retries = %d, want %d", got, tc.wantRetries)
-					}
 					if len(ft.sentIDs) != 1+tc.wantRetries {
 						t.Errorf("victim got %d requests, want %d", len(ft.sentIDs), 1+tc.wantRetries)
 					}

@@ -131,15 +131,6 @@ func (s *Service) Register(method string, h Handler) {
 	s.entries = append(s.entries, entry{method: method, h: h})
 }
 
-// Methods returns the registered method names in registration order.
-func (s *Service) Methods() []string {
-	names := make([]string, len(s.entries))
-	for i, e := range s.entries {
-		names[i] = e.method
-	}
-	return names
-}
-
 // entry looks method up; a service exports a handful of methods, so a
 // scan finds it.  Calling an unregistered method is a bug in the client,
 // interfaces being static.
@@ -353,23 +344,12 @@ func barrierKey(phase int, point string) string {
 	return phaseKeys[phase&1][1]
 }
 
-// MethodStats aggregates the client-side cost of one method, as the
-// instrumented middleware reports it.
-type MethodStats struct {
-	Method   string
-	Calls    int
-	Retries  int // idempotent resends after a reply deadline expired
-	BytesOut int
-	BytesIn  int
-	// TCall is client time spent transmitting requests (the t_call terms
-	// of eq. 7); TReturn is client time spent in Recv for replies,
-	// including waiting (the t_return terms of eqs. 8-9 plus idle).
-	TCall   float64
-	TReturn float64
-
-	// Cached telemetry handles, resolved once per method at first call so
-	// the hot paths skip the vec lookups.  Nil-safe is not needed: stat()
-	// always fills them.
+// methodStats is where the client reports one method's calls: its
+// telemetry handles, resolved once per method at first call so the hot
+// paths skip the vec lookups.  Nil-safe is not needed: stat() always
+// fills them.
+type methodStats struct {
+	method              string
 	tLat                *telemetry.Histogram
 	tRetries, tTimeouts *telemetry.Counter
 	tBytesOut, tBytesIn *telemetry.Counter
@@ -406,8 +386,7 @@ type Conn struct {
 	// Zero timeout means wait forever (the classic Sciddle behaviour).
 	callTimeout time.Duration
 	callRetries int
-	stats       map[string]*MethodStats
-	statOrder   []string
+	stats       map[string]*methodStats
 	// Steady-state scratch of CallPhasePacked: per-server request buffers
 	// reset and repacked each phase, plus the issued calls and their replies.
 	reqBufs []*pvm.Buffer
@@ -432,7 +411,7 @@ type Conn struct {
 // the server it replaces (ReplaceServer), so its traffic lands in the same
 // row and column across a heal.
 func Connect(t pvm.Task, servers []int) *Conn {
-	c := &Conn{t: t, scope: pvm.ScopeOf(t), servers: append([]int(nil), servers...), stats: make(map[string]*MethodStats)}
+	c := &Conn{t: t, scope: pvm.ScopeOf(t), servers: append([]int(nil), servers...), stats: make(map[string]*methodStats)}
 	if m := c.scope.Matrix; m != nil {
 		m.MapRank(t.TID(), 0)
 		for i, tid := range servers {
@@ -518,11 +497,11 @@ func (c *Conn) Server(i int) int { return c.servers[i] }
 // NumServers returns the number of servers.
 func (c *Conn) NumServers() int { return len(c.servers) }
 
-func (c *Conn) stat(method string) *MethodStats {
+func (c *Conn) stat(method string) *methodStats {
 	s := c.stats[method]
 	if s == nil {
-		s = &MethodStats{
-			Method:    method,
+		s = &methodStats{
+			method:    method,
 			tLat:      telemetry.RPCLatency.With(method),
 			tRetries:  telemetry.RPCRetries.With(method),
 			tTimeouts: telemetry.RPCTimeouts.With(method),
@@ -530,18 +509,8 @@ func (c *Conn) stat(method string) *MethodStats {
 			tBytesIn:  telemetry.RPCBytesIn.With(method),
 		}
 		c.stats[method] = s
-		c.statOrder = append(c.statOrder, method)
 	}
 	return s
-}
-
-// Stats returns per-method statistics in first-call order.
-func (c *Conn) Stats() []*MethodStats {
-	out := make([]*MethodStats, 0, len(c.statOrder))
-	for _, m := range c.statOrder {
-		out = append(out, c.stats[m])
-	}
-	return out
 }
 
 // call is one issued request awaiting its reply.
@@ -565,35 +534,28 @@ func (c *Conn) packRequest(req *pvm.Buffer, method string, i int, pack func(i in
 	return id
 }
 
-// sent books one transmitted request: dt client seconds inside Send and
-// the request volume.
-func (st *MethodStats) sent(dt float64, bytes int) {
-	st.TCall += dt
-	st.Calls++
-	st.BytesOut += bytes
+// sent books one transmitted request's volume.
+func (st *methodStats) sent(bytes int) {
 	st.tBytesOut.Add(uint64(bytes))
 }
 
-// replied books one collected reply from task tid: wait client seconds
-// inside the final receive, the reply volume, and the issue-to-collect
-// latency on the histogram and the RPC's flow.  Fine-grained collection
-// and macro replay both report through here, so the two render identical
-// statistics.
-func (c *Conn) replied(st *MethodStats, tid, bytes int, wait, issued, now float64) {
-	st.TReturn += wait
-	st.BytesIn += bytes
+// replied books one collected reply from task tid: the reply volume, and
+// the issue-to-collect latency on the histogram and the RPC's flow.
+// Fine-grained collection and macro replay both report through here, so
+// the two render identical statistics.
+func (c *Conn) replied(st *methodStats, tid, bytes int, issued, now float64) {
 	st.tBytesIn.Add(uint64(bytes))
 	st.tLat.Observe(now - issued)
-	pvm.ReportFlow(c.t, st.Method, tid, issued, now)
+	pvm.ReportFlow(c.t, st.method, tid, issued, now)
 }
 
 // issue packs server i's request into req (see packRequest) and sends it.
-func (c *Conn) issue(st *MethodStats, i int, req *pvm.Buffer, pack func(i int, args *pvm.Buffer)) call {
+func (c *Conn) issue(st *methodStats, i int, req *pvm.Buffer, pack func(i int, args *pvm.Buffer)) call {
 	k := call{index: i, tid: c.servers[i], req: req}
-	k.id = c.packRequest(req, st.Method, i, pack)
+	k.id = c.packRequest(req, st.method, i, pack)
 	k.t0 = c.t.Now()
 	c.t.Send(k.tid, tagRequest, req)
-	st.sent(c.t.Now()-k.t0, req.Bytes())
+	st.sent(req.Bytes())
 	return k
 }
 
@@ -603,32 +565,26 @@ func (c *Conn) issue(st *MethodStats, i int, req *pvm.Buffer, pack func(i int, a
 // lingers unmatched — up to the configured retry count; a server that
 // stays silent, or whose session died, yields a *ServerError instead of a
 // hang.  With no timeout set the wait is the classic unbounded one.
-func (c *Conn) collect(st *MethodStats, k call) (*pvm.Buffer, error) {
+func (c *Conn) collect(st *methodStats, k call) (*pvm.Buffer, error) {
 	for attempt := 0; ; attempt++ {
-		t0 := c.t.Now()
 		b, _, _, err := c.t.RecvTimeout(k.tid, replyTag(k.id), c.callTimeout)
-		now := c.t.Now()
 		if err == nil {
-			c.replied(st, k.tid, b.Bytes(), now-t0, k.t0, now)
+			c.replied(st, k.tid, b.Bytes(), k.t0, c.t.Now())
 			return b, nil
 		}
-		st.TReturn += now - t0
 		if errors.Is(err, pvm.ErrRecvTimeout) {
 			st.tTimeouts.Add(1)
 		}
 		if !errors.Is(err, pvm.ErrRecvTimeout) || attempt >= c.callRetries {
 			c.scope.Emit("rpc_server_dead", telemetry.F{
-				"method": st.Method, "server": k.index, "tid": k.tid, "attempts": attempt + 1,
+				"method": st.method, "server": k.index, "tid": k.tid, "attempts": attempt + 1,
 			})
 			return nil, &ServerError{Server: k.index, TID: k.tid, Err: err}
 		}
-		t0 = c.t.Now()
 		c.t.Send(k.tid, tagRequest, k.req)
-		st.TCall += c.t.Now() - t0
-		st.Retries++
 		st.tRetries.Add(1)
 		c.scope.Emit("rpc_retry", telemetry.F{
-			"method": st.Method, "server": k.index, "tid": k.tid, "attempt": attempt + 1,
+			"method": st.method, "server": k.index, "tid": k.tid, "attempt": attempt + 1,
 		})
 	}
 }

@@ -91,7 +91,7 @@ func TestAsyncCallsOverlap(t *testing.T) {
 			panic("wrong reply count")
 		}
 	})
-	if wall := s.Time(); wall < 0.9 || wall > 1.5 {
+	if wall := s.Kernel.MaxTime(); wall < 0.9 || wall > 1.5 {
 		t.Errorf("wall = %v, want ~1s (overlapped servers)", wall)
 	}
 }
@@ -104,7 +104,7 @@ func TestCallPhaseAccountingMode(t *testing.T) {
 			mustPhase(c, "work", func(int) float64 { return flops })
 		}
 	})
-	b := trace.ComputeBreakdown(rec, 0, []int{1, 2, 3}, s.Time())
+	b := trace.ComputeBreakdown(rec, 0, []int{1, 2, 3}, s.Kernel.MaxTime())
 	// Each server computes 2 x 1s.  The client's wait at the done barrier
 	// equals the servers' parallel computation, which the breakdown
 	// already accounts under ParComp, so Idle (the residual) stays near
@@ -131,7 +131,7 @@ func TestImbalanceSurfacesAsIdle(t *testing.T) {
 		// Server 0: 1s, server 1: 3s.
 		mustPhase(c, "work", func(i int) float64 { return 67e6 * float64(1+2*i) })
 	})
-	b := trace.ComputeBreakdown(rec, 0, []int{1, 2}, s.Time())
+	b := trace.ComputeBreakdown(rec, 0, []int{1, 2}, s.Kernel.MaxTime())
 	if b.ParComp < 1.9 || b.ParComp > 2.1 {
 		t.Errorf("mean par comp = %v, want ~2", b.ParComp)
 	}
@@ -155,7 +155,7 @@ func TestAccountingOverheadSmall(t *testing.T) {
 		s, _ := runClient(t, platform.FastCoPs, nsrv, acct, func(c *Conn) {
 			mustPhase(c, "work", func(int) float64 { return flops })
 		})
-		return s.Time()
+		return s.Kernel.MaxTime()
 	}
 	over, acct := run(false), run(true)
 	if acct < over {
@@ -167,31 +167,36 @@ func TestAccountingOverheadSmall(t *testing.T) {
 	}
 }
 
+// TestMethodStats: a phase over two servers and one call report three
+// calls of one method, one flow each (before Close's stop calls), with
+// the volumes the client sent and received.
 func TestMethodStats(t *testing.T) {
-	runClient(t, platform.J90, 2, false, func(c *Conn) {
+	s, rec := runClient(t, platform.J90, 2, false, func(c *Conn) {
 		mustPhase(c, "double", func(int) float64 { return 1 })
 		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(2))
-		st := c.Stats()
-		if len(st) != 1 || st[0].Method != "double" {
-			panic(fmt.Sprintf("stats = %+v", st))
-		}
-		if st[0].Calls != 3 {
-			panic(fmt.Sprintf("calls = %d, want 3", st[0].Calls))
-		}
-		if st[0].BytesOut == 0 || st[0].BytesIn == 0 {
-			panic("volumes not recorded")
-		}
-		if st[0].TCall <= 0 {
-			panic("TCall not recorded")
+		if len(c.stats) != 1 || c.stats["double"] == nil {
+			panic(fmt.Sprintf("stats = %+v", c.stats))
 		}
 	})
+	flows := rec.Flows()
+	if len(flows) < 3 {
+		t.Fatalf("flows = %+v, want 3 calls first", flows)
+	}
+	for _, f := range flows[:3] {
+		if f.Method != "double" || f.Reply <= f.Issue {
+			t.Errorf("flow = %+v", f)
+		}
+	}
+	if st := s.Kernel.Proc(0).Stats(); st.BytesSent == 0 || st.BytesRecv == 0 {
+		t.Errorf("client volumes not recorded: %+v", st)
+	}
 }
 
 func TestStatsSeparatePerMethod(t *testing.T) {
 	runClient(t, platform.J90, 1, false, func(c *Conn) {
 		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
 		mustCall(c, 0, "work", pvm.NewBuffer().PackFloat64(100))
-		if n := len(c.Stats()); n != 2 {
+		if n := len(c.stats); n != 2 {
 			panic(fmt.Sprintf("methods = %d, want 2", n))
 		}
 	})
@@ -243,9 +248,8 @@ func TestServerIndexOutOfRangePanics(t *testing.T) {
 
 func TestServiceMethods(t *testing.T) {
 	svc := echoService()
-	ms := svc.Methods()
-	if len(ms) != 2 || ms[0] != "double" || ms[1] != "work" {
-		t.Errorf("methods = %v", ms)
+	if len(svc.entries) != 2 || svc.entries[0].method != "double" || svc.entries[1].method != "work" {
+		t.Errorf("entries = %+v", svc.entries)
 	}
 }
 
@@ -266,23 +270,22 @@ func TestJ90CommunicationDominatesSmallCalls(t *testing.T) {
 			mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
 		}
 	})
-	if s.Time() < 0.2 {
-		t.Errorf("wall = %v, want >= 0.2s from per-message overheads", s.Time())
+	if s.Kernel.MaxTime() < 0.2 {
+		t.Errorf("wall = %v, want >= 0.2s from per-message overheads", s.Kernel.MaxTime())
 	}
 }
 
 func TestVolumeScalesWithPayload(t *testing.T) {
-	var small, big int
-	runClient(t, platform.J90, 1, false, func(c *Conn) {
+	s, _ := runClient(t, platform.J90, 1, false, func(c *Conn) {
 		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
-		small = c.Stats()[0].BytesOut
 	})
-	runClient(t, platform.J90, 1, false, func(c *Conn) {
+	small := s.Kernel.Proc(0).Stats().BytesSent
+	s, _ = runClient(t, platform.J90, 1, false, func(c *Conn) {
 		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
 		// Pad with a second call of the same method.
 		mustCall(c, 0, "double", pvm.NewBuffer().PackFloat64(1))
-		big = c.Stats()[0].BytesOut
 	})
+	big := s.Kernel.Proc(0).Stats().BytesSent
 	if big <= small {
 		t.Errorf("bytes out: %d then %d, want growth", small, big)
 	}

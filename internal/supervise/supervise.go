@@ -81,7 +81,6 @@ type Supervisor struct {
 	opts     Options
 	state    State
 	respawns int
-	perRank  []int // respawn count per rank
 	lost     []int // TIDs of every server declared dead
 }
 
@@ -96,7 +95,7 @@ func New(opts Options) *Supervisor {
 	if opts.Scope == nil {
 		opts.Scope = &telemetry.Scope{ID: telemetry.Run()}
 	}
-	s := &Supervisor{opts: opts, perRank: make([]int, opts.Width)}
+	s := &Supervisor{opts: opts}
 	s.publishState()
 	return s
 }
@@ -121,24 +120,6 @@ func (s *Supervisor) publishState() {
 	telemetry.SupState.Set(int64(s.state))
 	s.opts.Scope.SetHealth(s.state.String(), s.state != Degraded)
 }
-
-// State returns the supervisor's current rung.
-func (s *Supervisor) State() State { return s.state }
-
-// Respawns returns the total replacements spawned so far.
-func (s *Supervisor) Respawns() int { return s.respawns }
-
-// RespawnsOf returns how many times the server holding rank has been
-// replaced.
-func (s *Supervisor) RespawnsOf(rank int) int {
-	if rank < 0 || rank >= len(s.perRank) {
-		return 0
-	}
-	return s.perRank[rank]
-}
-
-// Lost returns the TIDs of every server declared dead, in death order.
-func (s *Supervisor) Lost() []int { return append([]int(nil), s.lost...) }
 
 // CanRespawn reports whether the respawn budget permits another heal.
 func (s *Supervisor) CanRespawn() bool {
@@ -166,7 +147,6 @@ func (s *Supervisor) OnDeath(rank, tid int) (newTID int, ok bool) {
 	s.setState(Healing)
 	newTID = s.opts.Spawn(s.respawns)
 	s.respawns++
-	s.perRank[rank]++
 	telemetry.SupRespawns.Add(1)
 	return newTID, true
 }

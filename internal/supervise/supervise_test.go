@@ -17,7 +17,7 @@ func (f *fakeSpawner) spawn(k int) int {
 func TestSupervisorHealCycle(t *testing.T) {
 	sp := &fakeSpawner{base: 100}
 	s := New(Options{Width: 3, Spawn: sp.spawn})
-	if got := s.State(); got != Healthy {
+	if got := s.state; got != Healthy {
 		t.Fatalf("fresh supervisor state = %v, want healthy", got)
 	}
 	if !s.CanRespawn() {
@@ -28,8 +28,8 @@ func TestSupervisorHealCycle(t *testing.T) {
 	if !ok || tid != 100 {
 		t.Fatalf("OnDeath = (%d, %v), want (100, true)", tid, ok)
 	}
-	if s.State() != Healing {
-		t.Fatalf("state after OnDeath = %v, want healing", s.State())
+	if s.state != Healing {
+		t.Fatalf("state after OnDeath = %v, want healing", s.state)
 	}
 
 	// A cascading death during the same healing window heals too.
@@ -39,21 +39,15 @@ func TestSupervisorHealCycle(t *testing.T) {
 	}
 
 	s.Healed()
-	if s.State() != Healthy {
-		t.Fatalf("state after Healed = %v, want healthy", s.State())
+	if s.state != Healthy {
+		t.Fatalf("state after Healed = %v, want healthy", s.state)
 	}
-	if got := s.Respawns(); got != 2 {
-		t.Fatalf("Respawns = %d, want 2", got)
+	if got := s.respawns; got != 2 {
+		t.Fatalf("respawns = %d, want 2", got)
 	}
-	if got := s.RespawnsOf(1); got != 1 {
-		t.Fatalf("RespawnsOf(1) = %d, want 1", got)
-	}
-	if got := s.RespawnsOf(2); got != 0 {
-		t.Fatalf("RespawnsOf(2) = %d, want 0", got)
-	}
-	lost := s.Lost()
+	lost := s.lost
 	if len(lost) != 2 || lost[0] != 42 || lost[1] != 43 {
-		t.Fatalf("Lost = %v, want [42 43]", lost)
+		t.Fatalf("lost = %v, want [42 43]", lost)
 	}
 	if len(sp.calls) != 2 || sp.calls[0] != 0 || sp.calls[1] != 1 {
 		t.Fatalf("spawn replacement counters = %v, want [0 1]", sp.calls)
@@ -75,24 +69,24 @@ func TestSupervisorBudgetExhaustionDegrades(t *testing.T) {
 	if _, ok := s.OnDeath(1, 8); ok {
 		t.Fatal("death beyond budget must refuse to heal")
 	}
-	if s.State() != Degraded {
-		t.Fatalf("state after refusal = %v, want degraded", s.State())
+	if s.state != Degraded {
+		t.Fatalf("state after refusal = %v, want degraded", s.state)
 	}
 
 	// Degraded is terminal: Healed does not resurrect, further deaths
 	// keep refusing, and the refused death is not counted as lost here
 	// (the degradation path records it).
 	s.Healed()
-	if s.State() != Degraded {
-		t.Fatalf("Healed must not leave degraded, state = %v", s.State())
+	if s.state != Degraded {
+		t.Fatalf("Healed must not leave degraded, state = %v", s.state)
 	}
 	if _, ok := s.OnDeath(0, 9); ok {
 		t.Fatal("degraded supervisor must never heal again")
 	}
-	if got := s.Respawns(); got != 1 {
-		t.Fatalf("Respawns = %d, want 1", got)
+	if got := s.respawns; got != 1 {
+		t.Fatalf("respawns = %d, want 1", got)
 	}
-	if got := len(s.Lost()); got != 1 {
+	if got := len(s.lost); got != 1 {
 		t.Fatalf("len(Lost) = %d, want 1 (refused deaths are not recorded)", got)
 	}
 }
@@ -106,8 +100,8 @@ func TestSupervisorUnlimitedBudget(t *testing.T) {
 		}
 		s.Healed()
 	}
-	if got := s.Respawns(); got != 10 {
-		t.Fatalf("Respawns = %d, want 10", got)
+	if got := s.respawns; got != 10 {
+		t.Fatalf("respawns = %d, want 10", got)
 	}
 }
 

@@ -24,7 +24,8 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	cv.With(`a\b`).Add(1)
 	cv.With("nl\nend").Add(3)
 	cv.With(`q"uote`).Add(2)
-	g := r.FGauge("t_conf_level", "a float level")
+	g := &FGauge{name: "t_conf_level", help: "a float level"}
+	r.register(g)
 	g.Set(1.5)
 	gv := r.FGaugeVec("t_conf_residual_seconds", "residual by term", "term")
 	gv.With("comm").Set(-0.25)
@@ -82,7 +83,7 @@ func TestPromLabelEscapeLeavesLiteralsAlone(t *testing.T) {
 
 func TestFGaugeSetValue(t *testing.T) {
 	r := NewRegistry()
-	g := r.FGauge("t_fg", "x")
+	g := &FGauge{name: "t_fg", help: "x"}
 	if g.Value() != 0 {
 		t.Fatalf("zero value = %g", g.Value())
 	}

@@ -121,21 +121,6 @@ func (j *Journal) SetMaxBytes(n int64) {
 	j.mu.Unlock()
 }
 
-// Dropped returns the number of events dropped from the JSONL stream by
-// the byte cap.
-func (j *Journal) Dropped() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
-// Written returns the number of JSONL bytes written so far.
-func (j *Journal) Written() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.written
-}
-
 // Emit records one event of the process on the installed journal; a no-op
 // when no journal is installed.  The event is stamped with the wall clock
 // and the process's run ID; a run's own events go through its Scope.

@@ -29,10 +29,10 @@ func TestJournalByteCap(t *testing.T) {
 	if sb.Len() > capBytes {
 		t.Fatalf("journal wrote %d bytes past the %d-byte cap", sb.Len(), capBytes)
 	}
-	if int64(sb.Len()) != j.Written() {
-		t.Fatalf("Written() = %d, writer saw %d bytes", j.Written(), sb.Len())
+	if int64(sb.Len()) != j.written {
+		t.Fatalf("written = %d, writer saw %d bytes", j.written, sb.Len())
 	}
-	if j.Dropped() == 0 {
+	if j.dropped == 0 {
 		t.Fatal("cap was exceeded but Dropped() = 0")
 	}
 	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
@@ -43,8 +43,8 @@ func TestJournalByteCap(t *testing.T) {
 		}
 	}
 	// journal_start + every spam event is either written or counted dropped.
-	if got := uint64(len(lines)) + j.Dropped(); got != events+1 {
-		t.Fatalf("written %d + dropped %d != emitted %d", len(lines), j.Dropped(), events+1)
+	if got := uint64(len(lines)) + j.dropped; got != events+1 {
+		t.Fatalf("written %d + dropped %d != emitted %d", len(lines), j.dropped, events+1)
 	}
 	// The flight recorder is bounded by count, not bytes: it must have kept
 	// rolling through the drops and hold its full capacity.
@@ -71,8 +71,8 @@ func TestJournalSetMaxBytesZeroRemovesCap(t *testing.T) {
 	if strings.Contains(sb.String(), `"type":"a"`) {
 		t.Fatalf("capped emit was written:\n%s", sb.String())
 	}
-	if j.Dropped() != 1 {
-		t.Fatalf("Dropped() = %d, want 1", j.Dropped())
+	if j.dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", j.dropped)
 	}
 }
 

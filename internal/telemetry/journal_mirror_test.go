@@ -60,10 +60,10 @@ func TestJournalGaugesOnMetrics(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		j.Emit("spam", F{"i": i})
 	}
-	if got := JournalDroppedEvents.Value(); got != int64(j.Dropped()) {
-		t.Fatalf("dropped gauge = %d, journal dropped %d", got, j.Dropped())
+	if got := JournalDroppedEvents.Value(); got != int64(j.dropped) {
+		t.Fatalf("dropped gauge = %d, journal dropped %d", got, j.dropped)
 	}
-	if j.Dropped() == 0 {
+	if j.dropped == 0 {
 		t.Fatal("test emitted past the cap but nothing dropped")
 	}
 

@@ -234,13 +234,6 @@ type FGauge struct {
 	bits       atomic.Uint64
 }
 
-// FGauge registers a new float gauge.
-func (r *Registry) FGauge(name, help string) *FGauge {
-	g := &FGauge{name: name, help: help}
-	r.register(g)
-	return g
-}
-
 // Set stores v.
 func (g *FGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 

@@ -9,7 +9,7 @@ import (
 // withEnabled arms the plane for one test and restores the previous state.
 func withEnabled(t *testing.T) {
 	t.Helper()
-	prev := Enabled()
+	prev := on.Load()
 	SetEnabled(true)
 	t.Cleanup(func() { SetEnabled(prev) })
 }

@@ -39,9 +39,6 @@ var on atomic.Bool
 // SetEnabled arms or disarms the telemetry plane.
 func SetEnabled(v bool) { on.Store(v) }
 
-// Enabled reports whether the telemetry plane is armed.
-func Enabled() bool { return on.Load() }
-
 // runID identifies the process in journal lines and /metrics.
 var runID atomic.Pointer[string]
 

@@ -110,7 +110,7 @@ func TestTotalsBetweenAggregation(t *testing.T) {
 			for _, s := range tc.segs {
 				r.Segment(s.proc, "p", s.kind, s.start, s.end)
 			}
-			got := r.TotalsBetween(tc.proc, tc.t0, tc.t1)
+			got := r.totalsBetween(tc.t0, tc.t1, tc.proc)[0]
 			for k := vm.SegKind(0); k < vm.NumSegKinds; k++ {
 				if want := tc.want[k]; math.Abs(got[k]-want) > 1e-12 {
 					t.Errorf("%v: got %v, want %v", k, got[k], want)
@@ -177,8 +177,7 @@ func TestBreakdownSumsToWall(t *testing.T) {
 			if math.Abs(b.Sum()-tc.wall) > 1e-12 {
 				t.Errorf("sum %v != wall %v", b.Sum(), tc.wall)
 			}
-			_, vals := b.ComponentsWithRecovery()
-			for i, v := range vals {
+			for i, v := range []float64{b.ParComp, b.SeqComp, b.Comm, b.Sync, b.Recovery, b.Idle} {
 				if v < 0 {
 					t.Errorf("component %d negative: %v", i, v)
 				}

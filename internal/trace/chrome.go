@@ -140,13 +140,3 @@ func (e *errWriter) Write(p []byte) (int, error) {
 	}
 	return n, nil
 }
-
-// ChromeTraceKinds lists the category names the export uses, one per
-// segment kind — handy for Perfetto queries.
-func ChromeTraceKinds() []string {
-	out := make([]string, vm.NumSegKinds)
-	for k := 0; k < vm.NumSegKinds; k++ {
-		out[k] = vm.SegKind(k).String()
-	}
-	return out
-}

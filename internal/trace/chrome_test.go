@@ -160,9 +160,35 @@ func TestWriteChromeTraceEmptyRecorder(t *testing.T) {
 	}
 }
 
+// TestChromeTraceKinds pins the export's categories: one per segment
+// kind, named as the kind prints, so Perfetto queries can select by it.
 func TestChromeTraceKinds(t *testing.T) {
-	kinds := ChromeTraceKinds()
-	if len(kinds) != vm.NumSegKinds || kinds[0] != "compute" || kinds[vm.SegRecovery] != "recovery" {
-		t.Fatalf("kinds = %v", kinds)
+	r := NewRecorder()
+	for k := 0; k < vm.NumSegKinds; k++ {
+		r.Segment(0, "p", vm.SegKind(k), float64(k), float64(k)+1)
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, r, nil); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Ph, Cat string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var cats []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			cats = append(cats, ev.Cat)
+		}
+	}
+	if len(cats) != vm.NumSegKinds || cats[0] != "compute" || cats[vm.SegRecovery] != "recovery" {
+		t.Fatalf("categories = %v", cats)
+	}
+	for k, c := range cats {
+		if c != vm.SegKind(k).String() {
+			t.Errorf("kind %d exported as category %q, want %q", k, c, vm.SegKind(k))
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // communication with 9 ms of computation looks 100% busy to a 10 ms
 // sampler that happens to land on the compute phase — or 100% idle if it
 // lands in the gaps.  Comparing the sampled shares against the exact
-// TotalsBetween quantifies the bias.
+// totals quantifies the bias (SamplingBias).
 func SampleShares(r *Recorder, proc int, t0, t1, period float64) [vm.NumSegKinds]float64 {
 	var counts [vm.NumSegKinds]float64
 	if period <= 0 || t1 <= t0 {
@@ -94,7 +94,7 @@ func (x procIndex) stateAt(t float64) (vm.SegKind, bool) {
 // and returns the absolute error — the quantity that made the paper
 // insist on counted operations over sampling.
 func SamplingBias(r *Recorder, proc int, t0, t1, period float64) float64 {
-	exact := r.TotalsBetween(proc, t0, t1)
+	exact := r.totalsBetween(t0, t1, proc)[0]
 	wall := t1 - t0
 	if wall <= 0 {
 		return 0

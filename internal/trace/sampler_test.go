@@ -48,7 +48,7 @@ func TestCoarseSamplingAliases(t *testing.T) {
 		t.Errorf("sampling bias = %v, want 0.1", bias)
 	}
 	// The counted (exact) accounting has no such bias.
-	exact := r.TotalsBetween(0, 0, 1)
+	exact := r.totalsBetween(0, 1, 0)[0]
 	if math.Abs(exact[vm.SegCompute]-0.9) > 1e-9 {
 		t.Errorf("counted compute = %v", exact[vm.SegCompute])
 	}
@@ -134,9 +134,9 @@ func TestSampleSharesLargeTimelineMatchesNaive(t *testing.T) {
 		}
 	}
 	// And the aggregate shares agree with the exact accounting direction:
-	// fine sampling converges on TotalsBetween.
+	// fine sampling converges on the exact totals.
 	shares := SampleShares(r, 0, 0, 1, 1e-5)
-	exact := r.TotalsBetween(0, 0, 1)
+	exact := r.totalsBetween(0, 1, 0)[0]
 	for k := 0; k < vm.NumSegKinds; k++ {
 		if math.Abs(shares[k]-exact[k]) > 0.01 {
 			t.Fatalf("kind %d: fine-sampled share %v far from exact %v", k, shares[k], exact[k])

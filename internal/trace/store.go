@@ -22,7 +22,7 @@ type chunked[T any] struct {
 }
 
 // next returns the slot of the next record, allocating a chunk only when
-// every chunk kept from before a reset is full.
+// every chunk is full.
 func (c *chunked[T]) next() *T {
 	ci := c.n / chunkLen
 	if ci == len(c.chunks) {
@@ -32,9 +32,6 @@ func (c *chunked[T]) next() *T {
 	c.n++
 	return slot
 }
-
-// reset forgets the records and keeps the chunks.
-func (c *chunked[T]) reset() { c.n = 0 }
 
 // numChunks is the number of chunks holding at least one record.
 func (c *chunked[T]) numChunks() int { return (c.n + chunkLen - 1) / chunkLen }

@@ -110,8 +110,8 @@ func TestSinglePassTotalsMatchPerProcess(t *testing.T) {
 				if !sameBits(all[i], want) {
 					t.Fatalf("seed %d window [%g,%g] proc %d: table %v, per-process %v", seed, t0, t1, id, all[i], want)
 				}
-				if got := r.TotalsBetween(id, t0, t1); !sameBits(got, want) {
-					t.Fatalf("seed %d window [%g,%g] proc %d: TotalsBetween %v, per-process %v", seed, t0, t1, id, got, want)
+				if got := r.totalsBetween(t0, t1, id)[0]; !sameBits(got, want) {
+					t.Fatalf("seed %d window [%g,%g] proc %d: alone %v, per-process %v", seed, t0, t1, id, got, want)
 				}
 			}
 			// The breakdown's cross-process sums: client first, then the
@@ -130,11 +130,11 @@ func TestSinglePassTotalsMatchPerProcess(t *testing.T) {
 
 // TestRoundTripAcrossChunks checks that what Segments and Flows
 // materialise is what was recorded — names, ids and order — over more
-// than three chunk boundaries, and again after a Reset.
+// than three chunk boundaries.
 func TestRoundTripAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	r := NewRecorder()
 	for round := 0; round < 2; round++ {
+		r := NewRecorder()
 		n := 3*chunkLen + 1 + rng.Intn(chunkLen)
 		var segs []Segment
 		var flows []Flow
@@ -168,6 +168,5 @@ func TestRoundTripAcrossChunks(t *testing.T) {
 		if got := r.Procs(); len(got) != len(procSet) {
 			t.Fatalf("round %d: Procs() = %v, want the %d recorded", round, got, len(procSet))
 		}
-		r.Reset()
 	}
 }

@@ -120,22 +120,6 @@ func (r *Recorder) procNames() (procs []int, names []string) {
 	return procs, names
 }
 
-// Reset discards all recorded segments and flows while retaining the
-// chunks and the tables' capacity, so a recorder reused across measurement
-// windows (e.g. via md.Options.AfterInit) reaches a steady state where
-// recording allocates nothing.  The tracks go too,
-// because with them goes the set of processes Procs reports; the method
-// names are only a dictionary and stay.
-func (r *Recorder) Reset() {
-	r.segs.reset()
-	r.flows.reset()
-	r.tracks = r.tracks[:0]
-	clear(r.trackID)
-	r.dense = r.dense[:0]
-	r.procs = r.procs[:0]
-	clear(r.procRow)
-}
-
 // Flow records one client→server RPC flow; IDs are assigned in recording
 // order.
 func (r *Recorder) Flow(method string, client, server int, issue, reply float64) {
@@ -162,18 +146,6 @@ func (r *Recorder) Flows() []Flow {
 
 // kindTotals is one process's time per segment kind.
 type kindTotals = [vm.NumSegKinds]float64
-
-// Totals sums the recorded time per kind for one process.
-func (r *Recorder) Totals(proc int) [vm.NumSegKinds]float64 {
-	return r.TotalsBetween(proc, math.Inf(-1), math.Inf(1))
-}
-
-// TotalsBetween sums the per-kind time of one process clipped to the
-// window [t0, t1] — the measurement window of a run, excluding the
-// amortized initialization before t0 and the shutdown after t1.
-func (r *Recorder) TotalsBetween(proc int, t0, t1 float64) [vm.NumSegKinds]float64 {
-	return r.totalsBetween(t0, t1, proc)[0]
-}
 
 // totalsBetween is the one reduction behind every per-process total: the
 // totals of the requested processes over [t0, t1], in request order (zero
@@ -251,7 +223,7 @@ type Breakdown struct {
 
 // ComputeBreakdown aggregates a recorder into the paper's five response
 // variables.  clientID identifies the client process; serverIDs the
-// servers; wall is the wall-clock time of the run (e.g. kernel.MaxTime()).
+// servers; wall is the wall-clock time of the run.
 func ComputeBreakdown(r *Recorder, clientID int, serverIDs []int, wall float64) Breakdown {
 	return ComputeBreakdownBetween(r, clientID, serverIDs, math.Inf(-1), math.Inf(1), wall)
 }
@@ -318,18 +290,10 @@ func (b Breakdown) Imbalance() float64 {
 
 // Components returns the breakdown in the paper's chart order with labels.
 // The five classic components only — the order and shape of the paper's
-// Figures 1-2 — so fault-free renderings are unchanged; use
-// ComponentsWithRecovery for figures of faulted runs.
+// Figures 1-2.
 func (b Breakdown) Components() ([]string, []float64) {
 	return []string{"par comp", "seq comp", "comm", "sync", "idle"},
 		[]float64{b.ParComp, b.SeqComp, b.Comm, b.Sync, b.Idle}
-}
-
-// ComponentsWithRecovery returns the six-way breakdown including the
-// fault-recovery component.
-func (b Breakdown) ComponentsWithRecovery() ([]string, []float64) {
-	return []string{"par comp", "seq comp", "comm", "sync", "recovery", "idle"},
-		[]float64{b.ParComp, b.SeqComp, b.Comm, b.Sync, b.Recovery, b.Idle}
 }
 
 // Sum returns the accounted total (which equals Wall up to the clamping of

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -24,14 +23,14 @@ func TestTotalsPerKind(t *testing.T) {
 		Segment{Proc: 0, Kind: vm.SegCompute, Start: 3, End: 4.5},
 		Segment{Proc: 1, Kind: vm.SegCompute, Start: 0, End: 10},
 	)
-	tot := r.Totals(0)
+	tot := r.totalsBetween(math.Inf(-1), math.Inf(1), 0)[0]
 	if tot[vm.SegCompute] != 3.5 || tot[vm.SegComm] != 1 {
 		t.Errorf("totals = %v", tot)
 	}
-	if r.Totals(1)[vm.SegCompute] != 10 {
+	if r.totalsBetween(math.Inf(-1), math.Inf(1), 1)[0][vm.SegCompute] != 10 {
 		t.Error("proc 1 totals wrong")
 	}
-	if r.Totals(99) != ([vm.NumSegKinds]float64{}) {
+	if r.totalsBetween(math.Inf(-1), math.Inf(1), 99)[0] != ([vm.NumSegKinds]float64{}) {
 		t.Error("unknown proc should have zero totals")
 	}
 }
@@ -45,14 +44,6 @@ func TestProcsSorted(t *testing.T) {
 	got := r.Procs()
 	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
 		t.Errorf("procs = %v", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := rec(Segment{Proc: 0, Kind: vm.SegCompute, Start: 0, End: 1})
-	r.Reset()
-	if len(r.Segments()) != 0 {
-		t.Error("reset did not clear segments")
 	}
 }
 
@@ -182,48 +173,6 @@ func TestSegmentsNonNilWhenEmpty(t *testing.T) {
 	if got := r.Segments(); got == nil || len(got) != 0 {
 		t.Fatalf("empty recorder Segments() = %#v, want non-nil empty slice", got)
 	}
-	r.Segment(0, "p", vm.SegCompute, 0, 1)
-	r.Reset()
-	if got := r.Segments(); got == nil || len(got) != 0 {
-		t.Fatalf("reset recorder Segments() = %#v, want non-nil empty slice", got)
-	}
-}
-
-// TestResetRetainsCapacity pins the steady state of a reused recorder:
-// refilling it up to its previous length — across several chunk
-// boundaries, with segments of several processes and with flows — touches
-// the allocator not once.
-func TestResetRetainsCapacity(t *testing.T) {
-	const n = 3*chunkLen + 17
-	fill := func(r *Recorder) {
-		for i := 0; i < n; i++ {
-			p := i % 5
-			r.Segment(p, procNames[p], vm.SegKind(i%vm.NumSegKinds), float64(i), float64(i)+0.5)
-			if i%4 == 0 {
-				r.Flow(methodNames[i%len(methodNames)], 0, 1+p, float64(i), float64(i)+0.25)
-			}
-		}
-	}
-	r := NewRecorder()
-	fill(r)
-	if r.Len() != n {
-		t.Fatalf("Len() = %d after %d segments", r.Len(), n)
-	}
-	want := r.Segments()
-	r.Reset()
-	if r.Len() != 0 || len(r.Segments()) != 0 || len(r.Flows()) != 0 || len(r.Procs()) != 0 {
-		t.Fatalf("Reset left %d segments, %d flows, procs %v", r.Len(), len(r.Flows()), r.Procs())
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		r.Reset()
-		fill(r)
-	})
-	if allocs != 0 {
-		t.Fatalf("recording into reset recorder allocated %.0f times per run", allocs)
-	}
-	if got := r.Segments(); !reflect.DeepEqual(got, want) {
-		t.Fatal("refilled recorder does not hold the segments recorded")
-	}
 }
 
 // The process and method names of an eight-server run.
@@ -250,13 +199,5 @@ func TestRecorderFlows(t *testing.T) {
 	want := Flow{ID: 1, Method: "update", Client: 0, Server: 2, Issue: 0.6, Reply: 1.8}
 	if f[1] != want {
 		t.Fatalf("flow = %+v, want %+v", f[1], want)
-	}
-	r.Reset()
-	if len(r.Flows()) != 0 {
-		t.Fatal("Reset did not clear flows")
-	}
-	r.Flow("nbint", 0, 1, 0, 1)
-	if got := r.Flows()[0].ID; got != 0 {
-		t.Fatalf("ids do not restart after Reset: %d", got)
 	}
 }

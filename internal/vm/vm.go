@@ -288,9 +288,6 @@ func (p *Proc) Stats() Stats { return p.stats }
 // out of cache or core memory (Section 2.6 of the paper).
 func (p *Proc) SetWorkingSet(bytes int) { p.ws = bytes }
 
-// WorkingSet returns the declared working-set size in bytes.
-func (p *Proc) WorkingSet() int { return p.ws }
-
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
