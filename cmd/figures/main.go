@@ -2,7 +2,10 @@
 // evaluation into an output directory: the measured breakdowns of
 // Figures 1-2, the parameter space of Figure 3, the calibration of
 // Figure 4, the cross-platform predictions of Figures 5-6, Tables 1-2
-// and the Section 2.6 memory and space tables.
+// and the Section 2.6 memory and space tables, plus the extensions
+// (cost ranking, model validation, J90 cluster, effect analysis and the
+// Section 4.1 zero-copy MPI what-if).  It is the one front end of the
+// paper's pipeline: micro-benchmarks, calibration and prediction.
 //
 // Examples:
 //
@@ -14,10 +17,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
+	"opalperf/internal/core"
 	"opalperf/internal/harness"
 	"opalperf/internal/molecule"
 	"opalperf/internal/parallel"
@@ -25,26 +31,35 @@ import (
 	"opalperf/internal/report"
 )
 
+// keys are the -only keys, in the order figures writes them.
+var keys = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "table2", "mem", "space", "extras"}
+
 func main() {
 	var (
 		outDir = flag.String("out", "out", "output directory")
 		scale  = flag.Float64("scale", 0.25, "problem size scale for the measured figures (1 = paper sizes)")
 		steps  = flag.Int("steps", 10, "simulation steps")
 		maxP   = flag.Int("maxp", 7, "maximum number of servers")
-		only   = flag.String("only", "", "comma-separated subset: fig1..fig6, table1, table2, mem, space")
+		only   = flag.String("only", "", "comma-separated subset: fig1..fig6, table1, table2, mem, space, extras")
 		jobs   = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS); outputs are identical for any value")
 	)
 	flag.Parse()
 	parallel.SetWorkers(*jobs)
 
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fatal(err)
+	if *maxP < 1 || *steps < 1 {
+		usage("-maxp %d -steps %d: need at least one server and one step", *maxP, *steps)
 	}
 	selected := map[string]bool{}
 	for _, k := range strings.Split(*only, ",") {
 		if k = strings.TrimSpace(k); k != "" {
+			if !slices.Contains(keys, k) {
+				usage("unknown -only key %q (valid: %s)", k, strings.Join(keys, ", "))
+			}
 			selected[k] = true
 		}
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fatal(err)
 	}
 	want := func(k string) bool { return len(selected) == 0 || selected[k] }
 	sizes := harness.Sizes(*scale)
@@ -168,8 +183,8 @@ func emitPredictionFigure(dir, name string, sys *molecule.System, steps, maxP in
 }
 
 // emitExtras writes the beyond-the-paper outputs: the cost ranking, the
-// model-vs-simulation validation, the J90-cluster comparison and the
-// factor effect analysis.
+// zero-copy MPI what-if, the model-vs-simulation validation, the
+// J90-cluster comparison and the factor effect analysis.
 func emitExtras(dir string, sizes, fullSizes map[string]*molecule.System, steps, maxP int) {
 	// Cost-effectiveness (1998 prices) on the paper-scale prediction.
 	var sb strings.Builder
@@ -184,6 +199,7 @@ func emitExtras(dir string, sizes, fullSizes map[string]*molecule.System, steps,
 		fmt.Fprintf(&sb, "  %d. %s\n", i+1, c)
 	}
 	write(dir, "extra_cost.txt", sb.String())
+	write(dir, "extra_whatif.txt", whatIf(fullSizes["medium"], steps, maxP))
 
 	// Model-vs-simulation validation at the working scale.
 	fmt.Println("figures: validating the model against simulations...")
@@ -222,6 +238,30 @@ func emitExtras(dir string, sizes, fullSizes map[string]*molecule.System, steps,
 	write(dir, "extra_effects.txt", harness.EffectsReport(analyses))
 }
 
+// whatIf is Section 4.1's suspicion made a number: the J90's cut-off
+// speed-up at maxP servers under its PVM/Sciddle key data and under
+// T3E-class zero-copy MPI figures, and the a1 the model needs for a
+// four-fold speed-up there.
+func whatIf(sys *molecule.System, steps, maxP int) string {
+	j90 := core.MachineFor(platform.J90(), sys.Gamma())
+	app := core.AppFor(sys, harness.EffectiveCutoff, 1, 1, steps)
+	pvmS := j90.Speedup(app, maxP)
+	mpiS := j90.SpeedupWithComm(app, 100e6, 12e-6, maxP)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "what-if (Section 4.1): the J90 with a zero-copy MPI rewrite, %s, cut-off\n", sys.Name)
+	fmt.Fprintf(&sb, "  %-28s speedup(%d) = %.2f\n", "PVM/Sciddle (3 MB/s, 10 ms):", maxP, pvmS[maxP-1])
+	fmt.Fprintf(&sb, "  %-28s speedup(%d) = %.2f\n", "MPI (100 MB/s, 12 us):", maxP, mpiS[maxP-1])
+	appP := app
+	appP.P = maxP
+	fmt.Fprintf(&sb, "  a1 needed for 4x at p=%d: ", maxP)
+	if need := j90.RequiredCommRate(appP, j90.Total(app)/4); math.IsInf(need, 1) {
+		sb.WriteString("unreachable: computation, synchronization and per-message overhead alone exceed T(1)/4\n")
+	} else {
+		fmt.Fprintf(&sb, "%.1f MB/s\n", need/1e6)
+	}
+	return sb.String()
+}
+
 func minInt(a, b int) int {
 	if a < b {
 		return a
@@ -235,6 +275,12 @@ func write(dir, name, content string) {
 		fatal(err)
 	}
 	fmt.Println("figures: wrote", path)
+}
+
+// usage reports a bad flag value and exits 2, writing nothing.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "figures: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

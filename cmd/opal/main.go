@@ -92,7 +92,7 @@ func main() {
 		archDir    = flag.String("archive", "", "append this run's journal events and summary to the persistent run archive at this directory (query with opalquery)")
 		watchdog   = flag.Bool("watchdog", false, "judge this run against the archived rolling baseline for its spec; exit 3 on a flagged regression (requires -archive)")
 		watchTol   = flag.Float64("watchdog-tol", 1.25, "watchdog wall-time tolerance factor over the baseline median")
-		matrixOn   = flag.Bool("matrix", false, "arm the per-rank/per-link comm matrix and rank profiles (journaled as comm_matrix/rank_profile events, streamed on /streamz, inspect with opaltop or opalquery matrix)")
+		matrixOn   = flag.Bool("matrix", false, "arm the per-rank/per-link comm matrix and rank profiles (journaled as comm_matrix/rank_profile events, streamed on /streamz, inspect with opaltop, live or -archive DIR -run ID -snapshot)")
 		matrixEvy  = flag.Int("matrix-every", 0, "also emit comm_matrix/rank_profile journal records every N steps (0 = end of run only; requires -matrix)")
 	)
 	flag.Parse()

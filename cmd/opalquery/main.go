@@ -7,7 +7,6 @@
 //	opalquery -archive DIR residuals [-spec H]
 //	opalquery -archive DIR diff SPEC-A SPEC-B
 //	opalquery -archive DIR watch [-spec H] [-factor F] [-window N] [-min-runs N]
-//	opalquery -archive DIR matrix RUN-ID [-top N]
 //
 // list and show read the index; percentiles digests wall-time cohorts per
 // spec hash (nearest-rank, deterministic); residuals prints the oracle
@@ -42,8 +41,6 @@ commands:
   diff A B     compare two spec hashes' cohorts
   watch        judge the newest run per spec against its rolling baseline;
                exit 2 when flagged (-spec, -factor, -window, -min-runs)
-  matrix RUN   the run's final comm matrix and rank profiles (-top N
-               busiest links; needs a run archived with -matrix)
 `
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -78,8 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdDiff(a, rest, stdout, stderr)
 	case "watch":
 		return cmdWatch(a, rest, stdout, stderr)
-	case "matrix":
-		return cmdMatrix(a, rest, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "opalquery: unknown command %q\n%s", cmd, usage)
 		return 2

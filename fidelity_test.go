@@ -129,7 +129,12 @@ func TestFidelityGolden(t *testing.T) {
 // lands mid-run, at a point set by the heap earlier evals left, drops
 // pooled objects the run then allocates again, which moved counts by up
 // to ±8; so each eval starts from a collected heap and the collector
-// runs only at a 256 MiB cap, and the counts repeat almost exactly.
+// runs only at a 256 MiB cap.  The runtime also fills a type
+// assertion's call-site cache on a random one in ~1024 misses, an
+// allocation that lands in whatever run is going on (math/rand.New's
+// Source64 assertion moved ScenarioThroughput/mix=chaos by one in 1 of
+// 20 full runs); so each eval is measured twice and the fewer counts,
+// while an allocation the program makes on every run shows in both.
 func TestAllocsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -145,9 +150,12 @@ func TestAllocsGolden(t *testing.T) {
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
 	var got strings.Builder
 	for _, e := range evals {
-		runtime.GC()
 		var err error
-		n := testing.AllocsPerRun(1, func() { _, err = e.eval() })
+		n := math.Inf(1)
+		for range 2 {
+			runtime.GC()
+			n = min(n, testing.AllocsPerRun(1, func() { _, err = e.eval() }))
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
@@ -162,9 +170,9 @@ func TestAllocsGolden(t *testing.T) {
 	for i := 0; i < len(gl); i += 2 {
 		g, _ := strconv.ParseFloat(gl[i+1], 64)
 		w, err := strconv.ParseFloat(wl[i+1], 64)
-		// What jitter is left (a count or two on the largest evals) is
-		// well inside 0.1 % plus 4.
-		if gl[i] != wl[i] || err != nil || math.Abs(g-w) > 0.001*w+4 {
+		// 0.01 % holds every eval under 10 000 allocations exact and
+		// leaves Fig4Calibration's ~53 000 five counts.
+		if gl[i] != wl[i] || err != nil || math.Abs(g-w) > 0.0001*w {
 			t.Errorf("%s: got %s %s allocs, want %s %s", path, gl[i], gl[i+1], wl[i], wl[i+1])
 		}
 	}

@@ -18,8 +18,8 @@ import (
 )
 
 // calibrateFor fits a J90 machine from a handful of accounting runs on
-// sys, the way cmd/calibrate does but scoped to the factors the oracle
-// test exercises.  The case list varies servers, update frequency and
+// sys, the way `figures -only fig4` does but scoped to the factors the
+// oracle test exercises.  The case list varies servers, update frequency and
 // cut-off so every NNLS component has rank, and includes the oracle run's
 // own configuration (3 servers, 10 A, update every 2).
 func calibrateFor(t *testing.T, sys *molecule.System) core.Machine {

@@ -204,41 +204,67 @@ func TestCommandSmoke(t *testing.T) {
 			}
 		}
 	})
-	t.Run("calibrate", func(t *testing.T) {
-		out := runBuilt(t, dir, "calibrate", "-scale", "0.08", "-steps", "3")
-		for _, want := range []string{"fitted model parameters", "MAPE", "a1"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("calibrate output missing %q", want)
-			}
-		}
-	})
-	t.Run("predict", func(t *testing.T) {
-		out := runBuilt(t, dir, "predict", "-size", "medium", "-cost")
-		for _, want := range []string{"speed-up", "cost-effectiveness", "Myrinet"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("predict output missing %q", want)
-			}
-		}
-	})
-	t.Run("microbench", func(t *testing.T) {
-		out := runBuilt(t, dir, "microbench", "-table", "1")
-		if !strings.Contains(out, "Table 1") || !strings.Contains(out, "adjusted") {
-			t.Error("microbench table 1 missing")
-		}
-	})
 	t.Run("sciddlegen", func(t *testing.T) {
 		out := runBuilt(t, dir, "sciddlegen", "-pkg", "demo", "internal/md/opal.idl")
 		if !strings.Contains(out, "type OpalHandler interface") {
 			t.Error("sciddlegen output missing handler interface")
 		}
 	})
-	t.Run("figures-subset", func(t *testing.T) {
+	// figures is the one paper front end: each subtest writes a subset
+	// into a fresh directory and reads back the files it names.
+	figures := func(t *testing.T, args ...string) func(file string, want ...string) {
 		outDir := t.TempDir()
-		runBuilt(t, dir, "figures", "-scale", "0.08", "-steps", "2",
-			"-maxp", "3", "-only", "fig3,space,table2", "-out", outDir)
+		runBuilt(t, dir, "figures", append(args, "-out", outDir)...)
+		return func(file string, want ...string) {
+			data, err := os.ReadFile(filepath.Join(outDir, file))
+			if err != nil {
+				t.Errorf("missing %s: %v", file, err)
+				return
+			}
+			for _, w := range want {
+				if !strings.Contains(string(data), w) {
+					t.Errorf("%s missing %q:\n%s", file, w, data)
+				}
+			}
+		}
+	}
+	t.Run("figures-subset", func(t *testing.T) {
+		check := figures(t, "-scale", "0.08", "-steps", "2", "-maxp", "3", "-only", "fig3,space,table2")
 		for _, f := range []string{"fig3_parameter_space.txt", "sec26_space.txt", "table2_communication.txt"} {
-			if _, err := os.Stat(filepath.Join(outDir, f)); err != nil {
-				t.Errorf("missing %s: %v", f, err)
+			check(f)
+		}
+	})
+	t.Run("figures-calibration", func(t *testing.T) {
+		figures(t, "-scale", "0.08", "-steps", "3", "-only", "fig4")(
+			"fig4_calibration.txt", "fitted model parameters", "MAPE", "a1")
+	})
+	t.Run("figures-prediction", func(t *testing.T) {
+		check := figures(t, "-scale", "0.08", "-steps", "2", "-only", "fig5,extras")
+		check("fig5_prediction.txt", "speed-up")
+		check("extra_cost.txt", "cost-effectiveness", "Myrinet")
+		check("extra_whatif.txt", "a1 needed")
+	})
+	t.Run("figures-microbench", func(t *testing.T) {
+		figures(t, "-only", "table1")("table1_computation.txt", "Table 1", "adjusted")
+	})
+	t.Run("figures-bad-flags", func(t *testing.T) {
+		for _, c := range []struct {
+			args []string
+			want []string
+		}{
+			{[]string{"-only", "fig7,tabel1"}, []string{`unknown -only key "fig7"`, "table1", "extras"}},
+			{[]string{"-maxp", "0", "-only", "fig5"}, []string{"-maxp 0"}},
+			{[]string{"-steps", "0", "-only", "fig5"}, []string{"-steps 0"}},
+		} {
+			outDir := filepath.Join(t.TempDir(), "out")
+			out := runBuiltErr(t, dir, "figures", append(c.args, "-out", outDir)...)
+			for _, want := range c.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("figures %v not diagnosed (missing %q):\n%s", c.args, want, out)
+				}
+			}
+			if _, err := os.Stat(outDir); !os.IsNotExist(err) {
+				t.Errorf("figures %v created %s: %v", c.args, outDir, err)
 			}
 		}
 	})
