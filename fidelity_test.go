@@ -129,12 +129,18 @@ func TestFidelityGolden(t *testing.T) {
 // lands mid-run, at a point set by the heap earlier evals left, drops
 // pooled objects the run then allocates again, which moved counts by up
 // to ±8; so each eval starts from a collected heap and the collector
-// runs only at a 256 MiB cap.  The runtime also fills a type
-// assertion's call-site cache on a random one in ~1024 misses, an
-// allocation that lands in whatever run is going on (math/rand.New's
-// Source64 assertion moved ScenarioThroughput/mix=chaos by one in 1 of
-// 20 full runs); so each eval is measured twice and the fewer counts,
-// while an allocation the program makes on every run shows in both.
+// runs only at a 256 MiB cap.  Fig4Calibration and Table2PingPong still
+// reach the cap, and where the pacer starts that collection depends on
+// timing: it empties the sync.Pool caches (fmt's printer pool, which
+// pvm's Spawn uses, among them), and refilling them costs the run up to
+// two allocations, so each collection the measurement saw grants two
+// counts and an eval that saw none is held exact.  The runtime also
+// fills a type assertion's call-site cache on a random one in ~1024
+// misses, an allocation that lands in whatever run is going on
+// (math/rand.New's Source64 assertion moved ScenarioThroughput/mix=chaos
+// by one in 1 of 20 full runs); so each eval is measured twice and the
+// fewer counts, while an allocation the program makes on every run
+// shows in both.
 func TestAllocsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -149,13 +155,18 @@ func TestAllocsGolden(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
 	var got strings.Builder
-	for _, e := range evals {
+	collections := make([]float64, len(evals))
+	for i, e := range evals {
 		var err error
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		n := math.Inf(1)
 		for range 2 {
-			runtime.GC()
+			debug.FreeOSMemory()
 			n = min(n, testing.AllocsPerRun(1, func() { _, err = e.eval() }))
 		}
+		runtime.ReadMemStats(&m1)
+		collections[i] = float64(m1.NumGC - m0.NumGC - 2) // not FreeOSMemory's
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
@@ -172,7 +183,7 @@ func TestAllocsGolden(t *testing.T) {
 		w, err := strconv.ParseFloat(wl[i+1], 64)
 		// 0.01 % holds every eval under 10 000 allocations exact and
 		// leaves Fig4Calibration's ~53 000 five counts.
-		if gl[i] != wl[i] || err != nil || math.Abs(g-w) > 0.0001*w {
+		if gl[i] != wl[i] || err != nil || math.Abs(g-w) > 0.0001*w+2*collections[i/2] {
 			t.Errorf("%s: got %s %s allocs, want %s %s", path, gl[i], gl[i+1], wl[i], wl[i+1])
 		}
 	}
