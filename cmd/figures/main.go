@@ -40,7 +40,7 @@ func main() {
 		scale  = flag.Float64("scale", 0.25, "problem size scale for the measured figures (1 = paper sizes)")
 		steps  = flag.Int("steps", 10, "simulation steps")
 		maxP   = flag.Int("maxp", 7, "maximum number of servers")
-		only   = flag.String("only", "", "comma-separated subset: fig1..fig6, table1, table2, mem, space, extras")
+		only   = flag.String("only", "", "comma-separated subset of "+strings.Join(keys, ", "))
 		jobs   = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS); outputs are identical for any value")
 	)
 	flag.Parse()
