@@ -47,9 +47,6 @@ func main() {
 		predictRate  = flag.Float64("predict-rate", 2000, "predictions per second each tenant may sustain")
 		predictBurst = flag.Float64("predict-burst", 4000, "prediction burst depth per tenant")
 
-		maxAttempts = flag.Int("max-attempts", 3, "execution attempts per job before it fails terminally")
-		brkThresh   = flag.Int("breaker-threshold", 3, "consecutive failures that quarantine a spec (-1 disables the breaker)")
-		brkCooldown = flag.Duration("breaker-cooldown", 30*time.Second, "quarantine duration before a half-open probe")
 		jobDeadline = flag.Duration("job-deadline", 2*time.Minute, "wall-clock deadline per job execution (-1ns disables)")
 
 		maxSteps   = flag.Int("max-steps", 10000, "largest step count a submission may request")
@@ -81,19 +78,16 @@ func main() {
 	}()
 
 	srv := ctlplane.New(ctlplane.Config{
-		Workers:          *workers,
-		QueueCap:         *queueCap,
-		TenantRate:       *tenantRate,
-		TenantBurst:      *tenantBurst,
-		TenantJobs:       *tenantJobs,
-		PredictRate:      *predictRate,
-		PredictBurst:     *predictBurst,
-		MaxAttempts:      *maxAttempts,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
-		JobDeadline:      *jobDeadline,
-		Limits:           ctlplane.Limits{MaxSteps: *maxSteps, MaxServers: *maxServers},
-		Archive:          rec.Archive,
+		Workers:      *workers,
+		QueueCap:     *queueCap,
+		TenantRate:   *tenantRate,
+		TenantBurst:  *tenantBurst,
+		TenantJobs:   *tenantJobs,
+		PredictRate:  *predictRate,
+		PredictBurst: *predictBurst,
+		JobDeadline:  *jobDeadline,
+		Limits:       ctlplane.Limits{MaxSteps: *maxSteps, MaxServers: *maxServers},
+		Archive:      rec.Archive,
 	})
 	srv.Start()
 

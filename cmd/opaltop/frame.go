@@ -217,9 +217,9 @@ func writeExtra(b *strings.Builder, name string, v any) {
 		}
 		b.WriteString("\n")
 	case "ctlplane":
-		fmt.Fprintf(b, "ctlplane: queue %s/%s · running %s · breaker %s · draining %s\n",
+		fmt.Fprintf(b, "ctlplane: queue %s/%s · running %s · draining %s\n",
 			anyNum(m["queue_depth"]), anyNum(m["queue_cap"]),
-			anyNum(m["jobs_running"]), anyNum(m["breaker_open"]), anyNum(m["draining"]))
+			anyNum(m["jobs_running"]), anyNum(m["draining"]))
 	default:
 		keys := make([]string, 0, len(m))
 		for k := range m {

@@ -49,7 +49,7 @@ func goldenFrame() Frame {
 			Extras: map[string]any{
 				"ctlplane": map[string]any{
 					"queue_depth": 3, "queue_cap": 16, "jobs_running": 2,
-					"breaker_open": 0, "draining": false,
+					"draining": false,
 				},
 				"oracle": map[string]any{
 					"windows": 4, "anomalies": 1,
@@ -80,7 +80,7 @@ func TestRenderGolden(t *testing.T) {
 		"0→1   80    3000   40     1.250000",
 		"1→0   40    1096   0      0.000000",
 		"",
-		"ctlplane: queue 3/16 · running 2 · breaker 0 · draining false",
+		"ctlplane: queue 3/16 · running 2 · draining false",
 		"",
 		"oracle: windows 4 · anomalies 1 · z[comm] 0.5 · z[comp] -2.25",
 		"",

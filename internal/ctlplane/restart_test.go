@@ -121,9 +121,8 @@ func TestResultStoreSurvivesRestart(t *testing.T) {
 func TestRestartDoesNotRestoreFailures(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		Workers: 1, QueueCap: 8, MaxAttempts: 1,
+		Workers: 1, QueueCap: 8,
 		TenantRate: 1e6, TenantBurst: 1e6, TenantJobs: 8,
-		BreakerThreshold: -1,
 	}
 	spec := JobSpec{Size: "small", Scale: 0.02, Servers: 2, Steps: 4, UpdateEvery: 2, Seed: 7}
 

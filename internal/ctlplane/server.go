@@ -8,19 +8,20 @@
 //	admission   per-tenant token buckets + concurrent-job quotas, a
 //	            bounded queue that sheds with Retry-After when full —
 //	            never unbounded buffering
-//	execution   workers with per-job deadlines, panic isolation and
-//	            bounded retry-with-full-jitter-backoff; a worker that
-//	            dies mid-job is respawned and its job re-enqueued
-//	breaker     specs that fail repeatedly are quarantined (determinism
-//	            means they would keep failing)
-//	dedup       results are stored by canonicalized spec hash; identical
-//	            submissions coalesce onto one in-flight run
+//	execution   one attempt per job, with a per-job deadline and panic
+//	            isolation; a worker that dies mid-job is respawned and
+//	            its job re-enqueued
+//	dedup       outcomes are stored by canonicalized spec hash: identical
+//	            submissions coalesce onto one in-flight run, and a result
+//	            or a failure is served to every later one (determinism
+//	            means a rerun would answer the same); only a drain or a
+//	            deadline overrun runs a spec again
 //	drain       SIGTERM stops admission, in-flight runs finish or
 //	            checkpoint at their next pair-list boundary, the journal
 //	            flushes, the process exits 0
 //
 // Everything mounts on the existing telemetry plane: /metrics, /healthz
-// (reflecting queue depth and breaker state through the component health
+// (reflecting queue depth and draining through the component health
 // registry) and /debug/pprof ride along on the same server.
 package ctlplane
 
@@ -51,13 +52,6 @@ type Config struct {
 	PredictRate  float64 // predictions per second per tenant (default 2000)
 	PredictBurst float64 // prediction burst (default 4000)
 
-	MaxAttempts int           // execution attempts per job (default 3)
-	RetryBase   time.Duration // backoff base (default 10ms)
-	RetryCap    time.Duration // backoff ceiling (default 500ms)
-
-	BreakerThreshold int           // consecutive failures to quarantine (default 3; <=0 disables)
-	BreakerCooldown  time.Duration // quarantine duration (default 30s)
-
 	JobDeadline time.Duration // per-job wall deadline (default 2m; <=0 disables)
 
 	Limits Limits // per-submission bounds
@@ -71,7 +65,7 @@ type Config struct {
 	// does, after Drain.
 	Archive *archive.Archive
 
-	now func() time.Time // test clock for quotas and breaker
+	now func() time.Time // test clock for the quotas
 }
 
 func (c Config) withDefaults() Config {
@@ -96,21 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.PredictBurst == 0 {
 		c.PredictBurst = 4000
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 10 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 500 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
 	if c.JobDeadline == 0 {
 		c.JobDeadline = 2 * time.Minute
 	}
@@ -123,7 +102,6 @@ type Server struct {
 	cfg      Config
 	q        *queue
 	store    *store
-	brk      *breaker
 	runQ     *quotas
 	predictQ *quotas
 	pred     *predictor
@@ -138,13 +116,12 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		q:        newQueue(cfg.QueueCap),
 		store:    newStore(),
-		brk:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
 		runQ:     newQuotas(cfg.TenantRate, cfg.TenantBurst, cfg.TenantJobs, cfg.now),
 		predictQ: newQuotas(cfg.PredictRate, cfg.PredictBurst, 0, cfg.now),
 		pred:     newPredictor(systems),
 	}
 	s.store.onRelease = s.runQ.release
-	s.pool = newPool(cfg, s.q, s.store, s.brk, systems)
+	s.pool = newPool(cfg, s.q, s.store, systems)
 	if cfg.Archive != nil {
 		if n := s.store.restoreFromArchive(cfg.Archive); n > 0 {
 			telemetry.Emit("ctl_store_restored", telemetry.F{"results": n})
@@ -164,15 +141,11 @@ func (s *Server) Start() {
 	})
 }
 
-// healthDetail reports queue depth and breaker state; a draining service
-// reports unhealthy so load balancers stop routing to it.
+// healthDetail reports queue depth; a draining service reports
+// unhealthy so load balancers stop routing to it.
 func (s *Server) healthDetail() (string, bool) {
-	depth := s.q.depth()
-	open := s.brk.openCount()
-	draining := s.pool.draining.Load()
-	mBreakerOpen.Set(int64(open))
-	detail := fmt.Sprintf("queue %d/%d, breaker_open %d", depth, s.cfg.QueueCap, open)
-	if draining {
+	detail := fmt.Sprintf("queue %d/%d", s.q.depth(), s.cfg.QueueCap)
+	if s.pool.draining.Load() {
 		return detail + ", draining", false
 	}
 	return detail, true
@@ -190,13 +163,12 @@ func (s *Server) Drain() {
 }
 
 // streamExtra is the control plane's contribution to /streamz snapshots:
-// queue pressure, running jobs and breaker state.
+// queue pressure, running jobs and draining.
 func (s *Server) streamExtra() any {
 	return map[string]any{
 		"queue_depth":  s.q.depth(),
 		"queue_cap":    s.cfg.QueueCap,
 		"jobs_running": mJobsRunning.Value(),
-		"breaker_open": s.brk.openCount(),
 		"draining":     s.pool.draining.Load(),
 	}
 }
@@ -212,11 +184,6 @@ func (s *Server) Submit(tenant string, spec JobSpec) (jobID string, coalesced bo
 		return "", false, err
 	}
 	hash := c.Hash()
-	if err := s.brk.allow(hash); err != nil {
-		mShed.With("quarantined").Add(1)
-		mTenantShed.With(tenant).Add(1)
-		return "", false, err
-	}
 	if err := s.runQ.admit(tenant); err != nil {
 		mShed.With(err.(*shedError).Reason).Add(1)
 		mTenantShed.With(tenant).Add(1)
@@ -238,7 +205,7 @@ func (s *Server) Submit(tenant string, spec JobSpec) (jobID string, coalesced bo
 	}
 	if coalesced {
 		// The submission attached to an existing execution or cached
-		// result; if it is already terminal no slot is held for it.
+		// outcome; if it is already terminal no slot is held for it.
 		if e, ok := s.store.get(jobID); ok {
 			s.store.mu.Lock()
 			if _, held := e.reservations[jobID]; !held {
@@ -296,7 +263,7 @@ func writeShed(w http.ResponseWriter, err *shedError) {
 	w.Header().Set("Content-Type", "application/json")
 	code := http.StatusTooManyRequests
 	switch err.Reason {
-	case "queue_full", "draining", "quarantined":
+	case "queue_full", "draining":
 		code = http.StatusServiceUnavailable
 	}
 	w.WriteHeader(code)

@@ -1,9 +1,12 @@
 package ctlplane
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
+
+	"opalperf/internal/harness"
 )
 
 // Job states, as exposed over the API.
@@ -13,7 +16,6 @@ const (
 	StateDone         = "done"
 	StateFailed       = "failed"
 	StateCheckpointed = "checkpointed"
-	StateQuarantined  = "quarantined"
 )
 
 // JobResult is the measured outcome served back to clients.  Energies is
@@ -36,16 +38,17 @@ type JobResult struct {
 
 // entry is one canonical run in the store: possibly many submitted job
 // IDs (coalesced identical submissions, the "single-flight" shape), at
-// most one execution in flight, at most one completion ever.
+// most one execution in flight, at most one completion ever.  Its
+// outcome, a result or an error, is the spec's cached answer.
 type entry struct {
 	Hash string
 	Spec JobSpec // canonical, tenant cleared
 
 	State       string
 	Result      *JobResult
-	Err         string
-	Attempts    int // execution attempts, crashes included
-	Completions int // successful executions; the no-double-execution invariant pins this at <= 1
+	Err         error // with StateFailed
+	Attempts    int   // execution attempts, crashes included
+	Completions int   // successful executions; the no-double-execution invariant pins this at <= 1
 
 	CheckpointStep int    // with StateCheckpointed
 	Checkpoint     []byte // serialized md checkpoint captured on drain
@@ -59,7 +62,7 @@ type entry struct {
 
 func (e *entry) terminal() bool {
 	switch e.State {
-	case StateDone, StateFailed, StateCheckpointed, StateQuarantined:
+	case StateDone, StateFailed, StateCheckpointed:
 		return true
 	}
 	return false
@@ -82,20 +85,23 @@ func newStore() *store {
 }
 
 // submit registers a submission of canonical spec c for tenant.  When no
-// live execution exists (fresh hash, or a previous one ended failed or
-// checkpointed), enqueue is invoked under the store lock with the job to
-// run; a false return aborts the submission (queue full) without leaving
-// a half-registered entry behind.  The returned coalesced flag reports
-// that the submission attached to an existing execution or cached result.
+// live execution or cached answer exists (fresh hash, or the last
+// execution was stopped by the host: drained to a checkpoint or past its
+// wall-clock deadline), enqueue is invoked under the store lock with the
+// job to run; a false return aborts the submission (queue full) without
+// leaving a half-registered entry behind.  The returned coalesced flag
+// reports that the submission attached to an existing execution or
+// cached result or failure.
 func (s *store) submit(c JobSpec, hash, tenant string, enqueue func(*job) bool) (jobID string, e *entry, coalesced bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e = s.byHash[hash]
 	fresh := e == nil
-	// A new execution cycle is needed when no entry exists, or the last
-	// cycle ended without a servable result (failed or drained to a
-	// checkpoint); done/queued/running entries coalesce instead.
-	needsRun := fresh || e.State == StateFailed || e.State == StateCheckpointed || e.State == StateQuarantined
+	// The kernel is deterministic, so a failure is as much the spec's
+	// answer as a result is; only a stop the host imposed (a drain, a
+	// wall-clock deadline) says nothing about the spec and runs it again.
+	needsRun := fresh || e.State == StateCheckpointed ||
+		e.State == StateFailed && errors.Is(e.Err, harness.ErrDeadline)
 	s.nextID++
 	jobID = fmt.Sprintf("job-%06d", s.nextID)
 	if needsRun {
@@ -114,7 +120,7 @@ func (s *store) submit(c JobSpec, hash, tenant string, enqueue func(*job) bool) 
 		}
 		e = cand
 		e.State = StateQueued
-		e.Err = ""
+		e.Err = nil
 		e.done = make(chan struct{})
 		if fresh {
 			s.byHash[hash] = e
@@ -123,8 +129,8 @@ func (s *store) submit(c JobSpec, hash, tenant string, enqueue func(*job) bool) 
 	e.jobIDs = append(e.jobIDs, jobID)
 	s.byJob[jobID] = e
 	if e.terminal() {
-		// Coalesced onto a finished run: serve the cached result, no
-		// quota slot to hold.
+		// Coalesced onto a finished run: serve the cached result or
+		// failure, no quota slot to hold.
 		return jobID, e, true, nil
 	}
 	e.reservations[jobID] = tenant
@@ -160,11 +166,15 @@ func (s *store) snapshotOf(jobID string) (entrySnapshot, bool) {
 	if !ok {
 		return entrySnapshot{}, false
 	}
-	return entrySnapshot{
+	snap := entrySnapshot{
 		Hash: e.Hash, Spec: e.Spec, State: e.State, Result: e.Result,
-		Err: e.Err, Attempts: e.Attempts, Completions: e.Completions,
+		Attempts: e.Attempts, Completions: e.Completions,
 		CheckpointStep: e.CheckpointStep, HasCheckpoint: e.Checkpoint != nil,
-	}, true
+	}
+	if e.Err != nil {
+		snap.Err = e.Err.Error()
+	}
+	return snap, true
 }
 
 // markRunning counts one execution attempt starting and returns its
@@ -186,16 +196,17 @@ func (s *store) markDone(e *entry, res *JobResult) {
 	s.mu.Lock()
 	e.State = StateDone
 	e.Result = res
-	e.Err = ""
 	e.Completions++
 	s.finishLocked(e)
 	s.mu.Unlock()
 }
 
-func (s *store) markFailed(e *entry, err error, state string) {
+// markFailed records the execution's error as the entry's answer and
+// releases every reservation.
+func (s *store) markFailed(e *entry, err error) {
 	s.mu.Lock()
-	e.State = state
-	e.Err = err.Error()
+	e.State = StateFailed
+	e.Err = err
 	s.finishLocked(e)
 	s.mu.Unlock()
 }

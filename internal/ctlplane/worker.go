@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,17 +40,15 @@ var (
 )
 
 // pool is the supervised worker pool: a fixed number of worker
-// goroutines drain the queue, each job runs with a deadline, panic
-// isolation and bounded retry-with-jittered-backoff, and a worker that
-// dies mid-job (panic escaping a run, or a chaos kill) is respawned by
-// its own exit hook after re-enqueueing the job it held — an accepted
-// job is never lost and, because the store admits one completion per
-// cycle, never double-counted.
+// goroutines drain the queue, each job runs once with a deadline and
+// panic isolation, and a worker that dies mid-job (panic escaping a run,
+// or a chaos kill) is respawned by its own exit hook after re-enqueueing
+// the job it held — an accepted job is never lost and, because the store
+// admits one completion per cycle, never double-counted.
 type pool struct {
 	cfg     Config
 	q       *queue
 	store   *store
-	brk     *breaker
 	systems *systemCache
 
 	draining atomic.Bool
@@ -72,21 +69,18 @@ type pool struct {
 	// would.  Keyed by the canonical hash so tests can plan kills before
 	// job IDs exist.
 	killAt func(hash string, attempt int) int
-	// sleep is swapped in tests so backoff is instant.
-	sleep func(time.Duration)
 	// amend, when non-nil, edits each attempt's run spec just before it
 	// runs — the hook tests arm run-level faults the wire form cannot
 	// state (kill schedules, respawn budgets) with.
 	amend func(*harness.RunSpec)
 }
 
-func newPool(cfg Config, q *queue, st *store, brk *breaker, systems *systemCache) *pool {
+func newPool(cfg Config, q *queue, st *store, systems *systemCache) *pool {
 	return &pool{
-		cfg: cfg, q: q, store: st, brk: brk, systems: systems,
+		cfg: cfg, q: q, store: st, systems: systems,
 		arch:    cfg.Archive,
 		current: map[int]*job{},
 		runner:  runAttempt,
-		sleep:   time.Sleep,
 	}
 }
 
@@ -153,64 +147,45 @@ func (p *pool) loop(id int) {
 	}
 }
 
-// runJob drives one job through its retry budget to a terminal state.
+// runJob executes the job once and records its outcome.  A failure is
+// the spec's answer, not a reason to try again: the kernel is
+// deterministic, so a second run would fail the same way.  Only a worker
+// crash runs a job twice (the supervisor requeues it, Attempts counts
+// both), since the crash indicts the worker, not the spec.
 func (p *pool) runJob(j *job) {
 	e := j.entry
-	for {
-		attempt := p.store.markRunning(e)
-		mJobsRunning.Add(1)
-		telemetry.Emit("ctl_job_start", telemetry.F{
-			"job": j.ID, "hash": j.Hash, "attempt": attempt,
+	attempt := p.store.markRunning(e)
+	mJobsRunning.Add(1)
+	telemetry.Emit("ctl_job_start", telemetry.F{
+		"job": j.ID, "hash": j.Hash, "attempt": attempt,
+	})
+	t0 := time.Now()
+	res, err := p.execute(j, attempt)
+	runSecs := time.Since(t0).Seconds()
+	mJobSeconds.Observe(runSecs)
+	mTenantJobSeconds.With(j.Tenant).Observe(runSecs)
+	mJobsRunning.Add(-1)
+	switch {
+	case err == nil:
+		p.store.markDone(e, res)
+		mDone.Add(1)
+		mTenantDone.With(j.Tenant).Add(1)
+		p.archiveResult(j, e, j.waitSecs, runSecs)
+		telemetry.Emit("ctl_job_done", telemetry.F{
+			"job": j.ID, "hash": j.Hash, "attempt": attempt, "steps": res.Steps,
 		})
-		t0 := time.Now()
-		res, err := p.execute(j, attempt)
-		runSecs := time.Since(t0).Seconds()
-		mJobSeconds.Observe(runSecs)
-		mTenantJobSeconds.With(j.Tenant).Observe(runSecs)
-		mJobsRunning.Add(-1)
-		switch {
-		case err == nil:
-			p.brk.success(j.Hash)
-			p.store.markDone(e, res)
-			mDone.Add(1)
-			mTenantDone.With(j.Tenant).Add(1)
-			p.archiveResult(j, e, j.waitSecs, runSecs)
-			telemetry.Emit("ctl_job_done", telemetry.F{
-				"job": j.ID, "hash": j.Hash, "attempt": attempt, "steps": res.Steps,
-			})
-			return
-		case errors.Is(err, errDrainStop):
-			// markCheckpointed already ran from the sink wrapper.
-			mCheckpointed.Add(1)
-			telemetry.Emit("ctl_job_checkpointed", telemetry.F{
-				"job": j.ID, "hash": j.Hash, "step": e.CheckpointStep,
-			})
-			return
-		case errors.Is(err, harness.ErrDeadline):
-			p.brk.failure(j.Hash)
-			p.store.markFailed(e, err, StateFailed)
-			mFailed.Add(1)
-			telemetry.Emit("ctl_job_failed", telemetry.F{
-				"job": j.ID, "hash": j.Hash, "error": "deadline",
-			})
-			return
-		default:
-			p.brk.failure(j.Hash)
-			if attempt >= p.cfg.MaxAttempts {
-				p.store.markFailed(e, err, StateFailed)
-				mFailed.Add(1)
-				telemetry.Emit("ctl_job_failed", telemetry.F{
-					"job": j.ID, "hash": j.Hash, "error": err.Error(),
-				})
-				return
-			}
-			mRetries.Add(1)
-			mTenantRetries.With(j.Tenant).Add(1)
-			telemetry.Emit("ctl_job_retry", telemetry.F{
-				"job": j.ID, "hash": j.Hash, "attempt": attempt, "error": err.Error(),
-			})
-			p.sleep(retryDelay(j.Hash, attempt, p.cfg.RetryBase, p.cfg.RetryCap))
-		}
+	case errors.Is(err, errDrainStop):
+		// markCheckpointed already ran from the sink wrapper.
+		mCheckpointed.Add(1)
+		telemetry.Emit("ctl_job_checkpointed", telemetry.F{
+			"job": j.ID, "hash": j.Hash, "step": e.CheckpointStep,
+		})
+	default:
+		p.store.markFailed(e, err)
+		mFailed.Add(1)
+		telemetry.Emit("ctl_job_failed", telemetry.F{
+			"job": j.ID, "hash": j.Hash, "error": err.Error(),
+		})
 	}
 }
 
@@ -322,23 +297,6 @@ func resultOf(out harness.RunOutcome) *JobResult {
 		res.FinalEvdw, res.FinalEcoul = last.EVdw, last.ECoul
 	}
 	return res
-}
-
-// retryDelay is the full-jitter backoff between attempts: uniform in
-// (0, min(cap, base*2^attempt)], deterministically seeded by the spec
-// hash and attempt number so schedules are reproducible in tests yet
-// decorrelated across jobs.
-func retryDelay(hash string, attempt int, base, max time.Duration) time.Duration {
-	ceil := base << uint(attempt-1)
-	if ceil > max || ceil <= 0 {
-		ceil = max
-	}
-	var seed int64
-	for _, b := range []byte(hash) {
-		seed = seed*131 + int64(b)
-	}
-	rng := rand.New(rand.NewSource(seed + int64(attempt)))
-	return time.Duration(rng.Int63n(int64(ceil))) + 1
 }
 
 // drain stops admission and waits for every accepted job to finish or

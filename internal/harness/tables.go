@@ -129,11 +129,12 @@ func PingPong(pl *platform.Platform) (Table2Row, error) {
 			t.Recv(peer, 1)
 		}
 		latency = (t.Now() - t0) / (2 * rounds)
-		// Large transfers give the observed bandwidth.
-		payload := make([]float64, bigBytes/8)
+		// Large transfers give the observed bandwidth.  The payload is
+		// packed once: every round sends the same 8 MiB buffer.
+		big := pvm.NewBuffer().PackFloat64s(make([]float64, bigBytes/8))
 		t0 = t.Now()
 		for i := 0; i < rounds; i++ {
-			t.Send(peer, 2, pvm.NewBuffer().PackFloat64s(payload))
+			t.Send(peer, 2, big)
 			t.Recv(peer, 2)
 		}
 		elapsed := t.Now() - t0

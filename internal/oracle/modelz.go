@@ -51,7 +51,7 @@ func (o *Oracle) Snapshot() Snapshot {
 		Windows:   o.windows,
 		Anomalies: o.anomalies,
 		Window:    o.cfg.Window,
-		Z:         o.cfg.Z,
+		Z:         zThreshold,
 		Machine:   paramsOf(o.cfg.Machine),
 	}
 	if o.scope != nil {

@@ -42,26 +42,30 @@ type Config struct {
 	// Window is the number of steps per evaluation window (default 5).
 	// Choosing a multiple of UpdateEvery keeps windows uniform.
 	Window int
-	// Z is the anomaly threshold in EWMA standard deviations (default 3).
-	Z float64
-	// RelFloor and AbsFloor bound the deviation scale from below: the
-	// z-score divides by max(sd, RelFloor*|predicted|, AbsFloor), so the
-	// near-zero variance of a deterministic run cannot turn numerical dust
-	// into anomalies.  Defaults 0.05 and 1e-9 seconds.
-	RelFloor float64
-	AbsFloor float64
-	// MinWindows is the EWMA warm-up: no anomaly fires before this many
-	// windows have been observed (default 3).
-	MinWindows int
-	// Alpha is the EWMA smoothing factor (default 0.3).
-	Alpha float64
-	// History caps the per-window measurement ring kept for
-	// recalibration (default 32).
-	History int
 	// RecalibrateEvery runs core.Calibrate over the measurement ring
 	// every that many windows; 0 disables recalibration.
 	RecalibrateEvery int
 }
+
+// The anomaly test's fixed parameters.
+const (
+	// zThreshold is the anomaly threshold in EWMA standard deviations.
+	zThreshold = 3.0
+	// relFloor and absFloor bound the deviation scale from below: the
+	// z-score divides by max(sd, relFloor*|predicted|, absFloor), so the
+	// near-zero variance of a deterministic run cannot turn numerical
+	// dust into anomalies.  absFloor is in seconds.
+	relFloor = 0.05
+	absFloor = 1e-9
+	// minWindows is the EWMA warm-up: no anomaly fires before this many
+	// windows have been observed.
+	minWindows = 3
+	// alpha is the EWMA smoothing factor.
+	alpha = 0.3
+	// historyCap caps the per-window measurement ring kept for
+	// recalibration.
+	historyCap = 32
+)
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
@@ -69,24 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UpdateEvery <= 0 {
 		c.UpdateEvery = 1
-	}
-	if c.Z <= 0 {
-		c.Z = 3
-	}
-	if c.RelFloor <= 0 {
-		c.RelFloor = 0.05
-	}
-	if c.AbsFloor <= 0 {
-		c.AbsFloor = 1e-9
-	}
-	if c.MinWindows <= 0 {
-		c.MinWindows = 3
-	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.3
-	}
-	if c.History <= 0 {
-		c.History = 32
 	}
 	return c
 }
@@ -209,7 +195,7 @@ func (o *Oracle) Start(now float64) {
 	o.active = 0
 	o.started = true
 	o.scope.Emit("oracle_start", telemetry.F{
-		"machine": o.cfg.Machine.Name, "window": o.cfg.Window, "z": o.cfg.Z,
+		"machine": o.cfg.Machine.Name, "window": o.cfg.Window, "z": zThreshold,
 	})
 }
 
@@ -285,12 +271,12 @@ func (o *Oracle) closeWindow(endStep int, now float64, partial bool) {
 		r := mv[i] - pv[i]
 		tr := TermReport{Term: names[i], Predicted: pv[i], Measured: mv[i], Residual: r}
 		e := &o.terms[i]
-		scale := math.Max(math.Sqrt(e.varr), math.Max(o.cfg.RelFloor*math.Abs(pv[i]), o.cfg.AbsFloor))
+		scale := math.Max(math.Sqrt(e.varr), math.Max(relFloor*math.Abs(pv[i]), absFloor))
 		tr.EWMAMean = e.mean
 		tr.EWMASD = math.Sqrt(e.varr)
 		tr.Z = (r - e.mean) / scale
 		if !partial {
-			if e.n >= o.cfg.MinWindows && math.Abs(tr.Z) > o.cfg.Z {
+			if e.n >= minWindows && math.Abs(tr.Z) > zThreshold {
 				tr.Anomaly = true
 				o.anomalies++
 				if o.anomTerms == nil {
@@ -305,7 +291,7 @@ func (o *Oracle) closeWindow(endStep int, now float64, partial bool) {
 				})
 				o.scope.SetHealth("model_anomaly", false)
 			} else {
-				e.observe(o.cfg.Alpha, r)
+				e.observe(alpha, r)
 			}
 			o.gResid[i].Set(r)
 			o.hResid[i].Observe(math.Abs(r))
@@ -321,8 +307,8 @@ func (o *Oracle) closeWindow(endStep int, now float64, partial bool) {
 			Idle:        meas.Idle,
 			TotalChecks: o.checks, TotalActive: o.active,
 		})
-		if len(o.history) > o.cfg.History {
-			o.history = o.history[len(o.history)-o.cfg.History:]
+		if len(o.history) > historyCap {
+			o.history = o.history[len(o.history)-historyCap:]
 		}
 		o.windows++
 		if o.cfg.RecalibrateEvery > 0 && o.windows%o.cfg.RecalibrateEvery == 0 {

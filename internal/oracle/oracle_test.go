@@ -105,12 +105,12 @@ func TestOracleFlagsCommSpike(t *testing.T) {
 	}
 }
 
-// MinWindows is the warm-up: a spike landing before the EWMA has seen
+// minWindows is the warm-up: a spike landing before the EWMA has seen
 // enough windows must not fire.
 func TestOracleWarmupSuppressesEarlySpike(t *testing.T) {
-	s := newSynthetic(Config{Window: 1, MinWindows: 3})
+	s := newSynthetic(Config{Window: 1})
 	s.doStep(0.1)
-	s.doStep(0.6) // EWMA has 1 observation < MinWindows
+	s.doStep(0.6) // EWMA has 1 observation < minWindows
 	if got := s.o.Anomalies(); got != 0 {
 		t.Fatalf("spike inside warm-up fired %d anomalies", got)
 	}

@@ -2,6 +2,7 @@ package pvm
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"opalperf/internal/hpm"
@@ -297,7 +298,10 @@ func (t *simTask) Spawn(name string, n int, fn func(Task)) []int {
 	for i := 0; i < n; i++ {
 		c := &simTask{vm: t.vm, parent: t.TID(), instance: i}
 		c.mon = hpm.NewMonitor(t.vm.Platform.Weights)
-		id := t.proc.Spawn(fmt.Sprintf("%s-%d", name, i), t.vm.Platform.ComputeModel(), func(p *vm.Proc) {
+		// Not fmt.Sprintf: fmt's printer pool refills after every garbage
+		// collection, which would make a run's allocations depend on
+		// where a collection lands.
+		id := t.proc.Spawn(name+"-"+strconv.Itoa(i), t.vm.Platform.ComputeModel(), func(p *vm.Proc) {
 			fn(c)
 		})
 		// The proc exists as soon as Spawn returns, before the child

@@ -135,7 +135,7 @@ func processHealth() (state string, ok bool) {
 }
 
 // Component health: long-lived services (the control plane's queue and
-// circuit breaker, for instance) register named suppliers that /healthz
+// drain state, for instance) register named suppliers that /healthz
 // consults per request, so service-level saturation degrades health the
 // same way a degraded supervisor does.
 
