@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget opald-smoke service-chaos archive-check opaltop-check stubs stubs-check fmt-check
+.PHONY: all build test race bench bench-smoke bench-layers check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget opald-smoke service-chaos archive-check opaltop-check stubs stubs-check fmt-check
 
 # Seeds per scenario when sweeping the checked-in chaos corpus.
 SCENARIO_SEEDS ?= 10
@@ -84,7 +84,7 @@ check:
 	$(MAKE) stubs-check
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/pairlist ./internal/forcefield ./internal/molecule ./internal/vm ./internal/trace
+	$(MAKE) bench-layers
 	$(MAKE) scenarios
 	$(MAKE) service-chaos
 	$(MAKE) opald-smoke
@@ -96,6 +96,11 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Every root and per-layer benchmark, one iteration each: they must still
+# run (CI and check call this one line).
+bench-layers:
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/pairlist ./internal/forcefield ./internal/molecule ./internal/vm ./internal/trace
 
 # Two seconds of each simulator workload of the front-door benchmark at the
 # golden seed.  The point is its per-op check, not the numbers: energies

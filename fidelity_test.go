@@ -130,12 +130,14 @@ func TestFidelityGolden(t *testing.T) {
 // pooled objects the run then allocates again, which moved counts by up
 // to ±8; so each eval starts from a collected heap and the collector
 // runs only at a 256 MiB cap.  Fig4Calibration (~420 MB a run) still
-// reaches the cap, and where the pacer starts that collection depends on
-// timing: it empties the sync.Pool caches, and refilling them costs the
-// run up to two allocations (its count still grows by about one a
-// collection when garbage shifts where the cap is reached), so each
-// collection the measurement saw grants two counts and an eval that saw
-// none is held exact.  The runtime also
+// reaches the cap, and every collection adds two allocations that are not
+// the program's: net/netip's package initialization (linked through net,
+// which internal/telemetry imports) calls unique.Make, which registers the
+// unique package's map cleanup, and the runtime runs that cleanup on its
+// own goroutine after each collection, allocating two objects, which
+// AllocsPerRun counts with the rest of the process's.  So each collection
+// the measurement saw grants two counts, and an eval that saw none is
+// held exact.  The runtime also
 // fills a type assertion's call-site cache on a random one in ~1024
 // misses, an allocation that lands in whatever run is going on
 // (math/rand.New's Source64 assertion moved ScenarioThroughput/mix=chaos

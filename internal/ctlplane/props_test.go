@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"opalperf/internal/harness"
 	"opalperf/internal/telemetry"
 	"opalperf/internal/vm"
 )
@@ -390,7 +389,7 @@ func TestFailureIsTheCachedAnswer(t *testing.T) {
 		sd.store.mu.Lock()
 		state, cause, attempts := e.State, e.Err, e.Attempts
 		sd.store.mu.Unlock()
-		if state != StateFailed || !errors.Is(cause, harness.ErrDeadline) || attempts != round {
+		if state != StateFailed || !errors.Is(cause, errDeadline) || attempts != round {
 			t.Fatalf("deadline round %d: state %q err %v attempts %d, want failed past the deadline after %d",
 				round, state, cause, attempts, round)
 		}

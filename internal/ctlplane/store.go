@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"opalperf/internal/harness"
 )
 
 // Job states, as exposed over the API.
@@ -101,7 +99,7 @@ func (s *store) submit(c JobSpec, hash, tenant string, enqueue func(*job) bool) 
 	// answer as a result is; only a stop the host imposed (a drain, a
 	// wall-clock deadline) says nothing about the spec and runs it again.
 	needsRun := fresh || e.State == StateCheckpointed ||
-		e.State == StateFailed && errors.Is(e.Err, harness.ErrDeadline)
+		e.State == StateFailed && errors.Is(e.Err, errDeadline)
 	s.nextID++
 	jobID = fmt.Sprintf("job-%06d", s.nextID)
 	if needsRun {

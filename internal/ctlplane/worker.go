@@ -33,10 +33,12 @@ type job struct {
 
 // errDrainStop is the cancellation cause of a drained job whose state has
 // been checkpointed; errWorkerKill is the cause the chaos hook uses to
-// stop a run before crashing its worker.
+// stop a run before crashing its worker; errDeadline is the cause of a
+// job stopped at the first step boundary past Config.JobDeadline.
 var (
 	errDrainStop  = errors.New("ctlplane: draining, state checkpointed")
 	errWorkerKill = errors.New("ctlplane: worker killed (chaos)")
+	errDeadline   = errors.New("harness: run deadline exceeded")
 )
 
 // pool is the supervised worker pool: a fixed number of worker
@@ -238,8 +240,15 @@ func runAttempt(p *pool, j *job, attempt int) (*JobResult, error) {
 	if p.killAt != nil {
 		killStep = p.killAt(j.Hash, attempt)
 	}
+	// Cancellation is cooperative — the virtual-time kernel is only
+	// interruptible between steps — so the deadline is enforced with one
+	// step of slack.
+	var deadline time.Time
+	if p.cfg.JobDeadline > 0 {
+		deadline = time.Now().Add(p.cfg.JobDeadline)
+	}
 	steps := 0
-	spec.Cancel = func() error {
+	spec.Opts.Cancel = func() error {
 		steps++
 		if killStep >= 0 && steps >= killStep {
 			return errWorkerKill
@@ -247,10 +256,10 @@ func runAttempt(p *pool, j *job, attempt int) (*JobResult, error) {
 		if p.draining.Load() && ckpt.done {
 			return errDrainStop
 		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return errDeadline
+		}
 		return nil
-	}
-	if p.cfg.JobDeadline > 0 {
-		spec.Deadline = time.Now().Add(p.cfg.JobDeadline)
 	}
 	// The job's run reports under the job ID: its journal lines and its
 	// archived summary.  Its health stays its own; the daemon's /healthz

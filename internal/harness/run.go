@@ -6,9 +6,7 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"opalperf/internal/archive"
 	"opalperf/internal/core"
@@ -41,17 +39,6 @@ type RunSpec struct {
 	// plan before the simulation starts — the handle scenario step hooks
 	// use to gate injection windows (fault.Plan.SetActive).
 	OnPlan func(*fault.Plan)
-	// Cancel, when non-nil, is polled on the client at every completed
-	// step (after any checkpoint due at that boundary was captured); a
-	// non-nil cause stops the run cleanly and Run returns an error for
-	// which errors.Is(err, md.ErrCanceled) holds, wrapping the cause.
-	// The control plane's workers use it for graceful drain.
-	Cancel func() error
-	// Deadline, when non-zero, cancels the run at the first step boundary
-	// past that wall-clock instant (composed with Cancel).  Cancellation
-	// is cooperative — the virtual-time kernel is only interruptible
-	// between steps — so the deadline is enforced with one step of slack.
-	Deadline time.Time
 	// Archive, when non-nil, receives a one-record RunSummary digest of
 	// every successful run — makespan, breakdown terms, the energies hash,
 	// recovery and LoD counts, and the oracle's residual means when one is
@@ -85,10 +72,6 @@ func paperSpec(pl *platform.Platform, sys *molecule.System, cutoff float64, upda
 		Opts: md.Options{Cutoff: cutoff, UpdateEvery: updateEvery, Accounting: true, Minimize: true},
 	}
 }
-
-// ErrDeadline is the cancellation cause of a run stopped by
-// RunSpec.Deadline.
-var ErrDeadline = errors.New("harness: run deadline exceeded")
 
 // RunOutcome is the measured outcome of a run.
 type RunOutcome struct {
@@ -134,17 +117,6 @@ func Run(spec RunSpec) (RunOutcome, error) {
 	var res *md.Result
 	var runErr error
 	opts := spec.Opts
-	if cancel := composeCancel(spec); cancel != nil {
-		prev := opts.Cancel
-		opts.Cancel = func() error {
-			if prev != nil {
-				if err := prev(); err != nil {
-					return err
-				}
-			}
-			return cancel()
-		}
-	}
 	if every := sc.MatrixEvery; sc.Matrix != nil && every > 0 {
 		// Periodic comm_matrix/rank_profile journal records; the final
 		// state is emitted after the run regardless.
@@ -329,27 +301,6 @@ func MeasurementOf(spec RunSpec, out RunOutcome) core.Measurement {
 		Idle:        b.Idle,
 		TotalChecks: checks,
 		TotalActive: active,
-	}
-}
-
-// composeCancel merges the spec's Cancel hook and Deadline into one
-// cooperative cancellation predicate (nil when neither is set).
-func composeCancel(spec RunSpec) func() error {
-	cancel := spec.Cancel
-	if spec.Deadline.IsZero() {
-		return cancel
-	}
-	deadline := spec.Deadline
-	return func() error {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return err
-			}
-		}
-		if time.Now().After(deadline) {
-			return ErrDeadline
-		}
-		return nil
 	}
 }
 

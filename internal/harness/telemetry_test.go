@@ -86,3 +86,25 @@ func TestConcurrentRunsKeepTheirTelemetry(t *testing.T) {
 		t.Fatalf("journal lines per run and type = %v, want %v", got, want)
 	}
 }
+
+// TestMatrixEveryOnBothEngines holds the periodic comm-matrix records to
+// the step hook both engines share: every MatrixEvery steps one
+// comm_matrix line, and the final one after the run, whether the run is
+// serial or parallel.
+func TestMatrixEveryOnBothEngines(t *testing.T) {
+	for _, servers := range []int{0, 2} {
+		spec := healSpec()
+		spec.Servers, spec.Steps = servers, 6
+		spec.Scope = &telemetry.Scope{ID: "matrix-every", Matrix: new(telemetry.Matrix), MatrixEvery: 2}
+		var journal bytes.Buffer
+		telemetry.StartJournal(&journal, 0)
+		_, err := Run(spec)
+		telemetry.StopJournal()
+		if err != nil {
+			t.Fatalf("servers %d: %v", servers, err)
+		}
+		if got, want := strings.Count(journal.String(), `"run":"matrix-every","type":"comm_matrix"`), 6/2+1; got != want {
+			t.Errorf("servers %d: %d comm_matrix records, want %d", servers, got, want)
+		}
+	}
+}

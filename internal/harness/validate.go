@@ -8,10 +8,8 @@ import (
 	"opalperf/internal/molecule"
 	"opalperf/internal/parallel"
 	"opalperf/internal/platform"
-	"opalperf/internal/pvm"
 	"opalperf/internal/report"
 	"opalperf/internal/stats"
-	"opalperf/internal/trace"
 )
 
 // Model validation: beyond calibrating against the reference platform,
@@ -92,43 +90,22 @@ func ValidationTable(cases []ValidationCase) *report.Table {
 	return t
 }
 
-// ClusterRun executes Opal on a two-tier cluster platform (e.g. the
-// Cluster of J90s over HIPPI that motivated Sciddle).  Processes are
-// placed round-robin-block: the client shares node 0 with the first
-// servers.
-func ClusterRun(spec platform.ClusterSpec, sys *molecule.System, opts md.Options,
-	servers, steps int) (RunOutcome, error) {
-	sim := pvm.NewSimVMComm(spec.Base, spec.Comm, nil)
-	sim.Kernel.HoldWindow()
-	var res *md.Result
-	var runErr error
-	sim.SpawnRoot("opal-client", func(t pvm.Task) {
-		res, runErr = md.RunParallel(t, sys, opts, servers, steps)
-	})
-	if err := sim.Run(); err != nil {
-		return RunOutcome{}, fmt.Errorf("harness: cluster simulation: %w", err)
-	}
-	if runErr != nil {
-		return RunOutcome{}, runErr
-	}
-	out := RunOutcome{Result: res, Wall: res.StepSeconds, Recorder: trace.NewRecorder()}
-	out.Breakdown = windowBreakdown(sim, res, out.Wall)
-	return out, nil
-}
-
 // ClusterReport compares a single shared-memory node against the cluster
-// for growing server counts — the scaling path the paper's site planned.
-func ClusterReport(spec platform.ClusterSpec, sys *molecule.System,
+// platform cl (platform.J90Cluster) for growing server counts — the
+// scaling path the paper's site planned.  Processes are placed
+// round-robin-block, CPUsPerNode to a node: the client shares node 0 with
+// the first servers.
+func ClusterReport(cl *platform.Platform, sys *molecule.System,
 	cutoff float64, steps int, serverCounts []int) (*report.Table, error) {
 	t := &report.Table{
-		Title:   spec.Base.Name + " vs single node",
+		Title:   cl.Name + " vs single node",
 		Headers: []string{"servers", "nodes used", "single-node[s]", "cluster[s]"},
 	}
 	single := platform.J90()
 	type row struct{ singleWall, clusterWall string }
 	rows, err := parallel.Map(serverCounts, func(_ int, p int) (row, error) {
 		opts := md.Options{Cutoff: cutoff, Accounting: true, Minimize: true}
-		cl, err := ClusterRun(spec, sys, opts, p, steps)
+		clOut, err := Run(RunSpec{Platform: cl, Sys: sys, Opts: opts, Servers: p, Steps: steps})
 		if err != nil {
 			return row{}, err
 		}
@@ -140,13 +117,13 @@ func ClusterReport(spec platform.ClusterSpec, sys *molecule.System,
 			}
 			singleWall = fmt.Sprintf("%.3f", out.Wall)
 		}
-		return row{singleWall, fmt.Sprintf("%.3f", cl.Wall)}, nil
+		return row{singleWall, fmt.Sprintf("%.3f", clOut.Wall)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range serverCounts {
-		nodes := (p + 1 + spec.ProcsPerNode - 1) / spec.ProcsPerNode
+		nodes := (p + 1 + cl.CPUsPerNode - 1) / cl.CPUsPerNode
 		t.AddRow(fmt.Sprint(p), fmt.Sprint(nodes), rows[i].singleWall, rows[i].clusterWall)
 	}
 	return t, nil

@@ -57,11 +57,11 @@ func TestValidatePredictionShowsT3EExtractionBias(t *testing.T) {
 
 func TestClusterRunJ90HIPPI(t *testing.T) {
 	sys := molecule.TestComplex(250, 400, 7)
-	spec := platform.J90Cluster(4) // client + 3 servers fit one node
+	cl := platform.J90Cluster(4) // client + 3 servers fit one node
 	opts := md.Options{Cutoff: NoCutoff, Accounting: true, Minimize: true}
 
 	// Within one node the cluster behaves like the single J90.
-	within, err := ClusterRun(spec, sys, opts, 3, 3)
+	within, err := Run(RunSpec{Platform: cl, Sys: sys, Opts: opts, Servers: 3, Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestClusterRunJ90HIPPI(t *testing.T) {
 
 	// Crossing nodes changes the communication profile but still works
 	// and still computes the same physics.
-	across, err := ClusterRun(spec, sys, opts, 7, 3)
+	across, err := Run(RunSpec{Platform: cl, Sys: sys, Opts: opts, Servers: 7, Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestClusterBeatsSingleNodeWhenOversubscribed(t *testing.T) {
 	// network, so spreading over HIPPI nodes even lowers the per-message
 	// cost.
 	sys := molecule.TestComplex(1000, 2000, 8)
-	spec := platform.J90Cluster(8)
+	cl := platform.J90Cluster(8)
 	opts := md.Options{Cutoff: NoCutoff, Accounting: true, Minimize: true}
-	p7, err := ClusterRun(spec, sys, opts, 7, 2)
+	p7, err := Run(RunSpec{Platform: cl, Sys: sys, Opts: opts, Servers: 7, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p15, err := ClusterRun(spec, sys, opts, 15, 2)
+	p15, err := Run(RunSpec{Platform: cl, Sys: sys, Opts: opts, Servers: 15, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,7 @@ func TestClusterBeatsSingleNodeWhenOversubscribed(t *testing.T) {
 
 func TestClusterReportRenders(t *testing.T) {
 	sys := molecule.TestComplex(120, 200, 9)
-	spec := platform.J90Cluster(4)
-	tab, err := ClusterReport(spec, sys, NoCutoff, 2, []int{2, 5})
+	tab, err := ClusterReport(platform.J90Cluster(4), sys, NoCutoff, 2, []int{2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}

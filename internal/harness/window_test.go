@@ -8,7 +8,6 @@ import (
 	"opalperf/internal/molecule"
 	"opalperf/internal/oracle"
 	"opalperf/internal/platform"
-	"opalperf/internal/pvm"
 	"opalperf/internal/telemetry"
 	"opalperf/internal/trace"
 )
@@ -51,8 +50,8 @@ func assertWindowBreakdown(t *testing.T, label string, spec RunSpec) {
 // of the same run's trace: over the 40-seed level-of-detail sweep
 // (macro-replayed and fine-grained), the serial engine, seeded fault
 // planes, kill schedules that heal or, past the respawn budget, degrade,
-// runs traced for an oracle or a comm matrix, and ClusterRun's two-tier
-// fabric.
+// runs traced for an oracle or a comm matrix, and the two-tier fabric of
+// a cluster platform.
 func TestWindowBreakdownMatchesChunkReduction(t *testing.T) {
 	for seed := 0; seed < 40; seed++ {
 		sys := molecule.TestComplex(8+seed%5, 16+2*(seed%7), int64(seed+1))
@@ -120,25 +119,11 @@ func TestWindowBreakdownMatchesChunkReduction(t *testing.T) {
 		}
 	}
 	for seed := 0; seed < 6; seed++ {
-		cl := platform.J90Cluster(2)
-		sys := molecule.TestComplex(8+seed%4, 16+2*(seed%5), int64(seed+300))
-		opts := md.Options{Cutoff: 10, UpdateEvery: 1 + seed%2, Seed: int64(seed), Accounting: seed%2 == 0, Minimize: true, LoD: md.LoDMode(seed % 2)}
-		servers, steps := 3+seed%3, 4
-		out, err := ClusterRun(cl, sys, opts, servers, steps)
-		if err != nil {
-			t.Fatalf("cluster seed %d: %v", seed, err)
+		spec := RunSpec{
+			Platform: platform.J90Cluster(2), Sys: molecule.TestComplex(8+seed%4, 16+2*(seed%5), int64(seed+300)),
+			Opts:    md.Options{Cutoff: 10, UpdateEvery: 1 + seed%2, Seed: int64(seed), Accounting: seed%2 == 0, Minimize: true, LoD: md.LoDMode(seed % 2)},
+			Servers: 3 + seed%3, Steps: 4,
 		}
-		rec := trace.NewRecorder()
-		sim := pvm.NewSimVMComm(cl.Base, cl.Comm, rec)
-		var res *md.Result
-		sim.SpawnRoot("opal-client", func(t pvm.Task) {
-			res, err = md.RunParallel(t, sys, opts, servers, steps)
-		})
-		if e := sim.Run(); e != nil || err != nil {
-			t.Fatalf("cluster seed %d (keeping): %v %v", seed, e, err)
-		}
-		if want := chunkBreakdown(rec, res); out.Breakdown != want {
-			t.Fatalf("cluster seed %d: kernel breakdown %+v, chunk reduction %+v", seed, out.Breakdown, want)
-		}
+		assertWindowBreakdown(t, "cluster", spec)
 	}
 }

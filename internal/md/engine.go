@@ -53,10 +53,11 @@ type Options struct {
 	// StepSize is the minimizer displacement per step in Angstrom
 	// (default 0.02).
 	StepSize float64
-	// AfterInit, when set, runs on the client after the servers are
-	// initialized and before the first simulation step — the hook the
-	// experiment harness uses to reset trace recorders so that timings
-	// cover the simulation phase only, like the paper's measurements.
+	// AfterInit, when set, runs on the client once start-up is done (on
+	// the parallel engine, after the servers are initialized), just before
+	// the measurement window opens on the first simulation step — the
+	// hook the experiment harness uses to start a model oracle and the
+	// scenario engine uses to open its first fault window.
 	AfterInit func()
 	// InitTemperature, when positive, draws Maxwell-Boltzmann velocities
 	// at that temperature (K) before the first step.
@@ -107,8 +108,10 @@ type Options struct {
 	// closure passed to Spawn: on the simulated fabric, or in a network
 	// session without a remote spawn host.
 	ServerQuit func(instance int) <-chan struct{}
-	// AfterStep, when set, runs on the client after every completed step
-	// — chaos tests use it to trigger failures at a deterministic point.
+	// AfterStep, when set, runs on the client after every completed step,
+	// after any checkpoint due at that boundary and before the Cancel
+	// poll — chaos tests use it to trigger failures at a deterministic
+	// point.
 	AfterStep func(step int, info StepInfo)
 	// SelfHeal upgrades graceful degradation to self-healing: instead of
 	// dropping a dead server, the parallel client asks the supervisor to
@@ -285,6 +288,90 @@ func StitchRestart(first, second *Result, resumedAt int) *Result {
 	r.LoDMacroPhases += first.LoDMacroPhases
 	r.LoDFallbackPhases += first.LoDFallbackPhases
 	return &r
+}
+
+// forceFunc computes one step's non-bonded terms for the shared step
+// loop: it accumulates the step's dV/dr into grad, which the loop has
+// zeroed, and returns the non-bonded energies and the step's pair counts
+// (StepInfo's PairChecks, ActivePairs and Updated).  It is the one thing
+// the engines do differently: the serial engine evaluates its own pair
+// list, the parallel one runs the RPC phases and sums the servers'
+// partial results.
+type forceFunc func(step int, grad []float64) (evdw, ecoul float64, info StepInfo, err error)
+
+// drive is the step loop both engines share.  It runs AfterInit, opens the
+// measurement window and then, every step, lets forces compute the
+// non-bonded terms before the client's own work: the bonded terms and the
+// integration, the trajectory frame, the step record and its telemetry, a
+// due checkpoint, AfterStep, the Cancel poll and the GradTol stop.  It
+// closes the window at the last step and fills res's step, timing and
+// final-state fields.
+func drive(t pvm.Task, sys *molecule.System, opts Options, steps int, c *clientState, res *Result, forces forceFunc) error {
+	if opts.AfterInit != nil {
+		opts.AfterInit()
+	}
+	sc := pvm.ScopeOf(t)
+	res.StartStep = opts.StartStep
+	t0 := t.Now()
+	res.InitSeconds = t0
+	pvm.OpenWindow(t, t0)
+
+	grad := make([]float64, 3*sys.N)
+	ckpt := newCkptSched(opts)
+	for step := 0; step < steps; step++ {
+		stepT0 := t.Now()
+		clear(grad)
+		evdw, ecoul, info, err := forces(step, grad)
+		if err != nil {
+			return err
+		}
+		fin := c.finishStep(t, evdw, ecoul, grad)
+		fin.PairChecks = info.PairChecks
+		fin.Updated = info.Updated
+		fin.ActivePairs = info.ActivePairs
+		if opts.Trajectory != nil {
+			if err := opts.Trajectory.Frame(step, fin.ETotal, c.pos); err != nil {
+				return fmt.Errorf("md: trajectory: %w", err)
+			}
+		}
+		res.Steps = append(res.Steps, fin)
+		telemetry.MDSteps.Add(1)
+		telemetry.MDStepSeconds.Observe(t.Now() - stepT0)
+		done := opts.StartStep + step + 1
+		if ckpt.due(step + 1) {
+			ckT0 := t.Now()
+			if err := opts.CheckpointSink(checkpointAt(sys, c.pos, c.vel, done)); err != nil {
+				return fmt.Errorf("md: checkpoint sink: %w", err)
+			}
+			telemetry.MDCheckpoints.Add(1)
+			telemetry.MDCheckpointSecs.Observe(t.Now() - ckT0)
+			sc.Emit("checkpoint", telemetry.F{"step": done})
+		}
+		if opts.AfterStep != nil {
+			opts.AfterStep(step, fin)
+		}
+		if opts.Cancel != nil {
+			if cerr := opts.Cancel(); cerr != nil {
+				sc.Emit("run_canceled", telemetry.F{"step": done, "cause": cerr.Error()})
+				return &CancelError{Step: done, Cause: cerr}
+			}
+		}
+		if opts.Minimize && opts.GradTol > 0 && fin.GradMax < opts.GradTol {
+			res.Converged = true
+			break
+		}
+	}
+	res.StartSeconds = t0
+	res.EndSeconds = t.Now()
+	// On the parallel engine every server segment precedes the client's
+	// receipt of that server's last reply or barrier release, so the
+	// window closes on a trace that ends here; the shutdown handshake is
+	// outside it.
+	pvm.CloseWindow(t, res.EndSeconds)
+	res.StepSeconds = res.EndSeconds - t0
+	res.FinalPos = append([]float64(nil), c.pos...)
+	res.FinalVel = append([]float64(nil), c.vel...)
+	return nil
 }
 
 // nbData is the replicated global data every server (and the serial
@@ -468,22 +555,22 @@ func (e *CancelError) Unwrap() error { return e.Cause }
 // knowing the cause.
 func (e *CancelError) Is(target error) bool { return target == ErrCanceled }
 
-// validateRun checks run arguments shared by the engines.
-func validateRun(sys *molecule.System, steps int) error {
+// prepare applies the defaults to o and checks the run arguments both
+// engines share: the step count, the system and the checkpointing
+// options.
+func (o Options) prepare(sys *molecule.System, steps int) (Options, error) {
+	o = o.withDefaults()
 	if steps <= 0 {
-		return fmt.Errorf("md: steps must be positive, have %d", steps)
+		return o, fmt.Errorf("md: steps must be positive, have %d", steps)
 	}
-	return sys.Validate()
-}
-
-// validateCheckpointing checks the periodic-checkpointing option pair,
-// shared by both engines.
-func (o Options) validateCheckpointing() error {
+	if err := sys.Validate(); err != nil {
+		return o, err
+	}
 	if o.CheckpointEvery < 0 {
-		return fmt.Errorf("md: CheckpointEvery must be non-negative, have %d", o.CheckpointEvery)
+		return o, fmt.Errorf("md: CheckpointEvery must be non-negative, have %d", o.CheckpointEvery)
 	}
 	if (o.CheckpointEvery > 0 || o.CheckpointAt != nil) != (o.CheckpointSink != nil) {
-		return fmt.Errorf("md: CheckpointEvery/CheckpointAt and CheckpointSink must be set together")
+		return o, fmt.Errorf("md: CheckpointEvery/CheckpointAt and CheckpointSink must be set together")
 	}
-	return nil
+	return o, nil
 }

@@ -30,8 +30,8 @@ var serve = sciddle.Serve
 // However it returns, it closes the connection: every server it spawned,
 // dropped ones included, gets the shutdown handshake.
 func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps int) (_ *Result, err error) {
-	opts = opts.withDefaults()
-	if err := validateRun(sys, steps); err != nil {
+	opts, err = opts.prepare(sys, steps)
+	if err != nil {
 		return nil, err
 	}
 	if nservers <= 0 {
@@ -48,9 +48,6 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	}
 	if opts.Kills != nil && !opts.SelfHeal {
 		return nil, fmt.Errorf("md: Kills is an administrative kill schedule for self-healing runs; set SelfHeal")
-	}
-	if err := opts.validateCheckpointing(); err != nil {
-		return nil, err
 	}
 	parties := nservers + 1
 	sc := pvm.ScopeOf(t)
@@ -127,16 +124,8 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 	}
 	conn.SetLoD(opts.LoD == LoDAuto && pvm.MacroCapable(t))
 
-	if opts.AfterInit != nil {
-		opts.AfterInit()
-	}
-	res := &Result{ServerTIDs: tids, StartStep: opts.StartStep}
-	t0 := t.Now()
-	res.InitSeconds = t0
-	pvm.OpenWindow(t, t0)
-
+	res := &Result{ServerTIDs: tids}
 	c := newClientState(sys, opts)
-	grad := make([]float64, 3*sys.N)
 	t.SetWorkingSet(8 * 3 * sys.N * 4)
 	// Steady-state reply slots and argument packers, kept across steps so
 	// the per-step phases run without heap allocation (request buffers are
@@ -296,10 +285,8 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		return client.NbintPhaseInto(packNbint, nbintReps[:conn.NumServers()])
 	}
 
-	ckpt := newCkptSched(opts)
-	for step := 0; step < steps; step++ {
+	err = drive(t, sys, opts, steps, c, res, func(step int, grad []float64) (evdw, ecoul float64, info StepInfo, err error) {
 		curStep = step
-		stepT0 := t.Now()
 		// Administrative kills: the schedule declares these ranks dead
 		// before the step's phases; the supervisor heals each one.  The
 		// victim task idles until the shutdown handshake stops it.
@@ -321,18 +308,17 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 					"kind": "admin_kill", "rank": rank, "tid": se.TID, "step": step,
 				})
 				if err := healFrom(se); err != nil {
-					return nil, err
+					return 0, 0, info, err
 				}
 			}
 		}
-		info := StepInfo{}
 		if step%opts.UpdateEvery == 0 {
 			// Update phase: ship coordinates, servers rebuild their
 			// lists; the reply carries no data beyond the completion
 			// signal (eq. 8 of the model).
 			updT0 := t.Now()
 			if err := runPhase(updatePhase); err != nil {
-				return nil, err
+				return 0, 0, info, err
 			}
 			telemetry.MDUpdateSeconds.Observe(t.Now() - updT0)
 			for _, r := range updateReps[:conn.NumServers()] {
@@ -346,12 +332,8 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		// Energy evaluation phase: coordinates out, partial energies and
 		// gradients back (eqs. 7 and 9).
 		if err := runPhase(nbintPhase); err != nil {
-			return nil, err
+			return 0, 0, info, err
 		}
-		for i := range grad {
-			grad[i] = 0
-		}
-		var evdw, ecoul float64
 		nsrv := conn.NumServers()
 		for r := range nbintReps[:nsrv] {
 			evdw += nbintReps[r].Evdw
@@ -363,56 +345,15 @@ func RunParallel(t pvm.Task, sys *molecule.System, opts Options, nservers, steps
 		}
 		// The gather-and-sum is client work.
 		t.Charge("reduce", forcefield.ReduceOps.Times(float64(3*sys.N*nsrv)))
-		fin := c.finishStep(t, evdw, ecoul, grad)
-		fin.PairChecks = info.PairChecks
-		fin.Updated = info.Updated
-		fin.ActivePairs = info.ActivePairs
-		if opts.Trajectory != nil {
-			if err := opts.Trajectory.Frame(step, fin.ETotal, c.pos); err != nil {
-				return nil, fmt.Errorf("md: trajectory: %w", err)
-			}
-		}
-		res.Steps = append(res.Steps, fin)
 		conn.ResumeLoD()
-		telemetry.MDSteps.Add(1)
-		telemetry.MDStepSeconds.Observe(t.Now() - stepT0)
-		if ckpt.due(step + 1) {
-			ckT0 := t.Now()
-			if err := opts.CheckpointSink(checkpointAt(sys, c.pos, c.vel, opts.StartStep+step+1)); err != nil {
-				return nil, fmt.Errorf("md: checkpoint sink: %w", err)
-			}
-			telemetry.MDCheckpoints.Add(1)
-			telemetry.MDCheckpointSecs.Observe(t.Now() - ckT0)
-			sc.Emit("checkpoint", telemetry.F{"step": opts.StartStep + step + 1})
-		}
-		if opts.AfterStep != nil {
-			opts.AfterStep(step, fin)
-		}
-		if opts.Cancel != nil {
-			if cerr := opts.Cancel(); cerr != nil {
-				// Stop cleanly at the boundary: the shutdown handshake
-				// (deferred above) stops the servers exactly as a completed
-				// run would.
-				sc.Emit("run_canceled", telemetry.F{
-					"step": opts.StartStep + step + 1, "cause": cerr.Error(),
-				})
-				return nil, &CancelError{Step: opts.StartStep + step + 1, Cause: cerr}
-			}
-		}
-		if opts.Minimize && opts.GradTol > 0 && fin.GradMax < opts.GradTol {
-			res.Converged = true
-			break
-		}
+		return evdw, ecoul, info, nil
+	})
+	if err != nil {
+		// A canceled run stops cleanly at the boundary: the shutdown
+		// handshake (deferred above) stops the servers exactly as a
+		// completed run would.
+		return nil, err
 	}
-	res.StartSeconds = t0
-	res.EndSeconds = t.Now()
-	// Every server segment precedes the client's receipt of that server's
-	// last reply or barrier release, so the window closes on a trace that
-	// ends here; the shutdown handshake below is outside it.
-	pvm.CloseWindow(t, res.EndSeconds)
-	res.StepSeconds = res.EndSeconds - t0
-	res.FinalPos = append([]float64(nil), c.pos...)
-	res.FinalVel = append([]float64(nil), c.vel...)
 	res.LoDMacroPhases, res.LoDFallbackPhases = conn.LoDPhases()
 	conn.Close()
 	return res, nil

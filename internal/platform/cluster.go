@@ -45,35 +45,26 @@ func (c TwoTierComm) SyncCost(n int) float64 { return c.SyncSeconds }
 
 var _ vm.CommModel = TwoTierComm{}
 
-// ClusterOfJ90s returns the paper's motivating target: nodesPerJ90
-// processes per J90 node with shared-memory PVM inside and HIPPI network
-// PVM between the machines.  The intra-node figures are the measured
+// J90Cluster returns the paper's motivating target, the cluster of J90s:
+// procsPerNode processes per J90 node (its CPUsPerNode) with shared-memory
+// PVM inside and HIPPI network PVM between the four machines; its
+// CommModel is that TwoTierComm.  The intra-node figures are the measured
 // Sciddle/PVM 3 MB/s / 10 ms; HIPPI hardware ran at ~100 MB/s but network
 // PVM over it delivered far less — we model 12 MB/s with 1 ms latency.
-type ClusterSpec struct {
-	Base         *Platform
-	ProcsPerNode int
-	Comm         TwoTierComm
-}
-
-// J90Cluster builds the cluster platform: the J90 compute node with a
-// two-tier HIPPI interconnect.
-func J90Cluster(procsPerNode int) ClusterSpec {
-	base := J90()
-	base.Name = fmt.Sprintf("Cluster of J90s (%d cpus/node, HIPPI)", procsPerNode)
-	base.MaxProcs = 4 * procsPerNode
-	return ClusterSpec{
-		Base:         base,
+func J90Cluster(procsPerNode int) *Platform {
+	pl := J90()
+	pl.Name = fmt.Sprintf("Cluster of J90s (%d cpus/node, HIPPI)", procsPerNode)
+	pl.MaxProcs = 4 * procsPerNode
+	pl.CPUsPerNode = procsPerNode
+	pl.comm = TwoTierComm{
 		ProcsPerNode: procsPerNode,
-		Comm: TwoTierComm{
-			ProcsPerNode: procsPerNode,
-			IntraMBs:     base.CommMBs,
-			IntraLatency: base.LatencySec,
-			InterMBs:     12,
-			InterLatency: 1e-3,
-			// Barriers already cost the socket-PVM b5; HIPPI's far lower
-			// latency does not add on top of it.
-			SyncSeconds: base.SyncSec,
-		},
+		IntraMBs:     pl.CommMBs,
+		IntraLatency: pl.LatencySec,
+		InterMBs:     12,
+		InterLatency: 1e-3,
+		// Barriers already cost the socket-PVM b5; HIPPI's far lower
+		// latency does not add on top of it.
+		SyncSeconds: pl.SyncSec,
 	}
+	return pl
 }

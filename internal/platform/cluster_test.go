@@ -44,22 +44,29 @@ func TestTwoTierDefaultsPerNode(t *testing.T) {
 }
 
 func TestJ90ClusterSpec(t *testing.T) {
-	spec := J90Cluster(8)
-	if spec.ProcsPerNode != 8 || spec.Comm.ProcsPerNode != 8 {
+	pl := J90Cluster(8)
+	comm, ok := pl.CommModel().(TwoTierComm)
+	if !ok {
+		t.Fatalf("comm model is %T, want TwoTierComm", pl.CommModel())
+	}
+	if pl.CPUsPerNode != 8 || comm.ProcsPerNode != 8 {
 		t.Error("procs per node mismatch")
 	}
-	if spec.Base.MaxProcs != 32 {
-		t.Errorf("max procs = %d, want 4 nodes x 8", spec.Base.MaxProcs)
+	if pl.MaxProcs != 32 {
+		t.Errorf("max procs = %d, want 4 nodes x 8", pl.MaxProcs)
 	}
-	if !strings.Contains(spec.Base.Name, "HIPPI") {
-		t.Errorf("name = %q", spec.Base.Name)
+	if !strings.Contains(pl.Name, "HIPPI") {
+		t.Errorf("name = %q", pl.Name)
 	}
 	// Intra matches the single-J90 PVM figures; inter is faster in
 	// bandwidth but the latency is far below the 10 ms socket PVM.
-	if spec.Comm.IntraMBs != J90().CommMBs {
+	if comm.IntraMBs != J90().CommMBs {
 		t.Error("intra bandwidth should match the J90 PVM")
 	}
-	if spec.Comm.InterMBs <= spec.Comm.IntraMBs {
+	if comm.InterMBs <= comm.IntraMBs {
 		t.Error("HIPPI should out-run the intra-node PVM bandwidth")
+	}
+	if _, ok := J90().CommModel().(TwoTierComm); ok {
+		t.Error("the single J90 prices messages by two tiers")
 	}
 }

@@ -42,10 +42,14 @@ type Platform struct {
 	Mem memhier.Model
 	// MaxProcs is the largest useful processor count.
 	MaxProcs int
-	// CPUsPerNode is 2 for the SMP CoPs twin nodes, 1 elsewhere.
+	// CPUsPerNode is 2 for the SMP CoPs twin nodes, the processes per
+	// node on a J90Cluster, 1 elsewhere.
 	CPUsPerNode int
 	// Notes carries free-form remarks surfaced in reports.
 	Notes string
+	// comm, when non-nil, replaces the one-tier model CommModel builds
+	// from the key data (a J90Cluster's TwoTierComm).
+	comm vm.CommModel
 }
 
 // ComputeModel returns the vm cost model: counted flops retire at
@@ -67,8 +71,12 @@ func (c *computeModel) Seconds(flops float64, ws int) float64 {
 
 // CommModel returns the vm communication cost model built from the
 // observed a1/b1/b5 parameters: the sender is busy b1 + bytes/a1 per
-// message and a barrier costs b5.
+// message and a barrier costs b5.  A cluster platform prices messages by
+// its two tiers instead (J90Cluster).
 func (pl *Platform) CommModel() vm.CommModel {
+	if pl.comm != nil {
+		return pl.comm
+	}
 	return &commModel{pl}
 }
 

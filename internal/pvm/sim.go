@@ -37,19 +37,12 @@ type SimVM struct {
 // disable segment tracing: the kernel's per-task Stats and its measurement
 // window (vm.Kernel.HoldWindow) need no recorder.
 func NewSimVM(pl *platform.Platform, rec *trace.Recorder) *SimVM {
-	return NewSimVMComm(pl, pl.CommModel(), rec)
-}
-
-// NewSimVMComm creates a session with an explicit communication cost
-// model — e.g. a platform.TwoTierComm for clusters of SMP nodes — while
-// keeping the platform's compute model and counter weights.
-func NewSimVMComm(pl *platform.Platform, comm vm.CommModel, rec *trace.Recorder) *SimVM {
 	var tr vm.Tracer
 	if rec != nil {
 		tr = rec
 	}
 	return &SimVM{
-		Kernel:   vm.NewKernel(comm, tr),
+		Kernel:   vm.NewKernel(pl.CommModel(), tr),
 		Platform: pl,
 		Recorder: rec,
 		scope:    &telemetry.Scope{ID: telemetry.Run()},

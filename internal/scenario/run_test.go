@@ -33,7 +33,8 @@ func mustPass(t *testing.T, spec *Spec) Report {
 
 // TestEventSchedulingEdges drives the scheduling corners through the
 // full engine: coincident events, kills of already-dead ranks, a
-// checkpoint landing inside an active heal window.
+// checkpoint landing inside an active heal window, a fault window on a
+// serial fleet.
 func TestEventSchedulingEdges(t *testing.T) {
 	cases := []struct {
 		name string
@@ -136,6 +137,37 @@ assert:
 			want: func(t *testing.T, rep Report) {
 				if rep.Checkpoints != 1 {
 					t.Fatalf("checkpoints = %d, want exactly 1", rep.Checkpoints)
+				}
+			},
+		},
+		{
+			// A fault window on a serial fleet: the serial client runs
+			// the same AfterInit/AfterStep hooks that mute the plane and
+			// open the window at step 2, so injected faults stretch the
+			// makespan past the fault-free reference.
+			name: "fault window on a serial fleet",
+			src: `
+name: edge-serial-window
+fleet:
+  servers: 0
+  steps: 8
+  scale: 0.02
+options:
+  cutoff: 10
+events:
+  - at: {step: 2}
+    action: inject_fault
+    rate: 0.9
+    seed: 5
+    until: {step: 6}
+assert:
+  energies_bit_identical: true
+  wall_not_below_reference: true
+`,
+			want: func(t *testing.T, rep Report) {
+				if rep.Injected == 0 || rep.Wall <= rep.RefWall {
+					t.Fatalf("%d faults injected, wall %.7g vs reference %.7g: the window never opened",
+						rep.Injected, rep.Wall, rep.RefWall)
 				}
 			},
 		},
