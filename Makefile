@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-layers check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget opald-smoke service-chaos archive-check opaltop-check stubs stubs-check fmt-check
+.PHONY: all build test race portable bench bench-smoke bench-layers check chaos scenarios cover fuzz figures clean telemetry-budget supervision-budget opald-smoke service-chaos archive-check opaltop-check stubs stubs-check fmt-check
 
 # Seeds per scenario when sweeping the checked-in chaos corpus.
 SCENARIO_SEEDS ?= 10
@@ -80,6 +80,7 @@ archive-check:
 check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
+	$(MAKE) portable
 	$(GO) build ./...
 	$(MAKE) stubs-check
 	$(GO) test ./...
@@ -93,6 +94,13 @@ check:
 	$(MAKE) bench-smoke
 	$(MAKE) telemetry-budget
 	$(MAKE) supervision-budget
+
+# The portable build of the pair kernels: the Go loops the amd64 vector
+# kernels are held to, tested natively, and every package vetted for
+# arm64, which fails when an assembly function has no portable stub.
+portable:
+	$(GO) test -tags purego ./internal/forcefield ./internal/pairlist ./internal/md
+	GOARCH=arm64 $(GO) vet ./...
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -154,6 +162,8 @@ fuzz:
 	$(GO) test ./internal/scenario/ -run xxx -fuzz FuzzScenarioParse -fuzztime 15s
 	$(GO) test ./internal/archive/ -run xxx -fuzz FuzzArchiveRead -fuzztime 15s
 	$(GO) test ./internal/ctlplane/ -run xxx -fuzz FuzzSubmit -fuzztime 15s
+	$(GO) test ./internal/forcefield/ -run xxx -fuzz FuzzPairEnergyRow -fuzztime 15s
+	$(GO) test ./internal/forcefield/ -run xxx -fuzz FuzzKeepWithin -fuzztime 15s
 
 # Regenerate every paper table and figure at full problem scale (minutes).
 figures:

@@ -145,14 +145,26 @@ func PairEnergy(pos []float64, i, j int, c12, c6, qq float64, grad []float64) (e
 	return evdw, ecoul
 }
 
+// vectorMin is the shortest row a vector kernel is called for: a call
+// costs about what the Go loop spends on five pairs, so shorter rows (all
+// of them on the 6-centre benchmark systems) run the loop alone.
+const vectorMin = 8
+
 // PairEnergyRow evaluates one pair-list row: mass center i against every
 // partner in js, with the flat per-type coefficient rows of LJTable.Row
 // replacing the per-pair Coeffs lookup.  It accumulates dV/dr into grad
 // and threads the energy accumulators through (evdw0/ecoul0 in, updated
 // sums out) so that the floating-point operation order — including the
 // order of the energy summation — is bit-for-bit identical to calling
-// PairEnergy once per pair the way md.evalList historically did.  The
-// charged/plain pair split is returned for flop accounting.
+// PairEnergy once per pair the way md.evalList historically did, except
+// that a -0 ecoul0 stays -0 across uncharged pairs here where the
+// per-pair path adds their +0 term.  The charged/plain pair split is
+// returned for flop accounting.
+//
+// Where the host has a vector kernel (see rowBlocks) it takes a row of at
+// least vectorMin partners in blocks of four and the loop below takes the
+// rest, from the first block the kernel declined on; both give the same
+// bits.
 func PairEnergyRow(pos []float64, i int, js []int32, types []int, c12Row, c6Row []float64, qi float64, charges, grad []float64, evdw0, ecoul0 float64) (evdw, ecoul float64, nCharged, nPlain int) {
 	evdw, ecoul = evdw0, ecoul0
 	xi := pos[3*i]
@@ -162,7 +174,12 @@ func PairEnergyRow(pos []float64, i int, js []int32, types []int, c12Row, c6Row 
 	// hoisting the first product preserves every bit.
 	qk := CoulombK * qi
 	gi := grad[3*i : 3*i+3 : 3*i+3]
-	for _, j32 := range js {
+	done := 0
+	if len(js) >= vectorMin {
+		done, evdw, ecoul, nCharged = rowBlocks(pos, i, js, types, c12Row, c6Row, qk, charges, grad, evdw, ecoul)
+		nPlain = done - nCharged
+	}
+	for _, j32 := range js[done:] {
 		j := int(j32)
 		c12 := c12Row[types[j]]
 		c6 := c6Row[types[j]]
@@ -194,6 +211,53 @@ func PairEnergyRow(pos []float64, i int, js []int32, types []int, c12Row, c6Row 
 		grad[3*j+2] -= gz
 	}
 	return evdw, ecoul, nCharged, nPlain
+}
+
+// KeepWithin writes to out, in order, the candidates j of js whose squared
+// distance from (xi, yi, zi) is not beyond c2 — a NaN distance is kept —
+// and returns how many it kept.  out needs room for all of js: the loop
+// stores every candidate and advances its cursor only past a keeper, since
+// whether a candidate stays is close to a coin toss, which a branch would
+// mispredict.  Where the host has a vector kernel (see keepBlocks) it
+// filters at least vectorMin candidates in blocks of four and the loop
+// below the rest.
+func KeepWithin(pos []float64, xi, yi, zi, c2 float64, js, out []int32) int {
+	done, n := 0, 0
+	if len(js) >= vectorMin {
+		done, n = keepBlocks(pos, xi, yi, zi, c2, js, out)
+	}
+	for _, j := range js[done:] {
+		p := pos[3*int(j) : 3*int(j)+3]
+		dx, dy, dz := xi-p[0], yi-p[1], zi-p[2]
+		out[n] = j
+		keep := 1
+		if dx*dx+dy*dy+dz*dz > c2 {
+			keep = 0
+		}
+		n += keep
+	}
+	return n
+}
+
+// KeepRange is KeepWithin over the candidates lo, lo+1, ..., hi-1: out
+// needs room for hi-lo of them.
+func KeepRange(pos []float64, xi, yi, zi, c2 float64, lo, hi int, out []int32) int {
+	done, n := 0, 0
+	if hi-lo >= vectorMin {
+		done, n = keepRangeBlocks(pos, xi, yi, zi, c2, lo, hi, out)
+	}
+	j := int32(lo + done)
+	for p := pos[3*(lo+done) : 3*hi]; len(p) >= 3; p = p[3:] {
+		dx, dy, dz := xi-p[0], yi-p[1], zi-p[2]
+		out[n] = j
+		keep := 1
+		if dx*dx+dy*dy+dz*dz > c2 {
+			keep = 0
+		}
+		n += keep
+		j++
+	}
+	return n
 }
 
 // Dist2 returns the squared distance between mass centers i and j.

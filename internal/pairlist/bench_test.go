@@ -19,10 +19,11 @@ func benchSystem() (*molecule.System, *forcefield.Exclusions) {
 
 const benchCutoff = 10
 
-// BenchmarkUpdate times the two branches of Update per charged check:
-// "reuse" repeats the update on unchanged positions (the staleness test
-// plus the candidate filter), "rebuild" alternates two position sets more
-// than the skin apart so every call sweeps all pairs first.
+// BenchmarkUpdate times the two branches of Update per charged check and
+// per retained candidate: "reuse" repeats the update on unchanged
+// positions (the staleness test plus the candidate filter), "rebuild"
+// alternates two position sets more than the skin apart so every call
+// sweeps all pairs first.
 func BenchmarkUpdate(b *testing.B) {
 	sys, excl := benchSystem()
 	moved := append([]float64(nil), sys.Pos...)
@@ -52,6 +53,7 @@ func BenchmarkUpdate(b *testing.B) {
 					checks += c
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(checks), "ns/check")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(l.cand)-len(l.Rows))), "ns/candidate")
 				want := 0
 				if branch.name == "rebuild" {
 					want = b.N
@@ -62,6 +64,28 @@ func BenchmarkUpdate(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkRowEnergy times forcefield.PairEnergyRow per pair over server
+// 0's list of four, the rows one sim-physics server evaluates every step.
+func BenchmarkRowEnergy(b *testing.B) {
+	sys, excl := benchSystem()
+	l := NewList(sys.N, RowsOf(Owners(sys.N, 4, LCG, 1), 0))
+	l.Update(sys.Pos, benchCutoff, excl)
+	lj := forcefield.BuildLJ(forcefield.DefaultLJ())
+	grad := make([]float64, len(sys.Pos))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		var evdw, ecoul float64
+		for r, i := range l.Rows {
+			c12Row, c6Row := lj.Row(sys.Type[i])
+			evdw, ecoul, _, _ = forcefield.PairEnergyRow(sys.Pos, i, l.Pairs[r], sys.Type,
+				c12Row, c6Row, sys.Charge[i], sys.Charge, grad, evdw, ecoul)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l.NActive), "ns/pair")
+	b.ReportMetric(float64(l.NActive), "pairs")
 }
 
 // BenchmarkUpdateTinyLists times what the lists cost the front-door

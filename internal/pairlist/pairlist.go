@@ -186,7 +186,9 @@ const skin = 2.0
 type List struct {
 	N    int   // total mass centers
 	Rows []int // owned row indices
-	// Pairs[r] holds the partners j (> Rows[r]) within the cut-off.
+	// Pairs[r] holds the partners j (> Rows[r]) within the cut-off.  After
+	// Update the rows are views of one slab, each with room for all of its
+	// candidates.
 	Pairs   [][]int32
 	NActive int
 	// Rebuilds counts the Update calls that swept all pairs instead of
@@ -203,6 +205,7 @@ type List struct {
 	// charged the all-pairs sweep on every update and Bytes does not
 	// count it.
 	cand       []int32
+	slab       []int32 // backs Pairs: one slot per candidate, row after row
 	ref        []float64
 	candCutoff float64
 	candExcl   *forcefield.Exclusions
@@ -220,6 +223,10 @@ func NewList(n int, rows []int) *List {
 // like an ineffective 60 A cut-off.  It returns the number of checks and
 // the op count incurred: those of the full sweep (eq. 3 of the paper),
 // whatever part of it the host skipped by filtering retained candidates.
+//
+// On the host each row is one forcefield.KeepWithin call over the row's
+// retained candidates, into the row's stretch of one slab that backs every
+// row of Pairs, so a fresh list allocates once, not once a row.
 func (l *List) Update(pos []float64, cutoff float64, excl *forcefield.Exclusions) (checks int, ops hpm.Ops) {
 	if len(l.Rows) == 0 {
 		return 0, hpm.Ops{} // no rows: nothing to sweep and no center to watch
@@ -230,31 +237,14 @@ func (l *List) Update(pos []float64, cutoff float64, excl *forcefield.Exclusions
 	}
 	c2 := reach2(cutoff, 0)
 	nexcl := 0
-	cand := l.cand
+	cand, slab := l.cand, l.slab
 	l.NActive = 0
 	for r, i := range l.Rows {
-		xi, yi, zi := pos[3*i], pos[3*i+1], pos[3*i+2]
-		// Every candidate is stored and the write cursor advances only
-		// past the ones inside the cut-off: whether a candidate stays is
-		// close to a coin toss, which a branch would mispredict.
 		cs := cand[1 : 1+cand[0]]
 		cand = cand[1+cand[0]:]
-		ps := l.Pairs[r]
-		if cap(ps) < len(cs) {
-			ps = make([]int32, len(cs))
-		}
-		ps = ps[:len(cs)]
-		n := 0
-		for _, j := range cs {
-			p := pos[3*int(j) : 3*int(j)+3]
-			dx, dy, dz := xi-p[0], yi-p[1], zi-p[2]
-			ps[n] = j
-			keep := 1
-			if dx*dx+dy*dy+dz*dz > c2 {
-				keep = 0
-			}
-			n += keep
-		}
+		ps := slab[:len(cs):len(cs)]
+		slab = slab[len(cs):]
+		n := forcefield.KeepWithin(pos, pos[3*i], pos[3*i+1], pos[3*i+2], c2, cs, ps)
 		l.Pairs[r] = ps[:n]
 		l.NActive += n
 		for _, j := range excl.Row(i) {
@@ -297,8 +287,9 @@ func (l *List) stale(pos []float64, cutoff float64, excl *forcefield.Exclusions)
 
 // rebuild sweeps every partner j > i of the owned rows and retains those
 // within cutoff+skin, with the positions they were found at.  Each row is
-// walked in the runs between its excluded partners, so the inner loop
-// carries no exclusion test.
+// walked in the runs between its excluded partners, one
+// forcefield.KeepRange call a run, so the inner loop carries no exclusion
+// test.
 func (l *List) rebuild(pos []float64, cutoff float64, excl *forcefield.Exclusions) {
 	l.Rebuilds++
 	l.candCutoff, l.candExcl = cutoff, excl
@@ -308,7 +299,6 @@ func (l *List) rebuild(pos []float64, cutoff float64, excl *forcefield.Exclusion
 	for _, i := range l.Rows {
 		xi, yi, zi := pos[3*i], pos[3*i+1], pos[3*i+2]
 		ex := excl.Row(i)
-		// As in Update's filter: store every partner, advance on a keeper.
 		h := len(l.cand)
 		l.cand = slices.Grow(l.cand, l.N-i)
 		row := l.cand[h+1 : h+l.N-i]
@@ -318,21 +308,14 @@ func (l *List) rebuild(pos []float64, cutoff float64, excl *forcefield.Exclusion
 			if len(ex) > 0 {
 				hi, ex = int(ex[0]), ex[1:]
 			}
-			j := int32(lo)
-			for p := pos[3*lo : 3*hi]; len(p) >= 3; p = p[3:] {
-				dx, dy, dz := xi-p[0], yi-p[1], zi-p[2]
-				row[n] = j
-				keep := 1
-				if dx*dx+dy*dy+dz*dz > rc2 {
-					keep = 0
-				}
-				n += keep
-				j++
-			}
+			n += forcefield.KeepRange(pos, xi, yi, zi, rc2, lo, hi, row[n:])
 			lo = hi + 1
 		}
 		l.cand = l.cand[:h+1+n]
 		l.cand[h] = int32(n)
+	}
+	if need := len(l.cand) - len(l.Rows); cap(l.slab) < need {
+		l.slab = make([]int32, need)
 	}
 }
 
