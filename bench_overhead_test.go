@@ -8,6 +8,7 @@ import (
 
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
+	"opalperf/internal/paper"
 	"opalperf/internal/platform"
 )
 
@@ -22,7 +23,7 @@ import (
 // rusage comparison shared with BenchmarkTelemetryOverhead — see
 // pairedOverheadPercent for why.
 func BenchmarkSupervisionOverhead(b *testing.B) {
-	sys := benchSystem("medium")
+	sys := paper.BenchScale().Sizes["medium"]
 	bare := harness.RunSpec{
 		Platform: platform.J90(),
 		Sys:      sys,

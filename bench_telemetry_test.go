@@ -8,6 +8,7 @@ import (
 
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
+	"opalperf/internal/paper"
 	"opalperf/internal/platform"
 	"opalperf/internal/telemetry"
 )
@@ -25,7 +26,7 @@ import (
 // BenchmarkSupervisionOverhead — see pairedOverheadPercent for why CPU
 // time and the median of paired deltas.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	sys := benchSystem("medium")
+	sys := paper.BenchScale().Sizes["medium"]
 	spec := harness.RunSpec{
 		Platform: platform.J90(),
 		Sys:      sys,

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"opalperf/internal/harness"
+	"opalperf/internal/paper"
 	"opalperf/internal/platform"
 )
 
@@ -27,7 +28,7 @@ func main() {
 	}
 	fmt.Printf("%s: %d mass centers, gamma %.3f, box %.1f A\n\n", sys.Name, sys.N, sys.Gamma(), sys.Box)
 
-	panel, err := harness.MeasureBreakdownPanel(
+	panel, err := paper.MeasureBreakdownPanel(
 		platform.J90(), sys, harness.EffectiveCutoff, 1, 7, 10,
 		"Figure 1c) cut-off 10 A, full update — "+sys.Name)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"opalperf/internal/core"
 	"opalperf/internal/harness"
 	"opalperf/internal/molecule"
+	"opalperf/internal/paper"
 	"opalperf/internal/platform"
 )
 
@@ -23,7 +24,7 @@ func main() {
 	// Step 1: calibrate the model on the reference platform with a
 	// scaled-down factorial design (a few seconds).
 	fmt.Println("step 1: calibrating the analytic model on the virtual Cray J90...")
-	suite := harness.NewSuite(harness.Sizes(0.15))
+	suite := paper.NewSuite(harness.Sizes(0.15))
 	suite.Steps = 5
 	rep, err := suite.Calibrate(nil)
 	if err != nil {

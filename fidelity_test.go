@@ -5,67 +5,25 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
-	"opalperf/internal/molecule"
+	"opalperf/internal/paper"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fidelity.golden and testdata/allocs.golden")
 
-// namedEval is a figure bench's eval under the benchmark's name.
-type namedEval struct {
-	name string
-	eval eval
-}
-
-// fidelityEvals lists every deterministic value the root benchmarks
-// report: the paper's figures and tables, the ablations and the model.
-// BenchmarkScenarioThroughput is the one left out; its sims/s is host
-// time.
-func fidelityEvals() []namedEval {
-	medium, large := benchSystem("medium"), benchSystem("large")
-	evals := []namedEval{
-		{"Fig1Breakdown", breakdownFigure(medium)},
-		{"Fig2Breakdown", breakdownFigure(large)},
-		{"Fig3Design", fig3Design(benchSuite())},
-		{"Fig4Calibration", fig4Calibration(benchSuite())},
-		{"Fig5Prediction", predictionFigure(molecule.Antennapedia())},
-		{"Fig6Prediction", predictionFigure(molecule.LFB())},
-		{"Table1Kernel", table1Kernel},
-		{"Table2PingPong", table2PingPong},
-		{"MemHierarchy", memHierarchy},
-		{"SpaceModel", spaceModel(molecule.LFB())},
-		{"AccountingOverhead", accountingOverhead(medium)},
-		{"PairDistribution", pairDistribution(medium)},
-		{"WaterModel", waterModel(benchSystem("small"))},
-		{"DecompositionComparison", decompositionComparison(medium)},
-		{"CellListAblation", cellListAblation(large)},
-		{"ClusterOfJ90s", clusterOfJ90s(large)},
-		{"PredictionValidation", predictionValidation(medium)},
-		{"EvalListRow", evalListPairs},
-		{"EvalListPerPair", evalListPairs},
-		{"ModelEvaluation", func() ([]metric, error) {
-			mach, app := benchModel()
-			return []metric{{"predicted-s", mach.Total(app)}}, nil
-		}},
+// rowName is the golden row of one metric of e.
+func rowName(e paper.Eval, m paper.Metric) string {
+	if m.Row == "" {
+		return e.Name
 	}
-	for _, every := range updateEveryLevels {
-		evals = append(evals, namedEval{fmt.Sprintf("UpdateSweep/update=%d", every), updateSweep(medium, every)})
-	}
-	for _, p := range evenOddLevels {
-		evals = append(evals, namedEval{fmt.Sprintf("EvenOddServers/p=%d", p), evenOddServers(medium, p)})
-	}
-	return evals
-}
-
-// evalListPairs is the pair count the pair-kernel benches report.
-func evalListPairs() ([]metric, error) {
-	_, l, _, _ := benchEvalListSetup()
-	return []metric{{"pairs", float64(l.NActive)}}, nil
+	return e.Name + "/" + m.Row
 }
 
 // golden returns the contents of the golden file path, first rewriting
@@ -84,22 +42,49 @@ func golden(t *testing.T, path, got string) string {
 	return string(want)
 }
 
-// TestFidelityGolden recomputes every value of fidelityEvals and holds it
-// to testdata/fidelity.golden by its bits: virtual time is deterministic,
-// so any drift in a figure, a table row, the calibration fit or a model
-// prediction is a behaviour change.  Known deviations (EXPERIMENTS.md)
-// are pinned at their current values; a fix shows up here as a diff to
-// explain.  Refresh with `go test . -run FidelityGolden -update`.
+// TestFidelityGolden runs every entry of the evaluation table at
+// paper.BenchScale and holds each metric to testdata/fidelity.golden by
+// its bits: virtual time is deterministic, so any drift in a figure, a
+// table row, the calibration fit, a model prediction or an ablation is a
+// behaviour change.  Known deviations (EXPERIMENTS.md) are pinned at
+// their current values; a fix shows up here as a diff to explain.
+// Refresh with `go test . -run FidelityGolden -update`.  The same runs
+// render: every entry's files are written into a scratch directory,
+// which must then hold exactly the files the table declares, none empty.
 func TestFidelityGolden(t *testing.T) {
+	s := paper.BenchScale()
+	dir := t.TempDir()
 	var got strings.Builder
-	for _, e := range fidelityEvals() {
-		ms, err := e.eval()
+	var declared []string
+	for _, e := range paper.Evals {
+		out, err := e.Run(s)
 		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		for _, m := range ms {
-			fmt.Fprintf(&got, "%s %s %#016x %v\n", e.name, m.unit, math.Float64bits(m.value), m.value)
+		for _, m := range out.Metrics {
+			fmt.Fprintf(&got, "%s %s %#016x %v\n", rowName(e, m), m.Unit, math.Float64bits(m.Value), m.Value)
 		}
+		for name, body := range out.Files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		declared = append(declared, e.Files...)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []string
+	for _, f := range entries {
+		written = append(written, f.Name())
+		if info, err := f.Info(); err != nil || info.Size() == 0 {
+			t.Errorf("%s is empty (%v)", f.Name(), err)
+		}
+	}
+	slices.Sort(declared)
+	if !slices.Equal(written, declared) {
+		t.Errorf("the entries wrote\n  %v\nand declare\n  %v", written, declared)
 	}
 	const path = "testdata/fidelity.golden"
 	want := golden(t, path, got.String())
@@ -118,8 +103,36 @@ func TestFidelityGolden(t *testing.T) {
 	}
 }
 
-// TestAllocsGolden holds the heap allocations of one run of every
-// fidelityEvals eval and every scenarioThroughput row to
+// TestOutMatchesTable holds the checked-in out/ to the evaluation table
+// without running anything: every file under out/ is declared by exactly
+// one entry, and every declared file is there.
+func TestOutMatchesTable(t *testing.T) {
+	owner := map[string]string{}
+	for _, e := range paper.Evals {
+		for _, name := range e.Files {
+			if prev, ok := owner[name]; ok {
+				t.Errorf("out/%s is declared by both %s and %s", name, prev, e.Name)
+			}
+			owner[name] = e.Name
+		}
+	}
+	entries, err := os.ReadDir("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range entries {
+		if _, ok := owner[f.Name()]; !ok {
+			t.Errorf("out/%s is declared by no entry", f.Name())
+		}
+		delete(owner, f.Name())
+	}
+	for name, e := range owner {
+		t.Errorf("out/%s, declared by %s, is missing", name, e)
+	}
+}
+
+// TestAllocsGolden holds the heap allocations of one run of every entry
+// of the evaluation table and every scenarioThroughput row to
 // testdata/allocs.golden.  Unlike ns/op an allocation count does not
 // depend on the host, so it can gate: a count that moves past the
 // tolerance either way is a behaviour change to explain, and a real drop
@@ -129,8 +142,8 @@ func TestFidelityGolden(t *testing.T) {
 // lands mid-run, at a point set by the heap earlier evals left, drops
 // pooled objects the run then allocates again, which moved counts by up
 // to ±8; so each eval starts from a collected heap and the collector
-// runs only at a 256 MiB cap.  Fig4Calibration (~420 MB a run) still
-// reaches the cap, and every collection adds two allocations that are not
+// runs only at a 256 MiB cap.  The largest entries (Fig4Calibration
+// among them) still reach the cap, and every collection adds two allocations that are not
 // the program's: net/netip's package initialization (linked through net,
 // which internal/telemetry imports) calls unique.Make, which registers the
 // unique package's map cleanup, and the runtime runs that cleanup on its
@@ -151,9 +164,16 @@ func TestAllocsGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	evals := fidelityEvals()
+	s := paper.BenchScale()
+	var evals []namedRun
+	for _, e := range paper.Evals {
+		evals = append(evals, namedRun{e.Name, func() error {
+			_, err := e.Run(s)
+			return err
+		}})
+	}
 	for _, sc := range scenarioThroughput() {
-		evals = append(evals, namedEval{"ScenarioThroughput/" + sc.name, sc.eval})
+		evals = append(evals, namedRun{"ScenarioThroughput/" + sc.name, sc.run})
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
@@ -166,7 +186,7 @@ func TestAllocsGolden(t *testing.T) {
 		n := math.Inf(1)
 		for range 2 {
 			debug.FreeOSMemory()
-			n = min(n, testing.AllocsPerRun(1, func() { _, err = e.eval() }))
+			n = min(n, testing.AllocsPerRun(1, func() { err = e.run() }))
 		}
 		runtime.ReadMemStats(&m1)
 		collections[i] = float64(m1.NumGC - m0.NumGC - 2) // not FreeOSMemory's
@@ -185,7 +205,7 @@ func TestAllocsGolden(t *testing.T) {
 		g, _ := strconv.ParseFloat(gl[i+1], 64)
 		w, err := strconv.ParseFloat(wl[i+1], 64)
 		// 0.01 % holds every eval under 10 000 allocations exact and
-		// leaves Fig4Calibration's ~53 000 five counts.
+		// leaves the largest, ~40 000, four counts.
 		if gl[i] != wl[i] || err != nil || math.Abs(g-w) > 0.0001*w+2*collections[i/2] {
 			t.Errorf("%s: got %s %s allocs, want %s %s", path, gl[i], gl[i+1], wl[i], wl[i+1])
 		}

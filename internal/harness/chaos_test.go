@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -107,15 +108,10 @@ func TestChaosSweep(t *testing.T) {
 	t.Logf("chaos sweep: %d/%d runs faulted, %d faults injected", faulted, seeds, totalInjected)
 }
 
-// renderOne renders the single-run breakdown figure (chart + table) the
-// way the figure pipeline does, as the byte-comparison payload.
+// renderOne renders the run's breakdown with every term at full
+// precision, as the byte-comparison payload.
 func renderOne(out RunOutcome) string {
-	p := BreakdownPanel{
-		Label:      "chaos",
-		Servers:    []int{2},
-		Breakdowns: []trace.Breakdown{out.Breakdown},
-	}
-	return p.Chart() + p.Table().String()
+	return fmt.Sprintf("%+v", out.Breakdown)
 }
 
 // TestChaosReplayBitIdentical re-runs a subset of seeds and demands the

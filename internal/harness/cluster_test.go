@@ -1,59 +1,12 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"opalperf/internal/md"
 	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
 )
-
-func TestValidatePredictionCoPs(t *testing.T) {
-	// The CoPs platforms' intrinsic weights are (near) canonical, so the
-	// model prediction should track the instrumented simulation within a
-	// modest band at a compute-bound configuration.
-	sys := molecule.TestComplex(300, 500, 42)
-	cases, err := ValidatePrediction([]*platform.Platform{platform.FastCoPs(), platform.SMPCoPs()},
-		sys, NoCutoff, 1, 4, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cases) != 4 {
-		t.Fatalf("cases = %d", len(cases))
-	}
-	for _, c := range cases {
-		if c.RelErr() > 0.20 {
-			t.Errorf("%s p=%d: predicted %.3f vs simulated %.3f (%.1f%%)",
-				c.Platform, c.Servers, c.Predicted, c.Simulated, 100*c.RelErr())
-		}
-	}
-	if !strings.Contains(ValidationTable(cases).String(), "predicted") {
-		t.Error("table rendering broken")
-	}
-	sum := ValidationSummary(cases)
-	if len(sum) != 2 {
-		t.Errorf("summary = %v", sum)
-	}
-}
-
-func TestValidatePredictionShowsT3EExtractionBias(t *testing.T) {
-	// The one-rate extraction (Section 4.1) prices the T3E's cheap
-	// add/mul update loop at the sqrt-penalized kernel rate, so the
-	// model OVER-predicts simulated T3E times on update-heavy runs —
-	// the bias EXPERIMENTS.md documents.
-	sys := molecule.TestComplex(300, 500, 42)
-	cases, err := ValidatePrediction([]*platform.Platform{platform.T3E900()},
-		sys, EffectiveCutoff, 1, 4, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cases[0]
-	if c.Predicted <= c.Simulated {
-		t.Errorf("expected over-prediction on the T3E: predicted %.3f vs simulated %.3f",
-			c.Predicted, c.Simulated)
-	}
-}
 
 func TestClusterRunJ90HIPPI(t *testing.T) {
 	sys := molecule.TestComplex(250, 400, 7)
@@ -113,17 +66,5 @@ func TestClusterBeatsSingleNodeWhenOversubscribed(t *testing.T) {
 	}
 	if p15.Wall >= p7.Wall {
 		t.Errorf("cluster p=15 (%.3f) should beat p=7 (%.3f)", p15.Wall, p7.Wall)
-	}
-}
-
-func TestClusterReportRenders(t *testing.T) {
-	sys := molecule.TestComplex(120, 200, 9)
-	tab, err := ClusterReport(platform.J90Cluster(4), sys, NoCutoff, 2, []int{2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.String()
-	if !strings.Contains(s, "HIPPI") || !strings.Contains(s, "nodes used") {
-		t.Errorf("report:\n%s", s)
 	}
 }

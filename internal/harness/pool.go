@@ -2,28 +2,16 @@ package harness
 
 import "opalperf/internal/parallel"
 
-// Pool runs independent instrumented simulations concurrently on a
-// bounded worker pool.  Each Run builds its own discrete-event kernel
-// whose token-handoff scheduler is deterministic regardless of host
-// scheduling, so concurrency lives strictly *between* runs and the
-// collected outcomes are byte-identical to the sequential loop (see
-// DESIGN.md, "Host concurrency").
-type Pool struct {
-	// Workers bounds the number of simultaneous simulations; <= 0 uses
-	// the package-wide parallel.Workers() default (GOMAXPROCS, or the
-	// -jobs flag of the cmd/ binaries).
-	Workers int
-}
-
-// RunMany executes every spec and returns the outcomes in input order.
-// It fails with the lowest-indexed error observed.
-func (pl Pool) RunMany(specs []RunSpec) ([]RunOutcome, error) {
-	return parallel.MapN(pl.Workers, specs, func(i int, spec RunSpec) (RunOutcome, error) {
+// RunMany executes every spec concurrently on the default worker pool
+// (parallel.Workers: GOMAXPROCS, or the -jobs flag of the cmd/ binaries)
+// and returns the outcomes in input order, failing with the
+// lowest-indexed error observed.  Each Run builds its own discrete-event
+// kernel whose token-handoff scheduler is deterministic regardless of
+// host scheduling, so concurrency lives strictly *between* runs and the
+// outcomes are byte-identical to the sequential loop (see DESIGN.md,
+// "Host concurrency").
+func RunMany(specs []RunSpec) ([]RunOutcome, error) {
+	return parallel.Map(specs, func(_ int, spec RunSpec) (RunOutcome, error) {
 		return Run(spec)
 	})
-}
-
-// RunMany executes the specs on the default pool.
-func RunMany(specs []RunSpec) ([]RunOutcome, error) {
-	return Pool{}.RunMany(specs)
 }

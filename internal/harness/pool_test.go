@@ -1,61 +1,12 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"opalperf/internal/md"
 	"opalperf/internal/parallel"
 	"opalperf/internal/platform"
 )
-
-// renderFigures produces every figure artefact exercised by the pool:
-// the four breakdown panels (charts and tables), the validation table
-// and a prediction chart.  It is the golden payload for the
-// determinism test below.
-func renderFigures(t *testing.T) string {
-	t.Helper()
-	sys := Sizes(0.04)["small"]
-	var sb strings.Builder
-	panels, err := FigureBreakdowns(platform.J90(), sys, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range panels {
-		sb.WriteString(p.Chart())
-		p.Table().Render(&sb)
-	}
-	cases, err := ValidatePrediction(platform.All()[:2], sys, NoCutoff, 1, 2, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ValidationTable(cases).Render(&sb)
-	series := PredictFigure(platform.All(), sys, EffectiveCutoff, 1, 2, 3)
-	tc, sc := PredictionCharts(series, "golden")
-	sb.WriteString(tc)
-	sb.WriteString(sc)
-	return sb.String()
-}
-
-// TestParallelFiguresByteIdentical is the golden determinism test of the
-// run pool: every figure rendered with eight concurrent simulations must
-// be byte-identical to the sequential rendering.  Each simulated run has
-// its own discrete-event kernel whose token-handoff scheduling is
-// independent of host scheduling, so host concurrency must not leak into
-// any output.
-func TestParallelFiguresByteIdentical(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	parallel.SetWorkers(1)
-	seq := renderFigures(t)
-	parallel.SetWorkers(8)
-	par := renderFigures(t)
-	if seq != par {
-		t.Fatalf("parallel figure output differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
-	}
-	if len(seq) == 0 {
-		t.Fatal("rendered figures are empty")
-	}
-}
 
 // TestRunManyOrdered checks that pool outcomes come back in spec order.
 func TestRunManyOrdered(t *testing.T) {
@@ -82,38 +33,6 @@ func TestRunManyOrdered(t *testing.T) {
 	for i, out := range outs {
 		if len(out.Result.ServerTIDs) != specs[i].Servers {
 			t.Errorf("outcome %d has %d servers, want %d", i, len(out.Result.ServerTIDs), specs[i].Servers)
-		}
-	}
-}
-
-// TestMeasureAllParallelMatchesSequential pins the calibration pipeline:
-// the measurements of a case list must not depend on the worker count.
-func TestMeasureAllParallelMatchesSequential(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	s := NewSuite(Sizes(0.04))
-	s.Steps = 2
-	s.MaxServers = 3
-	cases, err := s.FractionCases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = cases[:4]
-	parallel.SetWorkers(1)
-	seq, err := s.MeasureAll(cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel.SetWorkers(8)
-	par, err := s.MeasureAll(cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("measurement %d differs:\nseq %+v\npar %+v", i, seq[i], par[i])
 		}
 	}
 }

@@ -1,8 +1,8 @@
-// Package harness runs the paper's experiments end to end: instrumented
-// Opal runs on simulated platforms, the factorial calibration suite of
-// Section 2.3/2.5, the execution-time breakdowns of Figures 1-2, the
-// model-vs-measurement comparison of Figure 4, the cross-platform
-// predictions of Figures 5-6 and the micro-benchmark tables.
+// Package harness is the run path: one instrumented Opal run on a
+// simulated platform (Run, RunMany), its schema (Config), its identity
+// (SpecHashOf), the paper's problem sizes and cut-offs, and the journal
+// and archive wiring of a front end (StartRecording).  The paper's
+// evaluation that drives it is internal/paper.
 package harness
 
 import (
@@ -61,16 +61,6 @@ type RunSpec struct {
 	// run gets a fresh scope stamped with the process run ID.  Like every
 	// hook, it is not part of SpecHashOf.
 	Scope *telemetry.Scope
-}
-
-// paperSpec is the paper's measured run — an energy minimization timed
-// with barrier-separated accounting — as every figure, table and
-// calibration case runs it.
-func paperSpec(pl *platform.Platform, sys *molecule.System, cutoff float64, updateEvery, servers, steps int) RunSpec {
-	return RunSpec{
-		Platform: pl, Sys: sys, Servers: servers, Steps: steps,
-		Opts: md.Options{Cutoff: cutoff, UpdateEvery: updateEvery, Accounting: true, Minimize: true},
-	}
 }
 
 // RunOutcome is the measured outcome of a run.

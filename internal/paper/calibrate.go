@@ -1,4 +1,4 @@
-package harness
+package paper
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"opalperf/internal/core"
 	"opalperf/internal/expdesign"
+	"opalperf/internal/harness"
 	"opalperf/internal/molecule"
 	"opalperf/internal/platform"
 )
@@ -78,18 +79,18 @@ func (s Suite) FractionCases() ([]expdesign.Case, error) {
 }
 
 // SpecFor translates a design case into a run specification.
-func (s Suite) SpecFor(c expdesign.Case) (RunSpec, error) {
+func (s Suite) SpecFor(c expdesign.Case) (harness.RunSpec, error) {
 	p, err := strconv.Atoi(c[FactorServers])
 	if err != nil {
-		return RunSpec{}, fmt.Errorf("harness: bad servers level %q", c[FactorServers])
+		return harness.RunSpec{}, fmt.Errorf("paper: bad servers level %q", c[FactorServers])
 	}
 	sys := s.Sizes[c[FactorSize]]
 	if sys == nil {
-		return RunSpec{}, fmt.Errorf("harness: unknown size level %q", c[FactorSize])
+		return harness.RunSpec{}, fmt.Errorf("paper: unknown size level %q", c[FactorSize])
 	}
-	cutoff := NoCutoff
+	cutoff := harness.NoCutoff
 	if c[FactorCutoff] == LevelWithCutoff {
-		cutoff = EffectiveCutoff
+		cutoff = harness.EffectiveCutoff
 	}
 	update := 1
 	if c[FactorUpdate] == LevelPartUpdate {
@@ -102,7 +103,7 @@ func (s Suite) SpecFor(c expdesign.Case) (RunSpec, error) {
 // returns the measurements in case order, exactly as the sequential loop
 // would.
 func (s Suite) MeasureAll(cases []expdesign.Case) ([]core.Measurement, error) {
-	specs := make([]RunSpec, len(cases))
+	specs := make([]harness.RunSpec, len(cases))
 	for i, c := range cases {
 		spec, err := s.SpecFor(c)
 		if err != nil {
@@ -110,13 +111,13 @@ func (s Suite) MeasureAll(cases []expdesign.Case) ([]core.Measurement, error) {
 		}
 		specs[i] = spec
 	}
-	outs, err := RunMany(specs)
+	outs, err := harness.RunMany(specs)
 	if err != nil {
 		return nil, err
 	}
 	ms := make([]core.Measurement, len(cases))
 	for i, out := range outs {
-		ms[i] = MeasurementOf(specs[i], out)
+		ms[i] = harness.MeasurementOf(specs[i], out)
 	}
 	return ms, nil
 }

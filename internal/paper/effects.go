@@ -1,10 +1,11 @@
-package harness
+package paper
 
 import (
 	"fmt"
 	"strings"
 
 	"opalperf/internal/expdesign"
+	"opalperf/internal/harness"
 )
 
 // EffectsDesign is the 2^4 design used to quantify what drives Opal's
@@ -30,7 +31,7 @@ func (s Suite) MeasureEffects() (map[string]*expdesign.Analysis, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := Run(spec)
+		out, err := harness.Run(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -68,4 +69,18 @@ func EffectsReport(analyses map[string]*expdesign.Analysis) string {
 		}
 	}
 	return sb.String()
+}
+
+// effectsExtra runs the 2^4 effect design at up to five steps.
+func effectsExtra(s Scale) (Output, error) {
+	suite := suiteAt(s)
+	suite.Steps = min(s.Steps, 5)
+	analyses, err := suite.MeasureEffects()
+	if err != nil {
+		return Output{}, err
+	}
+	return Output{
+		Files:   map[string]string{"extra_effects.txt": EffectsReport(analyses)},
+		Metrics: []Metric{{Unit: "wall-mean-s", Value: analyses["wall"].Mean}},
+	}, nil
 }

@@ -1,12 +1,15 @@
-package harness
+package paper
 
 import (
 	"fmt"
+	"strings"
 
 	"opalperf/internal/forcefield"
+	"opalperf/internal/harness"
 	"opalperf/internal/hpm"
 	"opalperf/internal/md"
 	"opalperf/internal/molecule"
+	"opalperf/internal/pairlist"
 	"opalperf/internal/platform"
 	"opalperf/internal/pvm"
 	"opalperf/internal/report"
@@ -263,4 +266,86 @@ func fmtBytes(b int) string {
 		return fmt.Sprintf("%.1f KB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%d B", b)
+}
+
+// table1Figure is Table 1 over the platform catalogue; its metric is the
+// J90's kernel time.
+func table1Figure(Scale) (Output, error) {
+	rows, err := Table1(platform.All())
+	if err != nil {
+		return Output{}, err
+	}
+	var j90 float64
+	for _, r := range rows {
+		if r.Platform == platform.J90().Name {
+			j90 = r.ExecSeconds
+		}
+	}
+	return Output{
+		Files:   map[string]string{"table1_computation.txt": Table1Report(rows).String()},
+		Metrics: []Metric{{Unit: "j90-kernel-s", Value: j90}},
+	}, nil
+}
+
+// table2Figure is Table 2 over the platform catalogue; its metric is the
+// J90's observed ping-pong bandwidth.
+func table2Figure(Scale) (Output, error) {
+	rows, err := Table2(platform.All())
+	if err != nil {
+		return Output{}, err
+	}
+	var j90 float64
+	for _, r := range rows {
+		if r.Platform == platform.J90().Name {
+			j90 = r.ObservedMBs
+		}
+	}
+	return Output{
+		Files:   map[string]string{"table2_communication.txt": Table2Report(rows).String()},
+		Metrics: []Metric{{Unit: "j90-MB/s", Value: j90}},
+	}, nil
+}
+
+// memoryFigure is the Section 2.6 working-set sweep; its metric is the
+// out-of-core rate.
+func memoryFigure(Scale) (Output, error) {
+	rows, err := MemoryHierarchy()
+	if err != nil {
+		return Output{}, err
+	}
+	return Output{
+		Files:   map[string]string{"sec26_memory.txt": MemoryReport(rows).String()},
+		Metrics: []Metric{{Unit: "out-of-core-MFlop/s", Value: rows[2].RateMFlops}},
+	}, nil
+}
+
+// spaceFigure is the Section 2.6 space-complexity table of the paper's
+// large example without and with the cut-off; its metric is the pair
+// list without it.
+func spaceFigure(Scale) (Output, error) {
+	sys := molecule.LFB()
+	var sb strings.Builder
+	SpaceReport(sys, 0, 1).Render(&sb)
+	sb.WriteString("\n")
+	SpaceReport(sys, harness.EffectiveCutoff, 1).Render(&sb)
+	var pairListMB float64
+	for _, e := range md.SpaceModel(sys, 0, 1) {
+		if e.Name == "pair list" {
+			pairListMB = float64(e.Bytes) / 1e6
+		}
+	}
+	return Output{
+		Files:   map[string]string{"sec26_space.txt": sb.String()},
+		Metrics: []Metric{{Unit: "pairlist-MB", Value: pairListMB}},
+	}, nil
+}
+
+// listPairs is the pair count of the medium complex's 10 A list, built
+// as one server's list is: the list md's row kernel walks.  It writes no
+// file.
+func listPairs(s Scale) (Output, error) {
+	sys := s.Sizes["medium"]
+	l := pairlist.NewList(sys.N, pairlist.RowsOf(pairlist.Owners(sys.N, 1, pairlist.LCG, 1), 0))
+	l.Update(sys.Pos, harness.EffectiveCutoff, nil)
+	return Output{Metrics: []Metric{{Unit: "pairs", Value: float64(l.NActive)}}}, nil
 }

@@ -1,10 +1,11 @@
-package harness
+package paper
 
 import (
 	"fmt"
+	"strings"
 
 	"opalperf/internal/core"
-	"opalperf/internal/md"
+	"opalperf/internal/harness"
 	"opalperf/internal/molecule"
 	"opalperf/internal/parallel"
 	"opalperf/internal/platform"
@@ -50,11 +51,11 @@ func ValidatePrediction(pls []*platform.Platform, sys *molecule.System,
 			grid = append(grid, cell{pl, p})
 		}
 	}
-	specs := make([]RunSpec, len(grid))
+	specs := make([]harness.RunSpec, len(grid))
 	for i, g := range grid {
 		specs[i] = paperSpec(g.pl, sys, cutoff, updateEvery, g.p, steps)
 	}
-	outs, err := RunMany(specs)
+	outs, err := harness.RunMany(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -90,43 +91,53 @@ func ValidationTable(cases []ValidationCase) *report.Table {
 	return t
 }
 
-// ClusterReport compares a single shared-memory node against the cluster
+// ClusterRow is one server count of the J90-cluster comparison.
+type ClusterRow struct {
+	Servers, Nodes int
+	// Single is the single node's wall time, 0 where the node has too
+	// few CPUs for the servers and the client.
+	Single, Cluster float64
+}
+
+// ClusterRun compares a single shared-memory node against the cluster
 // platform cl (platform.J90Cluster) for growing server counts — the
 // scaling path the paper's site planned.  Processes are placed
 // round-robin-block, CPUsPerNode to a node: the client shares node 0 with
 // the first servers.
-func ClusterReport(cl *platform.Platform, sys *molecule.System,
-	cutoff float64, steps int, serverCounts []int) (*report.Table, error) {
+func ClusterRun(cl *platform.Platform, sys *molecule.System,
+	cutoff float64, steps int, serverCounts []int) ([]ClusterRow, error) {
+	single := platform.J90()
+	return parallel.Map(serverCounts, func(_ int, p int) (ClusterRow, error) {
+		clOut, err := harness.Run(paperSpec(cl, sys, cutoff, 0, p, steps))
+		if err != nil {
+			return ClusterRow{}, err
+		}
+		row := ClusterRow{Servers: p, Nodes: (p + cl.CPUsPerNode) / cl.CPUsPerNode, Cluster: clOut.Wall}
+		if p < single.MaxProcs {
+			out, err := harness.Run(paperSpec(single, sys, cutoff, 0, p, steps))
+			if err != nil {
+				return ClusterRow{}, err
+			}
+			row.Single = out.Wall
+		}
+		return row, nil
+	})
+}
+
+// ClusterTable renders the comparison.
+func ClusterTable(cl *platform.Platform, rows []ClusterRow) *report.Table {
 	t := &report.Table{
 		Title:   cl.Name + " vs single node",
 		Headers: []string{"servers", "nodes used", "single-node[s]", "cluster[s]"},
 	}
-	single := platform.J90()
-	type row struct{ singleWall, clusterWall string }
-	rows, err := parallel.Map(serverCounts, func(_ int, p int) (row, error) {
-		opts := md.Options{Cutoff: cutoff, Accounting: true, Minimize: true}
-		clOut, err := Run(RunSpec{Platform: cl, Sys: sys, Opts: opts, Servers: p, Steps: steps})
-		if err != nil {
-			return row{}, err
+	for _, r := range rows {
+		single := "n/a (too few cpus)"
+		if r.Single != 0 {
+			single = fmt.Sprintf("%.3f", r.Single)
 		}
-		singleWall := "n/a (too few cpus)"
-		if p < single.MaxProcs {
-			out, err := Run(RunSpec{Platform: single, Sys: sys, Opts: opts, Servers: p, Steps: steps})
-			if err != nil {
-				return row{}, err
-			}
-			singleWall = fmt.Sprintf("%.3f", out.Wall)
-		}
-		return row{singleWall, fmt.Sprintf("%.3f", clOut.Wall)}, nil
-	})
-	if err != nil {
-		return nil, err
+		t.AddRow(fmt.Sprint(r.Servers), fmt.Sprint(r.Nodes), single, fmt.Sprintf("%.3f", r.Cluster))
 	}
-	for i, p := range serverCounts {
-		nodes := (p + 1 + cl.CPUsPerNode - 1) / cl.CPUsPerNode
-		t.AddRow(fmt.Sprint(p), fmt.Sprint(nodes), rows[i].singleWall, rows[i].clusterWall)
-	}
-	return t, nil
+	return t
 }
 
 // ValidationSummary returns the mean relative error per platform.
@@ -140,4 +151,46 @@ func ValidationSummary(cases []ValidationCase) map[string]float64 {
 		out[pl] = stats.Mean(errs)
 	}
 	return out
+}
+
+// validationExtra runs the instrumented simulation of the medium complex
+// on every platform at 1, 4 and 7 servers and compares it with the
+// model's prediction from the platform's key data.
+func validationExtra(s Scale) (Output, error) {
+	cases, err := ValidatePrediction(platform.All(), s.Sizes["medium"],
+		harness.NoCutoff, 1, s.Steps, []int{1, 4, 7})
+	if err != nil {
+		return Output{}, err
+	}
+	var sb strings.Builder
+	ValidationTable(cases).Render(&sb)
+	sb.WriteString("\nmean relative error per platform:\n")
+	sum := ValidationSummary(cases)
+	for _, pl := range platform.All() {
+		fmt.Fprintf(&sb, "  %-24s %.1f%%\n", pl.Name, 100*sum[pl.Name])
+	}
+	return Output{
+		Files: map[string]string{"extra_validation.txt": sb.String()},
+		Metrics: []Metric{
+			{Unit: "fastCoPs-err-%", Value: 100 * sum[platform.FastCoPs().Name]},
+			{Unit: "t3e-err-%", Value: 100 * sum[platform.T3E900().Name]},
+		},
+	}, nil
+}
+
+// clusterExtra is Opal spanning HIPPI-connected J90s, the extension the
+// paper's site planned, against one shared-memory node.
+func clusterExtra(s Scale) (Output, error) {
+	cl := platform.J90Cluster(8)
+	rows, err := ClusterRun(cl, s.Sizes["medium"], harness.NoCutoff, min(s.Steps, 3), []int{3, 7, 15})
+	if err != nil {
+		return Output{}, err
+	}
+	return Output{
+		Files: map[string]string{"extra_j90cluster.txt": ClusterTable(cl, rows).String()},
+		Metrics: []Metric{
+			{Unit: "single-p7-s", Value: rows[1].Single},
+			{Unit: "cluster-p15-s", Value: rows[2].Cluster},
+		},
+	}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"opalperf/internal/md"
 	"opalperf/internal/molecule"
 	"opalperf/internal/oracle"
+	"opalperf/internal/paper"
 	"opalperf/internal/platform"
 	"opalperf/internal/telemetry"
 )
@@ -80,7 +81,7 @@ func journalEvents(t *testing.T, buf *bytes.Buffer) map[string][]map[string]any 
 // the same engine, every window's residuals stay within the calibration
 // tolerance and no anomaly fires.
 func TestOracleFaultFreeWithinTolerance(t *testing.T) {
-	sys := benchSystem("medium")
+	sys := paper.BenchScale().Sizes["medium"]
 	machine := calibrateFor(t, sys)
 
 	telemetry.SetEnabled(true)
@@ -149,7 +150,7 @@ func TestOracleFaultFreeWithinTolerance(t *testing.T) {
 // window folds recovery into comm), raise oracle_anomaly and degrade
 // /healthz.
 func TestOracleFlagsKillServerAnomaly(t *testing.T) {
-	sys := benchSystem("small")
+	sys := paper.BenchScale().Sizes["small"]
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
 	run := &telemetry.Scope{}

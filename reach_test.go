@@ -21,15 +21,13 @@ import (
 
 // reachAllowed are the declarations the reachability gate lets stand
 // although no root reaches them, keyed as the gate names them
-// ("trace.SampleShares", "core.Machine.Elasticities"; the package is its
-// directory with "internal/" dropped).  Two reasons are accepted: a test
-// seam that another package's tests need, and a cited result, one that a
-// number in EXPERIMENTS.md or PAPER.md rests on or that an open ROADMAP
-// item names as its input.
+// ("vm.ConstRate", "pvm.SimVM.Task"; the package is its directory with
+// "internal/" dropped).  One reason is accepted, a test seam that another
+// package's tests need, and its text starts with "seam:".  A result that
+// prose cites is reached through a figures key's out/ file instead.
 var reachAllowed = map[string]string{
-	// Test seams.
 	"archive.Archive.SetClock":        "seam: cmd/opaltop's archive-replay golden pins the clock stamping records",
-	"expdesign.Analysis.EffectByName": "seam: harness's Table 2 effect tests look single factors up by name",
+	"expdesign.Analysis.EffectByName": "seam: the effect-analysis tests look single factors up by name",
 	"fault.Dialer":                    "seam: pvm's TCP chaos tests dial through it (NetConfig, WrapConn and Conn come with it)",
 	"md/opalrpc.OpalClient.Nbint":     "seam: md's TestStubsInSync needs the generator's output, a synchronous call per IDL method",
 	"memhier.Model.Validate":          "seam: platform's tests validate every platform's memory hierarchy",
@@ -38,21 +36,10 @@ var reachAllowed = map[string]string{
 	"pvm.Buffer.PackBytes":            "seam: sciddle/idl's TestGeneratedClientSurface type-checks []byte arguments against pvm",
 	"pvm.SimVM.AheadRuns":             "seam: md's run-ahead tests fail as vacuous when no handler ran ahead",
 	"pvm.SimVM.Task":                  "seam: md's run-ahead sweep reads every process's hpm counters",
+	"trace.ComputeBreakdown":          "seam: the trace and pvm tests aggregate a whole recorded run",
 	"telemetry.SetStreamInterval":     "seam: cmd/opaltop's live /streamz golden shortens the stream period",
 	"vm.ConstRate":                    "seam: the vm and trace tests' unit-rate compute model",
 	"vm.Kernel.MaxTime":               "seam: the pvm, md, sciddle and trace tests read a run's makespan",
-	// Cited results.
-	"core.Machine.Elasticities":         "cited: EXPERIMENTS.md sensitivity analysis; ROADMAP's parked sensitivity item",
-	"core.Machine.OptimalServers":       "cited: EXPERIMENTS.md sensitivity analysis, the J90's break-even at 3 servers",
-	"core.Machine.UpdateNbintCrossover": "cited: EXPERIMENTS.md Known deviation 6, n* of the update/nbint crossover",
-	"core.Machine.UpdateTimePaper":      "cited: EXPERIMENTS.md Known deviation 2, eq. 3's (1-2γ) update time",
-	"decomp.CommVolumePerStep":          "cited: EXPERIMENTS.md communication hallmarks of RD/FD/SD (TestCommVolumeHallmarks)",
-	"pairlist.AssignmentStats":          "cited: ROADMAP item 4's deterministic-imbalance input",
-	"pairlist.Stats.Imbalance":          "cited: ROADMAP item 4's deterministic imbalance, (max-mean)/mean of AssignmentStats",
-	"pairlist.CellSpeedup":              "cited: EXPERIMENTS.md cell-list negative result, ×1.0 at 1070 centres",
-	"platform.J90Scalar":                "cited: EXPERIMENTS.md vectorization on/off, the scalar J90 ~10× slower",
-	"trace.SampleShares":                "cited: EXPERIMENTS.md sampling-profiler bias (Section 3.2)",
-	"trace.SamplingBias":                "cited: EXPERIMENTS.md sampling-profiler bias (Section 3.2)",
 }
 
 // TestEveryDeclarationReached is the unused-code gate: every top-level
@@ -122,12 +109,21 @@ func TestReachGate(t *testing.T) {
 		name:    "allowed declaration keeps what it names",
 		root:    "func main() { a.Used() }",
 		a:       "func Used() {}\nfunc Cited() int { return helper() }\nfunc helper() int { return 1 }",
-		allowed: map[string]string{"a.Cited": "a cited result"},
+		allowed: map[string]string{"a.Cited": "seam: a test elsewhere needs it"},
+	}, {
+		name:    "allowed entry that is not a test seam fails",
+		root:    "func main() { a.Used() }",
+		a:       "func Used() {}\nfunc Cited() int { return 1 }",
+		allowed: map[string]string{"a.Cited": "cited: a number in prose"},
+		want: []string{
+			`allowed a.Cited: reason "cited: a number in prose" is not "seam: ..."; reach it from a root or delete it`,
+			"a/a.go:4 a.Cited is reached from no root; delete it",
+		},
 	}, {
 		name:    "stale allowlist entry fails",
 		root:    "func main() { a.Used() }",
 		a:       "func Used() {}",
-		allowed: map[string]string{"a.Used": "reached", "a.Gone": "deleted"},
+		allowed: map[string]string{"a.Used": "seam: reached", "a.Gone": "seam: deleted"},
 		want: []string{
 			"allowed a.Gone no longer exists; drop it",
 			"allowed a.Used is reached; drop it",
@@ -580,8 +576,11 @@ func (m *reachModule) gate(allowed map[string]string) []string {
 		return []string{err.Error()}
 	}
 	var errs []string
-	for name := range allowed {
+	for name, reason := range allowed {
 		switch d := g.all[name]; {
+		case !strings.HasPrefix(reason, "seam:"):
+			errs = append(errs, fmt.Sprintf("%sallowed %s: reason %q is not \"seam: ...\"; reach it from a root or delete it",
+				m.allowedAt(name), name, reason))
 		case d == nil:
 			errs = append(errs, fmt.Sprintf("%sallowed %s no longer exists; drop it", m.allowedAt(name), name))
 		case g.reached[d]:

@@ -305,7 +305,6 @@ func TestExampleSmoke(t *testing.T) {
 		{"./examples/quickstart", nil, "virtual J90 time"},
 		{"./examples/antennapedia", []string{"-scale", "0.08"}, "idle spikes"},
 		{"./examples/clusterplanning", nil, "conclusion: the fast and SMP Clusters of PCs"},
-		{"./examples/middleware", nil, "accounting overhead"},
 		{"./examples/tcpcluster", nil, "remote servers"},
 	}
 	for _, c := range cases {

@@ -12,6 +12,7 @@ import (
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
 	"opalperf/internal/oracle"
+	"opalperf/internal/paper"
 	"opalperf/internal/platform"
 	"opalperf/internal/telemetry"
 )
@@ -21,7 +22,7 @@ import (
 func supervisedSpec(ckptSink func(*md.Checkpoint) error) harness.RunSpec {
 	return harness.RunSpec{
 		Platform: platform.J90(),
-		Sys:      benchSystem("small"),
+		Sys:      paper.BenchScale().Sizes["small"],
 		Opts: md.Options{
 			Cutoff:          harness.EffectiveCutoff,
 			UpdateEvery:     2,
