@@ -59,9 +59,10 @@ scenarios:
 	$(GO) run ./cmd/scenario run -seeds $(SCENARIO_SEEDS) scenarios/
 
 # Service-level chaos: the control plane's 25-seed worker-kill sweep plus
-# the drain/overload/quota property tests, all under the race detector.
+# the drain/overload/quota property tests and two servers in one process
+# keeping their own health, all under the race detector.
 service-chaos:
-	$(call test-selected,-race -count=1,TestServiceChaos|TestDrain|TestQuota|TestFIFO|TestFullQueue|TestSingleFlight|TestPanicIsolation|TestFailureIsTheCachedAnswer|TestHTTPOverload,./internal/ctlplane/)
+	$(call test-selected,-race -count=1,TestServiceChaos|TestDrain|TestQuota|TestFIFO|TestFullQueue|TestSingleFlight|TestPanicIsolation|TestFailureIsTheCachedAnswer|TestHTTPOverload|TestServersKeepTheirHealth,./internal/ctlplane/)
 
 # End-to-end opald smoke: boot the daemon, run a job and 1k predictions
 # over HTTP, SIGTERM it, and require a clean exit with a flushed journal.

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"strings"
 
@@ -101,10 +102,10 @@ func main() {
 	// simulation, so physics and virtual times are unchanged by enabling it.
 	telemetry.SetEnabled(true)
 	// The process runs one run, so the run's scope is the process's:
-	// /healthz reports its health and /streamz its matrix.
+	// under -http, /healthz reports its health and /streamz its matrix.
 	scope := &telemetry.Scope{ID: telemetry.NewRunID()}
 	telemetry.SetRun(scope.ID)
-	telemetry.Attach(scope)
+	plane := telemetry.Plane{Run: scope}
 	if *matrixOn {
 		scope.Matrix, scope.MatrixEvery = new(telemetry.Matrix), *matrixEvy
 	} else if *matrixEvy != 0 {
@@ -127,17 +128,6 @@ func main() {
 			panic(r)
 		}
 	}()
-	if *httpAddr != "" {
-		bound, stopHTTP, err := telemetry.Serve(*httpAddr)
-		if err != nil {
-			// A taken port is an operator mistake, not a run failure:
-			// name the flag and the likely cause instead of a bare
-			// listen error.
-			fatal(fmt.Errorf("cannot serve -http on %q: %w (is another opal or opald already bound there?)", *httpAddr, err))
-		}
-		defer stopHTTP()
-		fmt.Printf("telemetry: serving /metrics, /healthz, /debug/pprof on http://%s\n", bound)
-	}
 
 	cfg, err := runCfg()
 	if err != nil {
@@ -239,8 +229,8 @@ func main() {
 		oc.RecalibrateEvery = 4
 		orc = oracle.New(oc)
 		spec.Oracle = orc
-		telemetry.Handle("/modelz", orc.Handler())
-		telemetry.RegisterStreamExtra("oracle", orc.StreamExtra)
+		plane.Endpoints = map[string]http.Handler{"/modelz": orc.Handler()}
+		plane.Extras = map[string]func() any{"oracle": orc.StreamExtra}
 	} else if *modelz {
 		fatal(fmt.Errorf("-modelz requires -oracle"))
 	}
@@ -248,6 +238,17 @@ func main() {
 		// These read the run's intervals, which harness.Run keeps only
 		// for a caller that passes a recorder.
 		spec.Recorder = trace.NewRecorder()
+	}
+	if *httpAddr != "" {
+		bound, stopHTTP, err := telemetry.Serve(*httpAddr, plane.Handler())
+		if err != nil {
+			// A taken port is an operator mistake, not a run failure:
+			// name the flag and the likely cause instead of a bare
+			// listen error.
+			fatal(fmt.Errorf("cannot serve -http on %q: %w (is another opal or opald already bound there?)", *httpAddr, err))
+		}
+		defer stopHTTP()
+		fmt.Printf("telemetry: serving /metrics, /healthz, /debug/pprof on http://%s\n", bound)
 	}
 	fmt.Printf("Opal on %s — %s (%d mass centers, gamma %.3f), %d servers, %d steps\n",
 		pl.Name, sys.Name, sys.N, sys.Gamma(), spec.Servers, spec.Steps)

@@ -99,7 +99,7 @@ func main() {
 
 	// Bind before announcing readiness; a taken port is a clear, early
 	// exit rather than a half-started daemon.
-	bound, stopHTTP, err := telemetry.ServeHandler(*addr, srv.Handler())
+	bound, stopHTTP, err := telemetry.Serve(*addr, srv.Handler())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "opald: cannot bind control-plane address %q: %v\n", *addr, err)
 		os.Exit(1)

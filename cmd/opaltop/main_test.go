@@ -106,8 +106,6 @@ func TestRenderDegradedShowsDrops(t *testing.T) {
 // frame built from the armed matrix.
 func TestSnapshotFromLiveStream(t *testing.T) {
 	m := new(telemetry.Matrix)
-	telemetry.Attach(&telemetry.Scope{ID: "live", Matrix: m})
-	defer telemetry.Attach(nil)
 	m.MapRank(100, 0)
 	m.MapRank(200, 1)
 	m.Record(100, 200, 10, 1000)
@@ -115,7 +113,8 @@ func TestSnapshotFromLiveStream(t *testing.T) {
 
 	telemetry.SetStreamInterval(5 * time.Millisecond)
 	defer telemetry.SetStreamInterval(500 * time.Millisecond)
-	bound, stop, err := telemetry.Serve("localhost:0")
+	plane := telemetry.Plane{Run: &telemetry.Scope{ID: "live", Matrix: m}}
+	bound, stop, err := telemetry.Serve("localhost:0", plane.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -134,23 +133,17 @@ func TestOutMatchesTable(t *testing.T) {
 // TestAllocsGolden holds the heap allocations of one run of every entry
 // of the evaluation table and every scenarioThroughput row to
 // testdata/allocs.golden.  Unlike ns/op an allocation count does not
-// depend on the host, so it can gate: a count that moves past the
-// tolerance either way is a behaviour change to explain, and a real drop
-// is refreshed with `go test . -run AllocsGolden -update`.
+// depend on the host, so it can gate: a count that moves either way is
+// a behaviour change to explain, and a real drop is refreshed with
+// `go test . -run AllocsGolden -update`.
 // AllocsPerRun pins GOMAXPROCS to 1, so no handler run-ahead helper
 // starts and every count is the in-place path's.  A collection that
-// lands mid-run, at a point set by the heap earlier evals left, drops
-// pooled objects the run then allocates again, which moved counts by up
-// to ±8; so each eval starts from a collected heap and the collector
-// runs only at a 256 MiB cap.  The largest entries (Fig4Calibration
-// among them) still reach the cap, and every collection adds two allocations that are not
-// the program's: net/netip's package initialization (linked through net,
-// which internal/telemetry imports) calls unique.Make, which registers the
-// unique package's map cleanup, and the runtime runs that cleanup on its
-// own goroutine after each collection, allocating two objects, which
-// AllocsPerRun counts with the rest of the process's.  So each collection
-// the measurement saw grants two counts, and an eval that saw none is
-// held exact.  The runtime also
+// lands mid-run drops pooled objects (fmt's printers among them) the run
+// then allocates again, and the runtime reuses the goroutines it frees,
+// which moved counts by a few either way; so each eval starts from a
+// collected heap, the collector runs only at a 1 GiB cap, and a measured
+// run that still sees a collection fails the test, naming the eval and
+// what it allocated.  Every count is then held exact.  The runtime also
 // fills a type assertion's call-site cache on a random one in ~1024
 // misses, an allocation that lands in whatever run is going on
 // (math/rand.New's Source64 assertion moved ScenarioThroughput/mix=chaos
@@ -176,20 +169,22 @@ func TestAllocsGolden(t *testing.T) {
 		evals = append(evals, namedRun{"ScenarioThroughput/" + sc.name, sc.run})
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
 	var got strings.Builder
-	collections := make([]float64, len(evals))
-	for i, e := range evals {
+	for _, e := range evals {
 		var err error
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
 		n := math.Inf(1)
 		for range 2 {
 			debug.FreeOSMemory()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			n = min(n, testing.AllocsPerRun(1, func() { err = e.run() }))
+			runtime.ReadMemStats(&m1)
+			if gcs := m1.NumGC - m0.NumGC; gcs != 0 {
+				t.Fatalf("%s: %d collection(s) while measuring it, %d MiB allocated; its count is not exact",
+					e.name, gcs, (m1.TotalAlloc-m0.TotalAlloc)>>20)
+			}
 		}
-		runtime.ReadMemStats(&m1)
-		collections[i] = float64(m1.NumGC - m0.NumGC - 2) // not FreeOSMemory's
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
@@ -202,11 +197,7 @@ func TestAllocsGolden(t *testing.T) {
 		t.Fatalf("%s holds %d evals, the test measures %d", path, len(wl)/2, len(gl)/2)
 	}
 	for i := 0; i < len(gl); i += 2 {
-		g, _ := strconv.ParseFloat(gl[i+1], 64)
-		w, err := strconv.ParseFloat(wl[i+1], 64)
-		// 0.01 % holds every eval under 10 000 allocations exact and
-		// leaves the largest, ~40 000, four counts.
-		if gl[i] != wl[i] || err != nil || math.Abs(g-w) > 0.0001*w+2*collections[i/2] {
+		if gl[i] != wl[i] || gl[i+1] != wl[i+1] {
 			t.Errorf("%s: got %s %s allocs, want %s %s", path, gl[i], gl[i+1], wl[i], wl[i+1])
 		}
 	}

@@ -20,9 +20,9 @@
 //	            checkpoint at their next pair-list boundary, the journal
 //	            flushes, the process exits 0
 //
-// Everything mounts on the existing telemetry plane: /metrics, /healthz
-// (reflecting queue depth and draining through the component health
-// registry) and /debug/pprof ride along on the same server.
+// Everything mounts on a telemetry plane of the server's own: /metrics,
+// /healthz (reflecting its queue depth and draining as the "ctlplane"
+// component), /streamz and /debug/pprof ride along on the same handler.
 package ctlplane
 
 import (
@@ -130,12 +130,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Start launches the worker pool and registers the service on the
-// health plane.
+// Start launches the worker pool.
 func (s *Server) Start() {
 	s.pool.start()
-	telemetry.RegisterHealth("ctlplane", s.healthDetail)
-	telemetry.RegisterStreamExtra("ctlplane", s.streamExtra)
 	telemetry.Emit("service_start", telemetry.F{
 		"workers": s.cfg.Workers, "queue_cap": s.cfg.QueueCap,
 	})
@@ -151,15 +148,13 @@ func (s *Server) healthDetail() (string, bool) {
 	return detail, true
 }
 
-// Drain performs the graceful shutdown: stop admitting, let every
-// accepted job finish or checkpoint, then release the health slot.  It
-// blocks until the pool is idle.
+// Drain performs the graceful shutdown: stop admitting, then let every
+// accepted job finish or checkpoint.  It blocks until the pool is idle;
+// /healthz answers 503 "draining" from its start until the HTTP stops.
 func (s *Server) Drain() {
 	telemetry.Emit("drain_start", telemetry.F{"queued": s.q.depth()})
 	s.pool.drain()
 	telemetry.Emit("drain_done", telemetry.F{})
-	telemetry.RegisterHealth("ctlplane", nil)
-	telemetry.RegisterStreamExtra("ctlplane", nil)
 }
 
 // streamExtra is the control plane's contribution to /streamz snapshots:
@@ -232,15 +227,17 @@ func (s *Server) Submit(tenant string, spec JobSpec) (jobID string, coalesced bo
 //	GET  /v1/runs/{id}   job status and result
 //	GET  /v1/predict     analytic model prediction (hot read path)
 //
-// plus /metrics, /healthz, /modelz and /debug/pprof from the telemetry
-// handler.
+// plus /metrics, /healthz, /streamz and /debug/pprof from the server's
+// telemetry plane, whose health and stream carry its queue.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/runs", s.handleRuns)
 	mux.HandleFunc("/v1/runs/", s.handleRunGet)
 	mux.HandleFunc("/v1/predict", s.handlePredict)
-	telem := telemetry.Handler()
-	mux.Handle("/", telem)
+	mux.Handle("/", telemetry.Plane{
+		Components: map[string]func() (string, bool){"ctlplane": s.healthDetail},
+		Extras:     map[string]func() any{"ctlplane": s.streamExtra},
+	}.Handler())
 	return mux
 }
 

@@ -367,3 +367,48 @@ func TestJobTelemetryCarriesJobID(t *testing.T) {
 		t.Fatalf("/healthz after a degraded job = %d %s, want 200 and idle", rec.Code, rec.Body.String())
 	}
 }
+
+// TestServersKeepTheirHealth runs two control planes in one process: each
+// /healthz names its own queue, a drained server answers 503 "draining"
+// until its HTTP stops, and draining one leaves the other's component in
+// place.
+func TestServersKeepTheirHealth(t *testing.T) {
+	a, b := New(Config{Workers: 1, QueueCap: 3}), New(Config{Workers: 1, QueueCap: 7})
+	a.Start()
+	b.Start()
+	defer a.Drain()
+	defer b.Drain()
+	addrA, stopA, err := telemetry.Serve("127.0.0.1:0", a.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopA()
+	addrB, stopB, err := telemetry.Serve("127.0.0.1:0", b.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopB()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	check := func(server, addr string, wantCode int, wantDetail string) {
+		t.Helper()
+		resp, doc := getJSON(t, client, "http://"+addr+"/healthz")
+		comp, _ := doc["components"].(map[string]any)["ctlplane"].(map[string]any)
+		if resp.StatusCode != wantCode || comp["detail"] != wantDetail {
+			t.Fatalf("server %s /healthz = %d %v, want %d with ctlplane detail %q", server, resp.StatusCode, doc, wantCode, wantDetail)
+		}
+	}
+	check("A", addrA, http.StatusOK, "queue 0/3")
+	check("B", addrB, http.StatusOK, "queue 0/7")
+
+	a.Drain()
+	check("A", addrA, http.StatusServiceUnavailable, "queue 0/3, draining")
+	check("A", addrA, http.StatusServiceUnavailable, "queue 0/3, draining")
+	check("B", addrB, http.StatusOK, "queue 0/7")
+
+	stopA()
+	if resp, err := client.Get("http://" + addrA + "/healthz"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("server A answered %d after its HTTP stopped", resp.StatusCode)
+	}
+	check("B", addrB, http.StatusOK, "queue 0/7")
+}

@@ -16,9 +16,10 @@ import (
 
 // Two runs in one process keep their telemetry apart: each run's comm
 // matrix is the one it books alone, a run its supervisor degrades leaves
-// the other run and the unattached process healthy, and every run-level
-// journal line names the run that wrote it.  Both runs number their
-// tasks from 0, so shared cells would fold them together.
+// the other run healthy (and the /healthz of a plane that serves the other
+// run, or none), and every run-level journal line names the run that
+// wrote it.  Both runs number their tasks from 0, so shared cells would
+// fold them together.
 func TestConcurrentRunsKeepTheirTelemetry(t *testing.T) {
 	healthy, degraded := healSpec(), healSpec()
 	healthy.Opts.SelfHeal, healthy.Opts.Kills = true, fault.KillSchedule{3: {1}}.Func()
@@ -60,10 +61,16 @@ func TestConcurrentRunsKeepTheirTelemetry(t *testing.T) {
 	if state, ok := scopes[1].Health(); ok || state != "degraded" {
 		t.Errorf("degraded run's health = %q %v", state, ok)
 	}
-	rec := httptest.NewRecorder()
-	telemetry.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"state":"idle"`) {
-		t.Errorf("unattached process /healthz = %d %s, want 200 and idle", rec.Code, rec.Body.String())
+	for _, c := range []struct {
+		run   *telemetry.Scope
+		code  int
+		state string
+	}{{nil, http.StatusOK, "idle"}, {scopes[0], http.StatusOK, "healthy"}, {scopes[1], http.StatusServiceUnavailable, "degraded"}} {
+		rec := httptest.NewRecorder()
+		telemetry.Plane{Run: c.run}.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		if rec.Code != c.code || !strings.Contains(rec.Body.String(), `"state":"`+c.state+`"`) {
+			t.Errorf("/healthz = %d %s, want %d and %s", rec.Code, rec.Body.String(), c.code, c.state)
+		}
 	}
 
 	// Lines per "run type", past the process's journal_start.

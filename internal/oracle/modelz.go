@@ -73,8 +73,8 @@ func (o *Oracle) Snapshot() Snapshot {
 
 // StreamExtra is the oracle's compact contribution to /streamz
 // snapshots: window/anomaly counts and the last window's per-term
-// z-scores.  Register it with
-// telemetry.RegisterStreamExtra("oracle", o.StreamExtra).
+// z-scores.  A front door names it among its telemetry.Plane's Extras
+// under "oracle".
 func (o *Oracle) StreamExtra() any {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -90,8 +90,8 @@ func (o *Oracle) StreamExtra() any {
 	return ex
 }
 
-// Handler serves the snapshot as JSON; mount it on the telemetry plane
-// with telemetry.Handle("/modelz", o.Handler()).
+// Handler serves the snapshot as JSON; a front door mounts it as
+// "/modelz" among its telemetry.Plane's Endpoints.
 func (o *Oracle) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -26,7 +26,6 @@ package pairlist
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"opalperf/internal/forcefield"
 	"opalperf/internal/hpm"
@@ -295,12 +294,16 @@ func (l *List) rebuild(pos []float64, cutoff float64, excl *forcefield.Exclusion
 	l.candCutoff, l.candExcl = cutoff, excl
 	l.ref = append(l.ref[:0], pos...)
 	rc2 := reach2(cutoff, skin)
+	// Row i takes its count and at most N-1-i partners, so the store is
+	// sized once for all of them, exactly without a cut-off.
+	if size := PairChecks(l.Rows, l.N) + len(l.Rows); cap(l.cand) < size {
+		l.cand = make([]int32, 0, size)
+	}
 	l.cand = l.cand[:0]
 	for _, i := range l.Rows {
 		xi, yi, zi := pos[3*i], pos[3*i+1], pos[3*i+2]
 		ex := excl.Row(i)
 		h := len(l.cand)
-		l.cand = slices.Grow(l.cand, l.N-i)
 		row := l.cand[h+1 : h+l.N-i]
 		n := 0
 		for lo := i + 1; lo < l.N; {

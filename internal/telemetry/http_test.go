@@ -28,7 +28,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 func TestMetricsEndpoint(t *testing.T) {
 	withEnabled(t)
 	RPCLatency.With("nbint").Observe(0.01)
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(Plane{}.Handler())
 	defer srv.Close()
 
 	code, body := get(t, srv, "/metrics")
@@ -48,7 +48,8 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestHealthzReflectsSupervisorState(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	run := &Scope{ID: "r"}
+	srv := httptest.NewServer(Plane{Run: run}.Handler())
 	defer srv.Close()
 
 	code, body := get(t, srv, "/healthz")
@@ -66,9 +67,6 @@ func TestHealthzReflectsSupervisorState(t *testing.T) {
 		t.Fatalf("idle health = %+v", h)
 	}
 
-	run := &Scope{ID: "r"}
-	Attach(run) // a run's health is the process's once attached
-	t.Cleanup(func() { Attach(nil) })
 	run.SetHealth("degraded", false)
 	code, body = get(t, srv, "/healthz")
 	if code != http.StatusServiceUnavailable {
@@ -77,10 +75,54 @@ func TestHealthzReflectsSupervisorState(t *testing.T) {
 	if !strings.Contains(body, `"state":"degraded"`) {
 		t.Fatalf("degraded body %q", body)
 	}
+
+	// A plane without the run reports none of its health.
+	other := httptest.NewServer(Plane{}.Handler())
+	defer other.Close()
+	if code, body := get(t, other, "/healthz"); code != http.StatusOK || !strings.Contains(body, `"state":"idle"`) {
+		t.Fatalf("plane without a run: /healthz status %d body %q", code, body)
+	}
+}
+
+// TestHealthzFoldsInComponents pins the components' half of /healthz: each
+// is reported by name, in name order, and one that is not ok turns the
+// answer into a 503.
+func TestHealthzFoldsInComponents(t *testing.T) {
+	queueOK := true
+	srv := httptest.NewServer(Plane{Components: map[string]func() (string, bool){
+		"queue": func() (string, bool) { return "depth 1", queueOK },
+		"disk":  func() (string, bool) { return "ok", true },
+	}}.Handler())
+	defer srv.Close()
+	code, body := get(t, srv, "/healthz")
+	want := `,"components":{"disk":{"detail":"ok","ok":true},"queue":{"detail":"depth 1","ok":true}}}`
+	if code != http.StatusOK || !strings.HasSuffix(strings.TrimSpace(body), want) {
+		t.Fatalf("/healthz status %d body %q, want 200 ending %s", code, body, want)
+	}
+	queueOK = false
+	if code, body := get(t, srv, "/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, `"ok":false`) {
+		t.Fatalf("unhealthy component: /healthz status %d body %q, want 503", code, body)
+	}
+}
+
+// TestPlaneServesItsEndpoints: a plane serves the endpoints it was built
+// with, and only those.
+func TestPlaneServesItsEndpoints(t *testing.T) {
+	text := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "modelz") })
+	srv := httptest.NewServer(Plane{Endpoints: map[string]http.Handler{"/modelz": text}}.Handler())
+	defer srv.Close()
+	if code, body := get(t, srv, "/modelz"); code != http.StatusOK || body != "modelz" {
+		t.Fatalf("/modelz: status %d body %q", code, body)
+	}
+	bare := httptest.NewServer(Plane{}.Handler())
+	defer bare.Close()
+	if code, _ := get(t, bare, "/modelz"); code != http.StatusNotFound {
+		t.Fatalf("a plane without /modelz served it with status %d", code)
+	}
 }
 
 func TestPprofMounted(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(Plane{}.Handler())
 	defer srv.Close()
 	code, body := get(t, srv, "/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
@@ -89,7 +131,7 @@ func TestPprofMounted(t *testing.T) {
 }
 
 func TestServe(t *testing.T) {
-	addr, stop, err := Serve("127.0.0.1:0")
+	addr, stop, err := Serve("127.0.0.1:0", Plane{}.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +156,7 @@ func TestServeCutsSlowLoris(t *testing.T) {
 	readHeaderTimeout = 150 * time.Millisecond
 	defer func() { readHeaderTimeout = prev }()
 
-	addr, stop, err := Serve("127.0.0.1:0")
+	addr, stop, err := Serve("127.0.0.1:0", Plane{}.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +200,7 @@ func TestServeCutsSlowLoris(t *testing.T) {
 func TestServeGracefulStop(t *testing.T) {
 	release := make(chan struct{})
 	inFlight := make(chan struct{})
-	addr, stop, err := ServeHandler("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	addr, stop, err := Serve("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		close(inFlight)
 		<-release
 		w.Write([]byte("done"))

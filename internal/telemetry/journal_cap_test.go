@@ -3,8 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -106,33 +104,5 @@ func TestJournalConcurrentDumpTriggers(t *testing.T) {
 	}
 	if got := strings.Count(out, "--- end flight recorder dump ---"); got != workers*per {
 		t.Fatalf("dump footers = %d, want %d (dumps interleaved?)", got, workers*per)
-	}
-}
-
-// Extra endpoints registered via Handle are served whether they were
-// registered before or after the handler was built — cmd/opal serves
-// early and mounts the oracle's /modelz later.
-func TestHandlerServesLateRegisteredExtras(t *testing.T) {
-	srv := httptest.NewServer(Handler()) // built before anything is registered
-	defer srv.Close()
-	text := func(s string) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, s) })
-	}
-
-	if code, _ := get(t, srv, "/modelz-test"); code != http.StatusNotFound {
-		t.Fatalf("unregistered extra served with status %d", code)
-	}
-	Handle("/modelz-test", text("late"))
-	t.Cleanup(func() { Handle("/modelz-test", nil) })
-	if code, body := get(t, srv, "/modelz-test"); code != http.StatusOK || body != "late" {
-		t.Fatalf("late-registered extra: status %d body %q", code, body)
-	}
-	Handle("/modelz-test", text("replaced"))
-	if _, body := get(t, srv, "/modelz-test"); body != "replaced" {
-		t.Fatalf("re-registration did not replace: body %q", body)
-	}
-	Handle("/modelz-test", nil)
-	if code, _ := get(t, srv, "/modelz-test"); code != http.StatusNotFound {
-		t.Fatalf("removed extra still served with status %d", code)
 	}
 }

@@ -10,15 +10,16 @@ import (
 )
 
 // The streaming plane: /streamz pushes bounded, coalesced snapshots of
-// the whole observability surface — metric values, the attached run's
-// comm matrix and rank profiles, health, and any registered extras
-// (oracle residuals, control-plane queue depth) — as server-sent events.
+// a plane's whole observability surface — metric values, its run's comm
+// matrix, health, and its extras (oracle residuals, control-plane queue
+// depth) — as server-sent events.
 //
-// One hub goroutine builds a snapshot per tick and broadcasts the same
-// rendered payload to every subscriber over a capacity-1 channel.  A
-// slow consumer never blocks the hub or other subscribers: its stale
-// snapshot is replaced by the newest one and the drop is counted — the
-// stream coalesces, it does not backlog.
+// Each plane's handler has one hub.  While anyone subscribes, its
+// goroutine builds a snapshot per tick and broadcasts the same rendered
+// payload to every subscriber over a capacity-1 channel.  A slow consumer
+// never blocks the hub or other subscribers: its stale snapshot is
+// replaced by the newest one and the drop is counted — the stream
+// coalesces, it does not backlog.
 
 // StreamSnapshot is one rendered frame of the streaming plane.
 type StreamSnapshot struct {
@@ -29,41 +30,34 @@ type StreamSnapshot struct {
 	Metrics  map[string]float64 `json:"metrics,omitempty"`
 	Matrix   *MatrixData        `json:"matrix,omitempty"`
 	Extras   map[string]any     `json:"extras,omitempty"`
-	// Dropped is the global count of snapshots dropped on slow
-	// subscribers since process start.
+	// Dropped counts the snapshots this plane's stream has dropped on
+	// slow subscribers since its handler was built.
 	Dropped uint64 `json:"dropped"`
 }
 
-// StreamSub is one subscription to the snapshot stream.  Read rendered
-// JSON payloads from C; the channel closes when the subscription is
-// canceled or the streaming plane shuts down.
-type StreamSub struct {
-	C       <-chan []byte
+// streamSub is one subscription to a hub.  Rendered JSON payloads arrive
+// on ch, which closes when the subscription is canceled.
+type streamSub struct {
 	ch      chan []byte
 	dropped atomic.Uint64
-	hub     *streamHub
 }
 
-// Dropped returns the number of snapshots this subscriber lost to
-// coalescing (it always holds the newest instead).
-func (s *StreamSub) Dropped() uint64 { return s.dropped.Load() }
-
-// Cancel ends the subscription and closes C.  Safe to call twice.
-func (s *StreamSub) Cancel() { s.hub.cancel(s) }
-
+// streamHub broadcasts one plane's snapshots to its subscribers.
 type streamHub struct {
+	plane   Plane
 	mu      sync.Mutex
-	subs    map[*StreamSub]struct{}
+	subs    map[*streamSub]struct{}
 	running bool
 	stop    chan struct{}
 	seq     uint64
+	// drops counts every subscriber's coalescing drops; unlike
+	// StreamDropped it counts while the metrics plane is disabled.
+	drops atomic.Uint64
 }
 
-var hub = &streamHub{subs: make(map[*StreamSub]struct{})}
-
-// streamDrops is the authoritative global drop counter: it must count
-// even while the metrics plane is disabled (Counter.Add is gated).
-var streamDrops atomic.Uint64
+func newStreamHub(p Plane) *streamHub {
+	return &streamHub{plane: p, subs: make(map[*streamSub]struct{})}
+}
 
 var (
 	// StreamSubscribers gauges the live /streamz subscriptions.
@@ -88,26 +82,26 @@ func SetStreamInterval(d time.Duration) {
 	streamInterval.Store(int64(d))
 }
 
-// StreamSubscribe attaches a new subscriber to the snapshot stream,
-// starting the hub on first use.  The subscriber owns a capacity-1
-// channel: if it falls behind, older snapshots are dropped in its favor
-// and counted on StreamDropped and StreamSub.Dropped.
-func StreamSubscribe() *StreamSub {
-	s := &StreamSub{ch: make(chan []byte, 1), hub: hub}
-	s.C = s.ch
-	hub.mu.Lock()
-	defer hub.mu.Unlock()
-	hub.subs[s] = struct{}{}
-	StreamSubscribers.Set(int64(len(hub.subs)))
-	if !hub.running {
-		hub.running = true
-		hub.stop = make(chan struct{})
-		go hub.loop(hub.stop)
+// subscribe attaches a new subscriber, starting the hub's goroutine on
+// first use.  The subscriber owns a capacity-1 channel: if it falls
+// behind, older snapshots are dropped in its favor and counted.
+func (h *streamHub) subscribe() *streamSub {
+	s := &streamSub{ch: make(chan []byte, 1)}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.subs[s] = struct{}{}
+	StreamSubscribers.Add(1)
+	if !h.running {
+		h.running = true
+		h.stop = make(chan struct{})
+		go h.loop(h.stop)
 	}
 	return s
 }
 
-func (h *streamHub) cancel(s *StreamSub) {
+// cancel ends a subscription and closes its channel, stopping the hub's
+// goroutine with the last one.  Safe to call twice.
+func (h *streamHub) cancel(s *streamSub) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, ok := h.subs[s]; !ok {
@@ -115,27 +109,10 @@ func (h *streamHub) cancel(s *StreamSub) {
 	}
 	delete(h.subs, s)
 	close(s.ch)
-	StreamSubscribers.Set(int64(len(h.subs)))
+	StreamSubscribers.Add(-1)
 	if len(h.subs) == 0 && h.running {
 		close(h.stop)
 		h.running = false
-	}
-}
-
-// CloseStreams terminates every live subscription — the HTTP stop path
-// calls it before Shutdown so in-flight SSE handlers return within the
-// grace window instead of pinning their connections open.
-func CloseStreams() {
-	hub.mu.Lock()
-	defer hub.mu.Unlock()
-	for s := range hub.subs {
-		delete(hub.subs, s)
-		close(s.ch)
-	}
-	StreamSubscribers.Set(0)
-	if hub.running {
-		close(hub.stop)
-		hub.running = false
 	}
 }
 
@@ -152,15 +129,14 @@ func (h *streamHub) loop(stop chan struct{}) {
 	}
 }
 
-// publish builds one snapshot and broadcasts it; exported for tests via
-// PublishStreamSnapshot.
+// publish builds one snapshot and broadcasts it.
 func (h *streamHub) publish() {
 	h.mu.Lock()
 	h.seq++
 	seq := h.seq
 	h.mu.Unlock()
 
-	payload, err := json.Marshal(buildStreamSnapshot(seq))
+	payload, err := json.Marshal(h.snapshot(seq))
 	if err != nil {
 		return
 	}
@@ -179,7 +155,7 @@ func (h *streamHub) publish() {
 		select {
 		case <-s.ch:
 			s.dropped.Add(1)
-			streamDrops.Add(1)
+			h.drops.Add(1)
 			StreamDropped.Add(1)
 		default:
 		}
@@ -187,85 +163,45 @@ func (h *streamHub) publish() {
 		case s.ch <- payload:
 		default:
 			s.dropped.Add(1)
-			streamDrops.Add(1)
+			h.drops.Add(1)
 			StreamDropped.Add(1)
 		}
 	}
 }
 
-// PublishStreamSnapshot builds and broadcasts one snapshot immediately,
-// off the tick schedule — deterministic tests and one-shot consumers use
-// it instead of waiting for the hub.
-func PublishStreamSnapshot() { hub.publish() }
-
-// Stream extras: other packages register named snapshot providers (the
-// oracle's residual summary, the control plane's queue pressure) without
-// telemetry importing them.
-var (
-	extrasMu sync.Mutex
-	extras   = map[string]func() any{}
-	extraOrd []string
-)
-
-// RegisterStreamExtra installs fn under name in every snapshot's extras
-// map.  Re-registering replaces; a nil fn removes.  fn runs on the hub
-// goroutine and must be cheap and non-blocking.
-func RegisterStreamExtra(name string, fn func() any) {
-	extrasMu.Lock()
-	defer extrasMu.Unlock()
-	if fn == nil {
-		delete(extras, name)
-		for i, n := range extraOrd {
-			if n == name {
-				extraOrd = append(extraOrd[:i], extraOrd[i+1:]...)
-				break
-			}
-		}
-		return
-	}
-	if _, ok := extras[name]; !ok {
-		extraOrd = append(extraOrd, name)
-	}
-	extras[name] = fn
-}
-
-func buildStreamSnapshot(seq uint64) StreamSnapshot {
+// snapshot builds frame seq of the plane.
+func (h *streamHub) snapshot(seq uint64) StreamSnapshot {
+	p := h.plane
 	snap := StreamSnapshot{Seq: seq, Run: Run(), Metrics: Default.Values()}
-	state, ok := processHealth()
-	_, compsOK := ComponentHealth()
+	state, ok := p.runHealth()
+	_, compsOK := p.components()
 	snap.Health, snap.HealthOK = state, ok && compsOK
-	if s := attached.Load(); s != nil && s.Matrix != nil {
-		md := s.Matrix.Snapshot()
+	if p.Run != nil && p.Run.Matrix != nil {
+		md := p.Run.Matrix.Snapshot()
 		snap.Matrix = &md
 	}
-	extrasMu.Lock()
-	names := append([]string(nil), extraOrd...)
-	fns := make([]func() any, len(names))
-	for i, n := range names {
-		fns[i] = extras[n]
-	}
-	extrasMu.Unlock()
-	if len(names) > 0 {
-		snap.Extras = make(map[string]any, len(names))
-		for i, n := range names {
-			snap.Extras[n] = fns[i]()
+	if len(p.Extras) > 0 {
+		snap.Extras = make(map[string]any, len(p.Extras))
+		for name, fn := range p.Extras {
+			snap.Extras[name] = fn()
 		}
 	}
-	snap.Dropped = streamDrops.Load()
+	snap.Dropped = h.drops.Load()
 	return snap
 }
 
-// streamzHandler serves the SSE endpoint: one `data:` event per
-// snapshot, flushed immediately, with a comment line reporting this
-// subscriber's coalescing drops whenever the count advances.
-func streamzHandler(w http.ResponseWriter, r *http.Request) {
+// serve is the SSE endpoint: one `data:` event per snapshot, flushed
+// immediately, with a comment line reporting this subscriber's coalescing
+// drops whenever the count advances.  It returns when the client goes or
+// its server stops (the request's context ends).
+func (h *streamHub) serve(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	sub := StreamSubscribe()
-	defer sub.Cancel()
+	sub := h.subscribe()
+	defer h.cancel(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
@@ -279,11 +215,8 @@ func streamzHandler(w http.ResponseWriter, r *http.Request) {
 	var reported uint64
 	for {
 		select {
-		case payload, ok := <-sub.C:
-			if !ok {
-				return // plane shut down
-			}
-			if d := sub.Dropped(); d != reported {
+		case payload := <-sub.ch:
+			if d := sub.dropped.Load(); d != reported {
 				fmt.Fprintf(w, ": coalesced %d\n", d)
 				reported = d
 			}

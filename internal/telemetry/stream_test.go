@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -12,39 +13,41 @@ import (
 )
 
 func TestStreamSlowConsumerCoalesces(t *testing.T) {
-	sub := StreamSubscribe()
-	defer sub.Cancel()
+	h := newStreamHub(Plane{})
+	sub := h.subscribe()
+	defer h.cancel(sub)
 
 	// Never drain: each publish past the first must evict the stale frame
 	// and count a drop, keeping only the newest payload buffered.
-	PublishStreamSnapshot()
-	PublishStreamSnapshot()
-	PublishStreamSnapshot()
+	h.publish()
+	h.publish()
+	h.publish()
 
-	if d := sub.Dropped(); d != 2 {
+	if d := sub.dropped.Load(); d != 2 {
 		t.Fatalf("dropped = %d, want 2 (capacity-1 channel keeps the newest)", d)
 	}
 	var snap StreamSnapshot
 	select {
-	case payload := <-sub.C:
+	case payload := <-sub.ch:
 		if err := json.Unmarshal(payload, &snap); err != nil {
 			t.Fatalf("payload not JSON: %v", err)
 		}
 	default:
 		t.Fatal("no buffered frame")
 	}
-	// Each frame carries the drop count as of its build, one broadcast
-	// behind the eviction it triggered: the third frame saw the second's.
-	if snap.Dropped < 1 {
-		t.Fatalf("snapshot's global drop count = %d, want >= 1", snap.Dropped)
+	// Each frame carries the hub's drop count as of its build, one
+	// broadcast behind the eviction it triggered: the third frame saw the
+	// second's.
+	if snap.Dropped != 1 {
+		t.Fatalf("snapshot's drop count = %d, want 1", snap.Dropped)
 	}
 	// The buffered frame is the newest: a fresh subscriber's next frame
 	// has a higher sequence number than ours.
-	probe := StreamSubscribe()
-	defer probe.Cancel()
-	PublishStreamSnapshot()
+	probe := h.subscribe()
+	defer h.cancel(probe)
+	h.publish()
 	var next StreamSnapshot
-	if err := json.Unmarshal(<-probe.C, &next); err != nil {
+	if err := json.Unmarshal(<-probe.ch, &next); err != nil {
 		t.Fatal(err)
 	}
 	if next.Seq <= snap.Seq {
@@ -54,17 +57,19 @@ func TestStreamSlowConsumerCoalesces(t *testing.T) {
 
 func TestStreamMultiSubscriberRace(t *testing.T) {
 	const subs = 8
+	h := newStreamHub(Plane{})
+	before := StreamSubscribers.Value()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < subs; i++ {
-		s := StreamSubscribe()
+		s := h.subscribe()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer s.Cancel()
+			defer h.cancel(s)
 			for {
 				select {
-				case <-s.C:
+				case <-s.ch:
 				case <-stop:
 					return
 				}
@@ -72,47 +77,46 @@ func TestStreamMultiSubscriberRace(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		PublishStreamSnapshot()
+		h.publish()
 	}
 	close(stop)
 	wg.Wait()
-	if n := StreamSubscribers.Value(); n != 0 {
-		t.Fatalf("subscribers gauge = %d after all canceled", n)
+	if n := StreamSubscribers.Value(); n != before {
+		t.Fatalf("subscribers gauge = %d after all canceled, want %d", n, before)
 	}
 }
 
 func TestStreamCancelTwiceIsSafe(t *testing.T) {
-	s := StreamSubscribe()
-	s.Cancel()
-	s.Cancel()
-	if _, ok := <-s.C; ok {
+	h := newStreamHub(Plane{})
+	s := h.subscribe()
+	h.cancel(s)
+	h.cancel(s)
+	if _, ok := <-s.ch; ok {
 		t.Fatal("canceled subscription channel not closed")
 	}
 }
 
 func TestStreamExtrasAppearInSnapshots(t *testing.T) {
-	RegisterStreamExtra("test_extra", func() any { return map[string]any{"k": 42} })
-	defer RegisterStreamExtra("test_extra", nil)
-	snap := buildStreamSnapshot(1)
+	h := newStreamHub(Plane{Extras: map[string]func() any{
+		"test_extra": func() any { return map[string]any{"k": 42} },
+	}})
+	snap := h.snapshot(1)
 	ex, ok := snap.Extras["test_extra"].(map[string]any)
 	if !ok || ex["k"] != 42 {
 		t.Fatalf("extras = %#v", snap.Extras)
 	}
-	RegisterStreamExtra("test_extra", nil)
-	if snap := buildStreamSnapshot(2); snap.Extras["test_extra"] != nil {
-		t.Fatalf("removed extra still present: %#v", snap.Extras)
+	if snap := newStreamHub(Plane{}).snapshot(1); snap.Extras != nil {
+		t.Fatalf("a plane without extras carries some: %#v", snap.Extras)
 	}
 }
 
 func TestStreamSnapshotCarriesMatrixAndMetrics(t *testing.T) {
 	m := new(Matrix)
 	m.Record(1, 2, 3, 30)
-	if snap := buildStreamSnapshot(1); snap.Matrix != nil {
-		t.Fatalf("no run attached, yet the snapshot carries a matrix: %+v", snap.Matrix)
+	if snap := newStreamHub(Plane{}).snapshot(1); snap.Matrix != nil {
+		t.Fatalf("a plane without a run carries a matrix: %+v", snap.Matrix)
 	}
-	Attach(&Scope{Matrix: m})
-	defer Attach(nil)
-	snap := buildStreamSnapshot(2)
+	snap := newStreamHub(Plane{Run: &Scope{Matrix: m}}).snapshot(2)
 	if snap.Matrix == nil || snap.Matrix.Ranks != 2 || len(snap.Matrix.Links) != 1 {
 		t.Fatalf("matrix = %+v", snap.Matrix)
 	}
@@ -145,7 +149,7 @@ func readSSEFrame(t *testing.T, br *bufio.Reader) StreamSnapshot {
 func TestStreamzEndToEnd(t *testing.T) {
 	SetStreamInterval(5 * time.Millisecond)
 	defer SetStreamInterval(500 * time.Millisecond)
-	bound, stop, err := Serve("localhost:0")
+	bound, stop, err := Serve("localhost:0", Plane{}.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestStreamzEndToEnd(t *testing.T) {
 func TestStreamzGracefulShutdownMidStream(t *testing.T) {
 	SetStreamInterval(5 * time.Millisecond)
 	defer SetStreamInterval(500 * time.Millisecond)
-	bound, stop, err := Serve("localhost:0")
+	bound, stop, err := Serve("localhost:0", Plane{}.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +187,9 @@ func TestStreamzGracefulShutdownMidStream(t *testing.T) {
 	br := bufio.NewReader(resp.Body)
 	readSSEFrame(t, br) // stream is live
 
-	// Stopping the server must close the stream promptly (CloseStreams
-	// unblocks the handler before Shutdown drains), not hang until the
-	// grace deadline cuts the connection.
+	// Stopping the server must close the stream promptly (its base
+	// context ends, which unblocks the handler before Shutdown drains),
+	// not hang until the grace deadline cuts the connection.
 	done := make(chan struct{})
 	go func() {
 		stop()
@@ -210,5 +214,42 @@ func TestStreamzGracefulShutdownMidStream(t *testing.T) {
 	case <-errc:
 	case <-time.After(3 * time.Second):
 		t.Fatal("stream did not close after server stop")
+	}
+}
+
+// TestStreamzStopLeavesOtherPlanes serves two planes in one process:
+// stopping one closes its own /streamz subscriber and leaves the other's
+// open and receiving.
+func TestStreamzStopLeavesOtherPlanes(t *testing.T) {
+	SetStreamInterval(5 * time.Millisecond)
+	defer SetStreamInterval(500 * time.Millisecond)
+	open := func() (stop func(), br *bufio.Reader) {
+		bound, stop, err := Serve("localhost:0", Plane{}.Handler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(fmt.Sprintf("http://%s/streamz", bound))
+		if err != nil {
+			stop()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		br = bufio.NewReader(resp.Body)
+		readSSEFrame(t, br) // stream is live
+		return stop, br
+	}
+	stopA, brA := open()
+	stopB, brB := open()
+	defer stopB()
+
+	stopA()
+	if _, err := io.ReadAll(brA); err != nil {
+		t.Fatalf("stopped plane's stream: %v", err)
+	}
+	// B's subscriber still receives, frame after frame.
+	first := readSSEFrame(t, brB)
+	second := readSSEFrame(t, brB)
+	if second.Seq <= first.Seq {
+		t.Fatalf("surviving stream not advancing: %d then %d", first.Seq, second.Seq)
 	}
 }

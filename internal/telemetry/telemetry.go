@@ -2,7 +2,7 @@
 // a zero-dependency metrics registry (sharded atomic counters, gauges and
 // fixed-bucket histograms with a Prometheus text exposition), a structured
 // JSONL run journal of lifecycle events with a bounded in-memory flight
-// recorder, and the HTTP endpoints that serve them.
+// recorder, and the HTTP endpoints that serve them (Plane).
 //
 // The paper's central methodological claim (Section 3) is that accurate
 // accounting must live *inside* the middleware — counters integrated into
@@ -17,17 +17,17 @@
 // branch — the no-op compilation the recovery plane's <2% overhead budget
 // requires (BenchmarkTelemetryOverhead guards it).  What belongs to one
 // run — the ID its journal lines carry, its health, its comm matrix —
-// lives on the run's Scope, never in package state, so concurrent runs in
-// one process keep their telemetry apart.  Telemetry never feeds back
-// into the simulation: virtual timelines and physics are bit-identical
-// with the plane on or off.
+// lives on the run's Scope, and what one front door serves over HTTP —
+// its run, its components' health, its stream's extras, its endpoints —
+// is the Plane it passes in, never package state, so concurrent runs and
+// servers in one process keep their telemetry apart.  Telemetry never
+// feeds back into the simulation: virtual timelines and physics are
+// bit-identical with the plane on or off.
 package telemetry
 
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -70,8 +70,8 @@ func NewRunID() string {
 // its supervisor and oracle report, and, when armed, its comm matrix.  A
 // run owns its scope (harness.RunSpec.Scope) and every layer of the run
 // reaches it from the run's session, so concurrent runs keep apart what
-// they report.  The process reports a run's health and matrix only when a
-// single-run front door attaches its scope (Attach).
+// they report.  HTTP reports a run's health and matrix only where a
+// single-run front door names it as its Plane's Run.
 type Scope struct {
 	// ID names the run in its journal lines and archived summary.
 	ID string
@@ -94,8 +94,8 @@ type healthState struct {
 }
 
 // SetHealth records the run's current health; the supervisor calls it on
-// every state transition and the oracle on an anomaly.  ok=false turns an
-// attached run's /healthz into a 503.
+// every state transition and the oracle on an anomaly.  ok=false turns the
+// /healthz of a plane that serves the run into a 503.
 func (s *Scope) SetHealth(state string, ok bool) {
 	s.health.Store(&healthState{state: state, ok: ok})
 }
@@ -115,76 +115,4 @@ func (s *Scope) Emit(typ string, fields F) {
 	if j := current.Load(); j != nil {
 		j.emit(s.ID, typ, fields)
 	}
-}
-
-// attached is the run whose health and matrix the process endpoints
-// (/healthz, /streamz) report; nil for a process that runs many.
-var attached atomic.Pointer[Scope]
-
-// Attach makes s the process's run: /healthz reports its health and
-// /streamz its matrix.  A single-run front door attaches its run; a
-// service attaches none, so its health is its components'.  nil detaches.
-func Attach(s *Scope) { attached.Store(s) }
-
-// processHealth is the attached run's health, or "idle" and healthy.
-func processHealth() (state string, ok bool) {
-	if s := attached.Load(); s != nil {
-		return s.Health()
-	}
-	return "idle", true
-}
-
-// Component health: long-lived services (the control plane's queue and
-// drain state, for instance) register named suppliers that /healthz
-// consults per request, so service-level saturation degrades health the
-// same way a degraded supervisor does.
-
-// ComponentStatus is one registered component's current report.
-type ComponentStatus struct {
-	Name   string
-	Detail string
-	OK     bool
-}
-
-var (
-	compMu sync.Mutex
-	comps  = map[string]func() (detail string, ok bool){}
-)
-
-// RegisterHealth installs (or, with a nil supplier, removes) a named
-// component health supplier.  Suppliers must be cheap and non-blocking:
-// they run on every /healthz request.
-func RegisterHealth(name string, fn func() (detail string, ok bool)) {
-	compMu.Lock()
-	defer compMu.Unlock()
-	if fn == nil {
-		delete(comps, name)
-		return
-	}
-	comps[name] = fn
-}
-
-// ComponentHealth polls every registered supplier, name-sorted, and
-// reports whether all of them (possibly none) are healthy.
-func ComponentHealth() (statuses []ComponentStatus, allOK bool) {
-	compMu.Lock()
-	names := make([]string, 0, len(comps))
-	for name := range comps {
-		names = append(names, name)
-	}
-	fns := make([]func() (string, bool), len(names))
-	sort.Strings(names)
-	for i, name := range names {
-		fns[i] = comps[name]
-	}
-	compMu.Unlock()
-	allOK = true
-	for i, name := range names {
-		detail, ok := fns[i]()
-		if !ok {
-			allOK = false
-		}
-		statuses = append(statuses, ComponentStatus{Name: name, Detail: detail, OK: ok})
-	}
-	return statuses, allOK
 }

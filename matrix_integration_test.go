@@ -1,8 +1,13 @@
 package opalperf
 
 import (
+	"bufio"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"opalperf/internal/harness"
 	"opalperf/internal/md"
@@ -15,35 +20,45 @@ import (
 // TestCommMatrixReconcilesWithCounters pins the matrix instrument's
 // accounting contract: every message the pvm layer counts lands in
 // exactly one matrix cell, so the matrix totals equal the aggregate
-// opal_pvm_* counter deltas — not approximately, exactly.  The run is
-// attached and /streamz publishes from another goroutine all along: the
-// hub reads the live matrix across goroutines, which -race holds to the
-// matrix's lock.
+// opal_pvm_* counter deltas — not approximately, exactly.  A plane serves
+// the run and a /streamz subscriber reads it all along: the plane's hub
+// snapshots the live matrix from its own goroutine, which -race holds to
+// the matrix's lock.
 func TestCommMatrixReconcilesWithCounters(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
 
 	spec := supervisedSpec(func(cp *md.Checkpoint) error { return nil })
 	spec.Scope = &telemetry.Scope{Matrix: new(telemetry.Matrix)}
-	telemetry.Attach(spec.Scope)
-	defer telemetry.Attach(nil)
-	stop, stopped := make(chan struct{}), make(chan struct{})
+	telemetry.SetStreamInterval(time.Millisecond)
+	defer telemetry.SetStreamInterval(500 * time.Millisecond)
+	srv := httptest.NewServer(telemetry.Plane{Run: spec.Scope}.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/streamz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make(chan int, 1)
 	go func() {
-		defer close(stopped)
+		n, br := 0, bufio.NewReader(resp.Body)
 		for {
-			telemetry.PublishStreamSnapshot()
-			select {
-			case <-stop:
+			line, err := br.ReadString('\n')
+			if err != nil {
+				frames <- n
 				return
-			default:
+			}
+			if strings.HasPrefix(line, "data: ") {
+				n++
 			}
 		}
 	}()
 	msgsBefore := telemetry.PvmMsgsSent.Value()
 	bytesBefore := telemetry.PvmBytesSent.Value()
-	_, err := harness.Run(spec)
-	close(stop)
-	<-stopped
+	_, err = harness.Run(spec)
+	resp.Body.Close()
+	if n := <-frames; n == 0 {
+		t.Error("no /streamz frame arrived during the run")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ var reachAllowed = map[string]string{
 	"pvm.SimVM.AheadRuns":             "seam: md's run-ahead tests fail as vacuous when no handler ran ahead",
 	"pvm.SimVM.Task":                  "seam: md's run-ahead sweep reads every process's hpm counters",
 	"trace.ComputeBreakdown":          "seam: the trace and pvm tests aggregate a whole recorded run",
-	"telemetry.SetStreamInterval":     "seam: cmd/opaltop's live /streamz golden shortens the stream period",
 	"vm.ConstRate":                    "seam: the vm and trace tests' unit-rate compute model",
 	"vm.Kernel.MaxTime":               "seam: the pvm, md, sciddle and trace tests read a run's makespan",
 }
